@@ -65,7 +65,6 @@ from .registry import (
 )
 from .verify import (
     PropertyResult,
-    failures,
     verify_all,
     verify_handle,
     verify_numerics,
@@ -101,7 +100,6 @@ __all__ = [
     "divergence_def5",
     "divergence_from_data",
     "eig_h2",
-    "failures",
     "func_h2",
     "get_model",
     "grad_fd",

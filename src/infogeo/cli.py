@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, coherent, core, discrete, regression, sphere
+from . import __version__, coherent, core, regression
 from .errors import (
     CanonicalityError,
     ConstraintError,
@@ -40,8 +40,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-_CANONICAL_KINDS = ("qubit", "coherent", "discrete")
 
 
 class UsageError(Exception):
@@ -137,10 +135,10 @@ def _resolve_model(args) -> ModelHandle:
 
 
 def _require_canonical(handle: ModelHandle, command: str) -> None:
-    if handle.kind not in _CANONICAL_KINDS:
+    if handle.descriptor is None:
         raise UsageError(
-            f"{command} needs a model with canonical coordinates; "
-            f"{handle.name!r} has kind {handle.kind!r}")
+            f"{command} needs a model with canonical coordinates;"
+            f" {handle.name!r} has none")
 
 
 def _model_inputs(args, handle: ModelHandle) -> dict:
@@ -149,41 +147,36 @@ def _model_inputs(args, handle: ModelHandle) -> dict:
     return {"model": handle.name}
 
 
+# flag -> (what the file holds, its reader)
+_DATA_FILES = {"x_file": ("state", coherent.load_state),
+               "data": ("data", regression.load_pairs)}
+
+
 def _parse_dataset(args, handle: ModelHandle):
-    """Returns (data set object, echo dict for the envelope)."""
-    kind = handle.kind
-    x_given = getattr(args, "x", None)
-    z_given = getattr(args, "z", None)
-    file_given = getattr(args, "x_file", None)
-    if kind == "coherent":
-        if (z_given is None) == (file_given is None):
-            raise UsageError("coherent data needs exactly one of --z or --x-file")
-        if z_given is not None:
-            z = _parse_complex(z_given, "--z")
-            nmax = args.nmax or handle.options["nmax"]
-            return coherent.coherent_state(z, nmax=nmax), {"z": z_given}
-        try:
-            return coherent.load_state(file_given), {"x_file": file_given}
-        except FileNotFoundError:
-            raise UsageError(f"state file not found: {file_given}") from None
-        except ValueError as exc:
-            raise UsageError(f"bad state file: {exc}") from None
-    if x_given is None:
-        raise UsageError(f"{kind} data must be given with --x")
-    if kind == "qubit":
-        x = _parse_floats(x_given, "--x", 3)
-        if float(np.linalg.norm(x)) > 1.0 + 1e-12:
-            raise DomainError("polarization vector is longer than 1")
+    """Returns (data set object, echo dict for the envelope).
+
+    The handle names the flags that can carry its data sets; exactly one
+    of them must be given.
+    """
+    given = [f for f in handle.data_flags if getattr(args, f, None) is not None]
+    if len(given) != 1:
+        flags = " or ".join("--" + f.replace("_", "-") for f in handle.data_flags)
+        need = "exactly one of " if len(handle.data_flags) > 1 else ""
+        raise UsageError(f"{handle.name} data needs {need}{flags}")
+    flag = given[0]
+    text = getattr(args, flag)
+    if flag == "x":
+        x = handle.check_x(_parse_floats(text, "--x", handle.x_size))
         return x, {"x": list(x)}
-    if kind == "discrete":
-        family = handle.options["family"]
-        x = _parse_floats(x_given, "--x", family.alphabet_size)
-        try:
-            x = discrete.check_probability(x)
-        except ValueError as exc:
-            raise DomainError(str(exc)) from None
-        return x, {"x": list(x)}
-    raise UsageError(f"model kind {kind!r} has no data-set parser")
+    if flag == "z":
+        return handle.state(_parse_complex(text, "--z"), args.nmax), {"z": text}
+    what, load = _DATA_FILES[flag]
+    try:
+        return load(text), {flag: text}
+    except FileNotFoundError:
+        raise UsageError(f"{what} file not found: {text}") from None
+    except ValueError as exc:
+        raise UsageError(f"bad {what} file: {exc}") from None
 
 
 def _model_point(args, handle: ModelHandle) -> tuple[np.ndarray, dict]:
@@ -220,9 +213,7 @@ def _cmd_massieu(args) -> int:
         "entropy": pair.entropy,
         "canonical_residual": pair.residual,
     }
-    if handle.kind == "discrete":
-        family = handle.options["family"]
-        outputs["member_distribution"] = list(discrete.boltzmann_gibbs(family, theta))
+    outputs.update(handle.member_outputs(theta))
     diagnostics = {"roundtrip_error": pair.roundtrip_error}
     _emit("massieu", inputs, outputs, diagnostics, "ok")
     return EXIT_OK
@@ -232,57 +223,19 @@ def _cmd_maxent(args) -> int:
     handle = _resolve_model(args)
     inputs = _model_inputs(args, handle)
 
-    if handle.kind == "regression":
-        if args.data is None:
-            raise UsageError("maxent on regression needs --data FILE")
-        try:
-            pts = regression.load_pairs(args.data)
-        except FileNotFoundError:
-            raise UsageError(f"data file not found: {args.data}") from None
-        except ValueError as exc:
-            raise UsageError(f"bad data file: {exc}") from None
-        inputs["data"] = args.data
-        qa, qb = regression.regression_questions(pts)
-        outputs = {
-            "questions": [qa, qb],
-            "entropy": regression.regression_entropy(pts),
-            "perfect": regression.regression_is_perfect(pts),
-        }
-        _emit("maxent", inputs, outputs, {"points": int(pts.shape[0])}, "ok")
+    if handle.descriptor is None:
+        data, echo = _parse_dataset(args, handle)
+        inputs.update(echo)
+        outputs, diagnostics = handle.best_fit(data)
+        _emit("maxent", inputs, outputs, diagnostics, "ok")
         return EXIT_OK
 
-    if handle.kind == "sphere":
-        if args.x is None:
-            raise UsageError("maxent on the sphere needs --x 'x1,x2,x3'")
-        x = _parse_floats(args.x, "--x", 3)
-        inputs["x"] = list(x)
-        mu = sphere.sphere_mu(x)
-        outputs = {"direction": list(mu), "entropy": sphere.sphere_entropy(x)}
-        if mu[2] > 0.0:
-            q = sphere.sphere_questions(x)
-            outputs["questions"] = list(q)
-            outputs["reconstruction"] = list(sphere.sphere_from_questions(q))
-        _emit("maxent", inputs, outputs, {}, "ok")
-        return EXIT_OK
-
-    model = handle.descriptor
     if args.u is None:
         raise UsageError("maxent needs the moment targets --u")
-    u = _parse_floats(args.u, "--u", model.n)
+    u = _parse_floats(args.u, "--u", handle.descriptor.n)
     inputs["u"] = list(u)
-    if handle.kind == "discrete":
-        family = handle.options["family"]
-        tol = args.tol if args.tol is not None else 1e-12
-        theta, iterations = discrete.maxent_fit_report(family, u, tol=tol)
-        achieved = family.hamiltonians @ discrete.boltzmann_gibbs(family, theta)
-        note = "damped Newton on the dual objective"
-    else:
-        if not model.energy_domain.membership(u):
-            raise DomainError("moment vector lies outside the model chart")
-        theta = core.u_to_theta(model, u)
-        achieved = core.theta_to_u(model, theta)
-        iterations = 0
-        note = "closed-form chart inversion"
+    tol = args.tol if args.tol is not None else 1e-12
+    theta, achieved, iterations, note = handle.match_moments(u, tol)
     outputs = {"theta": list(theta), "achieved": list(achieved),
                "iterations": iterations}
     diagnostics = {"residual": float(np.max(np.abs(achieved - u))), "note": note}
@@ -359,7 +312,7 @@ def _cmd_pythagoras(args) -> int:
         x, echo = _parse_dataset(args, handle)
         inputs.update(echo)
         residual = core.pythagoras_data(model, x, theta, zeta,
-                                        compliance_tol=args.tol or 1e-9)
+                                        compliance_tol=1e-9 if args.tol is None else args.tol)
         outputs = {
             "mode": "data",
             "divergence_data_first": core.divergence_from_data(model, x, theta).value,
@@ -520,30 +473,32 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, point_flags=True):
+    def add_common(p, tol=False, theta=False, u=False):
         p.add_argument("--model", help="built-in model name")
         p.add_argument("--config", help="INI file describing a model")
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance override for the underlying solver")
-        if point_flags:
+        if tol:
+            p.add_argument("--tol", type=float, default=None,
+                           help="tolerance override for the underlying solver")
+        if theta:
             p.add_argument("--theta", help="model parameters, comma-separated")
+        if u:
             p.add_argument("--u", help="moment coordinates, comma-separated")
 
     p = sub.add_parser("massieu", help="log-normalizer, moments, entropy,"
                                        " and the canonical residual at theta")
-    add_common(p)
+    add_common(p, tol=True, theta=True)
     p.set_defaults(func=_cmd_massieu)
 
     p = sub.add_parser("maxent", help="model point matching moment targets"
                                       " (or the best fit for summary models)")
-    add_common(p)
+    add_common(p, tol=True, u=True)
     p.add_argument("--x", help="data vector (sphere)")
     p.add_argument("--data", help="CSV file of x,y pairs (regression)")
     p.set_defaults(func=_cmd_maxent)
 
     p = sub.add_parser("divergence", help="divergence of data or a model point"
                                           " from a model point")
-    add_common(p)
+    add_common(p, theta=True, u=True)
     p.add_argument("--zeta", help="second model point (model-to-model mode)")
     p.add_argument("--x", help="data: polarization vector or distribution")
     p.add_argument("--z", help="data: coherent amplitude 're,im'")
@@ -554,7 +509,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pythagoras", help="three-point divergence identity"
                                           " (data or model triple)")
-    add_common(p)
+    add_common(p, tol=True, theta=True)
     p.add_argument("--zeta", help="second model point")
     p.add_argument("--xi", help="third model point (model-triple mode)")
     p.add_argument("--x", help="data: polarization vector or distribution")
@@ -565,7 +520,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pythagoras)
 
     p = sub.add_parser("sweep", help="tabulate quantities over a parameter grid")
-    add_common(p, point_flags=False)
+    add_common(p)
     p.add_argument("--grid", action="append", default=[],
                    metavar="AXIS=START:STOP:COUNT",
                    help="grid for one theta axis (repeatable); unlisted axes"

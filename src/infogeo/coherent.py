@@ -6,8 +6,9 @@ Pure states are unit vectors with components on the number states
 
     U1 = r Re<a>,   U2 = (hbar / r) Im<a>,
 
-equivalently ``(<Q>, <P>) / sqrt(2)`` for the physical quadratures built
-below, so ``z = U1/r + i (r/hbar) U2``.  The entropy of a pure state is
+equivalently ``(<Q>, <P>) / sqrt(2)`` for the physical quadratures
+``Q = r (a + a') / sqrt(2)`` and ``P = -i hbar (a - a') / (sqrt(2) r)``,
+so ``z = U1/r + i (r/hbar) U2``.  The entropy of a pure state is
 ``|<a>|^2 / 2 - <a' a>``; it equals ``-|z|^2 / 2`` on the coherent state
 ``|z>`` and is strictly smaller for any other state with the same mean
 coordinates.  All canonical quantities are quadratic, so the family is
@@ -65,18 +66,6 @@ def annihilation_matrix(nmax: int) -> np.ndarray:
     """Matrix of ``a`` on the truncated basis: ``a|n> = sqrt(n)|n-1>``."""
     n = np.arange(1, nmax + 1, dtype=float)
     return np.diag(np.sqrt(n), k=1).astype(complex)
-
-
-def position_matrix(nmax: int, constants: PhaseConstants) -> np.ndarray:
-    """Quadrature ``Q = r (a + a') / sqrt(2)``."""
-    a = annihilation_matrix(nmax)
-    return constants.r * (a + a.conj().T) / math.sqrt(2.0)
-
-
-def momentum_matrix(nmax: int, constants: PhaseConstants) -> np.ndarray:
-    """Quadrature ``P = -i hbar (a - a') / (sqrt(2) r)``."""
-    a = annihilation_matrix(nmax)
-    return -1j * constants.hbar * (a - a.conj().T) / (math.sqrt(2.0) * constants.r)
 
 
 def coherent_state(z: complex, nmax: int = 64) -> FockVector:
@@ -258,12 +247,15 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
     """Engine descriptor for the coherent family.
 
     The mean coordinates range over the whole plane; the bounding box
-    (default half-width 10) only limits where numeric searches look, so
-    pick it larger than ``max(r^2, hbar^2/r^2)`` times the largest
-    parameter magnitude of interest.  Data sets are :class:`FockVector`
-    states on the same truncated basis.
+    only limits where numeric searches look, so pick it larger than
+    ``max(r^2, hbar^2/r^2)`` times the largest parameter magnitude of
+    interest.  The default half-width, ``16 max(r^2, hbar^2/r^2, 1)``,
+    keeps ``|U|`` interior for ``|theta|`` up to 16.  Data sets are
+    :class:`FockVector` states on the same truncated basis.
     """
-    b = 10.0 if box_halfwidth is None else float(box_halfwidth)
+    r, hbar = constants.r, constants.hbar
+    b = (16.0 * max(r ** 2, hbar ** 2 / r ** 2, 1.0) if box_halfwidth is None
+         else float(box_halfwidth))
     if not b > 0.0:
         raise ValueError("box half-width must be positive")
     box = np.array([[-b, b], [-b, b]])

@@ -13,13 +13,7 @@ Conventions.  The Massieu function is the Legendre--Fenchel transform
 
 so at a dual pair the canonical identity ``Phi - S(U) + theta . U = 0``
 holds, together with ``dPhi/dtheta_j = -U_j`` and ``dS/dU_j = theta_j``.
-The metric tensor is the Hessian of Phi.  For exponential-family models
-the per-sample log weight is affine, ``L(m_theta) = alpha(theta) -
-sum_j theta_j q_j``; under the sign conventions above the affine
-constant is ``alpha(theta) = -Phi(theta)`` (see
-:func:`affine_log_constant`), while the normalizer of the probability
-weights themselves is ``+Phi(theta)`` (see :func:`log_normalizer`).
-Both accessors are provided because both sign conventions are common.
+The metric tensor is the Hessian of Phi.
 """
 
 from __future__ import annotations
@@ -353,21 +347,3 @@ def convexity_probe(model: ModelDescriptor, theta1, theta2, lambdas=None) -> flo
         mix = massieu(model, lam * theta1 + (1.0 - lam) * theta2)
         worst = max(worst, mix - lam * phi1 - (1.0 - lam) * phi2)
     return float(worst)
-
-
-def affine_log_constant(model: ModelDescriptor, theta) -> float:
-    """Constant term of the affine per-sample log weight.
-
-    With ``L(m_theta) = alpha(theta) - sum_j theta_j q_j`` the constant
-    is ``alpha(theta) = -Phi(theta)``.
-    """
-    return -massieu(model, theta)
-
-
-def log_normalizer(model: ModelDescriptor, theta) -> float:
-    """Log normalizer of the exponential weights, equal to ``+Phi(theta)``.
-
-    This is the opposite sign convention from
-    :func:`affine_log_constant`; both appear in the literature.
-    """
-    return massieu(model, theta)

@@ -154,9 +154,10 @@ def maxent_fit_report(family: DiscreteFamily, u_target,
     """Moment fit returning ``(theta, newton_iterations)``.
 
     Damped Newton on the convex dual objective ``Phi(theta) + theta . U``;
-    converged when ``max_j |E_theta H_j - U_j| <= tol``.  Divergence of
-    the iterates (norm above 1e3) signals a target outside the feasible
-    moment region and raises :class:`InfeasibleError`.
+    converged when ``max_j |E_theta H_j - U_j| <= tol``.  A target
+    outside the range ``[min_a H_j(a), max_a H_j(a)]`` of some observable,
+    or divergence of the iterates (norm above 1e3), signals a target
+    outside the feasible moment region and raises :class:`InfeasibleError`.
     """
     u_target = np.atleast_1d(np.asarray(u_target, dtype=float))
     if u_target.shape != (family.n,):
@@ -164,6 +165,10 @@ def maxent_fit_report(family: DiscreteFamily, u_target,
     theta = np.zeros(family.n)
     if family.n == 0:
         return theta, 0
+    h = family.hamiltonians
+    if np.any(u_target < h.min(axis=1)) or np.any(u_target > h.max(axis=1)):
+        raise InfeasibleError(
+            f"moment target {u_target!r} is outside the feasible region")
 
     def dual(th):
         return log_partition(family, th) + float(th @ u_target)
@@ -214,7 +219,7 @@ def _fiber_direction(family: DiscreteFamily) -> np.ndarray:
     return vt[rank:]
 
 
-def as_descriptor(family: DiscreteFamily, maxent_tol: float = 1e-13) -> ModelDescriptor:
+def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
     """Engine descriptor for the family.
 
     The energy domain is the open moment region (exact interval test for
@@ -258,7 +263,7 @@ def as_descriptor(family: DiscreteFamily, maxent_tol: float = 1e-13) -> ModelDes
             # points back to the membership margin so the evaluation stays
             # finite.  Member points are never moved.
             u = np.clip(u, clamp[0], clamp[1])
-        theta = maxent_fit(family, u, tol=maxent_tol)
+        theta = maxent_fit(family, u, tol=1e-13)
         return bgs_entropy(family, boltzmann_gibbs(family, theta))
 
     def answers(p):

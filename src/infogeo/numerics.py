@@ -111,23 +111,8 @@ class Matrix2H:
         return Matrix2H(float(m[0, 0].real), float(m[1, 1].real),
                         float(m[1, 0].real), float(m[1, 0].imag))
 
-    @staticmethod
-    def identity() -> "Matrix2H":
-        return Matrix2H(1.0, 1.0, 0.0, 0.0)
-
-    @staticmethod
-    def zero() -> "Matrix2H":
-        return Matrix2H(0.0, 0.0, 0.0, 0.0)
-
-    def trace(self) -> float:
-        return self.a + self.d
-
     def scaled(self, s: float) -> "Matrix2H":
         return Matrix2H(s * self.a, s * self.d, s * self.x, s * self.y)
-
-    def plus(self, other: "Matrix2H") -> "Matrix2H":
-        return Matrix2H(self.a + other.a, self.d + other.d,
-                        self.x + other.x, self.y + other.y)
 
 
 def _steps(x: np.ndarray, h, default: float) -> np.ndarray:

@@ -11,7 +11,6 @@ makes the model the primary oracle for the generic engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,24 +23,6 @@ PAULI_X = Matrix2H(a=0.0, d=0.0, x=1.0, y=0.0)
 PAULI_Y = Matrix2H(a=0.0, d=0.0, x=0.0, y=1.0)
 PAULI_Z = Matrix2H(a=1.0, d=-1.0, x=0.0, y=0.0)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
-
-
-@dataclass(frozen=True)
-class DensityMatrix2:
-    """A validated qubit state (Hermitian, unit trace, PSD)."""
-
-    matrix: Matrix2H
-
-    def __post_init__(self):
-        m = self.matrix
-        if abs(m.trace() - 1.0) > 1e-12:
-            raise ValueError("density matrix must have unit trace")
-        vals, _ = eig_h2(m)
-        if vals[0] < -1e-12:
-            raise ValueError("density matrix must be positive semidefinite")
-
-    def bloch(self) -> np.ndarray:
-        return rho_to_bloch(self.matrix)
 
 
 def bloch_to_rho(u) -> Matrix2H:

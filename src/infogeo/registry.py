@@ -1,94 +1,250 @@
-"""Built-in model instances and INI-file configuration loading."""
+"""Built-in model instances and INI-file configuration loading.
+
+Each family has its own handle type.  A handle carries the family's
+objects as typed fields (the engine descriptor, the discrete family, the
+oscillator constants) and owns the few things that differ between
+families: which command-line flags carry a data set and how a data
+vector is sized and validated, how a moment target is matched, and how
+the verify suites draw random parameters and data sets.
+"""
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import coherent, discrete, qubit
+from . import coherent, core, discrete, qubit, regression, sphere
 from .core import ModelDescriptor
+from .errors import DomainError
+
+
+class _CanonicalHandle:
+    """Defaults shared by the handles of canonical families.
+
+    Subclasses are dataclasses with a ``name`` and a ``descriptor``.
+    """
+
+    #: Command-line flags that can carry a data set: ``x`` is a vector of
+    #: ``x_size`` numbers validated by ``check_x``, ``z`` an amplitude
+    #: turned into a state by ``state``, ``x_file`` and ``data`` are files.
+    data_flags = ("x",)
+    #: Radius of the parameter ball sampled for data-fiber Pythagoras checks.
+    fiber_radius = 2.0
+    #: Points at which verify compares the numeric Legendre route to the
+    #: closed Massieu function.
+    legendre_points = 25
+
+    def sample_thetas(self, rng, count: int, radius: float = 3.0) -> np.ndarray:
+        """``count`` random parameter points with entries in ``[-radius, radius]``."""
+        return rng.uniform(-radius, radius, size=(count, self.descriptor.n))
+
+    def match_moments(self, u: np.ndarray, tol: float):
+        """Parameters matching the moment targets ``u``.
+
+        Returns ``(theta, achieved moments, solver iterations, note)``.
+        """
+        model = self.descriptor
+        if not model.energy_domain.membership(u):
+            raise DomainError("moment vector lies outside the model chart")
+        theta = core.u_to_theta(model, u)
+        return theta, core.theta_to_u(model, theta), 0, "closed-form chart inversion"
+
+    def member_outputs(self, theta: np.ndarray) -> dict:
+        """Extra ``massieu`` outputs describing the member at ``theta``."""
+        return {}
 
 
 @dataclass(frozen=True)
-class ModelHandle:
-    """A named model plus whatever the canonical engine needs.
+class QubitHandle(_CanonicalHandle):
+    """The qubit: Bloch vectors as data sets, Gibbs states as members."""
 
-    ``descriptor`` is None for the summary-only kinds (regression,
-    sphere) that have questions and entropy but no canonical family
-    wired into the engine.
-    """
-
-    kind: str
     name: str
-    descriptor: ModelDescriptor | None
-    options: dict = field(default_factory=dict)
+    descriptor: ModelDescriptor
+
+    x_size = 3
+    legendre_points = 100
+
+    def check_x(self, x: np.ndarray) -> np.ndarray:
+        if float(np.linalg.norm(x)) > 1.0 + 1e-12:
+            raise DomainError("polarization vector is longer than 1")
+        return x
+
+    def sample_thetas(self, rng, count: int, radius: float = 3.0) -> np.ndarray:
+        """Uniform directions with lengths in ``[0.05, radius]``."""
+        v = rng.normal(size=(count, self.descriptor.n))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        return v * rng.uniform(0.05, radius, size=(count, 1))
+
+    def sample_dataset(self, rng) -> np.ndarray:
+        """A Bloch vector drawn uniformly from the unit ball."""
+        v = rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        return v * rng.uniform(0.0, 1.0) ** (1.0 / 3.0)
+
+
+@dataclass(frozen=True)
+class CoherentHandle(_CanonicalHandle):
+    """One oscillator mode: truncated Fock states as data sets."""
+
+    name: str
+    descriptor: ModelDescriptor
+    constants: coherent.PhaseConstants
+    nmax: int
+
+    data_flags = ("z", "x_file")
+    # oscillator fibers rebuild a basis state whose mean grows with
+    # |theta|; stay where the truncation bound is comfortable
+    fiber_radius = 1.2
+
+    def state(self, z: complex, nmax: int | None = None) -> coherent.FockVector:
+        """Coherent state ``|z>``, truncated at ``nmax`` (default: the model's)."""
+        return coherent.coherent_state(z, nmax=nmax or self.nmax)
+
+    def sample_dataset(self, rng) -> coherent.FockVector:
+        """A random state weighted towards the low number states."""
+        nmax = self.nmax
+        c = rng.normal(size=nmax + 1) + 1j * rng.normal(size=nmax + 1)
+        # concentrate weight on low modes so the states resemble
+        # physical ones rather than white noise
+        c *= np.exp(-0.35 * np.arange(nmax + 1))
+        c /= np.linalg.norm(c)
+        return coherent.FockVector(c)
+
+
+@dataclass(frozen=True)
+class DiscreteHandle(_CanonicalHandle):
+    """A discrete family: probability vectors as data sets."""
+
+    name: str
+    descriptor: ModelDescriptor
+    family: discrete.DiscreteFamily
+
+    @property
+    def x_size(self) -> int:
+        return self.family.alphabet_size
+
+    def check_x(self, x: np.ndarray) -> np.ndarray:
+        try:
+            return discrete.check_probability(x)
+        except ValueError as exc:
+            raise DomainError(str(exc)) from None
+
+    def match_moments(self, u: np.ndarray, tol: float):
+        family = self.family
+        theta, iterations = discrete.maxent_fit_report(family, u, tol=tol)
+        achieved = family.hamiltonians @ discrete.boltzmann_gibbs(family, theta)
+        return theta, achieved, iterations, "damped Newton on the dual objective"
+
+    def member_outputs(self, theta: np.ndarray) -> dict:
+        return {"member_distribution":
+                list(discrete.boltzmann_gibbs(self.family, theta))}
+
+    def sample_dataset(self, rng) -> np.ndarray:
+        """A probability vector drawn uniformly from the simplex."""
+        return rng.dirichlet(np.ones(self.family.alphabet_size))
+
+
+@dataclass(frozen=True)
+class RegressionHandle:
+    """Least-squares lines: a summary model with no canonical family."""
+
+    name: str = "regression"
+    descriptor = None
+    data_flags = ("data",)
+
+    def best_fit(self, pts: np.ndarray) -> tuple[dict, dict]:
+        """``maxent`` outputs and diagnostics for the point set ``pts``."""
+        outputs = {
+            "questions": list(regression.regression_questions(pts)),
+            "entropy": regression.regression_entropy(pts),
+            "perfect": regression.regression_is_perfect(pts),
+        }
+        return outputs, {"points": int(pts.shape[0])}
+
+
+@dataclass(frozen=True)
+class SphereHandle:
+    """Directions of vectors: a summary model with no canonical family."""
+
+    name: str = "sphere"
+    descriptor = None
+    data_flags = ("x",)
+    x_size = 3
+
+    def check_x(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def best_fit(self, x: np.ndarray) -> tuple[dict, dict]:
+        """``maxent`` outputs and diagnostics for the vector ``x``."""
+        mu = sphere.sphere_mu(x)
+        outputs = {"direction": list(mu), "entropy": sphere.sphere_entropy(x)}
+        if mu[2] > 0.0:
+            q = sphere.sphere_questions(x)
+            outputs["questions"] = list(q)
+            outputs["reconstruction"] = list(sphere.sphere_from_questions(q))
+        return outputs, {}
+
+
+ModelHandle = (QubitHandle | CoherentHandle | DiscreteHandle | RegressionHandle
+               | SphereHandle)
 
 
 def qubit_instance(membership_margin: float = 1e-12,
-                   chart_margin: float = 1e-9) -> ModelHandle:
+                   chart_margin: float = 1e-9) -> QubitHandle:
     desc = qubit.as_descriptor(membership_margin=membership_margin,
                                chart_margin=chart_margin)
-    return ModelHandle(kind="qubit", name="qubit", descriptor=desc,
-                       options={"membership_margin": membership_margin,
-                                "chart_margin": chart_margin})
+    return QubitHandle(name="qubit", descriptor=desc)
 
 
 def coherent_instance(r: float = 1.0, hbar: float = 1.0, nmax: int = 64,
-                      box: float | None = None) -> ModelHandle:
+                      box: float | None = None) -> CoherentHandle:
     constants = coherent.PhaseConstants(r=r, hbar=hbar)
-    if box is None:
-        # wide enough that |U| = max(r^2, hbar^2/r^2) |theta| stays
-        # interior for the parameter magnitudes exercised by checks
-        box = 16.0 * max(r ** 2, hbar ** 2 / r ** 2, 1.0)
     desc = coherent.as_descriptor(constants, nmax=nmax, box_halfwidth=box)
-    return ModelHandle(kind="coherent", name=desc.name, descriptor=desc,
-                       options={"constants": constants, "nmax": nmax, "box": box})
+    return CoherentHandle(name=desc.name, descriptor=desc, constants=constants,
+                          nmax=nmax)
 
 
-def discrete_instance(prior, hamiltonians, name: str | None = None) -> ModelHandle:
+def discrete_instance(prior, hamiltonians, name: str | None = None) -> DiscreteHandle:
     family = discrete.DiscreteFamily(prior=np.asarray(prior, dtype=float),
                                      hamiltonians=np.asarray(hamiltonians, dtype=float))
     desc = discrete.as_descriptor(family)
-    return ModelHandle(kind="discrete", name=name or desc.name, descriptor=desc,
-                       options={"family": family})
+    return DiscreteHandle(name=name or desc.name, descriptor=desc, family=family)
 
 
-def regression_instance() -> ModelHandle:
-    return ModelHandle(kind="regression", name="regression", descriptor=None)
+def regression_instance() -> RegressionHandle:
+    return RegressionHandle()
 
 
-def sphere_instance() -> ModelHandle:
-    return ModelHandle(kind="sphere", name="sphere", descriptor=None)
+def sphere_instance() -> SphereHandle:
+    return SphereHandle()
+
+
+_CANONICAL = {
+    "qubit": qubit_instance,
+    "coherent": lambda: coherent_instance(r=1.0, hbar=1.0),
+    "coherent2": lambda: coherent_instance(r=2.0, hbar=0.5),
+    "discrete2": lambda: discrete_instance(np.ones(2), [[0.0, 1.0]], name="discrete2"),
+    "discrete3": lambda: discrete_instance(np.ones(3), [[0.0, 1.0, 2.0]],
+                                           name="discrete3"),
+}
+_BUILTINS = {**_CANONICAL, "regression": regression_instance, "sphere": sphere_instance}
+
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def canonical_instances() -> dict[str, ModelHandle]:
     """The five reference instances used throughout the checks."""
-    return {
-        "qubit": qubit_instance(),
-        "coherent": coherent_instance(r=1.0, hbar=1.0),
-        "coherent2": coherent_instance(r=2.0, hbar=0.5),
-        "discrete2": discrete_instance(np.ones(2), [[0.0, 1.0]], name="discrete2"),
-        "discrete3": discrete_instance(np.ones(3), [[0.0, 1.0, 2.0]], name="discrete3"),
-    }
-
-
-BUILTIN_NAMES = ("qubit", "coherent", "coherent2", "discrete2", "discrete3",
-                 "regression", "sphere")
+    return {name: build() for name, build in _CANONICAL.items()}
 
 
 def get_model(name: str) -> ModelHandle:
-    """Handle for a built-in name.  Raises KeyError for unknown names."""
-    if name == "regression":
-        return regression_instance()
-    if name == "sphere":
-        return sphere_instance()
-    table = canonical_instances()
-    if name not in table:
+    """A newly built handle for a built-in name.  Raises KeyError for unknown names."""
+    if name not in _BUILTINS:
         raise KeyError(f"unknown model {name!r}; known: {', '.join(BUILTIN_NAMES)}")
-    return table[name]
+    return _BUILTINS[name]()
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -104,7 +260,7 @@ def _parse_vector(text: str) -> np.ndarray:
 def load_config(path: str) -> ModelHandle:
     """Build a model from an INI file.
 
-    The [model] section names the kind; a section of the same name holds
+    The [model] section names the type; a section of the same name holds
     its settings:
 
         [model]
@@ -114,9 +270,11 @@ def load_config(path: str) -> ModelHandle:
         prior = 1, 1, 1
         hamiltonians = 0, 1, 2
 
-    Coherent settings are r, hbar, nmax, box; qubit settings are
-    membership_margin and chart_margin; discrete rows of the observable
-    matrix are separated by ";".
+    Coherent settings are r, hbar, nmax and box (the half-width of the
+    numeric search box; see :func:`infogeo.coherent.as_descriptor` for
+    its default); qubit settings are membership_margin and chart_margin;
+    discrete rows of the observable matrix are separated by ";".  The
+    regression and sphere types take no settings.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -125,30 +283,27 @@ def load_config(path: str) -> ModelHandle:
         parser.read_file(fh)
     if not parser.has_section("model") or not parser.has_option("model", "type"):
         raise ValueError("config needs a [model] section with a 'type' key")
-    kind = parser.get("model", "type").strip().lower()
+    model_type = parser.get("model", "type").strip().lower()
 
-    if kind == "qubit":
+    if model_type == "qubit":
         margin = parser.getfloat("qubit", "membership_margin", fallback=1e-12)
         chart = parser.getfloat("qubit", "chart_margin", fallback=1e-9)
         return qubit_instance(membership_margin=margin, chart_margin=chart)
-    if kind == "coherent":
+    if model_type == "coherent":
         r = parser.getfloat("coherent", "r", fallback=1.0)
         hbar = parser.getfloat("coherent", "hbar", fallback=1.0)
         nmax = parser.getint("coherent", "nmax", fallback=64)
         box = (parser.getfloat("coherent", "box")
                if parser.has_option("coherent", "box") else None)
         return coherent_instance(r=r, hbar=hbar, nmax=nmax, box=box)
-    if kind == "discrete":
+    if model_type == "discrete":
         if not parser.has_section("discrete"):
             raise ValueError("discrete config needs a [discrete] section")
         prior = _parse_vector(parser.get("discrete", "prior"))
         ham = _parse_matrix(parser.get("discrete", "hamiltonians"))
         return discrete_instance(prior, ham)
-    if kind == "regression":
-        handle = regression_instance()
-        if parser.has_option("regression", "data"):
-            handle.options["data"] = parser.get("regression", "data")
-        return handle
-    if kind == "sphere":
+    if model_type == "regression":
+        return regression_instance()
+    if model_type == "sphere":
         return sphere_instance()
-    raise ValueError(f"unknown model type {kind!r}")
+    raise ValueError(f"unknown model type {model_type!r}")

@@ -16,7 +16,15 @@ import numpy as np
 from . import coherent as coh
 from . import core, discrete, numerics, qubit, regression, sphere
 from .errors import CanonicalityError, DegeneracyError
-from .registry import ModelHandle, canonical_instances
+from .registry import (
+    CoherentHandle,
+    DiscreteHandle,
+    ModelHandle,
+    QubitHandle,
+    RegressionHandle,
+    SphereHandle,
+    canonical_instances,
+)
 
 
 @dataclass(frozen=True)
@@ -34,36 +42,6 @@ def _check(name: str, worst: float, tol: float, note: str = "") -> PropertyResul
     worst = float(worst)
     return PropertyResult(name, bool(worst <= tol) and math.isfinite(worst),
                           worst, float(tol), note)
-
-
-def _sample_thetas(handle: ModelHandle, rng, count: int,
-                   radius: float = 3.0) -> np.ndarray:
-    n = handle.descriptor.n
-    if handle.kind == "qubit":
-        v = rng.normal(size=(count, n))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return v * rng.uniform(0.05, radius, size=(count, 1))
-    return rng.uniform(-radius, radius, size=(count, n))
-
-
-def _sample_dataset(handle: ModelHandle, rng):
-    """A random data set handle of the kind the descriptor expects."""
-    if handle.kind == "qubit":
-        v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        return v * rng.uniform(0.0, 1.0) ** (1.0 / 3.0)
-    if handle.kind == "discrete":
-        family = handle.options["family"]
-        return rng.dirichlet(np.ones(family.alphabet_size))
-    if handle.kind == "coherent":
-        nmax = handle.options["nmax"]
-        c = rng.normal(size=nmax + 1) + 1j * rng.normal(size=nmax + 1)
-        # concentrate weight on low modes so the states resemble
-        # physical ones rather than white noise
-        c *= np.exp(-0.35 * np.arange(nmax + 1))
-        c /= np.linalg.norm(c)
-        return coh.FockVector(c)
-    raise ValueError(f"no data-set sampler for kind {handle.kind!r}")
 
 
 # ---------------------------------------------------------------- numerics
@@ -134,14 +112,14 @@ def verify_numerics() -> list[PropertyResult]:
 
 # ------------------------------------------------------- canonical engine
 
-def verify_canonical(handle: ModelHandle, seed: int = 7,
-                     segments: int = 500) -> list[PropertyResult]:
+def verify_canonical(handle: ModelHandle) -> list[PropertyResult]:
     """Engine-level duality checks shared by every canonical instance."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
+    segments = 500
     model = handle.descriptor
     out = []
 
-    thetas = _sample_thetas(handle, rng, 50)
+    thetas = handle.sample_thetas(rng, 50)
     worst_phi = worst_s = 0.0
     for th in thetas:
         u = core.theta_to_u(model, th)
@@ -155,7 +133,7 @@ def verify_canonical(handle: ModelHandle, seed: int = 7,
                       note="grad S = theta at 50 points"))
 
     worst_res = worst_rt = 0.0
-    for th in _sample_thetas(handle, rng, 100):
+    for th in handle.sample_thetas(rng, 100):
         try:
             pair = core.canonical_check(model, th)
         except CanonicalityError as exc:
@@ -169,7 +147,7 @@ def verify_canonical(handle: ModelHandle, seed: int = 7,
 
     worst = -math.inf
     try:
-        for th in _sample_thetas(handle, rng, 10, radius=2.0):
+        for th in handle.sample_thetas(rng, 10, radius=2.0):
             g = core.metric_tensor(model, th)
             worst = max(worst, -float(np.linalg.eigvalsh(g)[0]))
     except DegeneracyError:
@@ -178,7 +156,7 @@ def verify_canonical(handle: ModelHandle, seed: int = 7,
                       note="worst = -(min eigenvalue of Hess Phi)"))
 
     worst = 0.0
-    for th in _sample_thetas(handle, rng, 8, radius=2.0):
+    for th in handle.sample_thetas(rng, 8, radius=2.0):
         g = core.metric_tensor(model, th)
         ginv = np.linalg.inv(g)
         hs = numerics.hess_fd(model.entropy_u, core.theta_to_u(model, th))
@@ -189,7 +167,7 @@ def verify_canonical(handle: ModelHandle, seed: int = 7,
 
     worst = -math.inf
     for _ in range(segments):
-        t1, t2 = _sample_thetas(handle, rng, 2)
+        t1, t2 = handle.sample_thetas(rng, 2)
         worst = max(worst, core.convexity_probe(model, t1, t2))
     out.append(_check("massieu-convexity", worst, 1e-9,
                       note=f"{segments} random segments, 21 blend points each"))
@@ -197,7 +175,7 @@ def verify_canonical(handle: ModelHandle, seed: int = 7,
     worst = -math.inf
     min_separated = math.inf
     for _ in range(1000):
-        t1, t2 = _sample_thetas(handle, rng, 2)
+        t1, t2 = handle.sample_thetas(rng, 2)
         d = core.bregman_divergence(model, t1, t2)
         worst = max(worst, -d)
         if float(np.linalg.norm(t1 - t2)) >= 0.1:
@@ -209,11 +187,8 @@ def verify_canonical(handle: ModelHandle, seed: int = 7,
 
     if model.dataset_answers is not None and model.fiber_sampler is not None:
         worst = 0.0
-        # oscillator fibers rebuild a basis state whose mean grows with
-        # |theta|; stay where the truncation bound is comfortable
-        fiber_radius = 1.2 if handle.kind == "coherent" else 2.0
         for _ in range(70):
-            th, ze = _sample_thetas(handle, rng, 2, radius=fiber_radius)
+            th, ze = handle.sample_thetas(rng, 2, radius=handle.fiber_radius)
             u = core.theta_to_u(model, th)
             for x in model.fiber_sampler(u, 3, rng):
                 worst = max(worst, core.pythagoras_data(model, x, th, ze))
@@ -223,7 +198,7 @@ def verify_canonical(handle: ModelHandle, seed: int = 7,
     worst_orth = 0.0
     worst_ident = 0.0
     for _ in range(100):
-        th, ze, xi = _sample_thetas(handle, rng, 3, radius=2.0)
+        th, ze, xi = handle.sample_thetas(rng, 3, radius=2.0)
         orth, res = core.pythagoras_models(model, th, ze, xi)
         worst_ident = max(worst_ident, abs(res - abs(orth)))
         if model.n >= 2:
@@ -241,9 +216,9 @@ def verify_canonical(handle: ModelHandle, seed: int = 7,
 
     numeric = replace(model, closed_massieu=None, closed_theta_to_u=None,
                       closed_u_to_theta=None)
-    count = 100 if handle.kind == "qubit" else 25
+    count = handle.legendre_points
     worst = 0.0
-    for th in _sample_thetas(handle, rng, count):
+    for th in handle.sample_thetas(rng, count):
         closed = core.massieu(model, th)
         num = core.massieu(numeric, th, tol=1e-7)
         worst = max(worst, abs(num - closed))
@@ -253,8 +228,8 @@ def verify_canonical(handle: ModelHandle, seed: int = 7,
     if model.dataset_answers is not None:
         worst = -math.inf
         for _ in range(60):
-            x = _sample_dataset(handle, rng)
-            th = _sample_thetas(handle, rng, 1)[0]
+            x = handle.sample_dataset(rng)
+            th = handle.sample_thetas(rng, 1)[0]
             worst = max(worst, -core.divergence_from_data(model, x, th).value)
         out.append(_check("divergence-nonnegative", worst, 1e-10,
                           note="random data sets against random model points"))
@@ -263,9 +238,9 @@ def verify_canonical(handle: ModelHandle, seed: int = 7,
 
 # ------------------------------------------------------------ model extras
 
-def verify_qubit_extras(handle: ModelHandle, seed: int = 13,
-                        grid_thetas: int = 5) -> list[PropertyResult]:
-    rng = np.random.default_rng(seed)
+def verify_qubit_extras(handle: QubitHandle) -> list[PropertyResult]:
+    rng = np.random.default_rng(13)
+    grid_thetas = 5
     model = handle.descriptor
     out = []
 
@@ -285,8 +260,8 @@ def verify_qubit_extras(handle: ModelHandle, seed: int = 13,
 
     worst = 0.0
     for _ in range(200):
-        x = _sample_dataset(handle, rng)
-        th = _sample_thetas(handle, rng, 1)[0]
+        x = handle.sample_dataset(rng)
+        th = handle.sample_thetas(rng, 1)[0]
         via_engine = core.divergence_from_data(model, x, th).value
         via_spectral = qubit.quantum_relative_entropy(
             qubit.bloch_to_rho(x), qubit.gibbs_state(th))
@@ -296,14 +271,14 @@ def verify_qubit_extras(handle: ModelHandle, seed: int = 13,
 
     worst = -math.inf
     for _ in range(1000):
-        rho = qubit.bloch_to_rho(_sample_dataset(handle, rng))
-        sigma = qubit.gibbs_state(_sample_thetas(handle, rng, 1)[0])
+        rho = qubit.bloch_to_rho(handle.sample_dataset(rng))
+        sigma = qubit.gibbs_state(handle.sample_thetas(rng, 1)[0])
         worst = max(worst, -qubit.quantum_relative_entropy(rho, sigma))
     out.append(_check("relative-entropy-nonnegative", worst, 1e-12))
 
     worst = 0.0
     for _ in range(50):
-        th = _sample_thetas(handle, rng, 1)[0]
+        th = handle.sample_thetas(rng, 1)[0]
         state = qubit.gibbs_state(th)
         lnrho = numerics.func_h2(state, math.log)
         t = float(np.linalg.norm(th))
@@ -316,7 +291,7 @@ def verify_qubit_extras(handle: ModelHandle, seed: int = 13,
 
     worst = 0.0
     for _ in range(30):
-        th = _sample_thetas(handle, rng, 1)[0]
+        th = handle.sample_thetas(rng, 1)[0]
         u = core.theta_to_u(model, th)
         x = rng.normal(size=3)
         x *= rng.uniform(0.0, 0.9) / float(np.linalg.norm(x))
@@ -358,14 +333,14 @@ def verify_qubit_extras(handle: ModelHandle, seed: int = 13,
     return out
 
 
-def verify_discrete_extras(handle: ModelHandle, seed: int = 17) -> list[PropertyResult]:
-    rng = np.random.default_rng(seed)
+def verify_discrete_extras(handle: DiscreteHandle) -> list[PropertyResult]:
+    rng = np.random.default_rng(17)
     model = handle.descriptor
-    family = handle.options["family"]
+    family = handle.family
     out = []
 
     worst = 0.0
-    for th in _sample_thetas(handle, rng, 50):
+    for th in handle.sample_thetas(rng, 50):
         u = family.hamiltonians @ discrete.boltzmann_gibbs(family, th)
         back = discrete.maxent_fit(family, u, tol=1e-12)
         worst = max(worst, float(np.max(np.abs(back - th))))
@@ -374,7 +349,7 @@ def verify_discrete_extras(handle: ModelHandle, seed: int = 17) -> list[Property
 
     worst = 0.0
     for _ in range(200):
-        t1, t2 = _sample_thetas(handle, rng, 2)
+        t1, t2 = handle.sample_thetas(rng, 2)
         p, q = discrete.boltzmann_gibbs(family, t1), discrete.boltzmann_gibbs(family, t2)
         worst = max(worst, abs(discrete.kl_divergence(p, q)
                                - core.bregman_divergence(model, t1, t2)))
@@ -385,7 +360,7 @@ def verify_discrete_extras(handle: ModelHandle, seed: int = 17) -> list[Property
                       note="direct relative entropy vs Phi - S + theta.answers"))
 
     worst = 0.0
-    for th in _sample_thetas(handle, rng, 10, radius=2.0):
+    for th in handle.sample_thetas(rng, 10, radius=2.0):
         g = core.metric_tensor(model, th)
         cov = discrete.fisher_covariance(family, discrete.boltzmann_gibbs(family, th))
         worst = max(worst, float(np.max(np.abs(g - cov))))
@@ -395,7 +370,7 @@ def verify_discrete_extras(handle: ModelHandle, seed: int = 17) -> list[Property
     fiber_dim = family.alphabet_size - 1 - family.n
     if fiber_dim == 1:
         worst = -math.inf
-        for th in _sample_thetas(handle, rng, 5, radius=1.5):
+        for th in handle.sample_thetas(rng, 5, radius=1.5):
             u = core.theta_to_u(model, th)
             s_model = model.entropy_u(u)
             for y in model.fiber_sampler(u, 100, rng):
@@ -405,7 +380,7 @@ def verify_discrete_extras(handle: ModelHandle, seed: int = 17) -> list[Property
 
         worst = 0.0
         for _ in range(20):
-            th = _sample_thetas(handle, rng, 1, radius=1.5)[0]
+            th = handle.sample_thetas(rng, 1, radius=1.5)[0]
             u = core.theta_to_u(model, th)
             x = rng.dirichlet(np.ones(family.alphabet_size))
             d5 = core.divergence_def5(model, x, u, fiber_samples=200)
@@ -416,7 +391,7 @@ def verify_discrete_extras(handle: ModelHandle, seed: int = 17) -> list[Property
 
     if family.n == 1:
         worst = 0.0
-        for th in _sample_thetas(handle, rng, 5, radius=1.5):
+        for th in handle.sample_thetas(rng, 5, radius=1.5):
             def objective(u, _th=float(th[0])):
                 return model.entropy_u(u) - _th * float(u[0])
             _, gv = numerics.grid_sup(objective, model.energy_domain, 61)
@@ -429,11 +404,11 @@ def verify_discrete_extras(handle: ModelHandle, seed: int = 17) -> list[Property
     return out
 
 
-def verify_coherent_extras(handle: ModelHandle, seed: int = 19) -> list[PropertyResult]:
-    rng = np.random.default_rng(seed)
+def verify_coherent_extras(handle: CoherentHandle) -> list[PropertyResult]:
+    rng = np.random.default_rng(19)
     model = handle.descriptor
-    constants = handle.options["constants"]
-    nmax = handle.options["nmax"]
+    constants = handle.constants
+    nmax = handle.nmax
     amat = coh.annihilation_matrix(nmax)
     out = []
 
@@ -463,7 +438,7 @@ def verify_coherent_extras(handle: ModelHandle, seed: int = 19) -> list[Property
     worst = -math.inf
     worst_phase = 0.0
     for _ in range(500):
-        x = _sample_dataset(handle, rng)
+        x = handle.sample_dataset(rng)
         u = rng.uniform(-2.0, 2.0, size=2)
         d = coh.divergence_coherent(x, u, constants)
         worst = max(worst, -d)
@@ -481,7 +456,7 @@ def verify_coherent_extras(handle: ModelHandle, seed: int = 19) -> list[Property
         th = coh.u_to_theta_coherent(u, constants)
         lmat = coh.log_map_coherent(u, constants, nmax)
         phi_val = coh.massieu_coherent(th, constants)
-        x = _sample_dataset(handle, rng)
+        x = handle.sample_dataset(rng)
         lhs = coh.expectation_quadratic(x, lmat)
         rhs = -phi_val - float(th @ coh.mu_map(x, constants))
         worst = max(worst, abs(lhs - rhs))
@@ -506,7 +481,7 @@ def verify_coherent_extras(handle: ModelHandle, seed: int = 19) -> list[Property
     worst = 0.0
     r, hbar = constants.r, constants.hbar
     expected = np.diag([r ** 2, hbar ** 2 / r ** 2])
-    for th in _sample_thetas(handle, rng, 5, radius=2.0):
+    for th in handle.sample_thetas(rng, 5, radius=2.0):
         g = core.metric_tensor(model, th)
         worst = max(worst, float(np.max(np.abs(g - expected))))
     out.append(_check("metric-constant-gaussian", worst, 1e-5,
@@ -514,8 +489,8 @@ def verify_coherent_extras(handle: ModelHandle, seed: int = 19) -> list[Property
 
     worst = 0.0
     for _ in range(20):
-        x = _sample_dataset(handle, rng)
-        th = _sample_thetas(handle, rng, 1, radius=2.0)[0]
+        x = handle.sample_dataset(rng)
+        th = handle.sample_thetas(rng, 1, radius=2.0)[0]
         u = coh.theta_to_u_coherent(th, constants)
         via_closed = coh.divergence_coherent(x, u, constants)
         via_engine = core.divergence_from_data(model, x, th).value
@@ -634,18 +609,12 @@ def verify_regression() -> list[PropertyResult]:
 
 def verify_handle(handle: ModelHandle) -> list[PropertyResult]:
     """Full suite for one model instance."""
-    if handle.kind == "sphere":
-        return verify_sphere()
-    if handle.kind == "regression":
-        return verify_regression()
-    results = verify_canonical(handle)
-    if handle.kind == "qubit":
-        results += verify_qubit_extras(handle)
-    elif handle.kind == "discrete":
-        results += verify_discrete_extras(handle)
-    elif handle.kind == "coherent":
-        results += verify_coherent_extras(handle)
-    return results
+    if handle.descriptor is None:
+        summary = {RegressionHandle: verify_regression, SphereHandle: verify_sphere}
+        return summary[type(handle)]()
+    extras = {QubitHandle: verify_qubit_extras, DiscreteHandle: verify_discrete_extras,
+              CoherentHandle: verify_coherent_extras}
+    return verify_canonical(handle) + extras[type(handle)](handle)
 
 
 def verify_all() -> dict[str, list[PropertyResult]]:
@@ -657,12 +626,3 @@ def verify_all() -> dict[str, list[PropertyResult]]:
     report["sphere"] = verify_sphere()
     return report
 
-
-def failures(report) -> list[str]:
-    """Names of failing checks, prefixed by their suite."""
-    if isinstance(report, list):
-        return [r.name for r in report if not r.passed]
-    out = []
-    for suite, rows in report.items():
-        out.extend(f"{suite}:{r.name}" for r in rows if not r.passed)
-    return out

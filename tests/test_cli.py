@@ -10,7 +10,7 @@ import pytest
 from conftest import close7, envelope, run_cli
 
 from infogeo import BUILTIN_NAMES, canonical_instances, get_model
-from infogeo.registry import load_config
+from infogeo.registry import CoherentHandle, DiscreteHandle, load_config
 
 LN2 = math.log(2.0)
 
@@ -38,15 +38,15 @@ def test_load_config_variants(tmp_path):
     path = tmp_path / "model.ini"
     path.write_text("[model]\ntype = coherent\n\n[coherent]\nr = 2\nhbar = 1\n")
     handle = load_config(str(path))
-    assert handle.kind == "coherent"
-    assert handle.options["constants"].r == 2.0
+    assert isinstance(handle, CoherentHandle)
+    assert handle.constants.r == 2.0
 
     discrete = tmp_path / "discrete.ini"
     discrete.write_text("[model]\ntype = discrete\n\n[discrete]\n"
                         "prior = 1, 1, 1\nhamiltonians = 0, 1, 2\n")
     dh = load_config(str(discrete))
-    assert dh.kind == "discrete"
-    assert dh.options["family"].alphabet_size == 3
+    assert isinstance(dh, DiscreteHandle)
+    assert dh.family.alphabet_size == 3
 
     with pytest.raises(FileNotFoundError):
         load_config(str(tmp_path / "missing.ini"))
@@ -96,6 +96,35 @@ def test_massieu_from_config_file(tmp_path):
     assert close7(env["outputs"]["massieu"], 2.0)
     assert close7(env["outputs"]["entropy"], -2.0)
     assert np.allclose(env["outputs"]["u"], [-4.0, 0.0], atol=1e-9)
+
+
+def test_config_models_match_builtins(tmp_path):
+    """Config-built discrete and coherent models read data sets and run
+    the verify suite exactly like their built-in twins."""
+    discrete = tmp_path / "discrete.ini"
+    discrete.write_text("[model]\ntype = discrete\n\n[discrete]\n"
+                        "prior = 1, 1, 1\nhamiltonians = 0, 1, 2\n")
+    coherent = tmp_path / "coherent.ini"
+    coherent.write_text("[model]\ntype = coherent\n\n[coherent]\nr = 2\nhbar = 0.5\n")
+    pairs = (
+        (("--config", str(discrete)), ("--model", "discrete3"),
+         ("--x", "0.2,0.5,0.3", "--theta", "0.4")),
+        (("--config", str(coherent)), ("--model", "coherent2"),
+         ("--z", "0.6,-0.3", "--u", "1,0.5")),
+    )
+    for config, builtin, data in pairs:
+        via_config = run_cli("divergence", *config, *data)
+        via_builtin = run_cli("divergence", *builtin, *data)
+        assert via_config.returncode == 0, via_config.stderr
+        assert envelope(via_config)["outputs"] == envelope(via_builtin)["outputs"]
+
+    def check_names(proc):
+        assert proc.returncode == 0, proc.stderr
+        (rows,) = envelope(proc)["outputs"]["suites"].values()
+        return [row["name"] for row in rows]
+
+    assert (check_names(run_cli("verify", "--config", str(discrete)))
+            == check_names(run_cli("verify", "--model", "discrete3")))
 
 
 def test_maxent_discrete_newton_diagnostics():
@@ -188,6 +217,15 @@ def test_pythagoras_data_mode_compliant_triple():
     assert proc.returncode == 0
     assert env["outputs"]["residual"] <= 1e-9
 
+    # The README triple misses the projection by ~6e-12: within the
+    # default 1e-9, but --tol 0 demands an exact match.
+    triple = ("--x", "-0.76159415595,0,0", "--theta", "1,0,0",
+              "--zeta", "0.2,-0.4,0.3")
+    assert run_cli("pythagoras", "--model", "qubit", *triple).returncode == 0
+    proc = run_cli("pythagoras", "--model", "qubit", *triple, "--tol", "0")
+    assert proc.returncode == 3
+    assert envelope(proc)["status"] == "error:constraint"
+
 
 # ----------------------------------------------------------------- sweep
 
@@ -249,9 +287,11 @@ def test_numeric_domain_errors_exit_three():
     proc = run_cli("maxent", "--model", "qubit", "--u", "1.5,0,0")
     assert proc.returncode == 3
     assert envelope(proc)["status"] == "error:domain"
-    proc = run_cli("maxent", "--model", "discrete2", "--u", "1.5")
-    assert proc.returncode == 3
-    assert envelope(proc)["status"] == "error:infeasible"
+    for model, target in (("discrete2", "1.5"), ("discrete3", "2.5"),
+                          ("discrete3", "-0.5")):
+        proc = run_cli("maxent", "--model", model, "--u", target)
+        assert proc.returncode == 3
+        assert envelope(proc)["status"] == "error:infeasible"
     proc = run_cli("divergence", "--model", "coherent", "--z", "9,0",
                    "--u", "0,0")
     assert proc.returncode == 3

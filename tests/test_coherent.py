@@ -20,10 +20,8 @@ from infogeo.coherent import (
     log_map_coherent,
     massieu_coherent,
     model_entropy_u,
-    momentum_matrix,
     mu_map,
     number_expectation,
-    position_matrix,
     save_state,
     theta_to_u_coherent,
     u_to_theta_coherent,
@@ -75,9 +73,12 @@ def test_annihilation_matrix_lowers_number_states():
 
 
 def test_quadratures_are_hermitian_with_coherent_means():
+    # Q = r (a + a') / sqrt(2) and P = -i hbar (a - a') / (sqrt(2) r), the
+    # quadratures whose means the module docstring ties to mu_map.
     consts = PhaseConstants(r=2.0, hbar=0.5)
-    q = position_matrix(16, consts)
-    p = momentum_matrix(16, consts)
+    a = annihilation_matrix(16)
+    q = consts.r * (a + a.conj().T) / math.sqrt(2.0)
+    p = -1j * consts.hbar * (a - a.conj().T) / (math.sqrt(2.0) * consts.r)
     assert np.allclose(q, q.conj().T)
     assert np.allclose(p, p.conj().T)
     z = 0.4 - 0.3j
@@ -86,6 +87,9 @@ def test_quadratures_are_hermitian_with_coherent_means():
         math.sqrt(2.0) * consts.r * z.real, abs=1e-10)
     assert expectation_quadratic(psi, p) == pytest.approx(
         math.sqrt(2.0) * consts.hbar * z.imag / consts.r, abs=1e-10)
+    means = [expectation_quadratic(psi, q), expectation_quadratic(psi, p)]
+    assert np.allclose(np.array(means) / math.sqrt(2.0), mu_map(psi, consts),
+                       atol=1e-10)
 
 
 def test_expectation_quadratic_shape_error():

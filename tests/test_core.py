@@ -26,7 +26,6 @@ from infogeo import (
     theta_to_u,
     u_to_theta,
 )
-from infogeo.core import affine_log_constant, log_normalizer
 from infogeo.numerics import Domain
 
 TANH1 = math.tanh(1.0)
@@ -232,12 +231,3 @@ def test_pythagoras_models_orthogonal_construction(qubit):
     assert abs(orthogonality) <= 1e-12
     assert residual <= 1e-12
 
-
-# ------------------------------------------------- affine log constants
-
-
-def test_affine_log_constant_sign_conventions(qubit):
-    theta = np.array([0.4, -0.9, 0.2])
-    phi = massieu(qubit, theta)
-    assert affine_log_constant(qubit, theta) == pytest.approx(-phi, abs=1e-15)
-    assert log_normalizer(qubit, theta) == pytest.approx(phi, abs=1e-15)

@@ -148,8 +148,9 @@ def test_maxent_report_iteration_counts():
 def test_maxent_infeasible_target():
     with pytest.raises(InfeasibleError):
         maxent_fit(two_level(), np.array([1.5]))
-    with pytest.raises(InfeasibleError):
-        maxent_fit(three_level(), np.array([-0.2]))
+    for target in (-0.2, -0.5, 2.2, 2.5, 3.0):
+        with pytest.raises(InfeasibleError):
+            maxent_fit(three_level(), np.array([target]))
 
 
 def test_maxent_rejects_wrong_shape():

@@ -8,7 +8,6 @@ import pytest
 
 from infogeo import DomainError, EvaluationError, Matrix2H, get_model
 from infogeo.qubit import (
-    DensityMatrix2,
     bloch_to_rho,
     bloch_to_theta,
     entropy_bloch,
@@ -51,15 +50,6 @@ def test_bloch_to_rho_rejects_outside_ball():
         bloch_to_rho(np.array([1.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
         bloch_to_rho(np.array([0.5, 0.5]))
-
-
-def test_density_matrix_validation():
-    with pytest.raises(ValueError):
-        DensityMatrix2(Matrix2H(a=0.8, d=0.8, x=0.0))   # trace 1.6
-    with pytest.raises(ValueError):
-        DensityMatrix2(Matrix2H(a=1.5, d=-0.5, x=0.0))  # negative eigenvalue
-    state = DensityMatrix2(bloch_to_rho(np.array([0.3, -0.4, 0.1])))
-    assert np.allclose(state.bloch(), [0.3, -0.4, 0.1], atol=1e-14)
 
 
 # ------------------------------------------------------------ entropies
