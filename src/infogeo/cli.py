@@ -3,7 +3,8 @@
 Every invocation prints a single JSON object (the result envelope) on
 stdout: ``{"command", "inputs", "outputs", "diagnostics", "status"}``
 with ``status`` either ``"ok"`` or ``"error:<category>"``.  The one
-exception is ``sweep`` in CSV format, which streams a CSV table instead.
+exception is ``sweep`` in CSV format, which streams a CSV table instead,
+written one chunk of grid rows at a time.
 Progress and warnings go to stderr.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (bad flags,
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -33,6 +35,7 @@ from .errors import (
     TruncationError,
     UnsupportedOperationError,
 )
+from .numerics import row_dot
 from .registry import BUILTIN_NAMES, ModelHandle, get_model, load_config
 from .verify import verify_all, verify_handle, verify_numerics
 
@@ -215,6 +218,8 @@ def _cmd_massieu(args) -> int:
     }
     outputs.update(handle.member_outputs(theta))
     diagnostics = {"roundtrip_error": pair.roundtrip_error}
+    if pair.roundtrip_error is None:
+        diagnostics["note"] = "chart saturated"
     _emit("massieu", inputs, outputs, diagnostics, "ok")
     return EXIT_OK
 
@@ -276,17 +281,14 @@ def _cmd_divergence(args) -> int:
     zeta = _parse_floats(args.zeta, "--zeta", model.n)
     inputs["theta"] = list(theta)
     inputs["zeta"] = list(zeta)
-    u = core.theta_to_u(model, theta)
-    phi_theta = core.massieu(model, theta)
-    phi_zeta = core.massieu(model, zeta)
-    value = core.bregman_divergence(model, theta, zeta)
+    report = core.bregman_divergence(model, theta, zeta)
     outputs = {
         "mode": "model",
-        "value": value,
-        "massieu_at_first": phi_theta,
-        "massieu_at_second": phi_zeta,
-        "linear_term": float((zeta - theta) @ u),
-        "u_first": list(u),
+        "value": report.value,
+        "massieu_at_first": report.massieu_first,
+        "massieu_at_second": report.massieu_second,
+        "linear_term": report.linear_term,
+        "u_first": list(report.u_first),
     }
     _emit("divergence", inputs, outputs, {}, "ok")
     return EXIT_OK
@@ -311,14 +313,14 @@ def _cmd_pythagoras(args) -> int:
             raise UsageError("give either data or --xi, not both")
         x, echo = _parse_dataset(args, handle)
         inputs.update(echo)
-        residual = core.pythagoras_data(model, x, theta, zeta,
-                                        compliance_tol=1e-9 if args.tol is None else args.tol)
+        report = core.pythagoras_data(model, x, theta, zeta,
+                                      compliance_tol=1e-9 if args.tol is None else args.tol)
         outputs = {
             "mode": "data",
-            "divergence_data_first": core.divergence_from_data(model, x, theta).value,
-            "divergence_first_second": core.bregman_divergence(model, theta, zeta),
-            "divergence_data_second": core.divergence_from_data(model, x, zeta).value,
-            "residual": residual,
+            "divergence_data_first": report.first,
+            "divergence_first_second": report.second,
+            "divergence_data_second": report.third,
+            "residual": report.residual,
         }
         _emit("pythagoras", inputs, outputs, {}, "ok")
         return EXIT_OK
@@ -328,20 +330,23 @@ def _cmd_pythagoras(args) -> int:
                          " or a third model point --xi")
     xi = _parse_floats(args.xi, "--xi", model.n)
     inputs["xi"] = list(xi)
-    orthogonality, residual = core.pythagoras_models(model, theta, zeta, xi)
+    report = core.pythagoras_models(model, theta, zeta, xi)
     outputs = {
         "mode": "model",
-        "divergence_first_second": core.bregman_divergence(model, theta, zeta),
-        "divergence_second_third": core.bregman_divergence(model, zeta, xi),
-        "divergence_first_third": core.bregman_divergence(model, theta, xi),
-        "orthogonality": orthogonality,
-        "residual": residual,
+        "divergence_first_second": report.first,
+        "divergence_second_third": report.second,
+        "divergence_first_third": report.third,
+        "orthogonality": report.orthogonality,
+        "residual": report.residual,
     }
     _emit("pythagoras", inputs, outputs, {}, "ok")
     return EXIT_OK
 
 
 _SWEEP_LIMIT = 1_000_000
+#: Grid rows evaluated per call of ``core.dual_points``; a chunk's CSV
+#: rows are written before the next chunk is evaluated.
+_SWEEP_CHUNK = 4096
 
 
 def _parse_grid(specs, n: int) -> list[np.ndarray]:
@@ -360,6 +365,8 @@ def _parse_grid(specs, n: int) -> list[np.ndarray]:
             count = int(parts[2])
         except ValueError:
             raise UsageError(f"bad grid spec {spec!r}") from None
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise UsageError(f"grid bounds must be finite in {spec!r}")
         if not 1 <= axis <= n:
             raise UsageError(f"grid axis {axis} out of range 1..{n}")
         if axis in seen:
@@ -368,12 +375,20 @@ def _parse_grid(specs, n: int) -> list[np.ndarray]:
             raise UsageError("grid COUNT must be at least 1")
         seen.add(axis)
         axes[axis - 1] = np.linspace(start, stop, count)
-    total = 1
-    for ax in axes:
-        total *= ax.size
+    total = math.prod(ax.size for ax in axes)
     if total > _SWEEP_LIMIT:
         raise UsageError(f"grid has {total} points; the limit is {_SWEEP_LIMIT}")
     return axes
+
+
+def _sweep_table(model, thetas: np.ndarray, quantities: list[str]) -> list[list[float]]:
+    """Rows ``theta + [quantity values]`` for a chunk of grid points."""
+    phi, u, s = core.dual_points(model, thetas)
+    columns = {"phi": phi, "entropy": s,
+               "residual": np.abs(phi - s + row_dot(thetas, u)),
+               "unorm": np.sqrt(row_dot(u, u))}
+    columns.update((f"u{j + 1}", u[:, j]) for j in range(model.n))
+    return np.column_stack([thetas] + [columns[q] for q in quantities]).tolist()
 
 
 def _cmd_sweep(args) -> int:
@@ -393,34 +408,33 @@ def _cmd_sweep(args) -> int:
     quantities = sorted(set(wanted))
 
     header = [f"theta{j + 1}" for j in range(model.n)] + quantities
+    csv = args.format == "csv"
+    if csv:
+        sys.stdout.write(",".join(header) + "\n")
+    line = ",".join(["{:.12g}"] * len(header)) + "\n"
+    shape = tuple(ax.size for ax in axes)
+    total = math.prod(shape)
     rows = []
-    need_u = any(q.startswith("u") or q in ("entropy", "residual") for q in quantities)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
-    for theta in points:
-        values = {"phi": core.massieu(model, theta)}
-        if need_u:
-            u = core.theta_to_u(model, theta)
-            values["unorm"] = float(np.linalg.norm(u))
-            for j in range(model.n):
-                values[f"u{j + 1}"] = float(u[j])
-            if "entropy" in quantities or "residual" in quantities:
-                s = model.entropy_u(u)
-                values["entropy"] = s
-                values["residual"] = abs(values["phi"] - s + float(theta @ u))
-        rows.append(list(theta) + [values[q] for q in quantities])
+    # Row-major order: the first axis varies slowest.
+    for start in range(0, total, _SWEEP_CHUNK):
+        index = np.unravel_index(np.arange(start, min(start + _SWEEP_CHUNK, total)),
+                                 shape)
+        thetas = np.column_stack([ax[i] for ax, i in zip(axes, index)])
+        table = _sweep_table(model, thetas, quantities)
+        if csv:
+            for row in table:  # one write per row, so each row leaves at once
+                sys.stdout.write(line.format(*row))
+        else:
+            rows.extend(table)
 
-    if args.format == "object":
+    if not csv:
         inputs = _model_inputs(args, handle)
         inputs["grid"] = list(args.grid)
         inputs["quantities"] = quantities
         outputs = {"header": header, "rows": rows, "count": len(rows)}
         _emit("sweep", inputs, outputs, {}, "ok")
         return EXIT_OK
-    sys.stdout.write(",".join(header) + "\n")
-    for row in rows:
-        sys.stdout.write(",".join(f"{v:.12g}" for v in row) + "\n")
-    print(f"sweep: {len(rows)} rows", file=sys.stderr)
+    print(f"sweep: {total} rows", file=sys.stderr)
     return EXIT_OK
 
 

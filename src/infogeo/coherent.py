@@ -17,7 +17,6 @@ Gaussian: constant metric ``diag(r^2, hbar^2/r^2)``.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -156,6 +155,17 @@ def u_to_theta_coherent(u, constants: PhaseConstants) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     r, hbar = constants.r, constants.hbar
     return np.array([-u[0] / r ** 2, -r ** 2 * u[1] / hbar ** 2])
+
+
+def dual_points_coherent(thetas: np.ndarray, constants: PhaseConstants):
+    """``(Phi, U, S(U))`` of the members at the rows of ``thetas`` (k, 2).
+
+    The scalar closed forms read coordinates along their first axis, so
+    applied to the columns of ``thetas`` they evaluate every row at once.
+    """
+    cols = thetas.T
+    u = theta_to_u_coherent(cols, constants)
+    return massieu_coherent(cols, constants), u.T, model_entropy_u(u, constants)
 
 
 def divergence_coherent(psi: FockVector, u, constants: PhaseConstants) -> float:
@@ -300,6 +310,7 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
         closed_massieu=lambda th: massieu_coherent(th, constants),
         closed_theta_to_u=lambda th: theta_to_u_coherent(th, constants),
         closed_u_to_theta=lambda u: u_to_theta_coherent(u, constants),
+        closed_dual_points=lambda th: dual_points_coherent(th, constants),
         dataset_answers=answers,
         fiber_sampler=fiber_sampler,
     )

@@ -56,6 +56,9 @@ class ModelDescriptor:
     closed_massieu, closed_theta_to_u, closed_u_to_theta : callable or None
         Closed forms, when the model has them.  Operations fall back to
         numeric Legendre transforms / finite differences otherwise.
+    closed_dual_points : callable or None
+        Batched closed form: parameter rows ``(k, n)`` to ``(Phi (k,),
+        U (k, n), S(U) (k,))``, used by :func:`dual_points`.
     dataset_answers : callable or None
         Data-set layer: maps a sample handle ``x`` to ``(answers, S(x))``
         where ``answers[j]`` is x's answer to the j-th question.
@@ -71,6 +74,8 @@ class ModelDescriptor:
     closed_massieu: Callable[[np.ndarray], float] | None = None
     closed_theta_to_u: Callable[[np.ndarray], np.ndarray] | None = None
     closed_u_to_theta: Callable[[np.ndarray], np.ndarray] | None = None
+    closed_dual_points: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray,
+                                                     np.ndarray]] | None = None
     dataset_answers: Callable[[object], tuple[np.ndarray, float]] | None = None
     fiber_sampler: Callable[[np.ndarray, int, object], list] | None = None
 
@@ -81,14 +86,18 @@ class ModelDescriptor:
 
 @dataclass(frozen=True)
 class DualPair:
-    """A parameter point with its dual energy point and both potentials."""
+    """A parameter point with its dual energy point and both potentials.
+
+    ``roundtrip_error`` is None when the chart has saturated: ``u`` is so
+    close to the domain boundary that ``u_to_theta`` refuses it.
+    """
 
     theta: np.ndarray
     u: np.ndarray
     massieu: float
     entropy: float
     residual: float
-    roundtrip_error: float
+    roundtrip_error: float | None
 
 
 @dataclass(frozen=True)
@@ -99,6 +108,35 @@ class DivergenceReport:
     massieu_at: float
     entropy_of_x: float
     linear_term: float
+
+
+@dataclass(frozen=True)
+class BregmanReport:
+    """Model-to-model divergence with its terms."""
+
+    value: float
+    massieu_first: float
+    massieu_second: float
+    linear_term: float
+    u_first: np.ndarray
+
+
+@dataclass(frozen=True)
+class PythagorasReport:
+    """The three divergences of a Pythagorean triple and their residual.
+
+    For a data triple ``(x, theta, zeta)`` the divergences are
+    ``D(x||m_theta)``, ``D(m_theta||m_zeta)`` and ``D(x||m_zeta)``; for a
+    model triple ``(theta, zeta, xi)`` they are ``D(theta||zeta)``,
+    ``D(zeta||xi)`` and ``D(theta||xi)``.  ``residual = |first + second -
+    third|``.  ``orthogonality`` is set on model triples only.
+    """
+
+    first: float
+    second: float
+    third: float
+    residual: float
+    orthogonality: float | None = None
 
 
 def _as_theta(model: ModelDescriptor, theta) -> np.ndarray:
@@ -164,6 +202,30 @@ def theta_to_u(model: ModelDescriptor, theta, tol: float = 1e-9) -> np.ndarray:
     return result.argmax
 
 
+def dual_points(model: ModelDescriptor, thetas):
+    """``(Phi (k,), U (k, n), S(U) (k,))`` at the parameter rows ``thetas``.
+
+    Uses the model's batched closed form when present.  Otherwise
+    evaluates :func:`massieu`, :func:`theta_to_u` and ``entropy_u`` row
+    by row, which is the reference route the batched forms are held to.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != model.n:
+        raise ValueError(f"expected parameter rows of length {model.n}")
+    if not np.all(np.isfinite(thetas)):
+        raise ValueError("parameter rows must be finite")
+    batched = model.closed_dual_points
+    if batched is not None:
+        return batched(thetas)
+    k = thetas.shape[0]
+    phi, u, s = np.empty(k), np.empty((k, model.n)), np.empty(k)
+    for i, theta in enumerate(thetas):
+        phi[i] = massieu(model, theta)
+        u[i] = theta_to_u(model, theta)
+        s[i] = model.entropy_u(u[i])
+    return phi, u, s
+
+
 def u_to_theta(model: ModelDescriptor, u) -> np.ndarray:
     """Natural parameters dual to ``u`` via ``theta_j = dS/dU_j``."""
     u = _as_energy(model, u)
@@ -197,7 +259,9 @@ def canonical_check(model: ModelDescriptor, theta,
     """Evaluate the canonical identity ``Phi - S(U) + theta . U = 0``.
 
     Also round-trips ``u_to_theta(theta_to_u(theta))`` against ``theta``
-    and reports the max-abs error.  The default tolerance is 1e-9 when
+    and reports the max-abs error, or None when the chart refuses ``U``
+    (a saturated chart, e.g. the qubit at ``|theta| >~ 19``, where
+    ``tanh|theta|`` rounds to 1).  The default tolerance is 1e-9 when
     the descriptor carries closed forms and 1e-6 on numeric fallbacks.
     Raises :class:`CanonicalityError` (with the pair attached) when the
     residual exceeds the tolerance.
@@ -212,7 +276,12 @@ def canonical_check(model: ModelDescriptor, theta,
     u = theta_to_u(model, theta)
     s = float(model.entropy_u(u))
     residual = abs(phi - s + float(theta @ u))
-    roundtrip = float(np.max(np.abs(u_to_theta(model, u) - theta))) if model.n else 0.0
+    try:
+        back = u_to_theta(model, u)
+    except DomainError:
+        roundtrip = None
+    else:
+        roundtrip = float(np.max(np.abs(back - theta))) if model.n else 0.0
     pair = DualPair(theta=theta, u=u, massieu=phi, entropy=s,
                     residual=residual, roundtrip_error=roundtrip)
     if residual > tol:
@@ -221,17 +290,22 @@ def canonical_check(model: ModelDescriptor, theta,
     return pair
 
 
-def bregman_divergence(model: ModelDescriptor, theta, zeta) -> float:
+def bregman_divergence(model: ModelDescriptor, theta, zeta) -> BregmanReport:
     """Divergence between model points,
     ``D(m_theta || m_zeta) = Phi(zeta) - Phi(theta) + (zeta - theta) . U(theta)``.
 
     This is the Bregman divergence of the (convex) Massieu function; it
-    is nonnegative and vanishes exactly at ``theta = zeta``.
+    is nonnegative and vanishes exactly at ``theta = zeta``.  The report
+    carries both Massieu values, the linear term and ``U(theta)``.
     """
     theta = _as_theta(model, theta)
     zeta = _as_theta(model, zeta)
     u = theta_to_u(model, theta)
-    return float(massieu(model, zeta) - massieu(model, theta) + (zeta - theta) @ u)
+    phi_theta = massieu(model, theta)
+    phi_zeta = massieu(model, zeta)
+    linear = float((zeta - theta) @ u)
+    return BregmanReport(value=phi_zeta - phi_theta + linear, massieu_first=phi_theta,
+                         massieu_second=phi_zeta, linear_term=linear, u_first=u)
 
 
 def divergence_from_data(model: ModelDescriptor, x, theta) -> DivergenceReport:
@@ -282,13 +356,14 @@ def divergence_def5(model: ModelDescriptor, x, u_of_m, fiber_samples: int = 200,
 
 
 def pythagoras_data(model: ModelDescriptor, x, theta, zeta,
-                    compliance_tol: float = 1e-9) -> float:
-    """Residual of the data-model-model Pythagorean identity.
+                    compliance_tol: float = 1e-9) -> PythagorasReport:
+    """The data-model-model Pythagorean identity.
 
     Preconditions: ``x`` projects onto ``m_theta``, i.e. its answers
     equal ``theta_to_u(theta)`` within ``compliance_tol`` (otherwise a
-    :class:`ConstraintError` reports the mismatch).  Returns
-    ``|D(x||m_theta) + D(m_theta||m_zeta) - D(x||m_zeta)|``.
+    :class:`ConstraintError` reports the mismatch).  The report holds
+    ``D(x||m_theta)``, ``D(m_theta||m_zeta)``, ``D(x||m_zeta)`` and the
+    residual ``|D(x||m_theta) + D(m_theta||m_zeta) - D(x||m_zeta)|``.
     """
     theta = _as_theta(model, theta)
     zeta = _as_theta(model, zeta)
@@ -296,37 +371,38 @@ def pythagoras_data(model: ModelDescriptor, x, theta, zeta,
         raise UnsupportedOperationError(
             f"model {model.name!r} has no data-set layer")
     answers, _ = model.dataset_answers(x)
-    u = theta_to_u(model, theta)
-    mismatch = float(np.max(np.abs(np.asarray(answers, dtype=float) - u)))
+    model_step = bregman_divergence(model, theta, zeta)
+    mismatch = float(np.max(np.abs(np.asarray(answers, dtype=float)
+                                   - model_step.u_first)))
     if mismatch > compliance_tol:
         raise ConstraintError(
             f"data set does not project onto m_theta: max answer mismatch"
             f" {mismatch:.3e} exceeds {compliance_tol:.1e}")
     d_x_theta = divergence_from_data(model, x, theta).value
-    d_theta_zeta = bregman_divergence(model, theta, zeta)
     d_x_zeta = divergence_from_data(model, x, zeta).value
-    return abs(d_x_theta + d_theta_zeta - d_x_zeta)
+    return PythagorasReport(d_x_theta, model_step.value, d_x_zeta,
+                            abs(d_x_theta + model_step.value - d_x_zeta))
 
 
-def pythagoras_models(model: ModelDescriptor, theta, zeta, xi) -> tuple[float, float]:
+def pythagoras_models(model: ModelDescriptor, theta, zeta, xi) -> PythagorasReport:
     """Orthogonality and residual for a triple of model points.
 
-    Returns ``(orthogonality, residual)`` where ``orthogonality =
-    sum_j (zeta_j - xi_j)(U_j - V_j)`` with ``U = theta_to_u(theta)``,
-    ``V = theta_to_u(zeta)``, and ``residual = |D(theta||zeta) +
-    D(zeta||xi) - D(theta||xi)|``.  The residual vanishes exactly when
-    the triple is orthogonal.
+    The report holds ``D(theta||zeta)``, ``D(zeta||xi)``, ``D(theta||xi)``,
+    the residual ``|D(theta||zeta) + D(zeta||xi) - D(theta||xi)|`` and
+    ``orthogonality = sum_j (zeta_j - xi_j)(U_j - V_j)`` with ``U =
+    theta_to_u(theta)``, ``V = theta_to_u(zeta)``.  The residual vanishes
+    exactly when the triple is orthogonal.
     """
     theta = _as_theta(model, theta)
     zeta = _as_theta(model, zeta)
     xi = _as_theta(model, xi)
-    u = theta_to_u(model, theta)
-    v = theta_to_u(model, zeta)
-    orthogonality = float((zeta - xi) @ (u - v))
-    residual = abs(bregman_divergence(model, theta, zeta)
-                   + bregman_divergence(model, zeta, xi)
-                   - bregman_divergence(model, theta, xi))
-    return orthogonality, residual
+    first = bregman_divergence(model, theta, zeta)
+    second = bregman_divergence(model, zeta, xi)
+    d_theta_xi = bregman_divergence(model, theta, xi).value
+    orthogonality = float((zeta - xi) @ (first.u_first - second.u_first))
+    return PythagorasReport(first.value, second.value, d_theta_xi,
+                            abs(first.value + second.value - d_theta_xi),
+                            orthogonality=orthogonality)
 
 
 def convexity_probe(model: ModelDescriptor, theta1, theta2, lambdas=None) -> float:

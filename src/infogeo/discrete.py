@@ -18,7 +18,6 @@ from .core import ModelDescriptor
 from .errors import (
     ConvergenceError,
     DegeneracyError,
-    DomainError,
     InfeasibleError,
     SupportError,
 )
@@ -98,6 +97,27 @@ def boltzmann_gibbs(family: DiscreteFamily, theta) -> np.ndarray:
     e -= np.max(e)
     w = np.exp(e)
     return w / float(w.sum())
+
+
+def dual_points(family: DiscreteFamily, thetas: np.ndarray):
+    """``(Phi, U, S)`` of the members at the rows of ``thetas`` (k, n).
+
+    One max-shifted log-sum-exp over the (k, m) exponents gives ``Phi``
+    and the members ``p``; ``U = p H^T`` and the prior-relative entropy
+    ``S = -sum_a p(a) ln(p(a)/c(a))`` come from the same ``p``, with
+    ``ln(p/c)`` taken in the log domain (0 ln 0 = 0).  No moment fit.
+    """
+    log_prior = np.log(family.prior)
+    e = log_prior - thetas @ family.hamiltonians
+    shift = np.max(e, axis=1, keepdims=True)
+    w = np.exp(e - shift)
+    z = np.sum(w, axis=1, keepdims=True)
+    log_z = np.log(z)
+    p = w / z
+    # ln p = (e - shift) - ln z; adding the shift back first would round
+    # ln p of the likeliest letter to the last bit of the shift
+    terms = np.where(p > 0.0, p * (e - shift - log_z - log_prior), 0.0)
+    return (shift + log_z)[:, 0], p @ family.hamiltonians.T, -np.sum(terms, axis=1)
 
 
 def bgs_entropy(family: DiscreteFamily, p) -> float:
@@ -306,6 +326,7 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
         closed_massieu=lambda th: log_partition(family, th),
         closed_theta_to_u=lambda th: h @ boltzmann_gibbs(family, th),
         closed_u_to_theta=lambda u: maxent_fit(family, u),
+        closed_dual_points=lambda th: dual_points(family, th),
         dataset_answers=answers,
         fiber_sampler=fiber_sampler,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,19 +100,19 @@ class Matrix2H:
         off = complex(self.x, self.y)
         return np.array([[self.a, off.conjugate()], [off, self.d]], dtype=complex)
 
-    @staticmethod
-    def from_array(m, tol: float = 1e-10) -> "Matrix2H":
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("expected a 2x2 matrix")
-        if (abs(m[0, 0].imag) > tol or abs(m[1, 1].imag) > tol
-                or abs(m[0, 1] - m[1, 0].conjugate()) > tol):
-            raise ValueError("matrix is not Hermitian within tolerance")
-        return Matrix2H(float(m[0, 0].real), float(m[1, 1].real),
-                        float(m[1, 0].real), float(m[1, 0].imag))
-
     def scaled(self, s: float) -> "Matrix2H":
         return Matrix2H(s * self.a, s * self.d, s * self.x, s * self.y)
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows of two ``(k, n)`` arrays.
+
+    Evaluated as a stack of vector products, which numpy computes with
+    the inner-product kernel of the 1-D ``a[i] @ b[i]``, so each value
+    equals the per-row one bit for bit (``np.linalg.norm(x, axis=1)``
+    does not).
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def _steps(x: np.ndarray, h, default: float) -> np.ndarray:

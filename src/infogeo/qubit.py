@@ -16,13 +16,7 @@ import numpy as np
 
 from .core import ModelDescriptor
 from .errors import DomainError, EvaluationError
-from .numerics import Domain, Matrix2H, eig_h2, func_h2
-
-#: Pauli matrices as Hermitian 2x2 structures.
-PAULI_X = Matrix2H(a=0.0, d=0.0, x=1.0, y=0.0)
-PAULI_Y = Matrix2H(a=0.0, d=0.0, x=0.0, y=1.0)
-PAULI_Z = Matrix2H(a=1.0, d=-1.0, x=0.0, y=0.0)
-PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+from .numerics import Domain, Matrix2H, eig_h2, func_h2, row_dot
 
 
 def bloch_to_rho(u) -> Matrix2H:
@@ -108,6 +102,28 @@ def massieu_qubit(theta) -> float:
     return float(np.logaddexp(t, -t))
 
 
+def dual_points_qubit(thetas: np.ndarray):
+    """``(Phi, U, S(U))`` of the Gibbs states at the rows of ``thetas`` (k, 3).
+
+    The batched form of :func:`massieu_qubit`, :func:`theta_to_bloch`
+    and :func:`entropy_bloch`: ``Phi = ln(2 cosh t)`` and ``U =
+    -(theta/t) tanh t`` with ``t = |theta|`` (``U = 0`` at ``t = 0``), and
+    ``S`` is the binary entropy of ``|U|``.  ``Phi`` and ``U`` are the
+    same bits as those scalar forms give row by row.
+    """
+    t = np.sqrt(row_dot(thetas, thetas))
+    # math.tanh as in theta_to_bloch; numpy's tanh may differ in the last bit
+    tanh = np.array([math.tanh(v) for v in t.tolist()])
+    moving = t > 0.0
+    u = np.zeros_like(thetas)
+    u[moving] = -(thetas[moving] / t[moving, None]) * tanh[moving, None]
+    r = np.minimum(np.sqrt(row_dot(u, u)), 1.0)
+    lam_plus, lam_minus = 0.5 * (1.0 + r), 0.5 * (1.0 - r)
+    s = (-lam_plus * np.log(lam_plus)
+         - lam_minus * np.log(np.where(lam_minus > 0.0, lam_minus, 1.0)))
+    return np.logaddexp(t, -t), u, s
+
+
 def gibbs_state(theta) -> Matrix2H:
     """Normalized Gibbs state ``exp(-theta . sigma) / (2 cosh |theta|)``."""
     theta = np.asarray(theta, dtype=float)
@@ -190,6 +206,7 @@ def as_descriptor(membership_margin: float = 1e-12,
         closed_massieu=massieu_qubit,
         closed_theta_to_u=theta_to_bloch,
         closed_u_to_theta=lambda u: bloch_to_theta(u, chart_margin),
+        closed_dual_points=dual_points_qubit,
         dataset_answers=answers,
         fiber_sampler=fiber_sampler,
     )

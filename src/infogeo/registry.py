@@ -200,11 +200,12 @@ def qubit_instance(membership_margin: float = 1e-12,
 
 
 def coherent_instance(r: float = 1.0, hbar: float = 1.0, nmax: int = 64,
-                      box: float | None = None) -> CoherentHandle:
+                      box: float | None = None,
+                      name: str | None = None) -> CoherentHandle:
     constants = coherent.PhaseConstants(r=r, hbar=hbar)
     desc = coherent.as_descriptor(constants, nmax=nmax, box_halfwidth=box)
-    return CoherentHandle(name=desc.name, descriptor=desc, constants=constants,
-                          nmax=nmax)
+    return CoherentHandle(name=name or desc.name, descriptor=desc,
+                          constants=constants, nmax=nmax)
 
 
 def discrete_instance(prior, hamiltonians, name: str | None = None) -> DiscreteHandle:
@@ -224,8 +225,8 @@ def sphere_instance() -> SphereHandle:
 
 _CANONICAL = {
     "qubit": qubit_instance,
-    "coherent": lambda: coherent_instance(r=1.0, hbar=1.0),
-    "coherent2": lambda: coherent_instance(r=2.0, hbar=0.5),
+    "coherent": lambda: coherent_instance(r=1.0, hbar=1.0, name="coherent"),
+    "coherent2": lambda: coherent_instance(r=2.0, hbar=0.5, name="coherent2"),
     "discrete2": lambda: discrete_instance(np.ones(2), [[0.0, 1.0]], name="discrete2"),
     "discrete3": lambda: discrete_instance(np.ones(3), [[0.0, 1.0, 2.0]],
                                            name="discrete3"),

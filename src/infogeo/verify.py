@@ -139,7 +139,8 @@ def verify_canonical(handle: ModelHandle) -> list[PropertyResult]:
         except CanonicalityError as exc:
             pair = exc.pair
         worst_res = max(worst_res, pair.residual)
-        worst_rt = max(worst_rt, pair.roundtrip_error)
+        if pair.roundtrip_error is not None:  # None: the chart saturated
+            worst_rt = max(worst_rt, pair.roundtrip_error)
     out.append(_check("canonical-identity", worst_res, 1e-9,
                       note="Phi - S(U) + theta.U at 100 points"))
     out.append(_check("dual-roundtrip", worst_rt, 1e-9,
@@ -176,7 +177,7 @@ def verify_canonical(handle: ModelHandle) -> list[PropertyResult]:
     min_separated = math.inf
     for _ in range(1000):
         t1, t2 = handle.sample_thetas(rng, 2)
-        d = core.bregman_divergence(model, t1, t2)
+        d = core.bregman_divergence(model, t1, t2).value
         worst = max(worst, -d)
         if float(np.linalg.norm(t1 - t2)) >= 0.1:
             min_separated = min(min_separated, d)
@@ -191,7 +192,7 @@ def verify_canonical(handle: ModelHandle) -> list[PropertyResult]:
             th, ze = handle.sample_thetas(rng, 2, radius=handle.fiber_radius)
             u = core.theta_to_u(model, th)
             for x in model.fiber_sampler(u, 3, rng):
-                worst = max(worst, core.pythagoras_data(model, x, th, ze))
+                worst = max(worst, core.pythagoras_data(model, x, th, ze).residual)
         out.append(_check("pythagoras-with-data", worst, 1e-9,
                           note="210 compliant data-model-model triples"))
 
@@ -199,16 +200,16 @@ def verify_canonical(handle: ModelHandle) -> list[PropertyResult]:
     worst_ident = 0.0
     for _ in range(100):
         th, ze, xi = handle.sample_thetas(rng, 3, radius=2.0)
-        orth, res = core.pythagoras_models(model, th, ze, xi)
-        worst_ident = max(worst_ident, abs(res - abs(orth)))
+        triple = core.pythagoras_models(model, th, ze, xi)
+        worst_ident = max(worst_ident, abs(triple.residual - abs(triple.orthogonality)))
         if model.n >= 2:
             d = core.theta_to_u(model, th) - core.theta_to_u(model, ze)
             w = rng.normal(size=model.n)
             w -= (w @ d) / (d @ d) * d
-            orth0, res0 = core.pythagoras_models(model, th, ze, ze - w)
+            triple = core.pythagoras_models(model, th, ze, ze - w)
         else:
-            orth0, res0 = core.pythagoras_models(model, th, th, xi)
-        worst_orth = max(worst_orth, abs(orth0), res0)
+            triple = core.pythagoras_models(model, th, th, xi)
+        worst_orth = max(worst_orth, abs(triple.orthogonality), triple.residual)
     out.append(_check("pythagoras-orthogonal-models", worst_orth, 1e-9,
                       note="100 constructed orthogonal triples"))
     out.append(_check("pythagoras-residual-identity", worst_ident, 1e-9,
@@ -352,7 +353,7 @@ def verify_discrete_extras(handle: DiscreteHandle) -> list[PropertyResult]:
         t1, t2 = handle.sample_thetas(rng, 2)
         p, q = discrete.boltzmann_gibbs(family, t1), discrete.boltzmann_gibbs(family, t2)
         worst = max(worst, abs(discrete.kl_divergence(p, q)
-                               - core.bregman_divergence(model, t1, t2)))
+                               - core.bregman_divergence(model, t1, t2).value))
         x = rng.dirichlet(np.ones(family.alphabet_size))
         worst = max(worst, abs(discrete.kl_divergence(x, q)
                                - core.divergence_from_data(model, x, t2).value))

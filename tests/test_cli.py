@@ -9,7 +9,8 @@ import pytest
 
 from conftest import close7, envelope, run_cli
 
-from infogeo import BUILTIN_NAMES, canonical_instances, get_model
+from infogeo import BUILTIN_NAMES, canonical_instances, cli, get_model
+from infogeo.discrete import boltzmann_gibbs
 from infogeo.registry import CoherentHandle, DiscreteHandle, load_config
 
 LN2 = math.log(2.0)
@@ -77,6 +78,29 @@ def test_massieu_envelope_structure_and_roundtrip():
     assert env["outputs"]["canonical_residual"] <= 1e-9
     # The output is a single JSON object that survives a round trip.
     assert json.loads(json.dumps(env)) == env
+
+
+def test_massieu_saturated_chart_is_a_diagnostic():
+    """Far out, U rounds onto the chart boundary: Phi is still finite and
+    the refused round trip is reported, not raised."""
+    for args, want in ((("--model", "qubit", "--theta", "30,0,0"), 30.0),
+                       (("--model", "discrete3", "--theta", "40"),
+                        math.log1p(math.exp(-40.0) + math.exp(-80.0)))):
+        proc = run_cli("massieu", *args)
+        assert proc.returncode == 0, proc.stderr
+        env = envelope(proc)
+        assert abs(env["outputs"]["massieu"] - want) <= 1e-12
+        assert env["outputs"]["canonical_residual"] <= 1e-9
+        assert env["diagnostics"] == {"roundtrip_error": None,
+                                      "note": "chart saturated"}
+
+
+def test_coherent_names_agree_across_entry_points():
+    env = envelope(run_cli("massieu", "--model", "coherent", "--theta", "1,0"))
+    assert env["inputs"]["model"] == "coherent"
+    proc = run_cli("verify", "--model", "coherent2")
+    assert proc.returncode == 0, proc.stderr
+    assert list(envelope(proc)["outputs"]["suites"]) == ["coherent2"]
 
 
 def test_massieu_discrete_reports_member_distribution():
@@ -259,6 +283,41 @@ def test_sweep_object_format_and_row_order():
     assert seconds == [0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
 
 
+def _sweep(capsys, *args):
+    code = cli.main(["sweep", *args])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_sweep_csv_streams_object_rows_across_chunks(capsys, offset):
+    count = 1 if offset is None else cli._SWEEP_CHUNK + offset
+    args = ("--model", "discrete3", "--grid", f"1=-3:2:{count}",
+            "--quantities", "u1,residual,phi,entropy")
+    code, out, err = _sweep(capsys, *args)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "theta1,entropy,phi,residual,u1"
+    assert err.strip() == f"sweep: {count} rows"
+    code, out, _ = _sweep(capsys, *args, "--format", "object")
+    env = json.loads(out)
+    assert code == 0 and env["outputs"]["count"] == count
+    assert lines[1:] == [",".join(f"{v:.12g}" for v in row)
+                         for row in env["outputs"]["rows"]]
+
+
+def test_sweep_member_entropy_at_saturated_points(capsys):
+    code, out, _ = _sweep(capsys, "--model", "discrete2", "--grid", "1=-40:40:9",
+                          "--quantities", "phi,entropy,residual", "--format", "object")
+    assert code == 0
+    family = get_model("discrete2").family
+    for theta, entropy, phi, residual in json.loads(out)["outputs"]["rows"]:
+        p = boltzmann_gibbs(family, [theta])
+        p = p[p > 0.0]
+        assert residual <= 1e-12
+        assert entropy == pytest.approx(-float(np.sum(p * np.log(p))), abs=1e-15)
+
+
 # ------------------------------------------------------------ exit codes
 
 
@@ -274,6 +333,8 @@ def test_usage_errors_exit_two():
          "--quantities", "phi,bogus"),                          # unknown name
         ("sweep", "--model", "qubit", "--grid", "1=0:1:2000",
          "--grid", "2=0:1:2000", "--quantities", "phi"),        # too large
+        ("sweep", "--model", "qubit", "--grid", "1=0:inf:3",
+         "--quantities", "phi"),                                # not finite
     )
     for args in cases:
         proc = run_cli(*args)

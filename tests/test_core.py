@@ -18,6 +18,7 @@ from infogeo import (
     convexity_probe,
     divergence_def5,
     divergence_from_data,
+    dual_points,
     get_model,
     massieu,
     metric_tensor,
@@ -27,6 +28,7 @@ from infogeo import (
     u_to_theta,
 )
 from infogeo.numerics import Domain
+from infogeo.registry import load_config
 
 TANH1 = math.tanh(1.0)
 LN_2COSH1 = math.log(2.0 * math.cosh(1.0))
@@ -108,6 +110,40 @@ def test_u_to_theta_outside_chart_raises(qubit):
         u_to_theta(qubit, np.array([1.0, 0.0, 0.0]))  # boundary is excluded
 
 
+# ---------------------------------------------------------- dual points
+
+
+def _two_observable_family(tmp_path):
+    path = tmp_path / "family.ini"
+    path.write_text("[model]\ntype = discrete\n\n[discrete]\n"
+                    "prior = 1, 2, 3, 0.5\nhamiltonians = 0, 1, 2, 3; 1, 0, 0, 1\n")
+    return load_config(str(path)).descriptor
+
+
+@pytest.mark.parametrize("name", ["qubit", "coherent", "coherent2", "discrete2",
+                                  "discrete3", "config-discrete"])
+def test_dual_points_batched_matches_per_point_route(name, tmp_path):
+    model = (_two_observable_family(tmp_path) if name == "config-discrete"
+             else get_model(name).descriptor)
+    thetas = np.random.default_rng(17).uniform(-3.0, 3.0, size=(40, model.n))
+    thetas[7] = 0.0
+    phi, u, s = dual_points(model, thetas)
+    reference = dataclasses.replace(model, closed_dual_points=None)
+    ref_phi, ref_u, ref_s = dual_points(reference, thetas)
+    assert phi.shape == s.shape == (40,) and u.shape == (40, model.n)
+    assert np.max(np.abs(phi - ref_phi)) <= 1e-12
+    assert np.max(np.abs(u - ref_u)) <= 1e-12
+    assert np.max(np.abs(s - ref_s)) <= 1e-10
+    assert np.max(np.abs(phi - s + np.sum(thetas * u, axis=1))) <= 1e-12
+
+
+def test_dual_points_rejects_bad_rows(qubit):
+    with pytest.raises(ValueError):
+        dual_points(qubit, np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        dual_points(qubit, np.array([[math.inf, 0.0, 0.0]]))
+
+
 # ------------------------------------------------------ canonical check
 
 
@@ -118,6 +154,13 @@ def test_canonical_check_qubit_frozen_pair(qubit):
     assert pair.entropy == pytest.approx(0.3653338550872076, abs=1e-12)
     assert pair.residual <= 1e-12
     assert pair.roundtrip_error <= 1e-9
+
+
+def test_canonical_check_reports_saturated_chart(qubit):
+    pair = canonical_check(qubit, np.array([30.0, 0.0, 0.0]))
+    assert pair.massieu == 30.0
+    assert pair.residual <= 1e-12
+    assert pair.roundtrip_error is None
 
 
 def test_canonical_check_flags_inconsistent_closed_forms(qubit):
@@ -159,17 +202,20 @@ def test_convexity_probe_and_jensen_gap(qubit):
 
 def test_bregman_divergence_qubit_frozen(qubit):
     d = bregman_divergence(qubit, np.zeros(3), np.array([1.0, 0.0, 0.0]))
-    assert d == pytest.approx(0.4337808304830272, abs=1e-15)
+    assert d.value == pytest.approx(0.4337808304830272, abs=1e-15)
+    assert d.value == pytest.approx(
+        d.massieu_second - d.massieu_first + d.linear_term, abs=1e-15)
+    assert np.array_equal(d.u_first, np.zeros(3))
 
 
 def test_bregman_divergence_coherent_quadratic(coherent):
     d = bregman_divergence(coherent, np.zeros(2), np.array([1.0, 0.0]))
-    assert d == pytest.approx(0.5, abs=1e-12)
+    assert d.value == pytest.approx(0.5, abs=1e-12)
 
 
 def test_bregman_divergence_vanishes_on_diagonal(qubit):
     theta = np.array([0.3, -0.7, 0.2])
-    assert abs(bregman_divergence(qubit, theta, theta)) <= 1e-15
+    assert abs(bregman_divergence(qubit, theta, theta).value) <= 1e-15
 
 
 def test_divergence_from_data_decomposition(qubit):
@@ -204,7 +250,14 @@ def test_pythagoras_data_compliant_triple(qubit):
     theta = np.array([0.7, -0.2, 0.4])
     zeta = np.array([-0.3, 0.5, 0.1])
     x = theta_to_u(qubit, theta)  # its answers equal the model energies
-    assert pythagoras_data(qubit, x, theta, zeta) <= 1e-12
+    report = pythagoras_data(qubit, x, theta, zeta)
+    assert report.residual <= 1e-12
+    assert report.first == pytest.approx(
+        divergence_from_data(qubit, x, theta).value, abs=1e-15)
+    assert report.second == pytest.approx(
+        bregman_divergence(qubit, theta, zeta).value, abs=1e-15)
+    assert report.third == pytest.approx(
+        divergence_from_data(qubit, x, zeta).value, abs=1e-15)
 
 
 def test_pythagoras_data_rejects_noncompliant_data(qubit):
@@ -217,8 +270,10 @@ def test_pythagoras_models_residual_equals_orthogonality(qubit):
     rng = np.random.default_rng(5)
     for _ in range(20):
         theta, zeta, xi = rng.uniform(-1.5, 1.5, size=(3, 3))
-        orthogonality, residual = pythagoras_models(qubit, theta, zeta, xi)
-        assert residual == pytest.approx(abs(orthogonality), abs=1e-12)
+        report = pythagoras_models(qubit, theta, zeta, xi)
+        assert report.residual == pytest.approx(abs(report.orthogonality), abs=1e-12)
+        assert report.residual == pytest.approx(
+            abs(report.first + report.second - report.third), abs=1e-15)
 
 
 def test_pythagoras_models_orthogonal_construction(qubit):
@@ -227,7 +282,7 @@ def test_pythagoras_models_orthogonal_construction(qubit):
     diff = theta_to_u(qubit, theta) - theta_to_u(qubit, zeta)
     w = np.array([diff[1], -diff[0], 0.0])  # orthogonal to diff
     xi = zeta - w
-    orthogonality, residual = pythagoras_models(qubit, theta, zeta, xi)
-    assert abs(orthogonality) <= 1e-12
-    assert residual <= 1e-12
+    report = pythagoras_models(qubit, theta, zeta, xi)
+    assert abs(report.orthogonality) <= 1e-12
+    assert report.residual <= 1e-12
 

@@ -10,6 +10,7 @@ from infogeo import DomainError, EvaluationError, Matrix2H, get_model
 from infogeo.qubit import (
     bloch_to_rho,
     bloch_to_theta,
+    dual_points_qubit,
     entropy_bloch,
     gibbs_state,
     massieu_qubit,
@@ -126,6 +127,18 @@ def test_massieu_qubit_values():
     # Overflow-safe at large parameters.
     assert massieu_qubit(np.array([1000.0, 0.0, 0.0])) == pytest.approx(
         1000.0, abs=1e-12)
+
+
+def test_dual_points_qubit_matches_scalar_forms():
+    rng = np.random.default_rng(3)
+    thetas = np.vstack([np.zeros(3), [30.0, 0.0, 0.0], [0.0, -1e3, 0.0],
+                        rng.uniform(-3.0, 3.0, size=(50, 3))])
+    phi, u, s = dual_points_qubit(thetas)
+    # Phi and U are the same bits as the scalar forms; S may differ in the
+    # last bit (numpy's log against math.log).
+    assert phi.tolist() == [massieu_qubit(th) for th in thetas]
+    assert np.array_equal(u, np.array([theta_to_bloch(th) for th in thetas]))
+    assert np.allclose(s, [entropy_bloch(v) for v in u], rtol=0.0, atol=1e-15)
 
 
 def test_gibbs_state_is_maximally_mixed_at_origin():
