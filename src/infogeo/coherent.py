@@ -271,8 +271,7 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
     box = np.array([[-b, b], [-b, b]])
 
     def membership(u):
-        u = np.asarray(u, dtype=float)
-        return bool(np.all(np.isfinite(u)))
+        return np.all(np.isfinite(np.asarray(u, dtype=float)), axis=-1)
 
     domain = Domain(dimension=2, bounding_box=box, membership=membership,
                     interior_point=np.zeros(2), unbounded=True)

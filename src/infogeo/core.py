@@ -258,13 +258,15 @@ def canonical_check(model: ModelDescriptor, theta,
                     tol: float | None = None) -> DualPair:
     """Evaluate the canonical identity ``Phi - S(U) + theta . U = 0``.
 
-    Also round-trips ``u_to_theta(theta_to_u(theta))`` against ``theta``
-    and reports the max-abs error, or None when the chart refuses ``U``
-    (a saturated chart, e.g. the qubit at ``|theta| >~ 19``, where
-    ``tanh|theta|`` rounds to 1).  The default tolerance is 1e-9 when
-    the descriptor carries closed forms and 1e-6 on numeric fallbacks.
-    Raises :class:`CanonicalityError` (with the pair attached) when the
-    residual exceeds the tolerance.
+    ``Phi``, ``U`` and ``S(U)`` come from :func:`dual_points`, the route
+    ``sweep`` takes, so a discrete model's ``S`` is its member's own
+    entropy rather than a moment re-fit.  Also round-trips
+    ``u_to_theta(U)`` against ``theta`` and reports the max-abs error, or
+    None when the chart refuses ``U`` (a saturated chart, e.g. the qubit
+    at ``|theta| >~ 19``, where ``tanh|theta|`` rounds to 1).  The
+    default tolerance is 1e-9 when the descriptor carries closed forms
+    and 1e-6 on numeric fallbacks.  Raises :class:`CanonicalityError`
+    (with the pair attached) when the residual exceeds the tolerance.
     """
     theta = _as_theta(model, theta)
     closed = (model.closed_massieu is not None
@@ -272,9 +274,8 @@ def canonical_check(model: ModelDescriptor, theta,
               and model.closed_u_to_theta is not None)
     if tol is None:
         tol = 1e-9 if closed else 1e-6
-    phi = massieu(model, theta)
-    u = theta_to_u(model, theta)
-    s = float(model.entropy_u(u))
+    phis, us, ss = dual_points(model, theta[None])
+    phi, u, s = float(phis[0]), us[0], float(ss[0])
     residual = abs(phi - s + float(theta @ u))
     try:
         back = u_to_theta(model, u)
@@ -410,16 +411,15 @@ def convexity_probe(model: ModelDescriptor, theta1, theta2, lambdas=None) -> flo
 
     Returns ``max_l Phi(l theta1 + (1-l) theta2) - l Phi(theta1) -
     (1-l) Phi(theta2)``; convexity means the result is <= 0 up to
-    rounding.
+    rounding.  Phi at both endpoints and every blend comes from one
+    :func:`dual_points` call.
     """
     theta1 = _as_theta(model, theta1)
     theta2 = _as_theta(model, theta2)
     if lambdas is None:
         lambdas = np.linspace(0.0, 1.0, 21)
-    phi1 = massieu(model, theta1)
-    phi2 = massieu(model, theta2)
-    worst = -math.inf
-    for lam in np.asarray(lambdas, dtype=float):
-        mix = massieu(model, lam * theta1 + (1.0 - lam) * theta2)
-        worst = max(worst, mix - lam * phi1 - (1.0 - lam) * phi2)
-    return float(worst)
+    lam = np.asarray(lambdas, dtype=float)
+    mixes = lam[:, None] * theta1 + (1.0 - lam[:, None]) * theta2
+    phi, _, _ = dual_points(model, np.vstack([theta1, theta2, mixes]))
+    gaps = phi[2:] - lam * phi[0] - (1.0 - lam) * phi[1]
+    return float(np.max(gaps, initial=-math.inf))

@@ -243,7 +243,8 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
     """Engine descriptor for the family.
 
     The energy domain is the open moment region (exact interval test for
-    one observable, feasibility probe via :func:`maxent_fit` otherwise);
+    one observable, a feasibility probe via :func:`maxent_fit` row by row
+    otherwise);
     ``entropy_u`` is the entropy of the moment-matched member.  The
     data-set layer treats probability vectors as data sets; the fiber
     sampler supports fibers of dimension zero or one.
@@ -263,14 +264,22 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
         clamp = (lo[0] + margin, hi[0] - margin)
 
         def membership(u):
-            return bool(lo[0] + margin < float(u[0]) < hi[0] - margin)
+            x = np.asarray(u, dtype=float)[..., 0]
+            return (lo[0] + margin < x) & (x < hi[0] - margin)
     else:
-        def membership(u):
+        def feasible(u):
             try:
                 maxent_fit(family, u, tol=1e-8)
                 return True
             except (InfeasibleError, ConvergenceError, DegeneracyError):
                 return False
+
+        def membership(u):
+            u = np.asarray(u, dtype=float)
+            out = np.empty(u.shape[:-1], dtype=bool)
+            for idx in np.ndindex(out.shape):
+                out[idx] = feasible(u[idx])
+            return out
 
     domain = Domain(dimension=n, bounding_box=box, membership=membership,
                     interior_point=interior)

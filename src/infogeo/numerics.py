@@ -4,12 +4,18 @@ Central finite differences, a damped-Newton maximizer for concave
 objectives on open domains, a deterministic brute-force grid supremum,
 and closed-form spectral calculus for 2x2 Hermitian matrices.
 
+Domain membership is row-wise: a predicate takes points stacked along
+the last axis and decides each one.  The finite-difference kernels and
+the maximizer evaluate their objective one point at a time; the grid
+supremum evaluates a batched objective on every member row of a slab.
+
 All routines are pure: they never mutate their inputs and contain no
 hidden state, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -43,7 +49,10 @@ class Domain:
     bounding_box : (n, 2) array
         Finite per-coordinate bounds containing every member point.
     membership : callable
-        Predicate deciding strict interiority of a point.
+        Row-wise predicate deciding strict interiority: points of shape
+        ``(..., n)`` map to a bool array of shape ``(...)``, so a single
+        point ``(n,)`` gives a 0-d bool.  Each point's decision must not
+        depend on the other rows it is stacked with.
     interior_point : (n,) array
         A point satisfying ``membership``; used as the default start of
         iterative searches.
@@ -105,14 +114,14 @@ class Matrix2H:
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of matching rows of two ``(k, n)`` arrays.
+    """Dot products along the last axis of two ``(..., n)`` arrays.
 
     Evaluated as a stack of vector products, which numpy computes with
     the inner-product kernel of the 1-D ``a[i] @ b[i]``, so each value
-    equals the per-row one bit for bit (``np.linalg.norm(x, axis=1)``
-    does not).
+    equals the per-row one bit for bit, and so does ``x @ x`` inside the
+    1-D ``np.linalg.norm(x)`` (``np.linalg.norm(x, axis=1)`` does not).
     """
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _steps(x: np.ndarray, h, default: float) -> np.ndarray:
@@ -228,35 +237,51 @@ def maximize_concave(f: Callable[[np.ndarray], float], domain: Domain,
     return OptimizationResult(x, fx, MAX_ITERATIONS, gnorm, gnorm <= tol)
 
 
-def grid_sup(f: Callable[[np.ndarray], float], domain: Domain,
+def grid_sup(f: Callable[[np.ndarray], np.ndarray], domain: Domain,
              points_per_axis: int) -> tuple[np.ndarray, float]:
     """Brute-force supremum of ``f`` over a regular grid on the domain box.
 
-    Intended as a slow, assumption-free oracle for dimensions n <= 3.
-    Grid points failing ``domain.membership`` are skipped.  Ties are
-    broken deterministically in favor of the lowest linear grid index
-    (row-major over the axes in coordinate order).
+    Intended as an assumption-free oracle for dimensions 1 to 3.
+    ``f`` is batched: it maps member rows ``(k, n)`` to their ``(k,)``
+    values.  The grid is walked one slab (one coordinate of the first
+    axis) at a time, so at most ``points_per_axis**(n-1)`` points exist
+    at once; only the rows of a slab that pass ``domain.membership``
+    reach ``f``.  Ties are broken deterministically in favor of the
+    lowest linear grid index (row-major over the axes in coordinate
+    order).  Raises :class:`EvaluationError` when ``f`` is non-finite at
+    a member and :class:`DomainError` when no grid point is a member.
     """
     n = domain.dimension
-    if n > 3:
-        raise ValueError("grid_sup is restricted to dimension <= 3")
+    if not 1 <= n <= 3:
+        raise ValueError("grid_sup is restricted to dimensions 1 to 3")
     if points_per_axis < 2:
         raise ValueError("points_per_axis must be at least 2")
-    axes = [np.linspace(domain.bounding_box[j, 0], domain.bounding_box[j, 1],
-                        points_per_axis) for j in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
+    axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in domain.bounding_box]
+    slab = np.empty((points_per_axis ** (n - 1), n))
+    slab[:, 1:] = np.array(list(itertools.product(*axes[1:])), dtype=float)
     best_x = None
     best_v = -math.inf
-    for row in points:
-        if not domain.membership(row):
+    for first in axes[0]:
+        slab[:, 0] = first
+        member = np.asarray(domain.membership(slab))
+        if member.shape != slab.shape[:1]:
+            raise ValueError("membership must return one flag per row")
+        rows = slab[member]
+        if rows.shape[0] == 0:
             continue
-        v = float(f(row))
-        if not math.isfinite(v):
-            raise EvaluationError(f"objective returned non-finite value at {row!r}")
-        if v > best_v:
-            best_v = v
-            best_x = row
+        values = np.asarray(f(rows), dtype=float)
+        if values.shape != rows.shape[:1]:
+            raise ValueError("objective must return one value per row")
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = rows[int(np.argmin(finite))]
+            raise EvaluationError(f"objective returned non-finite value at {bad!r}")
+        # argmax keeps the first maximum in the slab; the strict test
+        # keeps the earlier slab on ties across slabs.
+        i = int(np.argmax(values))
+        if values[i] > best_v:
+            best_v = float(values[i])
+            best_x = rows[i]
     if best_x is None:
         raise DomainError("no grid point satisfies the domain membership")
     return best_x.copy(), best_v

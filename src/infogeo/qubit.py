@@ -117,11 +117,19 @@ def dual_points_qubit(thetas: np.ndarray):
     moving = t > 0.0
     u = np.zeros_like(thetas)
     u[moving] = -(thetas[moving] / t[moving, None]) * tanh[moving, None]
-    r = np.minimum(np.sqrt(row_dot(u, u)), 1.0)
+    return np.logaddexp(t, -t), u, entropy_bloch_rows(u)
+
+
+def entropy_bloch_rows(us: np.ndarray) -> np.ndarray:
+    """Entropy of the states with the Bloch vectors ``us`` (..., 3).
+
+    The row-wise form of :func:`entropy_bloch` without its domain check:
+    the binary entropy of ``min(|u|, 1)`` (0 ln 0 = 0).
+    """
+    r = np.minimum(np.sqrt(row_dot(us, us)), 1.0)
     lam_plus, lam_minus = 0.5 * (1.0 + r), 0.5 * (1.0 - r)
-    s = (-lam_plus * np.log(lam_plus)
-         - lam_minus * np.log(np.where(lam_minus > 0.0, lam_minus, 1.0)))
-    return np.logaddexp(t, -t), u, s
+    return (-lam_plus * np.log(lam_plus)
+            - lam_minus * np.log(np.where(lam_minus > 0.0, lam_minus, 1.0)))
 
 
 def gibbs_state(theta) -> Matrix2H:
@@ -177,7 +185,9 @@ def as_descriptor(membership_margin: float = 1e-12,
     box = np.array([[-1.0, 1.0]] * 3)
 
     def membership(u):
-        return float(np.linalg.norm(np.asarray(u, dtype=float))) < 1.0 - membership_margin
+        # row_dot gives the bits of the x @ x inside np.linalg.norm(x)
+        u = np.asarray(u, dtype=float)
+        return np.sqrt(row_dot(u, u)) < 1.0 - membership_margin
 
     domain = Domain(dimension=3, bounding_box=box, membership=membership,
                     interior_point=np.zeros(3))

@@ -64,7 +64,7 @@ def verify_numerics() -> list[PropertyResult]:
     a = np.array([[2.0, 0.4, 0.1], [0.4, 1.5, -0.2], [0.1, -0.2, 1.0]])
     target = np.array([0.3, -0.4, 0.2])
     dom = numerics.Domain(3, np.array([[-2.0, 2.0]] * 3),
-                          lambda u: bool(np.all(np.abs(u) < 2.0)), np.zeros(3))
+                          lambda u: np.all(np.abs(u) < 2.0, axis=-1), np.zeros(3))
     quad = lambda u: -float((u - target) @ a @ (u - target))
     res = numerics.maximize_concave(quad, dom, tol=1e-12)
     worst = float(np.max(np.abs(res.argmax - target)))
@@ -75,12 +75,13 @@ def verify_numerics() -> list[PropertyResult]:
     out.append(_check("newton-quadratic-gradient", res.gradient_norm, 1e-12))
 
     dom2 = numerics.Domain(2, np.array([[-1.0, 1.0]] * 2),
-                           lambda u: bool(np.all(np.abs(u) < 1.0)), np.zeros(2))
+                           lambda u: np.all(np.abs(u) < 1.0, axis=-1), np.zeros(2))
     a2 = np.array([[2.0, 0.3], [0.3, 1.0]])
     t2 = np.array([0.31, -0.17])  # deliberately off the 41-point grid
     quad2 = lambda u: -float((u - t2) @ a2 @ (u - t2))
     res2 = numerics.maximize_concave(quad2, dom2, tol=1e-10)
-    _, gv = numerics.grid_sup(quad2, dom2, 41)
+    _, gv = numerics.grid_sup(
+        lambda us: -np.einsum("ki,ij,kj->k", us - t2, a2, us - t2), dom2, 41)
     out.append(_check("grid-below-newton", gv - res2.value, 1e-9,
                       note="grid restricted sup cannot exceed the true sup"))
     out.append(_check("grid-matches-newton", abs(gv - res2.value), 5e-3,
@@ -313,16 +314,8 @@ def verify_qubit_extras(handle: QubitHandle) -> list[PropertyResult]:
         gridt.append(v * rng.uniform(0.3, 1.2) / float(np.linalg.norm(v)))
     worst = 0.0
     for th in gridt:
-        t1, t2, t3 = float(th[0]), float(th[1]), float(th[2])
-
-        def objective(u):
-            u1, u2, u3 = float(u[0]), float(u[1]), float(u[2])
-            rr = math.sqrt(u1 * u1 + u2 * u2 + u3 * u3)
-            if rr >= 1.0:
-                return -1e300
-            lp, lm = 0.5 * (1.0 + rr), 0.5 * (1.0 - rr)
-            s = -lp * math.log(lp) - (lm * math.log(lm) if lm > 0.0 else 0.0)
-            return s - (t1 * u1 + t2 * u2 + t3 * u3)
+        def objective(us, _th=th):
+            return qubit.entropy_bloch_rows(us) - us @ _th
 
         _, gv = numerics.grid_sup(objective, model.energy_domain, 61)
         closed = core.massieu(model, th)
@@ -393,8 +386,8 @@ def verify_discrete_extras(handle: DiscreteHandle) -> list[PropertyResult]:
     if family.n == 1:
         worst = 0.0
         for th in handle.sample_thetas(rng, 5, radius=1.5):
-            def objective(u, _th=float(th[0])):
-                return model.entropy_u(u) - _th * float(u[0])
+            def objective(us, _th=float(th[0])):
+                return np.array([model.entropy_u(u) for u in us]) - _th * us[:, 0]
             _, gv = numerics.grid_sup(objective, model.energy_domain, 61)
             closed = core.massieu(model, th)
             worst = max(worst, abs(gv - closed))

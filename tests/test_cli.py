@@ -318,6 +318,19 @@ def test_sweep_member_entropy_at_saturated_points(capsys):
         assert entropy == pytest.approx(-float(np.sum(p * np.log(p))), abs=1e-15)
 
 
+def test_massieu_and_sweep_agree_at_saturated_point(capsys):
+    """Both commands take Phi, U and S from the same dual point, so the
+    member entropy and the residual agree where the chart saturates."""
+    env = envelope(run_cli("massieu", "--model", "discrete3", "--theta", "40"))
+    code, out, _ = _sweep(capsys, "--model", "discrete3", "--grid", "1=40:40:1",
+                          "--quantities", "entropy,residual", "--format", "object")
+    assert code == 0
+    [[theta, entropy, residual]] = json.loads(out)["outputs"]["rows"]
+    assert theta == 40.0
+    assert env["outputs"]["entropy"] == entropy
+    assert env["outputs"]["canonical_residual"] == residual
+
+
 # ------------------------------------------------------------ exit codes
 
 

@@ -11,6 +11,7 @@ from infogeo import (
     CanonicalityError,
     ConstraintError,
     DomainError,
+    InfoGeoError,
     ModelDescriptor,
     UnsupportedOperationError,
     bregman_divergence,
@@ -144,6 +145,53 @@ def test_dual_points_rejects_bad_rows(qubit):
         dual_points(qubit, np.array([[math.inf, 0.0, 0.0]]))
 
 
+# ------------------------------------------------------ domain membership
+
+
+def _membership_rows(name, domain, rng):
+    """Random rows around the box, the margin points on every axis, and
+    rows the model must refuse."""
+    lo, hi = domain.bounding_box.T
+    span = hi - lo
+    n = domain.dimension
+    rows = [rng.uniform(lo - 0.1 * span, hi + 0.1 * span, size=(24, n))]
+    for j in range(n):
+        for v in (1.0 - 1e-13, 0.99, 1e-14, lo[j], hi[j],
+                  lo[j] + 1e-12 * span[j], hi[j] - 1e-12 * span[j]):
+            row = domain.interior_point.copy()
+            row[j] = v
+            rows.append(row[None])
+    if name == "qubit":
+        # radii within a few ulps of the 1 - 1e-12 shell, enough of them
+        # that a radius rounded differently from the 1-D norm shows
+        d = rng.normal(size=(400, 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        radii = (1.0 - 1e-12) * (1.0 + np.arange(-4, 4) * np.finfo(float).eps)
+        rows.append((d[:, None, :] * radii[None, :, None]).reshape(-1, 3))
+    if name == "coherent":
+        rows.append(np.array([[math.inf, 0.0], [0.0, math.nan], [-math.inf, 1.0]]))
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("name", ["qubit", "coherent", "discrete2", "discrete3",
+                                  "config-discrete"])
+def test_batched_membership_matches_per_point(name, tmp_path):
+    model = (_two_observable_family(tmp_path) if name == "config-discrete"
+             else get_model(name).descriptor)
+    domain = model.energy_domain
+    rows = _membership_rows(name, domain, np.random.default_rng(3))
+    batched = domain.membership(rows)
+    assert batched.shape == (len(rows),) and batched.dtype == bool
+    assert batched.any() and not batched.all()
+    assert batched.tolist() == [bool(domain.membership(row)) for row in rows]
+    even = rows[: len(rows) // 2 * 2]
+    stacked = domain.membership(even.reshape(2, -1, model.n))
+    assert np.array_equal(stacked, batched[: len(even)].reshape(2, -1))
+    if name == "qubit":  # the decision the 1-D norm gives
+        assert batched.tolist() == [float(np.linalg.norm(row)) < 1.0 - 1e-12
+                                    for row in rows]
+
+
 # ------------------------------------------------------ canonical check
 
 
@@ -164,8 +212,13 @@ def test_canonical_check_reports_saturated_chart(qubit):
 
 
 def test_canonical_check_flags_inconsistent_closed_forms(qubit):
+    def shifted_points(thetas):  # the batched form with the same defect
+        phi, u, s = qubit.closed_dual_points(thetas)
+        return phi + 0.01, u, s
+
     broken = dataclasses.replace(
-        qubit, closed_massieu=lambda th: LN_2COSH1 + 0.01)
+        qubit, closed_massieu=lambda th: LN_2COSH1 + 0.01,
+        closed_dual_points=shifted_points)
     with pytest.raises(CanonicalityError) as exc:
         canonical_check(broken, np.array([1.0, 0.0, 0.0]))
     assert exc.value.pair is not None
@@ -187,6 +240,44 @@ def test_metric_discrete2_bernoulli_variance(discrete2):
 
 
 # ------------------------------------------------------------ convexity
+
+
+def _convexity_by_points(model, theta1, theta2):
+    """The convexity probe as a per-blend loop of scalar Massieu calls."""
+    phi1, phi2 = massieu(model, theta1), massieu(model, theta2)
+    return max(massieu(model, lam * theta1 + (1.0 - lam) * theta2)
+               - lam * phi1 - (1.0 - lam) * phi2
+               for lam in np.linspace(0.0, 1.0, 21))
+
+
+@pytest.mark.parametrize("name", ["qubit", "coherent", "coherent2", "discrete2",
+                                  "discrete3"])
+def test_convexity_probe_matches_per_point_loop(name):
+    handle = get_model(name)
+    model = handle.descriptor
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        t1, t2 = handle.sample_thetas(rng, 2)
+        assert convexity_probe(model, t1, t2) == _convexity_by_points(model, t1, t2)
+    # Without closed forms dual_points falls back to its per-row route,
+    # which must give what the scalar loop gives, a typed error included
+    # (the numeric Legendre route does not always converge at its default
+    # tolerance).
+    numeric = dataclasses.replace(model, closed_massieu=None, closed_theta_to_u=None,
+                                  closed_u_to_theta=None, closed_dual_points=None)
+
+    def outcome(probe, *args):
+        try:
+            return probe(*args)
+        except InfoGeoError as exc:
+            return type(exc)
+
+    for _ in range(2):
+        t1, t2 = handle.sample_thetas(rng, 2, radius=1.0)
+        worst = outcome(convexity_probe, numeric, t1, t2)
+        assert worst == outcome(_convexity_by_points, numeric, t1, t2)
+        if isinstance(worst, float):
+            assert abs(worst - convexity_probe(model, t1, t2)) <= 1e-6
 
 
 def test_convexity_probe_and_jensen_gap(qubit):

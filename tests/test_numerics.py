@@ -12,7 +12,11 @@ from infogeo.errors import DomainError, EvaluationError
 def ball_domain(margin=1e-12):
     return numerics.Domain(
         3, np.array([[-1.0, 1.0]] * 3),
-        lambda u: bool(np.linalg.norm(u) < 1.0 - margin), np.zeros(3))
+        lambda u: np.linalg.norm(u, axis=-1) < 1.0 - margin, np.zeros(3))
+
+
+def everywhere(u):
+    return np.ones(np.shape(u)[:-1], dtype=bool)
 
 
 def test_gradient_of_square_at_three():
@@ -61,7 +65,7 @@ def test_maximize_quadratic_converges_in_three_newton_steps():
     a = np.array([[2.0, 0.4], [0.4, 1.5]])
     target = np.array([0.3, -0.4])
     dom = numerics.Domain(2, np.array([[-2.0, 2.0]] * 2),
-                          lambda u: bool(np.all(np.abs(u) < 2.0)), np.zeros(2))
+                          lambda u: np.all(np.abs(u) < 2.0, axis=-1), np.zeros(2))
     res = numerics.maximize_concave(
         lambda u: -float((u - target) @ a @ (u - target)), dom, tol=1e-12)
     assert res.converged
@@ -77,39 +81,98 @@ def test_maximize_rejects_outside_start():
 
 
 def test_grid_sup_finds_interior_peak():
-    dom = numerics.Domain(2, np.array([[-1.0, 1.0]] * 2),
-                          lambda u: True, np.zeros(2))
-    x, v = numerics.grid_sup(lambda u: -float((u[0] - 0.5) ** 2 + u[1] ** 2),
+    dom = numerics.Domain(2, np.array([[-1.0, 1.0]] * 2), everywhere, np.zeros(2))
+    x, v = numerics.grid_sup(lambda u: -((u[:, 0] - 0.5) ** 2 + u[:, 1] ** 2),
                              dom, 41)
     assert abs(v) < 1e-12  # 0.5 lies on the 41-point grid
     assert np.allclose(x, [0.5, 0.0])
 
 
 def test_grid_sup_breaks_ties_at_lowest_index():
-    dom = numerics.Domain(1, np.array([[0.0, 1.0]]), lambda u: True,
-                          np.array([0.5]))
-    x, _ = numerics.grid_sup(lambda u: 0.0, dom, 5)
+    dom = numerics.Domain(1, np.array([[0.0, 1.0]]), everywhere, np.array([0.5]))
+    x, _ = numerics.grid_sup(lambda u: np.zeros(len(u)), dom, 5)
     assert x[0] == 0.0
 
 
 def test_grid_sup_rejects_high_dimensions_and_empty_domains():
-    dom4 = numerics.Domain(4, np.array([[-1.0, 1.0]] * 4), lambda u: True,
-                           np.zeros(4))
+    dom4 = numerics.Domain(4, np.array([[-1.0, 1.0]] * 4), everywhere, np.zeros(4))
     with pytest.raises(ValueError):
-        numerics.grid_sup(lambda u: 0.0, dom4, 3)
+        numerics.grid_sup(lambda u: np.zeros(len(u)), dom4, 3)
     # Membership accepts only a sliver that every grid node misses.
     sliver = numerics.Domain(1, np.array([[0.0, 1.0]]),
-                             lambda u: bool(abs(float(u[0]) - 0.41) < 0.01),
+                             lambda u: np.abs(u[..., 0] - 0.41) < 0.01,
                              np.array([0.41]))
     with pytest.raises(DomainError):
-        numerics.grid_sup(lambda u: 0.0, sliver, 5)
+        numerics.grid_sup(lambda u: np.zeros(len(u)), sliver, 5)
 
 
 def test_grid_sup_rejects_nonfinite_values():
-    dom = numerics.Domain(1, np.array([[0.0, 1.0]]), lambda u: True,
-                          np.array([0.5]))
+    dom = numerics.Domain(1, np.array([[0.0, 1.0]]), everywhere, np.array([0.5]))
     with pytest.raises(EvaluationError):
-        numerics.grid_sup(lambda u: math.inf, dom, 5)
+        numerics.grid_sup(lambda u: np.full(len(u), math.inf), dom, 5)
+
+
+def _grid_sup_reference(f, domain, points_per_axis):
+    """The point-by-point grid supremum: one scalar call per grid point."""
+    axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in domain.bounding_box]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    best_x, best_v = None, -math.inf
+    for row in np.stack([m.ravel() for m in mesh], axis=-1):
+        if domain.membership(row):
+            v = float(f(row[None])[0])
+            if v > best_v:
+                best_x, best_v = row, v
+    return best_x, best_v
+
+
+@pytest.mark.parametrize("n, per_axis", [(1, 23), (2, 17), (3, 11)])
+def test_grid_sup_matches_point_by_point_reference(n, per_axis):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n))
+    a = a @ a.T + np.eye(n)
+    center = rng.uniform(-0.5, 0.5, size=n)
+    box = np.stack([-1.0 - rng.uniform(size=n), 1.0 + rng.uniform(size=n)], axis=-1)
+    dom = numerics.Domain(n, box, lambda u: np.linalg.norm(u - 0.2, axis=-1) < 1.1,
+                          np.full(n, 0.2))
+    f = lambda u: -np.einsum("ki,ij,kj->k", u - center, a, u - center)
+    x, v = numerics.grid_sup(f, dom, per_axis)
+    ref_x, ref_v = _grid_sup_reference(f, dom, per_axis)
+    assert v == ref_v
+    assert np.array_equal(x, ref_x)
+
+
+def test_grid_sup_ties_within_and_across_slabs():
+    box = np.array([[-1.0, 1.0]] * 2)  # 5 points per axis: -1, -0.5, 0, 0.5, 1
+    dom = numerics.Domain(2, box, everywhere, np.zeros(2))
+    # every point of the slab u1 = 0 ties: the lowest u2 wins
+    x, v = numerics.grid_sup(lambda u: -u[:, 0] ** 2, dom, 5)
+    assert v == 0.0 and np.array_equal(x, [0.0, -1.0])
+    # u2 = 0 ties in every slab: the first slab wins
+    x, _ = numerics.grid_sup(lambda u: -u[:, 1] ** 2, dom, 5)
+    assert np.array_equal(x, [-1.0, 0.0])
+    # ...and when the first slab holds no member, the next one does
+    later = numerics.Domain(2, box, lambda u: u[..., 0] > -0.9, np.zeros(2))
+    x, _ = numerics.grid_sup(lambda u: -u[:, 1] ** 2, later, 5)
+    assert np.array_equal(x, [-0.5, 0.0])
+    # a tie across slabs never displaces the earlier one
+    x, _ = numerics.grid_sup(lambda u: np.where(u[:, 1] > 0.7, 1.0, 0.0), dom, 5)
+    assert np.array_equal(x, [-1.0, 1.0])
+
+
+def test_grid_sup_evaluates_members_only():
+    dom = numerics.Domain(2, np.array([[-1.0, 1.0]] * 2),
+                          lambda u: u[..., 0] < 0.7, np.zeros(2))
+    nan_outside = lambda u: np.where(u[:, 0] < 0.7, -u[:, 1] ** 2, math.nan)
+    x, v = numerics.grid_sup(nan_outside, dom, 5)
+    assert v == 0.0 and np.array_equal(x, [-1.0, 0.0])
+    # a non-finite value at a member is an error, not a skipped point
+    nan_inside = lambda u: np.where(u[:, 0] == 0.5, math.nan, 0.0)
+    with pytest.raises(EvaluationError):
+        numerics.grid_sup(nan_inside, dom, 5)
+    with pytest.raises(DomainError):
+        numerics.grid_sup(nan_inside, numerics.Domain(
+            2, np.array([[-1.0, 1.0]] * 2), lambda u: np.linalg.norm(u, axis=-1) < 0.1,
+            np.zeros(2)), 2)
 
 
 def test_domain_validation():
