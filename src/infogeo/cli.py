@@ -1,11 +1,14 @@
 """Command-line interface.
 
-Every invocation prints a single JSON object (the result envelope) on
-stdout: ``{"command", "inputs", "outputs", "diagnostics", "status"}``
-with ``status`` either ``"ok"`` or ``"error:<category>"``.  The one
-exception is ``sweep`` in CSV format, which streams a CSV table instead,
-written one chunk of grid rows at a time.
-Progress and warnings go to stderr.
+Every argv gets exactly one JSON object (the result envelope) on stdout:
+``{"command", "inputs", "outputs", "diagnostics", "status"}`` with
+``status`` either ``"ok"`` or ``"error:<category>"``.  That holds for
+flag errors too (an unknown flag or command, a bad flag value, no
+command): they end as ``"error:usage"`` with ``command`` null unless
+the first non-option token of argv names a known command.  The exceptions are ``--help`` and
+``--version``, which print text, and ``sweep`` in CSV format, which
+streams a CSV table instead, written one chunk of grid rows at a time.
+Progress, warnings and error messages go to stderr.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (bad flags,
 unknown model, malformed grid), 3 numeric or domain error (infeasible
@@ -22,19 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__, coherent, core, regression
-from .errors import (
-    CanonicalityError,
-    ConstraintError,
-    ConvergenceError,
-    DegeneracyError,
-    DomainError,
-    EvaluationError,
-    InfeasibleError,
-    InfoGeoError,
-    SupportError,
-    TruncationError,
-    UnsupportedOperationError,
-)
+from .errors import DomainError, InfoGeoError
 from .numerics import row_dot
 from .registry import BUILTIN_NAMES, ModelHandle, get_model, load_config
 from .verify import verify_all, verify_handle, verify_numerics
@@ -48,49 +39,25 @@ EXIT_NUMERIC = 3
 class UsageError(Exception):
     """Bad flags or flag values; reported with exit code 2."""
 
-
-_ERROR_CATEGORIES = (
-    (InfeasibleError, "infeasible"),
-    (TruncationError, "truncation"),
-    (ConstraintError, "constraint"),
-    (ConvergenceError, "convergence"),
-    (DegeneracyError, "degenerate"),
-    (SupportError, "support"),
-    (CanonicalityError, "canonicality"),
-    (DomainError, "domain"),
-    (UnsupportedOperationError, "unsupported"),
-    (EvaluationError, "evaluation"),
-)
+    category = "usage"
 
 
-def _category(exc: InfoGeoError) -> str:
-    for cls, name in _ERROR_CATEGORIES:
-        if isinstance(exc, cls):
-            return name
-    return "numeric"
-
-
-def _jsonable(value):
+def _json_default(value):
+    """JSON form of the numpy and complex values that envelopes carry."""
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)) and not isinstance(value, bool):
-        return int(value)
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
     if isinstance(value, complex):
         return f"{value.real!r},{value.imag!r}"
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _emit(command: str, inputs: dict, outputs: dict, diagnostics: dict,
           status: str) -> None:
     envelope = {"command": command, "inputs": inputs, "outputs": outputs,
                 "diagnostics": diagnostics, "status": status}
-    json.dump(_jsonable(envelope), sys.stdout, sort_keys=True)
+    json.dump(envelope, sys.stdout, sort_keys=True, default=_json_default)
     sys.stdout.write("\n")
 
 
@@ -117,8 +84,7 @@ def _parse_complex(text: str, flag: str) -> complex:
 
 
 def _resolve_model(args) -> ModelHandle:
-    config = getattr(args, "config", None)
-    name = getattr(args, "model", None)
+    config, name = args.config, args.model
     if config and name:
         raise UsageError("pass either --model or --config, not both")
     if config:
@@ -145,7 +111,7 @@ def _require_canonical(handle: ModelHandle, command: str) -> None:
 
 
 def _model_inputs(args, handle: ModelHandle) -> dict:
-    if getattr(args, "config", None):
+    if args.config:
         return {"config": args.config, "model": handle.name}
     return {"model": handle.name}
 
@@ -161,7 +127,7 @@ def _parse_dataset(args, handle: ModelHandle):
     The handle names the flags that can carry its data sets; exactly one
     of them must be given.
     """
-    given = [f for f in handle.data_flags if getattr(args, f, None) is not None]
+    given = [f for f in handle.data_flags if getattr(args, f) is not None]
     if len(given) != 1:
         flags = " or ".join("--" + f.replace("_", "-") for f in handle.data_flags)
         need = "exactly one of " if len(handle.data_flags) > 1 else ""
@@ -185,14 +151,12 @@ def _parse_dataset(args, handle: ModelHandle):
 def _model_point(args, handle: ModelHandle) -> tuple[np.ndarray, dict]:
     """Model coordinates from --theta, or from --u through the chart."""
     model = handle.descriptor
-    theta_given = getattr(args, "theta", None)
-    u_given = getattr(args, "u", None)
-    if (theta_given is None) == (u_given is None):
+    if (args.theta is None) == (args.u is None):
         raise UsageError("give the model point as exactly one of --theta or --u")
-    if theta_given is not None:
-        theta = _parse_floats(theta_given, "--theta", model.n)
+    if args.theta is not None:
+        theta = _parse_floats(args.theta, "--theta", model.n)
         return theta, {"theta": list(theta)}
-    u = _parse_floats(u_given, "--u", model.n)
+    u = _parse_floats(args.u, "--u", model.n)
     if not model.energy_domain.membership(u):
         raise DomainError("moment vector lies outside the model chart")
     return core.u_to_theta(model, u), {"u": list(u)}
@@ -253,7 +217,7 @@ def _cmd_divergence(args) -> int:
     _require_canonical(handle, "divergence")
     model = handle.descriptor
     inputs = _model_inputs(args, handle)
-    has_data = any(getattr(args, k, None) is not None for k in ("x", "z", "x_file"))
+    has_data = any(v is not None for v in (args.x, args.z, args.x_file))
 
     if has_data:
         x, echo = _parse_dataset(args, handle)
@@ -299,7 +263,7 @@ def _cmd_pythagoras(args) -> int:
     _require_canonical(handle, "pythagoras")
     model = handle.descriptor
     inputs = _model_inputs(args, handle)
-    has_data = any(getattr(args, k, None) is not None for k in ("x", "z", "x_file"))
+    has_data = any(v is not None for v in (args.x, args.z, args.x_file))
 
     if args.theta is None or args.zeta is None:
         raise UsageError("pythagoras needs --theta and --zeta")
@@ -479,78 +443,77 @@ def _cmd_verify(args) -> int:
 
 # --------------------------------------------------------------- parser
 
+#: ``add_argument`` keywords of every flag, and of verify's positional
+#: ``target``; each command lists the names it takes in ``_COMMANDS``.
+_FLAGS = {
+    "--model": {"help": "built-in model name"},
+    "--config": {"help": "INI file describing a model"},
+    "--tol": {"type": float, "help": "tolerance override for the underlying solver"},
+    "--theta": {"help": "model parameters, comma-separated"},
+    "--u": {"help": "moment coordinates, comma-separated"},
+    "--zeta": {"help": "second model point"},
+    "--xi": {"help": "third model point (model-triple mode)"},
+    "--x": {"help": "data vector: polarization vector, distribution, or"
+                    " sphere data"},
+    "--z": {"help": "data: coherent amplitude 're,im'"},
+    "--x-file": {"help": "data: oscillator state file"},
+    "--nmax": {"type": int, "help": "oscillator basis cutoff for --z"},
+    "--data": {"help": "CSV file of x,y pairs (regression)"},
+    "--grid": {"action": "append", "default": [], "metavar": "AXIS=START:STOP:COUNT",
+               "help": "grid for one theta axis (repeatable); unlisted axes"
+                       " are pinned at 0"},
+    "--quantities": {"help": "comma-separated: phi, entropy, residual, unorm,"
+                             " u1..un"},
+    "--format": {"choices": ("csv", "object"), "default": "csv"},
+    "target": {"nargs": "?", "help": "'all' (default) or a model name"},
+}
+
+#: command -> (handler, help text, the names in ``_FLAGS`` it takes)
+_COMMANDS = {
+    "massieu": (_cmd_massieu, "log-normalizer, moments, entropy, and the"
+                              " canonical residual at theta",
+                ("--model", "--config", "--tol", "--theta")),
+    "maxent": (_cmd_maxent, "model point matching moment targets (or the best"
+                            " fit for summary models)",
+               ("--model", "--config", "--tol", "--u", "--x", "--data")),
+    "divergence": (_cmd_divergence, "divergence of data or a model point from a"
+                                    " model point",
+                   ("--model", "--config", "--theta", "--u", "--zeta", "--x", "--z",
+                    "--x-file", "--nmax")),
+    "pythagoras": (_cmd_pythagoras, "three-point divergence identity (data or"
+                                    " model triple)",
+                   ("--model", "--config", "--tol", "--theta", "--zeta", "--xi",
+                    "--x", "--z", "--x-file", "--nmax")),
+    "sweep": (_cmd_sweep, "tabulate quantities over a parameter grid",
+              ("--model", "--config", "--grid", "--quantities", "--format")),
+    "verify": (_cmd_verify, "run the property suites",
+               ("target", "--model", "--config")),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`UsageError` on a flag error instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="infogeo",
         description="Dual coordinates, entropy transforms, and divergences"
                     " for a small zoo of statistical models.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, tol=False, theta=False, u=False):
-        p.add_argument("--model", help="built-in model name")
-        p.add_argument("--config", help="INI file describing a model")
-        if tol:
-            p.add_argument("--tol", type=float, default=None,
-                           help="tolerance override for the underlying solver")
-        if theta:
-            p.add_argument("--theta", help="model parameters, comma-separated")
-        if u:
-            p.add_argument("--u", help="moment coordinates, comma-separated")
-
-    p = sub.add_parser("massieu", help="log-normalizer, moments, entropy,"
-                                       " and the canonical residual at theta")
-    add_common(p, tol=True, theta=True)
-    p.set_defaults(func=_cmd_massieu)
-
-    p = sub.add_parser("maxent", help="model point matching moment targets"
-                                      " (or the best fit for summary models)")
-    add_common(p, tol=True, u=True)
-    p.add_argument("--x", help="data vector (sphere)")
-    p.add_argument("--data", help="CSV file of x,y pairs (regression)")
-    p.set_defaults(func=_cmd_maxent)
-
-    p = sub.add_parser("divergence", help="divergence of data or a model point"
-                                          " from a model point")
-    add_common(p, theta=True, u=True)
-    p.add_argument("--zeta", help="second model point (model-to-model mode)")
-    p.add_argument("--x", help="data: polarization vector or distribution")
-    p.add_argument("--z", help="data: coherent amplitude 're,im'")
-    p.add_argument("--x-file", dest="x_file", help="data: oscillator state file")
-    p.add_argument("--nmax", type=int, default=None,
-                   help="oscillator basis cutoff for --z")
-    p.set_defaults(func=_cmd_divergence)
-
-    p = sub.add_parser("pythagoras", help="three-point divergence identity"
-                                          " (data or model triple)")
-    add_common(p, tol=True, theta=True)
-    p.add_argument("--zeta", help="second model point")
-    p.add_argument("--xi", help="third model point (model-triple mode)")
-    p.add_argument("--x", help="data: polarization vector or distribution")
-    p.add_argument("--z", help="data: coherent amplitude 're,im'")
-    p.add_argument("--x-file", dest="x_file", help="data: oscillator state file")
-    p.add_argument("--nmax", type=int, default=None,
-                   help="oscillator basis cutoff for --z")
-    p.set_defaults(func=_cmd_pythagoras)
-
-    p = sub.add_parser("sweep", help="tabulate quantities over a parameter grid")
-    add_common(p)
-    p.add_argument("--grid", action="append", default=[],
-                   metavar="AXIS=START:STOP:COUNT",
-                   help="grid for one theta axis (repeatable); unlisted axes"
-                        " are pinned at 0")
-    p.add_argument("--quantities",
-                   help="comma-separated: phi, entropy, residual, unorm, u1..un")
-    p.add_argument("--format", choices=("csv", "object"), default="csv")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("verify", help="run the property suites")
-    p.add_argument("target", nargs="?", default=None,
-                   help="'all' (default) or a model name")
-    p.add_argument("--model", help="verify one built-in model")
-    p.add_argument("--config", help="verify the model from an INI file")
-    p.set_defaults(func=_cmd_verify)
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
+
+
+# Parsing leaves the parser unchanged, so one serves every call of main.
+_PARSER = _build_parser()
 
 
 _NEGATIVE_OK = ("--theta", "--u", "--zeta", "--xi", "--x", "--z")
@@ -574,22 +537,20 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_normalize_argv(argv))
-    if args.command == "verify" and args.target and not args.model:
-        args.model = args.target
-    command = args.command
+    # The top-level parser has no flags that take values, so the first
+    # non-option token is the one argparse dispatches on.
+    first = next((tok for tok in argv if not tok.startswith("-")), None)
+    command = first if first in _COMMANDS else None
     try:
-        return args.func(args)
-    except UsageError as exc:
-        _emit(command, {}, {}, {"message": str(exc)}, "error:usage")
+        args = _PARSER.parse_args(_normalize_argv(argv))
+        if command == "verify" and args.target and not args.model:
+            args.model = args.target
+        return _COMMANDS[command][0](args)
+    except (UsageError, InfoGeoError) as exc:
+        _emit(command, {}, {}, {"message": str(exc)}, f"error:{exc.category}")
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InfoGeoError as exc:
-        _emit(command, {}, {}, {"message": str(exc)}, f"error:{_category(exc)}")
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -38,6 +38,12 @@ from .numerics import Domain, grad_fd, hess_fd, maximize_concave
 #: unbounded domain is treated as escaping to infinity.
 _BOX_EDGE_RTOL = 1e-6
 
+#: Default gradient tolerance of the numeric Legendre transform.
+_LEGENDRE_TOL = 1e-9
+
+#: Most negative metric eigenvalue still read as rounding, not degeneracy.
+_DEGENERACY_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class ModelDescriptor:
@@ -164,42 +170,51 @@ def _near_box_edge(domain: Domain, x: np.ndarray) -> bool:
                        | (box[:, 1] - x <= _BOX_EDGE_RTOL * width)))
 
 
-def _legendre(model: ModelDescriptor, theta: np.ndarray, tol: float):
+def _legendre(model: ModelDescriptor, theta: np.ndarray,
+              tol: float) -> tuple[float, np.ndarray]:
+    """``(Phi(theta), U(theta))``: the value and argmax of a damped-Newton
+    Legendre transform.
+
+    Raises :class:`DomainError` when the argmax reaches the bounding box
+    of a domain flagged unbounded: the supremum lies beyond the search
+    box, so no finite value found inside it is Phi.
+    """
+    domain = model.energy_domain
     objective = lambda u: model.entropy_u(u) - float(theta @ u)
-    result = maximize_concave(objective, model.energy_domain, tol=tol)
-    if model.energy_domain.unbounded and _near_box_edge(model.energy_domain,
-                                                        result.argmax):
-        return None, result  # supremum escapes the artificial box
+    result = maximize_concave(objective, domain, tol=tol)
+    if domain.unbounded and _near_box_edge(domain, result.argmax):
+        box = domain.bounding_box
+        half_width = float(np.max(0.5 * (box[:, 1] - box[:, 0])))
+        raise DomainError(
+            f"the Massieu supremum at theta={theta.tolist()} lies beyond the"
+            f" search box of half-width {half_width:g}; no dual energy point"
+            f" was found inside it")
     if not result.converged:
         raise ConvergenceError(
             f"Legendre transform did not converge (best value {result.value!r},"
             f" gradient norm {result.gradient_norm:.3e})", result=result)
-    return result.value, result
+    return result.value, result.argmax
 
 
-def massieu(model: ModelDescriptor, theta, tol: float = 1e-9) -> float:
+def massieu(model: ModelDescriptor, theta, tol: float = _LEGENDRE_TOL) -> float:
     """Massieu function ``Phi(theta) = sup_U { S(U) - theta . U }``.
 
     Uses the model's closed form when present, otherwise a damped-Newton
-    Legendre transform.  Returns ``math.inf`` when the supremum escapes
-    the bounding box of a domain flagged unbounded.
+    Legendre transform, which raises :class:`DomainError` when the
+    supremum lies beyond the bounding box of a domain flagged unbounded.
     """
     theta = _as_theta(model, theta)
     if model.closed_massieu is not None:
         return float(model.closed_massieu(theta))
-    value, _ = _legendre(model, theta, tol)
-    return math.inf if value is None else value
+    return _legendre(model, theta, tol)[0]
 
 
-def theta_to_u(model: ModelDescriptor, theta, tol: float = 1e-9) -> np.ndarray:
+def theta_to_u(model: ModelDescriptor, theta, tol: float = _LEGENDRE_TOL) -> np.ndarray:
     """Energy coordinates dual to ``theta`` (the Legendre argmax)."""
     theta = _as_theta(model, theta)
     if model.closed_theta_to_u is not None:
         return np.asarray(model.closed_theta_to_u(theta), dtype=float)
-    value, result = _legendre(model, theta, tol)
-    if value is None:
-        raise DomainError("Massieu supremum is unbounded; no dual energy point")
-    return result.argmax
+    return _legendre(model, theta, tol)[1]
 
 
 def dual_points(model: ModelDescriptor, thetas):
@@ -236,19 +251,18 @@ def u_to_theta(model: ModelDescriptor, u) -> np.ndarray:
     return grad_fd(model.entropy_u, u)
 
 
-def metric_tensor(model: ModelDescriptor, theta, h=None,
-                  degeneracy_tol: float = 1e-8) -> np.ndarray:
+def metric_tensor(model: ModelDescriptor, theta) -> np.ndarray:
     """Metric tensor ``g = Hessian(Phi)`` at ``theta``.
 
     Raises :class:`DegeneracyError` when the smallest eigenvalue is
-    nonpositive beyond ``degeneracy_tol``, which signals a non-canonical
+    nonpositive beyond ``_DEGENERACY_TOL``, which signals a non-canonical
     parametrization (redundant questions).
     """
     theta = _as_theta(model, theta)
-    g = hess_fd(lambda t: massieu(model, t), theta, h=h)
+    g = hess_fd(lambda t: massieu(model, t), theta)
     g = 0.5 * (g + g.T)
     min_eig = float(np.linalg.eigvalsh(g)[0])
-    if min_eig <= -degeneracy_tol:
+    if min_eig <= -_DEGENERACY_TOL:
         raise DegeneracyError(
             f"metric tensor is not positive definite (min eigenvalue {min_eig:.3e})")
     return g
@@ -328,8 +342,8 @@ def divergence_from_data(model: ModelDescriptor, x, theta) -> DivergenceReport:
                             entropy_of_x=float(s_x), linear_term=linear)
 
 
-def divergence_def5(model: ModelDescriptor, x, u_of_m, fiber_samples: int = 200,
-                    rng=None) -> float:
+def divergence_def5(model: ModelDescriptor, x, u_of_m,
+                    fiber_samples: int = 200) -> float:
     """Fiber-supremum divergence evaluated through the affine log form.
 
     Computes ``sup_y { S(y) + <y|L_m> } - ( S(x) + <x|L_m> )`` where the
@@ -349,7 +363,7 @@ def divergence_def5(model: ModelDescriptor, x, u_of_m, fiber_samples: int = 200,
         return -phi - float(theta @ answers)
 
     best = -math.inf
-    for y in model.fiber_sampler(u, fiber_samples, rng):
+    for y in model.fiber_sampler(u, fiber_samples, None):
         ans_y, s_y = model.dataset_answers(y)
         best = max(best, s_y + log_weight(np.asarray(ans_y, dtype=float)))
     ans_x, s_x = model.dataset_answers(x)
@@ -406,19 +420,17 @@ def pythagoras_models(model: ModelDescriptor, theta, zeta, xi) -> PythagorasRepo
                             orthogonality=orthogonality)
 
 
-def convexity_probe(model: ModelDescriptor, theta1, theta2, lambdas=None) -> float:
+def convexity_probe(model: ModelDescriptor, theta1, theta2) -> float:
     """Worst violation of Massieu convexity along a parameter segment.
 
     Returns ``max_l Phi(l theta1 + (1-l) theta2) - l Phi(theta1) -
-    (1-l) Phi(theta2)``; convexity means the result is <= 0 up to
-    rounding.  Phi at both endpoints and every blend comes from one
-    :func:`dual_points` call.
+    (1-l) Phi(theta2)`` over 21 evenly spaced blends ``l`` in [0, 1];
+    convexity means the result is <= 0 up to rounding.  Phi at both
+    endpoints and every blend comes from one :func:`dual_points` call.
     """
     theta1 = _as_theta(model, theta1)
     theta2 = _as_theta(model, theta2)
-    if lambdas is None:
-        lambdas = np.linspace(0.0, 1.0, 21)
-    lam = np.asarray(lambdas, dtype=float)
+    lam = np.linspace(0.0, 1.0, 21)
     mixes = lam[:, None] * theta1 + (1.0 - lam[:, None]) * theta2
     phi, _, _ = dual_points(model, np.vstack([theta1, theta2, mixes]))
     gaps = phi[2:] - lam * phi[0] - (1.0 - lam) * phi[1]

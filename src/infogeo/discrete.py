@@ -130,15 +130,6 @@ def bgs_entropy(family: DiscreteFamily, p) -> float:
     return -float(np.sum(p[mask] * (np.log(p[mask]) - np.log(family.prior[mask]))))
 
 
-def expectation(p, f) -> float:
-    """Expectation of the observable ``f`` under ``p``."""
-    p = check_probability(p)
-    f = np.asarray(f, dtype=float)
-    if f.shape != p.shape:
-        raise ValueError("observable and distribution lengths differ")
-    return float(p @ f)
-
-
 def fisher_covariance(family: DiscreteFamily, p) -> np.ndarray:
     """Covariance matrix of the observables under ``p``.
 

@@ -4,19 +4,29 @@ Every error raised deliberately by this package derives from
 :class:`InfoGeoError`, so callers can distinguish library-level failures
 (domain violations, solver breakdowns, structural degeneracies) from
 programming errors such as ``TypeError`` or ``ValueError``.
+
+Each class names its kind of failure in the class attribute ``category``
+(``"domain"``, ``"convergence"``, ...; ``"numeric"`` on the base class).
+The command line reports an error as ``"status": "error:<category>"``.
 """
 
 
 class InfoGeoError(Exception):
     """Base class for all library errors."""
 
+    category = "numeric"
+
 
 class DomainError(InfoGeoError):
     """A point lies outside the open domain an operation requires."""
 
+    category = "domain"
+
 
 class EvaluationError(InfoGeoError):
     """A function could not be evaluated (non-finite value or singular spectrum)."""
+
+    category = "evaluation"
 
 
 class ConvergenceError(InfoGeoError):
@@ -24,6 +34,8 @@ class ConvergenceError(InfoGeoError):
 
     The best iterate found is attached as ``result`` when available.
     """
+
+    category = "convergence"
 
     def __init__(self, message, result=None):
         super().__init__(message)
@@ -33,12 +45,16 @@ class ConvergenceError(InfoGeoError):
 class DegeneracyError(InfoGeoError):
     """A rank or positive-definiteness requirement is violated."""
 
+    category = "degenerate"
+
 
 class CanonicalityError(InfoGeoError):
     """The Legendre identity residual exceeded its tolerance.
 
     Carries the offending ``pair`` (a :class:`~infogeo.core.DualPair`).
     """
+
+    category = "canonicality"
 
     def __init__(self, message, pair=None):
         super().__init__(message)
@@ -48,18 +64,28 @@ class CanonicalityError(InfoGeoError):
 class UnsupportedOperationError(InfoGeoError):
     """The model does not provide the layer needed by this operation."""
 
+    category = "unsupported"
+
 
 class ConstraintError(InfoGeoError):
     """A structural precondition (for example fiber membership) does not hold."""
+
+    category = "constraint"
 
 
 class SupportError(InfoGeoError):
     """Absolute-continuity violation between distributions."""
 
+    category = "support"
+
 
 class InfeasibleError(InfoGeoError):
     """Requested moments lie outside the feasible region."""
 
+    category = "infeasible"
+
 
 class TruncationError(InfoGeoError):
     """Basis truncation too small for the requested state."""
+
+    category = "truncation"

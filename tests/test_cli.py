@@ -1,6 +1,7 @@
 """Command-line contract: JSON result envelopes, exit codes, sweep
 output, configuration files, and the model registry behind them."""
 
+import argparse
 import json
 import math
 
@@ -9,7 +10,8 @@ import pytest
 
 from conftest import close7, envelope, run_cli
 
-from infogeo import BUILTIN_NAMES, canonical_instances, cli, get_model
+from infogeo import (BUILTIN_NAMES, __version__, canonical_instances, cli, errors,
+                     get_model)
 from infogeo.discrete import boltzmann_gibbs
 from infogeo.registry import CoherentHandle, DiscreteHandle, load_config
 
@@ -357,8 +359,103 @@ def test_usage_errors_exit_two():
         assert proc.stderr.strip()
 
 
+@pytest.mark.parametrize("args, command", [
+    (("massieu", "--model", "qubit", "--theta", "0,0,0", "--bogus", "1"), "massieu"),
+    (("massieu", "--model", "qubit", "--u", "1"), "massieu"),  # a maxent flag
+    (("divergence", "--model", "coherent", "--z", "1,0", "--u", "0,0",
+      "--nmax", "abc"), "divergence"),
+    (("sweep", "--model", "qubit", "--grid", "1=0:1:3", "--quantities", "phi",
+      "--format", "xml"), "sweep"),
+    (("frobnicate", "--model", "qubit"), None),
+    (("frobnicate", "--model", "massieu"), None),
+    ((), None),
+])
+def test_flag_errors_give_one_usage_envelope(args, command):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    [line] = proc.stdout.splitlines()
+    env = json.loads(line)
+    assert env["status"] == "error:usage"
+    assert env["command"] == command
+    assert env["diagnostics"]["message"]
+    assert proc.stderr.startswith("error: ")
+
+
+def test_help_and_version_print_text():
+    proc = run_cli("--version")
+    assert (proc.returncode, proc.stdout.strip()) == (0, __version__)
+    proc = run_cli("massieu", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: infogeo massieu")
+
+
+def test_subcommands_take_the_same_flags():
+    subparsers = next(a for a in cli._PARSER._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    common = {"-h", "--help", "--model", "--config"}
+    data = {"--x", "--z", "--x-file", "--nmax"}
+    expected = {
+        "massieu": common | {"--tol", "--theta"},
+        "maxent": common | {"--tol", "--u", "--x", "--data"},
+        "divergence": common | data | {"--theta", "--u", "--zeta"},
+        "pythagoras": common | data | {"--tol", "--theta", "--zeta", "--xi"},
+        "sweep": common | {"--grid", "--quantities", "--format"},
+        "verify": common,
+    }
+    got = {name: {s for action in parser._actions for s in action.option_strings}
+           for name, parser in subparsers.choices.items()}
+    assert got == expected
+
+
+def test_main_calls_in_one_process_match_separate_runs(capsys, monkeypatch):
+    """The parser is built once, at import, and shared by every call."""
+    def no_rebuild():
+        raise AssertionError("main must reuse the parser built at import")
+
+    monkeypatch.setattr(cli, "_build_parser", no_rebuild)
+    argvs = (
+        ("massieu", "--model", "qubit", "--bogus", "1"),
+        ("massieu", "--model", "qubit", "--theta", "1,0,0"),
+        ("sweep", "--model", "qubit", "--grid", "1=-1:1:3", "--grid", "2=0:1:2",
+         "--quantities", "phi"),
+        ("sweep", "--model", "discrete2", "--grid", "1=0:1:2", "--quantities", "u1"),
+        ("divergence", "--model", "qubit", "--x", "-0.5,0,0", "--theta", "1,0,0"),
+        ("divergence", "--model", "coherent", "--z", "1,0", "--u", "0,0"),
+        ("massieu", "--model", "qubit", "--theta", "30,0,0"),
+    )
+    for args in argvs:
+        code = cli.main(list(args))
+        out, _ = capsys.readouterr()
+        proc = run_cli(*args)
+        assert (code, out) == (proc.returncode, proc.stdout), args
+
+
+def test_error_classes_carry_their_status_category():
+    categories = {
+        errors.InfoGeoError: "numeric",
+        errors.DomainError: "domain",
+        errors.EvaluationError: "evaluation",
+        errors.ConvergenceError: "convergence",
+        errors.DegeneracyError: "degenerate",
+        errors.CanonicalityError: "canonicality",
+        errors.UnsupportedOperationError: "unsupported",
+        errors.ConstraintError: "constraint",
+        errors.SupportError: "support",
+        errors.InfeasibleError: "infeasible",
+        errors.TruncationError: "truncation",
+    }
+    defined = {cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.InfoGeoError)}
+    assert defined == set(categories)
+    for cls, category in categories.items():
+        assert cls.category == category
+
+
 def test_numeric_domain_errors_exit_three():
     proc = run_cli("maxent", "--model", "qubit", "--u", "1.5,0,0")
+    assert proc.returncode == 3
+    assert envelope(proc)["status"] == "error:domain"
+    proc = run_cli("divergence", "--model", "qubit", "--x", "0,0,0.5", "--u", "2,0,0")
     assert proc.returncode == 3
     assert envelope(proc)["status"] == "error:domain"
     for model, target in (("discrete2", "1.5"), ("discrete3", "2.5"),

@@ -84,11 +84,32 @@ def test_massieu_rejects_bad_parameter_vectors(qubit):
         massieu(qubit, np.array([math.nan, 0.0, 0.0]))
 
 
-def test_massieu_unbounded_supremum_is_inf():
+def test_massieu_unbounded_supremum_raises():
     model = linear_toy()
-    assert massieu(model, np.array([0.0])) == math.inf
+    for route in (massieu, theta_to_u):
+        with pytest.raises(DomainError, match="half-width 5"):
+            route(model, np.array([0.0]))
     with pytest.raises(DomainError):
-        theta_to_u(model, np.array([0.0]))
+        dual_points(model, np.array([[0.0]]))
+
+
+def test_numeric_legendre_beyond_coherent_box_raises(coherent):
+    # The closed Phi at theta = (20, 0) is 200, but the argmax lies beyond
+    # the default search box (half-width 16), so the numeric route has no
+    # finite answer to give.
+    theta = np.array([20.0, 0.0])
+    assert massieu(coherent, theta) == pytest.approx(200.0, rel=1e-12)
+    numeric = dataclasses.replace(coherent, closed_massieu=None, closed_theta_to_u=None,
+                                  closed_u_to_theta=None, closed_dual_points=None)
+    for route in (massieu, theta_to_u):
+        with pytest.raises(DomainError, match="half-width 16"):
+            route(numeric, theta)
+    with pytest.raises(DomainError, match="half-width 16"):
+        dual_points(numeric, theta[None])
+    # Inside the box the numeric route agrees with the closed form.
+    inside = np.array([1.0, -0.5])
+    assert massieu(numeric, inside) == pytest.approx(massieu(coherent, inside),
+                                                     abs=1e-6)
 
 
 # ---------------------------------------------------------- dual charts

@@ -18,7 +18,6 @@ from infogeo.discrete import (
     bgs_entropy,
     boltzmann_gibbs,
     check_probability,
-    expectation,
     fisher_covariance,
     kl_divergence,
     log_partition,
@@ -98,12 +97,6 @@ def test_bgs_entropy_respects_prior_weights():
     p = np.array([0.5, 0.5])
     expected = -(0.5 * math.log(0.5 / 2.0) + 0.5 * math.log(0.5 / 1.0))
     assert bgs_entropy(family, p) == pytest.approx(expected, abs=1e-15)
-
-
-def test_expectation_and_shape_error():
-    assert expectation(np.array([0.25, 0.75]), np.array([0.0, 4.0])) == 3.0
-    with pytest.raises(ValueError):
-        expectation(np.array([0.5, 0.5]), np.array([1.0, 2.0, 3.0]))
 
 
 # ------------------------------------------------------ relative entropy
