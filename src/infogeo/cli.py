@@ -2,13 +2,21 @@
 
 Every argv gets exactly one JSON object (the result envelope) on stdout:
 ``{"command", "inputs", "outputs", "diagnostics", "status"}`` with
-``status`` either ``"ok"`` or ``"error:<category>"``.  That holds for
-flag errors too (an unknown flag or command, a bad flag value, no
-command): they end as ``"error:usage"`` with ``command`` null unless
-the first non-option token of argv names a known command.  The exceptions are ``--help`` and
-``--version``, which print text, and ``sweep`` in CSV format, which
-streams a CSV table instead, written one chunk of grid rows at a time.
-Progress, warnings and error messages go to stderr.
+``status`` either ``"ok"`` or ``"error:<category>"``.  ``main`` writes
+every envelope.  A command handler records each input in ``inputs`` as
+it parses it, so an error envelope keeps the inputs parsed before the
+error.  Flag errors (an unknown flag or command, a bad flag value, a
+number that is not finite, no command) end as ``"error:usage"``, with
+``command`` null unless the first non-option token of argv names a
+known command.  The exceptions are ``--help`` and ``--version``, which
+print text, and ``sweep`` in CSV format, which streams a CSV table
+instead, written one chunk of grid rows at a time.  Progress, warnings
+and error messages go to stderr.
+
+``verify`` takes one target: the positional ``TARGET`` (``all``, the
+default, ``numerics`` or a model name), ``--model NAME`` or ``--config
+FILE``; giving two of them is a usage error.  Each suite's check lines
+go to stderr as soon as that suite returns.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (bad flags,
 unknown model, malformed grid), 3 numeric or domain error (infeasible
@@ -18,6 +26,8 @@ moments, points outside a chart, truncation overflow).
 from __future__ import annotations
 
 import argparse
+import configparser
+import functools
 import json
 import math
 import sys
@@ -25,10 +35,10 @@ import sys
 import numpy as np
 
 from . import __version__, coherent, core, regression
-from .errors import DomainError, InfoGeoError
+from .errors import DomainError, EvaluationError, InfoGeoError
 from .numerics import row_dot
 from .registry import BUILTIN_NAMES, ModelHandle, get_model, load_config
-from .verify import verify_all, verify_handle, verify_numerics
+from .verify import SUITES, verify_handle, verify_suite
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -42,23 +52,17 @@ class UsageError(Exception):
     category = "usage"
 
 
-def _json_default(value):
-    """JSON form of the numpy and complex values that envelopes carry."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, complex):
-        return f"{value.real!r},{value.imag!r}"
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
-def _emit(command: str, inputs: dict, outputs: dict, diagnostics: dict,
-          status: str) -> None:
+def _envelope(command: str | None, inputs: dict, outputs: dict, diagnostics: dict,
+              status: str) -> str:
+    """The envelope's JSON line; an output that overflowed to inf or NaN,
+    which JSON cannot carry, raises :class:`EvaluationError`."""
     envelope = {"command": command, "inputs": inputs, "outputs": outputs,
                 "diagnostics": diagnostics, "status": status}
-    json.dump(envelope, sys.stdout, sort_keys=True, default=_json_default)
-    sys.stdout.write("\n")
+    try:
+        return json.dumps(envelope, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise EvaluationError("an output is not finite: the result overflows"
+                              " double precision") from None
 
 
 def _parse_floats(text: str, flag: str, expect: int | None = None) -> np.ndarray:
@@ -67,11 +71,25 @@ def _parse_floats(text: str, flag: str, expect: int | None = None) -> np.ndarray
         values = [float(t) for t in tokens]
     except ValueError:
         raise UsageError(f"{flag} expects numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"{flag} expects finite numbers, got {text!r}")
     if expect is not None and len(values) != expect:
         raise UsageError(f"{flag} expects {expect} numbers, got {len(values)}")
     if not values:
         raise UsageError(f"{flag} is empty")
     return np.array(values)
+
+
+def _tolerance(text: str) -> float:
+    """The type of ``--tol``: one finite number."""
+    return float(_parse_floats(text, "--tol", 1)[0])
+
+
+def _point(args, name: str, inputs: dict, n: int) -> np.ndarray:
+    """The model point of flag ``--name``, recorded as ``inputs[name]``."""
+    point = _parse_floats(getattr(args, name), "--" + name, n)
+    inputs[name] = list(point)
+    return point
 
 
 def _parse_complex(text: str, flag: str) -> complex:
@@ -83,24 +101,34 @@ def _parse_complex(text: str, flag: str) -> complex:
     raise UsageError(f"{flag} expects 're,im', got {text!r}")
 
 
-def _resolve_model(args) -> ModelHandle:
+def _read_file(path: str, what: str, load):
+    """``load(path)``; an unreadable or malformed file is a usage error."""
+    try:
+        return load(path)
+    except FileNotFoundError:
+        raise UsageError(f"{what} file not found: {path}") from None
+    except (OSError, ValueError, configparser.Error) as exc:
+        raise UsageError(f"bad {what} file: {exc}") from None
+
+
+def _resolve_model(args, inputs: dict) -> ModelHandle:
+    """The model of ``--model`` or ``--config``, recorded in ``inputs``."""
     config, name = args.config, args.model
     if config and name:
         raise UsageError("pass either --model or --config, not both")
     if config:
-        try:
-            return load_config(config)
-        except FileNotFoundError:
-            raise UsageError(f"config file not found: {config}") from None
-        except ValueError as exc:
-            raise UsageError(f"bad config: {exc}") from None
-    if not name:
+        handle = _read_file(config, "config", load_config)
+        inputs["config"] = config
+    elif not name:
         raise UsageError("a model is required (--model NAME or --config FILE)")
-    try:
-        return get_model(name)
-    except KeyError:
-        known = ", ".join(BUILTIN_NAMES)
-        raise UsageError(f"unknown model {name!r}; known models: {known}") from None
+    else:
+        try:
+            handle = get_model(name)
+        except KeyError:
+            known = ", ".join(BUILTIN_NAMES)
+            raise UsageError(f"unknown model {name!r}; known models: {known}") from None
+    inputs["model"] = handle.name
+    return handle
 
 
 def _require_canonical(handle: ModelHandle, command: str) -> None:
@@ -110,19 +138,13 @@ def _require_canonical(handle: ModelHandle, command: str) -> None:
             f" {handle.name!r} has none")
 
 
-def _model_inputs(args, handle: ModelHandle) -> dict:
-    if args.config:
-        return {"config": args.config, "model": handle.name}
-    return {"model": handle.name}
-
-
 # flag -> (what the file holds, its reader)
 _DATA_FILES = {"x_file": ("state", coherent.load_state),
                "data": ("data", regression.load_pairs)}
 
 
-def _parse_dataset(args, handle: ModelHandle):
-    """Returns (data set object, echo dict for the envelope).
+def _parse_dataset(args, handle: ModelHandle, inputs: dict):
+    """The data set object, recorded in ``inputs``.
 
     The handle names the flags that can carry its data sets; exactly one
     of them must be given.
@@ -135,44 +157,46 @@ def _parse_dataset(args, handle: ModelHandle):
     flag = given[0]
     text = getattr(args, flag)
     if flag == "x":
-        x = handle.check_x(_parse_floats(text, "--x", handle.x_size))
-        return x, {"x": list(x)}
+        x = _parse_floats(text, "--x", handle.x_size)
+        inputs["x"] = list(x)  # as given, until the handle has checked it
+        x = handle.check_x(x)
+        inputs["x"] = list(x)
+        return x
     if flag == "z":
-        return handle.state(_parse_complex(text, "--z"), args.nmax), {"z": text}
+        if args.nmax is not None and args.nmax < 1:
+            raise UsageError(f"--nmax must be at least 1, got {args.nmax}")
+        inputs["z"] = text
+        return handle.state(_parse_complex(text, "--z"), args.nmax)
     what, load = _DATA_FILES[flag]
-    try:
-        return load(text), {flag: text}
-    except FileNotFoundError:
-        raise UsageError(f"{what} file not found: {text}") from None
-    except ValueError as exc:
-        raise UsageError(f"bad {what} file: {exc}") from None
+    inputs[flag] = text
+    return _read_file(text, what, load)
 
 
-def _model_point(args, handle: ModelHandle) -> tuple[np.ndarray, dict]:
+def _model_point(args, handle: ModelHandle, inputs: dict) -> np.ndarray:
     """Model coordinates from --theta, or from --u through the chart."""
     model = handle.descriptor
     if (args.theta is None) == (args.u is None):
         raise UsageError("give the model point as exactly one of --theta or --u")
     if args.theta is not None:
-        theta = _parse_floats(args.theta, "--theta", model.n)
-        return theta, {"theta": list(theta)}
-    u = _parse_floats(args.u, "--u", model.n)
+        return _point(args, "theta", inputs, model.n)
+    u = _point(args, "u", inputs, model.n)
     if not model.energy_domain.membership(u):
         raise DomainError("moment vector lies outside the model chart")
-    return core.u_to_theta(model, u), {"u": list(u)}
+    return core.u_to_theta(model, u)
 
 
 # ------------------------------------------------------------- commands
+#
+# A handler takes the parsed flags and the ``inputs`` dict it fills, and
+# returns ``(outputs, diagnostics, status)`` for ``main`` to write.
 
-def _cmd_massieu(args) -> int:
-    handle = _resolve_model(args)
+def _cmd_massieu(args, inputs: dict):
+    handle = _resolve_model(args, inputs)
     _require_canonical(handle, "massieu")
     model = handle.descriptor
     if args.theta is None:
         raise UsageError("massieu needs --theta")
-    theta = _parse_floats(args.theta, "--theta", model.n)
-    inputs = _model_inputs(args, handle)
-    inputs["theta"] = list(theta)
+    theta = _point(args, "theta", inputs, model.n)
     pair = core.canonical_check(model, theta, tol=args.tol)
     outputs = {
         "massieu": pair.massieu,
@@ -184,46 +208,34 @@ def _cmd_massieu(args) -> int:
     diagnostics = {"roundtrip_error": pair.roundtrip_error}
     if pair.roundtrip_error is None:
         diagnostics["note"] = "chart saturated"
-    _emit("massieu", inputs, outputs, diagnostics, "ok")
-    return EXIT_OK
+    return outputs, diagnostics, "ok"
 
 
-def _cmd_maxent(args) -> int:
-    handle = _resolve_model(args)
-    inputs = _model_inputs(args, handle)
-
+def _cmd_maxent(args, inputs: dict):
+    handle = _resolve_model(args, inputs)
     if handle.descriptor is None:
-        data, echo = _parse_dataset(args, handle)
-        inputs.update(echo)
-        outputs, diagnostics = handle.best_fit(data)
-        _emit("maxent", inputs, outputs, diagnostics, "ok")
-        return EXIT_OK
+        outputs, diagnostics = handle.best_fit(_parse_dataset(args, handle, inputs))
+        return outputs, diagnostics, "ok"
 
     if args.u is None:
         raise UsageError("maxent needs the moment targets --u")
-    u = _parse_floats(args.u, "--u", handle.descriptor.n)
-    inputs["u"] = list(u)
+    u = _point(args, "u", inputs, handle.descriptor.n)
     tol = args.tol if args.tol is not None else 1e-12
     theta, achieved, iterations, note = handle.match_moments(u, tol)
     outputs = {"theta": list(theta), "achieved": list(achieved),
                "iterations": iterations}
     diagnostics = {"residual": float(np.max(np.abs(achieved - u))), "note": note}
-    _emit("maxent", inputs, outputs, diagnostics, "ok")
-    return EXIT_OK
+    return outputs, diagnostics, "ok"
 
 
-def _cmd_divergence(args) -> int:
-    handle = _resolve_model(args)
+def _cmd_divergence(args, inputs: dict):
+    handle = _resolve_model(args, inputs)
     _require_canonical(handle, "divergence")
     model = handle.descriptor
-    inputs = _model_inputs(args, handle)
-    has_data = any(v is not None for v in (args.x, args.z, args.x_file))
 
-    if has_data:
-        x, echo = _parse_dataset(args, handle)
-        inputs.update(echo)
-        theta, point_echo = _model_point(args, handle)
-        inputs.update(point_echo)
+    if any(v is not None for v in (args.x, args.z, args.x_file)):
+        x = _parse_dataset(args, handle, inputs)
+        theta = _model_point(args, handle, inputs)
         report = core.divergence_from_data(model, x, theta)
         answers, _ = model.dataset_answers(x)
         outputs = {
@@ -235,16 +247,13 @@ def _cmd_divergence(args) -> int:
             "answers": list(np.asarray(answers, dtype=float)),
             "theta": list(theta),
         }
-        _emit("divergence", inputs, outputs, {}, "ok")
-        return EXIT_OK
+        return outputs, {}, "ok"
 
     if args.theta is None or args.zeta is None:
         raise UsageError("divergence needs data (--x/--z/--x-file) plus a model"
                          " point, or two model points --theta and --zeta")
-    theta = _parse_floats(args.theta, "--theta", model.n)
-    zeta = _parse_floats(args.zeta, "--zeta", model.n)
-    inputs["theta"] = list(theta)
-    inputs["zeta"] = list(zeta)
+    theta = _point(args, "theta", inputs, model.n)
+    zeta = _point(args, "zeta", inputs, model.n)
     report = core.bregman_divergence(model, theta, zeta)
     outputs = {
         "mode": "model",
@@ -254,29 +263,22 @@ def _cmd_divergence(args) -> int:
         "linear_term": report.linear_term,
         "u_first": list(report.u_first),
     }
-    _emit("divergence", inputs, outputs, {}, "ok")
-    return EXIT_OK
+    return outputs, {}, "ok"
 
 
-def _cmd_pythagoras(args) -> int:
-    handle = _resolve_model(args)
+def _cmd_pythagoras(args, inputs: dict):
+    handle = _resolve_model(args, inputs)
     _require_canonical(handle, "pythagoras")
     model = handle.descriptor
-    inputs = _model_inputs(args, handle)
-    has_data = any(v is not None for v in (args.x, args.z, args.x_file))
-
     if args.theta is None or args.zeta is None:
         raise UsageError("pythagoras needs --theta and --zeta")
-    theta = _parse_floats(args.theta, "--theta", model.n)
-    zeta = _parse_floats(args.zeta, "--zeta", model.n)
-    inputs["theta"] = list(theta)
-    inputs["zeta"] = list(zeta)
+    theta = _point(args, "theta", inputs, model.n)
+    zeta = _point(args, "zeta", inputs, model.n)
 
-    if has_data:
+    if any(v is not None for v in (args.x, args.z, args.x_file)):
         if args.xi is not None:
             raise UsageError("give either data or --xi, not both")
-        x, echo = _parse_dataset(args, handle)
-        inputs.update(echo)
+        x = _parse_dataset(args, handle, inputs)
         report = core.pythagoras_data(model, x, theta, zeta,
                                       compliance_tol=1e-9 if args.tol is None else args.tol)
         outputs = {
@@ -286,14 +288,12 @@ def _cmd_pythagoras(args) -> int:
             "divergence_data_second": report.third,
             "residual": report.residual,
         }
-        _emit("pythagoras", inputs, outputs, {}, "ok")
-        return EXIT_OK
+        return outputs, {}, "ok"
 
     if args.xi is None:
         raise UsageError("pythagoras needs either data (--x/--z/--x-file)"
                          " or a third model point --xi")
-    xi = _parse_floats(args.xi, "--xi", model.n)
-    inputs["xi"] = list(xi)
+    xi = _point(args, "xi", inputs, model.n)
     report = core.pythagoras_models(model, theta, zeta, xi)
     outputs = {
         "mode": "model",
@@ -303,8 +303,7 @@ def _cmd_pythagoras(args) -> int:
         "orthogonality": report.orthogonality,
         "residual": report.residual,
     }
-    _emit("pythagoras", inputs, outputs, {}, "ok")
-    return EXIT_OK
+    return outputs, {}, "ok"
 
 
 _SWEEP_LIMIT = 1_000_000
@@ -355,11 +354,13 @@ def _sweep_table(model, thetas: np.ndarray, quantities: list[str]) -> list[list[
     return np.column_stack([thetas] + [columns[q] for q in quantities]).tolist()
 
 
-def _cmd_sweep(args) -> int:
-    handle = _resolve_model(args)
+def _cmd_sweep(args, inputs: dict):
+    """Streams the CSV table and returns None, or returns the rows."""
+    handle = _resolve_model(args, inputs)
     _require_canonical(handle, "sweep")
     model = handle.descriptor
     axes = _parse_grid(args.grid, model.n)
+    inputs["grid"] = list(args.grid)
 
     wanted = [q.strip() for q in (args.quantities or "").split(",") if q.strip()]
     if not wanted:
@@ -370,6 +371,7 @@ def _cmd_sweep(args) -> int:
         if q not in known:
             raise UsageError(f"unknown quantity {q!r}; known: {sorted(known)}")
     quantities = sorted(set(wanted))
+    inputs["quantities"] = quantities
 
     header = [f"theta{j + 1}" for j in range(model.n)] + quantities
     csv = args.format == "csv"
@@ -391,54 +393,46 @@ def _cmd_sweep(args) -> int:
         else:
             rows.extend(table)
 
-    if not csv:
-        inputs = _model_inputs(args, handle)
-        inputs["grid"] = list(args.grid)
-        inputs["quantities"] = quantities
-        outputs = {"header": header, "rows": rows, "count": len(rows)}
-        _emit("sweep", inputs, outputs, {}, "ok")
-        return EXIT_OK
-    print(f"sweep: {total} rows", file=sys.stderr)
-    return EXIT_OK
+    if csv:
+        print(f"sweep: {total} rows", file=sys.stderr)
+        return None
+    return {"header": header, "rows": rows, "count": len(rows)}, {}, "ok"
 
 
-def _cmd_verify(args) -> int:
-    if args.config:
-        handle = _resolve_model(args)
-        suites = {handle.name: verify_handle(handle)}
-        target = handle.name
-    elif args.model and args.model != "all":
-        if args.model == "numerics":
-            suites = {"numerics": verify_numerics()}
-        else:
-            handle = _resolve_model(args)
-            suites = {handle.name: verify_handle(handle)}
-        target = args.model
+def _cmd_verify(args, inputs: dict):
+    given = [flag for flag, value in (("TARGET", args.target), ("--model", args.model),
+                                      ("--config", args.config)) if value is not None]
+    if len(given) > 1:
+        raise UsageError("verify takes one target (TARGET, --model or --config),"
+                         f" got {' and '.join(given)}")
+    if args.config is not None:
+        handle = _read_file(args.config, "config", load_config)
+        target, suites = handle.name, {handle.name: functools.partial(verify_handle, handle)}
     else:
-        suites = verify_all()
-        target = "all"
+        target = next((t for t in (args.target, args.model) if t is not None), "all")
+        names = SUITES if target == "all" else (target,)
+        if names[0] not in SUITES:
+            raise UsageError(f"unknown verify target {target!r}; known: all,"
+                             f" {', '.join(SUITES)}")
+        suites = {name: functools.partial(verify_suite, name) for name in names}
+    inputs["target"] = target
 
-    total = failed = 0
     report = {}
     failing = []
-    for suite, results in suites.items():
-        report[suite] = []
-        for r in results:
-            total += 1
+    for suite, run in suites.items():
+        rows = report[suite] = []
+        for r in run():
             if not r.passed:
-                failed += 1
                 failing.append(f"{suite}:{r.name}")
             flag = "ok" if r.passed else "FAIL"
             print(f"[{suite}] {r.name}: {flag} (worst {r.worst:.3e},"
                   f" tol {r.tol:.1e})", file=sys.stderr)
-            report[suite].append({"name": r.name, "passed": r.passed,
-                                  "worst": r.worst, "tol": r.tol, "note": r.note})
-    inputs = {"target": target}
+            rows.append({"name": r.name, "passed": r.passed,
+                         "worst": r.worst, "tol": r.tol, "note": r.note})
     outputs = {"suites": report, "failures": failing,
-               "checks": total, "failed": failed}
-    status = "ok" if failed == 0 else "error:verify"
-    _emit("verify", inputs, outputs, {}, status)
-    return EXIT_OK if failed == 0 else EXIT_VERIFY
+               "checks": sum(len(rows) for rows in report.values()),
+               "failed": len(failing)}
+    return outputs, {}, "error:verify" if failing else "ok"
 
 
 # --------------------------------------------------------------- parser
@@ -448,7 +442,7 @@ def _cmd_verify(args) -> int:
 _FLAGS = {
     "--model": {"help": "built-in model name"},
     "--config": {"help": "INI file describing a model"},
-    "--tol": {"type": float, "help": "tolerance override for the underlying solver"},
+    "--tol": {"type": _tolerance, "help": "tolerance override for the underlying solver"},
     "--theta": {"help": "model parameters, comma-separated"},
     "--u": {"help": "moment coordinates, comma-separated"},
     "--zeta": {"help": "second model point"},
@@ -465,7 +459,7 @@ _FLAGS = {
     "--quantities": {"help": "comma-separated: phi, entropy, residual, unorm,"
                              " u1..un"},
     "--format": {"choices": ("csv", "object"), "default": "csv"},
-    "target": {"nargs": "?", "help": "'all' (default) or a model name"},
+    "target": {"nargs": "?", "help": "'all' (default), 'numerics' or a model name"},
 }
 
 #: command -> (handler, help text, the names in ``_FLAGS`` it takes)
@@ -523,16 +517,11 @@ def _normalize_argv(argv: list[str]) -> list[str]:
     # join vector flags with values that begin with a minus sign, which
     # argparse would otherwise read as option strings
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (tok in _NEGATIVE_OK and i + 1 < len(argv)
-                and argv[i + 1].startswith("-") and not argv[i + 1].startswith("--")):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        if out and out[-1] in _NEGATIVE_OK and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
     return out
 
 
@@ -542,13 +531,18 @@ def main(argv=None) -> int:
     # non-option token is the one argparse dispatches on.
     first = next((tok for tok in argv if not tok.startswith("-")), None)
     command = first if first in _COMMANDS else None
+    inputs = {}
     try:
         args = _PARSER.parse_args(_normalize_argv(argv))
-        if command == "verify" and args.target and not args.model:
-            args.model = args.target
-        return _COMMANDS[command][0](args)
+        result = _COMMANDS[command][0](args, inputs)
+        if result is None:  # a CSV sweep, already written
+            return EXIT_OK
+        outputs, diagnostics, status = result
+        sys.stdout.write(_envelope(command, inputs, outputs, diagnostics, status))
+        return EXIT_OK if status == "ok" else EXIT_VERIFY
     except (UsageError, InfoGeoError) as exc:
-        _emit(command, {}, {}, {"message": str(exc)}, f"error:{exc.category}")
+        sys.stdout.write(_envelope(command, inputs, {}, {"message": str(exc)},
+                                   f"error:{exc.category}"))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_NUMERIC
 

@@ -75,9 +75,10 @@ def coherent_state(z: complex, nmax: int = 64) -> FockVector:
     negligible.
     """
     z = complex(z)
-    if abs(z) ** 2 > nmax / 4.0:
+    mean = abs(z) * abs(z)  # inf rather than OverflowError when |z| is huge
+    if mean > nmax / 4.0:
         raise TruncationError(
-            f"|z|^2 = {abs(z)**2:.3g} too large for a basis of size {nmax + 1}")
+            f"|z|^2 = {mean:.3g} too large for a basis of size {nmax + 1}")
     c = np.empty(nmax + 1, dtype=complex)
     c[0] = 1.0
     for n in range(1, nmax + 1):

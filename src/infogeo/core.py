@@ -30,6 +30,7 @@ from .errors import (
     ConvergenceError,
     DegeneracyError,
     DomainError,
+    EvaluationError,
     UnsupportedOperationError,
 )
 from .numerics import Domain, grad_fd, hess_fd, maximize_concave
@@ -245,10 +246,14 @@ def u_to_theta(model: ModelDescriptor, u) -> np.ndarray:
     """Natural parameters dual to ``u`` via ``theta_j = dS/dU_j``."""
     u = _as_energy(model, u)
     if not model.energy_domain.membership(u):
-        raise DomainError(f"energy point {u!r} is outside the model domain")
+        raise DomainError(f"energy point {u.tolist()} is outside the model domain")
     if model.closed_u_to_theta is not None:
-        return np.asarray(model.closed_u_to_theta(u), dtype=float)
-    return grad_fd(model.entropy_u, u)
+        theta = np.asarray(model.closed_u_to_theta(u), dtype=float)
+    else:
+        theta = grad_fd(model.entropy_u, u)
+    if not np.all(np.isfinite(theta)):
+        raise EvaluationError(f"the parameters dual to {u.tolist()} overflow")
+    return theta
 
 
 def metric_tensor(model: ModelDescriptor, theta) -> np.ndarray:
@@ -278,16 +283,12 @@ def canonical_check(model: ModelDescriptor, theta,
     ``u_to_theta(U)`` against ``theta`` and reports the max-abs error, or
     None when the chart refuses ``U`` (a saturated chart, e.g. the qubit
     at ``|theta| >~ 19``, where ``tanh|theta|`` rounds to 1).  The
-    default tolerance is 1e-9 when the descriptor carries closed forms
-    and 1e-6 on numeric fallbacks.  Raises :class:`CanonicalityError`
-    (with the pair attached) when the residual exceeds the tolerance.
+    default tolerance is 1e-9.  Raises :class:`CanonicalityError` (with
+    the pair attached) when the residual exceeds the tolerance.
     """
     theta = _as_theta(model, theta)
-    closed = (model.closed_massieu is not None
-              and model.closed_theta_to_u is not None
-              and model.closed_u_to_theta is not None)
     if tol is None:
-        tol = 1e-9 if closed else 1e-6
+        tol = 1e-9
     phis, us, ss = dual_points(model, theta[None])
     phi, u, s = float(phis[0]), us[0], float(ss[0])
     residual = abs(phi - s + float(theta @ u))

@@ -75,6 +75,8 @@ def check_probability(p, tol: float = 1e-12) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise ValueError("probability vector must be one-dimensional")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probability vector has a non-finite entry")
     if np.any(p < -tol):
         raise ValueError("probability vector has a negative entry")
     if abs(float(p.sum()) - 1.0) > max(tol, 1e-12 * p.size):
@@ -179,7 +181,7 @@ def maxent_fit_report(family: DiscreteFamily, u_target,
     h = family.hamiltonians
     if np.any(u_target < h.min(axis=1)) or np.any(u_target > h.max(axis=1)):
         raise InfeasibleError(
-            f"moment target {u_target!r} is outside the feasible region")
+            f"moment target {u_target.tolist()} is outside the feasible region")
 
     def dual(th):
         return log_partition(family, th) + float(th @ u_target)
@@ -213,7 +215,7 @@ def maxent_fit_report(family: DiscreteFamily, u_target,
             f = dual(theta)
         if float(np.linalg.norm(theta)) > _DIVERGENCE_NORM:
             raise InfeasibleError(
-                f"moment target {u_target!r} is outside the feasible region")
+                f"moment target {u_target.tolist()} is outside the feasible region")
     raise ConvergenceError("moment fit did not converge")
 
 

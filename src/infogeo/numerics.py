@@ -136,7 +136,8 @@ def _steps(x: np.ndarray, h, default: float) -> np.ndarray:
 def _eval(f, x) -> float:
     v = float(f(x))
     if not math.isfinite(v):
-        raise EvaluationError(f"objective returned non-finite value at {x!r}")
+        raise EvaluationError(
+            f"objective returned non-finite value at {np.asarray(x).tolist()}")
     return v
 
 
@@ -199,7 +200,8 @@ def maximize_concave(f: Callable[[np.ndarray], float], domain: Domain,
 
     Every iterate satisfies ``domain.membership``; candidate steps are
     halved (at most ``MAX_BACKTRACKS`` times) until they are both inside
-    the domain and pass an Armijo sufficient-increase test.  When the
+    the domain and pass an Armijo sufficient-increase test, which allows
+    a slack of ``1e-15 * (1 + |f|)`` for rounding in ``f``.  When the
     finite-difference Hessian is not negative definite the step falls
     back to gradient ascent.  Success means the gradient norm dropped to
     ``tol`` or below; hitting the iteration cap returns the best iterate
@@ -218,13 +220,16 @@ def maximize_concave(f: Callable[[np.ndarray], float], domain: Domain,
         hess = hess_fd(f, x)
         p = _ascent_direction(grad, hess)
         slope = float(grad @ p)
+        # Near the optimum f is flat to machine precision and the test
+        # would reject every step on rounding jitter alone.
+        slack = 1e-15 * (1.0 + abs(fx))
         t = 1.0
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             cand = x + t * p
             if domain.membership(cand):
                 fc = _eval(f, cand)
-                if fc >= fx + ARMIJO_C * t * slope:
+                if fc >= fx + ARMIJO_C * t * slope - slack:
                     x, fx = cand, fc
                     accepted = True
                     break
@@ -275,7 +280,8 @@ def grid_sup(f: Callable[[np.ndarray], np.ndarray], domain: Domain,
         finite = np.isfinite(values)
         if not finite.all():
             bad = rows[int(np.argmin(finite))]
-            raise EvaluationError(f"objective returned non-finite value at {bad!r}")
+            raise EvaluationError(
+                f"objective returned non-finite value at {bad.tolist()}")
         # argmax keeps the first maximum in the slab; the strict test
         # keeps the earlier slab on ties across slabs.
         i = int(np.argmax(values))
@@ -329,9 +335,9 @@ def func_h2(m: Matrix2H, g: Callable[[float], float]) -> Matrix2H:
     try:
         gv = [float(g(v)) for v in vals]
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise EvaluationError(f"scalar function undefined on spectrum {vals}") from exc
+        raise EvaluationError(f"scalar function undefined on spectrum {vals.tolist()}") from exc
     if not all(math.isfinite(v) for v in gv):
-        raise EvaluationError(f"scalar function non-finite on spectrum {vals}")
+        raise EvaluationError(f"scalar function non-finite on spectrum {vals.tolist()}")
     out = (gv[0] * np.outer(vecs[:, 0], vecs[:, 0].conjugate())
            + gv[1] * np.outer(vecs[:, 1], vecs[:, 1].conjugate()))
     return Matrix2H(float(out[0, 0].real), float(out[1, 1].real),

@@ -30,27 +30,6 @@ def bloch_to_rho(u) -> Matrix2H:
                     x=0.5 * u[0], y=0.5 * u[1])
 
 
-def rho_to_bloch(m: Matrix2H) -> np.ndarray:
-    """Bloch vector (tr(m X), tr(m Y), tr(m Z)) of a unit-trace matrix."""
-    return np.array([2.0 * m.x, 2.0 * m.y, m.a - m.d])
-
-
-def von_neumann_entropy(m: Matrix2H) -> float:
-    """``-tr(m ln m)`` with the 0 ln 0 = 0 convention.
-
-    Eigenvalues are clamped at zero; anything below -1e-12 is rejected.
-    """
-    vals, _ = eig_h2(m)
-    if vals[0] < -1e-12:
-        raise DomainError("matrix is not positive semidefinite")
-    s = 0.0
-    for lam in vals:
-        lam = max(float(lam), 0.0)
-        if lam > 0.0:
-            s -= lam * math.log(lam)
-    return s
-
-
 def entropy_bloch(u) -> float:
     """Entropy of the state with Bloch vector ``u``, via |u| only."""
     u = np.asarray(u, dtype=float)

@@ -101,7 +101,7 @@ class CoherentHandle(_CanonicalHandle):
 
     def state(self, z: complex, nmax: int | None = None) -> coherent.FockVector:
         """Coherent state ``|z>``, truncated at ``nmax`` (default: the model's)."""
-        return coherent.coherent_state(z, nmax=nmax or self.nmax)
+        return coherent.coherent_state(z, nmax=self.nmax if nmax is None else nmax)
 
     def sample_dataset(self, rng) -> coherent.FockVector:
         """A random state weighted towards the low number states."""

@@ -33,7 +33,9 @@ def _as_points(points) -> np.ndarray:
 def _denominator(pts: np.ndarray) -> float:
     n = pts.shape[0]
     x = pts[:, 0]
-    z = n * float(x @ x) - float(x.sum()) ** 2
+    sx = float(x.sum())
+    # products, not ** 2: a Python float overflows to inf instead of raising
+    z = n * float(x @ x) - sx * sx
     if z <= 0.0 or not np.isfinite(z):
         raise DegeneracyError("x values are all equal; the line is not determined")
     return z
@@ -68,7 +70,7 @@ def regression_entropy(points) -> float:
     sx, sy = float(x.sum()), float(y.sum())
     sxx, sxy, syy = float(x @ x), float(x @ y), float(y @ y)
     z = _denominator(pts)
-    return -(2.0 * (sxx * syy - sxy ** 2) + 2.0 * (n * syy - sy ** 2)) / (2.0 * z)
+    return -(2.0 * (sxx * syy - sxy * sxy) + 2.0 * (n * syy - sy * sy)) / (2.0 * z)
 
 
 def regression_questions_pairwise(points) -> np.ndarray:

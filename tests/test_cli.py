@@ -11,7 +11,7 @@ import pytest
 from conftest import close7, envelope, run_cli
 
 from infogeo import (BUILTIN_NAMES, __version__, canonical_instances, cli, errors,
-                     get_model)
+                     get_model, verify)
 from infogeo.discrete import boltzmann_gibbs
 from infogeo.registry import CoherentHandle, DiscreteHandle, load_config
 
@@ -336,6 +336,10 @@ def test_massieu_and_sweep_agree_at_saturated_point(capsys):
 # ------------------------------------------------------------ exit codes
 
 
+def _reject(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def test_usage_errors_exit_two():
     cases = (
         ("massieu", "--model", "qubit"),                        # missing theta
@@ -350,11 +354,22 @@ def test_usage_errors_exit_two():
          "--grid", "2=0:1:2000", "--quantities", "phi"),        # too large
         ("sweep", "--model", "qubit", "--grid", "1=0:inf:3",
          "--quantities", "phi"),                                # not finite
+        ("massieu", "--model", "qubit", "--theta", "nan,0,0"),  # not finite
+        ("massieu", "--model", "qubit", "--theta", "1e400,0,0"),
+        ("pythagoras", "--model", "qubit", "--theta", "0,0,0", "--zeta", "1,0,0",
+         "--xi", "inf,0,0"),
+        ("divergence", "--model", "discrete2", "--x", "nan,0.5", "--theta", "0"),
+        ("divergence", "--model", "coherent", "--z", "1,0", "--u", "0,0",
+         "--nmax", "0"),                                        # empty basis
+        ("massieu", "--config", ".", "--theta", "0,0,0"),       # a directory
+        ("verify", "numerics", "--model", "regression"),        # two targets
+        ("verify", "all", "--config", "model.ini"),
+        ("verify", "no-such-suite"),
     )
     for args in cases:
         proc = run_cli(*args)
         assert proc.returncode == 2, proc.stderr
-        env = envelope(proc)
+        env = json.loads(proc.stdout, parse_constant=_reject)
         assert env["status"] == "error:usage"
         assert proc.stderr.strip()
 
@@ -451,22 +466,46 @@ def test_error_classes_carry_their_status_category():
         assert cls.category == category
 
 
-def test_numeric_domain_errors_exit_three():
+def test_numeric_domain_errors_exit_three(tmp_path):
+    """Error envelopes keep the inputs parsed before the error, and their
+    messages print vectors as lists."""
     proc = run_cli("maxent", "--model", "qubit", "--u", "1.5,0,0")
     assert proc.returncode == 3
     assert envelope(proc)["status"] == "error:domain"
     proc = run_cli("divergence", "--model", "qubit", "--x", "0,0,0.5", "--u", "2,0,0")
     assert proc.returncode == 3
-    assert envelope(proc)["status"] == "error:domain"
+    env = envelope(proc)
+    assert env["status"] == "error:domain"
+    assert env["inputs"] == {"model": "qubit", "x": [0.0, 0.0, 0.5], "u": [2.0, 0.0, 0.0]}
     for model, target in (("discrete2", "1.5"), ("discrete3", "2.5"),
                           ("discrete3", "-0.5")):
         proc = run_cli("maxent", "--model", model, "--u", target)
         assert proc.returncode == 3
-        assert envelope(proc)["status"] == "error:infeasible"
+        env = envelope(proc)
+        assert env["status"] == "error:infeasible"
+        assert env["inputs"] == {"model": model, "u": [float(target)]}
+        assert f"[{float(target)}]" in env["diagnostics"]["message"]
     proc = run_cli("divergence", "--model", "coherent", "--z", "9,0",
                    "--u", "0,0")
     assert proc.returncode == 3
-    assert envelope(proc)["status"] == "error:truncation"
+    env = envelope(proc)
+    assert env["status"] == "error:truncation"
+    assert env["inputs"] == {"model": "coherent", "z": "9,0"}
+    # Results that overflow double precision are typed errors, not a bare
+    # Infinity in the envelope or an OverflowError traceback.
+    huge = tmp_path / "huge.csv"
+    huge.write_text("x,y\n0,1e300\n1,-1e300\n2,3\n")
+    for args, status in (
+            (("maxent", "--model", "regression", "--data", str(huge)), "evaluation"),
+            (("massieu", "--model", "coherent", "--theta", "1e200,0"), "evaluation"),
+            (("maxent", "--model", "coherent2", "--u", "0,1e308"), "evaluation"),
+            (("divergence", "--model", "coherent", "--z", "1e300,0", "--u", "0,0"),
+             "truncation")):
+        proc = run_cli(*args)
+        assert proc.returncode == 3, proc.stderr
+        env = json.loads(proc.stdout, parse_constant=_reject)
+        assert env["status"] == f"error:{status}"
+        assert env["inputs"]["model"] == args[2]
 
 
 def test_verify_single_model_exits_zero():
@@ -490,3 +529,38 @@ def test_verify_detects_corrupted_configuration(tmp_path):
     env = envelope(proc)
     assert env["status"] == "error:verify"
     assert "qubit:domain-boundary-margin" in env["outputs"]["failures"]
+
+
+def test_verify_takes_one_target(capsys):
+    for args, conflict in ((("numerics", "--model", "regression"), "TARGET and --model"),
+                           (("all", "--config", "model.ini"), "TARGET and --config"),
+                           (("--model", "qubit", "--config", "model.ini"),
+                            "--model and --config")):
+        assert cli.main(["verify", *args]) == 2
+        out, err = capsys.readouterr()
+        env = json.loads(out)
+        assert env["status"] == "error:usage" and env["inputs"] == {}
+        assert conflict in env["diagnostics"]["message"]
+        assert conflict in err
+
+
+def test_verify_writes_each_suite_before_the_next_starts(capsys, monkeypatch):
+    """verify all looks each suite up when it runs it and writes the
+    suite's check lines to stderr as soon as the suite returns."""
+    started = []
+
+    def suite(name):
+        started.append((name, capsys.readouterr().err))
+        return [verify.PropertyResult(f"{name}-check", True, 0.0, 1.0)]
+
+    monkeypatch.setattr(verify, "verify_numerics", lambda: suite("numerics"))
+    monkeypatch.setattr(verify, "verify_handle", lambda handle: suite(handle.name))
+    assert cli.main(["verify", "all"]) == 0
+    out, _ = capsys.readouterr()
+    assert [name for name, _ in started] == list(verify.SUITES)
+    previous = [""] + [f"[{name}] {name}-check: ok (worst 0.000e+00, tol 1.0e+00)\n"
+                       for name in verify.SUITES[:-1]]
+    assert [err for _, err in started] == previous
+    env = json.loads(out)
+    assert env["inputs"] == {"target": "all"}
+    assert env["outputs"]["checks"] == len(verify.SUITES)

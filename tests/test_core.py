@@ -112,6 +112,17 @@ def test_numeric_legendre_beyond_coherent_box_raises(coherent):
                                                      abs=1e-6)
 
 
+def test_numeric_massieu_converges_where_the_objective_is_flat(discrete2):
+    # Near the optimum the Legendre objective is flat to rounding; without
+    # an ulp-scale slack the Armijo test rejected every step there and 3 of
+    # these 300 points raised ConvergenceError.
+    numeric = dataclasses.replace(discrete2, closed_massieu=None, closed_theta_to_u=None,
+                                  closed_u_to_theta=None, closed_dual_points=None)
+    for theta in np.random.default_rng(0).uniform(-1.0, 1.0, size=(300, 1)):
+        assert massieu(numeric, theta) == pytest.approx(massieu(discrete2, theta),
+                                                        abs=1e-9)
+
+
 # ---------------------------------------------------------- dual charts
 
 
@@ -126,7 +137,7 @@ def test_u_to_theta_qubit_atanh(qubit):
 
 
 def test_u_to_theta_outside_chart_raises(qubit):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"point \[1\.5, 0\.0, 0\.0\] is"):
         u_to_theta(qubit, np.array([1.5, 0.0, 0.0]))
     with pytest.raises(DomainError):
         u_to_theta(qubit, np.array([1.0, 0.0, 0.0]))  # boundary is excluded
@@ -281,9 +292,7 @@ def test_convexity_probe_matches_per_point_loop(name):
         t1, t2 = handle.sample_thetas(rng, 2)
         assert convexity_probe(model, t1, t2) == _convexity_by_points(model, t1, t2)
     # Without closed forms dual_points falls back to its per-row route,
-    # which must give what the scalar loop gives, a typed error included
-    # (the numeric Legendre route does not always converge at its default
-    # tolerance).
+    # which must give what the scalar loop gives, a typed error included.
     numeric = dataclasses.replace(model, closed_massieu=None, closed_theta_to_u=None,
                                   closed_u_to_theta=None, closed_dual_points=None)
 

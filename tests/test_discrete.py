@@ -57,6 +57,8 @@ def test_check_probability_errors():
         check_probability(np.array([0.3, 0.3]))
     with pytest.raises(ValueError):
         check_probability(np.eye(2))
+    with pytest.raises(ValueError, match="non-finite"):
+        check_probability(np.array([np.nan, 0.5]))
     out = check_probability(np.array([0.25, 0.75]))
     assert np.allclose(out, [0.25, 0.75])
 
