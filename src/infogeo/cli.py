@@ -16,7 +16,8 @@ and error messages go to stderr.
 ``verify`` takes one target: the positional ``TARGET`` (``all``, the
 default, ``numerics`` or a model name), ``--model NAME`` or ``--config
 FILE``; giving two of them is a usage error.  Each suite's check lines
-go to stderr as soon as that suite returns.
+go to stderr as soon as that suite returns; a check that failed without
+a finite measure reports ``worst`` as null.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (bad flags,
 unknown model, malformed grid), 3 numeric or domain error (infeasible
@@ -427,8 +428,10 @@ def _cmd_verify(args, inputs: dict):
             flag = "ok" if r.passed else "FAIL"
             print(f"[{suite}] {r.name}: {flag} (worst {r.worst:.3e},"
                   f" tol {r.tol:.1e})", file=sys.stderr)
+            # a check that failed without a finite measure reports null
             rows.append({"name": r.name, "passed": r.passed,
-                         "worst": r.worst, "tol": r.tol, "note": r.note})
+                         "worst": r.worst if math.isfinite(r.worst) else None,
+                         "tol": r.tol, "note": r.note})
     outputs = {"suites": report, "failures": failing,
                "checks": sum(len(rows) for rows in report.values()),
                "failed": len(failing)}
@@ -517,11 +520,16 @@ def _normalize_argv(argv: list[str]) -> list[str]:
     # join vector flags with values that begin with a minus sign, which
     # argparse would otherwise read as option strings
     out = []
-    for tok in argv:
-        if out and out[-1] in _NEGATIVE_OK and tok.startswith("-") and not tok.startswith("--"):
-            out[-1] = f"{out[-1]}={tok}"
-        else:
-            out.append(tok)
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if (tok in _NEGATIVE_OK and i + 1 < len(argv)
+                and argv[i + 1].startswith("-") and not argv[i + 1].startswith("--")):
+            out.append(f"{tok}={argv[i + 1]}")
+            i += 2
+            continue
+        out.append(tok)
+        i += 1
     return out
 
 

@@ -11,9 +11,19 @@ def run_cli(*args, timeout=300):
                           capture_output=True, text=True, timeout=timeout)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_json(text):
+    """Parse JSON text, rejecting the NaN and Infinity that ``json.loads``
+    accepts by default."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def envelope(proc):
-    """Parse the JSON result envelope from a CLI run."""
-    return json.loads(proc.stdout)
+    """Parse the JSON result envelope from a CLI run, as strict JSON."""
+    return strict_json(proc.stdout)
 
 
 def close7(got, want):

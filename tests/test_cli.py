@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import close7, envelope, run_cli
+from conftest import close7, envelope, run_cli, strict_json
 
 from infogeo import (BUILTIN_NAMES, __version__, canonical_instances, cli, errors,
                      get_model, verify)
@@ -302,7 +302,7 @@ def test_sweep_csv_streams_object_rows_across_chunks(capsys, offset):
     assert lines[0] == "theta1,entropy,phi,residual,u1"
     assert err.strip() == f"sweep: {count} rows"
     code, out, _ = _sweep(capsys, *args, "--format", "object")
-    env = json.loads(out)
+    env = strict_json(out)
     assert code == 0 and env["outputs"]["count"] == count
     assert lines[1:] == [",".join(f"{v:.12g}" for v in row)
                          for row in env["outputs"]["rows"]]
@@ -313,7 +313,7 @@ def test_sweep_member_entropy_at_saturated_points(capsys):
                           "--quantities", "phi,entropy,residual", "--format", "object")
     assert code == 0
     family = get_model("discrete2").family
-    for theta, entropy, phi, residual in json.loads(out)["outputs"]["rows"]:
+    for theta, entropy, phi, residual in strict_json(out)["outputs"]["rows"]:
         p = boltzmann_gibbs(family, [theta])
         p = p[p > 0.0]
         assert residual <= 1e-12
@@ -327,17 +327,13 @@ def test_massieu_and_sweep_agree_at_saturated_point(capsys):
     code, out, _ = _sweep(capsys, "--model", "discrete3", "--grid", "1=40:40:1",
                           "--quantities", "entropy,residual", "--format", "object")
     assert code == 0
-    [[theta, entropy, residual]] = json.loads(out)["outputs"]["rows"]
+    [[theta, entropy, residual]] = strict_json(out)["outputs"]["rows"]
     assert theta == 40.0
     assert env["outputs"]["entropy"] == entropy
     assert env["outputs"]["canonical_residual"] == residual
 
 
 # ------------------------------------------------------------ exit codes
-
-
-def _reject(name):
-    raise ValueError(f"{name} is not valid JSON")
 
 
 def test_usage_errors_exit_two():
@@ -369,7 +365,7 @@ def test_usage_errors_exit_two():
     for args in cases:
         proc = run_cli(*args)
         assert proc.returncode == 2, proc.stderr
-        env = json.loads(proc.stdout, parse_constant=_reject)
+        env = envelope(proc)
         assert env["status"] == "error:usage"
         assert proc.stderr.strip()
 
@@ -389,7 +385,7 @@ def test_flag_errors_give_one_usage_envelope(args, command):
     proc = run_cli(*args)
     assert proc.returncode == 2
     [line] = proc.stdout.splitlines()
-    env = json.loads(line)
+    env = strict_json(line)
     assert env["status"] == "error:usage"
     assert env["command"] == command
     assert env["diagnostics"]["message"]
@@ -503,7 +499,7 @@ def test_numeric_domain_errors_exit_three(tmp_path):
              "truncation")):
         proc = run_cli(*args)
         assert proc.returncode == 3, proc.stderr
-        env = json.loads(proc.stdout, parse_constant=_reject)
+        env = envelope(proc)
         assert env["status"] == f"error:{status}"
         assert env["inputs"]["model"] == args[2]
 
@@ -538,7 +534,7 @@ def test_verify_takes_one_target(capsys):
                             "--model and --config")):
         assert cli.main(["verify", *args]) == 2
         out, err = capsys.readouterr()
-        env = json.loads(out)
+        env = strict_json(out)
         assert env["status"] == "error:usage" and env["inputs"] == {}
         assert conflict in env["diagnostics"]["message"]
         assert conflict in err
@@ -561,6 +557,22 @@ def test_verify_writes_each_suite_before_the_next_starts(capsys, monkeypatch):
     previous = [""] + [f"[{name}] {name}-check: ok (worst 0.000e+00, tol 1.0e+00)\n"
                        for name in verify.SUITES[:-1]]
     assert [err for _, err in started] == previous
-    env = json.loads(out)
+    env = strict_json(out)
     assert env["inputs"] == {"target": "all"}
     assert env["outputs"]["checks"] == len(verify.SUITES)
+
+
+def test_verify_reports_a_check_without_a_finite_measure(capsys, monkeypatch):
+    """A check marks a failure it cannot measure with an infinite or NaN
+    worst; the report keeps it, with worst null, and stays strict JSON."""
+    monkeypatch.setattr(verify, "verify_handle", lambda handle: [
+        verify.PropertyResult("unmeasured", False, math.inf, 1.0),
+        verify.PropertyResult("undefined", False, math.nan, 1.0),
+        verify.PropertyResult("measured", True, 0.0, 1.0)])
+    assert cli.main(["verify", "--model", "qubit"]) == 1
+    out, err = capsys.readouterr()
+    env = strict_json(out)
+    assert env["status"] == "error:verify"
+    assert env["outputs"]["failures"] == ["qubit:unmeasured", "qubit:undefined"]
+    assert [row["worst"] for row in env["outputs"]["suites"]["qubit"]] == [None, None, 0.0]
+    assert "[qubit] unmeasured: FAIL (worst inf, tol 1.0e+00)" in err

@@ -9,10 +9,11 @@ not finite.  Left out, as the ``cli`` module documents: ``--help`` and
 
 import contextlib
 import io
-import json
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+from conftest import strict_json
 
 from infogeo import BUILTIN_NAMES, cli
 
@@ -79,10 +80,6 @@ def argvs(draw):
     return argv
 
 
-def _reject(name):
-    raise ValueError(f"{name} is not valid JSON")
-
-
 @settings(max_examples=200, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argvs())
@@ -91,7 +88,7 @@ def test_every_argv_gets_one_strict_json_envelope(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     [line] = out.getvalue().splitlines()
-    env = json.loads(line, parse_constant=_reject)
+    env = strict_json(line)
     assert set(env) == KEYS
     assert code in (0, 1, 2, 3)
     assert (code == 0) == (env["status"] == "ok")
