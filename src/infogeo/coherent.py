@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import ModelDescriptor
 from .errors import TruncationError
-from .numerics import Domain
+from .numerics import Domain, on_points
 
 
 @dataclass(frozen=True)
@@ -306,7 +306,7 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
         name=f"coherent(r={constants.r:g},hbar={constants.hbar:g})",
         n=2,
         energy_domain=domain,
-        entropy_u=lambda u: model_entropy_u(u, constants),
+        entropy_u=on_points(lambda us: model_entropy_u(us.T, constants)),
         closed_massieu=lambda th: massieu_coherent(th, constants),
         closed_theta_to_u=lambda th: theta_to_u_coherent(th, constants),
         closed_u_to_theta=lambda u: u_to_theta_coherent(u, constants),

@@ -1,11 +1,11 @@
 """Model-independent engine for entropy/Massieu duality.
 
 A model is handed to the engine as a :class:`ModelDescriptor`: an open
-domain of energy coordinates ``U``, the model entropy ``S(U)`` on that
-domain, and optional closed forms (Massieu function, dual coordinate
-maps) plus an optional data-set layer (per-sample answers and a fiber
-sampler).  Every operation below works from the descriptor alone, so the
-same code serves all concrete models.
+domain of energy coordinates ``U``, the row-wise model entropy
+``S(U)`` on that domain, and optional closed forms (Massieu function,
+dual coordinate maps) plus an optional data-set layer (per-sample
+answers and a fiber sampler).  Every operation below works from the
+descriptor alone, so the same code serves all concrete models.
 
 Conventions.  The Massieu function is the Legendre--Fenchel transform
 
@@ -33,7 +33,7 @@ from .errors import (
     EvaluationError,
     UnsupportedOperationError,
 )
-from .numerics import Domain, grad_fd, hess_fd, maximize_concave
+from .numerics import Domain, grad_fd, hess_fd, maximize_concave, row_dot
 
 #: Relative closeness to the bounding box at which an argmax on an
 #: unbounded domain is treated as escaping to infinity.
@@ -50,6 +50,9 @@ _DEGENERACY_TOL = 1e-8
 class ModelDescriptor:
     """Everything the engine needs to know about one model.
 
+    The entropy and the domain membership are row-wise, so the numeric
+    kernels evaluate whole stencils, grid slabs and sweeps in one call.
+
     Parameters
     ----------
     name : str
@@ -59,7 +62,10 @@ class ModelDescriptor:
     energy_domain : Domain
         Open domain of valid energy coordinates ``U``.
     entropy_u : callable
-        Model entropy ``S(U)`` on the energy domain.
+        Model entropy ``S(U)`` on the energy domain, row-wise: points
+        ``(..., n)`` map to values ``(...)``, so a single point ``(n,)``
+        gives a scalar.  Each row's value must not depend on the other
+        rows it is stacked with.
     closed_massieu, closed_theta_to_u, closed_u_to_theta : callable or None
         Closed forms, when the model has them.  Operations fall back to
         numeric Legendre transforms / finite differences otherwise.
@@ -77,7 +83,7 @@ class ModelDescriptor:
     name: str
     n: int
     energy_domain: Domain
-    entropy_u: Callable[[np.ndarray], float]
+    entropy_u: Callable[[np.ndarray], np.ndarray]
     closed_massieu: Callable[[np.ndarray], float] | None = None
     closed_theta_to_u: Callable[[np.ndarray], np.ndarray] | None = None
     closed_u_to_theta: Callable[[np.ndarray], np.ndarray] | None = None
@@ -150,7 +156,7 @@ def _as_theta(model: ModelDescriptor, theta) -> np.ndarray:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.shape != (model.n,):
         raise ValueError(f"expected a parameter vector of length {model.n}")
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise ValueError("parameter vector must be finite")
     return theta
 
@@ -159,7 +165,7 @@ def _as_energy(model: ModelDescriptor, u) -> np.ndarray:
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if u.shape != (model.n,):
         raise ValueError(f"expected an energy vector of length {model.n}")
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise ValueError("energy vector must be finite")
     return u
 
@@ -181,7 +187,7 @@ def _legendre(model: ModelDescriptor, theta: np.ndarray,
     box, so no finite value found inside it is Phi.
     """
     domain = model.energy_domain
-    objective = lambda u: model.entropy_u(u) - float(theta @ u)
+    objective = lambda us: model.entropy_u(us) - row_dot(us, theta)
     result = maximize_concave(objective, domain, tol=tol)
     if domain.unbounded and _near_box_edge(domain, result.argmax):
         box = domain.bounding_box
@@ -203,43 +209,53 @@ def massieu(model: ModelDescriptor, theta, tol: float = _LEGENDRE_TOL) -> float:
     Uses the model's closed form when present, otherwise a damped-Newton
     Legendre transform, which raises :class:`DomainError` when the
     supremum lies beyond the bounding box of a domain flagged unbounded.
+    Raises :class:`EvaluationError` when the closed form overflows.
     """
     theta = _as_theta(model, theta)
-    if model.closed_massieu is not None:
-        return float(model.closed_massieu(theta))
-    return _legendre(model, theta, tol)[0]
+    if model.closed_massieu is None:
+        return _legendre(model, theta, tol)[0]
+    phi = float(model.closed_massieu(theta))
+    if not math.isfinite(phi):
+        raise EvaluationError(f"the Massieu function overflows at {theta.tolist()}")
+    return phi
 
 
 def theta_to_u(model: ModelDescriptor, theta, tol: float = _LEGENDRE_TOL) -> np.ndarray:
-    """Energy coordinates dual to ``theta`` (the Legendre argmax)."""
+    """Energy coordinates dual to ``theta`` (the Legendre argmax).
+
+    Raises :class:`EvaluationError` when the closed form overflows.
+    """
     theta = _as_theta(model, theta)
-    if model.closed_theta_to_u is not None:
-        return np.asarray(model.closed_theta_to_u(theta), dtype=float)
-    return _legendre(model, theta, tol)[1]
+    if model.closed_theta_to_u is None:
+        return _legendre(model, theta, tol)[1]
+    u = np.asarray(model.closed_theta_to_u(theta), dtype=float)
+    if not np.isfinite(u).all():
+        raise EvaluationError(f"the energy point dual to {theta.tolist()} overflows")
+    return u
 
 
 def dual_points(model: ModelDescriptor, thetas):
     """``(Phi (k,), U (k, n), S(U) (k,))`` at the parameter rows ``thetas``.
 
     Uses the model's batched closed form when present.  Otherwise
-    evaluates :func:`massieu`, :func:`theta_to_u` and ``entropy_u`` row
-    by row, which is the reference route the batched forms are held to.
+    evaluates :func:`massieu` and :func:`theta_to_u` row by row, and
+    ``entropy_u`` once on all the rows, which is the reference route the
+    batched forms are held to.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != model.n:
         raise ValueError(f"expected parameter rows of length {model.n}")
-    if not np.all(np.isfinite(thetas)):
+    if not np.isfinite(thetas).all():
         raise ValueError("parameter rows must be finite")
     batched = model.closed_dual_points
     if batched is not None:
         return batched(thetas)
     k = thetas.shape[0]
-    phi, u, s = np.empty(k), np.empty((k, model.n)), np.empty(k)
+    phi, u = np.empty(k), np.empty((k, model.n))
     for i, theta in enumerate(thetas):
         phi[i] = massieu(model, theta)
         u[i] = theta_to_u(model, theta)
-        s[i] = model.entropy_u(u[i])
-    return phi, u, s
+    return phi, u, np.asarray(model.entropy_u(u), dtype=float)
 
 
 def u_to_theta(model: ModelDescriptor, u) -> np.ndarray:
@@ -251,7 +267,7 @@ def u_to_theta(model: ModelDescriptor, u) -> np.ndarray:
         theta = np.asarray(model.closed_u_to_theta(u), dtype=float)
     else:
         theta = grad_fd(model.entropy_u, u)
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise EvaluationError(f"the parameters dual to {u.tolist()} overflow")
     return theta
 
@@ -259,12 +275,13 @@ def u_to_theta(model: ModelDescriptor, u) -> np.ndarray:
 def metric_tensor(model: ModelDescriptor, theta) -> np.ndarray:
     """Metric tensor ``g = Hessian(Phi)`` at ``theta``.
 
-    Raises :class:`DegeneracyError` when the smallest eigenvalue is
-    nonpositive beyond ``_DEGENERACY_TOL``, which signals a non-canonical
-    parametrization (redundant questions).
+    The finite-difference stencil takes Phi at all its points from one
+    :func:`dual_points` call.  Raises :class:`DegeneracyError` when the
+    smallest eigenvalue is nonpositive beyond ``_DEGENERACY_TOL``, which
+    signals a non-canonical parametrization (redundant questions).
     """
     theta = _as_theta(model, theta)
-    g = hess_fd(lambda t: massieu(model, t), theta)
+    g = hess_fd(lambda thetas: dual_points(model, thetas)[0], theta)
     g = 0.5 * (g + g.T)
     min_eig = float(np.linalg.eigvalsh(g)[0])
     if min_eig <= -_DEGENERACY_TOL:

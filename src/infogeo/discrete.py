@@ -21,7 +21,7 @@ from .errors import (
     InfeasibleError,
     SupportError,
 )
-from .numerics import Domain
+from .numerics import Domain, on_points, row_dot
 
 #: Newton iterates whose parameter norm exceeds this are treated as
 #: diverging, which signals an infeasible moment target.
@@ -75,7 +75,7 @@ def check_probability(p, tol: float = 1e-12) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise ValueError("probability vector must be one-dimensional")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("probability vector has a non-finite entry")
     if np.any(p < -tol):
         raise ValueError("probability vector has a negative entry")
@@ -162,61 +162,170 @@ def kl_divergence(p, q) -> float:
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
+#: Row outcomes of :func:`fit_moments`.
+FIT_OK, FIT_INFEASIBLE, FIT_SINGULAR, FIT_STALLED = range(4)
+
+
+def _fit_error(status: int, target: np.ndarray) -> Exception:
+    """The error that a one-row fit with outcome ``status`` raises."""
+    if status == FIT_INFEASIBLE:
+        return InfeasibleError(
+            f"moment target {target.tolist()} is outside the feasible region")
+    if status == FIT_SINGULAR:
+        return DegeneracyError("singular covariance in moment fit")
+    return ConvergenceError("moment fit did not converge")
+
+
+def _dual_rows(log_prior, h, thetas, targets):
+    """Dual objective ``Phi(theta) + theta . U`` of the fit at each row,
+    with the shifted weights ``w`` and their sums ``z``, whose ratio is
+    the member at that row.
+
+    Row by row these are the bits of :func:`log_partition` plus
+    ``theta @ U`` and of :func:`boltzmann_gibbs`: the stacked products
+    run the same kernels as the one-row ones, and the log is ``math.log``.
+    """
+    e = log_prior - np.matmul(thetas[:, None, :], h)[:, 0]
+    shift = e.max(axis=1)
+    w = np.exp(e - shift[:, None])
+    z = w.sum(axis=1)
+    log_z = np.array([math.log(v) for v in z.tolist()])
+    return shift + log_z + row_dot(thetas, targets), w, z
+
+
+def _newton_steps(cov, residual):
+    """``cov^-1 residual`` row by row, and the mask of the rows whose
+    covariance is singular (their step is zero)."""
+    if cov.shape[1] == 1:
+        # LAPACK solves a 1x1 system by this division, and skipping
+        # np.linalg.solve saves most of the cost of a one-row iteration
+        var = cov[:, :, 0]
+        singular = var[:, 0] == 0.0
+        return np.divide(residual, var, out=np.zeros_like(residual),
+                         where=var != 0.0), singular
+    singular = np.zeros(len(cov), dtype=bool)
+    try:
+        return np.linalg.solve(cov, residual[:, :, None])[:, :, 0], singular
+    except np.linalg.LinAlgError:
+        pass
+    step = np.zeros_like(residual)
+    for i, (c, r) in enumerate(zip(cov, residual)):
+        try:
+            step[i] = np.linalg.solve(c, r)
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return step, singular
+
+
+def fit_moments(family: DiscreteFamily, targets,
+                tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Moment fits of the rows of ``targets`` (k, n), all at once.
+
+    Damped Newton on the convex dual objective ``Phi(theta) + theta . U``
+    of each row, in one shared loop: a row leaves it when
+    ``max_j |E_theta H_j - U_j| <= tol``, and each row backtracks on its
+    own Armijo test, which allows a slack of ``1e-15 * (1 + |f|)`` for
+    rounding.  A row whose target lies outside ``[min_a H_j(a), max_a
+    H_j(a)]`` for some observable, or whose iterates diverge (norm above
+    1e3), is infeasible; one whose covariance is singular, or that has
+    not converged after 200 iterations, fails too.  A failing row never
+    stops the others.
+
+    Returns ``(theta (k, n), iterations (k,), status (k,))`` with status
+    :data:`FIT_OK`, :data:`FIT_INFEASIBLE`, :data:`FIT_SINGULAR` or
+    :data:`FIT_STALLED`; a failed row keeps theta 0 and 0 iterations.
+    Each row gets the bits it gets when fitted alone.
+    """
+    targets = np.asarray(targets, dtype=float)
+    k, n = targets.shape
+    theta = np.zeros((k, n))
+    iterations = np.zeros(k, dtype=int)
+    status = np.full(k, FIT_OK)
+    if n == 0:
+        return theta, iterations, status
+    h = family.hamiltonians
+    log_prior = np.log(family.prior)
+    inside = np.all((targets >= h.min(axis=1)) & (targets <= h.max(axis=1)), axis=1)
+    status[~inside] = FIT_INFEASIBLE
+    rows = np.flatnonzero(inside)        # the rows still iterating
+    u = targets[rows]
+    th = theta[rows]
+    f, w, z = _dual_rows(log_prior, h, th, u)
+    for it in range(_MAX_NEWTON):
+        p = w / z[:, None]
+        moments = np.matmul(h, p[:, :, None])[:, :, 0]
+        residual = moments - u
+        done = np.abs(residual).max(axis=1) <= tol
+        if done.any():
+            theta[rows[done]] = th[done]
+            iterations[rows[done]] = it
+            keep = ~done
+            rows, u, th, f, p, moments, residual = (
+                a[keep] for a in (rows, u, th, f, p, moments, residual))
+        if not rows.size:
+            break
+        centered = h - moments[:, :, None]
+        cov = np.matmul(centered * p[:, None, :], centered.transpose(0, 2, 1))
+        step, singular = _newton_steps(cov, residual)
+        slope = row_dot(-residual, step)
+        # Near the optimum the dual is flat to machine precision and the
+        # sufficient-decrease test would reject on rounding jitter, so
+        # allow an absolute slack of a few ulps.
+        slack = 1e-15 * (1.0 + np.abs(f))
+        cand = th + step
+        fc, w, z = _dual_rows(log_prior, h, cand, u)
+        # Rows still rejected have failed every halving so far, so they
+        # share the step length t.
+        todo = np.flatnonzero(~(fc <= f + 1e-4 * slope + slack))
+        t = 1.0
+        for _ in range(59):
+            if not todo.size:
+                break
+            t *= 0.5
+            c = th[todo] + t * step[todo]
+            fc_t, w_t, z_t = _dual_rows(log_prior, h, c, u[todo])
+            ok = fc_t <= f[todo] + 1e-4 * t * slope[todo] + slack[todo]
+            accepted = todo[ok]
+            cand[accepted], fc[accepted], w[accepted], z[accepted] = (
+                c[ok], fc_t[ok], w_t[ok], z_t[ok])
+            todo = todo[~ok]
+        if todo.size:
+            # no admissible step: take the last, shortest one anyway
+            t *= 0.5
+            cand[todo] = th[todo] + t * step[todo]
+            fc[todo], w[todo], z[todo] = _dual_rows(log_prior, h, cand[todo], u[todo])
+        th, f = cand, fc
+        # NaN iterates count as diverging too
+        failed = singular | ~(np.sqrt(row_dot(th, th)) <= _DIVERGENCE_NORM)
+        if failed.any():
+            status[rows[failed]] = np.where(singular[failed], FIT_SINGULAR,
+                                            FIT_INFEASIBLE)
+            keep = ~failed
+            rows, u, th, f, w, z = (a[keep] for a in (rows, u, th, f, w, z))
+    else:
+        status[rows] = FIT_STALLED
+    return theta, iterations, status
+
+
 def maxent_fit_report(family: DiscreteFamily, u_target,
                       tol: float = 1e-12) -> tuple[np.ndarray, int]:
     """Moment fit returning ``(theta, newton_iterations)``.
 
-    Damped Newton on the convex dual objective ``Phi(theta) + theta . U``;
-    converged when ``max_j |E_theta H_j - U_j| <= tol``.  A target
-    outside the range ``[min_a H_j(a), max_a H_j(a)]`` of some observable,
-    or divergence of the iterates (norm above 1e3), signals a target
-    outside the feasible moment region and raises :class:`InfeasibleError`.
+    The one-row view of :func:`fit_moments`: converged when ``max_j
+    |E_theta H_j - U_j| <= tol``.  A target outside the range ``[min_a
+    H_j(a), max_a H_j(a)]`` of some observable, or divergence of the
+    iterates (norm above 1e3), signals a target outside the feasible
+    moment region and raises :class:`InfeasibleError`; a singular
+    covariance raises :class:`DegeneracyError` and no convergence within
+    200 iterations :class:`ConvergenceError`.
     """
     u_target = np.atleast_1d(np.asarray(u_target, dtype=float))
     if u_target.shape != (family.n,):
         raise ValueError(f"expected {family.n} moment targets")
-    theta = np.zeros(family.n)
-    if family.n == 0:
-        return theta, 0
-    h = family.hamiltonians
-    if np.any(u_target < h.min(axis=1)) or np.any(u_target > h.max(axis=1)):
-        raise InfeasibleError(
-            f"moment target {u_target.tolist()} is outside the feasible region")
-
-    def dual(th):
-        return log_partition(family, th) + float(th @ u_target)
-
-    f = dual(theta)
-    for it in range(_MAX_NEWTON):
-        p = boltzmann_gibbs(family, theta)
-        moments = family.hamiltonians @ p
-        residual = moments - u_target
-        if float(np.max(np.abs(residual))) <= tol:
-            return theta, it
-        cov = fisher_covariance(family, p)
-        try:
-            step = np.linalg.solve(cov, residual)
-        except np.linalg.LinAlgError as exc:
-            raise DegeneracyError("singular covariance in moment fit") from exc
-        # Near the optimum the dual is flat to machine precision and the
-        # sufficient-decrease test would reject on rounding jitter, so
-        # allow an absolute slack of a few ulps.
-        slack = 1e-15 * (1.0 + abs(f))
-        t = 1.0
-        for _ in range(60):
-            cand = theta + t * step
-            fc = dual(cand)
-            if fc <= f + 1e-4 * t * float(-residual @ step) + slack:
-                theta, f = cand, fc
-                break
-            t *= 0.5
-        else:
-            theta = theta + t * step
-            f = dual(theta)
-        if float(np.linalg.norm(theta)) > _DIVERGENCE_NORM:
-            raise InfeasibleError(
-                f"moment target {u_target.tolist()} is outside the feasible region")
-    raise ConvergenceError("moment fit did not converge")
+    theta, iterations, status = fit_moments(family, u_target[None], tol)
+    if status[0] != FIT_OK:
+        raise _fit_error(int(status[0]), u_target)
+    return theta[0], int(iterations[0])
 
 
 def maxent_fit(family: DiscreteFamily, u_target, tol: float = 1e-12) -> np.ndarray:
@@ -236,9 +345,10 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
     """Engine descriptor for the family.
 
     The energy domain is the open moment region (exact interval test for
-    one observable, a feasibility probe via :func:`maxent_fit` row by row
-    otherwise);
-    ``entropy_u`` is the entropy of the moment-matched member.  The
+    one observable, otherwise the row status of one :func:`fit_moments`
+    call over all the points); ``entropy_u`` is the entropy of the
+    moment-matched members, from one :func:`fit_moments` call and
+    :func:`dual_points` at the fitted rows.  The
     data-set layer treats probability vectors as data sets; the fiber
     sampler supports fibers of dimension zero or one.
     """
@@ -260,33 +370,24 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
             x = np.asarray(u, dtype=float)[..., 0]
             return (lo[0] + margin < x) & (x < hi[0] - margin)
     else:
-        def feasible(u):
-            try:
-                maxent_fit(family, u, tol=1e-8)
-                return True
-            except (InfeasibleError, ConvergenceError, DegeneracyError):
-                return False
-
-        def membership(u):
-            u = np.asarray(u, dtype=float)
-            out = np.empty(u.shape[:-1], dtype=bool)
-            for idx in np.ndindex(out.shape):
-                out[idx] = feasible(u[idx])
-            return out
+        membership = on_points(
+            lambda us: fit_moments(family, us, tol=1e-8)[2] == FIT_OK)
 
     domain = Domain(dimension=n, bounding_box=box, membership=membership,
                     interior_point=interior)
 
-    def entropy_u(u):
-        u = np.asarray(u, dtype=float)
+    def entropy_rows(us):
         if clamp is not None:
             # Finite-difference stencils centered on an iterate that hugs
             # an edge of the moment interval can poke past it; clamp such
             # points back to the membership margin so the evaluation stays
             # finite.  Member points are never moved.
-            u = np.clip(u, clamp[0], clamp[1])
-        theta = maxent_fit(family, u, tol=1e-13)
-        return bgs_entropy(family, boltzmann_gibbs(family, theta))
+            us = np.clip(us, clamp[0], clamp[1])
+        theta, _, status = fit_moments(family, us, tol=1e-13)
+        failed = np.flatnonzero(status)
+        if failed.size:
+            raise _fit_error(int(status[failed[0]]), us[failed[0]])
+        return dual_points(family, theta)[2]
 
     def answers(p):
         p = check_probability(p)
@@ -324,7 +425,7 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
         name=f"discrete-{family.alphabet_size}letter",
         n=n,
         energy_domain=domain,
-        entropy_u=entropy_u,
+        entropy_u=on_points(entropy_rows),
         closed_massieu=lambda th: log_partition(family, th),
         closed_theta_to_u=lambda th: h @ boltzmann_gibbs(family, th),
         closed_u_to_theta=lambda u: maxent_fit(family, u),
@@ -333,12 +434,3 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
         fiber_sampler=fiber_sampler,
     )
 
-
-def two_level(h1: float = 0.0, h2: float = 1.0) -> DiscreteFamily:
-    """Unit-prior two-letter family with a single observable."""
-    return DiscreteFamily(prior=np.ones(2), hamiltonians=np.array([[h1, h2]]))
-
-
-def three_level() -> DiscreteFamily:
-    """Unit-prior three-letter family with observable (0, 1, 2)."""
-    return DiscreteFamily(prior=np.ones(3), hamiltonians=np.array([[0.0, 1.0, 2.0]]))

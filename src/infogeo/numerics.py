@@ -4,10 +4,13 @@ Central finite differences, a damped-Newton maximizer for concave
 objectives on open domains, a deterministic brute-force grid supremum,
 and closed-form spectral calculus for 2x2 Hermitian matrices.
 
-Domain membership is row-wise: a predicate takes points stacked along
-the last axis and decides each one.  The finite-difference kernels and
-the maximizer evaluate their objective one point at a time; the grid
-supremum evaluates a batched objective on every member row of a slab.
+Objectives and domain membership are row-wise: they take points stacked
+along the last axis and decide or evaluate each one, independently of
+the other rows.  A central-difference gradient evaluates its 2n stencil
+points in one objective call and a Hessian its 2n^2+1; the maximizer
+passes its objective on to them and evaluates each candidate step as a
+one-row call; the grid supremum evaluates every member row of a slab in
+one call.
 
 All routines are pure: they never mutate their inputs and contain no
 hidden state, so concurrent use is safe.
@@ -124,6 +127,21 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
+def on_points(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """Extend ``f`` from rows ``(k, n)`` to points ``(..., n)``.
+
+    The points are flattened to rows for one call of ``f``, and the
+    values come back in the shape of the points: a single point ``(n,)``
+    gives a scalar.
+    """
+    def on_points(u):
+        u = np.asarray(u, dtype=float)
+        rows = u.reshape(math.prod(u.shape[:-1]), u.shape[-1])
+        return np.asarray(f(rows)).reshape(u.shape[:-1])[()]
+
+    return on_points
+
+
 def _steps(x: np.ndarray, h, default: float) -> np.ndarray:
     if h is None:
         return default * np.maximum(1.0, np.abs(x))
@@ -133,50 +151,69 @@ def _steps(x: np.ndarray, h, default: float) -> np.ndarray:
     return h.reshape(x.shape).copy()
 
 
-def _eval(f, x) -> float:
-    v = float(f(x))
-    if not math.isfinite(v):
+def _eval_rows(f, rows: np.ndarray) -> np.ndarray:
+    """Values of the row-wise objective ``f`` at ``rows`` (k, n).
+
+    Raises ValueError unless ``f`` returns one value per row, and
+    :class:`EvaluationError` naming the first row with a non-finite value.
+    """
+    values = np.asarray(f(rows), dtype=float)
+    if values.shape != rows.shape[:1]:
+        raise ValueError("objective must return one value per row")
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = rows[int(np.argmin(finite))]
         raise EvaluationError(
-            f"objective returned non-finite value at {np.asarray(x).tolist()}")
-    return v
+            f"objective returned non-finite value at {bad.tolist()}")
+    return values
 
 
-def grad_fd(f: Callable[[np.ndarray], float], x, h=None) -> np.ndarray:
+def grad_fd(f: Callable[[np.ndarray], np.ndarray], x, h=None) -> np.ndarray:
     """Central-difference gradient of ``f`` at ``x``.
 
-    ``h`` may be a scalar or per-coordinate array; the default is
-    ``eps**(1/3) * max(1, |x_j|)`` per coordinate.  Raises
-    :class:`EvaluationError` if ``f`` is non-finite at a stencil point.
+    ``f`` is row-wise: it maps points ``(k, n)`` to their ``(k,)`` values,
+    and all 2n stencil points ``x + h_j e_j``, ``x - h_j e_j`` (in that
+    order, j ascending) go to one call.  ``h`` may be a scalar or
+    per-coordinate array; the default is ``eps**(1/3) * max(1, |x_j|)``
+    per coordinate.  Raises :class:`EvaluationError` if ``f`` is
+    non-finite at a stencil point.
     """
     x = np.asarray(x, dtype=float)
     hs = _steps(x, h, GRAD_STEP)
-    g = np.empty(x.shape)
-    for j in range(x.size):
-        e = np.zeros(x.size)
-        e[j] = hs[j]
-        g[j] = (_eval(f, x + e) - _eval(f, x - e)) / (2.0 * hs[j])
-    return g
+    steps = np.diag(hs)
+    rows = np.empty((2 * x.size, x.size))
+    rows[0::2] = x + steps
+    rows[1::2] = x - steps
+    values = _eval_rows(f, rows)
+    return (values[0::2] - values[1::2]) / (2.0 * hs)
 
 
-def hess_fd(f: Callable[[np.ndarray], float], x, h=None) -> np.ndarray:
-    """Symmetrized central-difference Hessian of ``f`` at ``x``.
+def hess_fd(f: Callable[[np.ndarray], np.ndarray], x, h=None) -> np.ndarray:
+    """Symmetrized central-difference Hessian of the row-wise ``f`` at ``x``.
 
-    The default step is ``eps**0.25 * max(1, |x_j|)`` per coordinate.
+    All 2n^2+1 stencil points go to one call of ``f``: ``x``, then for
+    each j the points ``x +- h_j e_j`` and, for each k > j, the four
+    points ``x +- h_j e_j +- h_k e_k``.  The default step is
+    ``eps**0.25 * max(1, |x_j|)`` per coordinate.
     """
     x = np.asarray(x, dtype=float)
     hs = _steps(x, h, HESS_STEP)
     n = x.size
-    hess = np.empty((n, n))
-    f0 = _eval(f, x)
+    steps = np.diag(hs)
+    plus, minus = x + steps, x - steps
+    rows = [x]
     for j in range(n):
-        ej = np.zeros(n)
-        ej[j] = hs[j]
-        hess[j, j] = (_eval(f, x + ej) - 2.0 * f0 + _eval(f, x - ej)) / hs[j] ** 2
+        rows += [plus[j], minus[j]]
         for k in range(j + 1, n):
-            ek = np.zeros(n)
-            ek[k] = hs[k]
-            v = (_eval(f, x + ej + ek) - _eval(f, x + ej - ek)
-                 - _eval(f, x - ej + ek) + _eval(f, x - ej - ek))
+            rows += [plus[j] + steps[k], plus[j] - steps[k],
+                     minus[j] + steps[k], minus[j] - steps[k]]
+    values = iter(_eval_rows(f, np.array(rows)).tolist())
+    f0 = next(values)
+    hess = np.empty((n, n))
+    for j in range(n):
+        hess[j, j] = (next(values) - 2.0 * f0 + next(values)) / hs[j] ** 2
+        for k in range(j + 1, n):
+            v = next(values) - next(values) - next(values) + next(values)
             hess[j, k] = hess[k, j] = v / (4.0 * hs[j] * hs[k])
     return 0.5 * (hess + hess.T)
 
@@ -194,14 +231,17 @@ def _ascent_direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
     return p
 
 
-def maximize_concave(f: Callable[[np.ndarray], float], domain: Domain,
+def maximize_concave(f: Callable[[np.ndarray], np.ndarray], domain: Domain,
                      x0=None, tol: float = 1e-8) -> OptimizationResult:
     """Maximize a concave ``f`` over an open domain by damped Newton steps.
 
-    Every iterate satisfies ``domain.membership``; candidate steps are
-    halved (at most ``MAX_BACKTRACKS`` times) until they are both inside
-    the domain and pass an Armijo sufficient-increase test, which allows
-    a slack of ``1e-15 * (1 + |f|)`` for rounding in ``f``.  When the
+    ``f`` is row-wise, as for :func:`grad_fd`; the stencils of the
+    gradient and Hessian at an iterate are one call each, and every other
+    evaluation is a one-row call.  Every iterate satisfies
+    ``domain.membership``; candidate steps are halved (at most
+    ``MAX_BACKTRACKS`` times) until they are both inside the domain and
+    pass an Armijo sufficient-increase test, which allows a slack of
+    ``1e-15 * (1 + |f|)`` for rounding in ``f``.  When the
     finite-difference Hessian is not negative definite the step falls
     back to gradient ascent.  Success means the gradient norm dropped to
     ``tol`` or below; hitting the iteration cap returns the best iterate
@@ -210,7 +250,7 @@ def maximize_concave(f: Callable[[np.ndarray], float], domain: Domain,
     x = domain.interior_point if x0 is None else np.asarray(x0, dtype=float).copy()
     if not domain.membership(x):
         raise DomainError("starting point is outside the domain")
-    fx = _eval(f, x)
+    fx = float(_eval_rows(f, x[None])[0])
     gnorm = math.inf
     for it in range(MAX_ITERATIONS):
         grad = grad_fd(f, x)
@@ -228,7 +268,7 @@ def maximize_concave(f: Callable[[np.ndarray], float], domain: Domain,
         for _ in range(MAX_BACKTRACKS):
             cand = x + t * p
             if domain.membership(cand):
-                fc = _eval(f, cand)
+                fc = float(_eval_rows(f, cand[None])[0])
                 if fc >= fx + ARMIJO_C * t * slope - slack:
                     x, fx = cand, fc
                     accepted = True
@@ -248,10 +288,11 @@ def grid_sup(f: Callable[[np.ndarray], np.ndarray], domain: Domain,
 
     Intended as an assumption-free oracle for dimensions 1 to 3.
     ``f`` is batched: it maps member rows ``(k, n)`` to their ``(k,)``
-    values.  The grid is walked one slab (one coordinate of the first
-    axis) at a time, so at most ``points_per_axis**(n-1)`` points exist
-    at once; only the rows of a slab that pass ``domain.membership``
-    reach ``f``.  Ties are broken deterministically in favor of the
+    values.  The grid is walked one slab (the points sharing one
+    coordinate of the first axis; a 1-D grid is a single slab) at a time,
+    so at most ``points_per_axis**max(n-1, 1)`` points exist at once; only
+    the rows of a slab that pass ``domain.membership`` reach ``f``, in one
+    call.  Ties are broken deterministically in favor of the
     lowest linear grid index (row-major over the axes in coordinate
     order).  Raises :class:`EvaluationError` when ``f`` is non-finite at
     a member and :class:`DomainError` when no grid point is a member.
@@ -262,26 +303,21 @@ def grid_sup(f: Callable[[np.ndarray], np.ndarray], domain: Domain,
     if points_per_axis < 2:
         raise ValueError("points_per_axis must be at least 2")
     axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in domain.bounding_box]
-    slab = np.empty((points_per_axis ** (n - 1), n))
-    slab[:, 1:] = np.array(list(itertools.product(*axes[1:])), dtype=float)
+    if n == 1:
+        slabs = [axes[0][:, None]]
+    else:
+        rest = np.array(list(itertools.product(*axes[1:])), dtype=float)
+        slabs = (np.column_stack([np.full(len(rest), first), rest]) for first in axes[0])
     best_x = None
     best_v = -math.inf
-    for first in axes[0]:
-        slab[:, 0] = first
+    for slab in slabs:
         member = np.asarray(domain.membership(slab))
         if member.shape != slab.shape[:1]:
             raise ValueError("membership must return one flag per row")
         rows = slab[member]
         if rows.shape[0] == 0:
             continue
-        values = np.asarray(f(rows), dtype=float)
-        if values.shape != rows.shape[:1]:
-            raise ValueError("objective must return one value per row")
-        finite = np.isfinite(values)
-        if not finite.all():
-            bad = rows[int(np.argmin(finite))]
-            raise EvaluationError(
-                f"objective returned non-finite value at {bad.tolist()}")
+        values = _eval_rows(f, rows)
         # argmax keeps the first maximum in the slab; the strict test
         # keeps the earlier slab on ties across slabs.
         i = int(np.argmax(values))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import ModelDescriptor
 from .errors import DomainError, EvaluationError
-from .numerics import Domain, Matrix2H, eig_h2, func_h2, row_dot
+from .numerics import Domain, Matrix2H, eig_h2, func_h2, on_points, row_dot
 
 
 def bloch_to_rho(u) -> Matrix2H:
@@ -46,12 +46,45 @@ def entropy_bloch(u) -> float:
     return s
 
 
+#: Components below this size cannot make a sum of three squares overflow
+#: (sqrt(DBL_MAX / 3) is about 7.7e153).
+_SQUARES_SAFE = 7e153
+
+
+def _norm(theta: np.ndarray) -> float:
+    """``|theta|``, rescaled by ``max|theta_j|`` only where the sum of
+    squares overflows (|theta| >~ 1.3e154), so smaller norms keep the
+    bits of ``np.linalg.norm``."""
+    values = theta.tolist()
+    if -_SQUARES_SAFE < min(values) and max(values) < _SQUARES_SAFE:
+        return float(np.linalg.norm(theta))
+    with np.errstate(over="ignore"):
+        t = float(np.linalg.norm(theta))
+    if t == math.inf and np.all(np.isfinite(theta)):
+        scale = float(np.max(np.abs(theta)))
+        t = scale * float(np.linalg.norm(theta / scale))
+    return t
+
+
+def _norm_rows(thetas: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`_norm` of ``thetas`` (k, 3), bit for bit."""
+    with np.errstate(over="ignore"):
+        t = np.sqrt(row_dot(thetas, thetas))
+    big = t == math.inf
+    if big.any():
+        big &= np.all(np.isfinite(thetas), axis=1)
+        scale = np.max(np.abs(thetas[big]), axis=1, keepdims=True)
+        scaled = thetas[big] / scale
+        t[big] = scale[:, 0] * np.sqrt(row_dot(scaled, scaled))
+    return t
+
+
 def theta_to_bloch(theta) -> np.ndarray:
     """Bloch vector of the Gibbs state: ``-(theta/|theta|) tanh |theta|``."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (3,):
         raise ValueError("spin parameters must have three components")
-    t = float(np.linalg.norm(theta))
+    t = _norm(theta)
     if t == 0.0:
         return np.zeros(3)
     return -(theta / t) * math.tanh(t)
@@ -77,7 +110,7 @@ def bloch_to_theta(u, chart_margin: float = 1e-9) -> np.ndarray:
 def massieu_qubit(theta) -> float:
     """``ln(2 cosh |theta|)``, computed overflow-safe."""
     theta = np.asarray(theta, dtype=float)
-    t = float(np.linalg.norm(theta))
+    t = _norm(theta)
     return float(np.logaddexp(t, -t))
 
 
@@ -90,7 +123,7 @@ def dual_points_qubit(thetas: np.ndarray):
     ``S`` is the binary entropy of ``|U|``.  ``Phi`` and ``U`` are the
     same bits as those scalar forms give row by row.
     """
-    t = np.sqrt(row_dot(thetas, thetas))
+    t = _norm_rows(thetas)
     # math.tanh as in theta_to_bloch; numpy's tanh may differ in the last bit
     tanh = np.array([math.tanh(v) for v in t.tolist()])
     moving = t > 0.0
@@ -171,15 +204,6 @@ def as_descriptor(membership_margin: float = 1e-12,
     domain = Domain(dimension=3, bounding_box=box, membership=membership,
                     interior_point=np.zeros(3))
 
-    def engine_entropy(u):
-        # Finite-difference stencils centered on an iterate that hugs the
-        # pure-state shell can poke a stencil width past it; extend the
-        # entropy radially (constant 0 outside the ball) so those
-        # evaluations stay finite.  Only non-member points are affected.
-        u = np.asarray(u, dtype=float)
-        r = float(np.linalg.norm(u))
-        return entropy_bloch(u / r) if r > 1.0 else entropy_bloch(u)
-
     def answers(u):
         u = np.asarray(u, dtype=float)
         return u.copy(), entropy_bloch(u)
@@ -191,7 +215,11 @@ def as_descriptor(membership_margin: float = 1e-12,
         name="qubit",
         n=3,
         energy_domain=domain,
-        entropy_u=engine_entropy,
+        # Finite-difference stencils centered on an iterate that hugs the
+        # pure-state shell can poke a stencil width past it; the row form
+        # extends the entropy radially (constant 0 outside the ball), so
+        # those evaluations stay finite.  Member points are unaffected.
+        entropy_u=on_points(entropy_bloch_rows),
         closed_massieu=massieu_qubit,
         closed_theta_to_u=theta_to_bloch,
         closed_u_to_theta=lambda u: bloch_to_theta(u, chart_margin),

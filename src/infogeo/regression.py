@@ -16,7 +16,7 @@ import io
 
 import numpy as np
 
-from .errors import DegeneracyError
+from .errors import DegeneracyError, EvaluationError
 
 
 def _as_points(points) -> np.ndarray:
@@ -36,7 +36,9 @@ def _denominator(pts: np.ndarray) -> float:
     sx = float(x.sum())
     # products, not ** 2: a Python float overflows to inf instead of raising
     z = n * float(x @ x) - sx * sx
-    if z <= 0.0 or not np.isfinite(z):
+    if not np.isfinite(z):
+        raise EvaluationError("the x moments overflow; rescale the x values")
+    if z <= 0.0:
         raise DegeneracyError("x values are all equal; the line is not determined")
     return z
 

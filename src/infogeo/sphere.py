@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
+from .numerics import row_dot
 
 
 def _as_vector(x) -> np.ndarray:
@@ -41,6 +42,17 @@ def sphere_entropy(x) -> float:
     if r == 0.0:
         raise DomainError("the zero vector is not an admissible data set")
     return -1.0 - r * (math.log(r) - 1.0)
+
+
+def sphere_entropy_rows(xs: np.ndarray) -> np.ndarray:
+    """:func:`sphere_entropy` of the nonzero vectors ``xs`` (..., 3).
+
+    The row-wise form, without the checks: the lengths have the bits of
+    the one-vector form, and numpy's log may differ from ``math.log`` in
+    the last bit.
+    """
+    r = np.sqrt(row_dot(xs, xs))
+    return -1.0 - r * (np.log(r) - 1.0)
 
 
 def sphere_questions(x) -> np.ndarray:

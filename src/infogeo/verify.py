@@ -56,14 +56,15 @@ def verify_numerics() -> list[PropertyResult]:
     rng = np.random.default_rng(11)
     out = []
 
-    worst = abs(numerics.grad_fd(lambda v: v[0] ** 2, np.array([3.0]), 1e-4)[0] - 6.0)
-    g = numerics.grad_fd(lambda v: v[0] * v[1], np.array([2.0, 5.0]), 1e-5)
+    worst = abs(numerics.grad_fd(lambda v: v[:, 0] ** 2, np.array([3.0]), 1e-4)[0] - 6.0)
+    g = numerics.grad_fd(lambda v: v[:, 0] * v[:, 1], np.array([2.0, 5.0]), 1e-5)
     worst = max(worst, float(np.max(np.abs(g - [5.0, 2.0]))))
     out.append(_check("fd-gradient-quadratic", worst, 1e-7))
 
-    h = numerics.hess_fd(lambda v: v[0] ** 2 + v[1] ** 2, np.array([1.0, 1.0]), 1e-4)
+    h = numerics.hess_fd(lambda v: v[:, 0] ** 2 + v[:, 1] ** 2, np.array([1.0, 1.0]),
+                         1e-4)
     worst = float(np.max(np.abs(h - 2.0 * np.eye(2))))
-    h = numerics.hess_fd(lambda v: v[0] * v[1], np.array([0.0, 0.0]), 1e-4)
+    h = numerics.hess_fd(lambda v: v[:, 0] * v[:, 1], np.array([0.0, 0.0]), 1e-4)
     worst = max(worst, float(np.max(np.abs(h - np.array([[0.0, 1.0], [1.0, 0.0]])))))
     out.append(_check("fd-hessian-quadratic", worst, 1e-5))
 
@@ -71,7 +72,7 @@ def verify_numerics() -> list[PropertyResult]:
     target = np.array([0.3, -0.4, 0.2])
     dom = numerics.Domain(3, np.array([[-2.0, 2.0]] * 3),
                           lambda u: np.all(np.abs(u) < 2.0, axis=-1), np.zeros(3))
-    quad = lambda u: -float((u - target) @ a @ (u - target))
+    quad = lambda us: -np.einsum("ki,ij,kj->k", us - target, a, us - target)
     res = numerics.maximize_concave(quad, dom, tol=1e-12)
     worst = float(np.max(np.abs(res.argmax - target)))
     out.append(_check("newton-quadratic-argmax", worst, 1e-9,
@@ -84,10 +85,9 @@ def verify_numerics() -> list[PropertyResult]:
                            lambda u: np.all(np.abs(u) < 1.0, axis=-1), np.zeros(2))
     a2 = np.array([[2.0, 0.3], [0.3, 1.0]])
     t2 = np.array([0.31, -0.17])  # deliberately off the 41-point grid
-    quad2 = lambda u: -float((u - t2) @ a2 @ (u - t2))
+    quad2 = lambda us: -np.einsum("ki,ij,kj->k", us - t2, a2, us - t2)
     res2 = numerics.maximize_concave(quad2, dom2, tol=1e-10)
-    _, gv = numerics.grid_sup(
-        lambda us: -np.einsum("ki,ij,kj->k", us - t2, a2, us - t2), dom2, 41)
+    _, gv = numerics.grid_sup(quad2, dom2, 41)
     out.append(_check("grid-below-newton", gv - res2.value, 1e-9,
                       note="grid restricted sup cannot exceed the true sup"))
     out.append(_check("grid-matches-newton", abs(gv - res2.value), 5e-3,
@@ -130,7 +130,7 @@ def verify_canonical(handle: ModelHandle) -> list[PropertyResult]:
     worst_phi = worst_s = 0.0
     for th in thetas:
         u = core.theta_to_u(model, th)
-        gphi = numerics.grad_fd(lambda t: core.massieu(model, t), th)
+        gphi = numerics.grad_fd(lambda ts: core.dual_points(model, ts)[0], th)
         worst_phi = max(worst_phi, float(np.max(np.abs(gphi + u))))
         gs = numerics.grad_fd(model.entropy_u, u)
         worst_s = max(worst_s, float(np.max(np.abs(gs - th))))
@@ -393,7 +393,7 @@ def verify_discrete_extras(handle: DiscreteHandle) -> list[PropertyResult]:
         worst = 0.0
         for th in handle.sample_thetas(rng, 5, radius=1.5):
             def objective(us, _th=float(th[0])):
-                return np.array([model.entropy_u(u) for u in us]) - _th * us[:, 0]
+                return model.entropy_u(us) - _th * us[:, 0]
             _, gv = numerics.grid_sup(objective, model.energy_domain, 61)
             closed = core.massieu(model, th)
             worst = max(worst, abs(gv - closed))
@@ -507,13 +507,10 @@ def verify_sphere() -> list[PropertyResult]:
     out = []
 
     radii = np.linspace(0.05, 3.0, 60)
-    worst = 0.0
-    for _ in range(500):
-        v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        values = [sphere.sphere_entropy(t * v) for t in radii]
-        best = radii[int(np.argmax(values))]
-        worst = max(worst, abs(best - 1.0))
+    dirs = rng.normal(size=(500, 3))
+    dirs /= np.sqrt(numerics.row_dot(dirs, dirs))[:, None]
+    values = sphere.sphere_entropy_rows(radii[:, None] * dirs[:, None, :])
+    worst = float(np.max(np.abs(radii[np.argmax(values, axis=1)] - 1.0)))
     out.append(_check("ray-entropy-peak", worst, 0.051,
                       note="entropy along 500 rays peaks at unit length (grid step 0.05)"))
 

@@ -576,3 +576,13 @@ def test_verify_reports_a_check_without_a_finite_measure(capsys, monkeypatch):
     assert env["outputs"]["failures"] == ["qubit:unmeasured", "qubit:undefined"]
     assert [row["worst"] for row in env["outputs"]["suites"]["qubit"]] == [None, None, 0.0]
     assert "[qubit] unmeasured: FAIL (worst inf, tol 1.0e+00)" in err
+
+
+def test_massieu_at_huge_qubit_parameters(capsys):
+    # |theta|^2 overflows here, |theta| and Phi = ln 2cosh|theta| do not
+    code = cli.main(["massieu", "--model", "qubit", "--theta", "1e160,0,0"])
+    env = strict_json(capsys.readouterr().out)
+    assert code == 0 and env["status"] == "ok"
+    assert env["outputs"]["massieu"] == 1e160
+    assert env["outputs"]["u"] == [-1.0, 0.0, 0.0]
+    assert env["diagnostics"]["note"] == "chart saturated"

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from infogeo import TruncationError, get_model
+from infogeo import EvaluationError, TruncationError, get_model, massieu, theta_to_u
 from infogeo.coherent import (
     FockVector,
     PhaseConstants,
@@ -280,3 +280,30 @@ def test_coherent_descriptor_fiber_pins_the_mean():
         assert entropy_coherent(psi) <= top + 1e-9
     # The first sample is the coherent state itself and attains the bound.
     assert entropy_coherent(samples[0]) == pytest.approx(top, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", ["coherent", "coherent2"])
+def test_entropy_rows_equal_single_point_calls(name):
+    handle = get_model(name)
+    model = handle.descriptor
+    # enough points for squares of numpy scalars (libm pow) and of arrays
+    # to part in the last bit somewhere
+    us = np.random.default_rng(9).uniform(-3.0, 3.0, size=(50, 80, 2))
+    values = model.entropy_u(us)
+    assert values.shape == (50, 80)
+    single = [model.entropy_u(u) for u in us.reshape(-1, 2)]
+    assert all(np.ndim(v) == 0 for v in single)
+    assert values.ravel().tolist() == [float(v) for v in single]
+    for u, v in zip(us.reshape(-1, 2), single):
+        assert v == pytest.approx(model_entropy_u(u, handle.constants), rel=1e-15)
+
+
+def test_overflowing_closed_forms_are_an_evaluation_error():
+    model = get_model("coherent").descriptor
+    # numpy's own overflow warning is not what this test is about
+    with np.errstate(over="ignore"):
+        with pytest.raises(EvaluationError, match=r"overflows at \[1e\+200, 0\.0\]"):
+            massieu(model, np.array([1e200, 0.0]))
+        # U = -r^2 theta_1 with r = 2
+        with pytest.raises(EvaluationError, match="overflows"):
+            theta_to_u(get_model("coherent2").descriptor, np.array([1e308, 0.0]))

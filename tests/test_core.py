@@ -56,7 +56,7 @@ def linear_toy():
     domain = Domain(
         dimension=1,
         bounding_box=np.array([[-5.0, 5.0]]),
-        membership=lambda u: bool(abs(float(u[0])) < 5.0),
+        membership=lambda u: np.abs(u[..., 0]) < 5.0,
         interior_point=np.array([0.0]),
         unbounded=True,
     )
@@ -64,7 +64,7 @@ def linear_toy():
         name="linear-toy",
         n=1,
         energy_domain=domain,
-        entropy_u=lambda u: float(u[0]),
+        entropy_u=lambda u: u[..., 0],
     )
 
 

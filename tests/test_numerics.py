@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from infogeo import numerics, qubit
+from infogeo import dual_points, get_model, numerics, qubit, theta_to_u
 from infogeo.errors import DomainError, EvaluationError
 
 
@@ -20,42 +20,99 @@ def everywhere(u):
 
 
 def test_gradient_of_square_at_three():
-    g = numerics.grad_fd(lambda v: v[0] ** 2, np.array([3.0]), 1e-4)
+    g = numerics.grad_fd(lambda v: v[:, 0] ** 2, np.array([3.0]), 1e-4)
     assert abs(g[0] - 6.0) < 1e-7
 
 
 def test_gradient_of_product():
-    g = numerics.grad_fd(lambda v: v[0] * v[1], np.array([2.0, 5.0]), 1e-5)
+    g = numerics.grad_fd(lambda v: v[:, 0] * v[:, 1], np.array([2.0, 5.0]), 1e-5)
     assert np.max(np.abs(g - [5.0, 2.0])) < 1e-7
 
 
 def test_gradient_of_qubit_massieu_is_minus_energy():
-    g = numerics.grad_fd(qubit.massieu_qubit, np.array([1.0, 0.0, 0.0]))
+    g = numerics.grad_fd(lambda ts: qubit.dual_points_qubit(ts)[0],
+                         np.array([1.0, 0.0, 0.0]))
     assert abs(g[0] - 0.7615942) < 1e-7
     assert abs(g[1]) < 1e-9 and abs(g[2]) < 1e-9
 
 
 def test_gradient_rejects_nonfinite_stencil():
-    f = lambda v: math.log(v[0]) if v[0] > 0.0 else -math.inf
+    f = lambda v: np.where(v[:, 0] > 0.0, v[:, 0], -math.inf)
     # the message prints the stencil point as a list, not a numpy repr
     with pytest.raises(EvaluationError, match=r"at \[-"):
         numerics.grad_fd(f, np.array([1e-9]), 1e-4)
 
 
+def _grad_reference(f, x, hs):
+    """The point-by-point central-difference gradient: one call per point."""
+    g = np.empty(x.size)
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = hs[j]
+        g[j] = (float(f((x + e)[None])[0]) - float(f((x - e)[None])[0])) / (2.0 * hs[j])
+    return g
+
+
+def _hess_reference(f, x, hs):
+    """The point-by-point central-difference Hessian: one call per point."""
+    at = lambda p: float(f(p[None])[0])
+    n = x.size
+    hess = np.empty((n, n))
+    f0 = at(x)
+    for j in range(n):
+        ej = np.zeros(n)
+        ej[j] = hs[j]
+        hess[j, j] = (at(x + ej) - 2.0 * f0 + at(x - ej)) / hs[j] ** 2
+        for k in range(j + 1, n):
+            ek = np.zeros(n)
+            ek[k] = hs[k]
+            v = at(x + ej + ek) - at(x + ej - ek) - at(x - ej + ek) + at(x - ej - ek)
+            hess[j, k] = hess[k, j] = v / (4.0 * hs[j] * hs[k])
+    return 0.5 * (hess + hess.T)
+
+
+@pytest.mark.parametrize("name", ["qubit", "coherent2", "discrete3"])
+def test_fd_stencils_equal_per_point_loops_bitwise(name):
+    model = get_model(name).descriptor
+    rng = np.random.default_rng(6)
+    objectives = {
+        "massieu": (lambda ts: dual_points(model, ts)[0], lambda: rng.uniform(
+            -1.5, 1.5, size=model.n)),
+        "entropy": (model.entropy_u, lambda: theta_to_u(model, rng.uniform(
+            -1.5, 1.5, size=model.n))),
+    }
+    calls = []
+    for f, draw in objectives.values():
+        counted = lambda rows, f=f: calls.append(len(rows)) or f(rows)
+        for _ in range(5):
+            x = draw()
+            n = x.size
+            default_g = numerics.GRAD_STEP * np.maximum(1.0, np.abs(x))
+            default_h = numerics.HESS_STEP * np.maximum(1.0, np.abs(x))
+            for h, hs_g, hs_h in ((None, default_g, default_h),
+                                  (1e-4, np.full(n, 1e-4), np.full(n, 1e-4))):
+                calls.clear()
+                g = numerics.grad_fd(counted, x, h)
+                hess = numerics.hess_fd(counted, x, h)
+                assert calls == [2 * n, 2 * n * n + 1]
+                assert g.tobytes() == _grad_reference(f, x, hs_g).tobytes()
+                assert hess.tobytes() == _hess_reference(f, x, hs_h).tobytes()
+
+
 def test_hessian_of_quadratic():
-    h = numerics.hess_fd(lambda v: v[0] ** 2 + 3.0 * v[0] * v[1],
+    h = numerics.hess_fd(lambda v: v[:, 0] ** 2 + 3.0 * v[:, 0] * v[:, 1],
                          np.array([0.3, -0.2]))
     assert np.max(np.abs(h - np.array([[2.0, 3.0], [3.0, 0.0]]))) < 1e-5
 
 
 def test_hessian_of_qubit_massieu_at_origin_is_identity():
-    h = numerics.hess_fd(qubit.massieu_qubit, np.zeros(3))
+    h = numerics.hess_fd(lambda ts: qubit.dual_points_qubit(ts)[0], np.zeros(3))
     assert np.max(np.abs(h - np.eye(3))) < 1e-5
 
 
 def test_maximize_entropy_minus_linear_on_bloch_ball():
     theta = np.array([1.0, 0.0, 0.0])
-    f = lambda u: qubit.entropy_bloch(u) - float(theta @ u)
+    f = lambda us: qubit.entropy_bloch_rows(us) - us @ theta
     res = numerics.maximize_concave(f, ball_domain())
     assert res.converged
     assert abs(res.value - 1.1269280110429725) < 1e-9
@@ -68,7 +125,8 @@ def test_maximize_quadratic_converges_in_three_newton_steps():
     dom = numerics.Domain(2, np.array([[-2.0, 2.0]] * 2),
                           lambda u: np.all(np.abs(u) < 2.0, axis=-1), np.zeros(2))
     res = numerics.maximize_concave(
-        lambda u: -float((u - target) @ a @ (u - target)), dom, tol=1e-12)
+        lambda us: -np.einsum("ki,ij,kj->k", us - target, a, us - target), dom,
+        tol=1e-12)
     assert res.converged
     assert res.iterations <= 3
     assert res.gradient_norm <= 1e-12
@@ -77,7 +135,7 @@ def test_maximize_quadratic_converges_in_three_newton_steps():
 
 def test_maximize_rejects_outside_start():
     with pytest.raises(DomainError):
-        numerics.maximize_concave(lambda u: -float(u @ u), ball_domain(),
+        numerics.maximize_concave(lambda us: -np.sum(us * us, axis=1), ball_domain(),
                                   x0=np.array([2.0, 0.0, 0.0]))
 
 

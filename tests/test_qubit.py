@@ -13,6 +13,7 @@ from infogeo.qubit import (
     bloch_to_theta,
     dual_points_qubit,
     entropy_bloch,
+    entropy_bloch_rows,
     gibbs_state,
     massieu_qubit,
     quantum_relative_entropy,
@@ -201,3 +202,42 @@ def test_qubit_descriptor_membership_boundary():
     domain = get_model("qubit").descriptor.energy_domain
     assert domain.membership(np.array([0.99, 0.0, 0.0]))
     assert not domain.membership(np.array([1.0, 0.0, 0.0]))
+
+
+def test_huge_parameters_keep_a_finite_norm():
+    model = get_model("qubit").descriptor
+    theta = np.array([1e300, 0.0, 0.0])
+    assert theta_to_bloch(theta).tolist() == [-1.0, 0.0, 0.0]
+    assert massieu_qubit(theta) == 1e300
+    assert massieu_qubit(np.array([3e200, -4e200, 0.0])) == pytest.approx(5e200,
+                                                                          rel=1e-15)
+    rows = np.array([[1e300, 0.0, 0.0], [3e200, -4e200, 1e150], [0.3, -1.2, 2.0],
+                     [7e153, 7e153, 7e153], [0.0, 0.0, 0.0]])
+    phi, u, _ = dual_points_qubit(rows)
+    assert phi.tolist() == [massieu_qubit(t) for t in rows]
+    assert u.tolist() == [theta_to_bloch(t).tolist() for t in rows]
+    # below overflow the norm is numpy's, bit for bit
+    assert phi[2] == float(np.logaddexp(np.linalg.norm(rows[2]), -np.linalg.norm(rows[2])))
+    from infogeo import bregman_divergence, canonical_check
+    assert bregman_divergence(model, theta, -theta).value == 2e300
+    pair = canonical_check(model, np.array([1e160, 0.0, 0.0]))
+    assert pair.massieu == 1e160 and pair.residual == 0.0
+    assert pair.roundtrip_error is None  # the chart has saturated
+
+
+def test_entropy_rows_equal_single_point_calls():
+    model = get_model("qubit").descriptor
+    rng = np.random.default_rng(12)
+    us = rng.normal(size=(40, 90, 3)) * rng.uniform(0.0, 1.3, size=(40, 90, 1))
+    us[0, 0] = 0.0
+    values = model.entropy_u(us)
+    assert values.shape == (40, 90)
+    single = [model.entropy_u(u) for u in us.reshape(-1, 3)]
+    assert all(np.ndim(v) == 0 for v in single)
+    assert values.ravel().tolist() == [float(v) for v in single]
+    # inside the ball it is the von Neumann entropy; outside it is 0
+    for u, v in zip(us.reshape(-1, 3), single):
+        r = float(np.linalg.norm(u))
+        expected = entropy_bloch(u) if r <= 1.0 else 0.0
+        assert v == pytest.approx(expected, abs=1e-15)
+    assert values.ravel().tolist() == entropy_bloch_rows(us.reshape(-1, 3)).tolist()

@@ -10,6 +10,7 @@ from infogeo import DomainError
 from infogeo.sphere import (
     ray_maximizer,
     sphere_entropy,
+    sphere_entropy_rows,
     sphere_from_questions,
     sphere_mu,
     sphere_questions,
@@ -74,3 +75,19 @@ def test_sphere_from_questions_inverts_chart():
         assert np.allclose(sphere_questions(v), q, atol=1e-12)
     with pytest.raises(ValueError):
         sphere_from_questions(np.array([1.0, 2.0, 3.0]))
+
+
+def test_ray_scan_on_arrays_matches_the_scalar_scan():
+    # the verify check "ray-entropy-peak": the row form has the scalar
+    # form's lengths, and its log may differ from math.log in the last bit
+    rng = np.random.default_rng(23)
+    radii = np.linspace(0.05, 3.0, 60)
+    dirs = rng.normal(size=(500, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    points = radii[:, None] * dirs[:, None, :]
+    values = sphere_entropy_rows(points)
+    scalar = np.array([[sphere_entropy(p) for p in ray] for ray in points])
+    r = np.linalg.norm(points, axis=-1)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(values - scalar) <= 4 * eps * (1.0 + r * (np.abs(np.log(r)) + 1.0)))
+    assert np.argmax(values, axis=1).tolist() == np.argmax(scalar, axis=1).tolist()
