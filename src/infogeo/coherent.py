@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import ModelDescriptor
 from .errors import TruncationError
-from .numerics import Domain, on_points
+from .numerics import Domain
 
 
 @dataclass(frozen=True)
@@ -132,41 +132,48 @@ def entropy_coherent(psi: FockVector) -> float:
     return 0.5 * abs(za) ** 2 - number_expectation(psi)
 
 
-def model_entropy_u(u, constants: PhaseConstants) -> float:
-    """Model entropy ``-U1^2/(2 r^2) - r^2 U2^2 / (2 hbar^2)``."""
-    u = np.asarray(u, dtype=float)
-    r, hbar = constants.r, constants.hbar
-    return -u[0] ** 2 / (2.0 * r ** 2) - r ** 2 * u[1] ** 2 / (2.0 * hbar ** 2)
+# The closed forms below square with exact products: ``**`` on numpy
+# scalars calls libm ``pow``, which need not round like the product.  They
+# read the two coordinates of points (..., 2) from the transpose, which for
+# one point gives numpy scalars (fast arithmetic), and transpose back.
+
+def _metric(constants: PhaseConstants) -> tuple[float, float]:
+    """Diagonal ``(r^2, hbar^2/r^2)`` of the constant metric."""
+    r2 = constants.r * constants.r
+    return r2, constants.hbar * constants.hbar / r2
 
 
-def massieu_coherent(theta, constants: PhaseConstants) -> float:
-    """``r^2 theta1^2 / 2 + hbar^2 theta2^2 / (2 r^2)``."""
-    theta = np.asarray(theta, dtype=float)
-    r, hbar = constants.r, constants.hbar
-    return 0.5 * r ** 2 * theta[0] ** 2 + hbar ** 2 * theta[1] ** 2 / (2.0 * r ** 2)
+def model_entropy_u(u, constants: PhaseConstants):
+    """Model entropy ``-U1^2/(2 r^2) - r^2 U2^2 / (2 hbar^2)`` at points
+    ``(..., 2)``."""
+    u1, u2 = np.asarray(u, dtype=float).T
+    d1, d2 = _metric(constants)
+    return (-0.5 * (u1 * u1 / d1 + u2 * u2 / d2)).T
+
+
+def massieu_coherent(theta, constants: PhaseConstants):
+    """``r^2 theta1^2 / 2 + hbar^2 theta2^2 / (2 r^2)`` at points ``(..., 2)``."""
+    t1, t2 = np.asarray(theta, dtype=float).T
+    d1, d2 = _metric(constants)
+    return (0.5 * (d1 * (t1 * t1) + d2 * (t2 * t2))).T
 
 
 def theta_to_u_coherent(theta, constants: PhaseConstants) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    r, hbar = constants.r, constants.hbar
-    return np.array([-r ** 2 * theta[0], -hbar ** 2 * theta[1] / r ** 2])
+    """``U = -(r^2 theta1, hbar^2 theta2 / r^2)`` at points ``(..., 2)``."""
+    return -np.asarray(theta, dtype=float) * _metric(constants)
 
 
 def u_to_theta_coherent(u, constants: PhaseConstants) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    r, hbar = constants.r, constants.hbar
-    return np.array([-u[0] / r ** 2, -r ** 2 * u[1] / hbar ** 2])
+    """``theta = -(U1 / r^2, r^2 U2 / hbar^2)`` at points ``(..., 2)``."""
+    return -np.asarray(u, dtype=float) / _metric(constants)
 
 
 def dual_points_coherent(thetas: np.ndarray, constants: PhaseConstants):
-    """``(Phi, U, S(U))`` of the members at the rows of ``thetas`` (k, 2).
-
-    The scalar closed forms read coordinates along their first axis, so
-    applied to the columns of ``thetas`` they evaluate every row at once.
-    """
-    cols = thetas.T
-    u = theta_to_u_coherent(cols, constants)
-    return massieu_coherent(cols, constants), u.T, model_entropy_u(u, constants)
+    """``(Phi, U, S(U))`` of the members at the rows of ``thetas`` (k, 2):
+    :func:`massieu_coherent`, :func:`theta_to_u_coherent` and
+    :func:`model_entropy_u` evaluated on all the rows at once."""
+    u = theta_to_u_coherent(thetas, constants)
+    return massieu_coherent(thetas, constants), u, model_entropy_u(u, constants)
 
 
 def divergence_coherent(psi: FockVector, u, constants: PhaseConstants) -> float:
@@ -306,7 +313,7 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
         name=f"coherent(r={constants.r:g},hbar={constants.hbar:g})",
         n=2,
         energy_domain=domain,
-        entropy_u=on_points(lambda us: model_entropy_u(us.T, constants)),
+        entropy_u=lambda us: model_entropy_u(us, constants),
         closed_massieu=lambda th: massieu_coherent(th, constants),
         closed_theta_to_u=lambda th: theta_to_u_coherent(th, constants),
         closed_u_to_theta=lambda u: u_to_theta_coherent(u, constants),

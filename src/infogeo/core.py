@@ -2,10 +2,18 @@
 
 A model is handed to the engine as a :class:`ModelDescriptor`: an open
 domain of energy coordinates ``U``, the row-wise model entropy
-``S(U)`` on that domain, and optional closed forms (Massieu function,
-dual coordinate maps) plus an optional data-set layer (per-sample
-answers and a fiber sampler).  Every operation below works from the
-descriptor alone, so the same code serves all concrete models.
+``S(U)`` on that domain, the family's batched closed form of ``Phi``,
+``U`` and ``S`` at parameter rows, and an optional data-set layer
+(per-sample answers and a fiber sampler).  Every operation below works
+from the descriptor alone, so the same code serves all concrete models.
+
+Each family evaluates ``Phi`` and ``U`` with one kernel on parameter
+points ``(..., n)``: the batched form and the scalar closed forms
+(``closed_massieu``, ``closed_theta_to_u``) are views of it, so a scalar
+call and the matching row of a batched call give the same bits.  A copy
+of a descriptor with the scalar closed forms set to None is the numeric
+oracle: :func:`massieu`, :func:`theta_to_u` and :func:`u_to_theta` then
+run Legendre transforms and finite differences of the entropy.
 
 Conventions.  The Massieu function is the Legendre--Fenchel transform
 
@@ -66,12 +74,16 @@ class ModelDescriptor:
         ``(..., n)`` map to values ``(...)``, so a single point ``(n,)``
         gives a scalar.  Each row's value must not depend on the other
         rows it is stacked with.
+    closed_dual_points : callable
+        The family kernel: parameter rows ``(k, n)`` to ``(Phi (k,),
+        U (k, n), S(U) (k,))``, each row independent of the others.  It
+        is the one route of :func:`dual_points`.
     closed_massieu, closed_theta_to_u, closed_u_to_theta : callable or None
-        Closed forms, when the model has them.  Operations fall back to
-        numeric Legendre transforms / finite differences otherwise.
-    closed_dual_points : callable or None
-        Batched closed form: parameter rows ``(k, n)`` to ``(Phi (k,),
-        U (k, n), S(U) (k,))``, used by :func:`dual_points`.
+        Scalar views of the family's closed forms: ``closed_massieu`` and
+        ``closed_theta_to_u`` give the bits of the matching
+        ``closed_dual_points`` row.  None selects the numeric oracle, a
+        Legendre transform of ``entropy_u`` (finite differences of it for
+        ``u_to_theta``).
     dataset_answers : callable or None
         Data-set layer: maps a sample handle ``x`` to ``(answers, S(x))``
         where ``answers[j]`` is x's answer to the j-th question.
@@ -84,11 +96,11 @@ class ModelDescriptor:
     n: int
     energy_domain: Domain
     entropy_u: Callable[[np.ndarray], np.ndarray]
+    closed_dual_points: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray,
+                                                     np.ndarray]]
     closed_massieu: Callable[[np.ndarray], float] | None = None
     closed_theta_to_u: Callable[[np.ndarray], np.ndarray] | None = None
     closed_u_to_theta: Callable[[np.ndarray], np.ndarray] | None = None
-    closed_dual_points: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray,
-                                                     np.ndarray]] | None = None
     dataset_answers: Callable[[object], tuple[np.ndarray, float]] | None = None
     fiber_sampler: Callable[[np.ndarray, int, object], list] | None = None
 
@@ -203,6 +215,12 @@ def _legendre(model: ModelDescriptor, theta: np.ndarray,
     return result.value, result.argmax
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _quietly(form, x):
+    """``form(x)`` without numpy warnings; the caller raises a typed error."""
+    return form(x)
+
+
 def massieu(model: ModelDescriptor, theta, tol: float = _LEGENDRE_TOL) -> float:
     """Massieu function ``Phi(theta) = sup_U { S(U) - theta . U }``.
 
@@ -214,7 +232,7 @@ def massieu(model: ModelDescriptor, theta, tol: float = _LEGENDRE_TOL) -> float:
     theta = _as_theta(model, theta)
     if model.closed_massieu is None:
         return _legendre(model, theta, tol)[0]
-    phi = float(model.closed_massieu(theta))
+    phi = float(_quietly(model.closed_massieu, theta))
     if not math.isfinite(phi):
         raise EvaluationError(f"the Massieu function overflows at {theta.tolist()}")
     return phi
@@ -228,34 +246,30 @@ def theta_to_u(model: ModelDescriptor, theta, tol: float = _LEGENDRE_TOL) -> np.
     theta = _as_theta(model, theta)
     if model.closed_theta_to_u is None:
         return _legendre(model, theta, tol)[1]
-    u = np.asarray(model.closed_theta_to_u(theta), dtype=float)
+    u = np.asarray(_quietly(model.closed_theta_to_u, theta), dtype=float)
     if not np.isfinite(u).all():
         raise EvaluationError(f"the energy point dual to {theta.tolist()} overflows")
     return u
 
 
 def dual_points(model: ModelDescriptor, thetas):
-    """``(Phi (k,), U (k, n), S(U) (k,))`` at the parameter rows ``thetas``.
+    """``(Phi (k,), U (k, n), S(U) (k,))`` at the parameter rows ``thetas``,
+    from the model's batched closed form.
 
-    Uses the model's batched closed form when present.  Otherwise
-    evaluates :func:`massieu` and :func:`theta_to_u` row by row, and
-    ``entropy_u`` once on all the rows, which is the reference route the
-    batched forms are held to.
+    Raises :class:`EvaluationError` naming the first row where a value
+    overflows.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != model.n:
         raise ValueError(f"expected parameter rows of length {model.n}")
     if not np.isfinite(thetas).all():
         raise ValueError("parameter rows must be finite")
-    batched = model.closed_dual_points
-    if batched is not None:
-        return batched(thetas)
-    k = thetas.shape[0]
-    phi, u = np.empty(k), np.empty((k, model.n))
-    for i, theta in enumerate(thetas):
-        phi[i] = massieu(model, theta)
-        u[i] = theta_to_u(model, theta)
-    return phi, u, np.asarray(model.entropy_u(u), dtype=float)
+    phi, u, s = _quietly(model.closed_dual_points, thetas)
+    if not (np.isfinite(phi).all() and np.isfinite(u).all() and np.isfinite(s).all()):
+        finite = np.isfinite(phi) & np.isfinite(u).all(axis=1) & np.isfinite(s)
+        bad = thetas[int(np.argmin(finite))]
+        raise EvaluationError(f"the dual point at {bad.tolist()} overflows")
+    return phi, u, s
 
 
 def u_to_theta(model: ModelDescriptor, u) -> np.ndarray:
@@ -263,10 +277,10 @@ def u_to_theta(model: ModelDescriptor, u) -> np.ndarray:
     u = _as_energy(model, u)
     if not model.energy_domain.membership(u):
         raise DomainError(f"energy point {u.tolist()} is outside the model domain")
-    if model.closed_u_to_theta is not None:
-        theta = np.asarray(model.closed_u_to_theta(u), dtype=float)
-    else:
+    if model.closed_u_to_theta is None:
         theta = grad_fd(model.entropy_u, u)
+    else:
+        theta = np.asarray(_quietly(model.closed_u_to_theta, u), dtype=float)
     if not np.isfinite(theta).all():
         raise EvaluationError(f"the parameters dual to {u.tolist()} overflow")
     return theta
@@ -301,7 +315,8 @@ def canonical_check(model: ModelDescriptor, theta,
     None when the chart refuses ``U`` (a saturated chart, e.g. the qubit
     at ``|theta| >~ 19``, where ``tanh|theta|`` rounds to 1).  The
     default tolerance is 1e-9.  Raises :class:`CanonicalityError` (with
-    the pair attached) when the residual exceeds the tolerance.
+    the pair attached) when the residual exceeds the tolerance, and
+    :class:`EvaluationError` when Phi, U or S overflows.
     """
     theta = _as_theta(model, theta)
     if tol is None:

@@ -9,7 +9,6 @@ Shannon entropy ``S(p) = -sum_a p(a) ln(p(a)/c(a))``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,42 +83,56 @@ def check_probability(p, tol: float = 1e-12) -> np.ndarray:
     return np.maximum(p, 0.0)
 
 
+def _log_sum_exp(family: DiscreteFamily, thetas: np.ndarray):
+    """The family's max-shifted log-sum-exp at parameter points ``thetas``
+    (..., n): ``(Phi (...), p (..., m), ln p (..., m))`` of the members.
+
+    Each point's values do not depend on the other points it is stacked
+    with: the products ``theta . H`` are stacked vector products, and
+    every other step works along the last axis.
+    """
+    e = (np.log(family.prior)
+         - np.matmul(thetas[..., None, :], family.hamiltonians)[..., 0, :])
+    shift = e.max(axis=-1, keepdims=True)
+    e -= shift
+    w = np.exp(e)
+    z = w.sum(axis=-1, keepdims=True)
+    log_z = np.log(z)
+    # ln p = (e - shift) - ln z; adding the shift back first would round
+    # ln p of the likeliest letter to the last bit of the shift
+    return (shift + log_z)[..., 0], w / z, e - log_z
+
+
+def _mean_energy(h: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Moments ``U = H p`` of the members ``p`` (..., m), one stacked
+    matrix-vector product per point."""
+    return np.matmul(h, p[..., :, None])[..., 0]
+
+
 def log_partition(family: DiscreteFamily, theta) -> float:
     """``ln sum_a c(a) exp(-theta . H(a))``, evaluated with a max shift."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    e = np.log(family.prior) - theta @ family.hamiltonians
-    shift = float(np.max(e))
-    return shift + math.log(float(np.sum(np.exp(e - shift))))
+    return float(_log_sum_exp(family, theta)[0])
 
 
 def boltzmann_gibbs(family: DiscreteFamily, theta) -> np.ndarray:
     """Member distribution ``p(a) = c(a) exp(-theta . H(a)) / Z``."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    e = np.log(family.prior) - theta @ family.hamiltonians
-    e -= np.max(e)
-    w = np.exp(e)
-    return w / float(w.sum())
+    return _log_sum_exp(family, theta)[1]
 
 
 def dual_points(family: DiscreteFamily, thetas: np.ndarray):
     """``(Phi, U, S)`` of the members at the rows of ``thetas`` (k, n).
 
-    One max-shifted log-sum-exp over the (k, m) exponents gives ``Phi``
-    and the members ``p``; ``U = p H^T`` and the prior-relative entropy
-    ``S = -sum_a p(a) ln(p(a)/c(a))`` come from the same ``p``, with
-    ``ln(p/c)`` taken in the log domain (0 ln 0 = 0).  No moment fit.
+    ``Phi`` and the members ``p`` come from the log-sum-exp behind
+    :func:`log_partition` and :func:`boltzmann_gibbs`; ``U = H p`` and
+    the prior-relative entropy ``S = -sum_a p(a) ln(p(a)/c(a))`` come
+    from the same ``p``, with ``ln p`` taken in the log domain (0 ln 0 =
+    0).  No moment fit.
     """
-    log_prior = np.log(family.prior)
-    e = log_prior - thetas @ family.hamiltonians
-    shift = np.max(e, axis=1, keepdims=True)
-    w = np.exp(e - shift)
-    z = np.sum(w, axis=1, keepdims=True)
-    log_z = np.log(z)
-    p = w / z
-    # ln p = (e - shift) - ln z; adding the shift back first would round
-    # ln p of the likeliest letter to the last bit of the shift
-    terms = np.where(p > 0.0, p * (e - shift - log_z - log_prior), 0.0)
-    return (shift + log_z)[:, 0], p @ family.hamiltonians.T, -np.sum(terms, axis=1)
+    phi, p, log_p = _log_sum_exp(family, thetas)
+    terms = np.where(p > 0.0, p * (log_p - np.log(family.prior)), 0.0)
+    return phi, _mean_energy(family.hamiltonians, p), -np.sum(terms, axis=-1)
 
 
 def bgs_entropy(family: DiscreteFamily, p) -> float:
@@ -176,21 +189,12 @@ def _fit_error(status: int, target: np.ndarray) -> Exception:
     return ConvergenceError("moment fit did not converge")
 
 
-def _dual_rows(log_prior, h, thetas, targets):
+def _dual_rows(family: DiscreteFamily, thetas, targets):
     """Dual objective ``Phi(theta) + theta . U`` of the fit at each row,
-    with the shifted weights ``w`` and their sums ``z``, whose ratio is
-    the member at that row.
-
-    Row by row these are the bits of :func:`log_partition` plus
-    ``theta @ U`` and of :func:`boltzmann_gibbs`: the stacked products
-    run the same kernels as the one-row ones, and the log is ``math.log``.
-    """
-    e = log_prior - np.matmul(thetas[:, None, :], h)[:, 0]
-    shift = e.max(axis=1)
-    w = np.exp(e - shift[:, None])
-    z = w.sum(axis=1)
-    log_z = np.array([math.log(v) for v in z.tolist()])
-    return shift + log_z + row_dot(thetas, targets), w, z
+    with the member at that row, from the log-sum-exp behind
+    :func:`log_partition`."""
+    phi, p, _ = _log_sum_exp(family, thetas)
+    return phi + row_dot(thetas, targets), p
 
 
 def _newton_steps(cov, residual):
@@ -244,16 +248,14 @@ def fit_moments(family: DiscreteFamily, targets,
     if n == 0:
         return theta, iterations, status
     h = family.hamiltonians
-    log_prior = np.log(family.prior)
     inside = np.all((targets >= h.min(axis=1)) & (targets <= h.max(axis=1)), axis=1)
     status[~inside] = FIT_INFEASIBLE
     rows = np.flatnonzero(inside)        # the rows still iterating
     u = targets[rows]
     th = theta[rows]
-    f, w, z = _dual_rows(log_prior, h, th, u)
+    f, p = _dual_rows(family, th, u)
     for it in range(_MAX_NEWTON):
-        p = w / z[:, None]
-        moments = np.matmul(h, p[:, :, None])[:, :, 0]
+        moments = _mean_energy(h, p)
         residual = moments - u
         done = np.abs(residual).max(axis=1) <= tol
         if done.any():
@@ -273,7 +275,7 @@ def fit_moments(family: DiscreteFamily, targets,
         # allow an absolute slack of a few ulps.
         slack = 1e-15 * (1.0 + np.abs(f))
         cand = th + step
-        fc, w, z = _dual_rows(log_prior, h, cand, u)
+        fc, pc = _dual_rows(family, cand, u)
         # Rows still rejected have failed every halving so far, so they
         # share the step length t.
         todo = np.flatnonzero(~(fc <= f + 1e-4 * slope + slack))
@@ -283,25 +285,24 @@ def fit_moments(family: DiscreteFamily, targets,
                 break
             t *= 0.5
             c = th[todo] + t * step[todo]
-            fc_t, w_t, z_t = _dual_rows(log_prior, h, c, u[todo])
+            fc_t, p_t = _dual_rows(family, c, u[todo])
             ok = fc_t <= f[todo] + 1e-4 * t * slope[todo] + slack[todo]
             accepted = todo[ok]
-            cand[accepted], fc[accepted], w[accepted], z[accepted] = (
-                c[ok], fc_t[ok], w_t[ok], z_t[ok])
+            cand[accepted], fc[accepted], pc[accepted] = c[ok], fc_t[ok], p_t[ok]
             todo = todo[~ok]
         if todo.size:
             # no admissible step: take the last, shortest one anyway
             t *= 0.5
             cand[todo] = th[todo] + t * step[todo]
-            fc[todo], w[todo], z[todo] = _dual_rows(log_prior, h, cand[todo], u[todo])
-        th, f = cand, fc
+            fc[todo], pc[todo] = _dual_rows(family, cand[todo], u[todo])
+        th, f, p = cand, fc, pc
         # NaN iterates count as diverging too
         failed = singular | ~(np.sqrt(row_dot(th, th)) <= _DIVERGENCE_NORM)
         if failed.any():
             status[rows[failed]] = np.where(singular[failed], FIT_SINGULAR,
                                             FIT_INFEASIBLE)
             keep = ~failed
-            rows, u, th, f, w, z = (a[keep] for a in (rows, u, th, f, w, z))
+            rows, u, th, f, p = (a[keep] for a in (rows, u, th, f, p))
     else:
         status[rows] = FIT_STALLED
     return theta, iterations, status
@@ -427,7 +428,7 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
         energy_domain=domain,
         entropy_u=on_points(entropy_rows),
         closed_massieu=lambda th: log_partition(family, th),
-        closed_theta_to_u=lambda th: h @ boltzmann_gibbs(family, th),
+        closed_theta_to_u=lambda th: _mean_energy(h, boltzmann_gibbs(family, th)),
         closed_u_to_theta=lambda u: maxent_fit(family, u),
         closed_dual_points=lambda th: dual_points(family, th),
         dataset_answers=answers,

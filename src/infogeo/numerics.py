@@ -124,6 +124,8 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     equals the per-row one bit for bit, and so does ``x @ x`` inside the
     1-D ``np.linalg.norm(x)`` (``np.linalg.norm(x, axis=1)`` does not).
     """
+    if a.ndim == b.ndim == 1:  # that kernel, without the stacking overhead
+        return np.dot(a, b)
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 

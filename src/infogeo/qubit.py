@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import ModelDescriptor
 from .errors import DomainError, EvaluationError
-from .numerics import Domain, Matrix2H, eig_h2, func_h2, on_points, row_dot
+from .numerics import Domain, Matrix2H, eig_h2, func_h2, row_dot
 
 
 def bloch_to_rho(u) -> Matrix2H:
@@ -33,50 +33,45 @@ def bloch_to_rho(u) -> Matrix2H:
 def entropy_bloch(u) -> float:
     """Entropy of the state with Bloch vector ``u``, via |u| only."""
     u = np.asarray(u, dtype=float)
-    r = float(np.linalg.norm(u))
-    if r > 1.0 + 1e-12:
+    if float(np.linalg.norm(u)) > 1.0 + 1e-12:
         raise DomainError("Bloch vector lies outside the unit ball")
-    r = min(r, 1.0)
-    lam_plus = 0.5 * (1.0 + r)
-    lam_minus = 0.5 * (1.0 - r)
-    s = 0.0
-    for lam in (lam_plus, lam_minus):
-        if lam > 0.0:
-            s -= lam * math.log(lam)
-    return s
+    return float(entropy_bloch_rows(u))
 
 
-#: Components below this size cannot make a sum of three squares overflow
-#: (sqrt(DBL_MAX / 3) is about 7.7e153).
-_SQUARES_SAFE = 7e153
+# row_dot that raises FloatingPointError where a sum of squares overflows
+_checked_dot = np.errstate(over="raise")(row_dot)
 
 
-def _norm(theta: np.ndarray) -> float:
-    """``|theta|``, rescaled by ``max|theta_j|`` only where the sum of
-    squares overflows (|theta| >~ 1.3e154), so smaller norms keep the
-    bits of ``np.linalg.norm``."""
-    values = theta.tolist()
-    if -_SQUARES_SAFE < min(values) and max(values) < _SQUARES_SAFE:
-        return float(np.linalg.norm(theta))
-    with np.errstate(over="ignore"):
-        t = float(np.linalg.norm(theta))
-    if t == math.inf and np.all(np.isfinite(theta)):
-        scale = float(np.max(np.abs(theta)))
-        t = scale * float(np.linalg.norm(theta / scale))
-    return t
+def _norm(thetas: np.ndarray) -> np.ndarray:
+    """``|theta|`` along the last axis of ``thetas`` (..., 3).
 
-
-def _norm_rows(thetas: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`_norm` of ``thetas`` (k, 3), bit for bit."""
+    Rescaled by ``max|theta_j|`` only where the sum of squares overflows
+    (|theta| >~ 1.3e154), so smaller norms keep the bits of the 1-D
+    ``np.linalg.norm``.
+    """
+    try:
+        return np.sqrt(_checked_dot(thetas, thetas))
+    except FloatingPointError:
+        pass
     with np.errstate(over="ignore"):
         t = np.sqrt(row_dot(thetas, thetas))
-    big = t == math.inf
-    if big.any():
-        big &= np.all(np.isfinite(thetas), axis=1)
-        scale = np.max(np.abs(thetas[big]), axis=1, keepdims=True)
-        scaled = thetas[big] / scale
-        t[big] = scale[:, 0] * np.sqrt(row_dot(scaled, scaled))
-    return t
+    big = (t == math.inf) & np.isfinite(thetas).all(axis=-1)
+    scale = np.where(big, np.abs(thetas).max(axis=-1), 1.0)
+    scaled = thetas / scale[..., None]
+    return np.where(big, scale * np.sqrt(row_dot(scaled, scaled)), t)
+
+
+def _massieu(t: np.ndarray) -> np.ndarray:
+    """``Phi = ln(2 cosh t)`` at the norms ``t``, overflow-safe."""
+    return np.logaddexp(t, -t)
+
+
+def _bloch(thetas: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``U = -(theta/t) tanh t`` at the points ``thetas`` (..., 3) with
+    norms ``t``; ``U = 0`` where ``t = 0``."""
+    # Where t = 0 the divisor is 1 and 0 - tanh t is +0, so U is +0 there
+    # (-tanh t would make it -0).
+    return thetas * ((0.0 - np.tanh(t)) / (t + (t == 0.0)))[..., None]
 
 
 def theta_to_bloch(theta) -> np.ndarray:
@@ -84,10 +79,7 @@ def theta_to_bloch(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (3,):
         raise ValueError("spin parameters must have three components")
-    t = _norm(theta)
-    if t == 0.0:
-        return np.zeros(3)
-    return -(theta / t) * math.tanh(t)
+    return _bloch(theta, _norm(theta))
 
 
 def bloch_to_theta(u, chart_margin: float = 1e-9) -> np.ndarray:
@@ -109,34 +101,27 @@ def bloch_to_theta(u, chart_margin: float = 1e-9) -> np.ndarray:
 
 def massieu_qubit(theta) -> float:
     """``ln(2 cosh |theta|)``, computed overflow-safe."""
-    theta = np.asarray(theta, dtype=float)
-    t = _norm(theta)
-    return float(np.logaddexp(t, -t))
+    return float(_massieu(_norm(np.asarray(theta, dtype=float))))
 
 
 def dual_points_qubit(thetas: np.ndarray):
     """``(Phi, U, S(U))`` of the Gibbs states at the rows of ``thetas`` (k, 3).
 
-    The batched form of :func:`massieu_qubit`, :func:`theta_to_bloch`
-    and :func:`entropy_bloch`: ``Phi = ln(2 cosh t)`` and ``U =
-    -(theta/t) tanh t`` with ``t = |theta|`` (``U = 0`` at ``t = 0``), and
-    ``S`` is the binary entropy of ``|U|``.  ``Phi`` and ``U`` are the
-    same bits as those scalar forms give row by row.
+    ``Phi = ln(2 cosh t)`` and ``U = -(theta/t) tanh t`` with ``t =
+    |theta|``, from the kernels behind :func:`massieu_qubit` and
+    :func:`theta_to_bloch`, and ``S`` is :func:`entropy_bloch_rows` of
+    ``U``.
     """
-    t = _norm_rows(thetas)
-    # math.tanh as in theta_to_bloch; numpy's tanh may differ in the last bit
-    tanh = np.array([math.tanh(v) for v in t.tolist()])
-    moving = t > 0.0
-    u = np.zeros_like(thetas)
-    u[moving] = -(thetas[moving] / t[moving, None]) * tanh[moving, None]
-    return np.logaddexp(t, -t), u, entropy_bloch_rows(u)
+    t = _norm(thetas)
+    u = _bloch(thetas, t)
+    return _massieu(t), u, entropy_bloch_rows(u)
 
 
 def entropy_bloch_rows(us: np.ndarray) -> np.ndarray:
     """Entropy of the states with the Bloch vectors ``us`` (..., 3).
 
-    The row-wise form of :func:`entropy_bloch` without its domain check:
-    the binary entropy of ``min(|u|, 1)`` (0 ln 0 = 0).
+    The binary entropy of ``min(|u|, 1)`` (0 ln 0 = 0), without the
+    domain check of :func:`entropy_bloch`.
     """
     r = np.minimum(np.sqrt(row_dot(us, us)), 1.0)
     lam_plus, lam_minus = 0.5 * (1.0 + r), 0.5 * (1.0 - r)
@@ -219,7 +204,7 @@ def as_descriptor(membership_margin: float = 1e-12,
         # pure-state shell can poke a stencil width past it; the row form
         # extends the entropy radially (constant 0 outside the ball), so
         # those evaluations stay finite.  Member points are unaffected.
-        entropy_u=on_points(entropy_bloch_rows),
+        entropy_u=entropy_bloch_rows,
         closed_massieu=massieu_qubit,
         closed_theta_to_u=theta_to_bloch,
         closed_u_to_theta=lambda u: bloch_to_theta(u, chart_margin),

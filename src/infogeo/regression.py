@@ -30,17 +30,31 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def _denominator(pts: np.ndarray) -> float:
+def _moments(pts: np.ndarray):
+    """Accumulated moments ``(n, Sx, Sy, Sxx, Sxy, Syy)`` and the
+    denominator ``n Sxx - Sx^2``, summed without numpy overflow warnings.
+
+    Raises :class:`EvaluationError` when the denominator overflows and
+    :class:`DegeneracyError` when it is not positive.
+    """
     n = pts.shape[0]
-    x = pts[:, 0]
-    sx = float(x.sum())
-    # products, not ** 2: a Python float overflows to inf instead of raising
-    z = n * float(x @ x) - sx * sx
+    x, y = pts[:, 0], pts[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sx, sy = float(x.sum()), float(y.sum())
+        sxx, sxy, syy = float(x @ x), float(x @ y), float(y @ y)
+    # Python floats: products overflow to inf where ** 2 would raise
+    z = n * sxx - sx * sx
     if not np.isfinite(z):
         raise EvaluationError("the x moments overflow; rescale the x values")
     if z <= 0.0:
         raise DegeneracyError("x values are all equal; the line is not determined")
-    return z
+    return n, sx, sy, sxx, sxy, syy, z
+
+
+def _finite(value, what: str):
+    if not np.isfinite(value).all():
+        raise EvaluationError(f"the {what} overflows; rescale the points")
+    return value
 
 
 def regression_questions(points) -> np.ndarray:
@@ -49,13 +63,9 @@ def regression_questions(points) -> np.ndarray:
     q_a = [n Sxy - Sx Sy] / [n Sxx - Sx^2], q_b = [Sxx Sy - Sx Sxy] / same;
     these coincide with the least-squares line through the points.
     """
-    pts = _as_points(points)
-    n = pts.shape[0]
-    x, y = pts[:, 0], pts[:, 1]
-    sx, sy = float(x.sum()), float(y.sum())
-    sxx, sxy = float(x @ x), float(x @ y)
-    z = _denominator(pts)
-    return np.array([(n * sxy - sx * sy) / z, (sxx * sy - sx * sxy) / z])
+    n, sx, sy, sxx, sxy, _, z = _moments(_as_points(points))
+    return _finite(np.array([(n * sxy - sx * sy) / z, (sxx * sy - sx * sxy) / z]),
+                   "line")
 
 
 def regression_entropy(points) -> float:
@@ -66,13 +76,9 @@ def regression_entropy(points) -> float:
     in accumulated moments; for points exactly on ``y = a x + b`` the
     value is ``-a^2 - b^2``.
     """
-    pts = _as_points(points)
-    n = pts.shape[0]
-    x, y = pts[:, 0], pts[:, 1]
-    sx, sy = float(x.sum()), float(y.sum())
-    sxx, sxy, syy = float(x @ x), float(x @ y), float(y @ y)
-    z = _denominator(pts)
-    return -(2.0 * (sxx * syy - sxy * sxy) + 2.0 * (n * syy - sy * sy)) / (2.0 * z)
+    n, sx, sy, sxx, sxy, syy, z = _moments(_as_points(points))
+    return _finite(-(2.0 * (sxx * syy - sxy * sxy) + 2.0 * (n * syy - sy * sy))
+                   / (2.0 * z), "entropy")
 
 
 def regression_questions_pairwise(points) -> np.ndarray:

@@ -499,9 +499,19 @@ def test_numeric_domain_errors_exit_three(tmp_path):
              "truncation")):
         proc = run_cli(*args)
         assert proc.returncode == 3, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
         env = envelope(proc)
         assert env["status"] == f"error:{status}"
         assert env["inputs"]["model"] == args[2]
+    # a sweep row that overflows ends the sweep with the same typed error
+    proc = run_cli("sweep", "--model", "coherent", "--grid", "1=1e200:1e200:1",
+                   "--quantities", "phi,residual")
+    assert proc.returncode == 3, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    header, rest = proc.stdout.split("\n", 1)
+    assert header == "theta1,theta2,phi,residual"
+    assert strict_json(rest)["status"] == "error:evaluation"
+    assert "inf" not in proc.stdout and "nan" not in proc.stdout
 
 
 def test_verify_single_model_exits_zero():

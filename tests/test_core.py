@@ -11,6 +11,7 @@ from infogeo import (
     CanonicalityError,
     ConstraintError,
     DomainError,
+    EvaluationError,
     InfoGeoError,
     ModelDescriptor,
     UnsupportedOperationError,
@@ -60,11 +61,16 @@ def linear_toy():
         interior_point=np.array([0.0]),
         unbounded=True,
     )
+
+    def no_closed_form(thetas):
+        raise UnsupportedOperationError("the linear toy has no closed form")
+
     return ModelDescriptor(
         name="linear-toy",
         n=1,
         energy_domain=domain,
         entropy_u=lambda u: u[..., 0],
+        closed_dual_points=no_closed_form,
     )
 
 
@@ -89,7 +95,8 @@ def test_massieu_unbounded_supremum_raises():
     for route in (massieu, theta_to_u):
         with pytest.raises(DomainError, match="half-width 5"):
             route(model, np.array([0.0]))
-    with pytest.raises(DomainError):
+    # dual_points has one route, the batched closed form
+    with pytest.raises(UnsupportedOperationError):
         dual_points(model, np.array([[0.0]]))
 
 
@@ -100,12 +107,10 @@ def test_numeric_legendre_beyond_coherent_box_raises(coherent):
     theta = np.array([20.0, 0.0])
     assert massieu(coherent, theta) == pytest.approx(200.0, rel=1e-12)
     numeric = dataclasses.replace(coherent, closed_massieu=None, closed_theta_to_u=None,
-                                  closed_u_to_theta=None, closed_dual_points=None)
+                                  closed_u_to_theta=None)
     for route in (massieu, theta_to_u):
         with pytest.raises(DomainError, match="half-width 16"):
             route(numeric, theta)
-    with pytest.raises(DomainError, match="half-width 16"):
-        dual_points(numeric, theta[None])
     # Inside the box the numeric route agrees with the closed form.
     inside = np.array([1.0, -0.5])
     assert massieu(numeric, inside) == pytest.approx(massieu(coherent, inside),
@@ -117,7 +122,7 @@ def test_numeric_massieu_converges_where_the_objective_is_flat(discrete2):
     # an ulp-scale slack the Armijo test rejected every step there and 3 of
     # these 300 points raised ConvergenceError.
     numeric = dataclasses.replace(discrete2, closed_massieu=None, closed_theta_to_u=None,
-                                  closed_u_to_theta=None, closed_dual_points=None)
+                                  closed_u_to_theta=None)
     for theta in np.random.default_rng(0).uniform(-1.0, 1.0, size=(300, 1)):
         assert massieu(numeric, theta) == pytest.approx(massieu(discrete2, theta),
                                                         abs=1e-9)
@@ -161,13 +166,34 @@ def test_dual_points_batched_matches_per_point_route(name, tmp_path):
     thetas = np.random.default_rng(17).uniform(-3.0, 3.0, size=(40, model.n))
     thetas[7] = 0.0
     phi, u, s = dual_points(model, thetas)
-    reference = dataclasses.replace(model, closed_dual_points=None)
-    ref_phi, ref_u, ref_s = dual_points(reference, thetas)
     assert phi.shape == s.shape == (40,) and u.shape == (40, model.n)
-    assert np.max(np.abs(phi - ref_phi)) <= 1e-12
-    assert np.max(np.abs(u - ref_u)) <= 1e-12
-    assert np.max(np.abs(s - ref_s)) <= 1e-10
+    assert phi.tolist() == [massieu(model, theta) for theta in thetas]
+    assert u.tolist() == [theta_to_u(model, theta).tolist() for theta in thetas]
+    assert np.max(np.abs(s - model.entropy_u(u))) <= 1e-10
     assert np.max(np.abs(phi - s + np.sum(thetas * u, axis=1))) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["qubit", "coherent", "coherent2", "discrete2",
+                                  "discrete3", "config-discrete"])
+def test_scalar_closed_forms_are_rows_of_dual_points(name, tmp_path):
+    # One kernel per family: a scalar call gives the bits of its row in a
+    # batched call.
+    model = (_two_observable_family(tmp_path) if name == "config-discrete"
+             else get_model(name).descriptor)
+    thetas = np.vstack([np.zeros(model.n), np.random.default_rng(23).uniform(
+        -3.0, 3.0, size=(2000, model.n))])
+    phi, u, _ = dual_points(model, thetas)
+    assert phi.tolist() == [massieu(model, theta) for theta in thetas]
+    assert u.tolist() == [theta_to_u(model, theta).tolist() for theta in thetas]
+
+
+def test_overflowing_dual_points_are_an_evaluation_error(coherent):
+    # Phi = theta_1^2 / 2 overflows on the second row only
+    rows = np.array([[1.0, 0.0], [1e200, 0.0], [2e200, 0.0]])
+    with pytest.raises(EvaluationError, match=r"at \[1e\+200, 0\.0\] overflows"):
+        dual_points(coherent, rows)
+    with pytest.raises(EvaluationError, match="overflows"):
+        canonical_check(coherent, np.array([1e200, 0.0]))
 
 
 def test_dual_points_rejects_bad_rows(qubit):
@@ -291,23 +317,17 @@ def test_convexity_probe_matches_per_point_loop(name):
     for _ in range(40):
         t1, t2 = handle.sample_thetas(rng, 2)
         assert convexity_probe(model, t1, t2) == _convexity_by_points(model, t1, t2)
-    # Without closed forms dual_points falls back to its per-row route,
-    # which must give what the scalar loop gives, a typed error included.
+    # The scalar loop over the numeric Legendre route is the oracle of the
+    # closed probe; it may end in a typed error instead.
     numeric = dataclasses.replace(model, closed_massieu=None, closed_theta_to_u=None,
-                                  closed_u_to_theta=None, closed_dual_points=None)
-
-    def outcome(probe, *args):
-        try:
-            return probe(*args)
-        except InfoGeoError as exc:
-            return type(exc)
-
+                                  closed_u_to_theta=None)
     for _ in range(2):
         t1, t2 = handle.sample_thetas(rng, 2, radius=1.0)
-        worst = outcome(convexity_probe, numeric, t1, t2)
-        assert worst == outcome(_convexity_by_points, numeric, t1, t2)
-        if isinstance(worst, float):
-            assert abs(worst - convexity_probe(model, t1, t2)) <= 1e-6
+        try:
+            worst = _convexity_by_points(numeric, t1, t2)
+        except InfoGeoError:
+            continue
+        assert abs(worst - convexity_probe(model, t1, t2)) <= 1e-6
 
 
 def test_convexity_probe_and_jensen_gap(qubit):

@@ -126,11 +126,10 @@ def test_dual_points_qubit_matches_scalar_forms():
     thetas = np.vstack([np.zeros(3), [30.0, 0.0, 0.0], [0.0, -1e3, 0.0],
                         rng.uniform(-3.0, 3.0, size=(50, 3))])
     phi, u, s = dual_points_qubit(thetas)
-    # Phi and U are the same bits as the scalar forms; S may differ in the
-    # last bit (numpy's log against math.log).
+    # one kernel behind the batched and the scalar forms: the same bits
     assert phi.tolist() == [massieu_qubit(th) for th in thetas]
     assert np.array_equal(u, np.array([theta_to_bloch(th) for th in thetas]))
-    assert np.allclose(s, [entropy_bloch(v) for v in u], rtol=0.0, atol=1e-15)
+    assert s.tolist() == [entropy_bloch(v) for v in u]
 
 
 def test_gibbs_state_is_maximally_mixed_at_origin():
