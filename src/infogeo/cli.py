@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__, coherent, core, regression
 from .errors import DomainError, EvaluationError, InfoGeoError
-from .numerics import row_dot
+from .numerics import row_norm
 from .registry import BUILTIN_NAMES, ModelHandle, get_model, load_config
 from .verify import SUITES, verify_handle, verify_suite
 
@@ -349,8 +349,8 @@ def _sweep_table(model, thetas: np.ndarray, quantities: list[str]) -> list[list[
     """Rows ``theta + [quantity values]`` for a chunk of grid points."""
     phi, u, s = core.dual_points(model, thetas)
     columns = {"phi": phi, "entropy": s,
-               "residual": np.abs(phi - s + row_dot(thetas, u)),
-               "unorm": np.sqrt(row_dot(u, u))}
+               "residual": core.canonical_residuals(thetas, phi, u, s),
+               "unorm": row_norm(u)}
     columns.update((f"u{j + 1}", u[:, j]) for j in range(model.n))
     return np.column_stack([thetas] + [columns[q] for q in quantities]).tolist()
 

@@ -143,19 +143,36 @@ def _metric(constants: PhaseConstants) -> tuple[float, float]:
     return r2, constants.hbar * constants.hbar / r2
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _quadratic(form, points):
+    """``form(x1, x2)`` for a quadratic form at the points ``(..., 2)``.
+
+    Where the plain form overflows, as a square does at ``|x| >~
+    1.3e154`` although the value need not, the point is scaled by ``m =
+    max|x_j|`` and the value taken as ``m (m form(x / m))``; every other
+    point keeps the bits of the plain form.  A value that still
+    overflows is returned as an infinity, without a numpy warning.
+    """
+    x1, x2 = np.asarray(points, dtype=float).T
+    value = form(x1, x2)
+    big = np.isinf(value)
+    if big.any():
+        m = np.where(big, np.maximum(np.abs(x1), np.abs(x2)), 1.0)
+        value = np.where(big, m * (m * form(x1 / m, x2 / m)), value)
+    return value.T
+
+
 def model_entropy_u(u, constants: PhaseConstants):
     """Model entropy ``-U1^2/(2 r^2) - r^2 U2^2 / (2 hbar^2)`` at points
     ``(..., 2)``."""
-    u1, u2 = np.asarray(u, dtype=float).T
     d1, d2 = _metric(constants)
-    return (-0.5 * (u1 * u1 / d1 + u2 * u2 / d2)).T
+    return _quadratic(lambda u1, u2: -0.5 * (u1 * u1 / d1 + u2 * u2 / d2), u)
 
 
 def massieu_coherent(theta, constants: PhaseConstants):
     """``r^2 theta1^2 / 2 + hbar^2 theta2^2 / (2 r^2)`` at points ``(..., 2)``."""
-    t1, t2 = np.asarray(theta, dtype=float).T
     d1, d2 = _metric(constants)
-    return (0.5 * (d1 * (t1 * t1) + d2 * (t2 * t2))).T
+    return _quadratic(lambda t1, t2: 0.5 * (d1 * (t1 * t1) + d2 * (t2 * t2)), theta)
 
 
 def theta_to_u_coherent(theta, constants: PhaseConstants) -> np.ndarray:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -252,6 +253,34 @@ def theta_to_u(model: ModelDescriptor, theta, tol: float = _LEGENDRE_TOL) -> np.
     return u
 
 
+def _as_rows(model: ModelDescriptor, *arrays) -> list[np.ndarray]:
+    """The arrays as parameter rows ``(k, n)``, all with the same ``k``."""
+    rows = [np.asarray(a, dtype=float) for a in arrays]
+    for a in rows:
+        if a.ndim != 2 or a.shape[1] != model.n:
+            raise ValueError(f"expected parameter rows of length {model.n}")
+        if not np.isfinite(a).all():
+            raise ValueError("parameter rows must be finite")
+    if len({a.shape[0] for a in rows}) > 1:
+        raise ValueError("expected the same number of parameter rows in each array")
+    return rows
+
+
+def _dual_rows(model: ModelDescriptor, thetas: np.ndarray):
+    """:func:`dual_points` at rows the caller has validated.
+
+    Call it under ``np.errstate(over="ignore", invalid="ignore")``: an
+    overflow raises :class:`EvaluationError` here instead of a warning.
+    """
+    phi, u, s = model.closed_dual_points(thetas)
+    if not (np.isfinite(phi).all() and np.isfinite(u).all() and np.isfinite(s).all()):
+        finite = np.isfinite(phi) & np.isfinite(u).all(axis=1) & np.isfinite(s)
+        bad = thetas[int(np.argmin(finite))]
+        raise EvaluationError(f"the dual point at {bad.tolist()} overflows")
+    return phi, u, s
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def dual_points(model: ModelDescriptor, thetas):
     """``(Phi (k,), U (k, n), S(U) (k,))`` at the parameter rows ``thetas``,
     from the model's batched closed form.
@@ -259,17 +288,40 @@ def dual_points(model: ModelDescriptor, thetas):
     Raises :class:`EvaluationError` naming the first row where a value
     overflows.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 2 or thetas.shape[1] != model.n:
-        raise ValueError(f"expected parameter rows of length {model.n}")
-    if not np.isfinite(thetas).all():
-        raise ValueError("parameter rows must be finite")
-    phi, u, s = _quietly(model.closed_dual_points, thetas)
-    if not (np.isfinite(phi).all() and np.isfinite(u).all() and np.isfinite(s).all()):
-        finite = np.isfinite(phi) & np.isfinite(u).all(axis=1) & np.isfinite(s)
-        bad = thetas[int(np.argmin(finite))]
-        raise EvaluationError(f"the dual point at {bad.tolist()} overflows")
-    return phi, u, s
+    return _dual_rows(model, *_as_rows(model, thetas))
+
+
+def _require_finite(finite: np.ndarray, what: str, *rows: np.ndarray) -> None:
+    """Raise :class:`EvaluationError` naming the points of the first row
+    that is not ``finite``."""
+    if not finite.all():
+        i = int(np.argmin(finite))
+        points = " and ".join(str(r[i].tolist()) for r in rows)
+        raise EvaluationError(f"the {what} at {points} overflows")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def canonical_residuals(thetas: np.ndarray, phi: np.ndarray, u: np.ndarray,
+                        s: np.ndarray) -> np.ndarray:
+    """``|Phi - S(U) + theta . U|`` at each row of a dual point table.
+
+    Where a term overflows although ``Phi``, ``S`` and ``U`` are finite
+    (``theta . U`` near 2e308 on the coherent family), the row is
+    evaluated on terms scaled by powers of two, which is exact, and scaled
+    back; every other row keeps the bits of the plain formula.  Raises
+    :class:`EvaluationError` where the residual itself overflows.
+    """
+    residual = np.abs(phi - s + row_dot(thetas, u))
+    bad = ~np.isfinite(residual)
+    if bad.any():
+        e1 = np.frexp(np.abs(thetas[bad]).max(axis=1, initial=0.0))[1]
+        e2 = np.frexp(np.abs(u[bad]).max(axis=1, initial=0.0))[1]
+        scaled = np.abs(np.ldexp(phi[bad], -(e1 + e2)) - np.ldexp(s[bad], -(e1 + e2))
+                        + row_dot(np.ldexp(thetas[bad], -e1[:, None]),
+                                  np.ldexp(u[bad], -e2[:, None])))
+        residual[bad] = np.ldexp(scaled, e1 + e2)
+        _require_finite(np.isfinite(residual), "canonical residual", thetas)
+    return residual
 
 
 def u_to_theta(model: ModelDescriptor, u) -> np.ndarray:
@@ -321,9 +373,10 @@ def canonical_check(model: ModelDescriptor, theta,
     theta = _as_theta(model, theta)
     if tol is None:
         tol = 1e-9
-    phis, us, ss = dual_points(model, theta[None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        phis, us, ss = _dual_rows(model, theta[None])
     phi, u, s = float(phis[0]), us[0], float(ss[0])
-    residual = abs(phi - s + float(theta @ u))
+    residual = float(canonical_residuals(theta[None], phis, us, ss)[0])
     try:
         back = u_to_theta(model, u)
     except DomainError:
@@ -338,22 +391,55 @@ def canonical_check(model: ModelDescriptor, theta,
     return pair
 
 
+def _divergences(phi_a: np.ndarray, phi_b: np.ndarray, a: np.ndarray,
+                 b: np.ndarray, u_a: np.ndarray):
+    """Row-wise ``D(m_a || m_b) = Phi(b) - Phi(a) + (b - a) . U(a)`` and
+    its linear term, from the potentials of both rows and ``U(a)``."""
+    linear = row_dot(b - a, u_a)
+    return phi_b - phi_a + linear, linear
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _bregman(model: ModelDescriptor, thetas: np.ndarray, zetas: np.ndarray):
+    """``(D, Phi(theta), Phi(zeta), linear term, U(theta))`` on validated
+    rows, from one :func:`dual_points` call on the 2k rows."""
+    k = len(thetas)
+    phi, u, _ = _dual_rows(model, np.concatenate([thetas, zetas]))
+    values, linear = _divergences(phi[:k], phi[k:], thetas, zetas, u[:k])
+    _require_finite(np.isfinite(values), "divergence", thetas, zetas)
+    return values, phi[:k], phi[k:], linear, u[:k]
+
+
+def bregman_rows(model: ModelDescriptor, thetas, zetas) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise :func:`bregman_divergence`: ``(D (k,), U(theta) (k, n))``
+    for the pairs of parameter rows ``thetas`` and ``zetas`` (k, n).
+
+    Phi and U at all 2k points come from one :func:`dual_points` call;
+    row i has the bits of ``bregman_divergence(model, thetas[i],
+    zetas[i])``.  Raises :class:`EvaluationError` naming the first pair
+    whose divergence overflows.
+    """
+    values, _, _, _, u_first = _bregman(model, *_as_rows(model, thetas, zetas))
+    return values, u_first
+
+
 def bregman_divergence(model: ModelDescriptor, theta, zeta) -> BregmanReport:
     """Divergence between model points,
     ``D(m_theta || m_zeta) = Phi(zeta) - Phi(theta) + (zeta - theta) . U(theta)``.
 
     This is the Bregman divergence of the (convex) Massieu function; it
     is nonnegative and vanishes exactly at ``theta = zeta``.  The report
-    carries both Massieu values, the linear term and ``U(theta)``.
+    carries both Massieu values, the linear term and ``U(theta)``.  It is
+    the one-row view of :func:`bregman_rows`, so Phi and U come from the
+    family's closed form even on a descriptor whose scalar closed forms
+    are unset.
     """
     theta = _as_theta(model, theta)
     zeta = _as_theta(model, zeta)
-    u = theta_to_u(model, theta)
-    phi_theta = massieu(model, theta)
-    phi_zeta = massieu(model, zeta)
-    linear = float((zeta - theta) @ u)
-    return BregmanReport(value=phi_zeta - phi_theta + linear, massieu_first=phi_theta,
-                         massieu_second=phi_zeta, linear_term=linear, u_first=u)
+    value, phi_theta, phi_zeta, linear, u = _bregman(model, theta[None], zeta[None])
+    return BregmanReport(value=float(value[0]), massieu_first=float(phi_theta[0]),
+                         massieu_second=float(phi_zeta[0]), linear_term=float(linear[0]),
+                         u_first=u[0])
 
 
 def divergence_from_data(model: ModelDescriptor, x, theta) -> DivergenceReport:
@@ -412,24 +498,75 @@ def pythagoras_data(model: ModelDescriptor, x, theta, zeta,
     :class:`ConstraintError` reports the mismatch).  The report holds
     ``D(x||m_theta)``, ``D(m_theta||m_zeta)``, ``D(x||m_zeta)`` and the
     residual ``|D(x||m_theta) + D(m_theta||m_zeta) - D(x||m_zeta)|``.
+    Phi and U at both model points come from one :func:`dual_points`
+    call and the answers of ``x`` from one ``dataset_answers`` call; each
+    divergence has the bits of :func:`divergence_from_data` and
+    :func:`bregman_divergence`.
     """
     theta = _as_theta(model, theta)
     zeta = _as_theta(model, zeta)
     if model.dataset_answers is None:
         raise UnsupportedOperationError(
             f"model {model.name!r} has no data-set layer")
-    answers, _ = model.dataset_answers(x)
-    model_step = bregman_divergence(model, theta, zeta)
-    mismatch = float(np.max(np.abs(np.asarray(answers, dtype=float)
-                                   - model_step.u_first)))
+    answers, s_x = model.dataset_answers(x)
+    answers = np.asarray(answers, dtype=float)
+    points = np.stack([theta, zeta])
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi, u, _ = _dual_rows(model, points)
+    mismatch = float(np.max(np.abs(answers - u[0])))
     if mismatch > compliance_tol:
         raise ConstraintError(
             f"data set does not project onto m_theta: max answer mismatch"
             f" {mismatch:.3e} exceeds {compliance_tol:.1e}")
-    d_x_theta = divergence_from_data(model, x, theta).value
-    d_x_zeta = divergence_from_data(model, x, zeta).value
-    return PythagorasReport(d_x_theta, model_step.value, d_x_zeta,
-                            abs(d_x_theta + model_step.value - d_x_zeta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        model_step = float(_divergences(phi[:1], phi[1:], points[:1], points[1:],
+                                        u[:1])[0][0])
+        d_x_theta, d_x_zeta = (phi - s_x + row_dot(points, answers)).tolist()
+        residual = abs(d_x_theta + model_step - d_x_zeta)
+    # an infinite or NaN divergence makes the residual non-finite too
+    _require_finite(np.isfinite([residual]), "data triple", points[:1], points[1:])
+    return PythagorasReport(d_x_theta, model_step, d_x_zeta, residual)
+
+
+class PythagorasRows(NamedTuple):
+    """The :class:`PythagorasReport` fields of k model triples, each ``(k,)``."""
+
+    first: np.ndarray
+    second: np.ndarray
+    third: np.ndarray
+    residual: np.ndarray
+    orthogonality: np.ndarray
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _pythagoras_models(model: ModelDescriptor, thetas: np.ndarray, zetas: np.ndarray,
+                       xis: np.ndarray) -> PythagorasRows:
+    """:func:`pythagoras_model_rows` on validated rows."""
+    k = len(thetas)
+    phi, u, _ = _dual_rows(model, np.concatenate([thetas, zetas, xis]))
+    phi_theta, phi_zeta, phi_xi = phi[:k], phi[k:2 * k], phi[2 * k:]
+    u_theta, u_zeta = u[:k], u[k:2 * k]
+    first = _divergences(phi_theta, phi_zeta, thetas, zetas, u_theta)[0]
+    second = _divergences(phi_zeta, phi_xi, zetas, xis, u_zeta)[0]
+    third = _divergences(phi_theta, phi_xi, thetas, xis, u_theta)[0]
+    # an infinite or NaN divergence makes the residual non-finite too
+    residual = np.abs(first + second - third)
+    orthogonality = row_dot(zetas - xis, u_theta - u_zeta)
+    _require_finite(np.isfinite(residual) & np.isfinite(orthogonality), "model triple",
+                    thetas, zetas, xis)
+    return PythagorasRows(first, second, third, residual, orthogonality)
+
+
+def pythagoras_model_rows(model: ModelDescriptor, thetas, zetas, xis) -> PythagorasRows:
+    """Row-wise :func:`pythagoras_models` for the triples of parameter rows
+    ``thetas``, ``zetas`` and ``xis`` (k, n).
+
+    Phi and U at all 3k points come from one :func:`dual_points` call;
+    row i has the bits of ``pythagoras_models(model, thetas[i], zetas[i],
+    xis[i])``.  Raises :class:`EvaluationError` naming the first triple
+    where a value overflows.
+    """
+    return _pythagoras_models(model, *_as_rows(model, thetas, zetas, xis))
 
 
 def pythagoras_models(model: ModelDescriptor, theta, zeta, xi) -> PythagorasReport:
@@ -439,18 +576,43 @@ def pythagoras_models(model: ModelDescriptor, theta, zeta, xi) -> PythagorasRepo
     the residual ``|D(theta||zeta) + D(zeta||xi) - D(theta||xi)|`` and
     ``orthogonality = sum_j (zeta_j - xi_j)(U_j - V_j)`` with ``U =
     theta_to_u(theta)``, ``V = theta_to_u(zeta)``.  The residual vanishes
-    exactly when the triple is orthogonal.
+    exactly when the triple is orthogonal.  This is the one-row view of
+    :func:`pythagoras_model_rows`.
     """
-    theta = _as_theta(model, theta)
-    zeta = _as_theta(model, zeta)
-    xi = _as_theta(model, xi)
-    first = bregman_divergence(model, theta, zeta)
-    second = bregman_divergence(model, zeta, xi)
-    d_theta_xi = bregman_divergence(model, theta, xi).value
-    orthogonality = float((zeta - xi) @ (first.u_first - second.u_first))
-    return PythagorasReport(first.value, second.value, d_theta_xi,
-                            abs(first.value + second.value - d_theta_xi),
-                            orthogonality=orthogonality)
+    rows = _pythagoras_models(model, _as_theta(model, theta)[None],
+                              _as_theta(model, zeta)[None], _as_theta(model, xi)[None])
+    return PythagorasReport(*(float(v[0]) for v in rows))
+
+
+#: Blend weights of the convexity probe.
+_BLENDS = np.linspace(0.0, 1.0, 21)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _convexity(model: ModelDescriptor, theta1s: np.ndarray,
+               theta2s: np.ndarray) -> np.ndarray:
+    """:func:`convexity_rows` on validated rows."""
+    k, n = theta1s.shape
+    lam = _BLENDS[:, None]
+    mixes = lam * theta1s[:, None, :] + (1.0 - lam) * theta2s[:, None, :]
+    phi, _, _ = _dual_rows(model, np.concatenate([theta1s, theta2s,
+                                                  mixes.reshape(-1, n)]))
+    gaps = (phi[2 * k:].reshape(k, _BLENDS.size) - _BLENDS * phi[:k, None]
+            - (1.0 - _BLENDS) * phi[k:2 * k, None])
+    worst = gaps.max(axis=1)
+    _require_finite(np.isfinite(worst), "convexity gap", theta1s, theta2s)
+    return worst
+
+
+def convexity_rows(model: ModelDescriptor, theta1s, theta2s) -> np.ndarray:
+    """Row-wise :func:`convexity_probe`: the worst gap ``(k,)`` of each
+    segment between the parameter rows ``theta1s`` and ``theta2s`` (k, n).
+
+    Phi at all 23k endpoints and blends comes from one :func:`dual_points`
+    call; row i has the bits of ``convexity_probe(model, theta1s[i],
+    theta2s[i])``.
+    """
+    return _convexity(model, *_as_rows(model, theta1s, theta2s))
 
 
 def convexity_probe(model: ModelDescriptor, theta1, theta2) -> float:
@@ -458,13 +620,9 @@ def convexity_probe(model: ModelDescriptor, theta1, theta2) -> float:
 
     Returns ``max_l Phi(l theta1 + (1-l) theta2) - l Phi(theta1) -
     (1-l) Phi(theta2)`` over 21 evenly spaced blends ``l`` in [0, 1];
-    convexity means the result is <= 0 up to rounding.  Phi at both
-    endpoints and every blend comes from one :func:`dual_points` call.
+    convexity means the result is <= 0 up to rounding.  This is the
+    one-row view of :func:`convexity_rows`.
     """
     theta1 = _as_theta(model, theta1)
     theta2 = _as_theta(model, theta2)
-    lam = np.linspace(0.0, 1.0, 21)
-    mixes = lam[:, None] * theta1 + (1.0 - lam[:, None]) * theta2
-    phi, _, _ = dual_points(model, np.vstack([theta1, theta2, mixes]))
-    gaps = phi[2:] - lam * phi[0] - (1.0 - lam) * phi[1]
-    return float(np.max(gaps, initial=-math.inf))
+    return float(_convexity(model, theta1[None], theta2[None])[0])

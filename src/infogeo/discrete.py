@@ -34,25 +34,26 @@ class DiscreteFamily:
 
     ``prior`` is a strictly positive length-m vector (any scale);
     ``hamiltonians`` is an (n, m) matrix whose rows are the observables.
-    Canonicality requires that no nontrivial linear combination of the
-    rows and the constant vector vanishes, i.e. ``[H; 1]`` has rank
-    ``n + 1``.
+    The family keeps read-only copies of both.  Canonicality requires
+    that no nontrivial linear combination of the rows and the constant
+    vector vanishes, i.e. ``[H; 1]`` has rank ``n + 1``.
     """
 
     prior: np.ndarray
     hamiltonians: np.ndarray
 
     def __post_init__(self):
-        prior = np.asarray(self.prior, dtype=float)
+        prior = np.array(self.prior, dtype=float)
         if prior.ndim != 1 or prior.size < 2:
             raise ValueError("prior must be a vector over at least two letters")
         if not np.all(prior > 0.0):
             raise ValueError("prior weights must be strictly positive")
-        h = np.asarray(self.hamiltonians, dtype=float)
+        h = np.array(self.hamiltonians, dtype=float)
         if h.size == 0:
             h = h.reshape(0, prior.size)
         if h.ndim != 2 or h.shape[1] != prior.size:
             raise ValueError("hamiltonians must be an (n, alphabet) matrix")
+        prior.flags.writeable = h.flags.writeable = False
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "hamiltonians", h)
         stacked = np.vstack([h, np.ones(prior.size)])

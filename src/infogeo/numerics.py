@@ -41,6 +41,13 @@ MAX_BACKTRACKS = 60
 MAX_ITERATIONS = 200
 
 
+def _frozen(a) -> np.ndarray:
+    """A read-only float copy of ``a``."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Domain:
     """Open subset of R^n described by a membership predicate.
@@ -50,7 +57,8 @@ class Domain:
     dimension : int
         Ambient dimension n.
     bounding_box : (n, 2) array
-        Finite per-coordinate bounds containing every member point.
+        Finite per-coordinate bounds containing every member point.  The
+        domain keeps a read-only copy, as it does of ``interior_point``.
     membership : callable
         Row-wise predicate deciding strict interiority: points of shape
         ``(..., n)`` map to a bool array of shape ``(...)``, so a single
@@ -71,9 +79,9 @@ class Domain:
     unbounded: bool = False
 
     def __post_init__(self):
-        box = np.asarray(self.bounding_box, dtype=float).reshape(self.dimension, 2)
+        box = _frozen(self.bounding_box).reshape(self.dimension, 2)
         object.__setattr__(self, "bounding_box", box)
-        x0 = np.asarray(self.interior_point, dtype=float).reshape(self.dimension)
+        x0 = _frozen(self.interior_point).reshape(self.dimension)
         object.__setattr__(self, "interior_point", x0)
         if not np.all(np.isfinite(box)):
             raise ValueError("bounding box must be finite")
@@ -127,6 +135,29 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim == b.ndim == 1:  # that kernel, without the stacking overhead
         return np.dot(a, b)
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+# row_dot that raises FloatingPointError where a sum of squares overflows
+_checked_dot = np.errstate(over="raise")(row_dot)
+
+
+def row_norm(x: np.ndarray) -> np.ndarray:
+    """``|x|`` along the last axis of ``x`` (..., n).
+
+    Rescaled by ``max|x_j|`` only where the sum of squares overflows
+    (``|x| >~ 1.3e154``), so smaller norms keep the bits of the 1-D
+    ``np.linalg.norm``.
+    """
+    try:
+        return np.sqrt(_checked_dot(x, x))
+    except FloatingPointError:
+        pass
+    with np.errstate(over="ignore"):
+        t = np.sqrt(row_dot(x, x))
+    big = (t == math.inf) & np.isfinite(x).all(axis=-1)
+    scale = np.where(big, np.abs(x).max(axis=-1), 1.0)
+    scaled = x / scale[..., None]
+    return np.where(big, scale * np.sqrt(row_dot(scaled, scaled)), t)
 
 
 def on_points(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:

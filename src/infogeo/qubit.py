@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import ModelDescriptor
 from .errors import DomainError, EvaluationError
-from .numerics import Domain, Matrix2H, eig_h2, func_h2, row_dot
+from .numerics import Domain, Matrix2H, eig_h2, func_h2, row_dot, row_norm
 
 
 def bloch_to_rho(u) -> Matrix2H:
@@ -38,29 +38,6 @@ def entropy_bloch(u) -> float:
     return float(entropy_bloch_rows(u))
 
 
-# row_dot that raises FloatingPointError where a sum of squares overflows
-_checked_dot = np.errstate(over="raise")(row_dot)
-
-
-def _norm(thetas: np.ndarray) -> np.ndarray:
-    """``|theta|`` along the last axis of ``thetas`` (..., 3).
-
-    Rescaled by ``max|theta_j|`` only where the sum of squares overflows
-    (|theta| >~ 1.3e154), so smaller norms keep the bits of the 1-D
-    ``np.linalg.norm``.
-    """
-    try:
-        return np.sqrt(_checked_dot(thetas, thetas))
-    except FloatingPointError:
-        pass
-    with np.errstate(over="ignore"):
-        t = np.sqrt(row_dot(thetas, thetas))
-    big = (t == math.inf) & np.isfinite(thetas).all(axis=-1)
-    scale = np.where(big, np.abs(thetas).max(axis=-1), 1.0)
-    scaled = thetas / scale[..., None]
-    return np.where(big, scale * np.sqrt(row_dot(scaled, scaled)), t)
-
-
 def _massieu(t: np.ndarray) -> np.ndarray:
     """``Phi = ln(2 cosh t)`` at the norms ``t``, overflow-safe."""
     return np.logaddexp(t, -t)
@@ -79,7 +56,7 @@ def theta_to_bloch(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (3,):
         raise ValueError("spin parameters must have three components")
-    return _bloch(theta, _norm(theta))
+    return _bloch(theta, row_norm(theta))
 
 
 def bloch_to_theta(u, chart_margin: float = 1e-9) -> np.ndarray:
@@ -101,7 +78,7 @@ def bloch_to_theta(u, chart_margin: float = 1e-9) -> np.ndarray:
 
 def massieu_qubit(theta) -> float:
     """``ln(2 cosh |theta|)``, computed overflow-safe."""
-    return float(_massieu(_norm(np.asarray(theta, dtype=float))))
+    return float(_massieu(row_norm(np.asarray(theta, dtype=float))))
 
 
 def dual_points_qubit(thetas: np.ndarray):
@@ -112,7 +89,7 @@ def dual_points_qubit(thetas: np.ndarray):
     :func:`theta_to_bloch`, and ``S`` is :func:`entropy_bloch_rows` of
     ``U``.
     """
-    t = _norm(thetas)
+    t = row_norm(thetas)
     u = _bloch(thetas, t)
     return _massieu(t), u, entropy_bloch_rows(u)
 
@@ -205,8 +182,10 @@ def as_descriptor(membership_margin: float = 1e-12,
         # extends the entropy radially (constant 0 outside the ball), so
         # those evaluations stay finite.  Member points are unaffected.
         entropy_u=entropy_bloch_rows,
-        closed_massieu=massieu_qubit,
-        closed_theta_to_u=theta_to_bloch,
+        # Looked up at call time, like the other closed forms, so a
+        # replaced module function reaches descriptors already built.
+        closed_massieu=lambda theta: massieu_qubit(theta),
+        closed_theta_to_u=lambda theta: theta_to_bloch(theta),
         closed_u_to_theta=lambda u: bloch_to_theta(u, chart_margin),
         closed_dual_points=dual_points_qubit,
         dataset_answers=answers,

@@ -11,6 +11,7 @@ the verify suites draw random parameters and data sets.
 from __future__ import annotations
 
 import configparser
+import functools
 import os
 from dataclasses import dataclass
 
@@ -238,14 +239,24 @@ BUILTIN_NAMES = tuple(_BUILTINS)
 
 def canonical_instances() -> dict[str, ModelHandle]:
     """The five reference instances used throughout the checks."""
-    return {name: build() for name, build in _CANONICAL.items()}
+    return {name: get_model(name) for name in _CANONICAL}
+
+
+@functools.cache
+def _built(name: str) -> ModelHandle:
+    return _BUILTINS[name]()
 
 
 def get_model(name: str) -> ModelHandle:
-    """A newly built handle for a built-in name.  Raises KeyError for unknown names."""
+    """The handle of a built-in name.  Raises KeyError for unknown names.
+
+    Each name's handle is built on first use and shared after that: a
+    handle is a frozen dataclass whose arrays are read-only, so no caller
+    can change what another one sees.
+    """
     if name not in _BUILTINS:
         raise KeyError(f"unknown model {name!r}; known: {', '.join(BUILTIN_NAMES)}")
-    return _BUILTINS[name]()
+    return _built(name)
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -259,7 +270,7 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def load_config(path: str) -> ModelHandle:
-    """Build a model from an INI file.
+    """Build a new model handle from an INI file.
 
     The [model] section names the type; a section of the same name holds
     its settings:

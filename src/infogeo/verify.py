@@ -119,6 +119,12 @@ def verify_numerics() -> list[PropertyResult]:
 
 # ------------------------------------------------------- canonical engine
 
+def _pairs(handle: ModelHandle, rng, count: int) -> np.ndarray:
+    """``count`` pairs of parameter points as two row arrays ``(count, n)``,
+    each pair drawn by one ``sample_thetas(rng, 2)`` call."""
+    return np.stack([handle.sample_thetas(rng, 2) for _ in range(count)], axis=1)
+
+
 def verify_canonical(handle: ModelHandle) -> list[PropertyResult]:
     """Engine-level duality checks shared by every canonical instance."""
     rng = np.random.default_rng(7)
@@ -173,25 +179,21 @@ def verify_canonical(handle: ModelHandle) -> list[PropertyResult]:
     out.append(_check("metric-inverse-duality", worst, 1e-4,
                       note="Hess S(U) = -(Hess Phi)^-1, relative"))
 
-    worst = -math.inf
-    for _ in range(segments):
-        t1, t2 = handle.sample_thetas(rng, 2)
-        worst = max(worst, core.convexity_probe(model, t1, t2))
+    # Each sampled check draws its points in a loop, in the order the
+    # per-point checks drew them, and evaluates them in one row-wise call.
+    t1, t2 = _pairs(handle, rng, segments)
+    worst = float(np.max(core.convexity_rows(model, t1, t2)))
     out.append(_check("massieu-convexity", worst, 1e-9,
                       note=f"{segments} random segments, 21 blend points each"))
 
-    worst = -math.inf
-    min_separated = math.inf
-    for _ in range(1000):
-        t1, t2 = handle.sample_thetas(rng, 2)
-        d = core.bregman_divergence(model, t1, t2).value
-        worst = max(worst, -d)
-        if float(np.linalg.norm(t1 - t2)) >= 0.1:
-            min_separated = min(min_separated, d)
-    out.append(_check("bregman-nonnegative", worst, 1e-12,
+    t1, t2 = _pairs(handle, rng, 1000)
+    d = core.bregman_rows(model, t1, t2)[0]
+    # the norm of each difference with the bits of the 1-D np.linalg.norm
+    separated = np.sqrt(numerics.row_dot(t1 - t2, t1 - t2)) >= 0.1
+    out.append(_check("bregman-nonnegative", np.max(-d), 1e-12,
                       note="worst = -(min divergence) over 1000 pairs"))
-    out.append(_check("bregman-separation", -min_separated, -1e-6,
-                      note="divergence exceeds 1e-6 when |theta-zeta| >= 0.1"))
+    out.append(_check("bregman-separation", -np.min(d[separated], initial=math.inf),
+                      -1e-6, note="divergence exceeds 1e-6 when |theta-zeta| >= 0.1"))
 
     if model.dataset_answers is not None and model.fiber_sampler is not None:
         worst = 0.0
@@ -203,20 +205,26 @@ def verify_canonical(handle: ModelHandle) -> list[PropertyResult]:
         out.append(_check("pythagoras-with-data", worst, 1e-9,
                           note="210 compliant data-model-model triples"))
 
-    worst_orth = 0.0
-    worst_ident = 0.0
+    triples, draws = [], []
     for _ in range(100):
-        th, ze, xi = handle.sample_thetas(rng, 3, radius=2.0)
-        triple = core.pythagoras_models(model, th, ze, xi)
-        worst_ident = max(worst_ident, abs(triple.residual - abs(triple.orthogonality)))
+        triples.append(handle.sample_thetas(rng, 3, radius=2.0))
         if model.n >= 2:
-            d = core.theta_to_u(model, th) - core.theta_to_u(model, ze)
-            w = rng.normal(size=model.n)
-            w -= (w @ d) / (d @ d) * d
-            triple = core.pythagoras_models(model, th, ze, ze - w)
-        else:
-            triple = core.pythagoras_models(model, th, th, xi)
-        worst_orth = max(worst_orth, abs(triple.orthogonality), triple.residual)
+            draws.append(rng.normal(size=model.n))
+    th, ze, xi = np.stack(triples, axis=1)
+    triple = core.pythagoras_model_rows(model, th, ze, xi)
+    worst_ident = np.max(np.abs(triple.residual - np.abs(triple.orthogonality)),
+                         initial=0.0)
+    if model.n >= 2:
+        # xi = zeta - w with w orthogonal to U(theta) - U(zeta)
+        u = core.dual_points(model, np.concatenate([th, ze]))[1]
+        d = u[:100] - u[100:]
+        w = np.array(draws)
+        w -= (numerics.row_dot(w, d) / numerics.row_dot(d, d))[:, None] * d
+        triple = core.pythagoras_model_rows(model, th, ze, ze - w)
+    else:
+        triple = core.pythagoras_model_rows(model, th, th, xi)
+    worst_orth = max(np.max(np.abs(triple.orthogonality), initial=0.0),
+                     np.max(triple.residual, initial=0.0))
     out.append(_check("pythagoras-orthogonal-models", worst_orth, 1e-9,
                       note="100 constructed orthogonal triples"))
     out.append(_check("pythagoras-residual-identity", worst_ident, 1e-9,
@@ -348,14 +356,17 @@ def verify_discrete_extras(handle: DiscreteHandle) -> list[PropertyResult]:
                       note="theta -> moments -> fitted theta"))
 
     worst = 0.0
+    pairs, kl = [], []
     for _ in range(200):
         t1, t2 = handle.sample_thetas(rng, 2)
+        pairs.append((t1, t2))
         p, q = discrete.boltzmann_gibbs(family, t1), discrete.boltzmann_gibbs(family, t2)
-        worst = max(worst, abs(discrete.kl_divergence(p, q)
-                               - core.bregman_divergence(model, t1, t2).value))
+        kl.append(discrete.kl_divergence(p, q))
         x = rng.dirichlet(np.ones(family.alphabet_size))
         worst = max(worst, abs(discrete.kl_divergence(x, q)
                                - core.divergence_from_data(model, x, t2).value))
+    t1, t2 = np.stack(pairs, axis=1)
+    worst = max(worst, np.max(np.abs(np.array(kl) - core.bregman_rows(model, t1, t2)[0])))
     out.append(_check("kl-affine-agreement", worst, 1e-12,
                       note="direct relative entropy vs Phi - S + theta.answers"))
 

@@ -13,7 +13,7 @@ from conftest import close7, envelope, run_cli, strict_json
 from infogeo import (BUILTIN_NAMES, __version__, canonical_instances, cli, errors,
                      get_model, verify)
 from infogeo.discrete import boltzmann_gibbs
-from infogeo.registry import CoherentHandle, DiscreteHandle, load_config
+from infogeo.registry import CoherentHandle, DiscreteHandle, discrete_instance, load_config
 
 LN2 = math.log(2.0)
 
@@ -35,6 +35,24 @@ def test_builtin_names_cover_models_and_summaries():
 def test_get_model_unknown_name():
     with pytest.raises(KeyError):
         get_model("no-such-model")
+
+
+def test_get_model_shares_one_read_only_handle_per_name():
+    for name in BUILTIN_NAMES:
+        assert get_model(name) is get_model(name)
+    assert canonical_instances()["qubit"] is get_model("qubit")
+    family = get_model("discrete3").family
+    domain = get_model("coherent").descriptor.energy_domain
+    for array in (family.prior, family.hamiltonians, domain.bounding_box,
+                  domain.interior_point,
+                  get_model("discrete2").descriptor.energy_domain.interior_point):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7.0
+    # the handle keeps its own copy of the arrays it was built from
+    prior = np.ones(3)
+    handle = discrete_instance(prior, [[0.0, 1.0, 2.0]])
+    prior[0] = 5.0
+    assert handle.family.prior.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_load_config_variants(tmp_path):
@@ -512,6 +530,28 @@ def test_numeric_domain_errors_exit_three(tmp_path):
     assert header == "theta1,theta2,phi,residual"
     assert strict_json(rest)["status"] == "error:evaluation"
     assert "inf" not in proc.stdout and "nan" not in proc.stdout
+
+
+def test_coherent_values_near_the_overflow_edge_stay_finite():
+    # theta_1^2 = 2.25e308 overflows, but Phi = theta_1^2 / 2 does not
+    proc = run_cli("massieu", "--model", "coherent", "--theta", "1.5e154,0")
+    assert proc.returncode == 0, proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
+    out = envelope(proc)["outputs"]
+    assert out["massieu"] == pytest.approx(1.125e308, rel=1e-15)
+    assert out["entropy"] == -out["massieu"]
+    assert out["canonical_residual"] == 0.0
+    assert out["u"] == [-1.5e154, 0.0]
+    proc = run_cli("sweep", "--model", "coherent", "--grid", "1=1.5e154:1.5e154:1",
+                   "--grid", "2=-1:1:2", "--quantities", "phi,residual,unorm")
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+    assert [row[2:] for row in rows] == [["1.125e+308", "0", "1.5e+154"]] * 2
+    # Phi = 2e308 itself overflows
+    proc = run_cli("massieu", "--model", "coherent", "--theta", "2e154,0")
+    assert proc.returncode == 3
+    assert envelope(proc)["status"] == "error:evaluation"
 
 
 def test_verify_single_model_exits_zero():

@@ -298,6 +298,19 @@ def test_entropy_rows_equal_single_point_calls(name):
         assert v == pytest.approx(model_entropy_u(u, handle.constants), rel=1e-15)
 
 
+def test_squares_that_overflow_are_rescaled():
+    # theta_1^2 overflows at 1.5e154, Phi = theta_1^2 / 2 does not; the
+    # other rows keep the bits of the plain formula
+    rows = np.array([[1.5e154, 0.0], [0.3, -1.7], [-1e154, 1e154], [2e154, 0.0]])
+    phi = massieu_coherent(rows, UNIT)
+    assert phi[0] == pytest.approx(1.125e308, rel=1e-15)
+    assert phi[1] == 0.5 * (0.3 * 0.3 + 1.7 * 1.7)
+    assert phi[2] == 1e308
+    assert phi[3] == math.inf
+    assert model_entropy_u(-rows[:3], UNIT).tolist() == (-phi[:3]).tolist()
+    assert massieu(get_model("coherent").descriptor, rows[0]) == phi[0]
+
+
 def test_overflowing_closed_forms_are_an_evaluation_error():
     model = get_model("coherent").descriptor
     with pytest.raises(EvaluationError, match=r"overflows at \[1e\+200, 0\.0\]"):
