@@ -238,14 +238,13 @@ def _cmd_divergence(args, inputs: dict):
         x = _parse_dataset(args, handle, inputs)
         theta = _model_point(args, handle, inputs)
         report = core.divergence_from_data(model, x, theta)
-        answers, _ = model.dataset_answers(x)
         outputs = {
             "mode": "data",
             "value": report.value,
             "massieu_term": report.massieu_at,
             "entropy_term": report.entropy_of_x,
             "linear_term": report.linear_term,
-            "answers": list(np.asarray(answers, dtype=float)),
+            "answers": list(report.answers),
             "theta": list(theta),
         }
         return outputs, {}, "ok"

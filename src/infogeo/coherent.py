@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModelDescriptor
-from .errors import TruncationError
+from .errors import ConvergenceError, TruncationError
 from .numerics import Domain
 
 
@@ -245,6 +245,11 @@ def load_state(path: str) -> FockVector:
     return FockVector(coeff)
 
 
+#: Smallest noise scale the fiber sampler tries (50 halvings of 0.1);
+#: noise below it is lost in the rounding of the coefficients.
+_MIN_NOISE = 1e-16
+
+
 def _pin_mean(coeff: np.ndarray, z: complex) -> np.ndarray | None:
     """Adjust the ground-mode coefficient so the normalized vector has
     ``<a>`` exactly ``z``; None when the Newton iteration fails."""
@@ -286,7 +291,8 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
     ``max(r^2, hbar^2/r^2)`` times the largest parameter magnitude of
     interest.  The default half-width, ``16 max(r^2, hbar^2/r^2, 1)``,
     keeps ``|U|`` interior for ``|theta|`` up to 16.  Data sets are
-    :class:`FockVector` states on the same truncated basis.
+    :class:`FockVector` states on the same truncated basis; the fiber
+    sampler adds noisy states with ``<a>`` pinned to the coherent state's.
     """
     r, hbar = constants.r, constants.hbar
     b = (16.0 * max(r ** 2, hbar ** 2 / r ** 2, 1.0) if box_halfwidth is None
@@ -318,17 +324,21 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
             noise = rng.normal(size=c.size - 2) + 1j * rng.normal(size=c.size - 2)
             c[2:] += scale * noise / math.sqrt(2.0 * c.size)
             if abs(c[1]) < 0.05:
-                c[1] += 0.1
+                # a kick keeps the pin's Jacobian regular; it shrinks with
+                # the noise, so a small scale stays near the coherent state
+                c[1] += scale
             pinned = _pin_mean(c, z)
             if pinned is None:
                 scale *= 0.5
+                if scale < _MIN_NOISE:
+                    raise ConvergenceError(
+                        f"no fiber sample has its mean pinned to z = {z:.6g} at"
+                        f" any noise scale down to {_MIN_NOISE:g}")
                 continue
             samples.append(FockVector(pinned))
         return samples
 
     return ModelDescriptor(
-        name=f"coherent(r={constants.r:g},hbar={constants.hbar:g})",
-        n=2,
         energy_domain=domain,
         entropy_u=lambda us: model_entropy_u(us, constants),
         closed_massieu=lambda th: massieu_coherent(th, constants),

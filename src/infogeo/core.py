@@ -3,9 +3,10 @@
 A model is handed to the engine as a :class:`ModelDescriptor`: an open
 domain of energy coordinates ``U``, the row-wise model entropy
 ``S(U)`` on that domain, the family's batched closed form of ``Phi``,
-``U`` and ``S`` at parameter rows, and an optional data-set layer
-(per-sample answers and a fiber sampler).  Every operation below works
-from the descriptor alone, so the same code serves all concrete models.
+``U`` and ``S`` at parameter rows, and the data-set layer the model is
+built on (per-sample answers and a fiber sampler).  Every operation
+below works from the descriptor alone, so the same code serves all
+concrete models.
 
 Each family evaluates ``Phi`` and ``U`` with one kernel on parameter
 points ``(..., n)``: the batched form and the scalar closed forms
@@ -40,7 +41,6 @@ from .errors import (
     DegeneracyError,
     DomainError,
     EvaluationError,
-    UnsupportedOperationError,
 )
 from .numerics import Domain, grad_fd, hess_fd, maximize_concave, row_dot
 
@@ -61,15 +61,13 @@ class ModelDescriptor:
 
     The entropy and the domain membership are row-wise, so the numeric
     kernels evaluate whole stencils, grid slabs and sweeps in one call.
+    Every field but the three scalar closed forms is required.
 
     Parameters
     ----------
-    name : str
-        Human-readable instance name (used in reports).
-    n : int
-        Number of energy coordinates / natural parameters.
     energy_domain : Domain
-        Open domain of valid energy coordinates ``U``.
+        Open domain of valid energy coordinates ``U``; its dimension is
+        the number ``n`` of energy coordinates / natural parameters.
     entropy_u : callable
         Model entropy ``S(U)`` on the energy domain, row-wise: points
         ``(..., n)`` map to values ``(...)``, so a single point ``(n,)``
@@ -79,35 +77,33 @@ class ModelDescriptor:
         The family kernel: parameter rows ``(k, n)`` to ``(Phi (k,),
         U (k, n), S(U) (k,))``, each row independent of the others.  It
         is the one route of :func:`dual_points`.
+    dataset_answers : callable
+        Data-set layer: maps a data set ``x`` to ``(answers, S(x))``
+        where ``answers[j]`` is x's answer to the j-th question.
+    fiber_sampler : callable
+        ``(u, count, rng) -> list`` of data sets whose answers equal
+        ``u`` (the fiber of the model point); ``rng`` None is deterministic.
     closed_massieu, closed_theta_to_u, closed_u_to_theta : callable or None
         Scalar views of the family's closed forms: ``closed_massieu`` and
         ``closed_theta_to_u`` give the bits of the matching
         ``closed_dual_points`` row.  None selects the numeric oracle, a
         Legendre transform of ``entropy_u`` (finite differences of it for
         ``u_to_theta``).
-    dataset_answers : callable or None
-        Data-set layer: maps a sample handle ``x`` to ``(answers, S(x))``
-        where ``answers[j]`` is x's answer to the j-th question.
-    fiber_sampler : callable or None
-        ``(u, count, rng) -> list`` of sample handles whose answers equal
-        ``u`` exactly (the fiber of the model point).
     """
 
-    name: str
-    n: int
     energy_domain: Domain
     entropy_u: Callable[[np.ndarray], np.ndarray]
     closed_dual_points: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray,
                                                      np.ndarray]]
+    dataset_answers: Callable[[object], tuple[np.ndarray, float]]
+    fiber_sampler: Callable[[np.ndarray, int, object], list]
     closed_massieu: Callable[[np.ndarray], float] | None = None
     closed_theta_to_u: Callable[[np.ndarray], np.ndarray] | None = None
     closed_u_to_theta: Callable[[np.ndarray], np.ndarray] | None = None
-    dataset_answers: Callable[[object], tuple[np.ndarray, float]] | None = None
-    fiber_sampler: Callable[[np.ndarray, int, object], list] | None = None
 
-    def __post_init__(self):
-        if self.energy_domain.dimension != self.n:
-            raise ValueError("energy domain dimension must equal n")
+    @property
+    def n(self) -> int:
+        return self.energy_domain.dimension
 
 
 @dataclass(frozen=True)
@@ -128,12 +124,14 @@ class DualPair:
 
 @dataclass(frozen=True)
 class DivergenceReport:
-    """Data-to-model divergence with its three-term decomposition."""
+    """Data-to-model divergence with its three-term decomposition and the
+    answers of the data set."""
 
     value: float
     massieu_at: float
     entropy_of_x: float
     linear_term: float
+    answers: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -348,7 +346,6 @@ def metric_tensor(model: ModelDescriptor, theta) -> np.ndarray:
     """
     theta = _as_theta(model, theta)
     g = hess_fd(lambda thetas: dual_points(model, thetas)[0], theta)
-    g = 0.5 * (g + g.T)
     min_eig = float(np.linalg.eigvalsh(g)[0])
     if min_eig <= -_DEGENERACY_TOL:
         raise DegeneracyError(
@@ -447,18 +444,18 @@ def divergence_from_data(model: ModelDescriptor, x, theta) -> DivergenceReport:
     ``D(x || m_theta) = Phi(theta) - S(x) + sum_j theta_j <x|q_j>``.
 
     Nonnegative whenever the projection of ``x`` lies in the model chart.
-    Requires the descriptor's data-set layer.
+    The report carries the answers of ``x``.  Raises
+    :class:`EvaluationError` naming them and ``theta`` on overflow.
     """
     theta = _as_theta(model, theta)
-    if model.dataset_answers is None:
-        raise UnsupportedOperationError(
-            f"model {model.name!r} has no data-set layer")
     answers, s_x = model.dataset_answers(x)
     answers = np.asarray(answers, dtype=float)
     phi = massieu(model, theta)
     linear = float(theta @ answers)
-    return DivergenceReport(value=phi - s_x + linear, massieu_at=phi,
-                            entropy_of_x=float(s_x), linear_term=linear)
+    value = phi - s_x + linear
+    _require_finite(np.isfinite([value]), "divergence", answers[None], theta[None])
+    return DivergenceReport(value=value, massieu_at=phi, entropy_of_x=float(s_x),
+                            linear_term=linear, answers=answers)
 
 
 def divergence_def5(model: ModelDescriptor, x, u_of_m,
@@ -469,12 +466,9 @@ def divergence_def5(model: ModelDescriptor, x, u_of_m,
     supremum runs over sampled data sets on the fiber of the model point
     with energy coordinates ``u_of_m``, and the log weight is evaluated
     through its affine form ``<y|L_m> = -Phi(theta) - sum_j theta_j
-    <y|q_j>``.  Requires both the data-set layer and a fiber sampler.
+    <y|q_j>``.
     """
     u = _as_energy(model, u_of_m)
-    if model.dataset_answers is None or model.fiber_sampler is None:
-        raise UnsupportedOperationError(
-            f"model {model.name!r} lacks the data-set layer or a fiber sampler")
     theta = u_to_theta(model, u)
     phi = massieu(model, theta)
 
@@ -505,9 +499,6 @@ def pythagoras_data(model: ModelDescriptor, x, theta, zeta,
     """
     theta = _as_theta(model, theta)
     zeta = _as_theta(model, zeta)
-    if model.dataset_answers is None:
-        raise UnsupportedOperationError(
-            f"model {model.name!r} has no data-set layer")
     answers, s_x = model.dataset_answers(x)
     answers = np.asarray(answers, dtype=float)
     points = np.stack([theta, zeta])

@@ -352,7 +352,7 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
     moment-matched members, from one :func:`fit_moments` call and
     :func:`dual_points` at the fitted rows.  The
     data-set layer treats probability vectors as data sets; the fiber
-    sampler supports fibers of dimension zero or one.
+    sampler draws them from fibers of any dimension.
     """
     h = family.hamiltonians
     n = family.n
@@ -380,10 +380,11 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
 
     def entropy_rows(us):
         if clamp is not None:
-            # Finite-difference stencils centered on an iterate that hugs
-            # an edge of the moment interval can poke past it; clamp such
-            # points back to the membership margin so the evaluation stays
-            # finite.  Member points are never moved.
+            # Finite-difference stencils of S centered near an edge of the
+            # moment interval (the verify oracles take fixed steps) can
+            # poke past it; clamp such points back to the membership
+            # margin so the evaluation stays finite.  Member points are
+            # never moved.
             us = np.clip(us, clamp[0], clamp[1])
         theta, _, status = fit_moments(family, us, tol=1e-13)
         failed = np.flatnonzero(status)
@@ -398,34 +399,31 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
     directions = _fiber_direction(family)
 
     def fiber_sampler(u, count, rng=None):
-        from .errors import UnsupportedOperationError
-
         theta = maxent_fit(family, u)
         base = boltzmann_gibbs(family, theta)
-        if directions.shape[0] == 0:
+        if not len(directions):
             return [base]
-        if directions.shape[0] > 1:
-            raise UnsupportedOperationError(
-                "fiber sampling implemented only for fibers of dimension <= 1")
-        w = directions[0]
-        # p(t) = base + t w stays a distribution for t in [t_lo, t_hi].
-        with np.errstate(divide="ignore"):
-            ratios = -base / np.where(w != 0.0, w, np.nan)
-        t_hi = float(np.min(ratios[w < 0.0])) if np.any(w < 0.0) else 0.0
-        t_lo = float(np.max(ratios[w > 0.0])) if np.any(w > 0.0) else 0.0
-        if rng is None:
-            ts = np.linspace(t_lo, t_hi, count)
+        # Samples lie on chords of the fiber through the member: base + t w
+        # stays a distribution for t in [t_lo, t_hi].  Without rng they are
+        # evenly spaced on the chord along the first fiber direction; with
+        # rng each takes a uniform t on its own chord, along a random
+        # direction when the fiber has more than one.
+        if rng is None or len(directions) == 1:
+            w = np.broadcast_to(directions[0], (count, base.size))
         else:
-            ts = rng.uniform(t_lo, t_hi, size=count)
-        out = []
-        for t in ts:
-            p = np.maximum(base + t * w, 0.0)
-            out.append(p / float(p.sum()))
-        return out
+            w = rng.normal(size=(count, len(directions))) @ directions
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = -base / w
+        t_lo = np.max(np.where(w > 0.0, ratios, -np.inf), axis=1)
+        t_hi = np.min(np.where(w < 0.0, ratios, np.inf), axis=1)
+        if rng is None:
+            t = np.linspace(t_lo[0], t_hi[0], count)
+        else:
+            t = rng.uniform(t_lo, t_hi)
+        p = np.maximum(base + t[:, None] * w, 0.0)
+        return list(p / p.sum(axis=1, keepdims=True))
 
     return ModelDescriptor(
-        name=f"discrete-{family.alphabet_size}letter",
-        n=n,
         energy_domain=domain,
         entropy_u=on_points(entropy_rows),
         closed_massieu=lambda th: log_partition(family, th),

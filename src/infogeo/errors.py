@@ -61,12 +61,6 @@ class CanonicalityError(InfoGeoError):
         self.pair = pair
 
 
-class UnsupportedOperationError(InfoGeoError):
-    """The model does not provide the layer needed by this operation."""
-
-    category = "unsupported"
-
-
 class ConstraintError(InfoGeoError):
     """A structural precondition (for example fiber membership) does not hold."""
 

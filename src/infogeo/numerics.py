@@ -175,13 +175,10 @@ def on_points(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], n
     return on_points
 
 
-def _steps(x: np.ndarray, h, default: float) -> np.ndarray:
+def _steps(x: np.ndarray, h: float | None, default: float) -> np.ndarray:
     if h is None:
         return default * np.maximum(1.0, np.abs(x))
-    h = np.asarray(h, dtype=float)
-    if h.ndim == 0:
-        return np.full(x.shape, float(h))
-    return h.reshape(x.shape).copy()
+    return np.full(x.shape, float(h))
 
 
 def _eval_rows(f, rows: np.ndarray) -> np.ndarray:
@@ -206,10 +203,10 @@ def grad_fd(f: Callable[[np.ndarray], np.ndarray], x, h=None) -> np.ndarray:
 
     ``f`` is row-wise: it maps points ``(k, n)`` to their ``(k,)`` values,
     and all 2n stencil points ``x + h_j e_j``, ``x - h_j e_j`` (in that
-    order, j ascending) go to one call.  ``h`` may be a scalar or
-    per-coordinate array; the default is ``eps**(1/3) * max(1, |x_j|)``
-    per coordinate.  Raises :class:`EvaluationError` if ``f`` is
-    non-finite at a stencil point.
+    order, j ascending) go to one call.  ``h`` is one step for every
+    coordinate; the default is ``eps**(1/3) * max(1, |x_j|)`` per
+    coordinate.  Raises :class:`EvaluationError` if ``f`` is non-finite
+    at a stencil point.
     """
     x = np.asarray(x, dtype=float)
     hs = _steps(x, h, GRAD_STEP)
@@ -222,12 +219,13 @@ def grad_fd(f: Callable[[np.ndarray], np.ndarray], x, h=None) -> np.ndarray:
 
 
 def hess_fd(f: Callable[[np.ndarray], np.ndarray], x, h=None) -> np.ndarray:
-    """Symmetrized central-difference Hessian of the row-wise ``f`` at ``x``.
+    """Central-difference Hessian of the row-wise ``f`` at ``x``.
 
     All 2n^2+1 stencil points go to one call of ``f``: ``x``, then for
     each j the points ``x +- h_j e_j`` and, for each k > j, the four
-    points ``x +- h_j e_j +- h_k e_k``.  The default step is
-    ``eps**0.25 * max(1, |x_j|)`` per coordinate.
+    points ``x +- h_j e_j +- h_k e_k``.  ``h`` is one step for every
+    coordinate; the default is ``eps**0.25 * max(1, |x_j|)`` per
+    coordinate.  The result is exactly symmetric.
     """
     x = np.asarray(x, dtype=float)
     hs = _steps(x, h, HESS_STEP)
@@ -248,7 +246,7 @@ def hess_fd(f: Callable[[np.ndarray], np.ndarray], x, h=None) -> np.ndarray:
         for k in range(j + 1, n):
             v = next(values) - next(values) - next(values) + next(values)
             hess[j, k] = hess[k, j] = v / (4.0 * hs[j] * hs[k])
-    return 0.5 * (hess + hess.T)
+    return hess
 
 
 def _ascent_direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
@@ -264,33 +262,55 @@ def _ascent_direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
     return p
 
 
+class _OutsideDomain(Exception):
+    """A finite-difference stencil point lies outside the domain."""
+
+
+def _stencil_fd(fd, f, x: np.ndarray, domain: Domain, step: float) -> np.ndarray:
+    """``fd(f, x)``, where a stencil that leaves ``domain`` retries with the
+    step ``step * max(1, max_j |x_j|)`` halved until it fits, at most
+    ``MAX_BACKTRACKS`` times (then :class:`DomainError`)."""
+    def inside(rows):
+        if not np.all(domain.membership(rows)):
+            raise _OutsideDomain
+        return f(rows)
+
+    h = None
+    for _ in range(MAX_BACKTRACKS):
+        try:
+            return fd(inside, x, h)
+        except _OutsideDomain:
+            h = BACKTRACK_FACTOR * (step * float(np.max(np.abs(x), initial=1.0))
+                                    if h is None else h)
+    raise DomainError(f"no finite-difference stencil at {x.tolist()} fits in the domain")
+
+
 def maximize_concave(f: Callable[[np.ndarray], np.ndarray], domain: Domain,
-                     x0=None, tol: float = 1e-8) -> OptimizationResult:
+                     tol: float = 1e-8) -> OptimizationResult:
     """Maximize a concave ``f`` over an open domain by damped Newton steps.
 
     ``f`` is row-wise, as for :func:`grad_fd`; the stencils of the
     gradient and Hessian at an iterate are one call each, and every other
-    evaluation is a one-row call.  Every iterate satisfies
-    ``domain.membership``; candidate steps are halved (at most
-    ``MAX_BACKTRACKS`` times) until they are both inside the domain and
-    pass an Armijo sufficient-increase test, which allows a slack of
-    ``1e-15 * (1 + |f|)`` for rounding in ``f``.  When the
+    evaluation is a one-row call.  From ``domain.interior_point`` on,
+    every iterate and stencil point satisfies ``domain.membership``: a
+    stencil near the edge takes a smaller step, and candidate steps are
+    halved (at most ``MAX_BACKTRACKS`` times) until they are inside the
+    domain and pass an Armijo sufficient-increase test, which allows a
+    slack of ``1e-15 * (1 + |f|)`` for rounding in ``f``.  When the
     finite-difference Hessian is not negative definite the step falls
     back to gradient ascent.  Success means the gradient norm dropped to
     ``tol`` or below; hitting the iteration cap returns the best iterate
     with ``converged=False``.
     """
-    x = domain.interior_point if x0 is None else np.asarray(x0, dtype=float).copy()
-    if not domain.membership(x):
-        raise DomainError("starting point is outside the domain")
+    x = domain.interior_point
     fx = float(_eval_rows(f, x[None])[0])
     gnorm = math.inf
     for it in range(MAX_ITERATIONS):
-        grad = grad_fd(f, x)
+        grad = _stencil_fd(grad_fd, f, x, domain, GRAD_STEP)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol:
             return OptimizationResult(x, fx, it, gnorm, True)
-        hess = hess_fd(f, x)
+        hess = _stencil_fd(hess_fd, f, x, domain, HESS_STEP)
         p = _ascent_direction(grad, hess)
         slope = float(grad @ p)
         # Near the optimum f is flat to machine precision and the test
@@ -310,7 +330,7 @@ def maximize_concave(f: Callable[[np.ndarray], np.ndarray], domain: Domain,
         if not accepted:
             # No admissible improving step along either direction: stalled.
             return OptimizationResult(x, fx, it + 1, gnorm, False)
-    grad = grad_fd(f, x)
+    grad = _stencil_fd(grad_fd, f, x, domain, GRAD_STEP)
     gnorm = float(np.linalg.norm(grad))
     return OptimizationResult(x, fx, MAX_ITERATIONS, gnorm, gnorm <= tol)
 

@@ -174,8 +174,6 @@ def as_descriptor(membership_margin: float = 1e-12,
         return [np.asarray(u, dtype=float)]
 
     return ModelDescriptor(
-        name="qubit",
-        n=3,
         energy_domain=domain,
         # Finite-difference stencils centered on an iterate that hugs the
         # pure-state shell can poke a stencil width past it; the row form

@@ -205,15 +205,15 @@ def coherent_instance(r: float = 1.0, hbar: float = 1.0, nmax: int = 64,
                       name: str | None = None) -> CoherentHandle:
     constants = coherent.PhaseConstants(r=r, hbar=hbar)
     desc = coherent.as_descriptor(constants, nmax=nmax, box_halfwidth=box)
-    return CoherentHandle(name=name or desc.name, descriptor=desc,
-                          constants=constants, nmax=nmax)
+    return CoherentHandle(name=name or f"coherent(r={r:g},hbar={hbar:g})",
+                          descriptor=desc, constants=constants, nmax=nmax)
 
 
 def discrete_instance(prior, hamiltonians, name: str | None = None) -> DiscreteHandle:
     family = discrete.DiscreteFamily(prior=np.asarray(prior, dtype=float),
                                      hamiltonians=np.asarray(hamiltonians, dtype=float))
-    desc = discrete.as_descriptor(family)
-    return DiscreteHandle(name=name or desc.name, descriptor=desc, family=family)
+    return DiscreteHandle(name=name or f"discrete-{family.alphabet_size}letter",
+                          descriptor=discrete.as_descriptor(family), family=family)
 
 
 def regression_instance() -> RegressionHandle:

@@ -12,7 +12,6 @@ kept as oracles.
 from __future__ import annotations
 
 import csv
-import io
 
 import numpy as np
 
@@ -114,12 +113,12 @@ def regression_entropy_pairwise(points) -> float:
     return -(cross + spread) / den
 
 
-def regression_is_perfect(points, tol: float = 1e-10) -> bool:
-    """True when every point lies on the fitted line within ``tol``."""
+def regression_is_perfect(points) -> bool:
+    """True when every point lies on the fitted line within 1e-10."""
     pts = _as_points(points)
     a, b = regression_questions(pts)
     residual = pts[:, 1] - (a * pts[:, 0] + b)
-    return bool(np.max(np.abs(residual)) <= tol)
+    return bool(np.max(np.abs(residual)) <= 1e-10)
 
 
 def regression_embed(a: float, b: float, xs) -> np.ndarray:
@@ -130,19 +129,13 @@ def regression_embed(a: float, b: float, xs) -> np.ndarray:
     return np.stack([xs, a * xs + b], axis=-1)
 
 
-def load_pairs(text_or_path: str, from_string: bool = False) -> np.ndarray:
-    """Read an (n, 2) point list from two-column CSV.
+def load_pairs(path: str) -> np.ndarray:
+    """Read an (n, 2) point list from a two-column CSV file.
 
     A non-numeric first row is treated as a header and skipped.
     """
-    if from_string:
-        fh = io.StringIO(text_or_path)
-    else:
-        fh = open(text_or_path, "r", encoding="utf-8", newline="")
-    try:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
-    finally:
-        fh.close()
     if not rows:
         raise ValueError("empty point file")
     start = 0

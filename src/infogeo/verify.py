@@ -195,15 +195,14 @@ def verify_canonical(handle: ModelHandle) -> list[PropertyResult]:
     out.append(_check("bregman-separation", -np.min(d[separated], initial=math.inf),
                       -1e-6, note="divergence exceeds 1e-6 when |theta-zeta| >= 0.1"))
 
-    if model.dataset_answers is not None and model.fiber_sampler is not None:
-        worst = 0.0
-        for _ in range(70):
-            th, ze = handle.sample_thetas(rng, 2, radius=handle.fiber_radius)
-            u = core.theta_to_u(model, th)
-            for x in model.fiber_sampler(u, 3, rng):
-                worst = max(worst, core.pythagoras_data(model, x, th, ze).residual)
-        out.append(_check("pythagoras-with-data", worst, 1e-9,
-                          note="210 compliant data-model-model triples"))
+    worst = 0.0
+    for _ in range(70):
+        th, ze = handle.sample_thetas(rng, 2, radius=handle.fiber_radius)
+        u = core.theta_to_u(model, th)
+        for x in model.fiber_sampler(u, 3, rng):
+            worst = max(worst, core.pythagoras_data(model, x, th, ze).residual)
+    out.append(_check("pythagoras-with-data", worst, 1e-9,
+                      note="210 compliant data-model-model triples"))
 
     triples, draws = [], []
     for _ in range(100):
@@ -241,14 +240,13 @@ def verify_canonical(handle: ModelHandle) -> list[PropertyResult]:
     out.append(_check("legendre-numeric-vs-closed", worst, 1e-6,
                       note=f"damped-Newton transform at {count} points, |theta| <= 3"))
 
-    if model.dataset_answers is not None:
-        worst = -math.inf
-        for _ in range(60):
-            x = handle.sample_dataset(rng)
-            th = handle.sample_thetas(rng, 1)[0]
-            worst = max(worst, -core.divergence_from_data(model, x, th).value)
-        out.append(_check("divergence-nonnegative", worst, 1e-10,
-                          note="random data sets against random model points"))
+    worst = -math.inf
+    for _ in range(60):
+        x = handle.sample_dataset(rng)
+        th = handle.sample_thetas(rng, 1)[0]
+        worst = max(worst, -core.divergence_from_data(model, x, th).value)
+    out.append(_check("divergence-nonnegative", worst, 1e-10,
+                      note="random data sets against random model points"))
     return out
 
 

@@ -2,6 +2,7 @@
 output, configuration files, and the model registry behind them."""
 
 import argparse
+import dataclasses
 import json
 import math
 
@@ -169,6 +170,35 @@ def test_config_models_match_builtins(tmp_path):
 
     assert (check_names(run_cli("verify", "--config", str(discrete)))
             == check_names(run_cli("verify", "--model", "discrete3")))
+
+
+def test_config_handles_are_named_by_the_registry(tmp_path):
+    coherent = tmp_path / "coherent.ini"
+    coherent.write_text("[model]\ntype = coherent\n\n[coherent]\nr = 3\nhbar = 0.2\n")
+    discrete = tmp_path / "discrete.ini"
+    discrete.write_text("[model]\ntype = discrete\n\n[discrete]\n"
+                        "prior = 1, 1, 1, 1\nhamiltonians = 0, 1, 2, 3\n")
+    assert load_config(str(coherent)).name == "coherent(r=3,hbar=0.2)"
+    assert load_config(str(discrete)).name == "discrete-4letter"
+
+
+def test_divergence_data_mode_reads_the_answers_once(capsys, monkeypatch):
+    handle = get_model("qubit")
+    calls = []
+
+    def answers(x):
+        calls.append(x)
+        return handle.descriptor.dataset_answers(x)
+
+    counted = dataclasses.replace(handle, descriptor=dataclasses.replace(
+        handle.descriptor, dataset_answers=answers))
+    monkeypatch.setattr(cli, "get_model", lambda name: counted)
+    assert cli.main(["divergence", "--model", "qubit", "--x", "-0.5,0,0",
+                     "--theta", "1,0,0"]) == 0
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    assert len(calls) == 1
+    assert outputs["answers"] == [-0.5, 0.0, 0.0]
+    assert close7(outputs["value"], 0.06459286642416417)
 
 
 def test_maxent_discrete_newton_diagnostics():
@@ -467,7 +497,6 @@ def test_error_classes_carry_their_status_category():
         errors.ConvergenceError: "convergence",
         errors.DegeneracyError: "degenerate",
         errors.CanonicalityError: "canonicality",
-        errors.UnsupportedOperationError: "unsupported",
         errors.ConstraintError: "constraint",
         errors.SupportError: "support",
         errors.InfeasibleError: "infeasible",

@@ -6,12 +6,21 @@ import math
 import numpy as np
 import pytest
 
-from infogeo import EvaluationError, TruncationError, get_model, massieu, theta_to_u
+from infogeo import (
+    ConvergenceError,
+    EvaluationError,
+    TruncationError,
+    coherent,
+    get_model,
+    massieu,
+    theta_to_u,
+)
 from infogeo.coherent import (
     FockVector,
     PhaseConstants,
     a_expectation,
     annihilation_matrix,
+    as_descriptor,
     coherent_state,
     divergence_coherent,
     entropy_coherent,
@@ -280,6 +289,33 @@ def test_coherent_descriptor_fiber_pins_the_mean():
         assert entropy_coherent(psi) <= top + 1e-9
     # The first sample is the coherent state itself and attains the bound.
     assert entropy_coherent(samples[0]) == pytest.approx(top, abs=1e-10)
+
+
+def test_fiber_sampler_pins_every_accepted_amplitude():
+    # r = 3, hbar = 0.2: at |z| >~ 2.9 the coherent state's c1 is below
+    # 0.05, where a noise-independent kick to c1 defeated every pin and
+    # the sampler never returned.  |z| = 4 is the largest amplitude the
+    # 64-level basis accepts.
+    constants = PhaseConstants(r=3.0, hbar=0.2)
+    model = as_descriptor(constants, nmax=64)
+    for radius in np.linspace(0.0, 4.0, 9):
+        for angle in (0.0, 1.0, 2.5):
+            z = radius * complex(math.cos(angle), math.sin(angle))
+            u = np.array([constants.r * z.real, constants.hbar / constants.r * z.imag])
+            samples = model.fiber_sampler(u, 4, np.random.default_rng(2))
+            assert len(samples) == 4
+            for psi in samples:
+                assert np.max(np.abs(mu_map(psi, constants) - u)) <= 1e-9
+
+
+def test_fiber_sampler_gives_up_with_a_typed_error(monkeypatch):
+    # a pin that never succeeds ends after 50 halvings of the noise
+    pins = []
+    monkeypatch.setattr(coherent, "_pin_mean", lambda c, z: pins.append(z))
+    model = get_model("coherent").descriptor
+    with pytest.raises(ConvergenceError, match="noise scale"):
+        model.fiber_sampler(np.array([0.5, 0.3]), 3, np.random.default_rng(0))
+    assert len(pins) == 50
 
 
 @pytest.mark.parametrize("name", ["coherent", "coherent2"])

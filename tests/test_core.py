@@ -14,7 +14,6 @@ from infogeo import (
     EvaluationError,
     InfoGeoError,
     ModelDescriptor,
-    UnsupportedOperationError,
     bregman_divergence,
     canonical_check,
     convexity_probe,
@@ -63,15 +62,29 @@ def linear_toy():
     )
 
     def no_closed_form(thetas):
-        raise UnsupportedOperationError("the linear toy has no closed form")
+        raise NotImplementedError("the linear toy has no closed form")
 
+    # data sets are energy points, each the only point of its fiber
     return ModelDescriptor(
-        name="linear-toy",
-        n=1,
         energy_domain=domain,
         entropy_u=lambda u: u[..., 0],
         closed_dual_points=no_closed_form,
+        dataset_answers=lambda x: (np.asarray(x, dtype=float), float(x[0])),
+        fiber_sampler=lambda u, count, rng: [np.asarray(u, dtype=float)],
     )
+
+
+def test_descriptor_requires_the_data_layer_and_derives_n(qubit):
+    fields = {f.name: f.default for f in dataclasses.fields(ModelDescriptor)}
+    required = [name for name, default in fields.items()
+                if default is dataclasses.MISSING]
+    assert required == ["energy_domain", "entropy_u", "closed_dual_points",
+                        "dataset_answers", "fiber_sampler"]
+    # the scalar closed forms are the numeric-oracle switches
+    assert {name: fields[name] for name in fields if name not in required} == {
+        "closed_massieu": None, "closed_theta_to_u": None, "closed_u_to_theta": None}
+    assert qubit.n == qubit.energy_domain.dimension == 3
+    assert dataclasses.replace(qubit, closed_massieu=None).n == 3
 
 
 # ---------------------------------------------------------------- massieu
@@ -96,7 +109,7 @@ def test_massieu_unbounded_supremum_raises():
         with pytest.raises(DomainError, match="half-width 5"):
             route(model, np.array([0.0]))
     # dual_points has one route, the batched closed form
-    with pytest.raises(UnsupportedOperationError):
+    with pytest.raises(NotImplementedError):
         dual_points(model, np.array([[0.0]]))
 
 
@@ -369,11 +382,15 @@ def test_divergence_from_data_decomposition(qubit):
     assert report.linear_term == pytest.approx(-0.5, abs=1e-15)
     assert report.value == pytest.approx(
         report.massieu_at - report.entropy_of_x + report.linear_term, abs=1e-15)
+    assert report.answers.tolist() == x.tolist()
 
 
-def test_divergence_from_data_requires_dataset_layer():
-    with pytest.raises(UnsupportedOperationError):
-        divergence_from_data(linear_toy(), np.array([0.0]), np.array([0.0]))
+def test_divergence_from_data_overflow_is_an_evaluation_error(qubit):
+    # Phi = 1.41e308 and the linear term 1.4e308 are finite; their sum is not
+    with pytest.raises(EvaluationError, match=r"divergence at \[0\.7, 0\.7, 0\.0\] and"
+                                              r" \[1e\+308, 1e\+308, 0\.0\] overflows"):
+        divergence_from_data(qubit, np.array([0.7, 0.7, 0.0]),
+                             np.array([1e308, 1e308, 0.0]))
 
 
 def test_fiber_sup_divergence_matches_affine_form_on_singleton(qubit):

@@ -1,6 +1,7 @@
 """Discrete exponential families: partition functions, member
 distributions, entropy, relative entropy, and moment fitting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from infogeo import (
     InfeasibleError,
     SupportError,
     get_model,
+    massieu,
     metric_tensor,
 )
 from infogeo.discrete import (
@@ -240,6 +242,40 @@ def test_fiber_sampler_zero_dimensional_fiber():
     assert len(samples) == 1
     assert np.allclose(samples[0], boltzmann_gibbs(family, maxent_fit(
         family, np.array([0.25]))), atol=1e-12)
+
+
+def test_fiber_sampler_walks_a_two_dimensional_fiber():
+    # Four letters and one observable: the fiber of a moment point is a
+    # polygon, which the sampler used to refuse.
+    family = DiscreteFamily(prior=np.ones(4), hamiltonians=[[0.0, 1.0, 2.0, 3.0]])
+    model = as_descriptor(family)
+    u = np.array([1.2])
+    top = bgs_entropy(family, boltzmann_gibbs(family, maxent_fit(family, u)))
+    for rng in (np.random.default_rng(5), None):
+        samples = model.fiber_sampler(u, 40, rng)
+        assert len(samples) == 40
+        for p in samples:
+            assert check_probability(p).tolist() == p.tolist()
+            assert abs(float((family.hamiltonians @ p)[0]) - 1.2) <= 1e-12
+            assert bgs_entropy(family, p) <= top + 1e-12
+    # the random chords spread over both directions of the fiber
+    spread = np.array(model.fiber_sampler(u, 40, np.random.default_rng(5)))
+    assert np.linalg.matrix_rank(spread - spread.mean(axis=0), tol=1e-6) == 2
+
+
+def test_numeric_massieu_where_the_member_hugs_the_moment_edge():
+    # At this theta the member gives letter 0 a weight of 5.8e-5, closer
+    # to the edge of the moment region than a Hessian stencil step
+    # (1.2e-4).  The numeric Legendre route used to evaluate the entropy
+    # past the edge there and raise InfeasibleError.
+    family = DiscreteFamily(prior=np.array([1.0, 2.0, 3.0]),
+                            hamiltonians=[[0.0, 1.0, 2.0], [1.0, 0.0, 0.0]])
+    model = as_descriptor(family)
+    numeric = dataclasses.replace(model, closed_massieu=None, closed_theta_to_u=None,
+                                  closed_u_to_theta=None)
+    theta = np.array([-2.9146290358176437, 2.799134982298783])
+    assert massieu(numeric, theta, tol=1e-7) == pytest.approx(massieu(model, theta),
+                                                              abs=1e-6)
 
 
 # ------------------------------------------------------- k-row moment fit

@@ -133,10 +133,24 @@ def test_maximize_quadratic_converges_in_three_newton_steps():
     assert np.max(np.abs(res.argmax - target)) < 1e-9
 
 
-def test_maximize_rejects_outside_start():
-    with pytest.raises(DomainError):
-        numerics.maximize_concave(lambda us: -np.sum(us * us, axis=1), ball_domain(),
-                                  x0=np.array([2.0, 0.0, 0.0]))
+def test_maximize_keeps_stencils_inside_the_domain():
+    # The objective 1 - cosh(u - a) peaks at a = 5e-5, closer to the
+    # domain's edge than the default Hessian step (1.2e-4), and is NaN past
+    # the edge; a stencil there used to end the search with an
+    # EvaluationError.
+    dom = numerics.Domain(1, np.array([[0.0, 2.0]]),
+                          lambda u: (u[..., 0] > 0.0) & (u[..., 0] < 2.0), np.array([1.0]))
+    seen = []
+
+    def f(us):
+        seen.append(us[:, 0].copy())
+        x = us[:, 0]
+        return np.where(x > 0.0, -2.0 * np.sinh(0.5 * (x - 5e-5)) ** 2, np.nan)
+
+    res = numerics.maximize_concave(f, dom, tol=1e-10)
+    assert res.converged
+    assert np.min(np.concatenate(seen)) > 0.0
+    assert res.argmax[0] == pytest.approx(5e-5, abs=1e-12)
 
 
 def test_grid_sup_finds_interior_peak():

@@ -76,7 +76,7 @@ def test_perfect_data_entropy_law():
         pts = regression_embed(a, b, xs)
         assert regression_entropy(pts) == pytest.approx(
             -a * a - b * b, abs=1e-9)
-        assert regression_is_perfect(pts, tol=1e-8)
+        assert regression_is_perfect(pts)
 
 
 def test_translation_shifts_only_the_intercept():
@@ -105,25 +105,26 @@ def test_point_validation():
 
 
 def test_load_pairs_variants(tmp_path):
-    body = "x,y\n0,1\n1,3\n2,5\n"
-    assert np.allclose(load_pairs(body, from_string=True),
+    def load(body):
+        path = tmp_path / "points.csv"
+        path.write_text(body)
+        return load_pairs(str(path))
+
+    assert np.allclose(load("x,y\n0,1\n1,3\n2,5\n"),
                        [[0.0, 1.0], [1.0, 3.0], [2.0, 5.0]])
-    no_header = "0,1\n1,3\n"
-    assert np.allclose(load_pairs(no_header, from_string=True),
-                       [[0.0, 1.0], [1.0, 3.0]])
-    path = tmp_path / "points.csv"
-    path.write_text(body)
-    assert np.allclose(load_pairs(str(path)), [[0, 1], [1, 3], [2, 5]])
+    assert np.allclose(load("0,1\n1,3\n"), [[0.0, 1.0], [1.0, 3.0]])
     with pytest.raises(ValueError):
-        load_pairs("", from_string=True)
+        load("")
     with pytest.raises(ValueError):
-        load_pairs("x,y\n1\n", from_string=True)
+        load("x,y\n1\n")
 
 
-def test_overflowing_moments_are_an_evaluation_error():
+def test_overflowing_moments_are_an_evaluation_error(tmp_path):
     # n Sxx - Sx^2 is inf - inf here: the x values are not all equal, the
     # moments overflow
-    pts = load_pairs("x,y\n0,1\n1e200,2\n2,3\n", from_string=True)
+    path = tmp_path / "points.csv"
+    path.write_text("x,y\n0,1\n1e200,2\n2,3\n")
+    pts = load_pairs(str(path))
     for answer in (regression_questions, regression_entropy, regression_is_perfect):
         with pytest.raises(EvaluationError, match="overflow"):
             answer(pts)
