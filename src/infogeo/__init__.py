@@ -67,7 +67,6 @@ from .registry import (
 )
 from .verify import (
     PropertyResult,
-    verify_all,
     verify_handle,
     verify_numerics,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "sphere_instance",
     "theta_to_u",
     "u_to_theta",
-    "verify_all",
     "verify_handle",
     "verify_numerics",
 ]

@@ -15,9 +15,10 @@ and error messages go to stderr.
 
 ``verify`` takes one target: the positional ``TARGET`` (``all``, the
 default, ``numerics`` or a model name), ``--model NAME`` or ``--config
-FILE``; giving two of them is a usage error.  Each suite's check lines
-go to stderr as soon as that suite returns; a check that failed without
-a finite measure reports ``worst`` as null.
+FILE``; giving two of them is a usage error.  Each check's line goes to
+stderr as soon as that check completes, with the time since the previous
+line; the time is on stderr only, so stdout is the same on every run.  A
+check that failed without a finite measure reports ``worst`` as null.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (bad flags,
 unknown model, malformed grid), 3 numeric or domain error (infeasible
@@ -28,18 +29,17 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import functools
 import json
 import math
 import sys
+import time
 
 import numpy as np
 
-from . import __version__, coherent, core, regression
+from . import __version__, coherent, core, regression, verify
 from .errors import DomainError, EvaluationError, InfoGeoError
 from .numerics import row_norm
 from .registry import BUILTIN_NAMES, ModelHandle, get_model, load_config
-from .verify import SUITES, verify_handle, verify_suite
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -407,30 +407,39 @@ def _cmd_verify(args, inputs: dict):
                          f" got {' and '.join(given)}")
     if args.config is not None:
         handle = _read_file(args.config, "config", load_config)
-        target, suites = handle.name, {handle.name: functools.partial(verify_handle, handle)}
+        target, names = handle.name, (handle.name,)
     else:
         target = next((t for t in (args.target, args.model) if t is not None), "all")
-        names = SUITES if target == "all" else (target,)
-        if names[0] not in SUITES:
+        names = verify.SUITES if target == "all" else (target,)
+        if names[0] not in verify.SUITES:
             raise UsageError(f"unknown verify target {target!r}; known: all,"
-                             f" {', '.join(SUITES)}")
-        suites = {name: functools.partial(verify_suite, name) for name in names}
+                             f" {', '.join(verify.SUITES)}")
     inputs["target"] = target
 
-    report = {}
-    failing = []
-    for suite, run in suites.items():
-        rows = report[suite] = []
-        for r in run():
-            if not r.passed:
-                failing.append(f"{suite}:{r.name}")
-            flag = "ok" if r.passed else "FAIL"
-            print(f"[{suite}] {r.name}: {flag} (worst {r.worst:.3e},"
-                  f" tol {r.tol:.1e})", file=sys.stderr)
-            # a check that failed without a finite measure reports null
-            rows.append({"name": r.name, "passed": r.passed,
-                         "worst": r.worst if math.isfinite(r.worst) else None,
-                         "tol": r.tol, "note": r.note})
+    report, failing = {}, []
+    last = time.perf_counter()
+
+    def write(suite, r):  # one check's stderr line and envelope row, as it completes
+        nonlocal last
+        now = time.perf_counter()
+        print(f"[{suite}] {r.name}: {'ok' if r.passed else 'FAIL'} (worst {r.worst:.3e},"
+              f" tol {r.tol:.1e}) {1e3 * (now - last):.1f} ms", file=sys.stderr)
+        last = now
+        if not r.passed:
+            failing.append(f"{suite}:{r.name}")
+        # a check that failed without a finite measure reports null
+        report[suite].append({"name": r.name, "passed": r.passed,
+                              "worst": r.worst if math.isfinite(r.worst) else None,
+                              "tol": r.tol, "note": r.note})
+
+    for suite in names:
+        report[suite] = []
+        with verify.reporting(lambda r: write(suite, r)):
+            results = (verify.verify_numerics() if suite == "numerics" else
+                       verify.verify_handle(handle if args.config else get_model(suite)))
+        # the rows of a suite that returned its list without streaming it
+        for r in results[len(report[suite]):]:
+            write(suite, r)
     outputs = {"suites": report, "failures": failing,
                "checks": sum(len(rows) for rows in report.values()),
                "failed": len(failing)}

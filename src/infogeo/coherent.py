@@ -292,7 +292,8 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
     interest.  The default half-width, ``16 max(r^2, hbar^2/r^2, 1)``,
     keeps ``|U|`` interior for ``|theta|`` up to 16.  Data sets are
     :class:`FockVector` states on the same truncated basis; the fiber
-    sampler adds noisy states with ``<a>`` pinned to the coherent state's.
+    sampler returns the coherent state, then noisy states, each with
+    ``<a>`` pinned to the coherent state's amplitude z.
     """
     r, hbar = constants.r, constants.hbar
     b = (16.0 * max(r ** 2, hbar ** 2 / r ** 2, 1.0) if box_halfwidth is None
@@ -312,14 +313,16 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
 
     def fiber_sampler(u, count, rng=None):
         z = z_of_u(np.asarray(u, dtype=float), constants)
-        samples = [coherent_state(z, nmax)]
-        if count <= 1:
-            return samples
+        base = coherent_state(z, nmax).coeff
+        # The first sample is the coherent state, whose <a> the truncation
+        # moves off z, so it is pinned like the noisy samples after it.
+        # Every failed pin halves the noise scale.
+        first = _pin_mean(base, z)
+        samples = [] if first is None else [FockVector(first)]
+        scale = 0.1 if samples else 0.05
         if rng is None:
             rng = np.random.default_rng(0)
-        base = samples[0].coeff
-        scale = 0.1
-        while len(samples) < count:
+        while len(samples) < max(count, 1):
             c = base.copy()
             noise = rng.normal(size=c.size - 2) + 1j * rng.normal(size=c.size - 2)
             c[2:] += scale * noise / math.sqrt(2.0 * c.size)

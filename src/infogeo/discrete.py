@@ -229,12 +229,13 @@ def fit_moments(family: DiscreteFamily, targets,
     Damped Newton on the convex dual objective ``Phi(theta) + theta . U``
     of each row, in one shared loop: a row leaves it when
     ``max_j |E_theta H_j - U_j| <= tol``, and each row backtracks on its
-    own Armijo test, which allows a slack of ``1e-15 * (1 + |f|)`` for
-    rounding.  A row whose target lies outside ``[min_a H_j(a), max_a
-    H_j(a)]`` for some observable, or whose iterates diverge (norm above
-    1e3), is infeasible; one whose covariance is singular, or that has
-    not converged after 200 iterations, fails too.  A failing row never
-    stops the others.
+    own Armijo test, which allows a slack of ``1e-15 * (1 + |f| + |Phi| +
+    |theta.U|)`` for rounding, ``f`` being the dual objective.  A row
+    whose target lies outside ``[min_a H_j(a), max_a H_j(a)]`` for some
+    observable, or whose iterates diverge (norm above 1e3), is
+    infeasible; one whose covariance is singular, or that has not
+    converged after 200 iterations, fails too.  A failing row never stops
+    the others.
 
     Returns ``(theta (k, n), iterations (k,), status (k,))`` with status
     :data:`FIT_OK`, :data:`FIT_INFEASIBLE`, :data:`FIT_SINGULAR` or
@@ -271,15 +272,22 @@ def fit_moments(family: DiscreteFamily, targets,
         cov = np.matmul(centered * p[:, None, :], centered.transpose(0, 2, 1))
         step, singular = _newton_steps(cov, residual)
         slope = row_dot(-residual, step)
-        # Near the optimum the dual is flat to machine precision and the
-        # sufficient-decrease test would reject on rounding jitter, so
-        # allow an absolute slack of a few ulps.
-        slack = 1e-15 * (1.0 + np.abs(f))
         cand = th + step
         fc, pc = _dual_rows(family, cand, u)
+        todo = np.flatnonzero(~(fc <= f + 1e-4 * slope))
+        # Near the optimum the dual is flat to machine precision and the
+        # sufficient-decrease test would reject on rounding jitter, so a
+        # rejected row is tested again with a slack of a few ulps (a row
+        # accepted without it is accepted with it).  f = Phi + theta.U can
+        # cancel far below its terms, whose size sets the rounding of f,
+        # so the slack scales with them too.
+        slack = np.zeros_like(f)
+        if todo.size:
+            ft, tu = f[todo], row_dot(th[todo], u[todo])
+            slack[todo] = 1e-15 * (1.0 + np.abs(ft) + np.abs(ft - tu) + np.abs(tu))
+            todo = todo[~(fc[todo] <= ft + 1e-4 * slope[todo] + slack[todo])]
         # Rows still rejected have failed every halving so far, so they
         # share the step length t.
-        todo = np.flatnonzero(~(fc <= f + 1e-4 * slope + slack))
         t = 1.0
         for _ in range(59):
             if not todo.size:

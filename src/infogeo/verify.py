@@ -1,13 +1,20 @@
 """Property-based verification suites for every model instance.
 
-Each suite returns a list of :class:`PropertyResult` rows: a named
-check, the worst observed violation, the tolerance it is held to, and
-the pass flag (``worst <= tol``).  Checks are deterministic (fixed seeds)
-so a passing build stays passing.
+A suite is an ordered stream of checks, each giving one
+:class:`PropertyResult`: a named check, the worst observed violation,
+the tolerance it is held to, and the pass flag (``worst <= tol``).
+Checks are deterministic (fixed seeds) so a passing build stays passing.
+The suite functions return their rows as a list, drawn by one runner
+loop from a generator that does each check's work when its row is asked
+for; inside ``with reporting(on_result):`` that loop also passes each
+row to ``on_result`` as soon as its check completes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -16,16 +23,8 @@ import numpy as np
 from . import coherent as coh
 from . import core, discrete, numerics, qubit, regression, sphere
 from .errors import CanonicalityError, DegeneracyError
-from .registry import (
-    BUILTIN_NAMES,
-    CoherentHandle,
-    DiscreteHandle,
-    ModelHandle,
-    QubitHandle,
-    RegressionHandle,
-    SphereHandle,
-    get_model,
-)
+from .registry import (BUILTIN_NAMES, CoherentHandle, DiscreteHandle, ModelHandle,
+                       QubitHandle, RegressionHandle, SphereHandle)
 
 
 @dataclass(frozen=True)
@@ -49,24 +48,54 @@ def _check(name: str, worst: float, tol: float, note: str = "") -> PropertyResul
 #: then every built-in model.
 SUITES = ("numerics",) + BUILTIN_NAMES
 
+# The callback of the innermost ``reporting`` block.  It is not an
+# argument of the suite functions, so a caller that replaces one of them
+# by name with a plain ``handle -> list`` function still works.
+_on_result = contextvars.ContextVar("on_result", default=lambda row: None)
+
+
+@contextlib.contextmanager
+def reporting(on_result):
+    """Pass each row to ``on_result`` as soon as its check completes,
+    for every suite run inside the block."""
+    token = _on_result.set(on_result)
+    try:
+        yield
+    finally:
+        _on_result.reset(token)
+
+
+def _run(checks) -> list[PropertyResult]:
+    """The runner loop: each row of ``checks`` in order, each passed to
+    the current ``reporting`` callback as soon as its check completes."""
+    on_result = _on_result.get()
+    rows = []
+    for row in checks:
+        rows.append(row)
+        on_result(row)
+    return rows
+
 
 # ---------------------------------------------------------------- numerics
 
 def verify_numerics() -> list[PropertyResult]:
+    return _run(_numerics_checks())
+
+
+def _numerics_checks():
     rng = np.random.default_rng(11)
-    out = []
 
     worst = abs(numerics.grad_fd(lambda v: v[:, 0] ** 2, np.array([3.0]), 1e-4)[0] - 6.0)
     g = numerics.grad_fd(lambda v: v[:, 0] * v[:, 1], np.array([2.0, 5.0]), 1e-5)
     worst = max(worst, float(np.max(np.abs(g - [5.0, 2.0]))))
-    out.append(_check("fd-gradient-quadratic", worst, 1e-7))
+    yield _check("fd-gradient-quadratic", worst, 1e-7)
 
     h = numerics.hess_fd(lambda v: v[:, 0] ** 2 + v[:, 1] ** 2, np.array([1.0, 1.0]),
                          1e-4)
     worst = float(np.max(np.abs(h - 2.0 * np.eye(2))))
     h = numerics.hess_fd(lambda v: v[:, 0] * v[:, 1], np.array([0.0, 0.0]), 1e-4)
     worst = max(worst, float(np.max(np.abs(h - np.array([[0.0, 1.0], [1.0, 0.0]])))))
-    out.append(_check("fd-hessian-quadratic", worst, 1e-5))
+    yield _check("fd-hessian-quadratic", worst, 1e-5)
 
     a = np.array([[2.0, 0.4, 0.1], [0.4, 1.5, -0.2], [0.1, -0.2, 1.0]])
     target = np.array([0.3, -0.4, 0.2])
@@ -75,11 +104,11 @@ def verify_numerics() -> list[PropertyResult]:
     quad = lambda us: -np.einsum("ki,ij,kj->k", us - target, a, us - target)
     res = numerics.maximize_concave(quad, dom, tol=1e-12)
     worst = float(np.max(np.abs(res.argmax - target)))
-    out.append(_check("newton-quadratic-argmax", worst, 1e-9,
-                      note=f"iterations={res.iterations}"))
-    out.append(_check("newton-quadratic-iterations", res.iterations, 3,
-                      note="strictly concave quadratic"))
-    out.append(_check("newton-quadratic-gradient", res.gradient_norm, 1e-12))
+    yield _check("newton-quadratic-argmax", worst, 1e-9,
+                 note=f"iterations={res.iterations}")
+    yield _check("newton-quadratic-iterations", res.iterations, 3,
+                 note="strictly concave quadratic")
+    yield _check("newton-quadratic-gradient", res.gradient_norm, 1e-12)
 
     dom2 = numerics.Domain(2, np.array([[-1.0, 1.0]] * 2),
                            lambda u: np.all(np.abs(u) < 1.0, axis=-1), np.zeros(2))
@@ -88,10 +117,10 @@ def verify_numerics() -> list[PropertyResult]:
     quad2 = lambda us: -np.einsum("ki,ij,kj->k", us - t2, a2, us - t2)
     res2 = numerics.maximize_concave(quad2, dom2, tol=1e-10)
     _, gv = numerics.grid_sup(quad2, dom2, 41)
-    out.append(_check("grid-below-newton", gv - res2.value, 1e-9,
-                      note="grid restricted sup cannot exceed the true sup"))
-    out.append(_check("grid-matches-newton", abs(gv - res2.value), 5e-3,
-                      note="41 points per axis"))
+    yield _check("grid-below-newton", gv - res2.value, 1e-9,
+                 note="grid restricted sup cannot exceed the true sup")
+    yield _check("grid-matches-newton", abs(gv - res2.value), 5e-3,
+                 note="41 points per axis")
 
     worst_rec = worst_orth = 0.0
     for _ in range(200):
@@ -101,8 +130,8 @@ def verify_numerics() -> list[PropertyResult]:
         worst_rec = max(worst_rec, float(np.max(np.abs(rec - m.to_array()))))
         worst_orth = max(worst_orth, float(np.max(np.abs(
             vecs.conj().T @ vecs - np.eye(2)))))
-    out.append(_check("eigh2-reconstruction", worst_rec, 1e-13))
-    out.append(_check("eigh2-orthonormality", worst_orth, 1e-13))
+    yield _check("eigh2-reconstruction", worst_rec, 1e-13)
+    yield _check("eigh2-orthonormality", worst_orth, 1e-13)
 
     worst = 0.0
     for _ in range(50):
@@ -112,9 +141,8 @@ def verify_numerics() -> list[PropertyResult]:
         em = numerics.func_h2(m, math.exp).to_array()
         eminus = numerics.func_h2(m.scaled(-1.0), math.exp).to_array()
         worst = max(worst, float(np.max(np.abs(em @ eminus - np.eye(2)))))
-    out.append(_check("spectral-calculus", worst, 1e-12,
-                      note="identity function and exp(m) exp(-m) = 1"))
-    return out
+    yield _check("spectral-calculus", worst, 1e-12,
+                 note="identity function and exp(m) exp(-m) = 1")
 
 
 # ------------------------------------------------------- canonical engine
@@ -125,12 +153,25 @@ def _pairs(handle: ModelHandle, rng, count: int) -> np.ndarray:
     return np.stack([handle.sample_thetas(rng, 2) for _ in range(count)], axis=1)
 
 
-def verify_canonical(handle: ModelHandle) -> list[PropertyResult]:
+def _grid_oracle(model, thetas, tol: float, note: str) -> PropertyResult:
+    """Phi at each theta against the brute-force sup over a 61-point-per-axis
+    grid of ``S(U) - theta.U``; a grid value above Phi fails outright."""
+    worst = 0.0
+    for th in thetas:
+        _, gv = numerics.grid_sup(lambda us: model.entropy_u(us) - us @ th,
+                                  model.energy_domain, 61)
+        closed = core.massieu(model, th)
+        worst = max(worst, abs(gv - closed))
+        if gv > closed + 1e-9:
+            worst = math.inf
+    return _check("massieu-grid-oracle", worst, tol, note)
+
+
+def _canonical_checks(handle: ModelHandle):
     """Engine-level duality checks shared by every canonical instance."""
     rng = np.random.default_rng(7)
     segments = 500
     model = handle.descriptor
-    out = []
 
     thetas = handle.sample_thetas(rng, 50)
     worst_phi = worst_s = 0.0
@@ -140,10 +181,10 @@ def verify_canonical(handle: ModelHandle) -> list[PropertyResult]:
         worst_phi = max(worst_phi, float(np.max(np.abs(gphi + u))))
         gs = numerics.grad_fd(model.entropy_u, u)
         worst_s = max(worst_s, float(np.max(np.abs(gs - th))))
-    out.append(_check("dual-relation-massieu-gradient", worst_phi, 1e-5,
-                      note="grad Phi = -U at 50 points"))
-    out.append(_check("dual-relation-entropy-gradient", worst_s, 1e-5,
-                      note="grad S = theta at 50 points"))
+    yield _check("dual-relation-massieu-gradient", worst_phi, 1e-5,
+                 note="grad Phi = -U at 50 points")
+    yield _check("dual-relation-entropy-gradient", worst_s, 1e-5,
+                 note="grad S = theta at 50 points")
 
     worst_res = worst_rt = 0.0
     for th in handle.sample_thetas(rng, 100):
@@ -154,10 +195,10 @@ def verify_canonical(handle: ModelHandle) -> list[PropertyResult]:
         worst_res = max(worst_res, pair.residual)
         if pair.roundtrip_error is not None:  # None: the chart saturated
             worst_rt = max(worst_rt, pair.roundtrip_error)
-    out.append(_check("canonical-identity", worst_res, 1e-9,
-                      note="Phi - S(U) + theta.U at 100 points"))
-    out.append(_check("dual-roundtrip", worst_rt, 1e-9,
-                      note="u_to_theta(theta_to_u(theta)) vs theta"))
+    yield _check("canonical-identity", worst_res, 1e-9,
+                 note="Phi - S(U) + theta.U at 100 points")
+    yield _check("dual-roundtrip", worst_rt, 1e-9,
+                 note="u_to_theta(theta_to_u(theta)) vs theta")
 
     worst = -math.inf
     try:
@@ -166,8 +207,8 @@ def verify_canonical(handle: ModelHandle) -> list[PropertyResult]:
             worst = max(worst, -float(np.linalg.eigvalsh(g)[0]))
     except DegeneracyError:
         worst = math.inf
-    out.append(_check("metric-positive-definite", worst, 0.0,
-                      note="worst = -(min eigenvalue of Hess Phi)"))
+    yield _check("metric-positive-definite", worst, 0.0,
+                 note="worst = -(min eigenvalue of Hess Phi)")
 
     worst = 0.0
     for th in handle.sample_thetas(rng, 8, radius=2.0):
@@ -176,24 +217,24 @@ def verify_canonical(handle: ModelHandle) -> list[PropertyResult]:
         hs = numerics.hess_fd(model.entropy_u, core.theta_to_u(model, th))
         rel = float(np.max(np.abs(hs + ginv)) / np.max(np.abs(ginv)))
         worst = max(worst, rel)
-    out.append(_check("metric-inverse-duality", worst, 1e-4,
-                      note="Hess S(U) = -(Hess Phi)^-1, relative"))
+    yield _check("metric-inverse-duality", worst, 1e-4,
+                 note="Hess S(U) = -(Hess Phi)^-1, relative")
 
     # Each sampled check draws its points in a loop, in the order the
     # per-point checks drew them, and evaluates them in one row-wise call.
     t1, t2 = _pairs(handle, rng, segments)
     worst = float(np.max(core.convexity_rows(model, t1, t2)))
-    out.append(_check("massieu-convexity", worst, 1e-9,
-                      note=f"{segments} random segments, 21 blend points each"))
+    yield _check("massieu-convexity", worst, 1e-9,
+                 note=f"{segments} random segments, 21 blend points each")
 
     t1, t2 = _pairs(handle, rng, 1000)
     d = core.bregman_rows(model, t1, t2)[0]
     # the norm of each difference with the bits of the 1-D np.linalg.norm
     separated = np.sqrt(numerics.row_dot(t1 - t2, t1 - t2)) >= 0.1
-    out.append(_check("bregman-nonnegative", np.max(-d), 1e-12,
-                      note="worst = -(min divergence) over 1000 pairs"))
-    out.append(_check("bregman-separation", -np.min(d[separated], initial=math.inf),
-                      -1e-6, note="divergence exceeds 1e-6 when |theta-zeta| >= 0.1"))
+    yield _check("bregman-nonnegative", np.max(-d), 1e-12,
+                 note="worst = -(min divergence) over 1000 pairs")
+    yield _check("bregman-separation", -np.min(d[separated], initial=math.inf),
+                 -1e-6, note="divergence exceeds 1e-6 when |theta-zeta| >= 0.1")
 
     worst = 0.0
     for _ in range(70):
@@ -201,8 +242,8 @@ def verify_canonical(handle: ModelHandle) -> list[PropertyResult]:
         u = core.theta_to_u(model, th)
         for x in model.fiber_sampler(u, 3, rng):
             worst = max(worst, core.pythagoras_data(model, x, th, ze).residual)
-    out.append(_check("pythagoras-with-data", worst, 1e-9,
-                      note="210 compliant data-model-model triples"))
+    yield _check("pythagoras-with-data", worst, 1e-9,
+                 note="210 compliant data-model-model triples")
 
     triples, draws = [], []
     for _ in range(100):
@@ -224,10 +265,10 @@ def verify_canonical(handle: ModelHandle) -> list[PropertyResult]:
         triple = core.pythagoras_model_rows(model, th, th, xi)
     worst_orth = max(np.max(np.abs(triple.orthogonality), initial=0.0),
                      np.max(triple.residual, initial=0.0))
-    out.append(_check("pythagoras-orthogonal-models", worst_orth, 1e-9,
-                      note="100 constructed orthogonal triples"))
-    out.append(_check("pythagoras-residual-identity", worst_ident, 1e-9,
-                      note="residual equals |orthogonality| identically"))
+    yield _check("pythagoras-orthogonal-models", worst_orth, 1e-9,
+                 note="100 constructed orthogonal triples")
+    yield _check("pythagoras-residual-identity", worst_ident, 1e-9,
+                 note="residual equals |orthogonality| identically")
 
     numeric = replace(model, closed_massieu=None, closed_theta_to_u=None,
                       closed_u_to_theta=None)
@@ -237,26 +278,24 @@ def verify_canonical(handle: ModelHandle) -> list[PropertyResult]:
         closed = core.massieu(model, th)
         num = core.massieu(numeric, th, tol=1e-7)
         worst = max(worst, abs(num - closed))
-    out.append(_check("legendre-numeric-vs-closed", worst, 1e-6,
-                      note=f"damped-Newton transform at {count} points, |theta| <= 3"))
+    yield _check("legendre-numeric-vs-closed", worst, 1e-6,
+                 note=f"damped-Newton transform at {count} points, |theta| <= 3")
 
     worst = -math.inf
     for _ in range(60):
         x = handle.sample_dataset(rng)
         th = handle.sample_thetas(rng, 1)[0]
         worst = max(worst, -core.divergence_from_data(model, x, th).value)
-    out.append(_check("divergence-nonnegative", worst, 1e-10,
-                      note="random data sets against random model points"))
-    return out
+    yield _check("divergence-nonnegative", worst, 1e-10,
+                 note="random data sets against random model points")
 
 
 # ------------------------------------------------------------ model extras
 
-def verify_qubit_extras(handle: QubitHandle) -> list[PropertyResult]:
+def _qubit_checks(handle: QubitHandle):
     rng = np.random.default_rng(13)
     grid_thetas = 5
     model = handle.descriptor
-    out = []
 
     worst = 0.0
     for _ in range(200):
@@ -269,8 +308,8 @@ def verify_qubit_extras(handle: QubitHandle) -> list[PropertyResult]:
         if np.linalg.norm(u) < 0.999:
             back = qubit.bloch_to_theta(u)
             worst = max(worst, float(np.max(np.abs(back - th))))
-    out.append(_check("bloch-tanh-duality", worst, 1e-12,
-                      note="|U| = tanh|theta| and closed round trip, |theta| <= 20"))
+    yield _check("bloch-tanh-duality", worst, 1e-12,
+                 note="|U| = tanh|theta| and closed round trip, |theta| <= 20")
 
     worst = 0.0
     for _ in range(200):
@@ -280,15 +319,15 @@ def verify_qubit_extras(handle: QubitHandle) -> list[PropertyResult]:
         via_spectral = qubit.quantum_relative_entropy(
             qubit.bloch_to_rho(x), qubit.gibbs_state(th))
         worst = max(worst, abs(via_engine - via_spectral))
-    out.append(_check("relative-entropy-agreement", worst, 1e-10,
-                      note="spectral Tr rho(ln rho - ln sigma) vs affine form"))
+    yield _check("relative-entropy-agreement", worst, 1e-10,
+                 note="spectral Tr rho(ln rho - ln sigma) vs affine form")
 
     worst = -math.inf
     for _ in range(1000):
         rho = qubit.bloch_to_rho(handle.sample_dataset(rng))
         sigma = qubit.gibbs_state(handle.sample_thetas(rng, 1)[0])
         worst = max(worst, -qubit.quantum_relative_entropy(rho, sigma))
-    out.append(_check("relative-entropy-nonnegative", worst, 1e-12))
+    yield _check("relative-entropy-nonnegative", worst, 1e-12)
 
     worst = 0.0
     for _ in range(50):
@@ -300,8 +339,8 @@ def verify_qubit_extras(handle: QubitHandle) -> list[PropertyResult]:
             a=-float(np.logaddexp(t, -t)) - th[2], d=-float(np.logaddexp(t, -t)) + th[2],
             x=-th[0], y=-th[1])
         worst = max(worst, float(np.max(np.abs(lnrho.to_array() - affine.to_array()))))
-    out.append(_check("log-state-affine", worst, 1e-10,
-                      note="ln rho = -ln(2 cosh|theta|) - theta . sigma"))
+    yield _check("log-state-affine", worst, 1e-10,
+                 note="ln rho = -ln(2 cosh|theta|) - theta . sigma")
 
     worst = 0.0
     for _ in range(30):
@@ -312,46 +351,33 @@ def verify_qubit_extras(handle: QubitHandle) -> list[PropertyResult]:
         d5 = core.divergence_def5(model, x, u)
         dd = core.divergence_from_data(model, x, core.u_to_theta(model, u)).value
         worst = max(worst, abs(d5 - dd))
-    out.append(_check("fiber-sup-divergence-singleton", worst, 1e-12,
-                      note="three answers determine the state: fiber is one point"))
+    yield _check("fiber-sup-divergence-singleton", worst, 1e-12,
+                 note="three answers determine the state: fiber is one point")
 
     margin_ok = (not model.energy_domain.membership(np.array([1.0 - 1e-13, 0.0, 0.0]))
                  and model.energy_domain.membership(np.array([0.99, 0.0, 0.0])))
-    out.append(_check("domain-boundary-margin", 0.0 if margin_ok else 1.0, 0.0,
-                      note="chart must exclude a shell at the pure-state boundary"))
+    yield _check("domain-boundary-margin", 0.0 if margin_ok else 1.0, 0.0,
+                 note="chart must exclude a shell at the pure-state boundary")
 
     gridt = [np.array([1.0, 0.0, 0.0])]
     for _ in range(grid_thetas - 1):
         v = rng.normal(size=3)
         gridt.append(v * rng.uniform(0.3, 1.2) / float(np.linalg.norm(v)))
-    worst = 0.0
-    for th in gridt:
-        def objective(us, _th=th):
-            return qubit.entropy_bloch_rows(us) - us @ _th
-
-        _, gv = numerics.grid_sup(objective, model.energy_domain, 61)
-        closed = core.massieu(model, th)
-        worst = max(worst, abs(gv - closed))
-        if gv > closed + 1e-9:
-            worst = math.inf
-    out.append(_check("massieu-grid-oracle", worst, 2e-3,
-                      note=f"61^3 brute force at {grid_thetas} points, |theta| <= 1.2"))
-    return out
+    yield _grid_oracle(model, gridt, 2e-3,
+                       f"61^3 brute force at {grid_thetas} points, |theta| <= 1.2")
 
 
-def verify_discrete_extras(handle: DiscreteHandle) -> list[PropertyResult]:
+def _discrete_checks(handle: DiscreteHandle):
     rng = np.random.default_rng(17)
-    model = handle.descriptor
-    family = handle.family
-    out = []
+    model, family = handle.descriptor, handle.family
 
     worst = 0.0
     for th in handle.sample_thetas(rng, 50):
         u = family.hamiltonians @ discrete.boltzmann_gibbs(family, th)
         back = discrete.maxent_fit(family, u, tol=1e-12)
         worst = max(worst, float(np.max(np.abs(back - th))))
-    out.append(_check("maxent-roundtrip", worst, 1e-8,
-                      note="theta -> moments -> fitted theta"))
+    yield _check("maxent-roundtrip", worst, 1e-8,
+                 note="theta -> moments -> fitted theta")
 
     worst = 0.0
     pairs, kl = [], []
@@ -365,27 +391,26 @@ def verify_discrete_extras(handle: DiscreteHandle) -> list[PropertyResult]:
                                - core.divergence_from_data(model, x, t2).value))
     t1, t2 = np.stack(pairs, axis=1)
     worst = max(worst, np.max(np.abs(np.array(kl) - core.bregman_rows(model, t1, t2)[0])))
-    out.append(_check("kl-affine-agreement", worst, 1e-12,
-                      note="direct relative entropy vs Phi - S + theta.answers"))
+    yield _check("kl-affine-agreement", worst, 1e-12,
+                 note="direct relative entropy vs Phi - S + theta.answers")
 
     worst = 0.0
     for th in handle.sample_thetas(rng, 10, radius=2.0):
         g = core.metric_tensor(model, th)
         cov = discrete.fisher_covariance(family, discrete.boltzmann_gibbs(family, th))
         worst = max(worst, float(np.max(np.abs(g - cov))))
-    out.append(_check("fisher-metric-agreement", worst, 1e-5,
-                      note="Hess Phi vs observable covariance"))
+    yield _check("fisher-metric-agreement", worst, 1e-5,
+                 note="Hess Phi vs observable covariance")
 
-    fiber_dim = family.alphabet_size - 1 - family.n
-    if fiber_dim == 1:
+    if family.alphabet_size - 1 - family.n == 1:  # one-dimensional fibers
         worst = -math.inf
         for th in handle.sample_thetas(rng, 5, radius=1.5):
             u = core.theta_to_u(model, th)
             s_model = model.entropy_u(u)
             for y in model.fiber_sampler(u, 100, rng):
                 worst = max(worst, discrete.bgs_entropy(family, y) - s_model)
-        out.append(_check("fiber-entropy-dominated", worst, 1e-9,
-                          note="no fiber sample beats the moment-matched member"))
+        yield _check("fiber-entropy-dominated", worst, 1e-9,
+                     note="no fiber sample beats the moment-matched member")
 
         worst = 0.0
         for _ in range(20):
@@ -395,31 +420,19 @@ def verify_discrete_extras(handle: DiscreteHandle) -> list[PropertyResult]:
             d5 = core.divergence_def5(model, x, u, fiber_samples=200)
             dd = core.divergence_from_data(model, x, core.u_to_theta(model, u)).value
             worst = max(worst, abs(d5 - dd))
-        out.append(_check("fiber-sup-divergence-agreement", worst, 1e-4,
-                          note="200-sample fiber supremum vs affine form"))
+        yield _check("fiber-sup-divergence-agreement", worst, 1e-4,
+                     note="200-sample fiber supremum vs affine form")
 
     if family.n == 1:
-        worst = 0.0
-        for th in handle.sample_thetas(rng, 5, radius=1.5):
-            def objective(us, _th=float(th[0])):
-                return model.entropy_u(us) - _th * us[:, 0]
-            _, gv = numerics.grid_sup(objective, model.energy_domain, 61)
-            closed = core.massieu(model, th)
-            worst = max(worst, abs(gv - closed))
-            if gv > closed + 1e-9:
-                worst = math.inf
-        out.append(_check("massieu-grid-oracle", worst, 1e-3,
-                          note="61-point brute force on the moment interval"))
-    return out
+        yield _grid_oracle(model, handle.sample_thetas(rng, 5, radius=1.5), 1e-3,
+                           "61-point brute force on the moment interval")
 
 
-def verify_coherent_extras(handle: CoherentHandle) -> list[PropertyResult]:
+def _coherent_checks(handle: CoherentHandle):
     rng = np.random.default_rng(19)
     model = handle.descriptor
-    constants = handle.constants
-    nmax = handle.nmax
+    constants, nmax = handle.constants, handle.nmax
     amat = coh.annihilation_matrix(nmax)
-    out = []
 
     worst = 0.0
     for _ in range(25):
@@ -427,8 +440,8 @@ def verify_coherent_extras(handle: CoherentHandle) -> list[PropertyResult]:
         psi = coh.coherent_state(z, nmax)
         residual = float(np.linalg.norm(amat @ psi.coeff - z * psi.coeff))
         worst = max(worst, residual)
-    out.append(_check("annihilation-eigenstate", worst, 1e-8,
-                      note="(a - z) psi_z within truncation tail, |z| <= 2"))
+    yield _check("annihilation-eigenstate", worst, 1e-8,
+                 note="(a - z) psi_z within truncation tail, |z| <= 2")
 
     worst = 0.0
     for _ in range(50):
@@ -441,8 +454,8 @@ def verify_coherent_extras(handle: CoherentHandle) -> list[PropertyResult]:
         worst = max(worst, coh.divergence_coherent(psi, u, constants))
         shifted = coh.FockVector(psi.coeff * np.exp(1.3j))
         worst = max(worst, abs(coh.divergence_coherent(shifted, u, constants)))
-    out.append(_check("coherent-perfect-data", worst, 1e-10,
-                      note="entropy -|z|^2/2, zero self-divergence, phase invariance"))
+    yield _check("coherent-perfect-data", worst, 1e-10,
+                 note="entropy -|z|^2/2, zero self-divergence, phase invariance")
 
     worst = -math.inf
     worst_phase = 0.0
@@ -455,9 +468,9 @@ def verify_coherent_extras(handle: CoherentHandle) -> list[PropertyResult]:
         d2 = coh.divergence_coherent(coh.FockVector(x.coeff * np.exp(1j * alpha)),
                                      u, constants)
         worst_phase = max(worst_phase, abs(d - d2))
-    out.append(_check("divergence-nonnegative-states", worst, 1e-10,
-                      note="500 random truncated states"))
-    out.append(_check("divergence-phase-invariance", worst_phase, 1e-12))
+    yield _check("divergence-nonnegative-states", worst, 1e-10,
+                 note="500 random truncated states")
+    yield _check("divergence-phase-invariance", worst_phase, 1e-12)
 
     worst = 0.0
     for _ in range(20):
@@ -469,8 +482,8 @@ def verify_coherent_extras(handle: CoherentHandle) -> list[PropertyResult]:
         lhs = coh.expectation_quadratic(x, lmat)
         rhs = -phi_val - float(th @ coh.mu_map(x, constants))
         worst = max(worst, abs(lhs - rhs))
-    out.append(_check("log-map-affine-identity", worst, 1e-9,
-                      note="<x|L(m)> = -Phi - theta . answers for any state"))
+    yield _check("log-map-affine-identity", worst, 1e-9,
+                 note="<x|L(m)> = -Phi - theta . answers for any state")
 
     worst = -math.inf
     worst_base = 0.0
@@ -482,10 +495,10 @@ def verify_coherent_extras(handle: CoherentHandle) -> list[PropertyResult]:
         worst_base = max(worst_base, abs(coh.entropy_coherent(samples[0]) - s_model))
         for y in samples:
             worst = max(worst, coh.entropy_coherent(y) - s_model)
-    out.append(_check("fiber-entropy-dominated", worst, 1e-9,
-                      note="200 pinned fiber samples vs the coherent member"))
-    out.append(_check("fiber-coherent-attains", worst_base, 1e-10,
-                      note="the coherent state itself attains the model entropy"))
+    yield _check("fiber-entropy-dominated", worst, 1e-9,
+                 note="200 pinned fiber samples vs the coherent member")
+    yield _check("fiber-coherent-attains", worst_base, 1e-10,
+                 note="the coherent state itself attains the model entropy")
 
     worst = 0.0
     r, hbar = constants.r, constants.hbar
@@ -493,8 +506,8 @@ def verify_coherent_extras(handle: CoherentHandle) -> list[PropertyResult]:
     for th in handle.sample_thetas(rng, 5, radius=2.0):
         g = core.metric_tensor(model, th)
         worst = max(worst, float(np.max(np.abs(g - expected))))
-    out.append(_check("metric-constant-gaussian", worst, 1e-5,
-                      note="Hess Phi = diag(r^2, hbar^2/r^2) everywhere"))
+    yield _check("metric-constant-gaussian", worst, 1e-5,
+                 note="Hess Phi = diag(r^2, hbar^2/r^2) everywhere")
 
     worst = 0.0
     for _ in range(20):
@@ -504,24 +517,26 @@ def verify_coherent_extras(handle: CoherentHandle) -> list[PropertyResult]:
         via_closed = coh.divergence_coherent(x, u, constants)
         via_engine = core.divergence_from_data(model, x, th).value
         worst = max(worst, abs(via_closed - via_engine))
-    out.append(_check("divergence-closed-vs-affine", worst, 1e-10,
-                      note="displacement form vs Phi - S + theta . answers"))
-    return out
+    yield _check("divergence-closed-vs-affine", worst, 1e-10,
+                 note="displacement form vs Phi - S + theta . answers")
 
 
 # ------------------------------------------------- summary-only instances
 
 def verify_sphere() -> list[PropertyResult]:
+    return _run(_sphere_checks())
+
+
+def _sphere_checks():
     rng = np.random.default_rng(23)
-    out = []
 
     radii = np.linspace(0.05, 3.0, 60)
     dirs = rng.normal(size=(500, 3))
     dirs /= np.sqrt(numerics.row_dot(dirs, dirs))[:, None]
     values = sphere.sphere_entropy_rows(radii[:, None] * dirs[:, None, :])
     worst = float(np.max(np.abs(radii[np.argmax(values, axis=1)] - 1.0)))
-    out.append(_check("ray-entropy-peak", worst, 0.051,
-                      note="entropy along 500 rays peaks at unit length (grid step 0.05)"))
+    yield _check("ray-entropy-peak", worst, 0.051,
+                 note="entropy along 500 rays peaks at unit length (grid step 0.05)")
 
     worst = -math.inf
     for _ in range(200):
@@ -530,8 +545,8 @@ def verify_sphere() -> list[PropertyResult]:
         if abs(float(np.linalg.norm(x)) - 1.0) > 0.05:
             if sphere.sphere_entropy(x) >= -1e-4:
                 worst = math.inf
-    out.append(_check("entropy-nonpositive", worst, 1e-12,
-                      note="S <= 0 with equality only on the sphere"))
+    yield _check("entropy-nonpositive", worst, 1e-12,
+                 note="S <= 0 with equality only on the sphere")
 
     worst = 0.0
     for _ in range(200):
@@ -540,14 +555,16 @@ def verify_sphere() -> list[PropertyResult]:
         x *= rng.uniform(0.2, 4.0)
         rebuilt = sphere.sphere_from_questions(sphere.sphere_questions(x))
         worst = max(worst, float(np.max(np.abs(rebuilt - sphere.sphere_mu(x)))))
-    out.append(_check("chart-roundtrip", worst, 1e-12,
-                      note="question coordinates reconstruct the direction"))
-    return out
+    yield _check("chart-roundtrip", worst, 1e-12,
+                 note="question coordinates reconstruct the direction")
 
 
 def verify_regression() -> list[PropertyResult]:
+    return _run(_regression_checks())
+
+
+def _regression_checks():
     rng = np.random.default_rng(29)
-    out = []
 
     worst = 0.0
     for _ in range(500):
@@ -559,8 +576,8 @@ def verify_regression() -> list[PropertyResult]:
         design = np.stack([x, np.ones(n)], axis=-1)
         slope, intercept = np.linalg.lstsq(design, y, rcond=None)[0]
         worst = max(worst, abs(qa - slope), abs(qb - intercept))
-    out.append(_check("least-squares-agreement", worst, 1e-10,
-                      note="moment ratios vs normal-equation solution, 500 sets"))
+    yield _check("least-squares-agreement", worst, 1e-10,
+                 note="moment ratios vs normal-equation solution, 500 sets")
 
     worst = 0.0
     for _ in range(100):
@@ -574,8 +591,8 @@ def verify_regression() -> list[PropertyResult]:
         worst = max(worst, abs(regression.regression_entropy(pts) + a * a + b * b))
         if not regression.regression_is_perfect(pts):
             worst = math.inf
-    out.append(_check("perfect-data-entropy", worst, 1e-10,
-                      note="embedded lines: answers (a, b), entropy -a^2-b^2"))
+    yield _check("perfect-data-entropy", worst, 1e-10,
+                 note="embedded lines: answers (a, b), entropy -a^2-b^2")
 
     worst = 0.0
     for _ in range(60):
@@ -586,8 +603,8 @@ def verify_regression() -> list[PropertyResult]:
             - regression.regression_questions_pairwise(pts)))))
         worst = max(worst, abs(regression.regression_entropy(pts)
                                - regression.regression_entropy_pairwise(pts)))
-    out.append(_check("moment-vs-pairwise", worst, 1e-9,
-                      note="O(n) accumulators vs literal double sums"))
+    yield _check("moment-vs-pairwise", worst, 1e-9,
+                 note="O(n) accumulators vs literal double sums")
 
     worst = 0.0
     for _ in range(100):
@@ -599,41 +616,27 @@ def verify_regression() -> list[PropertyResult]:
         qa0, qb0 = regression.regression_questions(pts)
         qa1, qb1 = regression.regression_questions(shifted)
         worst = max(worst, abs(qa1 - qa0), abs(qb1 - qb0 - delta))
-    out.append(_check("translation-covariance", worst, 1e-10,
-                      note="shifting y by delta shifts only the intercept"))
+    yield _check("translation-covariance", worst, 1e-10,
+                 note="shifting y by delta shifts only the intercept")
 
     imperfect = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
     qa, qb = regression.regression_questions(imperfect)
     gap = (regression.regression_entropy(imperfect) + qa * qa + qb * qb)
     ok = (not regression.regression_is_perfect(imperfect)) and gap < -1e-6
-    out.append(_check("imperfect-data-strictness", 0.0 if ok else 1.0, 0.0,
-                      note="scattered data stays strictly below -a^2-b^2"))
-    return out
+    yield _check("imperfect-data-strictness", 0.0 if ok else 1.0, 0.0,
+                 note="scattered data stays strictly below -a^2-b^2")
 
 
-# ----------------------------------------------------------- entry points
+# ------------------------------------------------------------- one model
 
 def verify_handle(handle: ModelHandle) -> list[PropertyResult]:
-    """Full suite for one model instance."""
-    if handle.descriptor is None:
-        summary = {RegressionHandle: verify_regression, SphereHandle: verify_sphere}
-        return summary[type(handle)]()
-    extras = {QubitHandle: verify_qubit_extras, DiscreteHandle: verify_discrete_extras,
-              CoherentHandle: verify_coherent_extras}
-    return verify_canonical(handle) + extras[type(handle)](handle)
-
-
-def verify_suite(name: str) -> list[PropertyResult]:
-    """The suite ``name`` of :data:`SUITES` on its shipped instance.
-
-    The suite functions are looked up when called, so a replaced
-    ``verify_numerics`` or ``verify_handle`` is the one that runs.
-    """
-    if name == "numerics":
-        return verify_numerics()
-    return verify_handle(get_model(name))
-
-
-def verify_all() -> dict[str, list[PropertyResult]]:
-    """Every suite on the shipped default instances."""
-    return {name: verify_suite(name) for name in SUITES}
+    """Full suite for one model instance: the summary suite of a summary
+    model, else the engine checks followed by its family's own checks."""
+    if isinstance(handle, RegressionHandle):
+        return verify_regression()
+    if isinstance(handle, SphereHandle):
+        return verify_sphere()
+    family = (_qubit_checks if isinstance(handle, QubitHandle)
+              else _discrete_checks if isinstance(handle, DiscreteHandle)
+              else _coherent_checks)
+    return _run(itertools.chain(_canonical_checks(handle), family(handle)))

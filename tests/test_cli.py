@@ -5,6 +5,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from conftest import close7, envelope, run_cli, strict_json
 
 from infogeo import (BUILTIN_NAMES, __version__, canonical_instances, cli, errors,
-                     get_model, verify)
+                     get_model, numerics, verify)
 from infogeo.discrete import boltzmann_gibbs
 from infogeo.registry import CoherentHandle, DiscreteHandle, discrete_instance, load_config
 
@@ -619,26 +620,54 @@ def test_verify_takes_one_target(capsys):
         assert conflict in err
 
 
-def test_verify_writes_each_suite_before_the_next_starts(capsys, monkeypatch):
-    """verify all looks each suite up when it runs it and writes the
-    suite's check lines to stderr as soon as the suite returns."""
-    started = []
+def test_verify_writes_each_check_before_the_next_starts(capsys, monkeypatch):
+    """verify writes each check's stderr line, with its time, as soon as
+    the check completes: the first kernel call of a numerics check comes
+    after the lines of every check before it."""
+    err, lines_before = [], {}
 
-    def suite(name):
-        started.append((name, capsys.readouterr().err))
-        return [verify.PropertyResult(f"{name}-check", True, 0.0, 1.0)]
+    def spy(name):
+        kernel = getattr(numerics, name)
 
-    monkeypatch.setattr(verify, "verify_numerics", lambda: suite("numerics"))
-    monkeypatch.setattr(verify, "verify_handle", lambda handle: suite(handle.name))
-    assert cli.main(["verify", "all"]) == 0
-    out, _ = capsys.readouterr()
-    assert [name for name, _ in started] == list(verify.SUITES)
-    previous = [""] + [f"[{name}] {name}-check: ok (worst 0.000e+00, tol 1.0e+00)\n"
-                       for name in verify.SUITES[:-1]]
-    assert [err for _, err in started] == previous
-    env = strict_json(out)
-    assert env["inputs"] == {"target": "all"}
-    assert env["outputs"]["checks"] == len(verify.SUITES)
+        def wrapped(*args, **kwargs):
+            err.append(capsys.readouterr().err)
+            lines_before.setdefault(name, "".join(err).count("\n"))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, name, wrapped)
+
+    for name in ("hess_fd", "maximize_concave", "grid_sup", "eig_h2", "func_h2"):
+        spy(name)
+    assert cli.main(["verify", "numerics"]) == 0
+    out, rest = capsys.readouterr()
+    # fd-gradient | fd-hessian | three newton-quadratic checks | two grid
+    # checks | two eigh2 checks | spectral-calculus
+    assert lines_before == {"hess_fd": 1, "maximize_concave": 2, "grid_sup": 5,
+                            "eig_h2": 7, "func_h2": 9}
+    rows = strict_json(out)["outputs"]["suites"]["numerics"]
+    lines = ("".join(err) + rest).splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        f"[numerics] {row['name']}" for row in rows]
+    assert all(re.fullmatch(r".*: ok \(worst \S+, tol \S+\) \d+\.\d ms", line)
+               for line in lines)
+
+
+def test_verify_times_checks_on_stderr_only(capsys):
+    """Two runs write the same stdout; only their stderr lines carry the
+    time of each check."""
+    runs = []
+    for _ in range(2):
+        assert cli.main(["verify", "numerics"]) == 0
+        runs.append(capsys.readouterr())
+    assert runs[0].out == runs[1].out
+    rows = strict_json(runs[0].out)["outputs"]["suites"]["numerics"]
+    assert all(row.keys() == {"name", "passed", "worst", "tol", "note"} for row in rows)
+    for _, err in runs:
+        lines = err.splitlines()
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            assert re.fullmatch(rf"\[numerics\] {row['name']}: ok \(worst \S+,"
+                                r" tol \S+\) \d+\.\d ms", line)
 
 
 def test_verify_reports_a_check_without_a_finite_measure(capsys, monkeypatch):

@@ -308,6 +308,19 @@ def test_fiber_sampler_pins_every_accepted_amplitude():
                 assert np.max(np.abs(mu_map(psi, constants) - u)) <= 1e-9
 
 
+def test_fiber_sampler_pins_the_coherent_state_too():
+    # At nmax = 4 the truncated coherent state at z = 1 has <a> = 0.9846,
+    # off the fiber of u = 1; the first sample is that state, pinned.
+    model = as_descriptor(UNIT, nmax=4)
+    for z in (1.0, 0.7 - 0.6j, 1e-8, 0.0):
+        u = np.array([z.real, z.imag]) if isinstance(z, complex) else np.array([z, 0.0])
+        for count in (1, 6):
+            samples = model.fiber_sampler(u, count, np.random.default_rng(3))
+            assert len(samples) == count
+            for psi in samples:
+                assert np.max(np.abs(mu_map(psi, UNIT) - u)) <= 1e-9
+
+
 def test_fiber_sampler_gives_up_with_a_typed_error(monkeypatch):
     # a pin that never succeeds ends after 50 halvings of the noise
     pins = []

@@ -373,6 +373,22 @@ def test_failing_rows_do_not_stop_the_others():
         maxent_fit_report(TRIANGLE, targets[2])
 
 
+def test_fit_converges_where_the_dual_objective_cancels():
+    # On the spectrum 0, 1, 10 at theta near -2.6 the dual objective
+    # Phi + theta.U is about 1e-9 while Phi and theta.U are each about 26,
+    # so its rounding is set by the terms, not by the sum; a slack scaled
+    # by |f| alone rejected every halving there and the fit stalled.
+    family = DiscreteFamily(prior=np.ones(3), hamiltonians=np.array([[0.0, 1.0, 10.0]]))
+    thetas = np.concatenate([[-2.61494226, -1.845],
+                             np.random.default_rng(0).uniform(-3.0, 3.0, 500)])
+    targets = np.array([family.hamiltonians @ boltzmann_gibbs(family, [t])
+                        for t in thetas])
+    fitted, iterations, status = fit_moments(family, targets, tol=1e-12)
+    assert status.tolist() == [FIT_OK] * thetas.size
+    moments = np.array([family.hamiltonians @ boltzmann_gibbs(family, t) for t in fitted])
+    assert np.max(np.abs(moments - targets)) <= 1e-12
+
+
 def test_n2_membership_reads_the_fit_status():
     model = as_descriptor(TRIANGLE)
     points = np.array([[[0.5, 0.3], [0.2, 0.9]], [[1.0, 0.999], [1.9, 0.01]]])
