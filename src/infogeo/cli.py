@@ -19,6 +19,8 @@ FILE``; giving two of them is a usage error.  Each check's line goes to
 stderr as soon as that check completes, with the time since the previous
 line; the time is on stderr only, so stdout is the same on every run.  A
 check that failed without a finite measure reports ``worst`` as null.
+When a check raises, the error envelope's ``outputs`` keep the rows of
+the checks reported before it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (bad flags,
 unknown model, malformed grid), 3 numeric or domain error (infeasible
@@ -432,18 +434,24 @@ def _cmd_verify(args, inputs: dict):
                               "worst": r.worst if math.isfinite(r.worst) else None,
                               "tol": r.tol, "note": r.note})
 
-    for suite in names:
-        report[suite] = []
-        with verify.reporting(lambda r: write(suite, r)):
-            results = (verify.verify_numerics() if suite == "numerics" else
-                       verify.verify_handle(handle if args.config else get_model(suite)))
-        # the rows of a suite that returned its list without streaming it
-        for r in results[len(report[suite]):]:
-            write(suite, r)
-    outputs = {"suites": report, "failures": failing,
-               "checks": sum(len(rows) for rows in report.values()),
-               "failed": len(failing)}
-    return outputs, {}, "error:verify" if failing else "ok"
+    def outputs():
+        return {"suites": report, "failures": failing,
+                "checks": sum(len(rows) for rows in report.values()),
+                "failed": len(failing)}
+
+    try:
+        for suite in names:
+            report[suite] = []
+            with verify.reporting(lambda r: write(suite, r)):
+                results = (verify.verify_numerics() if suite == "numerics" else
+                           verify.verify_handle(handle if args.config else get_model(suite)))
+            # the rows of a suite that returned its list without streaming it
+            for r in results[len(report[suite]):]:
+                write(suite, r)
+    except InfoGeoError as exc:
+        exc.outputs = outputs()  # main's error envelope keeps the rows reported
+        raise
+    return outputs(), {}, "error:verify" if failing else "ok"
 
 
 # --------------------------------------------------------------- parser
@@ -557,8 +565,8 @@ def main(argv=None) -> int:
         sys.stdout.write(_envelope(command, inputs, outputs, diagnostics, status))
         return EXIT_OK if status == "ok" else EXIT_VERIFY
     except (UsageError, InfoGeoError) as exc:
-        sys.stdout.write(_envelope(command, inputs, {}, {"message": str(exc)},
-                                   f"error:{exc.category}"))
+        sys.stdout.write(_envelope(command, inputs, getattr(exc, "outputs", {}),
+                                   {"message": str(exc)}, f"error:{exc.category}"))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_NUMERIC
 

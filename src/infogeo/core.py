@@ -14,7 +14,10 @@ points ``(..., n)``: the batched form and the scalar closed forms
 call and the matching row of a batched call give the same bits.  A copy
 of a descriptor with the scalar closed forms set to None is the numeric
 oracle: :func:`massieu`, :func:`theta_to_u` and :func:`u_to_theta` then
-run Legendre transforms and finite differences of the entropy.
+run Legendre transforms and finite differences of the entropy.  The
+numeric Legendre transform is row-wise: :func:`legendre_rows` solves k
+parameter rows in one damped-Newton loop, and the numeric
+:func:`massieu` and :func:`theta_to_u` are its one-row view.
 
 Conventions.  The Massieu function is the Legendre--Fenchel transform
 
@@ -41,8 +44,9 @@ from .errors import (
     DegeneracyError,
     DomainError,
     EvaluationError,
+    InfoGeoError,
 )
-from .numerics import Domain, grad_fd, hess_fd, maximize_concave, row_dot
+from .numerics import Domain, grad_fd, hess_fd, maximize_concave_rows, row_dot
 
 #: Relative closeness to the bounding box at which an argmax on an
 #: unbounded domain is treated as escaping to infinity.
@@ -188,30 +192,47 @@ def _near_box_edge(domain: Domain, x: np.ndarray) -> bool:
                        | (box[:, 1] - x <= _BOX_EDGE_RTOL * width)))
 
 
-def _legendre(model: ModelDescriptor, theta: np.ndarray,
-              tol: float) -> tuple[float, np.ndarray]:
-    """``(Phi(theta), U(theta))``: the value and argmax of a damped-Newton
-    Legendre transform.
-
-    Raises :class:`DomainError` when the argmax reaches the bounding box
-    of a domain flagged unbounded: the supremum lies beyond the search
-    box, so no finite value found inside it is Phi.
-    """
+def _legendre(model: ModelDescriptor, thetas: np.ndarray,
+              tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`legendre_rows` at rows the caller has validated."""
     domain = model.energy_domain
-    objective = lambda us: model.entropy_u(us) - row_dot(us, theta)
-    result = maximize_concave(objective, domain, tol=tol)
-    if domain.unbounded and _near_box_edge(domain, result.argmax):
-        box = domain.bounding_box
-        half_width = float(np.max(0.5 * (box[:, 1] - box[:, 0])))
-        raise DomainError(
-            f"the Massieu supremum at theta={theta.tolist()} lies beyond the"
-            f" search box of half-width {half_width:g}; no dual energy point"
-            f" was found inside it")
-    if not result.converged:
-        raise ConvergenceError(
-            f"Legendre transform did not converge (best value {result.value!r},"
-            f" gradient norm {result.gradient_norm:.3e})", result=result)
-    return result.value, result.argmax
+    objective = lambda us, ths: model.entropy_u(us) - row_dot(us, ths)
+    outcomes = maximize_concave_rows(objective, domain, thetas, tol=tol)
+    for theta, result in zip(thetas, outcomes):
+        if isinstance(result, InfoGeoError):
+            raise result
+        if domain.unbounded and _near_box_edge(domain, result.argmax):
+            box = domain.bounding_box
+            half_width = float(np.max(0.5 * (box[:, 1] - box[:, 0])))
+            raise DomainError(
+                f"the Massieu supremum at theta={theta.tolist()} lies beyond the"
+                f" search box of half-width {half_width:g}; no dual energy point"
+                f" was found inside it")
+        if not result.converged:
+            raise ConvergenceError(
+                f"Legendre transform did not converge (best value {result.value!r},"
+                f" gradient norm {result.gradient_norm:.3e})", result=result)
+    return (np.array([r.value for r in outcomes]),
+            np.array([r.argmax for r in outcomes]).reshape(thetas.shape))
+
+
+def legendre_rows(model: ModelDescriptor, thetas,
+                  tol: float = _LEGENDRE_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """``(Phi (k,), U (k, n))`` at the parameter rows ``thetas`` (k, n):
+    the values and argmaxes of the numeric Legendre transform
+    ``sup_U { S(U) - theta . U }`` of ``model.entropy_u``, whatever closed
+    forms the model has.
+
+    All rows are one :func:`maximize_concave_rows` solve, and row i has
+    the bits of :func:`massieu` and :func:`theta_to_u` at ``thetas[i]`` on
+    a descriptor without closed forms.  Raises the error of the lowest
+    failing row: :class:`DomainError` when its argmax reaches the bounding
+    box of a domain flagged unbounded (the supremum lies beyond the search
+    box, so no finite value found inside it is Phi),
+    :class:`ConvergenceError` when it did not converge, or the error of
+    the entropy or of a stencil that ended it.
+    """
+    return _legendre(model, *_as_rows(model, thetas), tol)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -223,14 +244,14 @@ def _quietly(form, x):
 def massieu(model: ModelDescriptor, theta, tol: float = _LEGENDRE_TOL) -> float:
     """Massieu function ``Phi(theta) = sup_U { S(U) - theta . U }``.
 
-    Uses the model's closed form when present, otherwise a damped-Newton
-    Legendre transform, which raises :class:`DomainError` when the
+    Uses the model's closed form when present, otherwise the one-row view
+    of :func:`legendre_rows`, which raises :class:`DomainError` when the
     supremum lies beyond the bounding box of a domain flagged unbounded.
     Raises :class:`EvaluationError` when the closed form overflows.
     """
     theta = _as_theta(model, theta)
     if model.closed_massieu is None:
-        return _legendre(model, theta, tol)[0]
+        return float(_legendre(model, theta[None], tol)[0][0])
     phi = float(_quietly(model.closed_massieu, theta))
     if not math.isfinite(phi):
         raise EvaluationError(f"the Massieu function overflows at {theta.tolist()}")
@@ -244,7 +265,7 @@ def theta_to_u(model: ModelDescriptor, theta, tol: float = _LEGENDRE_TOL) -> np.
     """
     theta = _as_theta(model, theta)
     if model.closed_theta_to_u is None:
-        return _legendre(model, theta, tol)[1]
+        return _legendre(model, theta[None], tol)[1][0]
     u = np.asarray(_quietly(model.closed_theta_to_u, theta), dtype=float)
     if not np.isfinite(u).all():
         raise EvaluationError(f"the energy point dual to {theta.tolist()} overflows")

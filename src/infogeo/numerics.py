@@ -6,11 +6,15 @@ and closed-form spectral calculus for 2x2 Hermitian matrices.
 
 Objectives and domain membership are row-wise: they take points stacked
 along the last axis and decide or evaluate each one, independently of
-the other rows.  A central-difference gradient evaluates its 2n stencil
-points in one objective call and a Hessian its 2n^2+1; the maximizer
-passes its objective on to them and evaluates each candidate step as a
-one-row call; the grid supremum evaluates every member row of a slab in
-one call.
+the other rows.  The finite differences take one centre ``(n,)`` or k
+centres ``(k, n)``: a gradient evaluates the 2n stencil points of every
+centre in one objective call and a Hessian their 2n^2+1.  The maximizer
+solves k problems in one loop (:func:`maximize_concave_rows`, with
+:func:`maximize_concave` its one-row view): each iteration evaluates the
+gradient stencils of all rows in one call, their Hessian stencils in
+another and the candidates of one step length in a third, and each row
+gets the bits and the error that it gets when solved alone.  The grid
+supremum evaluates every member row of a slab in one call.
 
 All routines are pure: they never mutate their inputs and contain no
 hidden state, so concurrent use is safe.
@@ -22,10 +26,11 @@ import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError
+from .errors import DomainError, EvaluationError, InfoGeoError
 
 EPS = float(np.finfo(float).eps)
 #: Default step for central first differences: balances O(h^2) truncation
@@ -176,6 +181,8 @@ def on_points(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], n
 
 
 def _steps(x: np.ndarray, h: float | None, default: float) -> np.ndarray:
+    """Steps ``(k, n)`` at the centres ``x`` (k, n): ``h`` for every
+    coordinate, or ``default * max(1, |x_j|)`` per coordinate."""
     if h is None:
         return default * np.maximum(1.0, np.abs(x))
     return np.full(x.shape, float(h))
@@ -198,141 +205,298 @@ def _eval_rows(f, rows: np.ndarray) -> np.ndarray:
     return values
 
 
-def grad_fd(f: Callable[[np.ndarray], np.ndarray], x, h=None) -> np.ndarray:
-    """Central-difference gradient of ``f`` at ``x``.
+class _Stencil(NamedTuple):
+    """A central-difference scheme: ``points(x, hs)`` gives the ``(k, m,
+    n)`` stencil points of the centres ``x`` (k, n) with steps ``hs``, and
+    ``combine(values, hs)`` the derivatives from their ``(k, m)`` values;
+    ``step`` is the default relative step."""
 
-    ``f`` is row-wise: it maps points ``(k, n)`` to their ``(k,)`` values,
-    and all 2n stencil points ``x + h_j e_j``, ``x - h_j e_j`` (in that
-    order, j ascending) go to one call.  ``h`` is one step for every
-    coordinate; the default is ``eps**(1/3) * max(1, |x_j|)`` per
-    coordinate.  Raises :class:`EvaluationError` if ``f`` is non-finite
-    at a stencil point.
-    """
-    x = np.asarray(x, dtype=float)
-    hs = _steps(x, h, GRAD_STEP)
-    steps = np.diag(hs)
-    rows = np.empty((2 * x.size, x.size))
-    rows[0::2] = x + steps
-    rows[1::2] = x - steps
-    values = _eval_rows(f, rows)
-    return (values[0::2] - values[1::2]) / (2.0 * hs)
+    points: Callable
+    combine: Callable
+    step: float
 
 
-def hess_fd(f: Callable[[np.ndarray], np.ndarray], x, h=None) -> np.ndarray:
-    """Central-difference Hessian of the row-wise ``f`` at ``x``.
+def _grad_points(x, hs):
+    # x + h_j e_j and x - h_j e_j, j ascending
+    steps = hs[:, :, None] * np.eye(x.shape[1])
+    points = np.empty((len(x), 2 * x.shape[1], x.shape[1]))
+    points[:, 0::2] = x[:, None, :] + steps
+    points[:, 1::2] = x[:, None, :] - steps
+    return points
 
-    All 2n^2+1 stencil points go to one call of ``f``: ``x``, then for
-    each j the points ``x +- h_j e_j`` and, for each k > j, the four
-    points ``x +- h_j e_j +- h_k e_k``.  ``h`` is one step for every
-    coordinate; the default is ``eps**0.25 * max(1, |x_j|)`` per
-    coordinate.  The result is exactly symmetric.
-    """
-    x = np.asarray(x, dtype=float)
-    hs = _steps(x, h, HESS_STEP)
-    n = x.size
-    steps = np.diag(hs)
-    plus, minus = x + steps, x - steps
-    rows = [x]
+
+def _grad_combine(values, hs):
+    return (values[:, 0::2] - values[:, 1::2]) / (2.0 * hs)
+
+
+def _hess_points(x, hs):
+    # x, then for each j: x +- h_j e_j and, for each l > j, the four
+    # points x +- h_j e_j +- h_l e_l
+    steps = hs[:, :, None] * np.eye(x.shape[1])
+    plus, minus = x[:, None, :] + steps, x[:, None, :] - steps
+    points = [x]
+    for j in range(x.shape[1]):
+        points += [plus[:, j], minus[:, j]]
+        for l in range(j + 1, x.shape[1]):
+            points += [plus[:, j] + steps[:, l], plus[:, j] - steps[:, l],
+                       minus[:, j] + steps[:, l], minus[:, j] - steps[:, l]]
+    return np.stack(points, axis=1)
+
+
+def _hess_combine(values, hs):
+    n = hs.shape[1]
+    f0 = values[:, 0]
+    hess = np.empty((len(values), n, n))
+    i = 1
     for j in range(n):
-        rows += [plus[j], minus[j]]
-        for k in range(j + 1, n):
-            rows += [plus[j] + steps[k], plus[j] - steps[k],
-                     minus[j] + steps[k], minus[j] - steps[k]]
-    values = iter(_eval_rows(f, np.array(rows)).tolist())
-    f0 = next(values)
-    hess = np.empty((n, n))
-    for j in range(n):
-        hess[j, j] = (next(values) - 2.0 * f0 + next(values)) / hs[j] ** 2
-        for k in range(j + 1, n):
-            v = next(values) - next(values) - next(values) + next(values)
-            hess[j, k] = hess[k, j] = v / (4.0 * hs[j] * hs[k])
+        # float_power squares with libm pow, as ``**`` on a numpy scalar
+        # does; the array ``**`` multiplies, which can round differently
+        hess[:, j, j] = ((values[:, i] - 2.0 * f0 + values[:, i + 1])
+                         / np.float_power(hs[:, j], 2.0))
+        i += 2
+        for l in range(j + 1, n):
+            v = values[:, i] - values[:, i + 1] - values[:, i + 2] + values[:, i + 3]
+            hess[:, j, l] = hess[:, l, j] = v / (4.0 * hs[:, j] * hs[:, l])
+            i += 4
     return hess
 
 
-def _ascent_direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    # Newton direction requires the Hessian to be negative definite; test
-    # via Cholesky of -H and fall back to plain gradient ascent otherwise.
+_GRAD = _Stencil(_grad_points, _grad_combine, GRAD_STEP)
+_HESS = _Stencil(_hess_points, _hess_combine, HESS_STEP)
+
+
+def _fd(stencil: _Stencil, f, x, h) -> np.ndarray:
+    """``stencil``'s derivatives of the row-wise ``f`` at the centre ``x``
+    (n,) or the centres ``x`` (k, n), from one call of ``f``."""
+    x = np.asarray(x, dtype=float)
+    centres = np.atleast_2d(x)
+    hs = _steps(centres, h, stencil.step)
+    points = stencil.points(centres, hs)
+    k, m, n = points.shape
+    values = _eval_rows(f, points.reshape(k * m, n))
+    out = stencil.combine(values.reshape(k, m), hs)
+    return out[0] if x.ndim == 1 else out
+
+
+def grad_fd(f: Callable[[np.ndarray], np.ndarray], x, h=None) -> np.ndarray:
+    """Central-difference gradient of ``f`` at the centre ``x`` (n,), or at
+    each of the centres ``x`` (k, n).
+
+    ``f`` is row-wise: it maps points ``(m, n)`` to their ``(m,)`` values,
+    and the 2n stencil points of every centre go to one call, centre by
+    centre: ``x + h_j e_j``, ``x - h_j e_j`` (in that order, j ascending).
+    ``h`` is one step for every coordinate; the default is ``eps**(1/3) *
+    max(1, |x_j|)`` per coordinate.  Returns ``(n,)`` or ``(k, n)``; row
+    i has the bits of the one-centre call at ``x[i]``.  Raises
+    :class:`EvaluationError` if ``f`` is non-finite at a stencil point.
+    """
+    return _fd(_GRAD, f, x, h)
+
+
+def hess_fd(f: Callable[[np.ndarray], np.ndarray], x, h=None) -> np.ndarray:
+    """Central-difference Hessian of the row-wise ``f`` at the centre ``x``
+    (n,), or at each of the centres ``x`` (k, n).
+
+    The 2n^2+1 stencil points of every centre go to one call of ``f``,
+    centre by centre: ``x``, then for each j the points ``x +- h_j e_j``
+    and, for each k > j, the four points ``x +- h_j e_j +- h_k e_k``.
+    ``h`` is one step for every coordinate; the default is ``eps**0.25 *
+    max(1, |x_j|)`` per coordinate.  Returns ``(n, n)`` or ``(k, n, n)``,
+    each exactly symmetric; row i has the bits of the one-centre call.
+    """
+    return _fd(_HESS, f, x, h)
+
+
+def _ascent_directions(grads: np.ndarray, hesss: np.ndarray) -> np.ndarray:
+    """Ascent direction of each row: the Newton direction where the
+    Hessian is negative definite (a Cholesky factor of -H exists) and the
+    direction is a finite ascent direction, else the gradient."""
     try:
-        low = np.linalg.cholesky(-hess)
-        p = np.linalg.solve(low.T, np.linalg.solve(low, grad))
+        low = np.linalg.cholesky(-hesss)
+        p = np.linalg.solve(low.transpose(0, 2, 1),
+                            np.linalg.solve(low, grads[:, :, None]))[:, :, 0]
     except np.linalg.LinAlgError:
-        return grad.copy()
-    if not np.all(np.isfinite(p)) or float(p @ grad) <= 0.0:
-        return grad.copy()
+        if len(grads) == 1:
+            return grads.copy()
+        # some row has no factor: decide each row on its own
+        return np.concatenate([_ascent_directions(grads[i:i + 1], hesss[i:i + 1])
+                               for i in range(len(grads))])
+    gradient = ~(np.isfinite(p).all(axis=1) & (row_dot(p, grads) > 0.0))
+    p[gradient] = grads[gradient]
     return p
 
 
-class _OutsideDomain(Exception):
-    """A finite-difference stencil point lies outside the domain."""
+def _fitted_stencils(stencil: _Stencil, x: np.ndarray, domain: Domain):
+    """The ``stencil`` points ``(k, m, n)`` and steps ``(k, n)`` of the
+    centres ``x`` (k, n) inside ``domain``, and the mask of the centres
+    where no stencil fits.
+
+    A centre whose stencil with the default steps leaves the domain is
+    retried with one step ``step * max(1, max_j |x_j|)``, halved before
+    each try, until the stencil fits, at most ``MAX_BACKTRACKS`` tries in
+    all; each centre's steps depend on that centre alone.
+    """
+    def outside(points):
+        k, m, n = points.shape
+        inside = np.asarray(domain.membership(points.reshape(k * m, n)))
+        return ~inside.reshape(k, m).all(axis=1)
+
+    hs = _steps(x, None, stencil.step)
+    points = stencil.points(x, hs)
+    out = outside(points)
+    h = stencil.step * np.max(np.abs(x), axis=1, initial=1.0)
+    for _ in range(MAX_BACKTRACKS - 1):
+        if not out.any():
+            break
+        h[out] *= BACKTRACK_FACTOR
+        hs[out] = h[out, None]
+        points[out] = stencil.points(x[out], hs[out])
+        out[out] = outside(points[out])
+    return points, hs, out
 
 
-def _stencil_fd(fd, f, x: np.ndarray, domain: Domain, step: float) -> np.ndarray:
-    """``fd(f, x)``, where a stencil that leaves ``domain`` retries with the
-    step ``step * max(1, max_j |x_j|)`` halved until it fits, at most
-    ``MAX_BACKTRACKS`` times (then :class:`DomainError`)."""
-    def inside(rows):
-        if not np.all(domain.membership(rows)):
-            raise _OutsideDomain
-        return f(rows)
+def maximize_concave_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                          domain: Domain, params, tol: float = 1e-8
+                          ) -> list[OptimizationResult | InfoGeoError]:
+    """Maximize k concave objectives over one open domain, one per row of
+    ``params`` (k, p), by damped Newton steps in one shared loop.
 
-    h = None
-    for _ in range(MAX_BACKTRACKS):
+    ``f(points, params)`` is row-wise: it maps points ``(m, n)``, each
+    with its own problem's parameter row ``(m, p)``, to their ``(m,)``
+    values.  Each iteration evaluates the gradient stencils of all active
+    rows in one call, their Hessian stencils in another, and the
+    candidates of one step length in one more.  From
+    ``domain.interior_point`` on, every iterate, candidate and stencil
+    point satisfies ``domain.membership``: a stencil that leaves the
+    domain is retried with the step ``step * max(1, max_j |x_j|)`` halved
+    until it fits (at most ``MAX_BACKTRACKS`` tries, then
+    :class:`DomainError`), for that centre only.  Each row takes the
+    Newton direction, or gradient ascent when its finite-difference
+    Hessian is not negative definite, and halves its step (at most
+    ``MAX_BACKTRACKS`` times) until the candidate is inside the domain
+    and passes an Armijo sufficient-increase test, which allows a slack
+    of ``1e-15 * (1 + |f|)`` for rounding in ``f``.  A row succeeds when
+    its gradient norm drops to ``tol`` or below; a row with no admissible
+    step stalls, and a row that hits the iteration cap ends at its last
+    iterate, both with ``converged=False``.
+
+    Returns one outcome per row: its :class:`OptimizationResult`, or the
+    :class:`InfoGeoError` that ended it (an error of ``f`` or of a
+    stencil).  A failing row never stops the others, and each row gets
+    the bits it gets when solved alone.
+    """
+    params = np.asarray(params, dtype=float)
+    k, n = len(params), domain.dimension
+    outcomes: list = [None] * k
+
+    def evaluate(rows, owner, points):
+        """``f`` at ``points`` (m, n), point i belonging to ``rows[owner[i]]``,
+        and the mask of the rows whose points ``f`` fails on.  After a
+        failure each row's points are evaluated on their own, as when the
+        row is solved alone, so each failing row gets its own error."""
+        failed = np.zeros(len(rows), dtype=bool)
+        on = lambda owner: lambda pts: f(pts, params[rows[owner]])
         try:
-            return fd(inside, x, h)
-        except _OutsideDomain:
-            h = BACKTRACK_FACTOR * (step * float(np.max(np.abs(x), initial=1.0))
-                                    if h is None else h)
-    raise DomainError(f"no finite-difference stencil at {x.tolist()} fits in the domain")
+            return _eval_rows(on(owner), points), failed
+        except InfoGeoError:
+            pass
+        values = np.full(len(points), np.nan)
+        for i in range(len(rows)):
+            mine = owner == i
+            try:
+                values[mine] = _eval_rows(on(owner[mine]), points[mine])
+            except InfoGeoError as exc:
+                outcomes[rows[i]] = exc
+                failed[i] = True
+        return values, failed
+
+    def derivative(stencil: _Stencil, rows, x):
+        """``stencil``'s derivatives at the centres ``x`` of ``rows``, with
+        each stencil fitted into the domain, and the mask of failed rows."""
+        points, hs, failed = _fitted_stencils(stencil, x, domain)
+        for i in np.flatnonzero(failed):
+            outcomes[rows[i]] = DomainError(
+                f"no finite-difference stencil at {x[i].tolist()} fits in the domain")
+        # failed rows keep NaN values, which the caller drops with them
+        inside = np.flatnonzero(~failed)
+        a, m = points.shape[:2]
+        values = np.full((a, m), np.nan)
+        if inside.size:
+            at, failed[inside] = evaluate(rows[inside], np.repeat(np.arange(inside.size), m),
+                                          points[inside].reshape(inside.size * m, n))
+            values[inside] = at.reshape(inside.size, m)
+        return stencil.combine(values, hs), failed
+
+    def finish(rows, x, fx, iterations, gnorm):
+        # a stalled row has not converged: its gradient norm is above tol
+        for i, row in enumerate(rows):
+            outcomes[row] = OptimizationResult(x[i].copy(), float(fx[i]), iterations,
+                                               float(gnorm[i]), bool(gnorm[i] <= tol))
+
+    rows = np.arange(k)                 # the rows still iterating
+    x = np.repeat(domain.interior_point[None], k, axis=0)
+    fx, failed = evaluate(rows, rows, x)
+    rows, x, fx = (a[~failed] for a in (rows, x, fx))
+    for it in range(MAX_ITERATIONS):
+        if not rows.size:
+            return outcomes
+        grad, failed = derivative(_GRAD, rows, x)
+        gnorm = row_norm(grad)
+        done = ~failed & (gnorm <= tol)
+        finish(rows[done], x[done], fx[done], it, gnorm[done])
+        keep = ~(failed | done)
+        rows, x, fx, grad, gnorm = (a[keep] for a in (rows, x, fx, grad, gnorm))
+        if not rows.size:
+            return outcomes
+        hess, failed = derivative(_HESS, rows, x)
+        rows, x, fx, grad, gnorm, hess = (
+            a[~failed] for a in (rows, x, fx, grad, gnorm, hess))
+        p = _ascent_directions(grad, hess)
+        slope = row_dot(grad, p)
+        # Near the optimum f is flat to machine precision and the test
+        # would reject every step on rounding jitter alone.
+        slack = 1e-15 * (1.0 + np.abs(fx))
+        ended = np.zeros(len(rows), dtype=bool)
+        searching = np.ones(len(rows), dtype=bool)   # still halving the step
+        t = 1.0
+        for _ in range(MAX_BACKTRACKS):
+            todo = np.flatnonzero(searching)
+            if not todo.size:
+                break
+            cand = x[todo] + t * p[todo]
+            inside = np.asarray(domain.membership(cand), dtype=bool)
+            tried, cand = todo[inside], cand[inside]
+            if tried.size:
+                fc, lost = evaluate(rows[tried], np.arange(tried.size), cand)
+                ok = ~lost & (fc >= fx[tried] + ARMIJO_C * t * slope[tried] - slack[tried])
+                x[tried[ok]], fx[tried[ok]] = cand[ok], fc[ok]
+                ended[tried[lost]] = True
+                searching[tried[ok | lost]] = False
+            t *= BACKTRACK_FACTOR
+        # No admissible improving step along either direction: stalled.
+        stalled = np.flatnonzero(searching)
+        finish(rows[stalled], x[stalled], fx[stalled], it + 1, gnorm[stalled])
+        ended[stalled] = True
+        rows, x, fx = (a[~ended] for a in (rows, x, fx))
+    if rows.size:
+        grad, failed = derivative(_GRAD, rows, x)
+        keep = ~failed
+        finish(rows[keep], x[keep], fx[keep], MAX_ITERATIONS, row_norm(grad[keep]))
+    return outcomes
 
 
 def maximize_concave(f: Callable[[np.ndarray], np.ndarray], domain: Domain,
                      tol: float = 1e-8) -> OptimizationResult:
     """Maximize a concave ``f`` over an open domain by damped Newton steps.
 
-    ``f`` is row-wise, as for :func:`grad_fd`; the stencils of the
-    gradient and Hessian at an iterate are one call each, and every other
-    evaluation is a one-row call.  From ``domain.interior_point`` on,
-    every iterate and stencil point satisfies ``domain.membership``: a
-    stencil near the edge takes a smaller step, and candidate steps are
-    halved (at most ``MAX_BACKTRACKS`` times) until they are inside the
-    domain and pass an Armijo sufficient-increase test, which allows a
-    slack of ``1e-15 * (1 + |f|)`` for rounding in ``f``.  When the
-    finite-difference Hessian is not negative definite the step falls
-    back to gradient ascent.  Success means the gradient norm dropped to
-    ``tol`` or below; hitting the iteration cap returns the best iterate
-    with ``converged=False``.
+    The one-row view of :func:`maximize_concave_rows`: ``f`` is row-wise,
+    as for :func:`grad_fd`, and an error that ends the row is raised.
     """
-    x = domain.interior_point
-    fx = float(_eval_rows(f, x[None])[0])
-    gnorm = math.inf
-    for it in range(MAX_ITERATIONS):
-        grad = _stencil_fd(grad_fd, f, x, domain, GRAD_STEP)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= tol:
-            return OptimizationResult(x, fx, it, gnorm, True)
-        hess = _stencil_fd(hess_fd, f, x, domain, HESS_STEP)
-        p = _ascent_direction(grad, hess)
-        slope = float(grad @ p)
-        # Near the optimum f is flat to machine precision and the test
-        # would reject every step on rounding jitter alone.
-        slack = 1e-15 * (1.0 + abs(fx))
-        t = 1.0
-        accepted = False
-        for _ in range(MAX_BACKTRACKS):
-            cand = x + t * p
-            if domain.membership(cand):
-                fc = float(_eval_rows(f, cand[None])[0])
-                if fc >= fx + ARMIJO_C * t * slope - slack:
-                    x, fx = cand, fc
-                    accepted = True
-                    break
-            t *= BACKTRACK_FACTOR
-        if not accepted:
-            # No admissible improving step along either direction: stalled.
-            return OptimizationResult(x, fx, it + 1, gnorm, False)
-    grad = _stencil_fd(grad_fd, f, x, domain, GRAD_STEP)
-    gnorm = float(np.linalg.norm(grad))
-    return OptimizationResult(x, fx, MAX_ITERATIONS, gnorm, gnorm <= tol)
+    outcome = maximize_concave_rows(lambda points, _: f(points), domain,
+                                    np.zeros((1, 0)), tol)[0]
+    if isinstance(outcome, InfoGeoError):
+        raise outcome
+    return outcome
 
 
 def grid_sup(f: Callable[[np.ndarray], np.ndarray], domain: Domain,

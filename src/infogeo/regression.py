@@ -80,37 +80,51 @@ def regression_entropy(points) -> float:
                    / (2.0 * z), "entropy")
 
 
+def _pairwise(points):
+    """The coordinates and the ``(n, n)`` differences ``x_i - x_j``, ``y_i -
+    y_j`` of all ordered pairs of points."""
+    pts = _as_points(points)
+    x, y = pts[:, 0], pts[:, 1]
+    return x, y, x[:, None] - x[None, :], y[:, None] - y[None, :]
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def regression_questions_pairwise(points) -> np.ndarray:
     """O(n^2) oracle for :func:`regression_questions`: averages of
-    two-point slope and intercept formulas weighted by (x_i - x_j)^2."""
-    pts = _as_points(points)
-    num_a = num_b = den = 0.0
-    for xi, yi in pts:
-        for xj, yj in pts:
-            w = (xi - xj) ** 2
-            den += w
-            if w > 0.0:
-                # two-point slope (yi-yj)/(xi-xj) and intercept
-                # (yj xi - yi xj)/(xi-xj), weighted by (xi-xj)^2
-                num_a += w * (yi - yj) / (xi - xj)
-                num_b += w * (yj * xi - yi * xj) / (xi - xj)
+    two-point slope and intercept formulas weighted by (x_i - x_j)^2,
+    summed over all ordered pairs at once.
+
+    Raises :class:`DegeneracyError` when the x values are all equal and
+    :class:`EvaluationError` when a sum overflows.
+    """
+    x, y, dx, dy = _pairwise(points)
+    w = dx * dx
+    den = w.sum()
     if den == 0.0:
         raise DegeneracyError("x values are all equal; the line is not determined")
-    return np.array([num_a / den, num_b / den])
+    # two-point slope (yi-yj)/(xi-xj) and intercept (yj xi - yi xj)/(xi-xj),
+    # weighted by (xi-xj)^2, over the pairs with distinct x
+    apart = w > 0.0
+    w, dx, dy = w[apart], dx[apart], dy[apart]
+    cross = (y[None, :] * x[:, None] - y[:, None] * x[None, :])[apart]
+    return _finite(np.array([(w * dy / dx).sum() / den, (w * cross / dx).sum() / den]),
+                   "line")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def regression_entropy_pairwise(points) -> float:
-    """O(n^2) oracle for :func:`regression_entropy` via double sums."""
-    pts = _as_points(points)
-    cross = spread = den = 0.0
-    for xi, yi in pts:
-        for xj, yj in pts:
-            den += (xi - xj) ** 2
-            cross += (xi * yj - xj * yi) ** 2
-            spread += (yi - yj) ** 2
+    """O(n^2) oracle for :func:`regression_entropy` via sums over all
+    ordered pairs of points.
+
+    Raises :class:`DegeneracyError` when the x values are all equal and
+    :class:`EvaluationError` when a sum overflows.
+    """
+    x, y, dx, dy = _pairwise(points)
+    den = (dx * dx).sum()
     if den == 0.0:
         raise DegeneracyError("x values are all equal; the line is not determined")
-    return -(cross + spread) / den
+    cross = x[:, None] * y[None, :] - x[None, :] * y[:, None]
+    return float(_finite(-((cross * cross).sum() + (dy * dy).sum()) / den, "entropy"))
 
 
 def regression_is_perfect(points) -> bool:

@@ -686,6 +686,33 @@ def test_verify_reports_a_check_without_a_finite_measure(capsys, monkeypatch):
     assert "[qubit] unmeasured: FAIL (worst inf, tol 1.0e+00)" in err
 
 
+
+def test_verify_error_envelope_keeps_the_rows_reported(capsys, tmp_path):
+    """A check that raises ends verify with exit 3; the error envelope
+    carries the rows of the checks reported before it, as the success
+    envelope would."""
+    path = tmp_path / "wide.ini"
+    path.write_text("[model]\ntype = discrete\n\n[discrete]\n"
+                    "prior = 1, 1, 1\nhamiltonians = 0, 1, 10\n")
+    assert cli.main(["verify", "--config", str(path)]) == 3
+    out, err = capsys.readouterr()
+    env = strict_json(out)
+    message = ("Legendre transform did not converge (best value 19.003686234032738,"
+               " gradient norm 6.322e-04)")
+    assert env["status"] == "error:convergence"
+    assert env["diagnostics"] == {"message": message}
+    assert env["inputs"] == {"target": "discrete-3letter"}
+    rows = env["outputs"]["suites"]["discrete-3letter"]
+    assert env["outputs"]["checks"] == len(rows) == 12
+    assert [row["name"] for row in rows] == [
+        line.split(":")[0].removeprefix("[discrete-3letter] ")
+        for line in err.splitlines()[:-1]]
+    assert rows[-1]["name"] == "pythagoras-residual-identity"
+    failures = [f"discrete-3letter:{row['name']}" for row in rows if not row["passed"]]
+    assert env["outputs"]["failures"] == failures
+    assert env["outputs"]["failed"] == len(failures)
+    assert err.splitlines()[-1] == f"error: {message}"
+
 def test_massieu_at_huge_qubit_parameters(capsys):
     # |theta|^2 overflows here, |theta| and Phi = ln 2cosh|theta| do not
     code = cli.main(["massieu", "--model", "qubit", "--theta", "1e160,0,0"])

@@ -53,6 +53,21 @@ def test_least_squares_agreement_random():
             1.0, float(np.max(np.abs(expect))))
 
 
+def _double_sums(pts):
+    """The pairwise oracles as literal double sums over ordered pairs."""
+    num_a = num_b = den = cross = spread = 0.0
+    for xi, yi in pts.tolist():
+        for xj, yj in pts.tolist():
+            w = (xi - xj) * (xi - xj)
+            den += w
+            if w > 0.0:
+                num_a += w * (yi - yj) / (xi - xj)
+                num_b += w * (yj * xi - yi * xj) / (xi - xj)
+            cross += (xi * yj - xj * yi) ** 2
+            spread += (yi - yj) ** 2
+    return np.array([num_a / den, num_b / den]), -(cross + spread) / den
+
+
 def test_pairwise_oracles_match_moment_forms():
     rng = np.random.default_rng(16)
     for _ in range(30):
@@ -64,6 +79,32 @@ def test_pairwise_oracles_match_moment_forms():
                            regression_questions(pts), atol=1e-9)
         assert regression_entropy_pairwise(pts) == pytest.approx(
             regression_entropy(pts), abs=1e-9)
+
+
+def test_pairwise_oracles_match_literal_double_sums():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        n = int(rng.integers(2, 25))
+        pts = np.stack([rng.normal(size=n) * rng.uniform(0.5, 3.0),
+                        rng.normal(size=n)], axis=-1)
+        # repeated abscissas exercise the w > 0 mask
+        pts[: n // 3, 0] = pts[0, 0]
+        questions, entropy = _double_sums(pts)
+        assert np.allclose(regression_questions_pairwise(pts), questions,
+                           rtol=1e-12, atol=1e-12)
+        assert regression_entropy_pairwise(pts) == pytest.approx(entropy, rel=1e-12,
+                                                                 abs=1e-12)
+
+
+def test_pairwise_oracles_overflow_as_evaluation_errors():
+    # Tier-1 turns a RuntimeWarning into a failure, so these also check
+    # that the oracles overflow quietly into a typed error
+    for pts in (np.array([[0.0, 1.0], [1e200, 2.0], [2.0, 3.0]]),
+                np.array([[0.0, 1e200], [1.0, 2.0], [2.0, 3.0]])):
+        with pytest.raises(EvaluationError, match="overflow"):
+            regression_entropy_pairwise(pts)
+    with pytest.raises(EvaluationError, match="overflow"):
+        regression_questions_pairwise(np.array([[0.0, 1.0], [1e200, 2.0], [2.0, 3.0]]))
 
 
 def test_perfect_data_entropy_law():
