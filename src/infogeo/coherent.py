@@ -1,8 +1,11 @@
 """Single oscillator mode in a truncated Fock basis.
 
 Pure states are unit vectors with components on the number states
-``|0>, ..., |nmax>``.  The model family consists of the coherent states
-``|z>``; mean coordinates are the scaled quadrature expectations
+``|0>, ..., |nmax>``.  A stack of k states is the complex array of their
+coefficient rows (k, nmax + 1), and :class:`FockVector` is the one-state
+view; the expectation functions below take either.  The model family
+consists of the coherent states ``|z>``; mean coordinates are the scaled
+quadrature expectations
 
     U1 = r Re<a>,   U2 = (hbar / r) Im<a>,
 
@@ -24,7 +27,7 @@ import numpy as np
 
 from .core import ModelDescriptor
 from .errors import ConvergenceError, TruncationError
-from .numerics import Domain
+from .numerics import Domain, row_dot
 
 
 @dataclass(frozen=True)
@@ -41,20 +44,37 @@ class PhaseConstants:
             raise ValueError("action scale hbar must be positive")
 
 
+def state_rows(states) -> np.ndarray:
+    """The coefficient rows (k, N) of a stack of states (an array of rows
+    or a sequence of :class:`FockVector`), validated like a
+    :class:`FockVector`: each row raises the ValueError it raises alone."""
+    c = np.asarray(states, dtype=complex)
+    if c.ndim != 2 or c.shape[1] < 2:
+        raise ValueError("state needs at least two basis coefficients")
+    # the norm with the bits of the 1-D np.linalg.norm
+    norms = np.sqrt(row_dot(c.real, c.real) + row_dot(c.imag, c.imag))
+    if np.any(np.abs(norms - 1.0) > 1e-10):
+        raise ValueError("state vector must be normalized")
+    return c
+
+
 @dataclass(frozen=True)
 class FockVector:
-    """Normalized state vector in the truncated number basis."""
+    """Normalized state vector in the truncated number basis: the one-state
+    view of a stack of coefficient rows (see :func:`state_rows`)."""
 
     coeff: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.coeff, dtype=complex)
-        if c.ndim != 1 or c.size < 2:
+        if c.ndim != 1:
             raise ValueError("state needs at least two basis coefficients")
-        norm = float(np.linalg.norm(c))
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError("state vector must be normalized")
-        object.__setattr__(self, "coeff", c)
+        object.__setattr__(self, "coeff", state_rows(c[None])[0])
+
+    def __array__(self, dtype=None, copy=None):
+        if copy:
+            return np.array(self.coeff, dtype=dtype)
+        return np.asarray(self.coeff, dtype=dtype)
 
     @property
     def nmax(self) -> int:
@@ -87,32 +107,46 @@ def coherent_state(z: complex, nmax: int = 64) -> FockVector:
     return FockVector(c)
 
 
-def a_expectation(psi: FockVector) -> complex:
+# The expectations below work on states (..., N), coefficient rows or a
+# FockVector, and give one value per state.  Their squares of moduli are
+# libm hypot and pow, which round like Python's abs(complex) ** 2; numpy's
+# complex abs and array squares need not.
+
+def _modulus_squared(re, im) -> np.ndarray:
+    return np.float_power(np.hypot(re, im), 2)
+
+
+def a_expectation(psi):
     """``<a> = sum_n conj(c_n) sqrt(n+1) c_{n+1}``."""
-    c = psi.coeff
-    n = np.arange(1, c.size, dtype=float)
-    return complex(np.sum(np.conj(c[:-1]) * np.sqrt(n) * c[1:]))
+    c = np.asarray(psi, dtype=complex)
+    n = np.arange(1, c.shape[-1], dtype=float)
+    return np.sum(np.conj(c[..., :-1]) * np.sqrt(n) * c[..., 1:], axis=-1)[()]
 
 
-def number_expectation(psi: FockVector) -> float:
+def number_expectation(psi):
     """``<a' a> = sum_n n |c_n|^2``."""
-    c = psi.coeff
-    return float(np.sum(np.arange(c.size) * np.abs(c) ** 2))
+    c = np.asarray(psi, dtype=complex)
+    return np.sum(np.arange(c.shape[-1]) * np.abs(c) ** 2, axis=-1)[()]
 
 
-def expectation_quadratic(psi: FockVector, m: np.ndarray) -> float:
-    """Real expectation ``<psi| m |psi>`` of a Hermitian matrix."""
+def expectation_quadratic(psi, m: np.ndarray) -> float:
+    """Real expectation ``<psi| m |psi>`` of a Hermitian matrix in one state."""
+    c = np.asarray(psi, dtype=complex)
     m = np.asarray(m)
-    if m.shape != (psi.coeff.size, psi.coeff.size):
+    if m.shape != (c.size, c.size):
         raise ValueError("operator shape does not match the basis size")
-    val = complex(np.vdot(psi.coeff, m @ psi.coeff))
+    val = complex(np.vdot(c, m @ c))
     return float(val.real)
 
 
-def mu_map(psi: FockVector, constants: PhaseConstants) -> np.ndarray:
-    """Mean coordinates ``(r Re<a>, (hbar/r) Im<a>)`` of a state."""
-    za = a_expectation(psi)
-    return np.array([constants.r * za.real, (constants.hbar / constants.r) * za.imag])
+def _mean_coordinates(za, constants: PhaseConstants) -> np.ndarray:
+    return np.stack([constants.r * za.real, (constants.hbar / constants.r) * za.imag],
+                    axis=-1)
+
+
+def mu_map(psi, constants: PhaseConstants) -> np.ndarray:
+    """Mean coordinates ``(r Re<a>, (hbar/r) Im<a>)`` of the states, ``(..., 2)``."""
+    return _mean_coordinates(a_expectation(psi), constants)
 
 
 def z_of_u(u, constants: PhaseConstants) -> complex:
@@ -121,15 +155,18 @@ def z_of_u(u, constants: PhaseConstants) -> complex:
     return complex(u[0] / constants.r, (constants.r / constants.hbar) * u[1])
 
 
-def entropy_coherent(psi: FockVector) -> float:
+def entropy_coherent(psi):
     """Pure-state entropy ``|<a>|^2 / 2 - <a' a>``.
 
     Nonpositive, with equality to ``-|z|^2/2`` exactly on coherent
     states; strictly below the model value for any other state with the
     same ``<a>``.
     """
-    za = a_expectation(psi)
-    return 0.5 * abs(za) ** 2 - number_expectation(psi)
+    return _entropy(np.asarray(a_expectation(psi)), psi)
+
+
+def _entropy(za, psi):
+    return (0.5 * _modulus_squared(za.real, za.imag) - number_expectation(psi))[()]
 
 
 # The closed forms below square with exact products: ``**`` on numpy
@@ -193,15 +230,20 @@ def dual_points_coherent(thetas: np.ndarray, constants: PhaseConstants):
     return massieu_coherent(thetas, constants), u, model_entropy_u(u, constants)
 
 
-def divergence_coherent(psi: FockVector, u, constants: PhaseConstants) -> float:
-    """Divergence of a pure state from the member with coordinates ``u``.
+def divergence_coherent(psi, u, constants: PhaseConstants):
+    """Divergence of pure states from the members with coordinates ``u``
+    (one per state, ``(..., 2)``).
 
     Closed form ``|<a> - z|^2 / 2 + <a' a> - |<a>|^2``: a displacement
     term plus the (phase-insensitive) excess fluctuation of the state.
     """
-    z = z_of_u(u, constants)
-    za = a_expectation(psi)
-    return 0.5 * abs(za - z) ** 2 + number_expectation(psi) - abs(za) ** 2
+    u = np.asarray(u, dtype=float)
+    za = np.asarray(a_expectation(psi))
+    # z = u1 / r + i (r / hbar) u2, as z_of_u builds it
+    displacement = _modulus_squared(za.real - u[..., 0] / constants.r,
+                                    za.imag - (constants.r / constants.hbar) * u[..., 1])
+    return (0.5 * displacement + number_expectation(psi)
+            - _modulus_squared(za.real, za.imag))[()]
 
 
 def log_map_coherent(u, constants: PhaseConstants, nmax: int = 64) -> np.ndarray:
@@ -250,36 +292,117 @@ def load_state(path: str) -> FockVector:
 _MIN_NOISE = 1e-16
 
 
-def _pin_mean(coeff: np.ndarray, z: complex) -> np.ndarray | None:
-    """Adjust the ground-mode coefficient so the normalized vector has
-    ``<a>`` exactly ``z``; None when the Newton iteration fails."""
-    c = coeff.copy()
-    rest_a = complex(np.sum(np.conj(c[1:-1]) *
-                            np.sqrt(np.arange(2, c.size, dtype=float)) * c[2:]))
-    rest_n = float(np.sum(np.abs(c[1:]) ** 2))
-    c1 = c[1]
-    x, y = c[0].real, c[0].imag
+def _rootless(rest_a: np.ndarray, rest_n: np.ndarray, p: np.ndarray, q: np.ndarray,
+              z: complex) -> np.ndarray:
+    """Rows whose pin equation provably has no root, so no Newton step can
+    meet the pin's test.
+
+    With ``v = conj(c_0)`` and ``t = |v|^2`` the equation reads ``c_1 v =
+    z t + B``, ``B = z N - A``, and its residual is at least ``| |z t + B|
+    - |c_1| sqrt(t) |``.  If ``G(t) = |z t + B|^2 - 2 |c_1|^2 t - 2 d^2 >= 0``
+    for all ``t >= 0`` then ``|z t + B| >= |c_1| sqrt(t) + d``, so every
+    residual is at least ``d``.  ``G`` is a quadratic in ``t``, so the test
+    is its value at 0 and at its vertex.  ``d^2 = 1e-10 (1 + |B|^2)`` keeps
+    the test clear of the rounding of its own terms.  The residual a
+    Newton step computes is off by about 1e-15 times its largest term, and
+    with ``|z| >= 1e-4 (1 + |c_1|)`` the terms are small wherever the
+    residual is below ``d``, so no rounding brings it under the 1e-14 test.
+    """
+    zr, zi = z.real, z.imag
+    br, bi = zr * rest_n - rest_a.real, zi * rest_n - rest_a.imag
+    b2 = br * br + bi * bi
+    c2 = p * p + q * q
+    slope = (zr * br + zi * bi) - c2           # G(t) = |z|^2 t^2 + 2 slope t + const
+    const = b2 - 2e-10 * (1.0 + b2)
+    z2 = zr * zr + zi * zi
+    return ((math.sqrt(z2) >= 1e-4 * (1.0 + np.sqrt(c2))) & (const >= 0.0)
+            & ((slope >= 0.0) | (slope * slope <= z2 * const)))
+
+
+def _pin_rows(coeffs: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Adjust the ground-mode coefficient of each row of ``coeffs`` (k, N)
+    so the normalized row has ``<a>`` exactly ``z``.
+
+    Returns ``(rows, pinned)``.  Newton's method on ``g(c_0) =
+    conj(c_0) c_1 + A - z (|c_0|^2 + N)``, with ``A`` and ``N`` the parts of
+    ``<a>`` and of the norm that ``c_0`` and ``c_1`` leave out, runs on all
+    rows in one masked loop over the real and imaginary parts of ``c_0``,
+    each row until ``|g| <= 1e-14 (1 + |z|)``.  A row fails after 80 steps,
+    on a singular or non-finite step or a zero vector, and at once when
+    its equation has no root (:func:`_rootless`).  Each step writes out on
+    real arrays the arithmetic of the one-row iteration in Python complex
+    numbers (``z * s`` is ``(zr s - zi 0, zr 0 + zi s)`` there), so every
+    row keeps the bits it has when pinned alone.
+    """
+    c = np.array(coeffs, dtype=complex)
+    k, size = c.shape
+    rest_a = np.sum(np.conj(c[:, 1:-1]) * np.sqrt(np.arange(2, size, dtype=float))
+                    * c[:, 2:], axis=1)
+    rest_n = np.sum(np.abs(c[:, 1:]) ** 2, axis=1)
+    pairs = c.view(float)               # (Re c_n, Im c_n) side by side
+    tol = 1e-14 * (1.0 + abs(z))
+    # z times a real s is (zr s - zi 0, zr 0 + zi s) in Python
+    z_pair = np.array([z.real, z.imag])
+    zero_pair = np.array([-(z.imag * 0.0), z.real * 0.0])
+    pinned = np.zeros(k, dtype=bool)
+    rows = np.flatnonzero(~_rootless(rest_a, rest_n, pairs[:, 2], pairs[:, 3], z))
+    # The rows still iterating, with (real, imaginary) parts in the last
+    # axis: g = x (p, q) + y (q, -p) + A - z s with c_1 = p + i q and s =
+    # |c_0|^2 + N.  The Jacobian's columns are c_1 - 2 x z (for x) and
+    # -1j c_1 - 2 y z (for y), -1j c_1 taken as Python multiplies it.
+    xy = pairs[rows, :2]
+    pq = pairs[rows, 2:4]
+    qp = pq[:, ::-1] * [1.0, -1.0]
+    ra = rest_a.view(float).reshape(k, 2)[rows]
+    rn = rest_n[rows]
+    jac0 = np.stack([pq, -0.0 * pq + qp], axis=2)
+    solved = np.empty((k, 2))
     for _ in range(80):
-        c0 = complex(x, y)
-        g = np.conj(c0) * c1 + rest_a - z * (abs(c0) ** 2 + rest_n)
-        if abs(g) <= 1e-14 * (1.0 + abs(z)):
-            c[0] = c0
-            norm = float(np.linalg.norm(c))
-            if norm == 0.0:
-                return None
-            return c / norm
-        gx = c1 - 2.0 * x * z
-        gy = -1j * c1 - 2.0 * y * z
-        jac = np.array([[gx.real, gy.real], [gx.imag, gy.imag]])
+        if not rows.size:
+            break
+        x, y = xy[:, 0], xy[:, 1]
+        s = np.float_power(np.hypot(x, y), 2) + rn
+        g = (x[:, None] * pq + y[:, None] * qp + ra) - (s[:, None] * z_pair + zero_pair)
+        done = np.hypot(g[:, 0], g[:, 1]) <= tol
+        if done.all():
+            pinned[rows] = True
+            solved[rows] = xy
+            break
+        jac = jac0 - (2.0 * xy[:, None, :] * z_pair[:, None] + zero_pair[:, None])
         try:
-            dx, dy = np.linalg.solve(jac, [-g.real, -g.imag])
+            step = np.linalg.solve(jac, -g[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            return None
-        if not (math.isfinite(dx) and math.isfinite(dy)):
-            return None
-        x += dx
-        y += dy
-    return None
+            step = np.full(g.shape, np.nan)
+            for i in range(rows.size):
+                try:
+                    step[i] = np.linalg.solve(jac[i], -g[i])
+                except np.linalg.LinAlgError:
+                    pass
+        live = ~done & np.isfinite(step).all(axis=1)
+        if not live.all():
+            pinned[rows[done]] = True
+            solved[rows[done]] = xy[done]
+            rows, xy, pq, qp, ra, rn, jac0, step = (
+                a[live] for a in (rows, xy, pq, qp, ra, rn, jac0, step))
+        xy += step
+    done = np.flatnonzero(pinned)
+    c0 = np.empty(done.size, dtype=complex)
+    c0.real, c0.imag = solved[done].T
+    c[done, 0] = c0
+    norms = np.sqrt(row_dot(c.real, c.real) + row_dot(c.imag, c.imag))
+    pinned &= norms != 0.0
+    c[pinned] /= norms[pinned, None]
+    return c, pinned
+
+
+def _halvings_to_give_up(scale: float) -> int:
+    """How many more failed pins halve ``scale`` below ``_MIN_NOISE``."""
+    count = 1
+    scale *= 0.5
+    while scale >= _MIN_NOISE:
+        scale *= 0.5
+        count += 1
+    return count
 
 
 def as_descriptor(constants: PhaseConstants, nmax: int = 64,
@@ -291,9 +414,10 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
     ``max(r^2, hbar^2/r^2)`` times the largest parameter magnitude of
     interest.  The default half-width, ``16 max(r^2, hbar^2/r^2, 1)``,
     keeps ``|U|`` interior for ``|theta|`` up to 16.  Data sets are
-    :class:`FockVector` states on the same truncated basis; the fiber
-    sampler returns the coherent state, then noisy states, each with
-    ``<a>`` pinned to the coherent state's amplitude z.
+    states on the same truncated basis, and a stack of them is an array
+    of coefficient rows (or a sequence of :class:`FockVector`); the fiber
+    sampler returns the stack of the coherent state, then noisy states,
+    each with ``<a>`` pinned to the coherent state's amplitude z.
     """
     r, hbar = constants.r, constants.hbar
     b = (16.0 * max(r ** 2, hbar ** 2 / r ** 2, 1.0) if box_halfwidth is None
@@ -308,38 +432,61 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
     domain = Domain(dimension=2, bounding_box=box, membership=membership,
                     interior_point=np.zeros(2), unbounded=True)
 
-    def answers(psi):
-        return mu_map(psi, constants), entropy_coherent(psi)
+    def answers(states):
+        c = state_rows(states)
+        za = a_expectation(c)
+        return _mean_coordinates(za, constants), _entropy(za, c)
 
     def fiber_sampler(u, count, rng=None):
         z = z_of_u(np.asarray(u, dtype=float), constants)
         base = coherent_state(z, nmax).coeff
-        # The first sample is the coherent state, whose <a> the truncation
-        # moves off z, so it is pinned like the noisy samples after it.
-        # Every failed pin halves the noise scale.
-        first = _pin_mean(base, z)
-        samples = [] if first is None else [FockVector(first)]
-        scale = 0.1 if samples else 0.05
         if rng is None:
             rng = np.random.default_rng(0)
-        while len(samples) < max(count, 1):
-            c = base.copy()
-            noise = rng.normal(size=c.size - 2) + 1j * rng.normal(size=c.size - 2)
-            c[2:] += scale * noise / math.sqrt(2.0 * c.size)
-            if abs(c[1]) < 0.05:
-                # a kick keeps the pin's Jacobian regular; it shrinks with
-                # the noise, so a small scale stays near the coherent state
-                c[1] += scale
-            pinned = _pin_mean(c, z)
-            if pinned is None:
+        want = max(count, 1)
+        # The first sample is the coherent state, whose <a> the truncation
+        # moves off z, so it is pinned like the noisy samples after it.
+        # Every failed pin halves the noise scale, 0.1 after the coherent
+        # state and 0.05 if it fails.  Noisy attempts are drawn a block at
+        # a time, as many as would finish the stack but never more than the
+        # failures that end the search, and pinned in one call, the first
+        # block with the coherent state.  After the first failure in a
+        # block the scale halves and the attempts after it are built again
+        # from the noise already drawn for them, so the draws and samples
+        # are those of drawing and pinning one attempt at a time.
+        samples, have, scale = [], 0, 0.1
+        lead = 1                        # the coherent state rides with the first block
+        noise = np.empty((0, 2, base.size - 2))
+        while have < want:
+            if not len(noise):
+                # should the coherent state fail, the block is pinned at half the scale
+                size = min(want - have - lead, _halvings_to_give_up(scale / 2 ** lead))
+                noise = rng.normal(size=(size, 2, base.size - 2))
+            c = np.repeat(base[None], lead + len(noise), axis=0)
+            noisy = c[lead:]
+            noisy[:, 2:] += (scale * (noise[:, 0] + 1j * noise[:, 1])
+                             / math.sqrt(2.0 * base.size))
+            # a kick keeps the pin's Jacobian regular; it shrinks with the
+            # noise, so a small scale stays near the coherent state
+            noisy[np.hypot(noisy[:, 1].real, noisy[:, 1].imag) < 0.05, 1] += scale
+            pinned, ok = _pin_rows(c, z)
+            if lead:
+                lead = 0
+                if not ok[0]:
+                    scale = 0.05
+                    continue
+                samples.append(pinned[:1])
+                have, pinned, ok = 1, pinned[1:], ok[1:]
+            good = int(np.argmin(ok)) if not ok.all() else len(ok)
+            samples.append(pinned[:good])
+            have += good
+            noise = noise[good + 1:]
+            if good < len(ok):
                 scale *= 0.5
                 if scale < _MIN_NOISE:
                     raise ConvergenceError(
                         f"no fiber sample has its mean pinned to z = {z:.6g} at"
                         f" any noise scale down to {_MIN_NOISE:g}")
-                continue
-            samples.append(FockVector(pinned))
-        return samples
+        return np.concatenate(samples)
 
     return ModelDescriptor(
         energy_domain=domain,

@@ -4,9 +4,9 @@ A model is handed to the engine as a :class:`ModelDescriptor`: an open
 domain of energy coordinates ``U``, the row-wise model entropy
 ``S(U)`` on that domain, the family's batched closed form of ``Phi``,
 ``U`` and ``S`` at parameter rows, and the data-set layer the model is
-built on (per-sample answers and a fiber sampler).  Every operation
-below works from the descriptor alone, so the same code serves all
-concrete models.
+built on (the answers and entropies of a stack of data sets, and a
+fiber sampler that returns such a stack).  Every operation below works
+from the descriptor alone, so the same code serves all concrete models.
 
 Each family evaluates ``Phi`` and ``U`` with one kernel on parameter
 points ``(..., n)``: the batched form and the scalar closed forms
@@ -18,6 +18,12 @@ run Legendre transforms and finite differences of the entropy.  The
 numeric Legendre transform is row-wise: :func:`legendre_rows` solves k
 parameter rows in one damped-Newton loop, and the numeric
 :func:`massieu` and :func:`theta_to_u` are its one-row view.
+
+The data side works on stacks of data sets the same way: the divergence
+of k data sets from k model points, the data-model-model triples and
+the chart inversion ``u_to_theta`` each have a row form, and the scalar
+functions are their one-row views.  A single data set enters the
+data-set layer as the stack ``[x]``.
 
 Conventions.  The Massieu function is the Legendre--Fenchel transform
 
@@ -82,25 +88,33 @@ class ModelDescriptor:
         U (k, n), S(U) (k,))``, each row independent of the others.  It
         is the one route of :func:`dual_points`.
     dataset_answers : callable
-        Data-set layer: maps a data set ``x`` to ``(answers, S(x))``
-        where ``answers[j]`` is x's answer to the j-th question.
+        Data-set layer: maps a stack of k data sets to ``(answers (k, n),
+        S (k,))``, where ``answers[i, j]`` is the i-th set's answer to the
+        j-th question and ``S[i]`` its entropy.  Each family chooses how a
+        stack is stored (an array of data rows, or any sequence the family
+        turns into one, such as the list ``[x]`` of one data set); each
+        row's values must not depend on the other rows, and a bad row
+        raises the error it raises alone.
     fiber_sampler : callable
-        ``(u, count, rng) -> list`` of data sets whose answers equal
-        ``u`` (the fiber of the model point); ``rng`` None is deterministic.
-    closed_massieu, closed_theta_to_u, closed_u_to_theta : callable or None
-        Scalar views of the family's closed forms: ``closed_massieu`` and
-        ``closed_theta_to_u`` give the bits of the matching
-        ``closed_dual_points`` row.  None selects the numeric oracle, a
-        Legendre transform of ``entropy_u`` (finite differences of it for
-        ``u_to_theta``).
+        ``(u, count, rng) -> stack`` of data sets whose answers equal ``u``
+        (the fiber of the model point), in the family's stack format;
+        ``rng`` None is deterministic.
+    closed_massieu, closed_theta_to_u : callable or None
+        Scalar views of the family's closed forms, with the bits of the
+        matching ``closed_dual_points`` row.  None selects the numeric
+        oracle, a Legendre transform of ``entropy_u``.
+    closed_u_to_theta : callable or None
+        The closed chart inversion on energy rows ``(k, n) -> (k, n)``,
+        each row independent of the others; it may raise the error of a
+        row it refuses.  None selects finite differences of ``entropy_u``.
     """
 
     energy_domain: Domain
     entropy_u: Callable[[np.ndarray], np.ndarray]
     closed_dual_points: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray,
                                                      np.ndarray]]
-    dataset_answers: Callable[[object], tuple[np.ndarray, float]]
-    fiber_sampler: Callable[[np.ndarray, int, object], list]
+    dataset_answers: Callable[[object], tuple[np.ndarray, np.ndarray]]
+    fiber_sampler: Callable[[np.ndarray, int, object], object]
     closed_massieu: Callable[[np.ndarray], float] | None = None
     closed_theta_to_u: Callable[[np.ndarray], np.ndarray] | None = None
     closed_u_to_theta: Callable[[np.ndarray], np.ndarray] | None = None
@@ -343,18 +357,72 @@ def canonical_residuals(thetas: np.ndarray, phi: np.ndarray, u: np.ndarray,
     return residual
 
 
-def u_to_theta(model: ModelDescriptor, u) -> np.ndarray:
-    """Natural parameters dual to ``u`` via ``theta_j = dS/dU_j``."""
-    u = _as_energy(model, u)
-    if not model.energy_domain.membership(u):
-        raise DomainError(f"energy point {u.tolist()} is outside the model domain")
+def _invert(model: ModelDescriptor, us: np.ndarray) -> np.ndarray:
+    """The chart inversion of the rows ``us`` (k, n) in one call: the
+    closed form, or ``grad_fd`` of the entropy on k centres."""
     if model.closed_u_to_theta is None:
-        theta = grad_fd(model.entropy_u, u)
-    else:
-        theta = np.asarray(_quietly(model.closed_u_to_theta, u), dtype=float)
-    if not np.isfinite(theta).all():
-        raise EvaluationError(f"the parameters dual to {u.tolist()} overflow")
-    return theta
+        return grad_fd(model.entropy_u, us)
+    return np.asarray(_quietly(model.closed_u_to_theta, us), dtype=float)
+
+
+def _chart_rows(model: ModelDescriptor, us: np.ndarray):
+    """``(theta (k, n), errors)`` at validated energy rows: ``errors[i]``
+    is None, or the error row i raises alone (its theta is NaN).
+
+    When every row is inside the domain, one call inverts them all;
+    otherwise, or when that call raises, each row inside is inverted on
+    its own, so every failing row gets its own error.
+    """
+    errors: list[InfoGeoError | None] = [None] * len(us)
+    inside = np.asarray(model.energy_domain.membership(us), dtype=bool)
+    try:
+        thetas = _invert(model, us) if inside.all() else None
+    except InfoGeoError:
+        thetas = None
+    if thetas is None:
+        thetas = np.full(us.shape, np.nan)
+        for i in np.flatnonzero(inside):
+            try:
+                thetas[i] = _invert(model, us[i:i + 1])[0]
+            except InfoGeoError as exc:
+                errors[i] = exc
+    failed = ~np.isfinite(thetas).all(axis=1)
+    if failed.any():
+        for i in np.flatnonzero(failed):
+            if not inside[i]:
+                errors[i] = DomainError(
+                    f"energy point {us[i].tolist()} is outside the model domain")
+            elif errors[i] is None:
+                errors[i] = EvaluationError(
+                    f"the parameters dual to {us[i].tolist()} overflow")
+    return thetas, errors
+
+
+def u_to_theta_rows(model: ModelDescriptor, us) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise :func:`u_to_theta`: ``(theta (k, n), refused (k,))`` at the
+    energy rows ``us`` (k, n), from one call of the closed chart (one
+    moment fit on a discrete model) or one ``grad_fd`` call on k centres.
+
+    Row i has the bits of ``u_to_theta(model, us[i])``.  A row that
+    :func:`u_to_theta` refuses with :class:`DomainError` (outside the
+    domain, or a saturated chart) is flagged in ``refused`` and holds NaN;
+    any other error of the lowest failing row is raised.
+    """
+    thetas, errors = _chart_rows(model, *_as_rows(model, us))
+    for exc in errors:
+        if exc is not None and not isinstance(exc, DomainError):
+            raise exc
+    return thetas, np.array([exc is not None for exc in errors], dtype=bool)
+
+
+def u_to_theta(model: ModelDescriptor, u) -> np.ndarray:
+    """Natural parameters dual to ``u`` via ``theta_j = dS/dU_j``: the
+    one-row view of :func:`u_to_theta_rows`, raising the error of a
+    refused row."""
+    thetas, errors = _chart_rows(model, _as_energy(model, u)[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return thetas[0]
 
 
 def metric_tensor(model: ModelDescriptor, theta) -> np.ndarray:
@@ -380,10 +448,11 @@ def canonical_check(model: ModelDescriptor, theta,
 
     ``Phi``, ``U`` and ``S(U)`` come from :func:`dual_points`, the route
     ``sweep`` takes, so a discrete model's ``S`` is its member's own
-    entropy rather than a moment re-fit.  Also round-trips
-    ``u_to_theta(U)`` against ``theta`` and reports the max-abs error, or
-    None when the chart refuses ``U`` (a saturated chart, e.g. the qubit
-    at ``|theta| >~ 19``, where ``tanh|theta|`` rounds to 1).  The
+    entropy rather than a moment re-fit.  Also round-trips ``U`` through
+    the chart inversion of :func:`u_to_theta_rows` against ``theta`` and
+    reports the max-abs error, or None when the chart refuses ``U`` (a
+    saturated chart, e.g. the qubit at ``|theta| >~ 19``, where
+    ``tanh|theta|`` rounds to 1).  The
     default tolerance is 1e-9.  Raises :class:`CanonicalityError` (with
     the pair attached) when the residual exceeds the tolerance, and
     :class:`EvaluationError` when Phi, U or S overflows.
@@ -393,15 +462,15 @@ def canonical_check(model: ModelDescriptor, theta,
         tol = 1e-9
     with np.errstate(over="ignore", invalid="ignore"):
         phis, us, ss = _dual_rows(model, theta[None])
-    phi, u, s = float(phis[0]), us[0], float(ss[0])
     residual = float(canonical_residuals(theta[None], phis, us, ss)[0])
-    try:
-        back = u_to_theta(model, u)
-    except DomainError:
+    back, errors = _chart_rows(model, us)
+    if isinstance(errors[0], DomainError):
         roundtrip = None
+    elif errors[0] is not None:
+        raise errors[0]
     else:
-        roundtrip = float(np.max(np.abs(back - theta))) if model.n else 0.0
-    pair = DualPair(theta=theta, u=u, massieu=phi, entropy=s,
+        roundtrip = float(np.max(np.abs(back[0] - theta))) if model.n else 0.0
+    pair = DualPair(theta=theta, u=us[0], massieu=float(phis[0]), entropy=float(ss[0]),
                     residual=residual, roundtrip_error=roundtrip)
     if residual > tol:
         raise CanonicalityError(
@@ -460,23 +529,80 @@ def bregman_divergence(model: ModelDescriptor, theta, zeta) -> BregmanReport:
                          u_first=u[0])
 
 
+class PythagorasRows(NamedTuple):
+    """The :class:`PythagorasReport` fields of k triples, each ``(k,)``;
+    ``orthogonality`` is None on data triples."""
+
+    first: np.ndarray
+    second: np.ndarray
+    third: np.ndarray
+    residual: np.ndarray
+    orthogonality: np.ndarray | None = None
+
+
+class DivergenceRows(NamedTuple):
+    """The :class:`DivergenceReport` fields of k data sets: ``(k,)`` each,
+    ``answers`` ``(k, n)``."""
+
+    value: np.ndarray
+    massieu_at: np.ndarray
+    entropy_of_x: np.ndarray
+    linear_term: np.ndarray
+    answers: np.ndarray
+
+
+def _answers(model: ModelDescriptor, xs, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(answers (k, n), S (k,))`` of the stack ``xs`` of ``k`` data sets."""
+    answers, entropies = model.dataset_answers(xs)
+    answers = np.asarray(answers, dtype=float)
+    entropies = np.asarray(entropies, dtype=float)
+    if answers.shape != (k, model.n) or entropies.shape != (k,):
+        raise ValueError(f"expected {k} data sets, one per parameter row")
+    return answers, entropies
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _divergence_rows(model: ModelDescriptor, xs, thetas: np.ndarray) -> DivergenceRows:
+    """:func:`divergence_from_data_rows` at validated parameter rows."""
+    answers, s_x = _answers(model, xs, len(thetas))
+    # an overflowing Phi makes the value non-finite too
+    phi = model.closed_dual_points(thetas)[0]
+    linear = row_dot(thetas, answers)
+    values = phi - s_x + linear
+    _require_finite(np.isfinite(values), "divergence", answers, thetas)
+    return DivergenceRows(values, phi, s_x, linear, answers)
+
+
+def divergence_from_data_rows(model: ModelDescriptor, xs, thetas) -> DivergenceRows:
+    """Row-wise :func:`divergence_from_data` for the stack ``xs`` of k data
+    sets and the parameter rows ``thetas`` (k, n).
+
+    The answers and entropies come from one ``dataset_answers`` call and
+    Phi from one call of the family kernel ``closed_dual_points``, even on
+    a descriptor whose scalar closed forms are unset; row i has the bits of
+    ``divergence_from_data(model, xs[i], thetas[i])``.  A bad data set
+    raises the error it raises alone; an overflow raises
+    :class:`EvaluationError` naming the first such row.
+    """
+    return _divergence_rows(model, xs, *_as_rows(model, thetas))
+
+
 def divergence_from_data(model: ModelDescriptor, x, theta) -> DivergenceReport:
     """Divergence of a data set from a model point,
     ``D(x || m_theta) = Phi(theta) - S(x) + sum_j theta_j <x|q_j>``.
 
     Nonnegative whenever the projection of ``x`` lies in the model chart.
-    The report carries the answers of ``x``.  Raises
-    :class:`EvaluationError` naming them and ``theta`` on overflow.
+    The report carries the answers of ``x``.  This is the one-row view of
+    :func:`divergence_from_data_rows`, so Phi comes from the family's
+    closed form.  Raises :class:`EvaluationError` naming the answers and
+    ``theta`` on overflow.
     """
-    theta = _as_theta(model, theta)
-    answers, s_x = model.dataset_answers(x)
-    answers = np.asarray(answers, dtype=float)
-    phi = massieu(model, theta)
-    linear = float(theta @ answers)
-    value = phi - s_x + linear
-    _require_finite(np.isfinite([value]), "divergence", answers[None], theta[None])
-    return DivergenceReport(value=value, massieu_at=phi, entropy_of_x=float(s_x),
-                            linear_term=linear, answers=answers)
+    rows = _divergence_rows(model, [x], _as_theta(model, theta)[None])
+    return DivergenceReport(value=float(rows.value[0]),
+                            massieu_at=float(rows.massieu_at[0]),
+                            entropy_of_x=float(rows.entropy_of_x[0]),
+                            linear_term=float(rows.linear_term[0]),
+                            answers=rows.answers[0])
 
 
 def divergence_def5(model: ModelDescriptor, x, u_of_m,
@@ -487,21 +613,56 @@ def divergence_def5(model: ModelDescriptor, x, u_of_m,
     supremum runs over sampled data sets on the fiber of the model point
     with energy coordinates ``u_of_m``, and the log weight is evaluated
     through its affine form ``<y|L_m> = -Phi(theta) - sum_j theta_j
-    <y|q_j>``.
+    <y|q_j>``.  The whole fiber stack is read with one
+    ``dataset_answers`` call.
     """
     u = _as_energy(model, u_of_m)
     theta = u_to_theta(model, u)
     phi = massieu(model, theta)
+    fiber = model.fiber_sampler(u, fiber_samples, None)
+    ans_y, s_y = _answers(model, fiber, len(fiber))
+    ans_x, s_x = _answers(model, [x], 1)
+    best = float(np.max(s_y + (-phi - row_dot(ans_y, theta))))
+    return best - (float(s_x[0]) + (-phi - float(row_dot(ans_x[0], theta))))
 
-    def log_weight(answers):
-        return -phi - float(theta @ answers)
 
-    best = -math.inf
-    for y in model.fiber_sampler(u, fiber_samples, None):
-        ans_y, s_y = model.dataset_answers(y)
-        best = max(best, s_y + log_weight(np.asarray(ans_y, dtype=float)))
-    ans_x, s_x = model.dataset_answers(x)
-    return best - (s_x + log_weight(np.asarray(ans_x, dtype=float)))
+def _pythagoras_data(model: ModelDescriptor, xs, thetas: np.ndarray, zetas: np.ndarray,
+                     compliance_tol: float) -> PythagorasRows:
+    """:func:`pythagoras_data_rows` at validated parameter rows."""
+    k = len(thetas)
+    answers, s_x = _answers(model, xs, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi, u, _ = _dual_rows(model, np.concatenate([thetas, zetas]))
+    mismatch = np.max(np.abs(answers - u[:k]), axis=1, initial=0.0)
+    bad = mismatch > compliance_tol
+    if bad.any():
+        raise ConstraintError(
+            f"data set does not project onto m_theta: max answer mismatch"
+            f" {mismatch[np.argmax(bad)]:.3e} exceeds {compliance_tol:.1e}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        model_step = _divergences(phi[:k], phi[k:], thetas, zetas, u[:k])[0]
+        d_x_theta = phi[:k] - s_x + row_dot(thetas, answers)
+        d_x_zeta = phi[k:] - s_x + row_dot(zetas, answers)
+        residual = np.abs(d_x_theta + model_step - d_x_zeta)
+    # an infinite or NaN divergence makes the residual non-finite too
+    _require_finite(np.isfinite(residual), "data triple", thetas, zetas)
+    return PythagorasRows(d_x_theta, model_step, d_x_zeta, residual)
+
+
+def pythagoras_data_rows(model: ModelDescriptor, xs, thetas, zetas,
+                         compliance_tol: float = 1e-9) -> PythagorasRows:
+    """Row-wise :func:`pythagoras_data` for the stack ``xs`` of k data sets
+    and the parameter rows ``thetas`` and ``zetas`` (k, n).
+
+    The answers come from one ``dataset_answers`` call and Phi and U at
+    all 2k model points from one :func:`dual_points` call; row i has the
+    bits of ``pythagoras_data(model, xs[i], thetas[i], zetas[i])`` and
+    ``orthogonality`` is None.  Raises the error of the first bad data set,
+    then :class:`ConstraintError` for the first row whose data set does
+    not project onto its ``m_theta``, then :class:`EvaluationError` for
+    the first row that overflows.
+    """
+    return _pythagoras_data(model, xs, *_as_rows(model, thetas, zetas), compliance_tol)
 
 
 def pythagoras_data(model: ModelDescriptor, x, theta, zeta,
@@ -513,41 +674,13 @@ def pythagoras_data(model: ModelDescriptor, x, theta, zeta,
     :class:`ConstraintError` reports the mismatch).  The report holds
     ``D(x||m_theta)``, ``D(m_theta||m_zeta)``, ``D(x||m_zeta)`` and the
     residual ``|D(x||m_theta) + D(m_theta||m_zeta) - D(x||m_zeta)|``.
-    Phi and U at both model points come from one :func:`dual_points`
-    call and the answers of ``x`` from one ``dataset_answers`` call; each
+    This is the one-row view of :func:`pythagoras_data_rows`; each
     divergence has the bits of :func:`divergence_from_data` and
     :func:`bregman_divergence`.
     """
-    theta = _as_theta(model, theta)
-    zeta = _as_theta(model, zeta)
-    answers, s_x = model.dataset_answers(x)
-    answers = np.asarray(answers, dtype=float)
-    points = np.stack([theta, zeta])
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi, u, _ = _dual_rows(model, points)
-    mismatch = float(np.max(np.abs(answers - u[0])))
-    if mismatch > compliance_tol:
-        raise ConstraintError(
-            f"data set does not project onto m_theta: max answer mismatch"
-            f" {mismatch:.3e} exceeds {compliance_tol:.1e}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        model_step = float(_divergences(phi[:1], phi[1:], points[:1], points[1:],
-                                        u[:1])[0][0])
-        d_x_theta, d_x_zeta = (phi - s_x + row_dot(points, answers)).tolist()
-        residual = abs(d_x_theta + model_step - d_x_zeta)
-    # an infinite or NaN divergence makes the residual non-finite too
-    _require_finite(np.isfinite([residual]), "data triple", points[:1], points[1:])
-    return PythagorasReport(d_x_theta, model_step, d_x_zeta, residual)
-
-
-class PythagorasRows(NamedTuple):
-    """The :class:`PythagorasReport` fields of k model triples, each ``(k,)``."""
-
-    first: np.ndarray
-    second: np.ndarray
-    third: np.ndarray
-    residual: np.ndarray
-    orthogonality: np.ndarray
+    rows = _pythagoras_data(model, [x], _as_theta(model, theta)[None],
+                            _as_theta(model, zeta)[None], compliance_tol)
+    return PythagorasReport(*(float(v[0]) for v in rows[:4]))
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -70,18 +70,37 @@ class DiscreteFamily:
         return self.prior.size
 
 
+def probability_rows(ps, tol: float = 1e-12) -> np.ndarray:
+    """Validate the probability vectors in the rows of ``ps`` (k, m) and
+    return them with negative rounding clipped to 0.
+
+    Raises the ValueError that :func:`check_probability` raises on the
+    first bad row.
+    """
+    ps = np.asarray(ps, dtype=float)
+    if ps.ndim != 2:
+        raise ValueError("expected probability vectors as rows")
+    nonfinite = ~np.isfinite(ps).all(axis=1)
+    negative = (ps < -tol).any(axis=1)
+    unnormalized = np.abs(ps.sum(axis=1) - 1.0) > max(tol, 1e-12 * ps.shape[1])
+    bad = nonfinite | negative | unnormalized
+    if bad.any():
+        i = int(np.argmax(bad))
+        if nonfinite[i]:
+            raise ValueError("probability vector has a non-finite entry")
+        if negative[i]:
+            raise ValueError("probability vector has a negative entry")
+        raise ValueError("probability vector does not sum to one")
+    return np.maximum(ps, 0.0)
+
+
 def check_probability(p, tol: float = 1e-12) -> np.ndarray:
-    """Validate and return a probability vector (sum 1, entries >= 0)."""
+    """Validate and return a probability vector (sum 1, entries >= 0): the
+    one-row view of :func:`probability_rows`."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise ValueError("probability vector must be one-dimensional")
-    if not np.isfinite(p).all():
-        raise ValueError("probability vector has a non-finite entry")
-    if np.any(p < -tol):
-        raise ValueError("probability vector has a negative entry")
-    if abs(float(p.sum()) - 1.0) > max(tol, 1e-12 * p.size):
-        raise ValueError("probability vector does not sum to one")
-    return np.maximum(p, 0.0)
+    return probability_rows(p[None], tol)[0]
 
 
 def _log_sum_exp(family: DiscreteFamily, thetas: np.ndarray):
@@ -136,14 +155,35 @@ def dual_points(family: DiscreteFamily, thetas: np.ndarray):
     return phi, _mean_energy(family.hamiltonians, p), -np.sum(terms, axis=-1)
 
 
+def bgs_entropy_rows(family: DiscreteFamily, ps: np.ndarray) -> np.ndarray:
+    """:func:`bgs_entropy` of the validated probability rows ``ps`` (k, m).
+
+    A row with a zero letter is summed over its support alone (0 ln 0 =
+    0): with the zero terms in place, numpy's pairwise sum would group the
+    terms of a row of 8 or more letters differently, and the row would
+    lose the bits of the sum over its support.
+    """
+    log_prior = np.log(family.prior)
+    support = ps > 0.0
+    full = support.all(axis=1)
+    values = np.empty(len(ps))
+    if full.any():
+        p = ps[full]
+        values[full] = -np.sum(p * (np.log(p) - log_prior), axis=1)
+    for i in np.flatnonzero(~full):
+        mask = support[i]
+        p = ps[i, mask]
+        values[i] = -np.sum(p * (np.log(p) - log_prior[mask]))
+    return values
+
+
 def bgs_entropy(family: DiscreteFamily, p) -> float:
     """Prior-relative Shannon entropy ``-sum_a p(a) ln(p(a)/c(a))``.
 
-    Zero-probability letters contribute nothing (0 ln 0 = 0).
+    Zero-probability letters contribute nothing (0 ln 0 = 0).  The
+    one-row view of :func:`bgs_entropy_rows`.
     """
-    p = check_probability(p)
-    mask = p > 0.0
-    return -float(np.sum(p[mask] * (np.log(p[mask]) - np.log(family.prior[mask]))))
+    return float(bgs_entropy_rows(family, check_probability(p)[None])[0])
 
 
 def fisher_covariance(family: DiscreteFamily, p) -> np.ndarray:
@@ -317,24 +357,35 @@ def fit_moments(family: DiscreteFamily, targets,
     return theta, iterations, status
 
 
-def maxent_fit_report(family: DiscreteFamily, u_target,
-                      tol: float = 1e-12) -> tuple[np.ndarray, int]:
-    """Moment fit returning ``(theta, newton_iterations)``.
+def maxent_fit_rows(family: DiscreteFamily, targets,
+                    tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """Moment fits ``(theta (k, n), newton_iterations (k,))`` of the rows
+    of ``targets`` (k, n), from one :func:`fit_moments` call.
 
-    The one-row view of :func:`fit_moments`: converged when ``max_j
-    |E_theta H_j - U_j| <= tol``.  A target outside the range ``[min_a
+    Converged when ``max_j |E_theta H_j - U_j| <= tol``.  Raises the error
+    of the lowest failing row: a target outside the range ``[min_a
     H_j(a), max_a H_j(a)]`` of some observable, or divergence of the
     iterates (norm above 1e3), signals a target outside the feasible
     moment region and raises :class:`InfeasibleError`; a singular
     covariance raises :class:`DegeneracyError` and no convergence within
     200 iterations :class:`ConvergenceError`.
     """
+    targets = np.asarray(targets, dtype=float)
+    theta, iterations, status = fit_moments(family, targets, tol)
+    failed = np.flatnonzero(status)
+    if failed.size:
+        raise _fit_error(int(status[failed[0]]), targets[failed[0]])
+    return theta, iterations
+
+
+def maxent_fit_report(family: DiscreteFamily, u_target,
+                      tol: float = 1e-12) -> tuple[np.ndarray, int]:
+    """Moment fit returning ``(theta, newton_iterations)``: the one-row
+    view of :func:`maxent_fit_rows`."""
     u_target = np.atleast_1d(np.asarray(u_target, dtype=float))
     if u_target.shape != (family.n,):
         raise ValueError(f"expected {family.n} moment targets")
-    theta, iterations, status = fit_moments(family, u_target[None], tol)
-    if status[0] != FIT_OK:
-        raise _fit_error(int(status[0]), u_target)
+    theta, iterations = maxent_fit_rows(family, u_target[None], tol)
     return theta[0], int(iterations[0])
 
 
@@ -358,9 +409,10 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
     one observable, otherwise the row status of one :func:`fit_moments`
     call over all the points); ``entropy_u`` is the entropy of the
     moment-matched members, from one :func:`fit_moments` call and
-    :func:`dual_points` at the fitted rows.  The
-    data-set layer treats probability vectors as data sets; the fiber
-    sampler draws them from fibers of any dimension.
+    :func:`dual_points` at the fitted rows; the chart inversion is one
+    :func:`maxent_fit_rows` call.  The data-set layer treats probability
+    vectors as data sets, and a stack of them is an array of rows (k, m);
+    the fiber sampler draws such a stack from fibers of any dimension.
     """
     h = family.hamiltonians
     n = family.n
@@ -400,9 +452,12 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
             raise _fit_error(int(status[failed[0]]), us[failed[0]])
         return dual_points(family, theta)[2]
 
-    def answers(p):
-        p = check_probability(p)
-        return h @ p, bgs_entropy(family, p)
+    def answers(ps):
+        ps = probability_rows(ps)
+        if ps.shape[1] != family.alphabet_size:
+            raise ValueError(f"expected probability vectors over"
+                             f" {family.alphabet_size} letters")
+        return _mean_energy(h, ps), bgs_entropy_rows(family, ps)
 
     directions = _fiber_direction(family)
 
@@ -410,7 +465,7 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
         theta = maxent_fit(family, u)
         base = boltzmann_gibbs(family, theta)
         if not len(directions):
-            return [base]
+            return base[None]
         # Samples lie on chords of the fiber through the member: base + t w
         # stays a distribution for t in [t_lo, t_hi].  Without rng they are
         # evenly spaced on the chord along the first fiber direction; with
@@ -429,14 +484,14 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
         else:
             t = rng.uniform(t_lo, t_hi)
         p = np.maximum(base + t[:, None] * w, 0.0)
-        return list(p / p.sum(axis=1, keepdims=True))
+        return p / p.sum(axis=1, keepdims=True)
 
     return ModelDescriptor(
         energy_domain=domain,
         entropy_u=on_points(entropy_rows),
         closed_massieu=lambda th: log_partition(family, th),
         closed_theta_to_u=lambda th: _mean_energy(h, boltzmann_gibbs(family, th)),
-        closed_u_to_theta=lambda u: maxent_fit(family, u),
+        closed_u_to_theta=lambda us: maxent_fit_rows(family, us)[0],
         closed_dual_points=lambda th: dual_points(family, th),
         dataset_answers=answers,
         fiber_sampler=fiber_sampler,

@@ -59,21 +59,36 @@ def theta_to_bloch(theta) -> np.ndarray:
     return _bloch(theta, row_norm(theta))
 
 
+def bloch_to_theta_rows(us: np.ndarray, chart_margin: float = 1e-9) -> np.ndarray:
+    """:func:`bloch_to_theta` at the Bloch vectors ``us`` (k, 3), raising
+    its :class:`DomainError` when any row is too close to the boundary.
+
+    The norm comes from :func:`row_dot` and ``atanh`` from ``math``, so
+    each row has the bits of the 1-D ``np.linalg.norm`` and ``math.atanh``
+    (numpy's ``arctanh`` rounds differently).
+    """
+    r = np.sqrt(row_dot(us, us))
+    if (r >= 1.0 - chart_margin).any():
+        raise DomainError("Bloch vector too close to the pure-state boundary")
+    atanh = np.array([math.atanh(v) for v in r.tolist()])
+    if r.all():
+        return -(us / r[:, None]) * atanh[:, None]
+    # u / r at r = 0 would be NaN; the parameters there are 0
+    zero = (r == 0.0)[:, None]
+    return np.where(zero, 0.0, -(us / np.where(zero, 1.0, r[:, None])) * atanh[:, None])
+
+
 def bloch_to_theta(u, chart_margin: float = 1e-9) -> np.ndarray:
     """Inverse of :func:`theta_to_bloch` on the open unit ball.
 
     Pure states (|u| = 1) have no finite parameters; vectors closer than
-    ``chart_margin`` to the boundary are rejected.
+    ``chart_margin`` to the boundary are rejected.  The one-row view of
+    :func:`bloch_to_theta_rows`.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (3,):
         raise ValueError("Bloch vector must have three components")
-    r = float(np.linalg.norm(u))
-    if r >= 1.0 - chart_margin:
-        raise DomainError("Bloch vector too close to the pure-state boundary")
-    if r == 0.0:
-        return np.zeros(3)
-    return -(u / r) * math.atanh(r)
+    return bloch_to_theta_rows(u[None], chart_margin)[0]
 
 
 def massieu_qubit(theta) -> float:
@@ -100,7 +115,11 @@ def entropy_bloch_rows(us: np.ndarray) -> np.ndarray:
     The binary entropy of ``min(|u|, 1)`` (0 ln 0 = 0), without the
     domain check of :func:`entropy_bloch`.
     """
-    r = np.minimum(np.sqrt(row_dot(us, us)), 1.0)
+    return _binary_entropy(np.minimum(np.sqrt(row_dot(us, us)), 1.0))
+
+
+def _binary_entropy(r: np.ndarray) -> np.ndarray:
+    """Entropy of the states whose Bloch vectors have the lengths ``r`` <= 1."""
     lam_plus, lam_minus = 0.5 * (1.0 + r), 0.5 * (1.0 - r)
     return (-lam_plus * np.log(lam_plus)
             - lam_minus * np.log(np.where(lam_minus > 0.0, lam_minus, 1.0)))
@@ -153,8 +172,9 @@ def as_descriptor(membership_margin: float = 1e-12,
     Mean coordinates range over the open unit ball (membership uses
     ``membership_margin`` at the boundary); the closed parameter map is
     restricted by ``chart_margin`` as in :func:`bloch_to_theta`.  Data
-    sets are Bloch vectors of arbitrary states; the model fiber over an
-    interior point is a singleton.
+    sets are Bloch vectors of arbitrary states, and a stack of them is an
+    array of rows (k, 3); the model fiber over an interior point is a
+    singleton, the stack of one row.
     """
     box = np.array([[-1.0, 1.0]] * 3)
 
@@ -166,12 +186,18 @@ def as_descriptor(membership_margin: float = 1e-12,
     domain = Domain(dimension=3, bounding_box=box, membership=membership,
                     interior_point=np.zeros(3))
 
-    def answers(u):
-        u = np.asarray(u, dtype=float)
-        return u.copy(), entropy_bloch(u)
+    def answers(xs):
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != 3:
+            raise ValueError("expected Bloch vectors as rows of three components")
+        # the norm with the bits of the 1-D np.linalg.norm of entropy_bloch
+        r = np.sqrt(row_dot(xs, xs))
+        if np.any(r > 1.0 + 1e-12):
+            raise DomainError("Bloch vector lies outside the unit ball")
+        return xs.copy(), _binary_entropy(np.minimum(r, 1.0))
 
     def fiber_sampler(u, count, rng=None):
-        return [np.asarray(u, dtype=float)]
+        return np.array(u, dtype=float).reshape(1, 3)
 
     return ModelDescriptor(
         energy_domain=domain,
@@ -184,7 +210,7 @@ def as_descriptor(membership_margin: float = 1e-12,
         # replaced module function reaches descriptors already built.
         closed_massieu=lambda theta: massieu_qubit(theta),
         closed_theta_to_u=lambda theta: theta_to_bloch(theta),
-        closed_u_to_theta=lambda u: bloch_to_theta(u, chart_margin),
+        closed_u_to_theta=lambda us: bloch_to_theta_rows(us, chart_margin),
         closed_dual_points=dual_points_qubit,
         dataset_answers=answers,
         fiber_sampler=fiber_sampler,

@@ -104,15 +104,16 @@ class CoherentHandle(_CanonicalHandle):
         """Coherent state ``|z>``, truncated at ``nmax`` (default: the model's)."""
         return coherent.coherent_state(z, nmax=self.nmax if nmax is None else nmax)
 
-    def sample_dataset(self, rng) -> coherent.FockVector:
-        """A random state weighted towards the low number states."""
+    def sample_dataset(self, rng) -> np.ndarray:
+        """The coefficient row of a random state weighted towards the low
+        number states."""
         nmax = self.nmax
         c = rng.normal(size=nmax + 1) + 1j * rng.normal(size=nmax + 1)
         # concentrate weight on low modes so the states resemble
         # physical ones rather than white noise
         c *= np.exp(-0.35 * np.arange(nmax + 1))
         c /= np.linalg.norm(c)
-        return coherent.FockVector(c)
+        return c
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import coherent as coh
 from . import core, discrete, numerics, qubit, regression, sphere
-from .errors import CanonicalityError, DegeneracyError
+from .errors import DegeneracyError
 from .registry import (BUILTIN_NAMES, CoherentHandle, DiscreteHandle, ModelHandle,
                        QubitHandle, RegressionHandle, SphereHandle)
 
@@ -183,18 +183,15 @@ def _canonical_checks(handle: ModelHandle):
     yield _check("dual-relation-entropy-gradient", np.max(np.abs(gs - thetas)), 1e-5,
                  note="grad S = theta at 50 points")
 
-    worst_res = worst_rt = 0.0
-    for th in handle.sample_thetas(rng, 100):
-        try:
-            pair = core.canonical_check(model, th)
-        except CanonicalityError as exc:
-            pair = exc.pair
-        worst_res = max(worst_res, pair.residual)
-        if pair.roundtrip_error is not None:  # None: the chart saturated
-            worst_rt = max(worst_rt, pair.roundtrip_error)
-    yield _check("canonical-identity", worst_res, 1e-9,
+    thetas = handle.sample_thetas(rng, 100)
+    phi, us, ss = core.dual_points(model, thetas)
+    residuals = core.canonical_residuals(thetas, phi, us, ss)
+    yield _check("canonical-identity", np.max(residuals, initial=0.0), 1e-9,
                  note="Phi - S(U) + theta.U at 100 points")
-    yield _check("dual-roundtrip", worst_rt, 1e-9,
+    back, refused = core.u_to_theta_rows(model, us)
+    # a refused row is a saturated chart, not a failed round trip
+    errors = np.abs(back[~refused] - thetas[~refused])
+    yield _check("dual-roundtrip", np.max(errors, initial=0.0), 1e-9,
                  note="u_to_theta(theta_to_u(theta)) vs theta")
 
     worst = -math.inf
@@ -230,13 +227,14 @@ def _canonical_checks(handle: ModelHandle):
     yield _check("bregman-separation", -np.min(d[separated], initial=math.inf),
                  -1e-6, note="divergence exceeds 1e-6 when |theta-zeta| >= 0.1")
 
-    worst = 0.0
+    fibers, th, ze = [], [], []
     for _ in range(70):
-        th, ze = handle.sample_thetas(rng, 2, radius=handle.fiber_radius)
-        u = core.theta_to_u(model, th)
-        for x in model.fiber_sampler(u, 3, rng):
-            worst = max(worst, core.pythagoras_data(model, x, th, ze).residual)
-    yield _check("pythagoras-with-data", worst, 1e-9,
+        t, z = handle.sample_thetas(rng, 2, radius=handle.fiber_radius)
+        fibers.append(model.fiber_sampler(core.theta_to_u(model, t), 3, rng))
+        th += [t] * len(fibers[-1])
+        ze += [z] * len(fibers[-1])
+    residual = core.pythagoras_data_rows(model, np.concatenate(fibers), th, ze).residual
+    yield _check("pythagoras-with-data", np.max(residual, initial=0.0), 1e-9,
                  note="210 compliant data-model-model triples")
 
     triples, draws = [], []
@@ -271,16 +269,27 @@ def _canonical_checks(handle: ModelHandle):
     yield _check("legendre-numeric-vs-closed", worst, 1e-6,
                  note=f"damped-Newton transform at {count} points, |theta| <= 3")
 
-    worst = -math.inf
+    xs, th = [], []
     for _ in range(60):
-        x = handle.sample_dataset(rng)
-        th = handle.sample_thetas(rng, 1)[0]
-        worst = max(worst, -core.divergence_from_data(model, x, th).value)
-    yield _check("divergence-nonnegative", worst, 1e-10,
+        xs.append(handle.sample_dataset(rng))
+        th.append(handle.sample_thetas(rng, 1)[0])
+    d = core.divergence_from_data_rows(model, xs, th).value
+    yield _check("divergence-nonnegative", np.max(-d), 1e-10,
                  note="random data sets against random model points")
 
 
 # ------------------------------------------------------------ model extras
+
+def _def5_gap(model, xs, us) -> float:
+    """Worst ``|D5 - D|`` over data sets ``xs`` and model points ``us``:
+    the fiber supremum of Definition 5, one fiber stack per point, against
+    the affine divergence at ``u_to_theta(u)``, all rows in one call."""
+    d5 = np.array([core.divergence_def5(model, x, u) for x, u in zip(xs, us)])
+    # divergence_def5 has inverted each u alone, so the chart refused none
+    thetas = core.u_to_theta_rows(model, us)[0]
+    d = core.divergence_from_data_rows(model, xs, thetas).value
+    return float(np.max(np.abs(d5 - d)))
+
 
 def _qubit_checks(handle: QubitHandle):
     rng = np.random.default_rng(13)
@@ -301,14 +310,14 @@ def _qubit_checks(handle: QubitHandle):
     yield _check("bloch-tanh-duality", worst, 1e-12,
                  note="|U| = tanh|theta| and closed round trip, |theta| <= 20")
 
-    worst = 0.0
+    xs, th, via_spectral = [], [], []
     for _ in range(200):
-        x = handle.sample_dataset(rng)
-        th = handle.sample_thetas(rng, 1)[0]
-        via_engine = core.divergence_from_data(model, x, th).value
-        via_spectral = qubit.quantum_relative_entropy(
-            qubit.bloch_to_rho(x), qubit.gibbs_state(th))
-        worst = max(worst, abs(via_engine - via_spectral))
+        xs.append(handle.sample_dataset(rng))
+        th.append(handle.sample_thetas(rng, 1)[0])
+        via_spectral.append(qubit.quantum_relative_entropy(
+            qubit.bloch_to_rho(xs[-1]), qubit.gibbs_state(th[-1])))
+    via_engine = core.divergence_from_data_rows(model, xs, th).value
+    worst = np.max(np.abs(via_engine - via_spectral))
     yield _check("relative-entropy-agreement", worst, 1e-10,
                  note="spectral Tr rho(ln rho - ln sigma) vs affine form")
 
@@ -332,16 +341,13 @@ def _qubit_checks(handle: QubitHandle):
     yield _check("log-state-affine", worst, 1e-10,
                  note="ln rho = -ln(2 cosh|theta|) - theta . sigma")
 
-    worst = 0.0
+    xs, us = [], []
     for _ in range(30):
-        th = handle.sample_thetas(rng, 1)[0]
-        u = core.theta_to_u(model, th)
+        us.append(core.theta_to_u(model, handle.sample_thetas(rng, 1)[0]))
         x = rng.normal(size=3)
         x *= rng.uniform(0.0, 0.9) / float(np.linalg.norm(x))
-        d5 = core.divergence_def5(model, x, u)
-        dd = core.divergence_from_data(model, x, core.u_to_theta(model, u)).value
-        worst = max(worst, abs(d5 - dd))
-    yield _check("fiber-sup-divergence-singleton", worst, 1e-12,
+        xs.append(x)
+    yield _check("fiber-sup-divergence-singleton", _def5_gap(model, xs, us), 1e-12,
                  note="three answers determine the state: fiber is one point")
 
     margin_ok = (not model.energy_domain.membership(np.array([1.0 - 1e-13, 0.0, 0.0]))
@@ -361,26 +367,24 @@ def _discrete_checks(handle: DiscreteHandle):
     rng = np.random.default_rng(17)
     model, family = handle.descriptor, handle.family
 
-    worst = 0.0
-    for th in handle.sample_thetas(rng, 50):
-        u = family.hamiltonians @ discrete.boltzmann_gibbs(family, th)
-        back = discrete.maxent_fit(family, u, tol=1e-12)
-        worst = max(worst, float(np.max(np.abs(back - th))))
-    yield _check("maxent-roundtrip", worst, 1e-8,
+    thetas = handle.sample_thetas(rng, 50)
+    back = discrete.maxent_fit_rows(family, core.dual_points(model, thetas)[1],
+                                    tol=1e-12)[0]
+    yield _check("maxent-roundtrip", np.max(np.abs(back - thetas)), 1e-8,
                  note="theta -> moments -> fitted theta")
 
-    worst = 0.0
-    pairs, kl = [], []
+    pairs, kl, xs, kl_x = [], [], [], []
     for _ in range(200):
         t1, t2 = handle.sample_thetas(rng, 2)
         pairs.append((t1, t2))
         p, q = discrete.boltzmann_gibbs(family, t1), discrete.boltzmann_gibbs(family, t2)
         kl.append(discrete.kl_divergence(p, q))
-        x = rng.dirichlet(np.ones(family.alphabet_size))
-        worst = max(worst, abs(discrete.kl_divergence(x, q)
-                               - core.divergence_from_data(model, x, t2).value))
+        xs.append(rng.dirichlet(np.ones(family.alphabet_size)))
+        kl_x.append(discrete.kl_divergence(xs[-1], q))
     t1, t2 = np.stack(pairs, axis=1)
-    worst = max(worst, np.max(np.abs(np.array(kl) - core.bregman_rows(model, t1, t2)[0])))
+    worst = max(np.max(np.abs(np.array(kl_x) - core.divergence_from_data_rows(
+                    model, xs, t2).value)),
+                np.max(np.abs(np.array(kl) - core.bregman_rows(model, t1, t2)[0])))
     yield _check("kl-affine-agreement", worst, 1e-12,
                  note="direct relative entropy vs Phi - S + theta.answers")
 
@@ -393,24 +397,21 @@ def _discrete_checks(handle: DiscreteHandle):
                  note="Hess Phi vs observable covariance")
 
     if family.alphabet_size - 1 - family.n == 1:  # one-dimensional fibers
-        worst = -math.inf
+        us, fibers = [], []
         for th in handle.sample_thetas(rng, 5, radius=1.5):
-            u = core.theta_to_u(model, th)
-            s_model = model.entropy_u(u)
-            for y in model.fiber_sampler(u, 100, rng):
-                worst = max(worst, discrete.bgs_entropy(family, y) - s_model)
-        yield _check("fiber-entropy-dominated", worst, 1e-9,
+            us.append(core.theta_to_u(model, th))
+            fibers.append(model.fiber_sampler(us[-1], 100, rng))
+        s_model = np.repeat(model.entropy_u(np.array(us)), [len(f) for f in fibers])
+        s_fiber = model.dataset_answers(np.concatenate(fibers))[1]
+        yield _check("fiber-entropy-dominated", np.max(s_fiber - s_model), 1e-9,
                      note="no fiber sample beats the moment-matched member")
 
-        worst = 0.0
+        xs, us = [], []
         for _ in range(20):
             th = handle.sample_thetas(rng, 1, radius=1.5)[0]
-            u = core.theta_to_u(model, th)
-            x = rng.dirichlet(np.ones(family.alphabet_size))
-            d5 = core.divergence_def5(model, x, u, fiber_samples=200)
-            dd = core.divergence_from_data(model, x, core.u_to_theta(model, u)).value
-            worst = max(worst, abs(d5 - dd))
-        yield _check("fiber-sup-divergence-agreement", worst, 1e-4,
+            us.append(core.theta_to_u(model, th))
+            xs.append(rng.dirichlet(np.ones(family.alphabet_size)))
+        yield _check("fiber-sup-divergence-agreement", _def5_gap(model, xs, us), 1e-4,
                      note="200-sample fiber supremum vs affine form")
 
     if family.n == 1:
@@ -433,34 +434,33 @@ def _coherent_checks(handle: CoherentHandle):
     yield _check("annihilation-eigenstate", worst, 1e-8,
                  note="(a - z) psi_z within truncation tail, |z| <= 2")
 
-    worst = 0.0
+    zs, states = [], []
     for _ in range(50):
-        z = complex(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))
-        psi = coh.coherent_state(z, nmax)
-        worst = max(worst, abs(coh.entropy_coherent(psi) + 0.5 * abs(z) ** 2))
-        u = coh.mu_map(psi, constants)
-        worst = max(worst, abs(coh.model_entropy_u(u, constants)
-                               - coh.entropy_coherent(psi)))
-        worst = max(worst, coh.divergence_coherent(psi, u, constants))
-        shifted = coh.FockVector(psi.coeff * np.exp(1.3j))
-        worst = max(worst, abs(coh.divergence_coherent(shifted, u, constants)))
+        zs.append(complex(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4)))
+        states.append(coh.coherent_state(zs[-1], nmax).coeff)
+    states = np.array(states)
+    s = coh.entropy_coherent(states)
+    u = coh.mu_map(states, constants)
+    worst = max(np.max(np.abs(s + np.array([0.5 * abs(z) ** 2 for z in zs]))),
+                np.max(np.abs(coh.model_entropy_u(u, constants) - s)),
+                np.max(coh.divergence_coherent(states, u, constants)),
+                np.max(np.abs(coh.divergence_coherent(
+                    coh.state_rows(states * np.exp(1.3j)), u, constants))))
     yield _check("coherent-perfect-data", worst, 1e-10,
                  note="entropy -|z|^2/2, zero self-divergence, phase invariance")
 
-    worst = -math.inf
-    worst_phase = 0.0
+    xs, us, alphas = [], [], []
     for _ in range(500):
-        x = handle.sample_dataset(rng)
-        u = rng.uniform(-2.0, 2.0, size=2)
-        d = coh.divergence_coherent(x, u, constants)
-        worst = max(worst, -d)
-        alpha = rng.uniform(0.0, 2.0 * math.pi)
-        d2 = coh.divergence_coherent(coh.FockVector(x.coeff * np.exp(1j * alpha)),
-                                     u, constants)
-        worst_phase = max(worst_phase, abs(d - d2))
-    yield _check("divergence-nonnegative-states", worst, 1e-10,
+        xs.append(handle.sample_dataset(rng))
+        us.append(rng.uniform(-2.0, 2.0, size=2))
+        alphas.append(rng.uniform(0.0, 2.0 * math.pi))
+    states = coh.state_rows(xs)
+    d = coh.divergence_coherent(states, us, constants)
+    yield _check("divergence-nonnegative-states", np.max(-d), 1e-10,
                  note="500 random truncated states")
-    yield _check("divergence-phase-invariance", worst_phase, 1e-12)
+    rotated = states * np.exp(1j * np.array(alphas))[:, None]
+    d2 = coh.divergence_coherent(coh.state_rows(rotated), us, constants)
+    yield _check("divergence-phase-invariance", np.max(np.abs(d - d2)), 1e-12)
 
     worst = 0.0
     for _ in range(20):
@@ -475,19 +475,19 @@ def _coherent_checks(handle: CoherentHandle):
     yield _check("log-map-affine-identity", worst, 1e-9,
                  note="<x|L(m)> = -Phi - theta . answers for any state")
 
-    worst = -math.inf
-    worst_base = 0.0
+    us, fibers = [], []
     for _ in range(4):
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-        u = np.array([constants.r * z.real, constants.hbar / constants.r * z.imag])
-        s_model = coh.model_entropy_u(u, constants)
-        samples = model.fiber_sampler(u, 50, rng)
-        worst_base = max(worst_base, abs(coh.entropy_coherent(samples[0]) - s_model))
-        for y in samples:
-            worst = max(worst, coh.entropy_coherent(y) - s_model)
+        us.append(np.array([constants.r * z.real, constants.hbar / constants.r * z.imag]))
+        fibers.append(model.fiber_sampler(us[-1], 50, rng))
+    s_model = coh.model_entropy_u(np.array(us), constants)
+    s_fiber = model.dataset_answers(np.concatenate(fibers))[1]
+    worst = np.max(s_fiber - np.repeat(s_model, [len(f) for f in fibers]))
     yield _check("fiber-entropy-dominated", worst, 1e-9,
                  note="200 pinned fiber samples vs the coherent member")
-    yield _check("fiber-coherent-attains", worst_base, 1e-10,
+    # the first sample of each fiber is the coherent state
+    s_base = model.dataset_answers([f[0] for f in fibers])[1]
+    yield _check("fiber-coherent-attains", np.max(np.abs(s_base - s_model)), 1e-10,
                  note="the coherent state itself attains the model entropy")
 
     worst = 0.0
@@ -499,15 +499,16 @@ def _coherent_checks(handle: CoherentHandle):
     yield _check("metric-constant-gaussian", worst, 1e-5,
                  note="Hess Phi = diag(r^2, hbar^2/r^2) everywhere")
 
-    worst = 0.0
+    xs, th = [], []
     for _ in range(20):
-        x = handle.sample_dataset(rng)
-        th = handle.sample_thetas(rng, 1, radius=2.0)[0]
-        u = coh.theta_to_u_coherent(th, constants)
-        via_closed = coh.divergence_coherent(x, u, constants)
-        via_engine = core.divergence_from_data(model, x, th).value
-        worst = max(worst, abs(via_closed - via_engine))
-    yield _check("divergence-closed-vs-affine", worst, 1e-10,
+        xs.append(handle.sample_dataset(rng))
+        th.append(handle.sample_thetas(rng, 1, radius=2.0)[0])
+    states = coh.state_rows(xs)
+    via_closed = coh.divergence_coherent(states, coh.theta_to_u_coherent(th, constants),
+                                         constants)
+    via_engine = core.divergence_from_data_rows(model, states, th).value
+    yield _check("divergence-closed-vs-affine", np.max(np.abs(via_closed - via_engine)),
+                 1e-10,
                  note="displacement form vs Phi - S + theta . answers")
 
 

@@ -322,13 +322,110 @@ def test_fiber_sampler_pins_the_coherent_state_too():
 
 
 def test_fiber_sampler_gives_up_with_a_typed_error(monkeypatch):
-    # a pin that never succeeds ends after 50 halvings of the noise
-    pins = []
-    monkeypatch.setattr(coherent, "_pin_mean", lambda c, z: pins.append(z))
+    # A pin that never succeeds ends after 50 halvings of the noise: the
+    # coherent state's failure sets the scale to 0.05, and 49 failed noisy
+    # attempts halve it below 1e-16.  Each batched pin after the first
+    # starts at the attempt after a failure, so there is one call per
+    # halving.
+    calls = []
+
+    def never(rows, z):
+        calls.append(rows.copy())
+        return rows, np.zeros(len(rows), dtype=bool)
+
+    monkeypatch.setattr(coherent, "_pin_rows", never)
     model = get_model("coherent").descriptor
+    u = np.array([0.5, 0.3])
+    rng = np.random.default_rng(0)
     with pytest.raises(ConvergenceError, match="noise scale"):
-        model.fiber_sampler(np.array([0.5, 0.3]), 3, np.random.default_rng(0))
-    assert len(pins) == 50
+        model.fiber_sampler(u, 3, rng)
+    assert len(calls) == 50
+    assert calls[0][0].tolist() == coherent_state(0.5 + 0.3j).coeff.tolist()
+    # the search drew the noise of exactly the 49 failed attempts
+    drawn = np.random.default_rng(0)
+    drawn.normal(size=(49, 2, 63))
+    assert rng.random() == drawn.random()
+
+
+def pin_one(coeff, z):
+    """The one-row pin in Python complex numbers, the reference of
+    ``_pin_rows``: the pinned row, or None."""
+    c = coeff.copy()
+    rest_a = complex(np.sum(np.conj(c[1:-1]) *
+                            np.sqrt(np.arange(2, c.size, dtype=float)) * c[2:]))
+    rest_n = float(np.sum(np.abs(c[1:]) ** 2))
+    c1 = c[1]
+    x, y = c[0].real, c[0].imag
+    for _ in range(80):
+        c0 = complex(x, y)
+        g = np.conj(c0) * c1 + rest_a - z * (abs(c0) ** 2 + rest_n)
+        if abs(g) <= 1e-14 * (1.0 + abs(z)):
+            c[0] = c0
+            norm = float(np.linalg.norm(c))
+            return None if norm == 0.0 else c / norm
+        gx = c1 - 2.0 * x * z
+        gy = -1j * c1 - 2.0 * y * z
+        jac = np.array([[gx.real, gy.real], [gx.imag, gy.imag]])
+        try:
+            dx, dy = np.linalg.solve(jac, [-g.real, -g.imag])
+        except np.linalg.LinAlgError:
+            return None
+        if not (math.isfinite(dx) and math.isfinite(dy)):
+            return None
+        x += dx
+        y += dy
+    return None
+
+
+def test_batched_pin_equals_the_one_row_iteration():
+    # Rows that fail after 80 steps, rows without a root (which fail at
+    # once) and rows that converge, at amplitudes down to 0
+    rng = np.random.default_rng(8)
+    outcomes = {"pinned": 0, "failed": 0, "rootless": 0}
+    for z, scale in ((0.7 + 0.4j, 0.1), (1.25 + 2.0j, 0.1), (1.25 + 2.0j, 0.006),
+                     (3.0 + 0.0j, 0.3), (3.0 + 0.0j, 0.005), (1e-8 + 0.0j, 0.1),
+                     (0.0j, 0.2)):
+        c = np.repeat(coherent_state(z).coeff[None], 40, axis=0)
+        c[:, 2:] += scale * (rng.normal(size=(40, 63))
+                             + 1j * rng.normal(size=(40, 63))) / math.sqrt(130.0)
+        c[np.abs(c[:, 1]) < 0.05, 1] += scale      # the sampler's kick
+        rows, pinned = coherent._pin_rows(c, z)
+        p = c[:, 1]
+        rest_a = np.sum(np.conj(c[:, 1:-1]) * np.sqrt(np.arange(2, 65)) * c[:, 2:], axis=1)
+        rest_n = np.sum(np.abs(c[:, 1:]) ** 2, axis=1)
+        rootless = coherent._rootless(rest_a, rest_n, p.real, p.imag, z)
+        for i in range(40):
+            reference = pin_one(c[i], z)
+            assert pinned[i] == (reference is not None)
+            if pinned[i]:
+                assert rows[i].tobytes() == reference.tobytes()
+            assert not (rootless[i] and pinned[i])
+        outcomes["pinned"] += int(pinned.sum())
+        outcomes["failed"] += int((~pinned & ~rootless).sum())
+        outcomes["rootless"] += int(rootless.sum())
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_fiber_sampler_draws_are_those_of_one_attempt_at_a_time():
+    # On coherent2 at u = (2.5, 0.5) four of the noisy pins fail.  The
+    # samples and the rng's next draw were recorded with the sampler that
+    # drew and pinned one attempt at a time.
+    model = get_model("coherent2").descriptor
+    u = np.array([2.5, 0.5])
+    rng = np.random.default_rng(19)
+    samples = model.fiber_sampler(u, 50, rng)
+    assert rng.random() == 0.7848182567430301
+    assert samples.shape == (50, 65)
+    frozen = {(0, 0): 0.061961007690531984 + 0j,
+              (1, 0): 0.059342827556670114 - 0.018617983609952832j,
+              (17, 3): -0.3296507373010201 + 0.03370418148551408j,
+              (30, 1): 0.07747248121533384 + 0.12395596994453414j,
+              (49, 5): 0.14068478478621446 - 0.38834526343081555j}
+    for (i, j), value in frozen.items():
+        assert abs(samples[i, j] - value) <= 1e-12
+    assert abs(samples.sum() - (-3.8335768127554104 + 0.2767712934466543j)) <= 1e-11
+    constants = PhaseConstants(r=2.0, hbar=0.5)
+    assert np.max(np.abs(mu_map(samples, constants) - u)) <= 1e-9
 
 
 @pytest.mark.parametrize("name", ["coherent", "coherent2"])

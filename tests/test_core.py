@@ -64,13 +64,15 @@ def linear_toy():
     def no_closed_form(thetas):
         raise NotImplementedError("the linear toy has no closed form")
 
-    # data sets are energy points, each the only point of its fiber
+    # data sets are energy points, each the only point of its fiber; a
+    # stack of them is an array of rows
     return ModelDescriptor(
         energy_domain=domain,
         entropy_u=lambda u: u[..., 0],
         closed_dual_points=no_closed_form,
-        dataset_answers=lambda x: (np.asarray(x, dtype=float), float(x[0])),
-        fiber_sampler=lambda u, count, rng: [np.asarray(u, dtype=float)],
+        dataset_answers=lambda xs: (np.asarray(xs, dtype=float),
+                                    np.asarray(xs, dtype=float)[:, 0]),
+        fiber_sampler=lambda u, count, rng: np.asarray(u, dtype=float).reshape(1, -1),
     )
 
 

@@ -263,6 +263,25 @@ def test_fiber_sampler_walks_a_two_dimensional_fiber():
     assert np.linalg.matrix_rank(spread - spread.mean(axis=0), tol=1e-6) == 2
 
 
+def test_fiber_sampler_draws_of_a_two_dimensional_fiber_are_frozen():
+    # The random chords of a 2-D fiber draw their directions and offsets
+    # from the rng; samples and the rng's next draw as recorded before the
+    # sampler returned a stack.
+    family = DiscreteFamily(prior=np.ones(4), hamiltonians=[[0.0, 1.0, 2.0, 3.0]])
+    rng = np.random.default_rng(19)
+    samples = as_descriptor(family).fiber_sampler(np.array([1.2]), 50, rng)
+    assert rng.random() == 0.19819530420441633
+    assert samples.shape == (50, 4)
+    frozen = {0: [0.3478484553965024, 0.27100321735471916, 0.21444819910105456,
+                  0.16670012814772392],
+              17: [0.4389022522516576, 0.11523961140563613, 0.2528140204337553,
+                   0.19304411590895112],
+              49: [0.20334375188518042, 0.4345719025034026, 0.3208249393376535,
+                   0.041259406273763545]}
+    for i, row in frozen.items():
+        assert np.max(np.abs(samples[i] - row)) <= 1e-14
+
+
 def test_numeric_massieu_where_the_member_hugs_the_moment_edge():
     # At this theta the member gives letter 0 a weight of 5.8e-5, closer
     # to the edge of the moment region than a Hessian stencil step

@@ -189,11 +189,13 @@ def test_relative_entropy_rejects_non_psd():
 def test_qubit_descriptor_answers_and_fiber():
     model = get_model("qubit").descriptor
     x = np.array([0.3, -0.2, 0.1])
-    answers, entropy = model.dataset_answers(x)
-    assert np.allclose(answers, x, atol=1e-14)
-    assert entropy == pytest.approx(entropy_bloch(x), abs=1e-15)
+    # the data-set layer maps a stack of Bloch vectors, here one row
+    answers, entropy = model.dataset_answers(x[None])
+    assert answers.shape == (1, 3) and entropy.shape == (1,)
+    assert np.allclose(answers[0], x, atol=1e-14)
+    assert entropy[0] == pytest.approx(entropy_bloch(x), abs=1e-15)
     fiber = model.fiber_sampler(x, 25, np.random.default_rng(0))
-    assert len(fiber) == 1
+    assert fiber.shape == (1, 3)
     assert np.allclose(fiber[0], x, atol=1e-14)
 
 
