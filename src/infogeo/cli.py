@@ -10,8 +10,9 @@ number that is not finite, no command) end as ``"error:usage"``, with
 ``command`` null unless the first non-option token of argv names a
 known command.  The exceptions are ``--help`` and ``--version``, which
 print text, and ``sweep`` in CSV format, which streams a CSV table
-instead, written one chunk of grid rows at a time.  Progress, warnings
-and error messages go to stderr.
+instead: its rows are evaluated one chunk of grid points at a time and
+written one row per ``write``, so each row leaves as soon as it is
+formatted.  Progress, warnings and error messages go to stderr.
 
 ``verify`` takes one target: the positional ``TARGET`` (``all``, the
 default, ``numerics`` or a model name), ``--model NAME`` or ``--config
@@ -309,16 +310,16 @@ def _cmd_pythagoras(args, inputs: dict):
 
 
 _SWEEP_LIMIT = 1_000_000
-#: Grid rows evaluated per call of ``core.dual_points``; a chunk's CSV
-#: rows are written before the next chunk is evaluated.
+#: Grid rows evaluated per call of ``core.dual_points``.  A chunk's CSV
+#: rows are written, one ``write`` per row, before the next chunk is
+#: evaluated, and each grid-axis value is formatted once per chunk.
 _SWEEP_CHUNK = 4096
 
 
 def _parse_grid(specs, n: int) -> list[np.ndarray]:
-    axes: list[np.ndarray] = [np.zeros(1) for _ in range(n)]
-    seen = set()
     if not specs:
         raise UsageError("sweep needs at least one --grid AXIS=START:STOP:COUNT")
+    grids = {}  # axis -> (start, stop, count)
     for spec in specs:
         head, sep, tail = spec.partition("=")
         parts = tail.split(":")
@@ -334,26 +335,40 @@ def _parse_grid(specs, n: int) -> list[np.ndarray]:
             raise UsageError(f"grid bounds must be finite in {spec!r}")
         if not 1 <= axis <= n:
             raise UsageError(f"grid axis {axis} out of range 1..{n}")
-        if axis in seen:
+        if axis in grids:
             raise UsageError(f"grid axis {axis} listed twice")
         if count < 1:
             raise UsageError("grid COUNT must be at least 1")
-        seen.add(axis)
-        axes[axis - 1] = np.linspace(start, stop, count)
-    total = math.prod(ax.size for ax in axes)
+        grids[axis] = (start, stop, count)
+    # the cap is checked on the counts, before any axis is allocated
+    total = math.prod(count for _, _, count in grids.values())
     if total > _SWEEP_LIMIT:
         raise UsageError(f"grid has {total} points; the limit is {_SWEEP_LIMIT}")
+    axes = [np.zeros(1) for _ in range(n)]
+    for axis, (start, stop, count) in grids.items():
+        axes[axis - 1] = np.linspace(start, stop, count)
     return axes
 
 
-def _sweep_table(model, thetas: np.ndarray, quantities: list[str]) -> list[list[float]]:
-    """Rows ``theta + [quantity values]`` for a chunk of grid points."""
+def _sweep_columns(model, thetas: np.ndarray, quantities: list[str]) -> list[np.ndarray]:
+    """The ``quantities`` columns at a chunk of grid points ``thetas``."""
     phi, u, s = core.dual_points(model, thetas)
     columns = {"phi": phi, "entropy": s,
                "residual": core.canonical_residuals(thetas, phi, u, s),
                "unorm": row_norm(u)}
     columns.update((f"u{j + 1}", u[:, j]) for j in range(model.n))
-    return np.column_stack([thetas] + [columns[q] for q in quantities]).tolist()
+    return [columns[q] for q in quantities]
+
+
+def _axis_labels(ax: np.ndarray, runs: np.ndarray) -> list[str]:
+    """The CSV labels of ``ax[runs % ax.size]`` for a chunk's ascending,
+    consecutive run indices ``runs``.  Each distinct value of the chunk is
+    formatted once, so the labels take O(min(chunk, axis)) memory."""
+    first = int(runs[0])
+    width = min(int(runs[-1]) - first + 1, ax.size)
+    values = ax[np.arange(first, first + width) % ax.size].tolist()
+    labels = np.array(["%.12g" % v for v in values], dtype=object)
+    return labels[(runs - first) % width].tolist()
 
 
 def _cmd_sweep(args, inputs: dict):
@@ -377,23 +392,29 @@ def _cmd_sweep(args, inputs: dict):
 
     header = [f"theta{j + 1}" for j in range(model.n)] + quantities
     csv = args.format == "csv"
+    write = sys.stdout.write
     if csv:
-        sys.stdout.write(",".join(header) + "\n")
-    line = ",".join(["{:.12g}"] * len(header)) + "\n"
-    shape = tuple(ax.size for ax in axes)
+        write(",".join(header) + "\n")
+    # "%.12g" % x has the bytes of format(x, ".12g"); the axis labels come
+    # formatted, so they go in as strings
+    line = "%s," * model.n + ",".join(["%.12g"] * len(quantities)) + "\n"
+    shape = [ax.size for ax in axes]
     total = math.prod(shape)
+    # Row-major order: the first axis varies slowest, so row r sits at run
+    # r // stride of each axis, taken cyclically.
+    strides = [math.prod(shape[k + 1:]) for k in range(model.n)]
     rows = []
-    # Row-major order: the first axis varies slowest.
     for start in range(0, total, _SWEEP_CHUNK):
-        index = np.unravel_index(np.arange(start, min(start + _SWEEP_CHUNK, total)),
-                                 shape)
-        thetas = np.column_stack([ax[i] for ax, i in zip(axes, index)])
-        table = _sweep_table(model, thetas, quantities)
-        if csv:
-            for row in table:  # one write per row, so each row leaves at once
-                sys.stdout.write(line.format(*row))
-        else:
-            rows.extend(table)
+        flat = np.arange(start, min(start + _SWEEP_CHUNK, total))
+        runs = [flat // stride for stride in strides]
+        thetas = np.column_stack([ax[r % ax.size] for ax, r in zip(axes, runs)])
+        columns = _sweep_columns(model, thetas, quantities)
+        if not csv:
+            rows.extend(np.column_stack([thetas] + columns).tolist())
+            continue
+        labels = [_axis_labels(ax, r) for ax, r in zip(axes, runs)]
+        for values in zip(*labels, *(c.tolist() for c in columns)):
+            write(line % values)  # one write per row, so each row leaves at once
 
     if csv:
         print(f"sweep: {total} rows", file=sys.stderr)

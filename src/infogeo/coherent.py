@@ -257,17 +257,9 @@ def log_map_coherent(u, constants: PhaseConstants, nmax: int = 64) -> np.ndarray
     return -0.5 * abs(z) ** 2 * eye + 0.5 * (z * a.conj().T + np.conj(z) * a)
 
 
-def save_state(path: str, psi: FockVector) -> None:
-    """Write a state as a basis-size header plus one "re im" line per
-    coefficient."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{psi.nmax}\n")
-        for c in psi.coeff:
-            fh.write(f"{c.real:.17g} {c.imag:.17g}\n")
-
-
 def load_state(path: str) -> FockVector:
-    """Read a state written by :func:`save_state`."""
+    """Read a state file: the basis cutoff ``nmax`` on the first line,
+    then ``nmax + 1`` lines of "re im", one per coefficient."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:

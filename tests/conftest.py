@@ -26,6 +26,13 @@ def envelope(proc):
     return strict_json(proc.stdout)
 
 
+def write_state(path, coeff):
+    """Write a state file as ``--x-file`` reads it: the basis cutoff, then
+    one "re im" line per coefficient."""
+    lines = [str(len(coeff) - 1)] + [f"{c.real:.17g} {c.imag:.17g}" for c in coeff]
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
 def close7(got, want):
     """True when ``got`` matches ``want`` to 7 significant digits."""
     return abs(got - want) <= 5e-7 * max(1.0, abs(want))

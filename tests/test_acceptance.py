@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import close7, envelope, run_cli
+from conftest import close7, envelope, run_cli, write_state
 
 from infogeo import (
     canonical_instances,
@@ -303,12 +303,10 @@ def test_cli_divergence_examples(tmp_path):
     assert close7(env["outputs"]["value"], 0.5)
     assert close7(env["outputs"]["answers"][1], 1.0)
 
-    from infogeo.coherent import FockVector, save_state
-
     c = np.zeros(65, dtype=complex)
     c[1] = 1.0
     path = tmp_path / "first-excited.txt"
-    save_state(str(path), FockVector(c))
+    write_state(path, c)
     env = envelope(run_cli("divergence", "--model", "coherent",
                            "--x-file", str(path), "--u", "0,0"))
     assert close7(env["outputs"]["value"], 1.0)

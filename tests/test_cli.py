@@ -3,14 +3,16 @@ output, configuration files, and the model registry behind them."""
 
 import argparse
 import dataclasses
+import io
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import close7, envelope, run_cli, strict_json
+from conftest import close7, envelope, run_cli, strict_json, write_state
 
 from infogeo import (BUILTIN_NAMES, __version__, canonical_instances, cli, errors,
                      get_model, numerics, verify)
@@ -254,12 +256,10 @@ def test_divergence_coherent_state_inputs(tmp_path):
     assert close7(env["outputs"]["entropy_term"], -0.5)
 
     # A saved first-excited state read back through --x-file.
-    from infogeo.coherent import FockVector, save_state
-
     c = np.zeros(65, dtype=complex)
     c[1] = 1.0
     path = tmp_path / "excited.txt"
-    save_state(str(path), FockVector(c))
+    write_state(path, c)
     proc = run_cli("divergence", "--model", "coherent",
                    "--x-file", str(path), "--u", "0,0")
     env = envelope(proc)
@@ -340,21 +340,60 @@ def _sweep(capsys, *args):
     return code, out, err
 
 
-@pytest.mark.parametrize("offset", [None, -1, 0, 1])
-def test_sweep_csv_streams_object_rows_across_chunks(capsys, offset):
-    count = 1 if offset is None else cli._SWEEP_CHUNK + offset
-    args = ("--model", "discrete3", "--grid", f"1=-3:2:{count}",
-            "--quantities", "u1,residual,phi,entropy")
+_CHUNK_ROWS = [pytest.param("discrete3", [f"1=-3:2:{count}"], "u1,residual,phi,entropy",
+                             id=str(offset))
+               for offset, count in ((None, 1), (-1, cli._SWEEP_CHUNK - 1),
+                                     (0, cli._SWEEP_CHUNK), (1, cli._SWEEP_CHUNK + 1))]
+
+
+@pytest.mark.parametrize("model, grid, quantities", _CHUNK_ROWS + [
+    # three axes over two chunks, with bounds at -0, a subnormal and 1.5e154
+    pytest.param("qubit", ["1=-2:2:17", "2=-0:1e-320:16", "3=-1.5e154:1.5e154:16"],
+                 "phi,entropy,residual,unorm,u1,u2,u3", id="qubit-3axis"),
+    # theta2 pinned at 0; a chunk's theta3 values wrap past the axis end
+    pytest.param("qubit", ["1=-1:1:2", "3=-0:1.5e154:5000"], "u3,phi",
+                 id="qubit-pinned-axis"),
+])
+def test_sweep_csv_streams_object_rows_across_chunks(capsys, model, grid, quantities):
+    args = ["--model", model, "--quantities", quantities]
+    for spec in grid:
+        args += ["--grid", spec]
     code, out, err = _sweep(capsys, *args)
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "theta1,entropy,phi,residual,u1"
-    assert err.strip() == f"sweep: {count} rows"
+    n = get_model(model).descriptor.n
+    assert lines[0] == ",".join([f"theta{j + 1}" for j in range(n)]
+                                + sorted(quantities.split(",")))
     code, out, _ = _sweep(capsys, *args, "--format", "object")
     env = strict_json(out)
-    assert code == 0 and env["outputs"]["count"] == count
+    count = env["outputs"]["count"]
+    assert code == 0 and count == len(lines) - 1 and count > 0
+    assert err.strip() == f"sweep: {count} rows"
     assert lines[1:] == [",".join(f"{v:.12g}" for v in row)
                          for row in env["outputs"]["rows"]]
+
+
+class _CountingStream(io.StringIO):
+    """Text stream that keeps each ``write`` call's text."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_sweep_writes_each_csv_row_in_one_call(monkeypatch):
+    stream = _CountingStream()
+    monkeypatch.setattr(sys, "stdout", stream)
+    code = cli.main(["sweep", "--model", "qubit", "--grid", "1=-1:1:5", "--grid",
+                     f"2=-1:1:{cli._SWEEP_CHUNK // 5 + 1}", "--quantities", "phi,u1"])
+    assert code == 0
+    lines = stream.getvalue().splitlines(keepends=True)
+    assert len(lines) == 1 + 5 * (cli._SWEEP_CHUNK // 5 + 1) > cli._SWEEP_CHUNK
+    assert stream.writes == lines
 
 
 def test_sweep_member_entropy_at_saturated_points(capsys):
@@ -385,7 +424,7 @@ def test_massieu_and_sweep_agree_at_saturated_point(capsys):
 # ------------------------------------------------------------ exit codes
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(capsys):
     cases = (
         ("massieu", "--model", "qubit"),                        # missing theta
         ("massieu", "--model", "qubit", "--theta", "1,0"),      # wrong length
@@ -411,12 +450,29 @@ def test_usage_errors_exit_two():
         ("verify", "all", "--config", "model.ini"),
         ("verify", "no-such-suite"),
     )
+    # in process; the first case also through python -m, for its exit path
+    proc = run_cli(*cases[0])
+    assert proc.returncode == 2, proc.stderr
+    assert envelope(proc)["status"] == "error:usage"
+    assert proc.stderr.strip()
     for args in cases:
-        proc = run_cli(*args)
-        assert proc.returncode == 2, proc.stderr
-        env = envelope(proc)
-        assert env["status"] == "error:usage"
-        assert proc.stderr.strip()
+        code = cli.main(list(args))
+        out, err = capsys.readouterr()
+        assert code == 2, err
+        assert strict_json(out)["status"] == "error:usage"
+        assert err.strip()
+
+
+def test_sweep_grid_cap_is_checked_before_the_axes_are_built(capsys):
+    # an axis of 10**15 points would not fit in memory
+    code = cli.main(["sweep", "--model", "qubit", "--grid", "1=0:1:1000000000000000",
+                     "--quantities", "phi"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    env = strict_json(out)
+    assert env["status"] == "error:usage"
+    assert "grid has 1000000000000000 points" in env["diagnostics"]["message"]
+    assert "Traceback" not in err and err.strip()
 
 
 @pytest.mark.parametrize("args, command", [
