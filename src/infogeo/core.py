@@ -19,11 +19,15 @@ numeric Legendre transform is row-wise: :func:`legendre_rows` solves k
 parameter rows in one damped-Newton loop, and the numeric
 :func:`massieu` and :func:`theta_to_u` are its one-row view.
 
-The data side works on stacks of data sets the same way: the divergence
-of k data sets from k model points, the data-model-model triples and
-the chart inversion ``u_to_theta`` each have a row form, and the scalar
-functions are their one-row views.  A single data set enters the
-data-set layer as the stack ``[x]``.
+The divergence quantities take either parameter points ``(n,)`` or
+rows ``(k, n)``: :func:`bregman_divergence`, :func:`divergence_from_data`,
+:func:`pythagoras_data`, :func:`pythagoras_models` and
+:func:`convexity_probe` evaluate k rows with one call of the family
+kernel, and a point call returns row 0 of the one-row call, with
+``float`` scalars.  With rows, the data argument is a stack of k data
+sets; a single data set enters the data-set layer as the stack ``[x]``.
+The chart inversion keeps a row form, :func:`u_to_theta_rows`, because
+it flags the rows it refuses where :func:`u_to_theta` raises.
 
 Conventions.  The Massieu function is the Legendre--Fenchel transform
 
@@ -140,63 +144,58 @@ class DualPair:
     roundtrip_error: float | None
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(NamedTuple):
     """Data-to-model divergence with its three-term decomposition and the
-    answers of the data set."""
+    answers of the data set: ``float`` terms and ``answers`` (n,) for one
+    data set, ``(k,)`` terms and ``answers`` (k, n) for a stack of k."""
 
-    value: float
-    massieu_at: float
-    entropy_of_x: float
-    linear_term: float
+    value: float | np.ndarray
+    massieu_at: float | np.ndarray
+    entropy_of_x: float | np.ndarray
+    linear_term: float | np.ndarray
     answers: np.ndarray
 
 
-@dataclass(frozen=True)
-class BregmanReport:
-    """Model-to-model divergence with its terms."""
+class BregmanReport(NamedTuple):
+    """Model-to-model divergence with its terms: ``float`` terms and
+    ``u_first`` (n,) for one pair of points, ``(k,)`` terms and
+    ``u_first`` (k, n) for k pairs of rows."""
 
-    value: float
-    massieu_first: float
-    massieu_second: float
-    linear_term: float
+    value: float | np.ndarray
+    massieu_first: float | np.ndarray
+    massieu_second: float | np.ndarray
+    linear_term: float | np.ndarray
     u_first: np.ndarray
 
 
-@dataclass(frozen=True)
-class PythagorasReport:
+class PythagorasReport(NamedTuple):
     """The three divergences of a Pythagorean triple and their residual.
 
     For a data triple ``(x, theta, zeta)`` the divergences are
     ``D(x||m_theta)``, ``D(m_theta||m_zeta)`` and ``D(x||m_zeta)``; for a
     model triple ``(theta, zeta, xi)`` they are ``D(theta||zeta)``,
     ``D(zeta||xi)`` and ``D(theta||xi)``.  ``residual = |first + second -
-    third|``.  ``orthogonality`` is set on model triples only.
+    third|``.  ``orthogonality`` is set on model triples only.  Each
+    field is a ``float`` for one triple and ``(k,)`` for k triples.
     """
 
-    first: float
-    second: float
-    third: float
-    residual: float
-    orthogonality: float | None = None
+    first: float | np.ndarray
+    second: float | np.ndarray
+    third: float | np.ndarray
+    residual: float | np.ndarray
+    orthogonality: float | np.ndarray | None = None
 
 
-def _as_theta(model: ModelDescriptor, theta) -> np.ndarray:
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.shape != (model.n,):
-        raise ValueError(f"expected a parameter vector of length {model.n}")
-    if not np.isfinite(theta).all():
-        raise ValueError("parameter vector must be finite")
-    return theta
-
-
-def _as_energy(model: ModelDescriptor, u) -> np.ndarray:
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape != (model.n,):
-        raise ValueError(f"expected an energy vector of length {model.n}")
-    if not np.isfinite(u).all():
-        raise ValueError("energy vector must be finite")
-    return u
+def _as_point(model: ModelDescriptor, v, kind: str = "parameter") -> np.ndarray:
+    """``v`` as one finite ``kind`` vector ``(n,)``; a 0-d ``v`` is a point
+    of a one-dimensional model."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.shape != (model.n,):
+        article = "an" if kind == "energy" else "a"
+        raise ValueError(f"expected {article} {kind} vector of length {model.n}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{kind} vector must be finite")
+    return v
 
 
 def _near_box_edge(domain: Domain, x: np.ndarray) -> bool:
@@ -263,7 +262,7 @@ def massieu(model: ModelDescriptor, theta, tol: float = _LEGENDRE_TOL) -> float:
     supremum lies beyond the bounding box of a domain flagged unbounded.
     Raises :class:`EvaluationError` when the closed form overflows.
     """
-    theta = _as_theta(model, theta)
+    theta = _as_point(model, theta)
     if model.closed_massieu is None:
         return float(_legendre(model, theta[None], tol)[0][0])
     phi = float(_quietly(model.closed_massieu, theta))
@@ -277,7 +276,7 @@ def theta_to_u(model: ModelDescriptor, theta, tol: float = _LEGENDRE_TOL) -> np.
 
     Raises :class:`EvaluationError` when the closed form overflows.
     """
-    theta = _as_theta(model, theta)
+    theta = _as_point(model, theta)
     if model.closed_theta_to_u is None:
         return _legendre(model, theta[None], tol)[1][0]
     u = np.asarray(_quietly(model.closed_theta_to_u, theta), dtype=float)
@@ -297,6 +296,19 @@ def _as_rows(model: ModelDescriptor, *arrays) -> list[np.ndarray]:
     if len({a.shape[0] for a in rows}) > 1:
         raise ValueError("expected the same number of parameter rows in each array")
     return rows
+
+
+def _points(model: ModelDescriptor, *arrays) -> tuple[list[np.ndarray], bool]:
+    """``(rows, single)``: the arrays as parameter rows ``(k, n)`` with one
+    ``k``, and whether each was a single point ``(n,)`` (then ``k = 1``).
+
+    A 0-d array is a point of a one-dimensional model; a point mixed with
+    rows raises ``ValueError``.
+    """
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    if all(a.ndim < 2 for a in arrays):
+        return [_as_point(model, a)[None] for a in arrays], True
+    return _as_rows(model, *arrays), False
 
 
 def _dual_rows(model: ModelDescriptor, thetas: np.ndarray):
@@ -419,7 +431,7 @@ def u_to_theta(model: ModelDescriptor, u) -> np.ndarray:
     """Natural parameters dual to ``u`` via ``theta_j = dS/dU_j``: the
     one-row view of :func:`u_to_theta_rows`, raising the error of a
     refused row."""
-    thetas, errors = _chart_rows(model, _as_energy(model, u)[None])
+    thetas, errors = _chart_rows(model, _as_point(model, u, "energy")[None])
     if errors[0] is not None:
         raise errors[0]
     return thetas[0]
@@ -433,7 +445,7 @@ def metric_tensor(model: ModelDescriptor, theta) -> np.ndarray:
     smallest eigenvalue is nonpositive beyond ``_DEGENERACY_TOL``, which
     signals a non-canonical parametrization (redundant questions).
     """
-    theta = _as_theta(model, theta)
+    theta = _as_point(model, theta)
     g = hess_fd(lambda thetas: dual_points(model, thetas)[0], theta)
     min_eig = float(np.linalg.eigvalsh(g)[0])
     if min_eig <= -_DEGENERACY_TOL:
@@ -457,7 +469,7 @@ def canonical_check(model: ModelDescriptor, theta,
     the pair attached) when the residual exceeds the tolerance, and
     :class:`EvaluationError` when Phi, U or S overflows.
     """
-    theta = _as_theta(model, theta)
+    theta = _as_point(model, theta)
     if tol is None:
         tol = 1e-9
     with np.errstate(over="ignore", invalid="ignore"):
@@ -486,69 +498,35 @@ def _divergences(phi_a: np.ndarray, phi_b: np.ndarray, a: np.ndarray,
     return phi_b - phi_a + linear, linear
 
 
+def _report(cls, single: bool, *fields):
+    """``cls`` of the row fields, or on a point call of their row 0:
+    ``float`` scalars and ``(n,)`` vectors."""
+    if single:
+        fields = [None if f is None else f[0].item() if f.ndim == 1 else f[0]
+                  for f in fields]
+    return cls(*fields)
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _bregman(model: ModelDescriptor, thetas: np.ndarray, zetas: np.ndarray):
-    """``(D, Phi(theta), Phi(zeta), linear term, U(theta))`` on validated
-    rows, from one :func:`dual_points` call on the 2k rows."""
-    k = len(thetas)
-    phi, u, _ = _dual_rows(model, np.concatenate([thetas, zetas]))
-    values, linear = _divergences(phi[:k], phi[k:], thetas, zetas, u[:k])
-    _require_finite(np.isfinite(values), "divergence", thetas, zetas)
-    return values, phi[:k], phi[k:], linear, u[:k]
-
-
-def bregman_rows(model: ModelDescriptor, thetas, zetas) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise :func:`bregman_divergence`: ``(D (k,), U(theta) (k, n))``
-    for the pairs of parameter rows ``thetas`` and ``zetas`` (k, n).
-
-    Phi and U at all 2k points come from one :func:`dual_points` call;
-    row i has the bits of ``bregman_divergence(model, thetas[i],
-    zetas[i])``.  Raises :class:`EvaluationError` naming the first pair
-    whose divergence overflows.
-    """
-    values, _, _, _, u_first = _bregman(model, *_as_rows(model, thetas, zetas))
-    return values, u_first
-
-
 def bregman_divergence(model: ModelDescriptor, theta, zeta) -> BregmanReport:
     """Divergence between model points,
     ``D(m_theta || m_zeta) = Phi(zeta) - Phi(theta) + (zeta - theta) . U(theta)``.
 
     This is the Bregman divergence of the (convex) Massieu function; it
     is nonnegative and vanishes exactly at ``theta = zeta``.  The report
-    carries both Massieu values, the linear term and ``U(theta)``.  It is
-    the one-row view of :func:`bregman_rows`, so Phi and U come from the
-    family's closed form even on a descriptor whose scalar closed forms
-    are unset.
+    carries both Massieu values, the linear term and ``U(theta)``.  On
+    rows ``theta`` and ``zeta`` (k, n) it holds the k pairs' divergences.
+    Phi and U at all 2k points come from one :func:`dual_points` call, so
+    they are the family's closed form even on a descriptor whose scalar
+    closed forms are unset.  Raises :class:`EvaluationError` naming the
+    first pair whose divergence overflows.
     """
-    theta = _as_theta(model, theta)
-    zeta = _as_theta(model, zeta)
-    value, phi_theta, phi_zeta, linear, u = _bregman(model, theta[None], zeta[None])
-    return BregmanReport(value=float(value[0]), massieu_first=float(phi_theta[0]),
-                         massieu_second=float(phi_zeta[0]), linear_term=float(linear[0]),
-                         u_first=u[0])
-
-
-class PythagorasRows(NamedTuple):
-    """The :class:`PythagorasReport` fields of k triples, each ``(k,)``;
-    ``orthogonality`` is None on data triples."""
-
-    first: np.ndarray
-    second: np.ndarray
-    third: np.ndarray
-    residual: np.ndarray
-    orthogonality: np.ndarray | None = None
-
-
-class DivergenceRows(NamedTuple):
-    """The :class:`DivergenceReport` fields of k data sets: ``(k,)`` each,
-    ``answers`` ``(k, n)``."""
-
-    value: np.ndarray
-    massieu_at: np.ndarray
-    entropy_of_x: np.ndarray
-    linear_term: np.ndarray
-    answers: np.ndarray
+    (thetas, zetas), single = _points(model, theta, zeta)
+    k = len(thetas)
+    phi, u, _ = _dual_rows(model, np.concatenate([thetas, zetas]))
+    values, linear = _divergences(phi[:k], phi[k:], thetas, zetas, u[:k])
+    _require_finite(np.isfinite(values), "divergence", thetas, zetas)
+    return _report(BregmanReport, single, values, phi[:k], phi[k:], linear, u[:k])
 
 
 def _answers(model: ModelDescriptor, xs, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -562,47 +540,27 @@ def _answers(model: ModelDescriptor, xs, k: int) -> tuple[np.ndarray, np.ndarray
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _divergence_rows(model: ModelDescriptor, xs, thetas: np.ndarray) -> DivergenceRows:
-    """:func:`divergence_from_data_rows` at validated parameter rows."""
-    answers, s_x = _answers(model, xs, len(thetas))
-    # an overflowing Phi makes the value non-finite too
-    phi = model.closed_dual_points(thetas)[0]
-    linear = row_dot(thetas, answers)
-    values = phi - s_x + linear
-    _require_finite(np.isfinite(values), "divergence", answers, thetas)
-    return DivergenceRows(values, phi, s_x, linear, answers)
-
-
-def divergence_from_data_rows(model: ModelDescriptor, xs, thetas) -> DivergenceRows:
-    """Row-wise :func:`divergence_from_data` for the stack ``xs`` of k data
-    sets and the parameter rows ``thetas`` (k, n).
-
-    The answers and entropies come from one ``dataset_answers`` call and
-    Phi from one call of the family kernel ``closed_dual_points``, even on
-    a descriptor whose scalar closed forms are unset; row i has the bits of
-    ``divergence_from_data(model, xs[i], thetas[i])``.  A bad data set
-    raises the error it raises alone; an overflow raises
-    :class:`EvaluationError` naming the first such row.
-    """
-    return _divergence_rows(model, xs, *_as_rows(model, thetas))
-
-
 def divergence_from_data(model: ModelDescriptor, x, theta) -> DivergenceReport:
     """Divergence of a data set from a model point,
     ``D(x || m_theta) = Phi(theta) - S(x) + sum_j theta_j <x|q_j>``.
 
     Nonnegative whenever the projection of ``x`` lies in the model chart.
-    The report carries the answers of ``x``.  This is the one-row view of
-    :func:`divergence_from_data_rows`, so Phi comes from the family's
-    closed form.  Raises :class:`EvaluationError` naming the answers and
-    ``theta`` on overflow.
+    The report carries the answers of ``x``.  On rows ``theta`` (k, n),
+    ``x`` is a stack of k data sets.  The answers and entropies come from
+    one ``dataset_answers`` call and Phi from one call of the family
+    kernel ``closed_dual_points``, even on a descriptor whose scalar
+    closed forms are unset.  A bad data set raises the error it raises
+    alone; an overflow raises :class:`EvaluationError` naming the answers
+    and ``theta`` of the first such row.
     """
-    rows = _divergence_rows(model, [x], _as_theta(model, theta)[None])
-    return DivergenceReport(value=float(rows.value[0]),
-                            massieu_at=float(rows.massieu_at[0]),
-                            entropy_of_x=float(rows.entropy_of_x[0]),
-                            linear_term=float(rows.linear_term[0]),
-                            answers=rows.answers[0])
+    (thetas,), single = _points(model, theta)
+    answers, s_x = _answers(model, [x] if single else x, len(thetas))
+    # an overflowing Phi makes the value non-finite too
+    phi = model.closed_dual_points(thetas)[0]
+    linear = row_dot(thetas, answers)
+    values = phi - s_x + linear
+    _require_finite(np.isfinite(values), "divergence", answers, thetas)
+    return _report(DivergenceReport, single, values, phi, s_x, linear, answers)
 
 
 def divergence_def5(model: ModelDescriptor, x, u_of_m,
@@ -616,7 +574,7 @@ def divergence_def5(model: ModelDescriptor, x, u_of_m,
     <y|q_j>``.  The whole fiber stack is read with one
     ``dataset_answers`` call.
     """
-    u = _as_energy(model, u_of_m)
+    u = _as_point(model, u_of_m, "energy")
     theta = u_to_theta(model, u)
     phi = massieu(model, theta)
     fiber = model.fiber_sampler(u, fiber_samples, None)
@@ -626,11 +584,27 @@ def divergence_def5(model: ModelDescriptor, x, u_of_m,
     return best - (float(s_x[0]) + (-phi - float(row_dot(ans_x[0], theta))))
 
 
-def _pythagoras_data(model: ModelDescriptor, xs, thetas: np.ndarray, zetas: np.ndarray,
-                     compliance_tol: float) -> PythagorasRows:
-    """:func:`pythagoras_data_rows` at validated parameter rows."""
+def pythagoras_data(model: ModelDescriptor, x, theta, zeta,
+                    compliance_tol: float = 1e-9) -> PythagorasReport:
+    """The data-model-model Pythagorean identity.
+
+    Preconditions: ``x`` projects onto ``m_theta``, i.e. its answers
+    equal ``theta_to_u(theta)`` within ``compliance_tol`` (otherwise a
+    :class:`ConstraintError` reports the mismatch).  The report holds
+    ``D(x||m_theta)``, ``D(m_theta||m_zeta)``, ``D(x||m_zeta)`` and the
+    residual ``|D(x||m_theta) + D(m_theta||m_zeta) - D(x||m_zeta)|``;
+    each divergence has the bits of :func:`divergence_from_data` and
+    :func:`bregman_divergence`.  On rows ``theta`` and ``zeta`` (k, n),
+    ``x`` is a stack of k data sets, read with one ``dataset_answers``
+    call, and Phi and U at all 2k model points come from one
+    :func:`dual_points` call.  Raises the error of the first bad data
+    set, then :class:`ConstraintError` for the first row whose data set
+    does not project onto its ``m_theta``, then :class:`EvaluationError`
+    for the first row that overflows.
+    """
+    (thetas, zetas), single = _points(model, theta, zeta)
     k = len(thetas)
-    answers, s_x = _answers(model, xs, k)
+    answers, s_x = _answers(model, [x] if single else x, k)
     with np.errstate(over="ignore", invalid="ignore"):
         phi, u, _ = _dual_rows(model, np.concatenate([thetas, zetas]))
     mismatch = np.max(np.abs(answers - u[:k]), axis=1, initial=0.0)
@@ -646,47 +620,23 @@ def _pythagoras_data(model: ModelDescriptor, xs, thetas: np.ndarray, zetas: np.n
         residual = np.abs(d_x_theta + model_step - d_x_zeta)
     # an infinite or NaN divergence makes the residual non-finite too
     _require_finite(np.isfinite(residual), "data triple", thetas, zetas)
-    return PythagorasRows(d_x_theta, model_step, d_x_zeta, residual)
-
-
-def pythagoras_data_rows(model: ModelDescriptor, xs, thetas, zetas,
-                         compliance_tol: float = 1e-9) -> PythagorasRows:
-    """Row-wise :func:`pythagoras_data` for the stack ``xs`` of k data sets
-    and the parameter rows ``thetas`` and ``zetas`` (k, n).
-
-    The answers come from one ``dataset_answers`` call and Phi and U at
-    all 2k model points from one :func:`dual_points` call; row i has the
-    bits of ``pythagoras_data(model, xs[i], thetas[i], zetas[i])`` and
-    ``orthogonality`` is None.  Raises the error of the first bad data set,
-    then :class:`ConstraintError` for the first row whose data set does
-    not project onto its ``m_theta``, then :class:`EvaluationError` for
-    the first row that overflows.
-    """
-    return _pythagoras_data(model, xs, *_as_rows(model, thetas, zetas), compliance_tol)
-
-
-def pythagoras_data(model: ModelDescriptor, x, theta, zeta,
-                    compliance_tol: float = 1e-9) -> PythagorasReport:
-    """The data-model-model Pythagorean identity.
-
-    Preconditions: ``x`` projects onto ``m_theta``, i.e. its answers
-    equal ``theta_to_u(theta)`` within ``compliance_tol`` (otherwise a
-    :class:`ConstraintError` reports the mismatch).  The report holds
-    ``D(x||m_theta)``, ``D(m_theta||m_zeta)``, ``D(x||m_zeta)`` and the
-    residual ``|D(x||m_theta) + D(m_theta||m_zeta) - D(x||m_zeta)|``.
-    This is the one-row view of :func:`pythagoras_data_rows`; each
-    divergence has the bits of :func:`divergence_from_data` and
-    :func:`bregman_divergence`.
-    """
-    rows = _pythagoras_data(model, [x], _as_theta(model, theta)[None],
-                            _as_theta(model, zeta)[None], compliance_tol)
-    return PythagorasReport(*(float(v[0]) for v in rows[:4]))
+    return _report(PythagorasReport, single, d_x_theta, model_step, d_x_zeta, residual)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _pythagoras_models(model: ModelDescriptor, thetas: np.ndarray, zetas: np.ndarray,
-                       xis: np.ndarray) -> PythagorasRows:
-    """:func:`pythagoras_model_rows` on validated rows."""
+def pythagoras_models(model: ModelDescriptor, theta, zeta, xi) -> PythagorasReport:
+    """Orthogonality and residual for a triple of model points.
+
+    The report holds ``D(theta||zeta)``, ``D(zeta||xi)``, ``D(theta||xi)``,
+    the residual ``|D(theta||zeta) + D(zeta||xi) - D(theta||xi)|`` and
+    ``orthogonality = sum_j (zeta_j - xi_j)(U_j - V_j)`` with ``U =
+    theta_to_u(theta)``, ``V = theta_to_u(zeta)``.  The residual vanishes
+    exactly when the triple is orthogonal.  On rows (k, n), Phi and U at
+    all 3k points come from one :func:`dual_points` call.  Raises
+    :class:`EvaluationError` naming the first triple where a value
+    overflows.
+    """
+    (thetas, zetas, xis), single = _points(model, theta, zeta, xi)
     k = len(thetas)
     phi, u, _ = _dual_rows(model, np.concatenate([thetas, zetas, xis]))
     phi_theta, phi_zeta, phi_xi = phi[:k], phi[k:2 * k], phi[2 * k:]
@@ -699,34 +649,7 @@ def _pythagoras_models(model: ModelDescriptor, thetas: np.ndarray, zetas: np.nda
     orthogonality = row_dot(zetas - xis, u_theta - u_zeta)
     _require_finite(np.isfinite(residual) & np.isfinite(orthogonality), "model triple",
                     thetas, zetas, xis)
-    return PythagorasRows(first, second, third, residual, orthogonality)
-
-
-def pythagoras_model_rows(model: ModelDescriptor, thetas, zetas, xis) -> PythagorasRows:
-    """Row-wise :func:`pythagoras_models` for the triples of parameter rows
-    ``thetas``, ``zetas`` and ``xis`` (k, n).
-
-    Phi and U at all 3k points come from one :func:`dual_points` call;
-    row i has the bits of ``pythagoras_models(model, thetas[i], zetas[i],
-    xis[i])``.  Raises :class:`EvaluationError` naming the first triple
-    where a value overflows.
-    """
-    return _pythagoras_models(model, *_as_rows(model, thetas, zetas, xis))
-
-
-def pythagoras_models(model: ModelDescriptor, theta, zeta, xi) -> PythagorasReport:
-    """Orthogonality and residual for a triple of model points.
-
-    The report holds ``D(theta||zeta)``, ``D(zeta||xi)``, ``D(theta||xi)``,
-    the residual ``|D(theta||zeta) + D(zeta||xi) - D(theta||xi)|`` and
-    ``orthogonality = sum_j (zeta_j - xi_j)(U_j - V_j)`` with ``U =
-    theta_to_u(theta)``, ``V = theta_to_u(zeta)``.  The residual vanishes
-    exactly when the triple is orthogonal.  This is the one-row view of
-    :func:`pythagoras_model_rows`.
-    """
-    rows = _pythagoras_models(model, _as_theta(model, theta)[None],
-                              _as_theta(model, zeta)[None], _as_theta(model, xi)[None])
-    return PythagorasReport(*(float(v[0]) for v in rows))
+    return _report(PythagorasReport, single, first, second, third, residual, orthogonality)
 
 
 #: Blend weights of the convexity probe.
@@ -734,9 +657,17 @@ _BLENDS = np.linspace(0.0, 1.0, 21)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _convexity(model: ModelDescriptor, theta1s: np.ndarray,
-               theta2s: np.ndarray) -> np.ndarray:
-    """:func:`convexity_rows` on validated rows."""
+def convexity_probe(model: ModelDescriptor, theta1, theta2) -> float | np.ndarray:
+    """Worst violation of Massieu convexity along a parameter segment.
+
+    Returns ``max_l Phi(l theta1 + (1-l) theta2) - l Phi(theta1) -
+    (1-l) Phi(theta2)`` over 21 evenly spaced blends ``l`` in [0, 1];
+    convexity means the result is <= 0 up to rounding.  It is a ``float``
+    for one segment and ``(k,)`` for the segments between rows ``theta1``
+    and ``theta2`` (k, n), whose 23k endpoints and blends take Phi from
+    one :func:`dual_points` call.
+    """
+    (theta1s, theta2s), single = _points(model, theta1, theta2)
     k, n = theta1s.shape
     lam = _BLENDS[:, None]
     mixes = lam * theta1s[:, None, :] + (1.0 - lam) * theta2s[:, None, :]
@@ -746,28 +677,4 @@ def _convexity(model: ModelDescriptor, theta1s: np.ndarray,
             - (1.0 - _BLENDS) * phi[k:2 * k, None])
     worst = gaps.max(axis=1)
     _require_finite(np.isfinite(worst), "convexity gap", theta1s, theta2s)
-    return worst
-
-
-def convexity_rows(model: ModelDescriptor, theta1s, theta2s) -> np.ndarray:
-    """Row-wise :func:`convexity_probe`: the worst gap ``(k,)`` of each
-    segment between the parameter rows ``theta1s`` and ``theta2s`` (k, n).
-
-    Phi at all 23k endpoints and blends comes from one :func:`dual_points`
-    call; row i has the bits of ``convexity_probe(model, theta1s[i],
-    theta2s[i])``.
-    """
-    return _convexity(model, *_as_rows(model, theta1s, theta2s))
-
-
-def convexity_probe(model: ModelDescriptor, theta1, theta2) -> float:
-    """Worst violation of Massieu convexity along a parameter segment.
-
-    Returns ``max_l Phi(l theta1 + (1-l) theta2) - l Phi(theta1) -
-    (1-l) Phi(theta2)`` over 21 evenly spaced blends ``l`` in [0, 1];
-    convexity means the result is <= 0 up to rounding.  This is the
-    one-row view of :func:`convexity_rows`.
-    """
-    theta1 = _as_theta(model, theta1)
-    theta2 = _as_theta(model, theta2)
-    return float(_convexity(model, theta1[None], theta2[None])[0])
+    return worst[0].item() if single else worst

@@ -214,12 +214,12 @@ def _canonical_checks(handle: ModelHandle):
     # Each sampled check draws its points in a loop, in the order the
     # per-point checks drew them, and evaluates them in one row-wise call.
     t1, t2 = _pairs(handle, rng, segments)
-    worst = float(np.max(core.convexity_rows(model, t1, t2)))
+    worst = float(np.max(core.convexity_probe(model, t1, t2)))
     yield _check("massieu-convexity", worst, 1e-9,
                  note=f"{segments} random segments, 21 blend points each")
 
     t1, t2 = _pairs(handle, rng, 1000)
-    d = core.bregman_rows(model, t1, t2)[0]
+    d = core.bregman_divergence(model, t1, t2).value
     # the norm of each difference with the bits of the 1-D np.linalg.norm
     separated = np.sqrt(numerics.row_dot(t1 - t2, t1 - t2)) >= 0.1
     yield _check("bregman-nonnegative", np.max(-d), 1e-12,
@@ -233,7 +233,7 @@ def _canonical_checks(handle: ModelHandle):
         fibers.append(model.fiber_sampler(core.theta_to_u(model, t), 3, rng))
         th += [t] * len(fibers[-1])
         ze += [z] * len(fibers[-1])
-    residual = core.pythagoras_data_rows(model, np.concatenate(fibers), th, ze).residual
+    residual = core.pythagoras_data(model, np.concatenate(fibers), th, ze).residual
     yield _check("pythagoras-with-data", np.max(residual, initial=0.0), 1e-9,
                  note="210 compliant data-model-model triples")
 
@@ -243,7 +243,7 @@ def _canonical_checks(handle: ModelHandle):
         if model.n >= 2:
             draws.append(rng.normal(size=model.n))
     th, ze, xi = np.stack(triples, axis=1)
-    triple = core.pythagoras_model_rows(model, th, ze, xi)
+    triple = core.pythagoras_models(model, th, ze, xi)
     worst_ident = np.max(np.abs(triple.residual - np.abs(triple.orthogonality)),
                          initial=0.0)
     if model.n >= 2:
@@ -252,9 +252,9 @@ def _canonical_checks(handle: ModelHandle):
         d = u[:100] - u[100:]
         w = np.array(draws)
         w -= (numerics.row_dot(w, d) / numerics.row_dot(d, d))[:, None] * d
-        triple = core.pythagoras_model_rows(model, th, ze, ze - w)
+        triple = core.pythagoras_models(model, th, ze, ze - w)
     else:
-        triple = core.pythagoras_model_rows(model, th, th, xi)
+        triple = core.pythagoras_models(model, th, th, xi)
     worst_orth = max(np.max(np.abs(triple.orthogonality), initial=0.0),
                      np.max(triple.residual, initial=0.0))
     yield _check("pythagoras-orthogonal-models", worst_orth, 1e-9,
@@ -273,7 +273,7 @@ def _canonical_checks(handle: ModelHandle):
     for _ in range(60):
         xs.append(handle.sample_dataset(rng))
         th.append(handle.sample_thetas(rng, 1)[0])
-    d = core.divergence_from_data_rows(model, xs, th).value
+    d = core.divergence_from_data(model, xs, th).value
     yield _check("divergence-nonnegative", np.max(-d), 1e-10,
                  note="random data sets against random model points")
 
@@ -287,7 +287,7 @@ def _def5_gap(model, xs, us) -> float:
     d5 = np.array([core.divergence_def5(model, x, u) for x, u in zip(xs, us)])
     # divergence_def5 has inverted each u alone, so the chart refused none
     thetas = core.u_to_theta_rows(model, us)[0]
-    d = core.divergence_from_data_rows(model, xs, thetas).value
+    d = core.divergence_from_data(model, xs, thetas).value
     return float(np.max(np.abs(d5 - d)))
 
 
@@ -316,7 +316,7 @@ def _qubit_checks(handle: QubitHandle):
         th.append(handle.sample_thetas(rng, 1)[0])
         via_spectral.append(qubit.quantum_relative_entropy(
             qubit.bloch_to_rho(xs[-1]), qubit.gibbs_state(th[-1])))
-    via_engine = core.divergence_from_data_rows(model, xs, th).value
+    via_engine = core.divergence_from_data(model, xs, th).value
     worst = np.max(np.abs(via_engine - via_spectral))
     yield _check("relative-entropy-agreement", worst, 1e-10,
                  note="spectral Tr rho(ln rho - ln sigma) vs affine form")
@@ -382,9 +382,9 @@ def _discrete_checks(handle: DiscreteHandle):
         xs.append(rng.dirichlet(np.ones(family.alphabet_size)))
         kl_x.append(discrete.kl_divergence(xs[-1], q))
     t1, t2 = np.stack(pairs, axis=1)
-    worst = max(np.max(np.abs(np.array(kl_x) - core.divergence_from_data_rows(
+    worst = max(np.max(np.abs(np.array(kl_x) - core.divergence_from_data(
                     model, xs, t2).value)),
-                np.max(np.abs(np.array(kl) - core.bregman_rows(model, t1, t2)[0])))
+                np.max(np.abs(np.array(kl) - core.bregman_divergence(model, t1, t2).value)))
     yield _check("kl-affine-agreement", worst, 1e-12,
                  note="direct relative entropy vs Phi - S + theta.answers")
 
@@ -506,7 +506,7 @@ def _coherent_checks(handle: CoherentHandle):
     states = coh.state_rows(xs)
     via_closed = coh.divergence_coherent(states, coh.theta_to_u_coherent(th, constants),
                                          constants)
-    via_engine = core.divergence_from_data_rows(model, states, th).value
+    via_engine = core.divergence_from_data(model, states, th).value
     yield _check("divergence-closed-vs-affine", np.max(np.abs(via_closed - via_engine)),
                  1e-10,
                  note="displacement form vs Phi - S + theta . answers")

@@ -1,9 +1,9 @@
 """Row forms of the data-set layer against their one-set views.
 
-Row i of the stacked ``dataset_answers``, ``divergence_from_data_rows``,
-``pythagoras_data_rows`` and ``u_to_theta_rows`` must carry the bits of
-the one-set call on row i, and a bad row in a stack must raise the error
-it raises alone.
+Row i of the stacked ``dataset_answers``, of ``divergence_from_data``
+and ``pythagoras_data`` on a stack, and of ``u_to_theta_rows`` must
+carry the bits of the one-set call on row i, and a bad row in a stack
+must raise the error it raises alone.
 """
 
 import dataclasses
@@ -52,7 +52,7 @@ def test_stacked_answers_and_divergences_equal_one_set_calls(name):
 
     answers, entropies = model.dataset_answers(xs)
     assert answers.shape == (12, model.n) and entropies.shape == (12,)
-    rows = core.divergence_from_data_rows(model, xs, thetas)
+    rows = divergence_from_data(model, xs, thetas)
     for i, x in enumerate(xs):
         one_answers, one_entropy = model.dataset_answers([x])
         assert bits(answers[i]) == bits(one_answers[0])
@@ -76,7 +76,7 @@ def test_stacked_data_triples_equal_one_set_calls(name):
         th += [t] * len(fibers[-1])
         ze += [z] * len(fibers[-1])
     xs = np.concatenate(fibers)
-    rows = core.pythagoras_data_rows(model, xs, th, ze)
+    rows = pythagoras_data(model, xs, th, ze)
     assert rows.orthogonality is None
     for i, x in enumerate(xs):
         report = pythagoras_data(model, x, th[i], ze[i])
@@ -144,7 +144,7 @@ def test_a_bad_row_raises_its_own_error(name, bad):
     alone = raised(model.dataset_answers, [bad])
     assert alone[0] in (ValueError, DomainError)
     assert raised(model.dataset_answers, stack) == alone
-    assert raised(core.divergence_from_data_rows, model, stack, thetas) == alone
+    assert raised(divergence_from_data, model, stack, thetas) == alone
     assert raised(divergence_from_data, model, bad, thetas[2]) == alone
 
 
@@ -156,7 +156,7 @@ def test_a_noncompliant_row_raises_the_constraint_error_it_raises_alone():
     xs[1] = np.array([0.2, 0.2, 0.6])
     alone = raised(pythagoras_data, model, xs[1], th[1], ze[1])
     assert alone[0] is ConstraintError
-    assert raised(core.pythagoras_data_rows, model, xs, th, ze) == alone
+    assert raised(pythagoras_data, model, xs, th, ze) == alone
 
 
 def test_a_chart_refused_row_is_flagged_and_the_others_keep_their_bits():

@@ -1,7 +1,7 @@
-"""Row-wise Bregman, Pythagoras and convexity forms against their scalar views.
+"""Bregman, Pythagoras and convexity calls on rows against their point calls.
 
-Row i of ``bregman_rows``, ``pythagoras_model_rows`` and
-``convexity_rows`` must carry the bits of the scalar call on row i, and
+Row i of a row call of ``bregman_divergence``, ``pythagoras_models`` and
+``convexity_probe`` must carry the bits of the point call on row i, and
 the scalar views the bits of the per-point formulas built from
 ``massieu`` and ``theta_to_u``.  The property test draws parameters up
 to |theta| = 1e3 and holds every form to the contract: a finite value,
@@ -18,7 +18,6 @@ from infogeo import (
     InfoGeoError,
     bregman_divergence,
     convexity_probe,
-    core,
     discrete,
     discrete_instance,
     divergence_from_data,
@@ -64,9 +63,10 @@ def test_row_forms_equal_their_scalar_views_bitwise(name):
     rng = np.random.default_rng(43)
     th, ze, xi = np.stack([handle.sample_thetas(rng, 3) for _ in range(30)], axis=1)
 
-    values, u_first = core.bregman_rows(model, th, ze)
-    triples = core.pythagoras_model_rows(model, th, ze, xi)
-    worst = core.convexity_rows(model, th, ze)
+    rows = bregman_divergence(model, th, ze)
+    values, u_first = rows.value, rows.u_first
+    triples = pythagoras_models(model, th, ze, xi)
+    worst = convexity_probe(model, th, ze)
     for i in range(len(th)):
         report = bregman_divergence(model, th[i], ze[i])
         assert bits(values[i]) == bits(report.value)
@@ -102,12 +102,39 @@ def test_pythagoras_data_equals_its_divergences_bitwise(name):
 def test_row_forms_reject_mismatched_rows():
     model = HANDLES["qubit"].descriptor
     with pytest.raises(ValueError, match="same number"):
-        core.bregman_rows(model, np.zeros((2, 3)), np.zeros((3, 3)))
+        bregman_divergence(model, np.zeros((2, 3)), np.zeros((3, 3)))
     with pytest.raises(ValueError, match="length 3"):
-        core.convexity_rows(model, np.zeros((2, 2)), np.zeros((2, 2)))
+        convexity_probe(model, np.zeros((2, 2)), np.zeros((2, 2)))
     with pytest.raises(ValueError, match="finite"):
-        core.pythagoras_model_rows(model, np.zeros((1, 3)), np.zeros((1, 3)),
-                                   np.full((1, 3), np.nan))
+        pythagoras_models(model, np.zeros((1, 3)), np.zeros((1, 3)),
+                          np.full((1, 3), np.nan))
+
+
+def test_point_calls_give_floats_and_vectors_and_refuse_mixed_rows():
+    model = HANDLES["qubit"].descriptor
+    theta, zeta = np.array([0.3, -0.2, 0.1]), np.array([0.0, 1.5, -0.5])
+    x = theta_to_u(model, theta)
+    bregman = bregman_divergence(model, theta, zeta)
+    data = divergence_from_data(model, x, zeta)
+    for report in (bregman, data, pythagoras_data(model, x, theta, zeta),
+                   pythagoras_models(model, theta, zeta, -zeta)):
+        assert all(type(v) is float for v in report[:4])
+    assert bregman.u_first.shape == data.answers.shape == (3,)
+    assert type(convexity_probe(model, theta, zeta)) is float
+
+    with pytest.raises(ValueError):
+        bregman_divergence(model, theta, zeta[None])
+    with pytest.raises(ValueError):
+        pythagoras_models(model, theta[None], zeta, zeta)
+    with pytest.raises(ValueError):
+        pythagoras_data(model, x, theta, zeta[None])
+
+    # a 0-d theta on a one-parameter model is one point
+    one = HANDLES["discrete2"].descriptor
+    report = bregman_divergence(one, 0.4, np.array([-0.3]))
+    assert type(report.value) is float and report.u_first.shape == (1,)
+    assert type(convexity_probe(one, 0.4, -0.3)) is float
+    assert bits(report.value) == bits(bregman_divergence(one, [[0.4]], [[-0.3]]).value)
 
 
 def test_overflowing_divergence_is_a_typed_error():
@@ -118,8 +145,8 @@ def test_overflowing_divergence_is_a_typed_error():
     with pytest.raises(EvaluationError, match="divergence"):
         bregman_divergence(model, theta, -theta)
     with pytest.raises(EvaluationError, match="divergence"):
-        core.bregman_rows(model, np.array([[0.0, 0.0, 0.0], theta]),
-                          np.array([[1.0, 0.0, 0.0], -theta]))
+        bregman_divergence(model, np.array([[0.0, 0.0, 0.0], theta]),
+                           np.array([[1.0, 0.0, 0.0], -theta]))
     with pytest.raises(EvaluationError, match="model triple"):
         pythagoras_models(model, theta, -theta, theta)
     with pytest.raises(EvaluationError, match="data triple"):
@@ -172,16 +199,16 @@ def test_divergence_forms_give_finite_values_or_typed_errors(case):
     k = len(th)
 
     assert_rows_match(
-        outcome(core.bregman_rows, model, th, ze),
+        outcome(bregman_divergence, model, th, ze),
         [outcome(bregman_divergence, model, th[i], ze[i]) for i in range(k)],
-        lambda rows: rows, lambda r: (r.value, r.u_first))
+        lambda rows: (rows.value, rows.u_first), lambda r: (r.value, r.u_first))
     assert_rows_match(
-        outcome(core.pythagoras_model_rows, model, th, ze, xi),
+        outcome(pythagoras_models, model, th, ze, xi),
         [outcome(pythagoras_models, model, th[i], ze[i], xi[i]) for i in range(k)],
         lambda rows: rows,
         lambda r: (r.first, r.second, r.third, r.residual, r.orthogonality))
     assert_rows_match(
-        outcome(core.convexity_rows, model, th, ze),
+        outcome(convexity_probe, model, th, ze),
         [outcome(convexity_probe, model, th[i], ze[i]) for i in range(k)],
         lambda rows: (rows,), lambda r: (r,))
 
