@@ -285,30 +285,48 @@ _MIN_NOISE = 1e-16
 
 
 def _rootless(rest_a: np.ndarray, rest_n: np.ndarray, p: np.ndarray, q: np.ndarray,
-              z: complex) -> np.ndarray:
+              z: complex, tight: bool = False) -> np.ndarray:
     """Rows whose pin equation provably has no root, so no Newton step can
     meet the pin's test.
 
     With ``v = conj(c_0)`` and ``t = |v|^2`` the equation reads ``c_1 v =
-    z t + B``, ``B = z N - A``, and its residual is at least ``| |z t + B|
-    - |c_1| sqrt(t) |``.  If ``G(t) = |z t + B|^2 - 2 |c_1|^2 t - 2 d^2 >= 0``
-    for all ``t >= 0`` then ``|z t + B| >= |c_1| sqrt(t) + d``, so every
-    residual is at least ``d``.  ``G`` is a quadratic in ``t``, so the test
-    is its value at 0 and at its vertex.  ``d^2 = 1e-10 (1 + |B|^2)`` keeps
-    the test clear of the rounding of its own terms.  The residual a
-    Newton step computes is off by about 1e-15 times its largest term, and
-    with ``|z| >= 1e-4 (1 + |c_1|)`` the terms are small wherever the
-    residual is below ``d``, so no rounding brings it under the 1e-14 test.
+    z t + B``, ``B = z N - A``; over the circle ``|v|^2 = t`` its residual
+    has the minimum ``| |z t + B| - |c_1| sqrt(t) |``.  For any ``e > 0``,
+    ``2 d |c_1| sqrt(t) <= e |c_1|^2 t + d^2 / e``, so if ``G(t) = |z t +
+    B|^2 - (1 + e) |c_1|^2 t - (1 + 1/e) d^2 >= 0`` for all ``t >= 0`` then
+    ``|z t + B| >= |c_1| sqrt(t) + d``, and every residual is at least
+    ``d``.  ``G`` is a quadratic in ``t``, so the test is its value at 0
+    and at its vertex.  The test takes ``e = 1``; with ``tight`` a row
+    also counts as rootless when ``G`` passes with the ``e <= 1`` that
+    makes the bound tight where ``F(t) = |z t + B|^2 - |c_1|^2 t`` is
+    smallest, ``e = d / (|c_1| sqrt(t_F))`` at F's vertex ``t_F``, which
+    catches rows whose residual stays small but never reaches ``d``.
+    ``d^2 = 1e-10 (1 + |B|^2)`` keeps the test clear of the rounding of
+    its own terms.  The residual a Newton step computes is off by about
+    1e-15 times its largest term, and with ``|z| >= 1e-4 (1 + |c_1|)`` the
+    terms are small wherever the residual is below ``d``, so no rounding
+    brings it under the 1e-14 test.
     """
     zr, zi = z.real, z.imag
     br, bi = zr * rest_n - rest_a.real, zi * rest_n - rest_a.imag
     b2 = br * br + bi * bi
     c2 = p * p + q * q
-    slope = (zr * br + zi * bi) - c2           # G(t) = |z|^2 t^2 + 2 slope t + const
-    const = b2 - 2e-10 * (1.0 + b2)
     z2 = zr * zr + zi * zi
-    return ((math.sqrt(z2) >= 1e-4 * (1.0 + np.sqrt(c2))) & (const >= 0.0)
-            & ((slope >= 0.0) | (slope * slope <= z2 * const)))
+    d2 = 1e-10 * (1.0 + b2)
+    linear = zr * br + zi * bi
+    splits = [1.0]
+    if tight:
+        # c2 t_F, with t_F = max(|c_1|^2 / 2 - linear, 0) / |z|^2; a row with
+        # z = 0 fails the last test below whatever e is
+        at_vertex = c2 * np.maximum(0.5 * c2 - linear, 0.0) / (z2 + (z2 == 0.0))
+        splits.append(np.minimum(1.0, np.sqrt(d2 / np.where(at_vertex > 0.0,
+                                                            at_vertex, d2))))
+    proven = np.zeros(np.shape(b2), dtype=bool)
+    for e in splits:
+        slope = linear - 0.5 * (1.0 + e) * c2     # G(t) = |z|^2 t^2 + 2 slope t + const
+        const = b2 - (1.0 + 1.0 / e) * d2
+        proven |= (const >= 0.0) & ((slope >= 0.0) | (slope * slope <= z2 * const))
+    return proven & (math.sqrt(z2) >= 1e-4 * (1.0 + np.sqrt(c2)))
 
 
 def _pin_rows(coeffs: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -321,10 +339,10 @@ def _pin_rows(coeffs: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
     rows in one masked loop over the real and imaginary parts of ``c_0``,
     each row until ``|g| <= 1e-14 (1 + |z|)``.  A row fails after 80 steps,
     on a singular or non-finite step or a zero vector, and at once when
-    its equation has no root (:func:`_rootless`).  Each step writes out on
-    real arrays the arithmetic of the one-row iteration in Python complex
-    numbers (``z * s`` is ``(zr s - zi 0, zr 0 + zi s)`` there), so every
-    row keeps the bits it has when pinned alone.
+    its equation provably has no root (:func:`_rootless` with ``tight``).
+    Each step writes out on real arrays the arithmetic of the one-row
+    iteration in Python complex numbers (``z * s`` is ``(zr s - zi 0, zr 0
+    + zi s)`` there), so every row keeps the bits it has when pinned alone.
     """
     c = np.array(coeffs, dtype=complex)
     k, size = c.shape
@@ -337,7 +355,8 @@ def _pin_rows(coeffs: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
     z_pair = np.array([z.real, z.imag])
     zero_pair = np.array([-(z.imag * 0.0), z.real * 0.0])
     pinned = np.zeros(k, dtype=bool)
-    rows = np.flatnonzero(~_rootless(rest_a, rest_n, pairs[:, 2], pairs[:, 3], z))
+    rows = np.flatnonzero(~_rootless(rest_a, rest_n, pairs[:, 2], pairs[:, 3], z,
+                                     tight=True))
     # The rows still iterating, with (real, imaginary) parts in the last
     # axis: g = x (p, q) + y (q, -p) + A - z s with c_1 = p + i q and s =
     # |c_0|^2 + N.  The Jacobian's columns are c_1 - 2 x z (for x) and

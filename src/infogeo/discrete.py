@@ -136,7 +136,9 @@ def log_partition(family: DiscreteFamily, theta) -> float:
 
 
 def boltzmann_gibbs(family: DiscreteFamily, theta) -> np.ndarray:
-    """Member distribution ``p(a) = c(a) exp(-theta . H(a)) / Z``."""
+    """Member distribution ``p(a) = c(a) exp(-theta . H(a)) / Z`` at
+    ``theta`` (n,), or one per row of ``theta`` (k, n); each row has the
+    bits of its point call."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     return _log_sum_exp(family, theta)[1]
 
@@ -198,22 +200,34 @@ def fisher_covariance(family: DiscreteFamily, p) -> np.ndarray:
     return (centered * p) @ centered.T
 
 
-def kl_divergence(p, q) -> float:
-    """Relative entropy ``sum_a p(a) ln(p(a)/q(a))`` (nonnegative).
+def kl_divergence(p, q):
+    """Relative entropy ``sum_a p(a) ln(p(a)/q(a))`` (nonnegative) of one
+    pair of distributions ``(m,)``, or of each pair of rows of ``p`` and
+    ``q`` (k, m).
 
     Note that the opposite-sign convention ``sum p ln(q/p)`` also appears
     in some references; this function uses the nonnegative orientation.
-    Raises :class:`SupportError` when ``q`` vanishes on the support of
-    ``p``.
+    Returns a float, or one value per row ``(k,)`` with the bits of the
+    one-pair call.  Raises :class:`SupportError` when ``q`` vanishes on
+    the support of ``p`` (of the first such pair of a stack).
     """
-    p = check_probability(p)
-    q = check_probability(q)
-    if p.shape != q.shape:
+    single = np.ndim(p) == 1
+    ps = check_probability(p)[None] if single else probability_rows(p)
+    qs = check_probability(q)[None] if np.ndim(q) == 1 else probability_rows(q)
+    if ps.shape != qs.shape:
         raise ValueError("distribution lengths differ")
-    mask = p > 0.0
-    if np.any(q[mask] == 0.0):
+    support = ps > 0.0
+    if np.any(support & (qs == 0.0)):
         raise SupportError("q vanishes on the support of p")
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+    # a row with a zero letter is summed over its support alone, as in
+    # bgs_entropy_rows, so it keeps the grouping of the one-pair sum
+    full = support.all(axis=1)
+    values = np.empty(len(ps))
+    values[full] = np.sum(ps[full] * np.log(ps[full] / qs[full]), axis=1)
+    for i in np.flatnonzero(~full):
+        pi, qi = ps[i, support[i]], qs[i, support[i]]
+        values[i] = np.sum(pi * np.log(pi / qi))
+    return float(values[0]) if single else values
 
 
 #: Row outcomes of :func:`fit_moments`.

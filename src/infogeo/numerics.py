@@ -109,24 +109,42 @@ class OptimizationResult:
 
 @dataclass(frozen=True)
 class Matrix2H:
-    """2x2 Hermitian matrix stored as four real degrees of freedom.
+    """2x2 Hermitian matrix stored as four real degrees of freedom, or a
+    stack of k of them with each field an array ``(k,)``.
 
     The represented matrix is ``[[a, x - i y], [x + i y, d]]``: ``a`` and
     ``d`` are the real diagonal, ``x + i y`` is the lower off-diagonal
-    entry.
+    entry.  The spectral functions below take a single matrix or a stack
+    and treat each matrix of a stack as they treat it alone.
     """
 
-    a: float
-    d: float
-    x: float
-    y: float = 0.0
+    a: float | np.ndarray
+    d: float | np.ndarray
+    x: float | np.ndarray
+    y: float | np.ndarray = 0.0
 
     def to_array(self) -> np.ndarray:
-        off = complex(self.x, self.y)
-        return np.array([[self.a, off.conjugate()], [off, self.d]], dtype=complex)
+        """The complex matrix ``(2, 2)``, or the stack ``(k, 2, 2)``."""
+        a, d, x, y = np.broadcast_arrays(self.a, self.d, self.x, self.y)
+        out = np.zeros(a.shape + (2, 2), dtype=complex)
+        out.real[..., 0, 0], out.real[..., 1, 1] = a, d
+        out.real[..., 0, 1] = out.real[..., 1, 0] = x
+        out.imag[..., 1, 0], out.imag[..., 0, 1] = y, -y
+        return out
 
-    def scaled(self, s: float) -> "Matrix2H":
+    def scaled(self, s) -> "Matrix2H":
+        """The matrix times ``s``, a scalar or one factor per matrix."""
         return Matrix2H(s * self.a, s * self.d, s * self.x, s * self.y)
+
+
+def _h2_fields(m: Matrix2H):
+    """The fields of ``m`` as rows ``(k,)`` each, and whether ``m`` is a
+    single matrix (then k = 1)."""
+    fields = np.broadcast_arrays(*(np.asarray(f, dtype=float)
+                                   for f in (m.a, m.d, m.x, m.y)))
+    if fields[0].ndim > 1:
+        raise ValueError("a stack of 2x2 matrices has one-dimensional fields")
+    return [np.atleast_1d(f) for f in fields], fields[0].ndim == 0
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -188,16 +206,18 @@ def _steps(x: np.ndarray, h: float | None, default: float) -> np.ndarray:
     return np.full(x.shape, float(h))
 
 
-def _eval_rows(f, rows: np.ndarray) -> np.ndarray:
+def _eval_rows(f, rows: np.ndarray, columns: bool = False) -> np.ndarray:
     """Values of the row-wise objective ``f`` at ``rows`` (k, n).
 
-    Raises ValueError unless ``f`` returns one value per row, and
-    :class:`EvaluationError` naming the first row with a non-finite value.
+    Raises ValueError unless ``f`` returns one value per row (with
+    ``columns``, one value ``(k,)`` or one row ``(k, m)`` of values per
+    row), and :class:`EvaluationError` naming the first row with a
+    non-finite value.
     """
     values = np.asarray(f(rows), dtype=float)
-    if values.shape != rows.shape[:1]:
+    if values.shape[:1] != rows.shape[:1] or values.ndim > (2 if columns else 1):
         raise ValueError("objective must return one value per row")
-    finite = np.isfinite(values)
+    finite = np.isfinite(values).reshape(len(rows), -1).all(axis=1)
     if not finite.all():
         bad = rows[int(np.argmin(finite))]
         raise EvaluationError(
@@ -500,19 +520,23 @@ def maximize_concave(f: Callable[[np.ndarray], np.ndarray], domain: Domain,
 
 
 def grid_sup(f: Callable[[np.ndarray], np.ndarray], domain: Domain,
-             points_per_axis: int) -> tuple[np.ndarray, float]:
+             points_per_axis: int):
     """Brute-force supremum of ``f`` over a regular grid on the domain box.
 
     Intended as an assumption-free oracle for dimensions 1 to 3.
     ``f`` is batched: it maps member rows ``(k, n)`` to their ``(k,)``
-    values.  The grid is walked one slab (the points sharing one
-    coordinate of the first axis; a 1-D grid is a single slab) at a time,
-    so at most ``points_per_axis**max(n-1, 1)`` points exist at once; only
-    the rows of a slab that pass ``domain.membership`` reach ``f``, in one
-    call.  Ties are broken deterministically in favor of the
-    lowest linear grid index (row-major over the axes in coordinate
-    order).  Raises :class:`EvaluationError` when ``f`` is non-finite at
-    a member and :class:`DomainError` when no grid point is a member.
+    values, or to ``(k, m)`` values of m objectives at once.  The grid is
+    walked one slab (the points sharing one coordinate of the first axis;
+    a 1-D grid is a single slab) at a time, so at most
+    ``points_per_axis**max(n-1, 1)`` points exist at once; only the rows
+    of a slab that pass ``domain.membership`` reach ``f``, in one call
+    that serves every objective.  Ties are broken deterministically in
+    favor of the lowest linear grid index (row-major over the axes in
+    coordinate order), for each objective on its own.  Returns ``(argmax
+    (n,), value)``, or ``(argmax (m, n), values (m,))`` for m objectives,
+    each the result of the one-objective walk.  Raises
+    :class:`EvaluationError` when ``f`` is non-finite at a member and
+    :class:`DomainError` when no grid point is a member.
     """
     n = domain.dimension
     if not 1 <= n <= 3:
@@ -525,8 +549,7 @@ def grid_sup(f: Callable[[np.ndarray], np.ndarray], domain: Domain,
     else:
         rest = np.array(list(itertools.product(*axes[1:])), dtype=float)
         slabs = (np.column_stack([np.full(len(rest), first), rest]) for first in axes[0])
-    best_x = None
-    best_v = -math.inf
+    best_x = best_v = None
     for slab in slabs:
         member = np.asarray(domain.membership(slab))
         if member.shape != slab.shape[:1]:
@@ -534,64 +557,120 @@ def grid_sup(f: Callable[[np.ndarray], np.ndarray], domain: Domain,
         rows = slab[member]
         if rows.shape[0] == 0:
             continue
-        values = _eval_rows(f, rows)
-        # argmax keeps the first maximum in the slab; the strict test
-        # keeps the earlier slab on ties across slabs.
-        i = int(np.argmax(values))
-        if values[i] > best_v:
-            best_v = float(values[i])
-            best_x = rows[i]
+        values = _eval_rows(f, rows, columns=True)
+        one = values.ndim == 1
+        values = values.reshape(len(rows), -1)
+        # argmax keeps the first maximum of each column in the slab; the
+        # strict test keeps the earlier slab on ties across slabs.
+        i = np.argmax(values, axis=0)
+        v = values[i, np.arange(values.shape[1])]
+        if best_v is None:
+            best_x, best_v = rows[i], v
+            continue
+        better = v > best_v
+        best_x[better], best_v[better] = rows[i[better]], v[better]
     if best_x is None:
         raise DomainError("no grid point satisfies the domain membership")
-    return best_x.copy(), best_v
+    if one:
+        return best_x[0], float(best_v[0])
+    return best_x, best_v
 
 
 def eig_h2(m: Matrix2H) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigendecomposition of a 2x2 Hermitian matrix.
+    """Closed-form eigendecomposition of a 2x2 Hermitian matrix, or of
+    each matrix of a stack.
 
     Returns ``(values, vectors)`` with eigenvalues ascending and
-    orthonormal eigenvectors as the columns of ``vectors``.
+    orthonormal eigenvectors as the columns of ``vectors``: ``(2,)`` and
+    ``(2, 2)`` for one matrix, ``(k, 2)`` and ``(k, 2, 2)`` for a stack.
+    Each matrix gets the bits that it gets alone.
     """
-    t = 0.5 * (m.a + m.d)
-    z = 0.5 * (m.a - m.d)
-    off2 = m.x * m.x + m.y * m.y
-    r = math.sqrt(z * z + off2)
-    vals = np.array([t - r, t + r])
-    if off2 == 0.0:
-        # Diagonal matrix: eigenvectors are the standard basis, ordered
-        # by eigenvalue.
-        if z <= 0.0:
-            vecs = np.eye(2, dtype=complex)
-        else:
-            vecs = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        return vals, vecs
-    off = complex(m.x, m.y)
-    if z >= 0.0:
-        # (r+z) stays well away from cancellation for z >= 0.
-        v_plus = np.array([r + z, off], dtype=complex)
-        v_minus = np.array([off.conjugate(), -(r + z)], dtype=complex)
-    else:
-        v_plus = np.array([off.conjugate(), r - z], dtype=complex)
-        v_minus = np.array([z - r, off], dtype=complex)
-    v_plus = v_plus / np.linalg.norm(v_plus)
-    v_minus = v_minus / np.linalg.norm(v_minus)
-    return vals, np.stack([v_minus, v_plus], axis=-1)
+    (a, d, x, y), single = _h2_fields(m)
+    t = 0.5 * (a + d)
+    z = 0.5 * (a - d)
+    off2 = x * x + y * y
+    r = np.sqrt(z * z + off2)
+    vals = np.stack([t - r, t + r], axis=-1)
+    # With z >= 0 the pair uses r + z, else r - z: neither cancels.
+    upper = z >= 0.0
+    plus = np.empty((len(a), 2), dtype=complex)
+    minus = np.empty((len(a), 2), dtype=complex)
+    plus.real[:, 0] = np.where(upper, r + z, x)
+    plus.imag[:, 0] = np.where(upper, 0.0, -y)
+    plus.real[:, 1] = np.where(upper, x, r - z)
+    plus.imag[:, 1] = np.where(upper, y, 0.0)
+    minus.real[:, 0] = np.where(upper, x, z - r)
+    minus.imag[:, 0] = np.where(upper, -y, 0.0)
+    minus.real[:, 1] = np.where(upper, -(r + z), x)
+    minus.imag[:, 1] = np.where(upper, 0.0, y)
+    # a diagonal matrix has a zero vector in the pair; its rows are
+    # replaced below, so their 0/0 is no error
+    with np.errstate(invalid="ignore", divide="ignore"):
+        vecs = np.stack([minus / _complex_norm(minus)[:, None],
+                         plus / _complex_norm(plus)[:, None]], axis=-1)
+    # Diagonal matrix: eigenvectors are the standard basis, ordered by
+    # eigenvalue.
+    diagonal = off2 == 0.0
+    vecs[diagonal] = np.where((z[diagonal] <= 0.0)[:, None, None],
+                              np.eye(2), np.eye(2)[::-1])
+    return (vals[0], vecs[0]) if single else (vals, vecs)
+
+
+def _complex_norm(v: np.ndarray) -> np.ndarray:
+    """``|v|`` of the complex rows ``v`` (k, n), with the bits of the 1-D
+    ``np.linalg.norm``, which sums the real and imaginary squares apart."""
+    return np.sqrt(row_dot(v.real, v.real) + row_dot(v.imag, v.imag))
+
+
+def _spectrum_map(g: Callable[[float], float], vals: np.ndarray) -> np.ndarray:
+    """``g`` at each eigenvalue of the rows ``vals`` (k, 2), called on
+    Python floats one value at a time; raises the
+    :class:`EvaluationError` of the first row on which ``g`` is undefined
+    or non-finite."""
+    out = np.empty(vals.shape)
+    flat = out.reshape(-1)
+    for i, v in enumerate(vals.ravel().tolist()):
+        try:
+            flat[i] = float(g(v))
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            row = i // 2
+            _raise_nonfinite(out[:row], vals)
+            raise EvaluationError(
+                f"scalar function undefined on spectrum {vals[row].tolist()}") from exc
+    _raise_nonfinite(out, vals)
+    return out
+
+
+def _raise_nonfinite(values: np.ndarray, vals: np.ndarray) -> None:
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        row = vals[int(np.argmin(finite))].tolist()
+        raise EvaluationError(f"scalar function non-finite on spectrum {row}")
 
 
 def func_h2(m: Matrix2H, g: Callable[[float], float]) -> Matrix2H:
-    """Apply a scalar function to a 2x2 Hermitian matrix spectrally.
+    """Apply a scalar function to a 2x2 Hermitian matrix spectrally, or
+    to each matrix of a stack.
 
-    Raises :class:`EvaluationError` when ``g`` is undefined or non-finite
-    on an eigenvalue.
+    ``g`` is called on each eigenvalue as a Python float (``math.exp``
+    and ``math.log`` work).  Returns a matrix with float fields, or a
+    stack; each matrix gets the bits that it gets alone.  Raises
+    :class:`EvaluationError` when ``g`` is undefined or non-finite on an
+    eigenvalue, for the first such matrix of a stack.
     """
     vals, vecs = eig_h2(m)
-    try:
-        gv = [float(g(v)) for v in vals]
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise EvaluationError(f"scalar function undefined on spectrum {vals.tolist()}") from exc
-    if not all(math.isfinite(v) for v in gv):
-        raise EvaluationError(f"scalar function non-finite on spectrum {vals.tolist()}")
-    out = (gv[0] * np.outer(vecs[:, 0], vecs[:, 0].conjugate())
-           + gv[1] * np.outer(vecs[:, 1], vecs[:, 1].conjugate()))
-    return Matrix2H(float(out[0, 0].real), float(out[1, 1].real),
-                    float(out[1, 0].real), float(out[1, 0].imag))
+    single = vals.ndim == 1
+    if single:
+        vals, vecs = vals[None], vecs[None]
+    gv = _spectrum_map(g, vals)
+
+    def entry(r, c):
+        # entry (r, c) of g_0 v_0 v_0^H + g_1 v_1 v_1^H, as np.outer builds it
+        return (gv[:, 0] * (vecs[:, r, 0] * vecs[:, c, 0].conj())
+                + gv[:, 1] * (vecs[:, r, 1] * vecs[:, c, 1].conj()))
+
+    low = entry(1, 0)
+    fields = entry(0, 0).real, entry(1, 1).real, low.real, low.imag
+    if single:
+        return Matrix2H(*(float(f[0]) for f in fields))
+    return Matrix2H(*fields)

@@ -20,14 +20,19 @@ from .numerics import Domain, Matrix2H, eig_h2, func_h2, row_dot, row_norm
 
 
 def bloch_to_rho(u) -> Matrix2H:
-    """State ``(I + U . sigma) / 2`` for a Bloch vector with |U| <= 1."""
+    """State ``(I + U . sigma) / 2`` for a Bloch vector ``u`` (3,) with |U|
+    <= 1, or the stack of states of the Bloch vectors ``u`` (k, 3).
+
+    Raises :class:`DomainError` when a vector lies outside the unit ball.
+    """
     u = np.asarray(u, dtype=float)
-    if u.shape != (3,):
+    if u.shape[-1:] != (3,) or u.ndim > 2:
         raise ValueError("Bloch vector must have three components")
-    if float(np.linalg.norm(u)) > 1.0 + 1e-12:
+    # the norm with the bits of the 1-D np.linalg.norm
+    if np.any(np.sqrt(row_dot(u, u)) > 1.0 + 1e-12):
         raise DomainError("Bloch vector lies outside the unit ball")
-    return Matrix2H(a=0.5 * (1.0 + u[2]), d=0.5 * (1.0 - u[2]),
-                    x=0.5 * u[0], y=0.5 * u[1])
+    return Matrix2H(a=0.5 * (1.0 + u[..., 2]), d=0.5 * (1.0 - u[..., 2]),
+                    x=0.5 * u[..., 0], y=0.5 * u[..., 1])
 
 
 def entropy_bloch(u) -> float:
@@ -125,44 +130,71 @@ def _binary_entropy(r: np.ndarray) -> np.ndarray:
             - lam_minus * np.log(np.where(lam_minus > 0.0, lam_minus, 1.0)))
 
 
+def _libm(f, values: np.ndarray) -> np.ndarray:
+    """``f`` from :mod:`math` at each of ``values``: numpy's own ``exp``,
+    ``log`` and ``cosh`` need not round like libm's."""
+    return np.fromiter(map(f, values.ravel().tolist()), float,
+                       values.size).reshape(values.shape)
+
+
 def gibbs_state(theta) -> Matrix2H:
-    """Normalized Gibbs state ``exp(-theta . sigma) / (2 cosh |theta|)``."""
+    """Normalized Gibbs state ``exp(-theta . sigma) / (2 cosh |theta|)``
+    at ``theta`` (3,), or the stack of them at the rows ``theta`` (k, 3)."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (3,):
+    if theta.shape[-1:] != (3,) or theta.ndim > 2:
         raise ValueError("spin parameters must have three components")
-    h = Matrix2H(a=-theta[2], d=theta[2], x=-theta[0], y=-theta[1])
+    h = Matrix2H(a=-theta[..., 2], d=theta[..., 2], x=-theta[..., 0], y=-theta[..., 1])
     expm = func_h2(h, math.exp)
-    z = 2.0 * math.cosh(float(np.linalg.norm(theta)))
+    z = 2.0 * _libm(math.cosh, np.atleast_1d(row_norm(theta)))
+    if theta.ndim == 1:
+        return expm.scaled(1.0 / float(z[0]))
     return expm.scaled(1.0 / z)
 
 
-def quantum_relative_entropy(rho: Matrix2H, sigma: Matrix2H) -> float:
-    """``tr rho (ln rho - ln sigma)`` via the spectral decompositions.
+def quantum_relative_entropy(rho: Matrix2H, sigma: Matrix2H):
+    """``tr rho (ln rho - ln sigma)`` via the spectral decompositions, of
+    one pair of states or of each pair of two stacks of k states.
 
     Requires ``sigma`` strictly positive where ``rho`` has weight: the
     value diverges otherwise and :class:`EvaluationError` is raised.
+    Inputs that are not positive semidefinite raise :class:`DomainError`.
+    Returns a float, or one value per pair ``(k,)``; each pair gets the
+    bits, and a stack raises the error of its first failing pair, that
+    the pair gets alone.
     """
     rvals, rvecs = eig_h2(rho)
     svals, svecs = eig_h2(sigma)
-    if rvals[0] < -1e-12 or svals[0] < -1e-12:
-        raise DomainError("relative entropy needs positive semidefinite inputs")
-    total = 0.0
+    single = rvals.ndim == 1
+    if single:
+        rvals, rvecs, svals, svecs = rvals[None], rvecs[None], svals[None], svecs[None]
+    if rvals.shape != svals.shape:
+        raise ValueError("relative entropy needs stacks of the same length")
+    nonpsd = (rvals[:, 0] < -1e-12) | (svals[:, 0] < -1e-12)
+    lam = np.maximum(rvals, 0.0)
+    # |<s_j|r_i>|^2 as abs(np.vdot(s_j, r_i)) ** 2 computes it: a stack of
+    # vector products has the bits of vdot, a stack of 2x2 products not
+    dots = np.array([[np.matmul(svecs[:, None, :, j].conj(), rvecs[:, :, i, None])[:, 0, 0]
+                      for i in range(2)] for j in range(2)])          # (j, i, k)
+    overlap = np.float_power(np.hypot(dots.real, dots.imag), 2).transpose(2, 0, 1)
+    # ln of the weights and eigenvalues that contribute (0 where skipped)
+    log_lam = _libm(math.log, np.where(lam == 0.0, 1.0, lam))
+    log_mu = _libm(math.log, np.where(svals <= 0.0, 1.0, svals))
+    total = np.zeros(len(lam))
+    singular = np.zeros(len(lam), dtype=bool)
     for i in range(2):
-        lam = max(float(rvals[i]), 0.0)
-        if lam == 0.0:
-            continue
-        total += lam * math.log(lam)
-        vi = rvecs[:, i]
+        weighted = lam[:, i] != 0.0
+        total = np.where(weighted, total + lam[:, i] * log_lam[:, i], total)
         for j in range(2):
-            mu = float(svals[j])
-            overlap = abs(np.vdot(svecs[:, j], vi)) ** 2
-            if overlap < 1e-15:
-                continue
-            if mu <= 0.0:
-                raise EvaluationError(
-                    "second argument is singular on the support of the first")
-            total -= lam * overlap * math.log(mu)
-    return total
+            seen = weighted & ~(overlap[:, j, i] < 1e-15)
+            singular |= seen & (svals[:, j] <= 0.0)
+            total = np.where(seen, total - lam[:, i] * overlap[:, j, i] * log_mu[:, j],
+                             total)
+    failed = nonpsd | singular
+    if failed.any():
+        if nonpsd[int(np.argmax(failed))]:
+            raise DomainError("relative entropy needs positive semidefinite inputs")
+        raise EvaluationError("second argument is singular on the support of the first")
+    return float(total[0]) if single else total
 
 
 def as_descriptor(membership_margin: float = 1e-12,

@@ -122,25 +122,23 @@ def _numerics_checks():
     yield _check("grid-matches-newton", abs(gv - res2.value), 5e-3,
                  note="41 points per axis")
 
-    worst_rec = worst_orth = 0.0
-    for _ in range(200):
-        m = numerics.Matrix2H(*rng.normal(size=4))
-        vals, vecs = numerics.eig_h2(m)
-        rec = (vecs * vals) @ vecs.conj().T
-        worst_rec = max(worst_rec, float(np.max(np.abs(rec - m.to_array()))))
-        worst_orth = max(worst_orth, float(np.max(np.abs(
-            vecs.conj().T @ vecs - np.eye(2)))))
+    # The spectral checks draw their matrices in a loop and evaluate the
+    # stack in one call.
+    ms = numerics.Matrix2H(*np.array([rng.normal(size=4) for _ in range(200)]).T)
+    vals, vecs = numerics.eig_h2(ms)
+    adjoint = vecs.conj().transpose(0, 2, 1)
+    rec = (vecs * vals[:, None, :]) @ adjoint
+    worst_rec = float(np.max(np.abs(rec - ms.to_array())))
+    worst_orth = float(np.max(np.abs(adjoint @ vecs - np.eye(2))))
     yield _check("eigh2-reconstruction", worst_rec, 1e-13)
     yield _check("eigh2-orthonormality", worst_orth, 1e-13)
 
-    worst = 0.0
-    for _ in range(50):
-        m = numerics.Matrix2H(*rng.normal(size=4))
-        ident = numerics.func_h2(m, lambda v: v)
-        worst = max(worst, float(np.max(np.abs(ident.to_array() - m.to_array()))))
-        em = numerics.func_h2(m, math.exp).to_array()
-        eminus = numerics.func_h2(m.scaled(-1.0), math.exp).to_array()
-        worst = max(worst, float(np.max(np.abs(em @ eminus - np.eye(2)))))
+    ms = numerics.Matrix2H(*np.array([rng.normal(size=4) for _ in range(50)]).T)
+    ident = numerics.func_h2(ms, lambda v: v)
+    worst = float(np.max(np.abs(ident.to_array() - ms.to_array())))
+    em = numerics.func_h2(ms, math.exp).to_array()
+    eminus = numerics.func_h2(ms.scaled(-1.0), math.exp).to_array()
+    worst = max(worst, float(np.max(np.abs(em @ eminus - np.eye(2)))))
     yield _check("spectral-calculus", worst, 1e-12,
                  note="identity function and exp(m) exp(-m) = 1")
 
@@ -155,15 +153,23 @@ def _pairs(handle: ModelHandle, rng, count: int) -> np.ndarray:
 
 def _grid_oracle(model, thetas, tol: float, note: str) -> PropertyResult:
     """Phi at each theta against the brute-force sup over a 61-point-per-axis
-    grid of ``S(U) - theta.U``; a grid value above Phi fails outright."""
-    worst = 0.0
-    for th in thetas:
-        _, gv = numerics.grid_sup(lambda us: model.entropy_u(us) - us @ th,
-                                  model.energy_domain, 61)
-        closed = core.massieu(model, th)
-        worst = max(worst, abs(gv - closed))
-        if gv > closed + 1e-9:
-            worst = math.inf
+    grid of ``S(U) - theta.U``; a grid value above Phi fails outright.
+    One grid walk serves every theta: each slab's entropy is taken once,
+    and each theta keeps its own ``us @ theta`` column."""
+    thetas = np.asarray(thetas, dtype=float)
+
+    def objective(us):
+        s = model.entropy_u(us)
+        values = np.empty((len(us), len(thetas)))
+        for j, th in enumerate(thetas):
+            np.subtract(s, us @ th, out=values[:, j])
+        return values
+
+    _, gv = numerics.grid_sup(objective, model.energy_domain, 61)
+    closed = core.dual_points(model, thetas)[0]
+    worst = np.max(np.abs(gv - closed))
+    if np.any(gv > closed + 1e-9):
+        worst = math.inf
     return _check("massieu-grid-oracle", worst, tol, note)
 
 
@@ -310,34 +316,33 @@ def _qubit_checks(handle: QubitHandle):
     yield _check("bloch-tanh-duality", worst, 1e-12,
                  note="|U| = tanh|theta| and closed round trip, |theta| <= 20")
 
-    xs, th, via_spectral = [], [], []
-    for _ in range(200):
-        xs.append(handle.sample_dataset(rng))
-        th.append(handle.sample_thetas(rng, 1)[0])
-        via_spectral.append(qubit.quantum_relative_entropy(
-            qubit.bloch_to_rho(xs[-1]), qubit.gibbs_state(th[-1])))
+    # The spectral oracles draw their states in a loop and evaluate the
+    # stacks in one call each.
+    xs, th = np.empty((2, 200, 3))
+    for i in range(200):
+        xs[i] = handle.sample_dataset(rng)
+        th[i] = handle.sample_thetas(rng, 1)[0]
+    via_spectral = qubit.quantum_relative_entropy(qubit.bloch_to_rho(xs),
+                                                  qubit.gibbs_state(th))
     via_engine = core.divergence_from_data(model, xs, th).value
     worst = np.max(np.abs(via_engine - via_spectral))
     yield _check("relative-entropy-agreement", worst, 1e-10,
                  note="spectral Tr rho(ln rho - ln sigma) vs affine form")
 
-    worst = -math.inf
-    for _ in range(1000):
-        rho = qubit.bloch_to_rho(handle.sample_dataset(rng))
-        sigma = qubit.gibbs_state(handle.sample_thetas(rng, 1)[0])
-        worst = max(worst, -qubit.quantum_relative_entropy(rho, sigma))
-    yield _check("relative-entropy-nonnegative", worst, 1e-12)
+    xs, th = np.empty((2, 1000, 3))
+    for i in range(1000):
+        xs[i] = handle.sample_dataset(rng)
+        th[i] = handle.sample_thetas(rng, 1)[0]
+    d = qubit.quantum_relative_entropy(qubit.bloch_to_rho(xs), qubit.gibbs_state(th))
+    yield _check("relative-entropy-nonnegative", np.max(-d), 1e-12)
 
-    worst = 0.0
-    for _ in range(50):
-        th = handle.sample_thetas(rng, 1)[0]
-        state = qubit.gibbs_state(th)
-        lnrho = numerics.func_h2(state, math.log)
-        t = float(np.linalg.norm(th))
-        affine = numerics.Matrix2H(
-            a=-float(np.logaddexp(t, -t)) - th[2], d=-float(np.logaddexp(t, -t)) + th[2],
-            x=-th[0], y=-th[1])
-        worst = max(worst, float(np.max(np.abs(lnrho.to_array() - affine.to_array()))))
+    th = np.array([handle.sample_thetas(rng, 1)[0] for _ in range(50)])
+    lnrho = numerics.func_h2(qubit.gibbs_state(th), math.log)
+    t = np.sqrt(numerics.row_dot(th, th))
+    phi = np.logaddexp(t, -t)
+    affine = numerics.Matrix2H(a=-phi - th[:, 2], d=-phi + th[:, 2], x=-th[:, 0],
+                               y=-th[:, 1])
+    worst = float(np.max(np.abs(lnrho.to_array() - affine.to_array())))
     yield _check("log-state-affine", worst, 1e-10,
                  note="ln rho = -ln(2 cosh|theta|) - theta . sigma")
 
@@ -373,18 +378,16 @@ def _discrete_checks(handle: DiscreteHandle):
     yield _check("maxent-roundtrip", np.max(np.abs(back - thetas)), 1e-8,
                  note="theta -> moments -> fitted theta")
 
-    pairs, kl, xs, kl_x = [], [], [], []
+    pairs, xs = [], []
     for _ in range(200):
-        t1, t2 = handle.sample_thetas(rng, 2)
-        pairs.append((t1, t2))
-        p, q = discrete.boltzmann_gibbs(family, t1), discrete.boltzmann_gibbs(family, t2)
-        kl.append(discrete.kl_divergence(p, q))
+        pairs.append(handle.sample_thetas(rng, 2))
         xs.append(rng.dirichlet(np.ones(family.alphabet_size)))
-        kl_x.append(discrete.kl_divergence(xs[-1], q))
     t1, t2 = np.stack(pairs, axis=1)
-    worst = max(np.max(np.abs(np.array(kl_x) - core.divergence_from_data(
-                    model, xs, t2).value)),
-                np.max(np.abs(np.array(kl) - core.bregman_divergence(model, t1, t2).value)))
+    q = discrete.boltzmann_gibbs(family, t2)
+    kl = discrete.kl_divergence(discrete.boltzmann_gibbs(family, t1), q)
+    kl_x = discrete.kl_divergence(xs, q)
+    worst = max(np.max(np.abs(kl_x - core.divergence_from_data(model, xs, t2).value)),
+                np.max(np.abs(kl - core.bregman_divergence(model, t1, t2).value)))
     yield _check("kl-affine-agreement", worst, 1e-12,
                  note="direct relative entropy vs Phi - S + theta.answers")
 

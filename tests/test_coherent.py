@@ -351,31 +351,37 @@ def test_fiber_sampler_gives_up_with_a_typed_error(monkeypatch):
 def pin_one(coeff, z):
     """The one-row pin in Python complex numbers, the reference of
     ``_pin_rows``: the pinned row, or None."""
+    return pin_one_counted(coeff, z)[0]
+
+
+def pin_one_counted(coeff, z):
+    """:func:`pin_one` and the number of residual tests it made: 80 for a
+    row that it runs for all its steps."""
     c = coeff.copy()
     rest_a = complex(np.sum(np.conj(c[1:-1]) *
                             np.sqrt(np.arange(2, c.size, dtype=float)) * c[2:]))
     rest_n = float(np.sum(np.abs(c[1:]) ** 2))
     c1 = c[1]
     x, y = c[0].real, c[0].imag
-    for _ in range(80):
+    for step in range(1, 81):
         c0 = complex(x, y)
         g = np.conj(c0) * c1 + rest_a - z * (abs(c0) ** 2 + rest_n)
         if abs(g) <= 1e-14 * (1.0 + abs(z)):
             c[0] = c0
             norm = float(np.linalg.norm(c))
-            return None if norm == 0.0 else c / norm
+            return (None if norm == 0.0 else c / norm), step
         gx = c1 - 2.0 * x * z
         gy = -1j * c1 - 2.0 * y * z
         jac = np.array([[gx.real, gy.real], [gx.imag, gy.imag]])
         try:
             dx, dy = np.linalg.solve(jac, [-g.real, -g.imag])
         except np.linalg.LinAlgError:
-            return None
+            return None, step
         if not (math.isfinite(dx) and math.isfinite(dy)):
-            return None
+            return None, step
         x += dx
         y += dy
-    return None
+    return None, 80
 
 
 def test_batched_pin_equals_the_one_row_iteration():
@@ -405,6 +411,44 @@ def test_batched_pin_equals_the_one_row_iteration():
         outcomes["failed"] += int((~pinned & ~rootless).sum())
         outcomes["rootless"] += int(rootless.sum())
     assert min(outcomes.values()) > 0, outcomes
+
+    # A larger batch in the coherent2 sampler's range: amplitudes z = -2
+    # theta_1 - 0.25i theta_2 with |theta_j| <= 1.2, the sampler's noise
+    # at its halving scales 0.1, 0.05, ... and its kick.  Rows that the
+    # one-row iteration runs for all 80 steps are retired at once by the
+    # batch, which must still fail every one of them and pin every other
+    # row with the same bits.
+    rng = np.random.default_rng(43)
+    full = pinned_rows = tight_only = 0
+    for _ in range(12):
+        theta = rng.uniform(-1.2, 1.2, size=2)
+        z = complex(-2.0 * theta[0], -0.25 * theta[1])
+        base = coherent_state(z).coeff
+        for scale in 0.1 * 0.5 ** np.arange(5):
+            noise = rng.normal(size=(24, 2, 63))
+            c = np.repeat(base[None], 24, axis=0)
+            c[:, 2:] += scale * (noise[:, 0] + 1j * noise[:, 1]) / math.sqrt(130.0)
+            c[np.hypot(c[:, 1].real, c[:, 1].imag) < 0.05, 1] += scale
+            rows, pinned = coherent._pin_rows(c, z)
+            p = c[:, 1]
+            rest_a = np.sum(np.conj(c[:, 1:-1]) * np.sqrt(np.arange(2, 65)) * c[:, 2:],
+                            axis=1)
+            rest_n = np.sum(np.abs(c[:, 1:]) ** 2, axis=1)
+            retired = coherent._rootless(rest_a, rest_n, p.real, p.imag, z, tight=True)
+            plain = coherent._rootless(rest_a, rest_n, p.real, p.imag, z)
+            tight_only += int((retired & ~plain).sum())
+            for i in range(24):
+                reference, steps = pin_one_counted(c[i], z)
+                assert pinned[i] == (reference is not None)
+                if pinned[i]:
+                    assert rows[i].tobytes() == reference.tobytes()
+                if reference is None and steps == 80:
+                    full += 1
+                    assert retired[i]
+            pinned_rows += int(pinned.sum())
+    # 120 rows fail after all 80 steps of the one-row iteration; 35 of
+    # them only the tight split proves rootless
+    assert (full, pinned_rows, tight_only) == (120, 1320, 35)
 
 
 def test_fiber_sampler_draws_are_those_of_one_attempt_at_a_time():

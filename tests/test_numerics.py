@@ -185,14 +185,16 @@ def test_grid_sup_rejects_nonfinite_values():
         numerics.grid_sup(lambda u: np.full(len(u), math.inf), dom, 5)
 
 
-def _grid_sup_reference(f, domain, points_per_axis):
-    """The point-by-point grid supremum: one scalar call per grid point."""
+def _grid_sup_reference(f, domain, points_per_axis, column=None):
+    """The point-by-point grid supremum: one scalar call per grid point,
+    of the objective's ``column`` when it has several."""
     axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in domain.bounding_box]
     mesh = np.meshgrid(*axes, indexing="ij")
     best_x, best_v = None, -math.inf
     for row in np.stack([m.ravel() for m in mesh], axis=-1):
         if domain.membership(row):
-            v = float(f(row[None])[0])
+            values = f(row[None])
+            v = float(values[0] if column is None else values[0, column])
             if v > best_v:
                 best_x, best_v = row, v
     return best_x, best_v
@@ -246,6 +248,80 @@ def test_grid_sup_evaluates_members_only():
         numerics.grid_sup(nan_inside, numerics.Domain(
             2, np.array([[-1.0, 1.0]] * 2), lambda u: np.linalg.norm(u, axis=-1) < 0.1,
             np.zeros(2)), 2)
+
+
+def _quadratic_columns(n, rng, m):
+    """m concave quadratics with random centres as the columns of one
+    objective, and a constant column whose every member ties."""
+    a = rng.normal(size=(n, n))
+    a = a @ a.T + np.eye(n)
+    centres = rng.uniform(-0.8, 0.8, size=(m, n))
+    columns = [lambda u, c=c: -np.einsum("ki,ij,kj->k", u - c, a, u - c) for c in centres]
+    columns.append(lambda u: np.full(len(u), 0.25))
+    return columns, lambda u: np.column_stack([g(u) for g in columns])
+
+
+@pytest.mark.parametrize("n, per_axis", [(1, 23), (2, 17), (3, 11)])
+def test_grid_sup_columns_match_one_column_walks(n, per_axis):
+    rng = np.random.default_rng(10 + n)
+    columns, f = _quadratic_columns(n, rng, 3)
+    box = np.stack([-1.0 - rng.uniform(size=n), 1.0 + rng.uniform(size=n)], axis=-1)
+    dom = numerics.Domain(n, box, lambda u: np.linalg.norm(u - 0.2, axis=-1) < 1.1,
+                          np.full(n, 0.2))
+    sizes = []
+    xs, vs = numerics.grid_sup(lambda u: sizes.append(len(u)) or f(u), dom, per_axis)
+    assert xs.shape == (len(columns), n) and vs.shape == (len(columns),)
+    # one slab per call: memory stays bounded by a slab
+    assert max(sizes) <= per_axis ** max(n - 1, 1)
+    assert len(sizes) <= per_axis if n > 1 else len(sizes) == 1
+    for j, g in enumerate(columns):
+        x, v = numerics.grid_sup(g, dom, per_axis)
+        ref_x, ref_v = _grid_sup_reference(f, dom, per_axis, column=j)
+        assert vs[j] == v == ref_v
+        assert np.array_equal(xs[j], x) and np.array_equal(x, ref_x)
+
+
+def test_grid_sup_column_ties_within_and_across_slabs():
+    box = np.array([[-1.0, 1.0]] * 2)  # 5 points per axis: -1, -0.5, 0, 0.5, 1
+    dom = numerics.Domain(2, box, everywhere, np.zeros(2))
+    f = lambda u: np.column_stack([-u[:, 0] ** 2, -u[:, 1] ** 2,
+                                   np.where(u[:, 1] > 0.7, 1.0, 0.0)])
+    xs, vs = numerics.grid_sup(f, dom, 5)
+    # within the slab u1 = 0 the lowest u2 wins; u2 = 0 ties in every slab
+    # and the first slab wins; a tie across slabs keeps the earlier slab
+    assert xs.tolist() == [[0.0, -1.0], [-1.0, 0.0], [-1.0, 1.0]]
+    assert vs.tolist() == [0.0, 0.0, 1.0]
+    # ...and when the first slab holds no member, the next one does
+    later = numerics.Domain(2, box, lambda u: u[..., 0] > -0.9, np.zeros(2))
+    xs, _ = numerics.grid_sup(f, later, 5)
+    assert xs.tolist() == [[0.0, -1.0], [-0.5, 0.0], [-0.5, 1.0]]
+
+
+def test_grid_sup_columns_evaluate_members_only():
+    dom = numerics.Domain(2, np.array([[-1.0, 1.0]] * 2),
+                          lambda u: u[..., 0] < 0.7, np.zeros(2))
+    seen = []
+
+    def nan_outside(u):
+        seen.append(u.copy())
+        inside = u[:, 0] < 0.7
+        return np.column_stack([np.where(inside, -u[:, 1] ** 2, math.nan),
+                                np.where(inside, u[:, 0], math.nan)])
+
+    xs, vs = numerics.grid_sup(nan_outside, dom, 5)
+    assert xs.tolist() == [[-1.0, 0.0], [0.5, -1.0]] and vs.tolist() == [0.0, 0.5]
+    assert np.all(np.concatenate(seen)[:, 0] < 0.7)
+    # a non-finite value at a member in any column is an error
+    with pytest.raises(EvaluationError, match=r"at \[0\.5, -1\.0\]"):
+        numerics.grid_sup(lambda u: np.column_stack(
+            [np.zeros(len(u)), np.where(u[:, 0] == 0.5, math.nan, 0.0)]), dom, 5)
+    with pytest.raises(DomainError):
+        numerics.grid_sup(nan_outside, numerics.Domain(
+            2, np.array([[-1.0, 1.0]] * 2), lambda u: np.linalg.norm(u, axis=-1) < 0.1,
+            np.zeros(2)), 2)
+    # more than two value dimensions is not a column objective
+    with pytest.raises(ValueError):
+        numerics.grid_sup(lambda u: np.zeros((len(u), 2, 2)), dom, 5)
 
 
 def test_domain_validation():
