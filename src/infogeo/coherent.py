@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import ModelDescriptor
 from .errors import ConvergenceError, TruncationError
-from .numerics import Domain, row_dot
+from .numerics import Domain, complex_row_norm
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,7 @@ def state_rows(states) -> np.ndarray:
     c = np.asarray(states, dtype=complex)
     if c.ndim != 2 or c.shape[1] < 2:
         raise ValueError("state needs at least two basis coefficients")
-    # the norm with the bits of the 1-D np.linalg.norm
-    norms = np.sqrt(row_dot(c.real, c.real) + row_dot(c.imag, c.imag))
+    norms = complex_row_norm(c)
     if np.any(np.abs(norms - 1.0) > 1e-10):
         raise ValueError("state vector must be normalized")
     return c
@@ -285,7 +284,7 @@ _MIN_NOISE = 1e-16
 
 
 def _rootless(rest_a: np.ndarray, rest_n: np.ndarray, p: np.ndarray, q: np.ndarray,
-              z: complex, tight: bool = False) -> np.ndarray:
+              z: complex) -> np.ndarray:
     """Rows whose pin equation provably has no root, so no Newton step can
     meet the pin's test.
 
@@ -296,11 +295,11 @@ def _rootless(rest_a: np.ndarray, rest_n: np.ndarray, p: np.ndarray, q: np.ndarr
     B|^2 - (1 + e) |c_1|^2 t - (1 + 1/e) d^2 >= 0`` for all ``t >= 0`` then
     ``|z t + B| >= |c_1| sqrt(t) + d``, and every residual is at least
     ``d``.  ``G`` is a quadratic in ``t``, so the test is its value at 0
-    and at its vertex.  The test takes ``e = 1``; with ``tight`` a row
-    also counts as rootless when ``G`` passes with the ``e <= 1`` that
-    makes the bound tight where ``F(t) = |z t + B|^2 - |c_1|^2 t`` is
-    smallest, ``e = d / (|c_1| sqrt(t_F))`` at F's vertex ``t_F``, which
-    catches rows whose residual stays small but never reaches ``d``.
+    and at its vertex.  A row counts as rootless when ``G`` passes with
+    ``e = 1`` or with the ``e <= 1`` that makes the bound tight where
+    ``F(t) = |z t + B|^2 - |c_1|^2 t`` is smallest, ``e = d / (|c_1|
+    sqrt(t_F))`` at F's vertex ``t_F``; the second catches rows whose
+    residual stays small but never reaches ``d``.
     ``d^2 = 1e-10 (1 + |B|^2)`` keeps the test clear of the rounding of
     its own terms.  The residual a Newton step computes is off by about
     1e-15 times its largest term, and with ``|z| >= 1e-4 (1 + |c_1|)`` the
@@ -314,15 +313,12 @@ def _rootless(rest_a: np.ndarray, rest_n: np.ndarray, p: np.ndarray, q: np.ndarr
     z2 = zr * zr + zi * zi
     d2 = 1e-10 * (1.0 + b2)
     linear = zr * br + zi * bi
-    splits = [1.0]
-    if tight:
-        # c2 t_F, with t_F = max(|c_1|^2 / 2 - linear, 0) / |z|^2; a row with
-        # z = 0 fails the last test below whatever e is
-        at_vertex = c2 * np.maximum(0.5 * c2 - linear, 0.0) / (z2 + (z2 == 0.0))
-        splits.append(np.minimum(1.0, np.sqrt(d2 / np.where(at_vertex > 0.0,
-                                                            at_vertex, d2))))
+    # c2 t_F, with t_F = max(|c_1|^2 / 2 - linear, 0) / |z|^2; a row with
+    # z = 0 fails the last test below whatever e is
+    at_vertex = c2 * np.maximum(0.5 * c2 - linear, 0.0) / (z2 + (z2 == 0.0))
+    tight = np.minimum(1.0, np.sqrt(d2 / np.where(at_vertex > 0.0, at_vertex, d2)))
     proven = np.zeros(np.shape(b2), dtype=bool)
-    for e in splits:
+    for e in (1.0, tight):
         slope = linear - 0.5 * (1.0 + e) * c2     # G(t) = |z|^2 t^2 + 2 slope t + const
         const = b2 - (1.0 + 1.0 / e) * d2
         proven |= (const >= 0.0) & ((slope >= 0.0) | (slope * slope <= z2 * const))
@@ -339,7 +335,7 @@ def _pin_rows(coeffs: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
     rows in one masked loop over the real and imaginary parts of ``c_0``,
     each row until ``|g| <= 1e-14 (1 + |z|)``.  A row fails after 80 steps,
     on a singular or non-finite step or a zero vector, and at once when
-    its equation provably has no root (:func:`_rootless` with ``tight``).
+    its equation provably has no root (:func:`_rootless`).
     Each step writes out on real arrays the arithmetic of the one-row
     iteration in Python complex numbers (``z * s`` is ``(zr s - zi 0, zr 0
     + zi s)`` there), so every row keeps the bits it has when pinned alone.
@@ -355,8 +351,7 @@ def _pin_rows(coeffs: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
     z_pair = np.array([z.real, z.imag])
     zero_pair = np.array([-(z.imag * 0.0), z.real * 0.0])
     pinned = np.zeros(k, dtype=bool)
-    rows = np.flatnonzero(~_rootless(rest_a, rest_n, pairs[:, 2], pairs[:, 3], z,
-                                     tight=True))
+    rows = np.flatnonzero(~_rootless(rest_a, rest_n, pairs[:, 2], pairs[:, 3], z))
     # The rows still iterating, with (real, imaginary) parts in the last
     # axis: g = x (p, q) + y (q, -p) + A - z s with c_1 = p + i q and s =
     # |c_0|^2 + N.  The Jacobian's columns are c_1 - 2 x z (for x) and
@@ -400,7 +395,7 @@ def _pin_rows(coeffs: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
     c0 = np.empty(done.size, dtype=complex)
     c0.real, c0.imag = solved[done].T
     c[done, 0] = c0
-    norms = np.sqrt(row_dot(c.real, c.real) + row_dot(c.imag, c.imag))
+    norms = complex_row_norm(c)
     pinned &= norms != 0.0
     c[pinned] /= norms[pinned, None]
     return c, pinned

@@ -157,26 +157,36 @@ def dual_points(family: DiscreteFamily, thetas: np.ndarray):
     return phi, _mean_energy(family.hamiltonians, p), -np.sum(terms, axis=-1)
 
 
-def bgs_entropy_rows(family: DiscreteFamily, ps: np.ndarray) -> np.ndarray:
-    """:func:`bgs_entropy` of the validated probability rows ``ps`` (k, m).
+def _support_sums(ps: np.ndarray, terms) -> np.ndarray:
+    """The sum of ``terms(rows, letters)`` over the support of each row of
+    ``ps`` (k, m), with the rows of full support summed in one call.
 
-    A row with a zero letter is summed over its support alone (0 ln 0 =
-    0): with the zero terms in place, numpy's pairwise sum would group the
-    terms of a row of 8 or more letters differently, and the row would
-    lose the bits of the sum over its support.
+    ``terms`` gets numpy indices into ``ps`` (rows, letters) and returns
+    the terms there.  A row with a zero letter is summed over its support
+    alone (0 ln 0 = 0): with the zero terms in place, numpy's pairwise sum
+    would group the terms of a row of 8 or more letters differently, and
+    the row would lose the bits of the sum over its support.
     """
-    log_prior = np.log(family.prior)
     support = ps > 0.0
     full = support.all(axis=1)
     values = np.empty(len(ps))
     if full.any():
-        p = ps[full]
-        values[full] = -np.sum(p * (np.log(p) - log_prior), axis=1)
+        values[full] = np.sum(terms(full, slice(None)), axis=1)
     for i in np.flatnonzero(~full):
-        mask = support[i]
-        p = ps[i, mask]
-        values[i] = -np.sum(p * (np.log(p) - log_prior[mask]))
+        values[i] = np.sum(terms(i, support[i]))
     return values
+
+
+def bgs_entropy_rows(family: DiscreteFamily, ps: np.ndarray) -> np.ndarray:
+    """:func:`bgs_entropy` of the validated probability rows ``ps`` (k, m),
+    each summed over its support (:func:`_support_sums`)."""
+    log_prior = np.log(family.prior)
+
+    def terms(rows, letters):
+        p = ps[rows, letters]
+        return p * (np.log(p) - log_prior[letters])
+
+    return -_support_sums(ps, terms)
 
 
 def bgs_entropy(family: DiscreteFamily, p) -> float:
@@ -216,17 +226,14 @@ def kl_divergence(p, q):
     qs = check_probability(q)[None] if np.ndim(q) == 1 else probability_rows(q)
     if ps.shape != qs.shape:
         raise ValueError("distribution lengths differ")
-    support = ps > 0.0
-    if np.any(support & (qs == 0.0)):
+    if np.any((ps > 0.0) & (qs == 0.0)):
         raise SupportError("q vanishes on the support of p")
-    # a row with a zero letter is summed over its support alone, as in
-    # bgs_entropy_rows, so it keeps the grouping of the one-pair sum
-    full = support.all(axis=1)
-    values = np.empty(len(ps))
-    values[full] = np.sum(ps[full] * np.log(ps[full] / qs[full]), axis=1)
-    for i in np.flatnonzero(~full):
-        pi, qi = ps[i, support[i]], qs[i, support[i]]
-        values[i] = np.sum(pi * np.log(pi / qi))
+
+    def terms(rows, letters):
+        p = ps[rows, letters]
+        return p * np.log(p / qs[rows, letters])
+
+    values = _support_sums(ps, terms)
     return float(values[0]) if single else values
 
 

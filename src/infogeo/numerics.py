@@ -183,6 +183,13 @@ def row_norm(x: np.ndarray) -> np.ndarray:
     return np.where(big, scale * np.sqrt(row_dot(scaled, scaled)), t)
 
 
+def complex_row_norm(v: np.ndarray) -> np.ndarray:
+    """``|v|`` along the last axis of the complex array ``v`` (..., n), with
+    the bits of the 1-D ``np.linalg.norm``, which sums the real and
+    imaginary squares apart.  Not rescaled: for vectors of moderate size."""
+    return np.sqrt(row_dot(v.real, v.real) + row_dot(v.imag, v.imag))
+
+
 def on_points(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     """Extend ``f`` from rows ``(k, n)`` to points ``(..., n)``.
 
@@ -606,20 +613,14 @@ def eig_h2(m: Matrix2H) -> tuple[np.ndarray, np.ndarray]:
     # a diagonal matrix has a zero vector in the pair; its rows are
     # replaced below, so their 0/0 is no error
     with np.errstate(invalid="ignore", divide="ignore"):
-        vecs = np.stack([minus / _complex_norm(minus)[:, None],
-                         plus / _complex_norm(plus)[:, None]], axis=-1)
+        vecs = np.stack([minus / complex_row_norm(minus)[:, None],
+                         plus / complex_row_norm(plus)[:, None]], axis=-1)
     # Diagonal matrix: eigenvectors are the standard basis, ordered by
     # eigenvalue.
     diagonal = off2 == 0.0
     vecs[diagonal] = np.where((z[diagonal] <= 0.0)[:, None, None],
                               np.eye(2), np.eye(2)[::-1])
     return (vals[0], vecs[0]) if single else (vals, vecs)
-
-
-def _complex_norm(v: np.ndarray) -> np.ndarray:
-    """``|v|`` of the complex rows ``v`` (k, n), with the bits of the 1-D
-    ``np.linalg.norm``, which sums the real and imaginary squares apart."""
-    return np.sqrt(row_dot(v.real, v.real) + row_dot(v.imag, v.imag))
 
 
 def _spectrum_map(g: Callable[[float], float], vals: np.ndarray) -> np.ndarray:

@@ -384,6 +384,20 @@ def pin_one_counted(coeff, z):
     return None, 80
 
 
+def rootless_plain(rest_a, rest_n, p, q, z):
+    """The certificate of ``coherent._rootless`` with its fixed split ``e =
+    1`` alone: ``|z t + B|^2 - 2 |c_1|^2 t - 2 d^2 >= 0`` for all t >= 0."""
+    zr, zi = z.real, z.imag
+    br, bi = zr * rest_n - rest_a.real, zi * rest_n - rest_a.imag
+    b2 = br * br + bi * bi
+    c2 = p * p + q * q
+    z2 = zr * zr + zi * zi
+    slope = zr * br + zi * bi - c2
+    const = b2 - 2.0 * 1e-10 * (1.0 + b2)
+    proven = (const >= 0.0) & ((slope >= 0.0) | (slope * slope <= z2 * const))
+    return proven & (math.sqrt(z2) >= 1e-4 * (1.0 + np.sqrt(c2)))
+
+
 def test_batched_pin_equals_the_one_row_iteration():
     # Rows that fail after 80 steps, rows without a root (which fail at
     # once) and rows that converge, at amplitudes down to 0
@@ -400,7 +414,7 @@ def test_batched_pin_equals_the_one_row_iteration():
         p = c[:, 1]
         rest_a = np.sum(np.conj(c[:, 1:-1]) * np.sqrt(np.arange(2, 65)) * c[:, 2:], axis=1)
         rest_n = np.sum(np.abs(c[:, 1:]) ** 2, axis=1)
-        rootless = coherent._rootless(rest_a, rest_n, p.real, p.imag, z)
+        rootless = rootless_plain(rest_a, rest_n, p.real, p.imag, z)
         for i in range(40):
             reference = pin_one(c[i], z)
             assert pinned[i] == (reference is not None)
@@ -434,8 +448,9 @@ def test_batched_pin_equals_the_one_row_iteration():
             rest_a = np.sum(np.conj(c[:, 1:-1]) * np.sqrt(np.arange(2, 65)) * c[:, 2:],
                             axis=1)
             rest_n = np.sum(np.abs(c[:, 1:]) ** 2, axis=1)
-            retired = coherent._rootless(rest_a, rest_n, p.real, p.imag, z, tight=True)
-            plain = coherent._rootless(rest_a, rest_n, p.real, p.imag, z)
+            retired = coherent._rootless(rest_a, rest_n, p.real, p.imag, z)
+            plain = rootless_plain(rest_a, rest_n, p.real, p.imag, z)
+            assert not (plain & ~retired).any()
             tight_only += int((retired & ~plain).sum())
             for i in range(24):
                 reference, steps = pin_one_counted(c[i], z)
@@ -449,6 +464,47 @@ def test_batched_pin_equals_the_one_row_iteration():
     # 120 rows fail after all 80 steps of the one-row iteration; 35 of
     # them only the tight split proves rootless
     assert (full, pinned_rows, tight_only) == (120, 1320, 35)
+
+    # Rows at the edge of having a root, built by bisection on the phase of
+    # c_10 c_11 so the smallest |z t + B|^2 - |c_1|^2 t is just above 0
+    # (no root) or at most 0 (a root).  Without a root the residual stays
+    # above the pin's test but below the certificate's margin d, so the
+    # batch keeps those rows to the 80-step exit of its loop and must fail
+    # them there, while it pins the rows beside them.
+    z = 0.5 + 0.2j
+
+    def edge_row(phase):
+        c = np.zeros(65, dtype=complex)
+        c[0], c[1], c[10], c[11] = 0.3, 1.0, 0.5, 0.5 * complex(math.cos(phase),
+                                                               math.sin(phase))
+        return c
+
+    def margin(c):
+        b = z * np.sum(np.abs(c[1:]) ** 2) - np.sum(
+            np.conj(c[1:-1]) * np.sqrt(np.arange(2, 65)) * c[2:])
+        t = max(0.0, (0.5 - (z.conjugate() * b).real) / abs(z) ** 2)
+        return abs(z * t + b) ** 2 - t
+
+    phases = np.linspace(0.0, 2.0 * math.pi, 361)
+    edge = np.flatnonzero([margin(edge_row(a)) > 0.0 >= margin(edge_row(b))
+                           for a, b in zip(phases[:-1], phases[1:])])[0]
+    lo, hi = phases[edge], phases[edge + 1]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if margin(edge_row(mid)) > 0.0 else (lo, mid)
+    offsets = (1e-9, 1e-7, 1e-5)
+    c = np.array([edge_row(lo - off) for off in offsets]
+                 + [edge_row(hi + off) for off in offsets])
+    rows, pinned = coherent._pin_rows(c, z)
+    p = c[:, 1]
+    rest_a = np.sum(np.conj(c[:, 1:-1]) * np.sqrt(np.arange(2, 65)) * c[:, 2:], axis=1)
+    rest_n = np.sum(np.abs(c[:, 1:]) ** 2, axis=1)
+    assert not coherent._rootless(rest_a, rest_n, p.real, p.imag, z).any()
+    outcomes = [pin_one_counted(row, z) for row in c]
+    assert [(row, steps) for row, steps in outcomes[:3]] == [(None, 80)] * 3
+    assert pinned.tolist() == [False] * 3 + [True] * 3
+    for i in range(3, 6):
+        assert rows[i].tobytes() == outcomes[i][0].tobytes()
 
 
 def test_fiber_sampler_draws_are_those_of_one_attempt_at_a_time():
