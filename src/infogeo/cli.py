@@ -6,13 +6,17 @@ Every argv gets exactly one JSON object (the result envelope) on stdout:
 every envelope.  A command handler records each input in ``inputs`` as
 it parses it, so an error envelope keeps the inputs parsed before the
 error.  Flag errors (an unknown flag or command, a bad flag value, a
-number that is not finite, no command) end as ``"error:usage"``, with
-``command`` null unless the first non-option token of argv names a
-known command.  The exceptions are ``--help`` and ``--version``, which
-print text, and ``sweep`` in CSV format, which streams a CSV table
-instead: its rows are evaluated one chunk of grid points at a time and
-written one row per ``write``, so each row leaves as soon as it is
-formatted.  Progress, warnings and error messages go to stderr.
+number that is not finite, a negative ``--tol``, no command) end as
+``"error:usage"``, with ``command`` null unless the first non-option
+token of argv names a known command.  An argv whose first token names a
+command is parsed once, by that command's own parser; the top-level
+parser sees only the other argvs, and serves only to print help or the
+version or to report the usage error.  The exceptions to the one
+envelope are ``--help`` and ``--version``, which print text, and
+``sweep`` in CSV format, which streams a CSV table instead: its rows are
+evaluated one chunk of grid points at a time and written one row per
+``write``, so each row leaves as soon as it is formatted.  Progress,
+warnings and error messages go to stderr.
 
 ``verify`` takes one target: the positional ``TARGET`` (``all``, the
 default, ``numerics`` or a model name), ``--model NAME`` or ``--config
@@ -85,8 +89,12 @@ def _parse_floats(text: str, flag: str, expect: int | None = None) -> np.ndarray
 
 
 def _tolerance(text: str) -> float:
-    """The type of ``--tol``: one finite number."""
-    return float(_parse_floats(text, "--tol", 1)[0])
+    """The type of ``--tol``: one finite number, at least 0 (0 asks for an
+    exact match; no comparison passes a negative bound)."""
+    tol = float(_parse_floats(text, "--tol", 1)[0])
+    if tol < 0.0:
+        raise UsageError(f"--tol must be at least 0, got {text!r}")
+    return tol
 
 
 def _point(args, name: str, inputs: dict, n: int) -> np.ndarray:
@@ -532,22 +540,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and the parser of each command by name."""
     parser = _Parser(
         prog="infogeo",
         description="Dual coordinates, entropy transforms, and divergences"
                     " for a small zoo of statistical models.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, (_, help_text, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        commands[name] = p = sub.add_parser(name, help=help_text)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
-    return parser
+    return parser, commands
 
 
-# Parsing leaves the parser unchanged, so one serves every call of main.
-_PARSER = _build_parser()
+# Parsing leaves the parsers unchanged, so one set serves every call of
+# main.
+_PARSER, _COMMAND_PARSERS = _build_parser()
 
 
 _NEGATIVE_OK = ("--theta", "--u", "--zeta", "--xi", "--x", "--z")
@@ -572,13 +583,20 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The top-level parser has no flags that take values, so the first
-    # non-option token is the one argparse dispatches on.
+    # The envelope's command is the first non-option token, the one the
+    # top-level parser dispatches on (it has no flags that take values).
+    # An argv that starts with a command is parsed by that command's
+    # parser alone; on any other argv the top-level parser prints help or
+    # the version, or raises UsageError, and no handler runs.
     first = next((tok for tok in argv if not tok.startswith("-")), None)
     command = first if first in _COMMANDS else None
     inputs = {}
+    if argv and argv[0] in _COMMAND_PARSERS:
+        parser, rest = _COMMAND_PARSERS[argv[0]], argv[1:]
+    else:
+        parser, rest = _PARSER, argv
     try:
-        args = _PARSER.parse_args(_normalize_argv(argv))
+        args = parser.parse_args(_normalize_argv(rest))
         result = _COMMANDS[command][0](args, inputs)
         if result is None:  # a CSV sweep, already written
             return EXIT_OK

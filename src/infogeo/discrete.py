@@ -9,7 +9,7 @@ Shannon entropy ``S(p) = -sum_a p(a) ln(p(a)/c(a))``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,10 +37,17 @@ class DiscreteFamily:
     The family keeps read-only copies of both.  Canonicality requires
     that no nontrivial linear combination of the rows and the constant
     vector vanishes, i.e. ``[H; 1]`` has rank ``n + 1``.
+
+    The constants that every evaluation or moment fit would otherwise
+    recompute are built once, here: ``log_prior`` (``ln c``) and ``box``
+    (n, 2), the range ``[min_a H_j(a), max_a H_j(a)]`` of each
+    observable.
     """
 
     prior: np.ndarray
     hamiltonians: np.ndarray
+    log_prior: np.ndarray = field(init=False, repr=False, compare=False)
+    box: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         prior = np.array(self.prior, dtype=float)
@@ -53,13 +60,15 @@ class DiscreteFamily:
             h = h.reshape(0, prior.size)
         if h.ndim != 2 or h.shape[1] != prior.size:
             raise ValueError("hamiltonians must be an (n, alphabet) matrix")
-        prior.flags.writeable = h.flags.writeable = False
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "hamiltonians", h)
         stacked = np.vstack([h, np.ones(prior.size)])
         if np.linalg.matrix_rank(stacked) != h.shape[0] + 1:
             raise DegeneracyError(
                 "observables plus the constant vector are linearly dependent")
+        constants = {"prior": prior, "hamiltonians": h, "log_prior": np.log(prior),
+                     "box": np.stack([h.min(axis=1), h.max(axis=1)], axis=-1)}
+        for name, value in constants.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -111,7 +120,7 @@ def _log_sum_exp(family: DiscreteFamily, thetas: np.ndarray):
     with: the products ``theta . H`` are stacked vector products, and
     every other step works along the last axis.
     """
-    e = (np.log(family.prior)
+    e = (family.log_prior
          - np.matmul(thetas[..., None, :], family.hamiltonians)[..., 0, :])
     shift = e.max(axis=-1, keepdims=True)
     e -= shift
@@ -153,7 +162,7 @@ def dual_points(family: DiscreteFamily, thetas: np.ndarray):
     0).  No moment fit.
     """
     phi, p, log_p = _log_sum_exp(family, thetas)
-    terms = np.where(p > 0.0, p * (log_p - np.log(family.prior)), 0.0)
+    terms = np.where(p > 0.0, p * (log_p - family.log_prior), 0.0)
     return phi, _mean_energy(family.hamiltonians, p), -np.sum(terms, axis=-1)
 
 
@@ -180,11 +189,9 @@ def _support_sums(ps: np.ndarray, terms) -> np.ndarray:
 def bgs_entropy_rows(family: DiscreteFamily, ps: np.ndarray) -> np.ndarray:
     """:func:`bgs_entropy` of the validated probability rows ``ps`` (k, m),
     each summed over its support (:func:`_support_sums`)."""
-    log_prior = np.log(family.prior)
-
     def terms(rows, letters):
         p = ps[rows, letters]
-        return p * (np.log(p) - log_prior[letters])
+        return p * (np.log(p) - family.log_prior[letters])
 
     return -_support_sums(ps, terms)
 
@@ -267,6 +274,8 @@ def _newton_steps(cov, residual):
         # np.linalg.solve saves most of the cost of a one-row iteration
         var = cov[:, :, 0]
         singular = var[:, 0] == 0.0
+        if not np.count_nonzero(singular):
+            return residual / var, singular
         return np.divide(residual, var, out=np.zeros_like(residual),
                          where=var != 0.0), singular
     singular = np.zeros(len(cov), dtype=bool)
@@ -302,6 +311,11 @@ def fit_moments(family: DiscreteFamily, targets,
     :data:`FIT_OK`, :data:`FIT_INFEASIBLE`, :data:`FIT_SINGULAR` or
     :data:`FIT_STALLED`; a failed row keeps theta 0 and 0 iterations.
     Each row gets the bits it gets when fitted alone.
+
+    The family constants the fit needs are built once, with the family:
+    the box test reads ``family.box``, and each evaluation of the dual
+    reads ``family.log_prior``.  The slack and the backtracking run only
+    in an iteration where some row failed its Armijo test.
     """
     targets = np.asarray(targets, dtype=float)
     k, n = targets.shape
@@ -311,7 +325,8 @@ def fit_moments(family: DiscreteFamily, targets,
     if n == 0:
         return theta, iterations, status
     h = family.hamiltonians
-    inside = np.all((targets >= h.min(axis=1)) & (targets <= h.max(axis=1)), axis=1)
+    lo, hi = family.box.T
+    inside = ((targets >= lo) & (targets <= hi)).all(axis=1)
     status[~inside] = FIT_INFEASIBLE
     rows = np.flatnonzero(inside)        # the rows still iterating
     u = targets[rows]
@@ -321,13 +336,13 @@ def fit_moments(family: DiscreteFamily, targets,
         moments = _mean_energy(h, p)
         residual = moments - u
         done = np.abs(residual).max(axis=1) <= tol
-        if done.any():
+        if np.count_nonzero(done):
             theta[rows[done]] = th[done]
             iterations[rows[done]] = it
             keep = ~done
             rows, u, th, f, p, moments, residual = (
                 a[keep] for a in (rows, u, th, f, p, moments, residual))
-        if not rows.size:
+        if not rows.size:  # every row converged, or none was feasible
             break
         centered = h - moments[:, :, None]
         cov = np.matmul(centered * p[:, None, :], centered.transpose(0, 2, 1))
@@ -335,40 +350,41 @@ def fit_moments(family: DiscreteFamily, targets,
         slope = row_dot(-residual, step)
         cand = th + step
         fc, pc = _dual_rows(family, cand, u)
-        todo = np.flatnonzero(~(fc <= f + 1e-4 * slope))
-        # Near the optimum the dual is flat to machine precision and the
-        # sufficient-decrease test would reject on rounding jitter, so a
-        # rejected row is tested again with a slack of a few ulps (a row
-        # accepted without it is accepted with it).  f = Phi + theta.U can
-        # cancel far below its terms, whose size sets the rounding of f,
-        # so the slack scales with them too.
-        slack = np.zeros_like(f)
-        if todo.size:
+        rejected = ~(fc <= f + 1e-4 * slope)
+        if np.count_nonzero(rejected):
+            todo = np.flatnonzero(rejected)
+            # Near the optimum the dual is flat to machine precision and
+            # the sufficient-decrease test would reject on rounding jitter,
+            # so a rejected row is tested again with a slack of a few ulps
+            # (a row accepted without it is accepted with it).  f = Phi +
+            # theta.U can cancel far below its terms, whose size sets the
+            # rounding of f, so the slack scales with them too.
+            slack = np.zeros_like(f)
             ft, tu = f[todo], row_dot(th[todo], u[todo])
             slack[todo] = 1e-15 * (1.0 + np.abs(ft) + np.abs(ft - tu) + np.abs(tu))
             todo = todo[~(fc[todo] <= ft + 1e-4 * slope[todo] + slack[todo])]
-        # Rows still rejected have failed every halving so far, so they
-        # share the step length t.
-        t = 1.0
-        for _ in range(59):
-            if not todo.size:
-                break
-            t *= 0.5
-            c = th[todo] + t * step[todo]
-            fc_t, p_t = _dual_rows(family, c, u[todo])
-            ok = fc_t <= f[todo] + 1e-4 * t * slope[todo] + slack[todo]
-            accepted = todo[ok]
-            cand[accepted], fc[accepted], pc[accepted] = c[ok], fc_t[ok], p_t[ok]
-            todo = todo[~ok]
-        if todo.size:
-            # no admissible step: take the last, shortest one anyway
-            t *= 0.5
-            cand[todo] = th[todo] + t * step[todo]
-            fc[todo], pc[todo] = _dual_rows(family, cand[todo], u[todo])
+            # Rows still rejected have failed every halving so far, so they
+            # share the step length t.
+            t = 1.0
+            for _ in range(59):
+                if not todo.size:
+                    break
+                t *= 0.5
+                c = th[todo] + t * step[todo]
+                fc_t, p_t = _dual_rows(family, c, u[todo])
+                ok = fc_t <= f[todo] + 1e-4 * t * slope[todo] + slack[todo]
+                accepted = todo[ok]
+                cand[accepted], fc[accepted], pc[accepted] = c[ok], fc_t[ok], p_t[ok]
+                todo = todo[~ok]
+            if todo.size:
+                # no admissible step: take the last, shortest one anyway
+                t *= 0.5
+                cand[todo] = th[todo] + t * step[todo]
+                fc[todo], pc[todo] = _dual_rows(family, cand[todo], u[todo])
         th, f, p = cand, fc, pc
         # NaN iterates count as diverging too
         failed = singular | ~(np.sqrt(row_dot(th, th)) <= _DIVERGENCE_NORM)
-        if failed.any():
+        if np.count_nonzero(failed):
             status[rows[failed]] = np.where(singular[failed], FIT_SINGULAR,
                                             FIT_INFEASIBLE)
             keep = ~failed
@@ -439,9 +455,8 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
     n = family.n
     p0 = family.prior / float(family.prior.sum())
     interior = h @ p0
-    lo = h.min(axis=1) if n else np.zeros(0)
-    hi = h.max(axis=1) if n else np.zeros(0)
-    box = np.stack([lo, hi], axis=-1) if n else np.zeros((0, 2))
+    box = family.box
+    lo, hi = box.T
 
     clamp = None
     if n == 1:

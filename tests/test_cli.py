@@ -1,7 +1,6 @@
 """Command-line contract: JSON result envelopes, exit codes, sweep
 output, configuration files, and the model registry behind them."""
 
-import argparse
 import dataclasses
 import io
 import json
@@ -463,6 +462,27 @@ def test_usage_errors_exit_two(capsys):
         assert err.strip()
 
 
+@pytest.mark.parametrize("args", [
+    ("massieu", "--model", "discrete3", "--theta", "0.5"),
+    ("maxent", "--model", "discrete3", "--u", "1.2"),
+    ("pythagoras", "--model", "qubit", "--theta", "0,0,0", "--zeta", "1,0,0",
+     "--xi", "0,1,0"),
+])
+def test_negative_tol_is_a_usage_error(capsys, args):
+    # No comparison passes a negative bound: maxent ran 200 Newton
+    # iterations into error:convergence, and massieu reported a residual
+    # of 0 as exceeding it.  --tol 0 asks for an exact match and stays legal.
+    for tol in (("--tol=-1",), ("--tol", "-0.5")):
+        code = cli.main([*args, *tol])
+        out, err = capsys.readouterr()
+        env = strict_json(out)
+        assert (code, env["status"], env["command"]) == (2, "error:usage", args[0])
+        assert env["diagnostics"]["message"].startswith("--tol must be at least 0")
+        assert err.startswith("error: --tol")
+    cli.main([*args, "--tol", "0"])
+    assert strict_json(capsys.readouterr().out)["status"] != "error:usage"
+
+
 def test_sweep_grid_cap_is_checked_before_the_axes_are_built(capsys):
     # an axis of 10**15 points would not fit in memory
     code = cli.main(["sweep", "--model", "qubit", "--grid", "1=0:1:1000000000000000",
@@ -506,8 +526,6 @@ def test_help_and_version_print_text():
 
 
 def test_subcommands_take_the_same_flags():
-    subparsers = next(a for a in cli._PARSER._actions
-                      if isinstance(a, argparse._SubParsersAction))
     common = {"-h", "--help", "--model", "--config"}
     data = {"--x", "--z", "--x-file", "--nmax"}
     expected = {
@@ -519,7 +537,7 @@ def test_subcommands_take_the_same_flags():
         "verify": common,
     }
     got = {name: {s for action in parser._actions for s in action.option_strings}
-           for name, parser in subparsers.choices.items()}
+           for name, parser in cli._COMMAND_PARSERS.items()}
     assert got == expected
 
 

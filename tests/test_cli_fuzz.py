@@ -1,4 +1,5 @@
-"""Argv fuzzing of ``cli.main``: every argv gets exactly one envelope.
+"""Argv fuzzing of ``cli.main``: every argv gets exactly one envelope, and
+a command's own parser reads its argv as the top-level parser would.
 
 The argvs are drawn from the command and flag tables, with unknown flags,
 flags of other commands, and values that are empty, negative, huge or
@@ -10,6 +11,7 @@ not finite.  Left out, as the ``cli`` module documents: ``--help`` and
 import contextlib
 import io
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -92,3 +94,70 @@ def test_every_argv_gets_one_strict_json_envelope(argv):
     assert set(env) == KEYS
     assert code in (0, 1, 2, 3)
     assert (code == 0) == (env["status"] == "ok")
+
+
+# ------------------------------------------------------------ dispatch
+#
+# main hands an argv that starts with a command to that command's own
+# parser, and any other argv to the top-level parser.  Both must read an
+# argv the way the top-level parser alone would.
+
+def _parse(parser, argv):
+    """``parser``'s flags for ``argv`` without ``command``, or its usage
+    error message."""
+    try:
+        args = vars(parser.parse_args(cli._normalize_argv(argv)))
+    except cli.UsageError as exc:
+        return "usage error", str(exc)
+    args.pop("command", None)
+    return "flags", args
+
+
+def assert_dispatch_equivalent(argv):
+    own = _parse(cli._COMMAND_PARSERS[argv[0]], argv[1:])
+    assert own == _parse(cli._PARSER, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["massieu", "--", "--model", "qubit"],
+    ["massieu", "--model", "qubit", "--theta", "1,0,0", "--"],
+    ["verify", "--", "numerics"],
+    ["massieu", "--mod", "qubit", "--theta", "1,0,0"],       # an abbreviation
+    ["massieu", "--model", "qubit", "--versio"],
+    ["massieu", "--model", "qubit", "--u", "1"],             # a maxent flag
+    ["sweep", "--model", "qubit", "--theta", "0,0,0"],
+    ["divergence", "--model", "qubit", "--theta", "-1,0,0", "--zeta", "-0.5,0,0"],
+    ["pythagoras", "--model", "discrete2", "--x", "-0.5,1.5", "--theta", "-1",
+     "--zeta", "-2", "--tol", "-1"],
+    ["maxent", "--model", "discrete3", "--u", "-1", "--x"],
+    ["massieu"],
+])
+def test_a_command_parses_on_its_parser_as_on_the_top_level(argv):
+    assert_dispatch_equivalent(argv)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(argvs().filter(lambda argv: argv[:1] and argv[0] in cli._COMMANDS))
+def test_generated_commands_parse_on_their_parser_as_on_the_top_level(argv):
+    assert_dispatch_equivalent(argv)
+
+
+@st.composite
+def argvs_without_a_leading_command(draw):
+    argv = draw(argvs())
+    if argv and argv[0] in cli._COMMANDS:
+        argv = draw(st.sampled_from([["--"], ["-q"], ["--model", "qubit"], ["--bogus"],
+                                     ["--versio"], ["--version"]])) + argv
+    return argv
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argvs_without_a_leading_command())
+def test_an_argv_not_led_by_a_command_never_parses_on_the_top_level(argv):
+    # the top-level parser only prints help or the version, or reports
+    # the usage error
+    with contextlib.redirect_stdout(io.StringIO()):
+        with pytest.raises((cli.UsageError, SystemExit)):
+            cli._PARSER.parse_args(cli._normalize_argv(argv))

@@ -14,6 +14,7 @@ from infogeo import (
     DegeneracyError,
     InfeasibleError,
     SupportError,
+    discrete,
     get_model,
     massieu,
     metric_tensor,
@@ -390,6 +391,58 @@ def test_failing_rows_do_not_stop_the_others():
         assert thetas[i].tobytes() == theta.tobytes() and iterations[i] == its
     with pytest.raises(InfeasibleError, match=r"target \[0\.2, 0\.9\]"):
         maxent_fit_report(TRIANGLE, targets[2])
+
+
+def test_fit_of_targets_all_outside_the_box_takes_no_newton_step(monkeypatch):
+    # With no row left inside the box the fit must return at once, not run
+    # its 200 iterations on an empty stack.
+    def no_step(cov, residual):
+        raise AssertionError("Newton step taken for a stack with no feasible row")
+
+    monkeypatch.setattr(discrete, "_newton_steps", no_step)
+    for family, targets in ((get_model("discrete3").family, [[2.5], [-1.0], [np.nan]]),
+                            (TRIANGLE, [[3.0, 0.5], [1.0, -0.1]])):
+        thetas, iterations, status = fit_moments(family, np.array(targets))
+        assert status.tolist() == [FIT_INFEASIBLE] * len(targets)
+        assert not thetas.any() and not iterations.any()
+    with pytest.raises(InfeasibleError):
+        maxent_fit_report(get_model("discrete3").family, [2.5])
+
+
+#: Stacks whose rows, at tol 1e-12 and at tol 0, cover every fit outcome:
+#: converged, infeasible (outside the box, NaN), stalled (tol 0 near an
+#: edge) and, on the two-observable family, singular.
+MIXED_STACKS = {
+    "discrete2": (get_model("discrete2").family,
+                  [[0.3], [0.5], [0.999], [1e-9], [1.2], [-0.5], [np.nan], [0.0], [1.0]]),
+    "discrete3": (get_model("discrete3").family,
+                  [[1.2], [0.3], [1.9], [1e-9], [2.5], [-1.0], [np.nan], [2.0]]),
+    "1,2,3/0,1,2;1,0,0": (
+        DiscreteFamily(prior=np.array([1.0, 2.0, 3.0]),
+                       hamiltonians=np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0]])),
+        [[1.2, 0.4], [0.3, 0.2], [1.5, 0.0], [3.0, 0.5], [0.5, 0.5], [0.25, 0.75],
+         [np.nan, 0.1]]),
+    "0,1,10": (DiscreteFamily(prior=np.ones(3), hamiltonians=np.array([[0.0, 1.0, 10.0]])),
+               [[2.0], [9.9], [0.01], [11.0], [np.nan], [5.0], [1e-6]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_STACKS))
+def test_each_row_of_a_mixed_stack_is_its_one_row_fit(name):
+    family, targets = MIXED_STACKS[name]
+    targets = np.array(targets)
+    seen = set()
+    for tol in (1e-12, 0.0):
+        thetas, iterations, status = fit_moments(family, targets, tol)
+        for i, target in enumerate(targets):
+            theta, its, stat = fit_moments(family, target[None], tol)
+            assert thetas[i].tobytes() == theta[0].tobytes()
+            assert (iterations[i], status[i]) == (its[0], stat[0])
+        seen.update(status.tolist())
+    expected = {FIT_OK, FIT_INFEASIBLE, FIT_STALLED}
+    if family.n > 1:
+        expected.add(FIT_SINGULAR)
+    assert seen == expected
 
 
 def test_fit_converges_where_the_dual_objective_cancels():
