@@ -561,12 +561,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 _PARSER, _COMMAND_PARSERS = _build_parser()
 
 
-_NEGATIVE_OK = ("--theta", "--u", "--zeta", "--xi", "--x", "--z")
+_NEGATIVE_OK = ("--theta", "--u", "--zeta", "--xi", "--x", "--z", "--tol")
 
 
 def _normalize_argv(argv: list[str]) -> list[str]:
-    # join vector flags with values that begin with a minus sign, which
-    # argparse would otherwise read as option strings
+    # join the flags that take numbers with values that begin with a minus
+    # sign, which argparse would otherwise read as option strings (its
+    # negative-number test rejects exponent forms such as -1e-9)
     out = []
     i = 0
     while i < len(argv):

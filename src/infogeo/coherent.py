@@ -86,24 +86,47 @@ def annihilation_matrix(nmax: int) -> np.ndarray:
     return np.diag(np.sqrt(n), k=1).astype(complex)
 
 
-def coherent_state(z: complex, nmax: int = 64) -> FockVector:
-    """Coherent state ``|z>`` truncated at ``nmax`` and renormalized.
+def coherent_state(z, nmax: int = 64):
+    """Coherent state ``|z>`` truncated at ``nmax`` and renormalized, or
+    the coefficient rows (k, nmax + 1) of the states at the amplitudes
+    ``z`` (k,); row i has the bits of the one-state call at ``z[i]``.
 
     The amplitude profile peaks near ``n = |z|^2``; truncation is refused
     when ``|z|^2 > nmax / 4`` since the discarded tail would no longer be
-    negligible.
+    negligible (for the first such amplitude of a stack).  One state is
+    built by the recurrence ``c_n = c_{n-1} z / sqrt(n)`` in Python complex
+    numbers, and a stack of more by the same recurrence on arrays: an array
+    step costs about seven complex steps, so more than a few states are
+    cheaper on arrays, and one state in Python.
     """
-    z = complex(z)
-    mean = abs(z) * abs(z)  # inf rather than OverflowError when |z| is huge
-    if mean > nmax / 4.0:
-        raise TruncationError(
-            f"|z|^2 = {mean:.3g} too large for a basis of size {nmax + 1}")
-    c = np.empty(nmax + 1, dtype=complex)
-    c[0] = 1.0
-    for n in range(1, nmax + 1):
-        c[n] = c[n - 1] * z / math.sqrt(n)
-    c /= np.linalg.norm(c)
-    return FockVector(c)
+    single = np.ndim(z) == 0
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    zr, zi = zs.real, zs.imag
+    with np.errstate(over="ignore"):
+        modulus = np.hypot(zr, zi)      # abs(complex)
+        mean = modulus * modulus        # inf when |z| is huge
+    refused = mean > nmax / 4.0
+    if refused.any():
+        raise TruncationError(f"|z|^2 = {mean[np.argmax(refused)]:.3g} too large for a"
+                              f" basis of size {nmax + 1}")
+    c = np.empty((zs.size, nmax + 1), dtype=complex)
+    c[:, 0] = 1.0
+    if zs.size == 1:
+        z, row = complex(zs[0]), c[0]
+        for n in range(1, nmax + 1):
+            row[n] = row[n - 1] * z / math.sqrt(n)
+        row /= np.linalg.norm(row)
+    else:
+        product = np.empty(zs.size, dtype=complex)
+        for n in range(1, nmax + 1):
+            # c_{n-1} z as Python multiplies complex numbers; numpy's
+            # complex array multiply may fuse it into other bits
+            re, im = c[:, n - 1].real, c[:, n - 1].imag
+            product.real = re * zr - im * zi
+            product.imag = re * zi + im * zr
+            c[:, n] = product / math.sqrt(n)
+        c /= complex_row_norm(c)[:, None]
+    return FockVector(c[0]) if single else c
 
 
 # The expectations below work on states (..., N), coefficient rows or a
@@ -284,9 +307,10 @@ _MIN_NOISE = 1e-16
 
 
 def _rootless(rest_a: np.ndarray, rest_n: np.ndarray, p: np.ndarray, q: np.ndarray,
-              z: complex) -> np.ndarray:
+              z) -> np.ndarray:
     """Rows whose pin equation provably has no root, so no Newton step can
-    meet the pin's test.
+    meet the pin's test; ``z`` is one amplitude for all rows, or one per
+    row.
 
     With ``v = conj(c_0)`` and ``t = |v|^2`` the equation reads ``c_1 v =
     z t + B``, ``B = z N - A``; over the circle ``|v|^2 = t`` its residual
@@ -306,6 +330,7 @@ def _rootless(rest_a: np.ndarray, rest_n: np.ndarray, p: np.ndarray, q: np.ndarr
     terms are small wherever the residual is below ``d``, so no rounding
     brings it under the 1e-14 test.
     """
+    z = np.asarray(z, dtype=complex)
     zr, zi = z.real, z.imag
     br, bi = zr * rest_n - rest_a.real, zi * rest_n - rest_a.imag
     b2 = br * br + bi * bi
@@ -322,12 +347,13 @@ def _rootless(rest_a: np.ndarray, rest_n: np.ndarray, p: np.ndarray, q: np.ndarr
         slope = linear - 0.5 * (1.0 + e) * c2     # G(t) = |z|^2 t^2 + 2 slope t + const
         const = b2 - (1.0 + 1.0 / e) * d2
         proven |= (const >= 0.0) & ((slope >= 0.0) | (slope * slope <= z2 * const))
-    return proven & (math.sqrt(z2) >= 1e-4 * (1.0 + np.sqrt(c2)))
+    return proven & (np.sqrt(z2) >= 1e-4 * (1.0 + np.sqrt(c2)))
 
 
-def _pin_rows(coeffs: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
+def _pin_rows(coeffs: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
     """Adjust the ground-mode coefficient of each row of ``coeffs`` (k, N)
-    so the normalized row has ``<a>`` exactly ``z``.
+    so the normalized row has ``<a>`` exactly ``z``: one amplitude for all
+    rows, or one per row (k,).
 
     Returns ``(rows, pinned)``.  Newton's method on ``g(c_0) =
     conj(c_0) c_1 + A - z (|c_0|^2 + N)``, with ``A`` and ``N`` the parts of
@@ -346,10 +372,11 @@ def _pin_rows(coeffs: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
                     * c[:, 2:], axis=1)
     rest_n = np.sum(np.abs(c[:, 1:]) ** 2, axis=1)
     pairs = c.view(float)               # (Re c_n, Im c_n) side by side
-    tol = 1e-14 * (1.0 + abs(z))
+    z = np.broadcast_to(np.asarray(z, dtype=complex), (k,))
+    tol = 1e-14 * (1.0 + np.hypot(z.real, z.imag))     # abs(complex) is hypot
     # z times a real s is (zr s - zi 0, zr 0 + zi s) in Python
-    z_pair = np.array([z.real, z.imag])
-    zero_pair = np.array([-(z.imag * 0.0), z.real * 0.0])
+    z_pair = np.stack([z.real, z.imag], axis=1)
+    zero_pair = np.stack([-(z.imag * 0.0), z.real * 0.0], axis=1)
     pinned = np.zeros(k, dtype=bool)
     rows = np.flatnonzero(~_rootless(rest_a, rest_n, pairs[:, 2], pairs[:, 3], z))
     # The rows still iterating, with (real, imaginary) parts in the last
@@ -361,6 +388,7 @@ def _pin_rows(coeffs: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
     qp = pq[:, ::-1] * [1.0, -1.0]
     ra = rest_a.view(float).reshape(k, 2)[rows]
     rn = rest_n[rows]
+    z_pair, zero_pair, tol = z_pair[rows], zero_pair[rows], tol[rows]
     jac0 = np.stack([pq, -0.0 * pq + qp], axis=2)
     solved = np.empty((k, 2))
     for _ in range(80):
@@ -374,7 +402,7 @@ def _pin_rows(coeffs: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
             pinned[rows] = True
             solved[rows] = xy
             break
-        jac = jac0 - (2.0 * xy[:, None, :] * z_pair[:, None] + zero_pair[:, None])
+        jac = jac0 - (2.0 * xy[:, None, :] * z_pair[:, :, None] + zero_pair[:, :, None])
         try:
             step = np.linalg.solve(jac, -g[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
@@ -388,8 +416,9 @@ def _pin_rows(coeffs: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
         if not live.all():
             pinned[rows[done]] = True
             solved[rows[done]] = xy[done]
-            rows, xy, pq, qp, ra, rn, jac0, step = (
-                a[live] for a in (rows, xy, pq, qp, ra, rn, jac0, step))
+            rows, xy, pq, qp, ra, rn, jac0, step, z_pair, zero_pair, tol = (
+                a[live] for a in (rows, xy, pq, qp, ra, rn, jac0, step, z_pair,
+                                  zero_pair, tol))
         xy += step
     done = np.flatnonzero(pinned)
     c0 = np.empty(done.size, dtype=complex)
@@ -411,6 +440,71 @@ def _halvings_to_give_up(scale: float) -> int:
     return count
 
 
+class _FiberSearch:
+    """The sample search on the fiber of one amplitude ``z``, one round of
+    attempts at a time: :meth:`attempts` gives the rows to pin, and
+    :meth:`take` reads their outcome.
+
+    The first sample is the coherent state ``base``, whose ``<a>`` the
+    truncation moves off z, so it is pinned like the noisy samples after
+    it.  Every failed pin halves the noise scale, 0.1 after the coherent
+    state and 0.05 if it fails.  Noisy attempts are drawn from ``rng`` a
+    block at a time, as many as would finish the stack but never more
+    than the failures that end the search, the first block riding with
+    the coherent state.  After the first failure in a block the scale
+    halves and the attempts after it are built again from the noise
+    already drawn for them, so the draws and samples are those of drawing
+    and pinning one attempt at a time.
+    """
+
+    def __init__(self, base: np.ndarray, z: complex, want: int, rng):
+        self.base, self.z, self.want, self.rng = base, z, want, rng
+        self.samples, self.have, self.scale = [], 0, 0.1
+        self.lead = 1                   # the coherent state rides with the first block
+        self.noise = np.empty((0, 2, base.size - 2))
+
+    def attempts(self) -> np.ndarray:
+        """The rows of this round: the coherent state in the first round,
+        then the noisy attempts of the current block."""
+        base, scale = self.base, self.scale
+        if not len(self.noise):
+            # should the coherent state fail, the block is pinned at half the scale
+            size = min(self.want - self.have - self.lead,
+                       _halvings_to_give_up(scale / 2 ** self.lead))
+            self.noise = self.rng.normal(size=(size, 2, base.size - 2))
+        noise = self.noise
+        c = np.repeat(base[None], self.lead + len(noise), axis=0)
+        noisy = c[self.lead:]
+        noisy[:, 2:] += (scale * (noise[:, 0] + 1j * noise[:, 1])
+                         / math.sqrt(2.0 * base.size))
+        # a kick keeps the pin's Jacobian regular; it shrinks with the
+        # noise, so a small scale stays near the coherent state
+        noisy[np.hypot(noisy[:, 1].real, noisy[:, 1].imag) < 0.05, 1] += scale
+        return c
+
+    def take(self, pinned: np.ndarray, ok: np.ndarray) -> None:
+        """Keep the rows pinned before the first failure of the round.
+        Raises :class:`ConvergenceError` once the scale halves below
+        ``_MIN_NOISE``."""
+        if self.lead:
+            self.lead = 0
+            if not ok[0]:
+                self.scale = 0.05
+                return
+            self.samples.append(pinned[:1])
+            self.have, pinned, ok = 1, pinned[1:], ok[1:]
+        good = int(np.argmin(ok)) if not ok.all() else len(ok)
+        self.samples.append(pinned[:good])
+        self.have += good
+        self.noise = self.noise[good + 1:]
+        if good < len(ok):
+            self.scale *= 0.5
+            if self.scale < _MIN_NOISE:
+                raise ConvergenceError(
+                    f"no fiber sample has its mean pinned to z = {self.z:.6g} at"
+                    f" any noise scale down to {_MIN_NOISE:g}")
+
+
 def as_descriptor(constants: PhaseConstants, nmax: int = 64,
                   box_halfwidth: float | None = None) -> ModelDescriptor:
     """Engine descriptor for the coherent family.
@@ -423,7 +517,11 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
     states on the same truncated basis, and a stack of them is an array
     of coefficient rows (or a sequence of :class:`FockVector`); the fiber
     sampler returns the stack of the coherent state, then noisy states,
-    each with ``<a>`` pinned to the coherent state's amplitude z.
+    each with ``<a>`` pinned to the coherent state's amplitude z
+    (:class:`_FiberSearch`).  On energy rows it searches every fiber at
+    once: the base states come from one :func:`coherent_state` call, and
+    each round pins the attempts of every fiber still short in one
+    :func:`_pin_rows` call, drawing each fiber's new noise in row order.
     """
     r, hbar = constants.r, constants.hbar
     b = (16.0 * max(r ** 2, hbar ** 2 / r ** 2, 1.0) if box_halfwidth is None
@@ -443,56 +541,35 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
         za = a_expectation(c)
         return _mean_coordinates(za, constants), _entropy(za, c)
 
-    def fiber_sampler(u, count, rng=None):
-        z = z_of_u(np.asarray(u, dtype=float), constants)
-        base = coherent_state(z, nmax).coeff
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def fiber_sampler(us, count, rng=None):
+        us = np.asarray(us, dtype=float)
+        rows = us.reshape(-1, 2)
+        # z = u1 / r + i (r / hbar) u2, as z_of_u builds it
+        zs = np.empty(len(rows), dtype=complex)
+        zs.real, zs.imag = rows[:, 0] / r, (r / hbar) * rows[:, 1]
         want = max(count, 1)
-        # The first sample is the coherent state, whose <a> the truncation
-        # moves off z, so it is pinned like the noisy samples after it.
-        # Every failed pin halves the noise scale, 0.1 after the coherent
-        # state and 0.05 if it fails.  Noisy attempts are drawn a block at
-        # a time, as many as would finish the stack but never more than the
-        # failures that end the search, and pinned in one call, the first
-        # block with the coherent state.  After the first failure in a
-        # block the scale halves and the attempts after it are built again
-        # from the noise already drawn for them, so the draws and samples
-        # are those of drawing and pinning one attempt at a time.
-        samples, have, scale = [], 0, 0.1
-        lead = 1                        # the coherent state rides with the first block
-        noise = np.empty((0, 2, base.size - 2))
-        while have < want:
-            if not len(noise):
-                # should the coherent state fail, the block is pinned at half the scale
-                size = min(want - have - lead, _halvings_to_give_up(scale / 2 ** lead))
-                noise = rng.normal(size=(size, 2, base.size - 2))
-            c = np.repeat(base[None], lead + len(noise), axis=0)
-            noisy = c[lead:]
-            noisy[:, 2:] += (scale * (noise[:, 0] + 1j * noise[:, 1])
-                             / math.sqrt(2.0 * base.size))
-            # a kick keeps the pin's Jacobian regular; it shrinks with the
-            # noise, so a small scale stays near the coherent state
-            noisy[np.hypot(noisy[:, 1].real, noisy[:, 1].imag) < 0.05, 1] += scale
-            pinned, ok = _pin_rows(c, z)
-            if lead:
-                lead = 0
-                if not ok[0]:
-                    scale = 0.05
-                    continue
-                samples.append(pinned[:1])
-                have, pinned, ok = 1, pinned[1:], ok[1:]
-            good = int(np.argmin(ok)) if not ok.all() else len(ok)
-            samples.append(pinned[:good])
-            have += good
-            noise = noise[good + 1:]
-            if good < len(ok):
-                scale *= 0.5
-                if scale < _MIN_NOISE:
-                    raise ConvergenceError(
-                        f"no fiber sample has its mean pinned to z = {z:.6g} at"
-                        f" any noise scale down to {_MIN_NOISE:g}")
-        return np.concatenate(samples)
+        # without an rng, each fiber draws from its own default_rng(0)
+        searches = [_FiberSearch(base, complex(z), want,
+                                 np.random.default_rng(0) if rng is None else rng)
+                    for base, z in zip(coherent_state(zs, nmax), zs)]
+        errors = [None] * len(searches)
+        short = list(range(len(searches)))
+        while short:
+            blocks = [searches[i].attempts() for i in short]
+            sizes = [len(c) for c in blocks]
+            pinned, ok = _pin_rows(np.concatenate(blocks), np.repeat(zs[short], sizes))
+            ends = np.cumsum(sizes)[:-1]
+            for i, p, o in zip(short, np.split(pinned, ends), np.split(ok, ends)):
+                try:
+                    searches[i].take(p, o)
+                except ConvergenceError as exc:
+                    errors[i] = exc
+            short = [i for i in short if errors[i] is None and searches[i].have < want]
+        for exc in errors:
+            if exc is not None:
+                raise exc
+        samples = np.concatenate([s for search in searches for s in search.samples])
+        return samples if us.ndim == 1 else (samples, np.full(len(rows), want))
 
     return ModelDescriptor(
         energy_domain=domain,

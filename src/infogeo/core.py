@@ -101,8 +101,18 @@ class ModelDescriptor:
         raises the error it raises alone.
     fiber_sampler : callable
         ``(u, count, rng) -> stack`` of data sets whose answers equal ``u``
-        (the fiber of the model point), in the family's stack format;
-        ``rng`` None is deterministic.
+        (the fiber of the model point), in the family's stack format, with
+        ``count`` samples where the fiber has more than one point;
+        ``rng`` None is deterministic.  On energy rows ``us`` (k, n) it
+        samples the k fibers in one call and returns ``(stack, counts)``:
+        the samples of fiber 0, then of fiber 1, and so on, with
+        ``counts[i]`` samples of fiber i.  A point ``u`` is the one-fiber
+        view.  With ``rng`` None, fiber i of a stacked call has the bits
+        of its one-fiber call.  With an rng, the fibers draw from it in
+        row order: the discrete sampler one fiber after another, as k
+        one-fiber calls would, and the coherent sampler in rounds, each
+        fiber still short drawing its next block in row order.  The stack
+        raises the error of the lowest failing fiber.
     closed_massieu, closed_theta_to_u : callable or None
         Scalar views of the family's closed forms, with the bits of the
         matching ``closed_dual_points`` row.  None selects the numeric
@@ -298,16 +308,17 @@ def _as_rows(model: ModelDescriptor, *arrays) -> list[np.ndarray]:
     return rows
 
 
-def _points(model: ModelDescriptor, *arrays) -> tuple[list[np.ndarray], bool]:
-    """``(rows, single)``: the arrays as parameter rows ``(k, n)`` with one
-    ``k``, and whether each was a single point ``(n,)`` (then ``k = 1``).
+def _points(model: ModelDescriptor, *arrays,
+            kind: str = "parameter") -> tuple[list[np.ndarray], bool]:
+    """``(rows, single)``: the arrays as rows ``(k, n)`` with one ``k``, and
+    whether each was a single ``kind`` point ``(n,)`` (then ``k = 1``).
 
     A 0-d array is a point of a one-dimensional model; a point mixed with
     rows raises ``ValueError``.
     """
     arrays = [np.asarray(a, dtype=float) for a in arrays]
     if all(a.ndim < 2 for a in arrays):
-        return [_as_point(model, a)[None] for a in arrays], True
+        return [_as_point(model, a, kind)[None] for a in arrays], True
     return _as_rows(model, *arrays), False
 
 
@@ -564,24 +575,40 @@ def divergence_from_data(model: ModelDescriptor, x, theta) -> DivergenceReport:
 
 
 def divergence_def5(model: ModelDescriptor, x, u_of_m,
-                    fiber_samples: int = 200) -> float:
+                    fiber_samples: int = 200) -> float | np.ndarray:
     """Fiber-supremum divergence evaluated through the affine log form.
 
     Computes ``sup_y { S(y) + <y|L_m> } - ( S(x) + <x|L_m> )`` where the
     supremum runs over sampled data sets on the fiber of the model point
     with energy coordinates ``u_of_m``, and the log weight is evaluated
     through its affine form ``<y|L_m> = -Phi(theta) - sum_j theta_j
-    <y|q_j>``.  The whole fiber stack is read with one
-    ``dataset_answers`` call.
+    <y|q_j>``.  On energy rows ``u_of_m`` (k, n), ``x`` is a stack of k
+    data sets and the result holds the k divergences ``(k,)``: the k
+    points are inverted with one chart call, their k fibers drawn with
+    one ``fiber_sampler`` call (rng None), and the whole fiber stack, then
+    the k data sets, read with one ``dataset_answers`` call each.  A point
+    call returns row 0 of the one-row call as a ``float``, so row i has
+    the bits of the point call on row i.  Each step raises the error of
+    its lowest failing row.
     """
-    u = _as_point(model, u_of_m, "energy")
-    theta = u_to_theta(model, u)
-    phi = massieu(model, theta)
-    fiber = model.fiber_sampler(u, fiber_samples, None)
+    (us,), single = _points(model, u_of_m, kind="energy")
+    thetas, errors = _chart_rows(model, us)
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    if model.closed_massieu is None:
+        phi = _legendre(model, thetas, _LEGENDRE_TOL)[0]
+    else:
+        phi = _quietly(model.closed_dual_points, thetas)[0]
+        _require_finite(np.isfinite(phi), "Massieu function", thetas)
+    fiber, counts = model.fiber_sampler(us, fiber_samples, None)
     ans_y, s_y = _answers(model, fiber, len(fiber))
-    ans_x, s_x = _answers(model, [x], 1)
-    best = float(np.max(s_y + (-phi - row_dot(ans_y, theta))))
-    return best - (float(s_x[0]) + (-phi - float(row_dot(ans_x[0], theta))))
+    ans_x, s_x = _answers(model, [x] if single else x, len(us))
+    owner = np.repeat(np.arange(len(us)), counts)
+    weights = s_y + (-phi[owner] - row_dot(ans_y, thetas[owner]))
+    best = np.maximum.reduceat(weights, np.cumsum(counts) - counts)
+    values = best - (s_x + (-phi - row_dot(ans_x, thetas)))
+    return values[0].item() if single else values
 
 
 def pythagoras_data(model: ModelDescriptor, x, theta, zeta,

@@ -439,6 +439,16 @@ def _fiber_direction(family: DiscreteFamily) -> np.ndarray:
     return vt[rank:]
 
 
+def _chords(bases: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ends ``(t_lo, t_hi)`` of the chords ``base + t w`` that stay
+    distributions, one per direction ``w`` (..., count, m) through the
+    member ``base`` (..., m) of its row."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = -bases[..., None, :] / w
+    return (np.max(np.where(w > 0.0, ratios, -np.inf), axis=-1),
+            np.min(np.where(w < 0.0, ratios, np.inf), axis=-1))
+
+
 def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
     """Engine descriptor for the family.
 
@@ -497,30 +507,36 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
 
     directions = _fiber_direction(family)
 
-    def fiber_sampler(u, count, rng=None):
-        theta = maxent_fit(family, u)
-        base = boltzmann_gibbs(family, theta)
+    def fiber_sampler(us, count, rng=None):
+        us = np.asarray(us, dtype=float)
+        targets = us.reshape(1, -1) if us.ndim < 2 else us
+        if targets.shape[1] != n:
+            raise ValueError(f"expected {n} moment targets")
+        bases = boltzmann_gibbs(family, maxent_fit_rows(family, targets)[0])
+        k, m = bases.shape
         if not len(directions):
-            return base[None]
-        # Samples lie on chords of the fiber through the member: base + t w
-        # stays a distribution for t in [t_lo, t_hi].  Without rng they are
-        # evenly spaced on the chord along the first fiber direction; with
-        # rng each takes a uniform t on its own chord, along a random
-        # direction when the fiber has more than one.
-        if rng is None or len(directions) == 1:
-            w = np.broadcast_to(directions[0], (count, base.size))
+            samples, counts = bases, np.ones(k, dtype=int)
         else:
-            w = rng.normal(size=(count, len(directions))) @ directions
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = -base / w
-        t_lo = np.max(np.where(w > 0.0, ratios, -np.inf), axis=1)
-        t_hi = np.min(np.where(w < 0.0, ratios, np.inf), axis=1)
-        if rng is None:
-            t = np.linspace(t_lo[0], t_hi[0], count)
-        else:
-            t = rng.uniform(t_lo, t_hi)
-        p = np.maximum(base + t[:, None] * w, 0.0)
-        return p / p.sum(axis=1, keepdims=True)
+            # Samples lie on chords of the fiber through the member: base +
+            # t w stays a distribution for t in [t_lo, t_hi].  Without rng
+            # they are evenly spaced on the chord along the first fiber
+            # direction; with rng each takes a uniform t on its own chord,
+            # along a random direction when the fiber has more than one.
+            # The fibers draw one after another, in row order.
+            if rng is None or len(directions) == 1:
+                w = np.broadcast_to(directions[0], (k, count, m))
+                t_lo, t_hi = _chords(bases, w)
+                t = (np.linspace(t_lo[:, 0], t_hi[:, 0], count, axis=1) if rng is None
+                     else rng.uniform(t_lo, t_hi))
+            else:
+                w, t = np.empty((k, count, m)), np.empty((k, count))
+                for i, base in enumerate(bases):
+                    w[i] = rng.normal(size=(count, len(directions))) @ directions
+                    t[i] = rng.uniform(*_chords(base, w[i]))
+            p = np.maximum(bases[:, None, :] + t[..., None] * w, 0.0)
+            samples = (p / p.sum(axis=-1, keepdims=True)).reshape(-1, m)
+            counts = np.full(k, count)
+        return samples if us.ndim < 2 else (samples, counts)
 
     return ModelDescriptor(
         energy_domain=domain,

@@ -206,7 +206,8 @@ def as_descriptor(membership_margin: float = 1e-12,
     restricted by ``chart_margin`` as in :func:`bloch_to_theta`.  Data
     sets are Bloch vectors of arbitrary states, and a stack of them is an
     array of rows (k, 3); the model fiber over an interior point is a
-    singleton, the stack of one row.
+    singleton, the stack of one row, so energy rows (k, 3) give their own
+    copy with one sample per fiber.
     """
     box = np.array([[-1.0, 1.0]] * 3)
 
@@ -228,8 +229,11 @@ def as_descriptor(membership_margin: float = 1e-12,
             raise DomainError("Bloch vector lies outside the unit ball")
         return xs.copy(), _binary_entropy(np.minimum(r, 1.0))
 
-    def fiber_sampler(u, count, rng=None):
-        return np.array(u, dtype=float).reshape(1, 3)
+    def fiber_sampler(us, count, rng=None):
+        us = np.array(us, dtype=float)
+        if us.ndim < 2:
+            return us.reshape(1, 3)
+        return us.reshape(-1, 3), np.ones(len(us), dtype=int)
 
     return ModelDescriptor(
         energy_domain=domain,

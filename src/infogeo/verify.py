@@ -145,10 +145,11 @@ def _numerics_checks():
 
 # ------------------------------------------------------- canonical engine
 
-def _pairs(handle: ModelHandle, rng, count: int) -> np.ndarray:
+def _pairs(handle: ModelHandle, rng, count: int, radius: float = 3.0) -> np.ndarray:
     """``count`` pairs of parameter points as two row arrays ``(count, n)``,
-    each pair drawn by one ``sample_thetas(rng, 2)`` call."""
-    return np.stack([handle.sample_thetas(rng, 2) for _ in range(count)], axis=1)
+    each pair drawn by one ``sample_thetas(rng, 2, radius)`` call."""
+    return np.stack([handle.sample_thetas(rng, 2, radius=radius) for _ in range(count)],
+                    axis=1)
 
 
 def _grid_oracle(model, thetas, tol: float, note: str) -> PropertyResult:
@@ -233,13 +234,11 @@ def _canonical_checks(handle: ModelHandle):
     yield _check("bregman-separation", -np.min(d[separated], initial=math.inf),
                  -1e-6, note="divergence exceeds 1e-6 when |theta-zeta| >= 0.1")
 
-    fibers, th, ze = [], [], []
-    for _ in range(70):
-        t, z = handle.sample_thetas(rng, 2, radius=handle.fiber_radius)
-        fibers.append(model.fiber_sampler(core.theta_to_u(model, t), 3, rng))
-        th += [t] * len(fibers[-1])
-        ze += [z] * len(fibers[-1])
-    residual = core.pythagoras_data(model, np.concatenate(fibers), th, ze).residual
+    # The 70 pairs are drawn first, then their fibers in one sampler call.
+    th, ze = _pairs(handle, rng, 70, radius=handle.fiber_radius)
+    fibers, counts = model.fiber_sampler(core.dual_points(model, th)[1], 3, rng)
+    residual = core.pythagoras_data(model, fibers, np.repeat(th, counts, axis=0),
+                                    np.repeat(ze, counts, axis=0)).residual
     yield _check("pythagoras-with-data", np.max(residual, initial=0.0), 1e-9,
                  note="210 compliant data-model-model triples")
 
@@ -288,10 +287,10 @@ def _canonical_checks(handle: ModelHandle):
 
 def _def5_gap(model, xs, us) -> float:
     """Worst ``|D5 - D|`` over data sets ``xs`` and model points ``us``:
-    the fiber supremum of Definition 5, one fiber stack per point, against
-    the affine divergence at ``u_to_theta(u)``, all rows in one call."""
-    d5 = np.array([core.divergence_def5(model, x, u) for x, u in zip(xs, us)])
-    # divergence_def5 has inverted each u alone, so the chart refused none
+    the fiber supremum of Definition 5 against the affine divergence at
+    ``u_to_theta(u)``, each with all rows in one call."""
+    d5 = core.divergence_def5(model, xs, us)
+    # divergence_def5 has inverted every u, so the chart refused none
     thetas = core.u_to_theta_rows(model, us)[0]
     d = core.divergence_from_data(model, xs, thetas).value
     return float(np.max(np.abs(d5 - d)))
@@ -400,12 +399,10 @@ def _discrete_checks(handle: DiscreteHandle):
                  note="Hess Phi vs observable covariance")
 
     if family.alphabet_size - 1 - family.n == 1:  # one-dimensional fibers
-        us, fibers = [], []
-        for th in handle.sample_thetas(rng, 5, radius=1.5):
-            us.append(core.theta_to_u(model, th))
-            fibers.append(model.fiber_sampler(us[-1], 100, rng))
-        s_model = np.repeat(model.entropy_u(np.array(us)), [len(f) for f in fibers])
-        s_fiber = model.dataset_answers(np.concatenate(fibers))[1]
+        us = core.dual_points(model, handle.sample_thetas(rng, 5, radius=1.5))[1]
+        fibers, counts = model.fiber_sampler(us, 100, rng)
+        s_model = np.repeat(model.entropy_u(us), counts)
+        s_fiber = model.dataset_answers(fibers)[1]
         yield _check("fiber-entropy-dominated", np.max(s_fiber - s_model), 1e-9,
                      note="no fiber sample beats the moment-matched member")
 
@@ -437,11 +434,8 @@ def _coherent_checks(handle: CoherentHandle):
     yield _check("annihilation-eigenstate", worst, 1e-8,
                  note="(a - z) psi_z within truncation tail, |z| <= 2")
 
-    zs, states = [], []
-    for _ in range(50):
-        zs.append(complex(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4)))
-        states.append(coh.coherent_state(zs[-1], nmax).coeff)
-    states = np.array(states)
+    zs = [complex(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4)) for _ in range(50)]
+    states = coh.coherent_state(np.array(zs), nmax)
     s = coh.entropy_coherent(states)
     u = coh.mu_map(states, constants)
     worst = max(np.max(np.abs(s + np.array([0.5 * abs(z) ** 2 for z in zs]))),
@@ -478,18 +472,19 @@ def _coherent_checks(handle: CoherentHandle):
     yield _check("log-map-affine-identity", worst, 1e-9,
                  note="<x|L(m)> = -Phi - theta . answers for any state")
 
-    us, fibers = [], []
+    us = []
     for _ in range(4):
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-        us.append(np.array([constants.r * z.real, constants.hbar / constants.r * z.imag]))
-        fibers.append(model.fiber_sampler(us[-1], 50, rng))
-    s_model = coh.model_entropy_u(np.array(us), constants)
-    s_fiber = model.dataset_answers(np.concatenate(fibers))[1]
-    worst = np.max(s_fiber - np.repeat(s_model, [len(f) for f in fibers]))
+        us.append([constants.r * z.real, constants.hbar / constants.r * z.imag])
+    us = np.array(us)
+    fibers, counts = model.fiber_sampler(us, 50, rng)
+    s_model = coh.model_entropy_u(us, constants)
+    s_fiber = model.dataset_answers(fibers)[1]
+    worst = np.max(s_fiber - np.repeat(s_model, counts))
     yield _check("fiber-entropy-dominated", worst, 1e-9,
                  note="200 pinned fiber samples vs the coherent member")
     # the first sample of each fiber is the coherent state
-    s_base = model.dataset_answers([f[0] for f in fibers])[1]
+    s_base = model.dataset_answers(fibers[np.cumsum(counts) - counts])[1]
     yield _check("fiber-coherent-attains", np.max(np.abs(s_base - s_model)), 1e-10,
                  note="the coherent state itself attains the model entropy")
 

@@ -472,15 +472,18 @@ def test_negative_tol_is_a_usage_error(capsys, args):
     # No comparison passes a negative bound: maxent ran 200 Newton
     # iterations into error:convergence, and massieu reported a residual
     # of 0 as exceeding it.  --tol 0 asks for an exact match and stays legal.
-    for tol in (("--tol=-1",), ("--tol", "-0.5")):
+    # argparse reads "-1e-9" after a flag as an option string unless the
+    # flag is joined with it, so the exponent forms need that join too.
+    for tol in (("--tol=-1",), ("--tol", "-0.5"), ("--tol", "-1e-9"), ("--tol", "-1E-3")):
         code = cli.main([*args, *tol])
         out, err = capsys.readouterr()
         env = strict_json(out)
         assert (code, env["status"], env["command"]) == (2, "error:usage", args[0])
         assert env["diagnostics"]["message"].startswith("--tol must be at least 0")
         assert err.startswith("error: --tol")
-    cli.main([*args, "--tol", "0"])
-    assert strict_json(capsys.readouterr().out)["status"] != "error:usage"
+    for tol in ("0", "1e-9"):
+        cli.main([*args, "--tol", tol])
+        assert strict_json(capsys.readouterr().out)["status"] != "error:usage"
 
 
 def test_sweep_grid_cap_is_checked_before_the_axes_are_built(capsys):

@@ -1,0 +1,248 @@
+"""Fibers on stacks: the stacked fiber sampler and Definition 5 against
+their one-fiber views.
+
+A stacked ``fiber_sampler`` call on energy rows returns ``(stack,
+counts)``; without an rng, fiber i of it carries the bits of the
+one-fiber call at row i.  ``divergence_def5`` on rows gives row i the
+bits of its point call.  A stack with failing rows raises the error of
+the lowest of them, as that row raises it alone.  ``verify`` samples each
+fiber check's fibers with one sampler call.
+"""
+
+import dataclasses
+import hashlib
+
+import numpy as np
+import pytest
+
+from infogeo import (
+    ConvergenceError,
+    DomainError,
+    InfeasibleError,
+    TruncationError,
+    coherent,
+    core,
+    discrete_instance,
+    divergence_def5,
+    get_model,
+    verify,
+)
+from infogeo.coherent import mu_map
+
+CANONICAL = ("qubit", "coherent", "coherent2", "discrete2", "discrete3")
+HANDLES = {name: get_model(name) for name in CANONICAL}
+#: one observable on four letters and two on five: both have 2-D fibers
+HANDLES["four-letter"] = discrete_instance([1.0, 1.0, 1.0, 1.0], [[0.0, 1.0, 2.0, 3.0]])
+HANDLES["five-letter"] = discrete_instance([1.0, 2.0, 1.0, 3.0, 1.0],
+                                           [[0.0, 1.0, 2.0, 3.0, 4.0],
+                                            [1.0, 0.0, 0.0, 1.0, 0.0]])
+
+
+def bits(values):
+    return np.asarray(values).tobytes()
+
+
+def energy_rows(handle, seed, count):
+    """``count`` model points on the fiber radius of the family."""
+    rng = np.random.default_rng(seed)
+    thetas = handle.sample_thetas(rng, count, radius=handle.fiber_radius)
+    return core.dual_points(handle.descriptor, thetas)[1]
+
+
+def fibers_of(stack, counts):
+    """The fibers of a stacked sampler call, one array each."""
+    return np.split(np.asarray(stack), np.cumsum(counts)[:-1])
+
+
+@pytest.mark.parametrize("name", sorted(HANDLES))
+def test_stacked_fibers_without_rng_equal_one_fiber_calls(name):
+    model = HANDLES[name].descriptor
+    us = energy_rows(HANDLES[name], 81, 5)
+    stack, counts = model.fiber_sampler(us, 7, None)
+    assert counts.shape == (5,) and int(counts.sum()) == len(stack)
+    for u, fiber in zip(us, fibers_of(stack, counts)):
+        one = model.fiber_sampler(u, 7, None)
+        assert bits(fiber) == bits(one)
+        answers = model.dataset_answers(one)[0]
+        assert np.max(np.abs(answers - u)) <= 1e-9
+
+
+@pytest.mark.parametrize("name, digest, after", [
+    ("discrete3", "30a4f8cf0d0e9a34", 0.9113563804485241),
+    ("four-letter", "0abf76d9f7001a1e", 0.25669475793344865),
+    ("five-letter", "fe898bf85bbf811a", 0.25669475793344865),
+    ("coherent2", "29acc3d5eb12e2a6", 0.24342664673874748),
+])
+def test_one_fiber_draws_are_frozen(name, digest, after):
+    # Recorded with the one-fiber sampler before it took energy rows: the
+    # samples, and the rng's next draw after them.
+    model = HANDLES[name].descriptor
+    u = core.theta_to_u(model, np.full(model.n, 0.3))
+    rng = np.random.default_rng(8)
+    samples = model.fiber_sampler(u, 20, rng)
+    assert hashlib.sha256(bits(samples)).hexdigest()[:16] == digest
+    assert rng.random() == after
+
+
+@pytest.mark.parametrize("name", ["discrete3", "four-letter", "five-letter"])
+def test_stacked_discrete_fibers_draw_one_fiber_after_another(name):
+    # With an rng, a stacked discrete call draws as k one-fiber calls in
+    # row order would, so its samples and the rng's state match theirs.
+    model = HANDLES[name].descriptor
+    us = energy_rows(HANDLES[name], 82, 4)
+    rng = np.random.default_rng(9)
+    stack, counts = model.fiber_sampler(us, 6, rng)
+    alone = np.random.default_rng(9)
+    for u, fiber in zip(us, fibers_of(stack, counts)):
+        assert bits(fiber) == bits(model.fiber_sampler(u, 6, alone))
+    assert rng.random() == alone.random()
+
+
+@pytest.mark.parametrize("name", ["qubit", "discrete2"])
+def test_samplers_that_draw_nothing_leave_the_rng_alone(name):
+    model = HANDLES[name].descriptor
+    us = energy_rows(HANDLES[name], 83, 3)
+    rng = np.random.default_rng(10)
+    stack, counts = model.fiber_sampler(us, 5, rng)
+    assert counts.tolist() == [1, 1, 1]
+    assert np.max(np.abs(model.dataset_answers(stack)[0] - us)) <= 1e-12
+    assert rng.random() == np.random.default_rng(10).random()
+
+
+@pytest.mark.parametrize("name", ["coherent", "coherent2"])
+def test_stacked_coherent_fibers_pin_every_sample(name):
+    handle = HANDLES[name]
+    model = handle.descriptor
+    us = energy_rows(handle, 84, 6)
+    rng = np.random.default_rng(11)
+    stack, counts = model.fiber_sampler(us, 5, rng)
+    assert counts.tolist() == [5] * 6
+    for u, fiber in zip(us, fibers_of(stack, counts)):
+        assert np.max(np.abs(mu_map(fiber, handle.constants) - u)) <= 1e-9
+        # each fiber starts with its coherent state, pinned
+        first = model.dataset_answers(fiber[:1])[1][0]
+        assert first == pytest.approx(float(model.entropy_u(u)), abs=1e-10)
+    # one row is the one-fiber call, draws included
+    one_rng, row_rng = np.random.default_rng(12), np.random.default_rng(12)
+    one = model.fiber_sampler(us[0], 5, one_rng)
+    row, _ = model.fiber_sampler(us[:1], 5, row_rng)
+    assert bits(row) == bits(one)
+    assert one_rng.random() == row_rng.random()
+
+
+@pytest.mark.parametrize("name", sorted(HANDLES))
+def test_def5_rows_equal_point_calls(name):
+    handle = HANDLES[name]
+    model = handle.descriptor
+    us = energy_rows(handle, 85, 4)
+    rng = np.random.default_rng(86)
+    xs = [handle.sample_dataset(rng) for _ in range(4)]
+    rows = divergence_def5(model, xs, us, fiber_samples=20)
+    assert rows.shape == (4,)
+    for i in range(4):
+        point = divergence_def5(model, xs[i], us[i], fiber_samples=20)
+        assert isinstance(point, float)
+        assert bits(rows[i]) == bits(point)
+
+
+def test_def5_rows_on_the_numeric_massieu_equal_point_calls():
+    model = dataclasses.replace(HANDLES["discrete3"].descriptor, closed_massieu=None)
+    us = energy_rows(HANDLES["discrete3"], 87, 3)
+    xs = np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1], [0.1, 0.1, 0.8]])
+    rows = divergence_def5(model, xs, us, fiber_samples=30)
+    for i in range(3):
+        assert bits(rows[i]) == bits(divergence_def5(model, xs[i], us[i], fiber_samples=30))
+
+
+def test_def5_point_values_are_frozen():
+    # Recorded with the per-point Definition 5 before it took rows.
+    for name, value in (("discrete3", 0.13402257289928654),
+                        ("four-letter", 0.17025443446732158),
+                        ("five-letter", 0.23711459477931718)):
+        model = HANDLES[name].descriptor
+        u = core.theta_to_u(model, np.full(model.n, 0.3))
+        x = np.linspace(1.0, 2.0, HANDLES[name].family.alphabet_size)
+        x /= x.sum()
+        assert divergence_def5(model, x, u, fiber_samples=30) == value
+    model = HANDLES["qubit"].descriptor
+    assert divergence_def5(model, np.array([0.1, -0.2, 0.3]),
+                           np.array([0.2, 0.1, -0.4])) == 0.31924200271967573
+
+
+# ------------------------------------------------------------ failing rows
+
+
+def raised(form, *args):
+    """``(type, message)`` of the error ``form(*args)`` raises."""
+    with pytest.raises(Exception) as info:
+        form(*args)
+    return type(info.value), str(info.value)
+
+
+def test_a_stack_raises_the_truncation_error_of_its_lowest_failing_fiber():
+    model = HANDLES["coherent"].descriptor
+    us = np.array([[0.5, 0.3], [4.5, 0.0], [0.2, 0.1], [0.0, 6.0]])
+    alone = raised(model.fiber_sampler, us[1], 3, None)
+    assert alone[0] is TruncationError
+    assert raised(model.fiber_sampler, us, 3, None) == alone
+    assert raised(model.fiber_sampler, us, 3, np.random.default_rng(1)) == alone
+
+
+def test_a_stack_raises_the_noise_floor_error_of_its_lowest_failing_fiber(monkeypatch):
+    # A pin that fails every attempt on the fibers of two amplitudes drives
+    # both to the noise floor; the others are pinned as usual.
+    doomed = (0.25 - 0.5j, -0.75 + 0.25j)
+    pin = coherent._pin_rows
+
+    def pin_except_doomed(rows, z):
+        pinned, ok = pin(rows, z)
+        return pinned, ok & ~np.isin(np.broadcast_to(z, ok.shape), doomed)
+
+    monkeypatch.setattr(coherent, "_pin_rows", pin_except_doomed)
+    model = HANDLES["coherent"].descriptor
+    us = np.array([[0.5, 0.3], [0.25, -0.5], [0.1, 0.2], [-0.75, 0.25]])
+    alone = raised(model.fiber_sampler, us[1], 3, None)
+    assert alone[0] is ConvergenceError and "0.25-0.5j" in alone[1]
+    assert raised(model.fiber_sampler, us, 3, None) == alone
+    assert raised(model.fiber_sampler, us, 3, np.random.default_rng(2)) == alone
+
+
+def test_a_stack_raises_the_fit_error_of_its_lowest_failing_fiber():
+    model = HANDLES["discrete3"].descriptor
+    us = np.array([[1.0], [2.5], [0.5], [-1.0]])
+    alone = raised(model.fiber_sampler, us[1], 4, None)
+    assert alone[0] is InfeasibleError
+    assert raised(model.fiber_sampler, us, 4, None) == alone
+
+
+def test_def5_rows_raise_the_error_of_the_lowest_failing_row():
+    model = HANDLES["qubit"].descriptor
+    us = np.array([[0.1, 0.2, 0.3], [1.5, 0.0, 0.0], [0.0, 0.0, 0.4], [0.0, 2.0, 0.0]])
+    xs = np.zeros((4, 3))
+    alone = raised(divergence_def5, model, xs[1], us[1])
+    assert alone[0] is DomainError
+    assert raised(divergence_def5, model, xs, us) == alone
+
+
+# ------------------------------------------------------------ call budget
+
+
+@pytest.mark.parametrize("name, most", [
+    ("qubit", 2), ("coherent", 2), ("coherent2", 2), ("discrete2", 1), ("discrete3", 3),
+])
+def test_verify_samples_each_fiber_check_with_one_call(name, most):
+    # One sampler call per fiber check: pythagoras-with-data, the
+    # fiber-entropy checks and Definition 5 (through divergence_def5).
+    # A per-fiber loop that comes back makes tens of calls.
+    handle = HANDLES[name]
+    calls = []
+
+    def counted(us, count, rng=None):
+        calls.append(np.shape(us))
+        return handle.descriptor.fiber_sampler(us, count, rng)
+
+    counting = dataclasses.replace(
+        handle, descriptor=dataclasses.replace(handle.descriptor, fiber_sampler=counted))
+    rows = verify.verify_handle(counting)
+    assert all(row.passed for row in rows)
+    assert 0 < len(calls) <= most, calls
