@@ -513,7 +513,9 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
     only limits where numeric searches look, so pick it larger than
     ``max(r^2, hbar^2/r^2)`` times the largest parameter magnitude of
     interest.  The default half-width, ``16 max(r^2, hbar^2/r^2, 1)``,
-    keeps ``|U|`` interior for ``|theta|`` up to 16.  Data sets are
+    keeps ``|U|`` interior for ``|theta|`` up to 16.  Phi, U and S come
+    from the one kernel :func:`dual_points_coherent`, and the chart
+    inversion is :func:`u_to_theta_coherent`.  Data sets are
     states on the same truncated basis, and a stack of them is an array
     of coefficient rows (or a sequence of :class:`FockVector`); the fiber
     sampler returns the stack of the coherent state, then noisy states,
@@ -574,10 +576,8 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
     return ModelDescriptor(
         energy_domain=domain,
         entropy_u=lambda us: model_entropy_u(us, constants),
-        closed_massieu=lambda th: massieu_coherent(th, constants),
-        closed_theta_to_u=lambda th: theta_to_u_coherent(th, constants),
-        closed_u_to_theta=lambda u: u_to_theta_coherent(u, constants),
         closed_dual_points=lambda th: dual_points_coherent(th, constants),
+        closed_u_to_theta=lambda u: u_to_theta_coherent(u, constants),
         dataset_answers=answers,
         fiber_sampler=fiber_sampler,
     )

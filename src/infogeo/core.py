@@ -8,16 +8,14 @@ built on (the answers and entropies of a stack of data sets, and a
 fiber sampler that returns such a stack).  Every operation below works
 from the descriptor alone, so the same code serves all concrete models.
 
-Each family evaluates ``Phi`` and ``U`` with one kernel on parameter
-points ``(..., n)``: the batched form and the scalar closed forms
-(``closed_massieu``, ``closed_theta_to_u``) are views of it, so a scalar
-call and the matching row of a batched call give the same bits.  A copy
-of a descriptor with the scalar closed forms set to None is the numeric
-oracle: :func:`massieu`, :func:`theta_to_u` and :func:`u_to_theta` then
-run Legendre transforms and finite differences of the entropy.  The
-numeric Legendre transform is row-wise: :func:`legendre_rows` solves k
-parameter rows in one damped-Newton loop, and the numeric
-:func:`massieu` and :func:`theta_to_u` are its one-row view.
+Each family evaluates ``Phi``, ``U`` and ``S`` with one kernel on
+parameter rows, ``closed_dual_points``: :func:`dual_points` is its
+batched view and :func:`massieu` and :func:`theta_to_u` its point views,
+so a point call and the matching row of a batched call give the same
+bits.  The numeric routes are oracles, called by name:
+:func:`legendre_rows` solves the Legendre transform of the entropy at k
+parameter rows in one damped-Newton loop, and ``numerics.grad_fd`` of
+``entropy_u`` is the finite-difference chart inversion.
 
 The divergence quantities take either parameter points ``(n,)`` or
 rows ``(k, n)``: :func:`bregman_divergence`, :func:`divergence_from_data`,
@@ -56,7 +54,7 @@ from .errors import (
     EvaluationError,
     InfoGeoError,
 )
-from .numerics import Domain, grad_fd, hess_fd, maximize_concave_rows, row_dot
+from .numerics import Domain, hess_fd, maximize_concave_rows, row_dot
 
 #: Relative closeness to the bounding box at which an argmax on an
 #: unbounded domain is treated as escaping to infinity.
@@ -75,7 +73,7 @@ class ModelDescriptor:
 
     The entropy and the domain membership are row-wise, so the numeric
     kernels evaluate whole stencils, grid slabs and sweeps in one call.
-    Every field but the three scalar closed forms is required.
+    Every field is required.
 
     Parameters
     ----------
@@ -90,7 +88,13 @@ class ModelDescriptor:
     closed_dual_points : callable
         The family kernel: parameter rows ``(k, n)`` to ``(Phi (k,),
         U (k, n), S(U) (k,))``, each row independent of the others.  It
-        is the one route of :func:`dual_points`.
+        is the one route of :func:`dual_points` and of its point views
+        :func:`massieu` and :func:`theta_to_u`.
+    closed_u_to_theta : callable
+        The closed chart inversion on energy rows ``(k, n) -> (k, n)``,
+        each row independent of the others; it may raise the error of a
+        row it refuses.  It is the one route of :func:`u_to_theta_rows`
+        and :func:`u_to_theta`.
     dataset_answers : callable
         Data-set layer: maps a stack of k data sets to ``(answers (k, n),
         S (k,))``, where ``answers[i, j]`` is the i-th set's answer to the
@@ -113,25 +117,15 @@ class ModelDescriptor:
         one-fiber calls would, and the coherent sampler in rounds, each
         fiber still short drawing its next block in row order.  The stack
         raises the error of the lowest failing fiber.
-    closed_massieu, closed_theta_to_u : callable or None
-        Scalar views of the family's closed forms, with the bits of the
-        matching ``closed_dual_points`` row.  None selects the numeric
-        oracle, a Legendre transform of ``entropy_u``.
-    closed_u_to_theta : callable or None
-        The closed chart inversion on energy rows ``(k, n) -> (k, n)``,
-        each row independent of the others; it may raise the error of a
-        row it refuses.  None selects finite differences of ``entropy_u``.
     """
 
     energy_domain: Domain
     entropy_u: Callable[[np.ndarray], np.ndarray]
     closed_dual_points: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray,
                                                      np.ndarray]]
+    closed_u_to_theta: Callable[[np.ndarray], np.ndarray]
     dataset_answers: Callable[[object], tuple[np.ndarray, np.ndarray]]
     fiber_sampler: Callable[[np.ndarray, int, object], object]
-    closed_massieu: Callable[[np.ndarray], float] | None = None
-    closed_theta_to_u: Callable[[np.ndarray], np.ndarray] | None = None
-    closed_u_to_theta: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def n(self) -> int:
@@ -215,9 +209,22 @@ def _near_box_edge(domain: Domain, x: np.ndarray) -> bool:
                        | (box[:, 1] - x <= _BOX_EDGE_RTOL * width)))
 
 
-def _legendre(model: ModelDescriptor, thetas: np.ndarray,
-              tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`legendre_rows` at rows the caller has validated."""
+def legendre_rows(model: ModelDescriptor, thetas,
+                  tol: float = _LEGENDRE_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """``(Phi (k,), U (k, n))`` at the parameter rows ``thetas`` (k, n):
+    the values and argmaxes of the numeric Legendre transform
+    ``sup_U { S(U) - theta . U }`` of ``model.entropy_u``, the oracle of
+    the family kernel.
+
+    All rows are one :func:`maximize_concave_rows` solve, and row i has
+    the bits of the one-row call on ``thetas[i]``.  Raises the error of
+    the lowest failing row: :class:`DomainError` when its argmax reaches
+    the bounding box of a domain flagged unbounded (the supremum lies
+    beyond the search box, so no finite value found inside it is Phi),
+    :class:`ConvergenceError` when it did not converge, or the error of
+    the entropy or of a stencil that ended it.
+    """
+    (thetas,) = _as_rows(model, thetas)
     domain = model.energy_domain
     objective = lambda us, ths: model.entropy_u(us) - row_dot(us, ths)
     outcomes = maximize_concave_rows(objective, domain, thetas, tol=tol)
@@ -239,57 +246,35 @@ def _legendre(model: ModelDescriptor, thetas: np.ndarray,
             np.array([r.argmax for r in outcomes]).reshape(thetas.shape))
 
 
-def legendre_rows(model: ModelDescriptor, thetas,
-                  tol: float = _LEGENDRE_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """``(Phi (k,), U (k, n))`` at the parameter rows ``thetas`` (k, n):
-    the values and argmaxes of the numeric Legendre transform
-    ``sup_U { S(U) - theta . U }`` of ``model.entropy_u``, whatever closed
-    forms the model has.
-
-    All rows are one :func:`maximize_concave_rows` solve, and row i has
-    the bits of :func:`massieu` and :func:`theta_to_u` at ``thetas[i]`` on
-    a descriptor without closed forms.  Raises the error of the lowest
-    failing row: :class:`DomainError` when its argmax reaches the bounding
-    box of a domain flagged unbounded (the supremum lies beyond the search
-    box, so no finite value found inside it is Phi),
-    :class:`ConvergenceError` when it did not converge, or the error of
-    the entropy or of a stencil that ended it.
-    """
-    return _legendre(model, *_as_rows(model, thetas), tol)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _quietly(form, x):
     """``form(x)`` without numpy warnings; the caller raises a typed error."""
     return form(x)
 
 
-def massieu(model: ModelDescriptor, theta, tol: float = _LEGENDRE_TOL) -> float:
-    """Massieu function ``Phi(theta) = sup_U { S(U) - theta . U }``.
+def massieu(model: ModelDescriptor, theta) -> float:
+    """Massieu function ``Phi(theta) = sup_U { S(U) - theta . U }``: the
+    point view of the family kernel, with the bits of row 0 of
+    :func:`dual_points` at ``theta``.
 
-    Uses the model's closed form when present, otherwise the one-row view
-    of :func:`legendre_rows`, which raises :class:`DomainError` when the
-    supremum lies beyond the bounding box of a domain flagged unbounded.
-    Raises :class:`EvaluationError` when the closed form overflows.
+    Raises :class:`EvaluationError` when Phi overflows.
     """
     theta = _as_point(model, theta)
-    if model.closed_massieu is None:
-        return float(_legendre(model, theta[None], tol)[0][0])
-    phi = float(_quietly(model.closed_massieu, theta))
+    phi = float(_quietly(model.closed_dual_points, theta[None])[0][0])
     if not math.isfinite(phi):
         raise EvaluationError(f"the Massieu function overflows at {theta.tolist()}")
     return phi
 
 
-def theta_to_u(model: ModelDescriptor, theta, tol: float = _LEGENDRE_TOL) -> np.ndarray:
-    """Energy coordinates dual to ``theta`` (the Legendre argmax).
+def theta_to_u(model: ModelDescriptor, theta) -> np.ndarray:
+    """Energy coordinates dual to ``theta`` (the Legendre argmax): the
+    point view of the family kernel, with the bits of row 0 of
+    :func:`dual_points` at ``theta``.
 
-    Raises :class:`EvaluationError` when the closed form overflows.
+    Raises :class:`EvaluationError` when U overflows.
     """
     theta = _as_point(model, theta)
-    if model.closed_theta_to_u is None:
-        return _legendre(model, theta[None], tol)[1][0]
-    u = np.asarray(_quietly(model.closed_theta_to_u, theta), dtype=float)
+    u = _quietly(model.closed_dual_points, theta[None])[1][0]
     if not np.isfinite(u).all():
         raise EvaluationError(f"the energy point dual to {theta.tolist()} overflows")
     return u
@@ -380,14 +365,6 @@ def canonical_residuals(thetas: np.ndarray, phi: np.ndarray, u: np.ndarray,
     return residual
 
 
-def _invert(model: ModelDescriptor, us: np.ndarray) -> np.ndarray:
-    """The chart inversion of the rows ``us`` (k, n) in one call: the
-    closed form, or ``grad_fd`` of the entropy on k centres."""
-    if model.closed_u_to_theta is None:
-        return grad_fd(model.entropy_u, us)
-    return np.asarray(_quietly(model.closed_u_to_theta, us), dtype=float)
-
-
 def _chart_rows(model: ModelDescriptor, us: np.ndarray):
     """``(theta (k, n), errors)`` at validated energy rows: ``errors[i]``
     is None, or the error row i raises alone (its theta is NaN).
@@ -399,14 +376,14 @@ def _chart_rows(model: ModelDescriptor, us: np.ndarray):
     errors: list[InfoGeoError | None] = [None] * len(us)
     inside = np.asarray(model.energy_domain.membership(us), dtype=bool)
     try:
-        thetas = _invert(model, us) if inside.all() else None
+        thetas = _quietly(model.closed_u_to_theta, us) if inside.all() else None
     except InfoGeoError:
         thetas = None
     if thetas is None:
         thetas = np.full(us.shape, np.nan)
         for i in np.flatnonzero(inside):
             try:
-                thetas[i] = _invert(model, us[i:i + 1])[0]
+                thetas[i] = _quietly(model.closed_u_to_theta, us[i:i + 1])[0]
             except InfoGeoError as exc:
                 errors[i] = exc
     failed = ~np.isfinite(thetas).all(axis=1)
@@ -424,7 +401,7 @@ def _chart_rows(model: ModelDescriptor, us: np.ndarray):
 def u_to_theta_rows(model: ModelDescriptor, us) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise :func:`u_to_theta`: ``(theta (k, n), refused (k,))`` at the
     energy rows ``us`` (k, n), from one call of the closed chart (one
-    moment fit on a discrete model) or one ``grad_fd`` call on k centres.
+    moment fit on a discrete model).
 
     Row i has the bits of ``u_to_theta(model, us[i])``.  A row that
     :func:`u_to_theta` refuses with :class:`DomainError` (outside the
@@ -527,10 +504,9 @@ def bregman_divergence(model: ModelDescriptor, theta, zeta) -> BregmanReport:
     is nonnegative and vanishes exactly at ``theta = zeta``.  The report
     carries both Massieu values, the linear term and ``U(theta)``.  On
     rows ``theta`` and ``zeta`` (k, n) it holds the k pairs' divergences.
-    Phi and U at all 2k points come from one :func:`dual_points` call, so
-    they are the family's closed form even on a descriptor whose scalar
-    closed forms are unset.  Raises :class:`EvaluationError` naming the
-    first pair whose divergence overflows.
+    Phi and U at all 2k points come from one :func:`dual_points` call.
+    Raises :class:`EvaluationError` naming the first pair whose
+    divergence overflows.
     """
     (thetas, zetas), single = _points(model, theta, zeta)
     k = len(thetas)
@@ -559,10 +535,9 @@ def divergence_from_data(model: ModelDescriptor, x, theta) -> DivergenceReport:
     The report carries the answers of ``x``.  On rows ``theta`` (k, n),
     ``x`` is a stack of k data sets.  The answers and entropies come from
     one ``dataset_answers`` call and Phi from one call of the family
-    kernel ``closed_dual_points``, even on a descriptor whose scalar
-    closed forms are unset.  A bad data set raises the error it raises
-    alone; an overflow raises :class:`EvaluationError` naming the answers
-    and ``theta`` of the first such row.
+    kernel ``closed_dual_points``.  A bad data set raises the error it
+    raises alone; an overflow raises :class:`EvaluationError` naming the
+    answers and ``theta`` of the first such row.
     """
     (thetas,), single = _points(model, theta)
     answers, s_x = _answers(model, [x] if single else x, len(thetas))
@@ -596,11 +571,8 @@ def divergence_def5(model: ModelDescriptor, x, u_of_m,
     for exc in errors:
         if exc is not None:
             raise exc
-    if model.closed_massieu is None:
-        phi = _legendre(model, thetas, _LEGENDRE_TOL)[0]
-    else:
-        phi = _quietly(model.closed_dual_points, thetas)[0]
-        _require_finite(np.isfinite(phi), "Massieu function", thetas)
+    phi = _quietly(model.closed_dual_points, thetas)[0]
+    _require_finite(np.isfinite(phi), "Massieu function", thetas)
     fiber, counts = model.fiber_sampler(us, fiber_samples, None)
     ans_y, s_y = _answers(model, fiber, len(fiber))
     ans_x, s_x = _answers(model, [x] if single else x, len(us))

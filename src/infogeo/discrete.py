@@ -426,11 +426,6 @@ def maxent_fit_report(family: DiscreteFamily, u_target,
     return theta[0], int(iterations[0])
 
 
-def maxent_fit(family: DiscreteFamily, u_target, tol: float = 1e-12) -> np.ndarray:
-    """Parameters theta whose member matches the moment targets."""
-    return maxent_fit_report(family, u_target, tol)[0]
-
-
 def _fiber_direction(family: DiscreteFamily) -> np.ndarray:
     """Basis of the null space of [H; 1] (directions along a fiber)."""
     stacked = np.vstack([family.hamiltonians, np.ones(family.alphabet_size)])
@@ -456,10 +451,12 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
     one observable, otherwise the row status of one :func:`fit_moments`
     call over all the points); ``entropy_u`` is the entropy of the
     moment-matched members, from one :func:`fit_moments` call and
-    :func:`dual_points` at the fitted rows; the chart inversion is one
-    :func:`maxent_fit_rows` call.  The data-set layer treats probability
-    vectors as data sets, and a stack of them is an array of rows (k, m);
-    the fiber sampler draws such a stack from fibers of any dimension.
+    :func:`dual_points` at the fitted rows.  Phi, U and S at parameter
+    rows come from the one kernel :func:`dual_points`, and the chart
+    inversion is one :func:`maxent_fit_rows` call.  The data-set layer
+    treats probability vectors as data sets, and a stack of them is an
+    array of rows (k, m); the fiber sampler draws such a stack from fibers
+    of any dimension, ``count`` (at least 1) samples per fiber.
     """
     h = family.hamiltonians
     n = family.n
@@ -512,6 +509,8 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
         targets = us.reshape(1, -1) if us.ndim < 2 else us
         if targets.shape[1] != n:
             raise ValueError(f"expected {n} moment targets")
+        if len(directions) and count < 1:
+            raise ValueError(f"count must be at least 1, got {count}")
         bases = boltzmann_gibbs(family, maxent_fit_rows(family, targets)[0])
         k, m = bases.shape
         if not len(directions):
@@ -541,10 +540,8 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
     return ModelDescriptor(
         energy_domain=domain,
         entropy_u=on_points(entropy_rows),
-        closed_massieu=lambda th: log_partition(family, th),
-        closed_theta_to_u=lambda th: _mean_energy(h, boltzmann_gibbs(family, th)),
-        closed_u_to_theta=lambda us: maxent_fit_rows(family, us)[0],
         closed_dual_points=lambda th: dual_points(family, th),
+        closed_u_to_theta=lambda us: maxent_fit_rows(family, us)[0],
         dataset_answers=answers,
         fiber_sampler=fiber_sampler,
     )

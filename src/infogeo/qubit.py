@@ -203,7 +203,9 @@ def as_descriptor(membership_margin: float = 1e-12,
 
     Mean coordinates range over the open unit ball (membership uses
     ``membership_margin`` at the boundary); the closed parameter map is
-    restricted by ``chart_margin`` as in :func:`bloch_to_theta`.  Data
+    restricted by ``chart_margin`` as in :func:`bloch_to_theta`.  Phi, U
+    and S come from the one kernel :func:`dual_points_qubit`, and the
+    chart inversion is :func:`bloch_to_theta_rows`.  Data
     sets are Bloch vectors of arbitrary states, and a stack of them is an
     array of rows (k, 3); the model fiber over an interior point is a
     singleton, the stack of one row, so energy rows (k, 3) give their own
@@ -242,12 +244,8 @@ def as_descriptor(membership_margin: float = 1e-12,
         # extends the entropy radially (constant 0 outside the ball), so
         # those evaluations stay finite.  Member points are unaffected.
         entropy_u=entropy_bloch_rows,
-        # Looked up at call time, like the other closed forms, so a
-        # replaced module function reaches descriptors already built.
-        closed_massieu=lambda theta: massieu_qubit(theta),
-        closed_theta_to_u=lambda theta: theta_to_bloch(theta),
-        closed_u_to_theta=lambda us: bloch_to_theta_rows(us, chart_margin),
         closed_dual_points=dual_points_qubit,
+        closed_u_to_theta=lambda us: bloch_to_theta_rows(us, chart_margin),
         dataset_answers=answers,
         fiber_sampler=fiber_sampler,
     )

@@ -28,6 +28,7 @@ from infogeo import (
     theta_to_u,
     u_to_theta,
 )
+from infogeo.core import legendre_rows
 from infogeo.numerics import Domain
 from infogeo.registry import load_config
 
@@ -61,7 +62,7 @@ def linear_toy():
         unbounded=True,
     )
 
-    def no_closed_form(thetas):
+    def no_closed_form(rows):
         raise NotImplementedError("the linear toy has no closed form")
 
     # data sets are energy points, each the only point of its fiber; a
@@ -70,6 +71,7 @@ def linear_toy():
         energy_domain=domain,
         entropy_u=lambda u: u[..., 0],
         closed_dual_points=no_closed_form,
+        closed_u_to_theta=no_closed_form,
         dataset_answers=lambda xs: (np.asarray(xs, dtype=float),
                                     np.asarray(xs, dtype=float)[:, 0]),
         fiber_sampler=lambda u, count, rng: np.asarray(u, dtype=float).reshape(1, -1),
@@ -77,16 +79,14 @@ def linear_toy():
 
 
 def test_descriptor_requires_the_data_layer_and_derives_n(qubit):
-    fields = {f.name: f.default for f in dataclasses.fields(ModelDescriptor)}
-    required = [name for name, default in fields.items()
-                if default is dataclasses.MISSING]
-    assert required == ["energy_domain", "entropy_u", "closed_dual_points",
-                        "dataset_answers", "fiber_sampler"]
-    # the scalar closed forms are the numeric-oracle switches
-    assert {name: fields[name] for name in fields if name not in required} == {
-        "closed_massieu": None, "closed_theta_to_u": None, "closed_u_to_theta": None}
+    fields = dataclasses.fields(ModelDescriptor)
+    # six required fields, and no switch that selects a second route
+    assert [f.name for f in fields] == [
+        "energy_domain", "entropy_u", "closed_dual_points", "closed_u_to_theta",
+        "dataset_answers", "fiber_sampler"]
+    assert all(f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING for f in fields)
     assert qubit.n == qubit.energy_domain.dimension == 3
-    assert dataclasses.replace(qubit, closed_massieu=None).n == 3
 
 
 # ---------------------------------------------------------------- massieu
@@ -107,12 +107,12 @@ def test_massieu_rejects_bad_parameter_vectors(qubit):
 
 def test_massieu_unbounded_supremum_raises():
     model = linear_toy()
-    for route in (massieu, theta_to_u):
-        with pytest.raises(DomainError, match="half-width 5"):
-            route(model, np.array([0.0]))
-    # dual_points has one route, the batched closed form
-    with pytest.raises(NotImplementedError):
-        dual_points(model, np.array([[0.0]]))
+    with pytest.raises(DomainError, match="half-width 5"):
+        legendre_rows(model, np.array([[0.0]]))
+    # dual_points and its point views have one route, the family kernel
+    for route, theta in ((dual_points, [[0.0]]), (massieu, [0.0]), (theta_to_u, [0.0])):
+        with pytest.raises(NotImplementedError):
+            route(model, np.array(theta))
 
 
 def test_numeric_legendre_beyond_coherent_box_raises(coherent):
@@ -121,26 +121,23 @@ def test_numeric_legendre_beyond_coherent_box_raises(coherent):
     # finite answer to give.
     theta = np.array([20.0, 0.0])
     assert massieu(coherent, theta) == pytest.approx(200.0, rel=1e-12)
-    numeric = dataclasses.replace(coherent, closed_massieu=None, closed_theta_to_u=None,
-                                  closed_u_to_theta=None)
-    for route in (massieu, theta_to_u):
-        with pytest.raises(DomainError, match="half-width 16"):
-            route(numeric, theta)
+    with pytest.raises(DomainError, match="half-width 16"):
+        legendre_rows(coherent, theta[None])
     # Inside the box the numeric route agrees with the closed form.
     inside = np.array([1.0, -0.5])
-    assert massieu(numeric, inside) == pytest.approx(massieu(coherent, inside),
-                                                     abs=1e-6)
+    assert legendre_rows(coherent, inside[None])[0][0] == pytest.approx(
+        massieu(coherent, inside), abs=1e-6)
 
 
 def test_numeric_massieu_converges_where_the_objective_is_flat(discrete2):
     # Near the optimum the Legendre objective is flat to rounding; without
     # an ulp-scale slack the Armijo test rejected every step there and 3 of
-    # these 300 points raised ConvergenceError.
-    numeric = dataclasses.replace(discrete2, closed_massieu=None, closed_theta_to_u=None,
-                                  closed_u_to_theta=None)
-    for theta in np.random.default_rng(0).uniform(-1.0, 1.0, size=(300, 1)):
-        assert massieu(numeric, theta) == pytest.approx(massieu(discrete2, theta),
-                                                        abs=1e-9)
+    # these 300 points raised ConvergenceError.  Row i of the one solve
+    # has the bits of the one-row transform at theta i.
+    thetas = np.random.default_rng(0).uniform(-1.0, 1.0, size=(300, 1))
+    phi, _ = legendre_rows(discrete2, thetas)
+    for value, theta in zip(phi, thetas):
+        assert value == pytest.approx(massieu(discrete2, theta), abs=1e-9)
 
 
 # ---------------------------------------------------------- dual charts
@@ -191,8 +188,8 @@ def test_dual_points_batched_matches_per_point_route(name, tmp_path):
 @pytest.mark.parametrize("name", ["qubit", "coherent", "coherent2", "discrete2",
                                   "discrete3", "config-discrete"])
 def test_scalar_closed_forms_are_rows_of_dual_points(name, tmp_path):
-    # One kernel per family: a scalar call gives the bits of its row in a
-    # batched call.
+    # One kernel per family: a point call gives the bits of its row in a
+    # batched call, and of row 0 of the one-row call.
     model = (_two_observable_family(tmp_path) if name == "config-discrete"
              else get_model(name).descriptor)
     thetas = np.vstack([np.zeros(model.n), np.random.default_rng(23).uniform(
@@ -200,6 +197,10 @@ def test_scalar_closed_forms_are_rows_of_dual_points(name, tmp_path):
     phi, u, _ = dual_points(model, thetas)
     assert phi.tolist() == [massieu(model, theta) for theta in thetas]
     assert u.tolist() == [theta_to_u(model, theta).tolist() for theta in thetas]
+    for theta in thetas[:20]:
+        phi, u, _ = dual_points(model, theta[None])
+        assert phi[0].tobytes() == np.float64(massieu(model, theta)).tobytes()
+        assert u[0].tobytes() == theta_to_u(model, theta).tobytes()
 
 
 def test_overflowing_dual_points_are_an_evaluation_error(coherent):
@@ -285,13 +286,11 @@ def test_canonical_check_reports_saturated_chart(qubit):
 
 
 def test_canonical_check_flags_inconsistent_closed_forms(qubit):
-    def shifted_points(thetas):  # the batched form with the same defect
+    def shifted_points(thetas):  # the kernel with Phi shifted by 0.01
         phi, u, s = qubit.closed_dual_points(thetas)
         return phi + 0.01, u, s
 
-    broken = dataclasses.replace(
-        qubit, closed_massieu=lambda th: LN_2COSH1 + 0.01,
-        closed_dual_points=shifted_points)
+    broken = dataclasses.replace(qubit, closed_dual_points=shifted_points)
     with pytest.raises(CanonicalityError) as exc:
         canonical_check(broken, np.array([1.0, 0.0, 0.0]))
     assert exc.value.pair is not None
@@ -332,16 +331,16 @@ def test_convexity_probe_matches_per_point_loop(name):
     for _ in range(40):
         t1, t2 = handle.sample_thetas(rng, 2)
         assert convexity_probe(model, t1, t2) == _convexity_by_points(model, t1, t2)
-    # The scalar loop over the numeric Legendre route is the oracle of the
-    # closed probe; it may end in a typed error instead.
-    numeric = dataclasses.replace(model, closed_massieu=None, closed_theta_to_u=None,
-                                  closed_u_to_theta=None)
+    # The numeric Legendre transform at the endpoints and blends is the
+    # oracle of the closed probe; it may end in a typed error instead.
     for _ in range(2):
         t1, t2 = handle.sample_thetas(rng, 2, radius=1.0)
+        lam = np.linspace(0.0, 1.0, 21)[:, None]
         try:
-            worst = _convexity_by_points(numeric, t1, t2)
+            phi = legendre_rows(model, np.vstack([t1, t2, lam * t1 + (1.0 - lam) * t2]))[0]
         except InfoGeoError:
             continue
+        worst = np.max(phi[2:] - lam[:, 0] * phi[0] - (1.0 - lam[:, 0]) * phi[1])
         assert abs(worst - convexity_probe(model, t1, t2)) <= 1e-6
 
 

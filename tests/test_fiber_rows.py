@@ -145,13 +145,14 @@ def test_def5_rows_equal_point_calls(name):
         assert bits(rows[i]) == bits(point)
 
 
-def test_def5_rows_on_the_numeric_massieu_equal_point_calls():
-    model = dataclasses.replace(HANDLES["discrete3"].descriptor, closed_massieu=None)
-    us = energy_rows(HANDLES["discrete3"], 87, 3)
-    xs = np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1], [0.1, 0.1, 0.8]])
-    rows = divergence_def5(model, xs, us, fiber_samples=30)
-    for i in range(3):
-        assert bits(rows[i]) == bits(divergence_def5(model, xs[i], us[i], fiber_samples=30))
+@pytest.mark.parametrize("count", [0, -1])
+def test_def5_refuses_fewer_than_one_fiber_sample(count):
+    # The fibers of discrete3 are chords: a sample count below 1 is a
+    # ValueError of the sampler, not a raw indexing or broadcast error.
+    model = HANDLES["discrete3"].descriptor
+    u = core.theta_to_u(model, np.array([0.3]))
+    with pytest.raises(ValueError, match=f"count must be at least 1, got {count}"):
+        divergence_def5(model, np.array([0.2, 0.3, 0.5]), u, fiber_samples=count)
 
 
 def test_def5_point_values_are_frozen():

@@ -8,7 +8,6 @@ the one-problem algorithm: damped Newton with domain-fitted stencils,
 Armijo backtracking and a gradient-ascent fallback.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -24,9 +23,7 @@ from infogeo import (
     ModelDescriptor,
     core,
     get_model,
-    massieu,
     numerics,
-    theta_to_u,
 )
 from infogeo.numerics import (
     ARMIJO_C,
@@ -268,11 +265,6 @@ def test_maximizer_rows_cover_stall_cap_and_errors():
 
 # ---------------------------------------------------- numeric Legendre
 
-def _numeric(model):
-    return dataclasses.replace(model, closed_massieu=None, closed_theta_to_u=None,
-                               closed_u_to_theta=None)
-
-
 @pytest.mark.parametrize("name", CANONICAL)
 @settings(max_examples=2, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
@@ -281,10 +273,10 @@ def test_legendre_rows_equal_one_row_transforms_bitwise(name, seed):
     model = handle.descriptor
     thetas = handle.sample_thetas(np.random.default_rng(seed), 12)
     phi, u = core.legendre_rows(model, thetas, tol=1e-7)
-    numeric = _numeric(model)
     for i, th in enumerate(thetas):
-        assert phi[i].tobytes() == np.float64(massieu(numeric, th, tol=1e-7)).tobytes()
-        assert u[i].tobytes() == theta_to_u(numeric, th, tol=1e-7).tobytes()
+        one_phi, one_u = core.legendre_rows(model, th[None], tol=1e-7)
+        assert phi[i].tobytes() == one_phi[0].tobytes()
+        assert u[i].tobytes() == one_u[0].tobytes()
 
 
 def test_legendre_rows_raise_the_lowest_failing_row():
@@ -301,12 +293,14 @@ def test_legendre_rows_raise_the_lowest_failing_row():
     domain = numerics.Domain(1, np.array([[-10.0, 10.0]]),
                              lambda u: np.abs(u[..., 0]) < 10.0, np.array([0.0]))
     model = ModelDescriptor(domain, entropy, closed_dual_points=None,
-                            dataset_answers=None, fiber_sampler=None)
+                            closed_u_to_theta=None, dataset_answers=None,
+                            fiber_sampler=None)
     thetas = np.array([[-1.0], [-3.0], [5.0]])
     with pytest.raises(ConvergenceError) as rows_error:
         core.legendre_rows(model, thetas)
     with pytest.raises(ConvergenceError) as one_error:
-        massieu(model, thetas[1])
+        core.legendre_rows(model, thetas[1:2])
     assert str(rows_error.value) == str(one_error.value) == "no entropy at [3.0]"
-    assert core.legendre_rows(model, thetas[:1])[0][0] == massieu(model, thetas[0])
+    # row 0 alone converges, to Phi(-1) = 1/2
+    assert core.legendre_rows(model, thetas[:1])[0][0] == pytest.approx(0.5, abs=1e-12)
 
