@@ -426,20 +426,25 @@ def u_to_theta(model: ModelDescriptor, u) -> np.ndarray:
 
 
 def metric_tensor(model: ModelDescriptor, theta) -> np.ndarray:
-    """Metric tensor ``g = Hessian(Phi)`` at ``theta``.
+    """Metric tensor ``g = Hessian(Phi)`` at the point ``theta`` (n,), or
+    ``(k, n, n)`` at the parameter rows ``theta`` (k, n).
 
-    The finite-difference stencil takes Phi at all its points from one
-    :func:`dual_points` call.  Raises :class:`DegeneracyError` when the
-    smallest eigenvalue is nonpositive beyond ``_DEGENERACY_TOL``, which
-    signals a non-canonical parametrization (redundant questions).
+    One :func:`hess_fd` call takes Phi at the stencils of all the rows
+    from one :func:`dual_points` call; row i has the bits of the point
+    call on ``theta[i]``.  Raises :class:`DegeneracyError`, for the lowest
+    failing row, when the smallest eigenvalue is nonpositive beyond
+    ``_DEGENERACY_TOL``, which signals a non-canonical parametrization
+    (redundant questions).
     """
-    theta = _as_point(model, theta)
-    g = hess_fd(lambda thetas: dual_points(model, thetas)[0], theta)
-    min_eig = float(np.linalg.eigvalsh(g)[0])
-    if min_eig <= -_DEGENERACY_TOL:
+    (thetas,), single = _points(model, theta)
+    g = hess_fd(lambda ts: dual_points(model, ts)[0], thetas)
+    min_eig = np.linalg.eigvalsh(g)[:, 0]
+    failed = min_eig <= -_DEGENERACY_TOL
+    if failed.any():
         raise DegeneracyError(
-            f"metric tensor is not positive definite (min eigenvalue {min_eig:.3e})")
-    return g
+            f"metric tensor is not positive definite (min eigenvalue"
+            f" {min_eig[np.argmax(failed)]:.3e})")
+    return g[0] if single else g
 
 
 def canonical_check(model: ModelDescriptor, theta,

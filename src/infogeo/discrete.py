@@ -206,15 +206,19 @@ def bgs_entropy(family: DiscreteFamily, p) -> float:
 
 
 def fisher_covariance(family: DiscreteFamily, p) -> np.ndarray:
-    """Covariance matrix of the observables under ``p``.
+    """Covariance matrix ``(n, n)`` of the observables under ``p`` (m,), or
+    the stack ``(k, n, n)`` of them under the rows of ``p`` (k, m); row i
+    has the bits of the one-row call.
 
     Equals the metric tensor at the member with moments ``H p``.
     """
-    p = check_probability(p)
+    single = np.ndim(p) < 2
+    ps = check_probability(p)[None] if single else probability_rows(p)
     h = family.hamiltonians
-    mean = h @ p
-    centered = h - mean[:, None]
-    return (centered * p) @ centered.T
+    mean = (h @ ps[:, :, None])[..., 0]
+    centered = h - mean[:, :, None]
+    cov = (centered * ps[:, None, :]) @ centered.transpose(0, 2, 1)
+    return cov[0] if single else cov
 
 
 def kl_divergence(p, q):

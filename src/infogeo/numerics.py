@@ -148,39 +148,54 @@ def _h2_fields(m: Matrix2H):
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products along the last axis of two ``(..., n)`` arrays.
+    """Dot products along the last axis of two real ``(..., n)`` arrays.
 
-    Evaluated as a stack of vector products, which numpy computes with
-    the inner-product kernel of the 1-D ``a[i] @ b[i]``, so each value
-    equals the per-row one bit for bit, and so does ``x @ x`` inside the
-    1-D ``np.linalg.norm(x)`` (``np.linalg.norm(x, axis=1)`` does not).
+    Evaluated by ``np.vecdot``, which numpy computes with the
+    inner-product kernel of the 1-D ``a[i] @ b[i]``, so each value equals
+    the per-row one bit for bit, and so does ``x @ x`` inside the 1-D
+    ``np.linalg.norm(x)`` (``np.linalg.norm(x, axis=1)`` does not).
     """
-    if a.ndim == b.ndim == 1:  # that kernel, without the stacking overhead
+    if a.ndim == b.ndim == 1:  # that kernel, without the gufunc overhead
         return np.dot(a, b)
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+    return np.vecdot(a, b)
 
 
 # row_dot that raises FloatingPointError where a sum of squares overflows
 _checked_dot = np.errstate(over="raise")(row_dot)
+# the smallest normal double: a sum of squares below it has lost digits
+_TINY = float(np.finfo(float).tiny)
 
 
 def row_norm(x: np.ndarray) -> np.ndarray:
     """``|x|`` along the last axis of ``x`` (..., n).
 
     Rescaled by ``max|x_j|`` only where the sum of squares overflows
-    (``|x| >~ 1.3e154``), so smaller norms keep the bits of the 1-D
-    ``np.linalg.norm``.
+    (``|x| >~ 1.3e154``) or falls below the smallest normal double
+    (``|x| <~ 1.5e-154``), so other norms keep the bits of the 1-D
+    ``np.linalg.norm``; a zero row has norm 0.
     """
+    if x.ndim == 1:
+        # One vector: its largest entry bounds the sum of squares, so the
+        # range test needs no errstate.
+        entries = x.tolist() or [0.0]
+        big = max(max(entries), -min(entries))
+        if _TINY <= big * big and big * big * len(x) < 1e308:
+            return np.sqrt(x.dot(x))
+        return row_norm(x[None])[0]
     try:
-        return np.sqrt(_checked_dot(x, x))
+        squares = _checked_dot(x, x)
     except FloatingPointError:
-        pass
-    with np.errstate(over="ignore"):
-        t = np.sqrt(row_dot(x, x))
-    big = (t == math.inf) & np.isfinite(x).all(axis=-1)
-    scale = np.where(big, np.abs(x).max(axis=-1), 1.0)
+        with np.errstate(over="ignore"):
+            squares = row_dot(x, x)
+    t = np.sqrt(squares)
+    odd = (squares == math.inf) | (squares < _TINY)
+    if not odd.any():
+        return t
+    scale = np.abs(x).max(axis=-1, initial=0.0)
+    odd &= (scale > 0.0) & (scale < math.inf)   # not a zero or non-finite row
+    scale = np.where(odd, scale, 1.0)
     scaled = x / scale[..., None]
-    return np.where(big, scale * np.sqrt(row_dot(scaled, scaled)), t)
+    return np.where(odd, scale * np.sqrt(row_dot(scaled, scaled)), t)
 
 
 def complex_row_norm(v: np.ndarray) -> np.ndarray:

@@ -57,9 +57,10 @@ def _bloch(thetas: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def theta_to_bloch(theta) -> np.ndarray:
-    """Bloch vector of the Gibbs state: ``-(theta/|theta|) tanh |theta|``."""
+    """Bloch vector of the Gibbs state: ``-(theta/|theta|) tanh |theta|``,
+    at ``theta`` (3,) or at each of the rows ``theta`` (k, 3)."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (3,):
+    if theta.shape[-1:] != (3,) or theta.ndim > 2:
         raise ValueError("spin parameters must have three components")
     return _bloch(theta, row_norm(theta))
 

@@ -7,6 +7,13 @@ quadratic in the residuals plus the spread of the y values.  Both are
 averages of pairwise functions of two points; the O(n) implementations
 below use accumulated moments, with the literal O(n^2) pairwise sums
 kept as oracles.
+
+Each function takes one point set ``(n, 2)`` and gives its value, or a
+stack of sets and gives one value per set: an array ``(k, n, 2)``, or a
+list of sets ``(n_i, 2)`` of any sizes (a ragged stack).  The sets are
+evaluated in groups of one size, each group in one pass, and every set
+keeps the bits of its one-set call.  A bad set raises the error it
+raises alone; in a stack, that of the lowest bad set.
 """
 
 from __future__ import annotations
@@ -16,79 +23,202 @@ import csv
 import numpy as np
 
 from .errors import DegeneracyError, EvaluationError
+from .numerics import row_dot
+
+
+def _shape_error(shape) -> ValueError | None:
+    """The error of a point set of the array shape ``shape``, if any."""
+    if len(shape) != 2 or shape[1] != 2:
+        return ValueError("expected an (n, 2) array of points")
+    if shape[0] < 2:
+        return ValueError("need at least two points")
+    return None
 
 
 def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("expected an (n, 2) array of points")
-    if pts.shape[0] < 2:
-        raise ValueError("need at least two points")
+    error = _shape_error(pts.shape)
+    if error is not None:
+        raise error
     if not np.all(np.isfinite(pts)):
         raise ValueError("points contain non-finite values")
     return pts
 
 
-def _moments(pts: np.ndarray):
-    """Accumulated moments ``(n, Sx, Sy, Sxx, Sxy, Syy)`` and the
-    denominator ``n Sxx - Sx^2``, summed without numpy overflow warnings.
+def size_groups(sets) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The point sets ``sets`` (a list of ``(n_i, 2)`` arrays) grouped by
+    size: ``(indices, stack (g, n, 2))`` for each size, in the order of
+    first appearance, where ``stack[j]`` is ``sets[indices[j]]``."""
+    by_size = {}
+    for i, pts in enumerate(sets):
+        by_size.setdefault(len(pts), []).append(i)
+    return [(np.array(idx), np.stack([sets[i] for i in idx]))
+            for idx in by_size.values()]
 
-    Raises :class:`EvaluationError` when the denominator overflows and
-    :class:`DegeneracyError` when it is not positive.
+
+def _on_sets(kernel, points):
+    """``kernel`` on the sets of ``points``: the value of one set, or the
+    values of a stack, one per set in order.
+
+    ``kernel`` maps a stack ``(g, n, 2)`` of sets of one size to
+    ``(values (g, ...), checks)``, where ``checks`` lists ``(failed (g,),
+    error)`` in the order a one-set call meets them; it runs without
+    numpy warnings.  Raises the first error of the lowest failing set.
     """
-    n = pts.shape[0]
-    x, y = pts[:, 0], pts[:, 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        sx, sy = float(x.sum()), float(y.sum())
-        sxx, sxy, syy = float(x @ x), float(x @ y), float(y @ y)
-    # Python floats: products overflow to inf where ** 2 would raise
+    failures = []          # (set index, error) of each failing set found
+    if isinstance(points, (list, tuple)) and points and np.ndim(points[0]) == 2:
+        single, k = False, len(points)
+        sets = [np.asarray(s, dtype=float) for s in points]
+        good = []
+        for i, pts in enumerate(sets):
+            error = _shape_error(pts.shape)
+            if error is None:
+                good.append(i)
+            else:
+                failures.append((i, error))
+        groups = [(np.array(good)[idx], stack)
+                  for idx, stack in size_groups([sets[i] for i in good])]
+    else:
+        pts = np.asarray(points, dtype=float)
+        single = pts.ndim != 3
+        stack = pts[None] if single else pts
+        error = _shape_error(stack.shape[1:])
+        if error is not None:
+            raise error
+        k = len(stack)
+        groups = [(np.arange(k), stack)]
+    results = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for idx, stack in groups:
+            values, checks = kernel(stack)
+            checks.insert(0, (~np.isfinite(stack).all(axis=(1, 2)),
+                              ValueError("points contain non-finite values")))
+            failed = checks[0][0]
+            for bad, _ in checks[1:]:
+                failed = failed | bad
+            if failed.any():
+                r = int(np.argmax(failed))
+                failures.append((int(idx[r]), next(e for bad, e in checks if bad[r])))
+            results.append((idx, values))
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    if single:
+        value = results[0][1][0]
+        return value if value.ndim else value.item()
+    shape, dtype = results[0][1].shape[1:], results[0][1].dtype
+    out = np.empty((k,) + shape, dtype=dtype)
+    for idx, values in results:
+        out[idx] = values
+    return out
+
+
+def _moments(pts: np.ndarray):
+    """Accumulated moments ``(n, Sx, Sy, Sxx, Sxy, Syy)`` of each set of
+    the stack ``pts`` (g, n, 2), the denominators ``n Sxx - Sx^2``, and
+    the checks on them: :class:`EvaluationError` where a denominator
+    overflows, :class:`DegeneracyError` where it is not positive.
+    """
+    n = pts.shape[1]
+    x, y = pts[..., 0], pts[..., 1]
+    sx, sy = x.sum(axis=1), y.sum(axis=1)
+    sxx, sxy, syy = row_dot(x, x), row_dot(x, y), row_dot(y, y)
     z = n * sxx - sx * sx
-    if not np.isfinite(z):
-        raise EvaluationError("the x moments overflow; rescale the x values")
-    if z <= 0.0:
-        raise DegeneracyError("x values are all equal; the line is not determined")
-    return n, sx, sy, sxx, sxy, syy, z
+    checks = [(~np.isfinite(z),
+               EvaluationError("the x moments overflow; rescale the x values")),
+              (z <= 0.0,
+               DegeneracyError("x values are all equal; the line is not determined"))]
+    return (n, sx, sy, sxx, sxy, syy, z), checks
 
 
-def _finite(value, what: str):
-    if not np.isfinite(value).all():
-        raise EvaluationError(f"the {what} overflows; rescale the points")
-    return value
+def _overflow(values: np.ndarray, what: str):
+    """The check that each set's ``values`` are finite."""
+    finite = np.isfinite(values)
+    if finite.ndim > 1:
+        finite = finite.all(axis=-1)
+    return ~finite, EvaluationError(f"the {what} overflows; rescale the points")
+
+
+def _lines(pts: np.ndarray):
+    (n, sx, sy, sxx, sxy, _, z), checks = _moments(pts)
+    lines = np.empty((len(pts), 2))
+    lines[:, 0] = (n * sxy - sx * sy) / z
+    lines[:, 1] = (sxx * sy - sx * sxy) / z
+    return lines, checks + [_overflow(lines, "line")]
 
 
 def regression_questions(points) -> np.ndarray:
-    """Slope and intercept answers ``(q_a, q_b)`` from moment sums.
+    """Slope and intercept answers ``(q_a, q_b)`` from moment sums, ``(2,)``
+    for one set or ``(k, 2)`` for a stack.
 
     q_a = [n Sxy - Sx Sy] / [n Sxx - Sx^2], q_b = [Sxx Sy - Sx Sxy] / same;
     these coincide with the least-squares line through the points.
+    Raises :class:`DegeneracyError` when the x values are all equal and
+    :class:`EvaluationError` when the moments or the line overflow.
     """
-    n, sx, sy, sxx, sxy, _, z = _moments(_as_points(points))
-    return _finite(np.array([(n * sxy - sx * sy) / z, (sxx * sy - sx * sxy) / z]),
-                   "line")
+    return _on_sets(_lines, points)
 
 
-def regression_entropy(points) -> float:
+def _entropies(pts: np.ndarray):
+    (n, sx, sy, sxx, sxy, syy, z), checks = _moments(pts)
+    values = (-(2.0 * (sxx * syy - sxy * sxy) + 2.0 * (n * syy - sy * sy))
+              / (2.0 * z))
+    return values, checks + [_overflow(values, "entropy")]
+
+
+def regression_entropy(points):
     """Negative spread functional, maximal (over y patterns with fixed
-    answers) when the points are collinear.
+    answers) when the points are collinear: a float for one set, ``(k,)``
+    for a stack.
 
     Equals ``-[2 (Sxx Syy - Sxy^2) + 2 (n Syy - Sy^2)] / (2 [n Sxx - Sx^2])``
     in accumulated moments; for points exactly on ``y = a x + b`` the
     value is ``-a^2 - b^2``.
     """
-    n, sx, sy, sxx, sxy, syy, z = _moments(_as_points(points))
-    return _finite(-(2.0 * (sxx * syy - sxy * sxy) + 2.0 * (n * syy - sy * sy))
-                   / (2.0 * z), "entropy")
+    return _on_sets(_entropies, points)
 
 
-def _pairwise(points):
-    """The coordinates and the ``(n, n)`` differences ``x_i - x_j``, ``y_i -
-    y_j`` of all ordered pairs of points."""
-    pts = _as_points(points)
-    x, y = pts[:, 0], pts[:, 1]
-    return x, y, x[:, None] - x[None, :], y[:, None] - y[None, :]
+def _pairwise(pts: np.ndarray):
+    """The coordinates of the stack ``pts`` (g, n, 2) and the ``(g, n, n)``
+    differences ``x_i - x_j``, ``y_i - y_j`` of all ordered pairs, and
+    each set's ``sum (x_i - x_j)^2`` with its degeneracy check."""
+    x, y = pts[..., 0], pts[..., 1]
+    dx, dy = x[:, :, None] - x[:, None, :], y[:, :, None] - y[:, None, :]
+    den = _pair_sums(dx * dx)
+    check = (den == 0.0,
+             DegeneracyError("x values are all equal; the line is not determined"))
+    return x, y, dx, dy, den, check
 
 
-@np.errstate(over="ignore", invalid="ignore")
+def _pair_sums(terms: np.ndarray) -> np.ndarray:
+    """The sum of each set's ``(n, n)`` pair terms, with the bits of the
+    one-set ``terms.sum()``."""
+    g, n, _ = terms.shape
+    return terms.reshape(g, n * n).sum(axis=1)
+
+
+def _pairwise_lines(pts: np.ndarray):
+    x, y, dx, dy, den, check = _pairwise(pts)
+    w = dx * dx
+    # two-point slope (yi-yj)/(xi-xj) and intercept (yj xi - yi xj)/(xi-xj),
+    # weighted by (xi-xj)^2, over the pairs with distinct x
+    slopes = w * dy / dx
+    intercepts = w * (y[:, None, :] * x[:, :, None] - y[:, :, None] * x[:, None, :]) / dx
+    apart = w > 0.0
+    g, n, _ = pts.shape
+    offdiag = ~np.eye(n, dtype=bool)
+    # Sum each set's terms off the diagonal in one pass: compress keeps
+    # them in a C-ordered row, so each row sum has the bits of the one-set
+    # masked sum.  A set with two equal x takes its own mask after.
+    sums = np.empty((g, 2))
+    for j, terms in enumerate((slopes, intercepts)):
+        sums[:, j] = np.compress(offdiag.ravel(), terms.reshape(g, n * n),
+                                 axis=1).sum(axis=1)
+    for i in np.flatnonzero((apart != offdiag).any(axis=(1, 2))):
+        sums[i] = slopes[i][apart[i]].sum(), intercepts[i][apart[i]].sum()
+    lines = sums / den[:, None]
+    return lines, [check, _overflow(lines, "line")]
+
+
 def regression_questions_pairwise(points) -> np.ndarray:
     """O(n^2) oracle for :func:`regression_questions`: averages of
     two-point slope and intercept formulas weighted by (x_i - x_j)^2,
@@ -97,42 +227,37 @@ def regression_questions_pairwise(points) -> np.ndarray:
     Raises :class:`DegeneracyError` when the x values are all equal and
     :class:`EvaluationError` when a sum overflows.
     """
-    x, y, dx, dy = _pairwise(points)
-    w = dx * dx
-    den = w.sum()
-    if den == 0.0:
-        raise DegeneracyError("x values are all equal; the line is not determined")
-    # two-point slope (yi-yj)/(xi-xj) and intercept (yj xi - yi xj)/(xi-xj),
-    # weighted by (xi-xj)^2, over the pairs with distinct x
-    apart = w > 0.0
-    w, dx, dy = w[apart], dx[apart], dy[apart]
-    cross = (y[None, :] * x[:, None] - y[:, None] * x[None, :])[apart]
-    return _finite(np.array([(w * dy / dx).sum() / den, (w * cross / dx).sum() / den]),
-                   "line")
+    return _on_sets(_pairwise_lines, points)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def regression_entropy_pairwise(points) -> float:
+def _pairwise_entropies(pts: np.ndarray):
+    x, y, dx, dy, den, check = _pairwise(pts)
+    cross = x[:, :, None] * y[:, None, :] - x[:, None, :] * y[:, :, None]
+    values = -(_pair_sums(cross * cross) + _pair_sums(dy * dy)) / den
+    return values, [check, _overflow(values, "entropy")]
+
+
+def regression_entropy_pairwise(points):
     """O(n^2) oracle for :func:`regression_entropy` via sums over all
     ordered pairs of points.
 
     Raises :class:`DegeneracyError` when the x values are all equal and
     :class:`EvaluationError` when a sum overflows.
     """
-    x, y, dx, dy = _pairwise(points)
-    den = (dx * dx).sum()
-    if den == 0.0:
-        raise DegeneracyError("x values are all equal; the line is not determined")
-    cross = x[:, None] * y[None, :] - x[None, :] * y[:, None]
-    return float(_finite(-((cross * cross).sum() + (dy * dy).sum()) / den, "entropy"))
+    return _on_sets(_pairwise_entropies, points)
 
 
-def regression_is_perfect(points) -> bool:
-    """True when every point lies on the fitted line within 1e-10."""
-    pts = _as_points(points)
-    a, b = regression_questions(pts)
-    residual = pts[:, 1] - (a * pts[:, 0] + b)
-    return bool(np.max(np.abs(residual)) <= 1e-10)
+def _perfect(pts: np.ndarray):
+    lines, checks = _lines(pts)
+    x, y = pts[..., 0], pts[..., 1]
+    residual = y - (lines[:, :1] * x + lines[:, 1:])
+    return np.max(np.abs(residual), axis=1) <= 1e-10, checks
+
+
+def regression_is_perfect(points):
+    """True when every point lies on the fitted line within 1e-10: a bool
+    for one set, ``(k,)`` for a stack."""
+    return _on_sets(_perfect, points)
 
 
 def regression_embed(a: float, b: float, xs) -> np.ndarray:

@@ -4,7 +4,10 @@ Data sets are nonzero vectors in R^3; the summary map sends a vector to
 its direction ``x / |x|``.  The entropy ``S(x) = -1 - |x| (ln|x| - 1)``
 depends on the length only and peaks at length 1, so the maximizer over
 a ray is the unit vector: models are points of the sphere.  The question
-functions ``(x1/x3, x2/x3)`` chart the upper hemisphere.
+functions ``(x1/x3, x2/x3)`` chart the upper hemisphere.  Lengths come
+from :func:`infogeo.numerics.row_norm`, so every finite nonzero vector
+has a finite nonzero length, and a length of ordinary size has the bits
+of ``np.linalg.norm``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .numerics import row_dot
+from .numerics import row_norm
 
 
 def _as_vector(x) -> np.ndarray:
@@ -29,7 +32,7 @@ def _as_vector(x) -> np.ndarray:
 def sphere_mu(x) -> np.ndarray:
     """Direction ``x / |x|``; the zero vector has none."""
     x = _as_vector(x)
-    r = float(np.linalg.norm(x))
+    r = float(row_norm(x))
     if r == 0.0:
         raise DomainError("the zero vector has no direction")
     return x / r
@@ -38,7 +41,7 @@ def sphere_mu(x) -> np.ndarray:
 def sphere_entropy(x) -> float:
     """``-1 - |x| (ln|x| - 1)``: maximal (value 0) exactly at |x| = 1."""
     x = _as_vector(x)
-    r = float(np.linalg.norm(x))
+    r = float(row_norm(x))
     if r == 0.0:
         raise DomainError("the zero vector is not an admissible data set")
     return -1.0 - r * (math.log(r) - 1.0)
@@ -51,7 +54,7 @@ def sphere_entropy_rows(xs: np.ndarray) -> np.ndarray:
     the one-vector form, and numpy's log may differ from ``math.log`` in
     the last bit.
     """
-    r = np.sqrt(row_dot(xs, xs))
+    r = row_norm(xs)
     return -1.0 - r * (np.log(r) - 1.0)
 
 
@@ -69,7 +72,7 @@ def sphere_from_questions(q) -> np.ndarray:
     if q.shape != (2,):
         raise ValueError("expected two chart coordinates")
     v = np.array([q[0], q[1], 1.0])
-    return v / float(np.linalg.norm(v))
+    return v / float(row_norm(v))
 
 
 def ray_maximizer(x) -> np.ndarray:

@@ -145,11 +145,23 @@ def _numerics_checks():
 
 # ------------------------------------------------------- canonical engine
 
-def _pairs(handle: ModelHandle, rng, count: int, radius: float = 3.0) -> np.ndarray:
-    """``count`` pairs of parameter points as two row arrays ``(count, n)``,
-    each pair drawn by one ``sample_thetas(rng, 2, radius)`` call."""
-    return np.stack([handle.sample_thetas(rng, 2, radius=radius) for _ in range(count)],
-                    axis=1)
+def _tuples(handle: ModelHandle, rng, count: int, size: int,
+            radius: float = 3.0) -> np.ndarray:
+    """``count`` tuples of ``size`` parameter points as ``size`` row arrays
+    ``(count, n)``, each tuple drawn as by one ``sample_thetas(rng, size,
+    radius)`` call."""
+    return handle.sample_theta_sets(rng, count, size, radius).transpose(1, 0, 2)
+
+
+def _data_and_thetas(handle: ModelHandle, rng, count: int, radius: float = 3.0):
+    """``count`` data sets and parameter points ``(count, n)``, drawn as by
+    ``count`` turns of ``sample_dataset(rng)`` then ``sample_thetas(rng,
+    1, radius)``."""
+    xs, thetas = [], []
+    for _ in range(count):
+        xs.append(handle.dataset_draws(rng))
+        thetas.append(handle.theta_draws(rng, 1, radius))
+    return handle.datasets_from(xs), handle.thetas_from(thetas)
 
 
 def _grid_oracle(model, thetas, tol: float, note: str) -> PropertyResult:
@@ -201,31 +213,31 @@ def _canonical_checks(handle: ModelHandle):
     yield _check("dual-roundtrip", np.max(errors, initial=0.0), 1e-9,
                  note="u_to_theta(theta_to_u(theta)) vs theta")
 
-    worst = -math.inf
     try:
-        for th in handle.sample_thetas(rng, 10, radius=2.0):
-            g = core.metric_tensor(model, th)
-            worst = max(worst, -float(np.linalg.eigvalsh(g)[0]))
+        g = core.metric_tensor(model, handle.sample_thetas(rng, 10, radius=2.0))
+        worst = -np.min(np.linalg.eigvalsh(g)[:, 0])
     except DegeneracyError:
         worst = math.inf
     yield _check("metric-positive-definite", worst, 0.0,
                  note="worst = -(min eigenvalue of Hess Phi)")
 
     thetas = handle.sample_thetas(rng, 8, radius=2.0)
-    ginv = np.linalg.inv([core.metric_tensor(model, th) for th in thetas])
+    ginv = np.linalg.inv(core.metric_tensor(model, thetas))
     hs = numerics.hess_fd(model.entropy_u, core.dual_points(model, thetas)[1])
     rel = np.abs(hs + ginv).max(axis=(1, 2)) / np.abs(ginv).max(axis=(1, 2))
     yield _check("metric-inverse-duality", np.max(rel), 1e-4,
                  note="Hess S(U) = -(Hess Phi)^-1, relative")
 
-    # Each sampled check draws its points in a loop, in the order the
-    # per-point checks drew them, and evaluates them in one row-wise call.
-    t1, t2 = _pairs(handle, rng, segments)
+    # Each sampled check makes the generator calls of its points in the
+    # order the per-point checks made them, finishes the points on the
+    # stack (the handle's thetas_from / datasets_from), and evaluates
+    # them in one row-wise call.
+    t1, t2 = _tuples(handle, rng, segments, 2)
     worst = float(np.max(core.convexity_probe(model, t1, t2)))
     yield _check("massieu-convexity", worst, 1e-9,
                  note=f"{segments} random segments, 21 blend points each")
 
-    t1, t2 = _pairs(handle, rng, 1000)
+    t1, t2 = _tuples(handle, rng, 1000, 2)
     d = core.bregman_divergence(model, t1, t2).value
     # the norm of each difference with the bits of the 1-D np.linalg.norm
     separated = np.sqrt(numerics.row_dot(t1 - t2, t1 - t2)) >= 0.1
@@ -235,19 +247,21 @@ def _canonical_checks(handle: ModelHandle):
                  -1e-6, note="divergence exceeds 1e-6 when |theta-zeta| >= 0.1")
 
     # The 70 pairs are drawn first, then their fibers in one sampler call.
-    th, ze = _pairs(handle, rng, 70, radius=handle.fiber_radius)
+    th, ze = _tuples(handle, rng, 70, 2, radius=handle.fiber_radius)
     fibers, counts = model.fiber_sampler(core.dual_points(model, th)[1], 3, rng)
     residual = core.pythagoras_data(model, fibers, np.repeat(th, counts, axis=0),
                                     np.repeat(ze, counts, axis=0)).residual
     yield _check("pythagoras-with-data", np.max(residual, initial=0.0), 1e-9,
                  note="210 compliant data-model-model triples")
 
-    triples, draws = [], []
-    for _ in range(100):
-        triples.append(handle.sample_thetas(rng, 3, radius=2.0))
-        if model.n >= 2:
+    if model.n >= 2:
+        triples, draws = [], []
+        for _ in range(100):
+            triples.append(handle.theta_draws(rng, 3, radius=2.0))
             draws.append(rng.normal(size=model.n))
-    th, ze, xi = np.stack(triples, axis=1)
+        th, ze, xi = handle.thetas_from(triples).reshape(100, 3, -1).transpose(1, 0, 2)
+    else:
+        th, ze, xi = _tuples(handle, rng, 100, 3, radius=2.0)
     triple = core.pythagoras_models(model, th, ze, xi)
     worst_ident = np.max(np.abs(triple.residual - np.abs(triple.orthogonality)),
                          initial=0.0)
@@ -274,10 +288,7 @@ def _canonical_checks(handle: ModelHandle):
     yield _check("legendre-numeric-vs-closed", worst, 1e-6,
                  note=f"damped-Newton transform at {count} points, |theta| <= 3")
 
-    xs, th = [], []
-    for _ in range(60):
-        xs.append(handle.sample_dataset(rng))
-        th.append(handle.sample_thetas(rng, 1)[0])
+    xs, th = _data_and_thetas(handle, rng, 60)
     d = core.divergence_from_data(model, xs, th).value
     yield _check("divergence-nonnegative", np.max(-d), 1e-10,
                  note="random data sets against random model points")
@@ -301,26 +312,23 @@ def _qubit_checks(handle: QubitHandle):
     grid_thetas = 5
     model = handle.descriptor
 
-    worst = 0.0
-    for _ in range(200):
-        th = rng.normal(size=3)
-        th *= rng.uniform(0.0, 20.0) / float(np.linalg.norm(th))
-        u = qubit.theta_to_bloch(th)
-        worst = max(worst, abs(float(np.linalg.norm(u)) - math.tanh(float(np.linalg.norm(th)))))
-        # the inverse chart amplifies rounding by 1/(1-|u|^2), so test
-        # the round trip only where it is well conditioned
-        if np.linalg.norm(u) < 0.999:
-            back = qubit.bloch_to_theta(u)
-            worst = max(worst, float(np.max(np.abs(back - th))))
+    draws = [(rng.normal(size=3), rng.uniform(0.0, 20.0)) for _ in range(200)]
+    th = np.array([v for v, _ in draws])
+    th *= (np.array([r for _, r in draws]) / np.sqrt(numerics.row_dot(th, th)))[:, None]
+    t = np.sqrt(numerics.row_dot(th, th))
+    u = qubit.theta_to_bloch(th)
+    r = np.sqrt(numerics.row_dot(u, u))
+    worst = np.max(np.abs(r - np.array([math.tanh(v) for v in t.tolist()])))
+    # the inverse chart amplifies rounding by 1/(1-|u|^2), so test
+    # the round trip only where it is well conditioned
+    inside = r < 0.999
+    back = qubit.bloch_to_theta_rows(u[inside])
+    worst = max(worst, np.max(np.abs(back - th[inside]), initial=0.0))
     yield _check("bloch-tanh-duality", worst, 1e-12,
                  note="|U| = tanh|theta| and closed round trip, |theta| <= 20")
 
-    # The spectral oracles draw their states in a loop and evaluate the
-    # stacks in one call each.
-    xs, th = np.empty((2, 200, 3))
-    for i in range(200):
-        xs[i] = handle.sample_dataset(rng)
-        th[i] = handle.sample_thetas(rng, 1)[0]
+    # The spectral oracles evaluate their stacks of states in one call each.
+    xs, th = _data_and_thetas(handle, rng, 200)
     via_spectral = qubit.quantum_relative_entropy(qubit.bloch_to_rho(xs),
                                                   qubit.gibbs_state(th))
     via_engine = core.divergence_from_data(model, xs, th).value
@@ -328,14 +336,11 @@ def _qubit_checks(handle: QubitHandle):
     yield _check("relative-entropy-agreement", worst, 1e-10,
                  note="spectral Tr rho(ln rho - ln sigma) vs affine form")
 
-    xs, th = np.empty((2, 1000, 3))
-    for i in range(1000):
-        xs[i] = handle.sample_dataset(rng)
-        th[i] = handle.sample_thetas(rng, 1)[0]
+    xs, th = _data_and_thetas(handle, rng, 1000)
     d = qubit.quantum_relative_entropy(qubit.bloch_to_rho(xs), qubit.gibbs_state(th))
     yield _check("relative-entropy-nonnegative", np.max(-d), 1e-12)
 
-    th = np.array([handle.sample_thetas(rng, 1)[0] for _ in range(50)])
+    th = handle.sample_theta_sets(rng, 50, 1)[:, 0]
     lnrho = numerics.func_h2(qubit.gibbs_state(th), math.log)
     t = np.sqrt(numerics.row_dot(th, th))
     phi = np.logaddexp(t, -t)
@@ -345,12 +350,14 @@ def _qubit_checks(handle: QubitHandle):
     yield _check("log-state-affine", worst, 1e-10,
                  note="ln rho = -ln(2 cosh|theta|) - theta . sigma")
 
-    xs, us = [], []
+    thetas, xs, lengths = [], [], []
     for _ in range(30):
-        us.append(core.theta_to_u(model, handle.sample_thetas(rng, 1)[0]))
-        x = rng.normal(size=3)
-        x *= rng.uniform(0.0, 0.9) / float(np.linalg.norm(x))
-        xs.append(x)
+        thetas.append(handle.theta_draws(rng, 1))
+        xs.append(rng.normal(size=3))
+        lengths.append(rng.uniform(0.0, 0.9))
+    us = core.dual_points(model, handle.thetas_from(thetas))[1]
+    xs = np.array(xs)
+    xs *= (np.array(lengths) / np.sqrt(numerics.row_dot(xs, xs)))[:, None]
     yield _check("fiber-sup-divergence-singleton", _def5_gap(model, xs, us), 1e-12,
                  note="three answers determine the state: fiber is one point")
 
@@ -379,9 +386,10 @@ def _discrete_checks(handle: DiscreteHandle):
 
     pairs, xs = [], []
     for _ in range(200):
-        pairs.append(handle.sample_thetas(rng, 2))
-        xs.append(rng.dirichlet(np.ones(family.alphabet_size)))
-    t1, t2 = np.stack(pairs, axis=1)
+        pairs.append(handle.theta_draws(rng, 2))
+        xs.append(handle.dataset_draws(rng))
+    t1, t2 = handle.thetas_from(pairs).reshape(200, 2, -1).transpose(1, 0, 2)
+    xs = handle.datasets_from(xs)
     q = discrete.boltzmann_gibbs(family, t2)
     kl = discrete.kl_divergence(discrete.boltzmann_gibbs(family, t1), q)
     kl_x = discrete.kl_divergence(xs, q)
@@ -390,12 +398,10 @@ def _discrete_checks(handle: DiscreteHandle):
     yield _check("kl-affine-agreement", worst, 1e-12,
                  note="direct relative entropy vs Phi - S + theta.answers")
 
-    worst = 0.0
-    for th in handle.sample_thetas(rng, 10, radius=2.0):
-        g = core.metric_tensor(model, th)
-        cov = discrete.fisher_covariance(family, discrete.boltzmann_gibbs(family, th))
-        worst = max(worst, float(np.max(np.abs(g - cov))))
-    yield _check("fisher-metric-agreement", worst, 1e-5,
+    thetas = handle.sample_thetas(rng, 10, radius=2.0)
+    g = core.metric_tensor(model, thetas)
+    cov = discrete.fisher_covariance(family, discrete.boltzmann_gibbs(family, thetas))
+    yield _check("fisher-metric-agreement", np.max(np.abs(g - cov)), 1e-5,
                  note="Hess Phi vs observable covariance")
 
     if family.alphabet_size - 1 - family.n == 1:  # one-dimensional fibers
@@ -406,11 +412,12 @@ def _discrete_checks(handle: DiscreteHandle):
         yield _check("fiber-entropy-dominated", np.max(s_fiber - s_model), 1e-9,
                      note="no fiber sample beats the moment-matched member")
 
-        xs, us = [], []
+        thetas, xs = [], []
         for _ in range(20):
-            th = handle.sample_thetas(rng, 1, radius=1.5)[0]
-            us.append(core.theta_to_u(model, th))
-            xs.append(rng.dirichlet(np.ones(family.alphabet_size)))
+            thetas.append(handle.theta_draws(rng, 1, radius=1.5))
+            xs.append(handle.dataset_draws(rng))
+        us = core.dual_points(model, handle.thetas_from(thetas))[1]
+        xs = handle.datasets_from(xs)
         yield _check("fiber-sup-divergence-agreement", _def5_gap(model, xs, us), 1e-4,
                      note="200-sample fiber supremum vs affine form")
 
@@ -425,16 +432,18 @@ def _coherent_checks(handle: CoherentHandle):
     constants, nmax = handle.constants, handle.nmax
     amat = coh.annihilation_matrix(nmax)
 
-    worst = 0.0
-    for _ in range(25):
-        z = complex(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))
-        psi = coh.coherent_state(z, nmax)
-        residual = float(np.linalg.norm(amat @ psi.coeff - z * psi.coeff))
-        worst = max(worst, residual)
-    yield _check("annihilation-eigenstate", worst, 1e-8,
+    # Amplitudes are drawn as real, imaginary part pairs from one
+    # distribution, so one call of the total size draws them all.
+    parts = rng.uniform(-1.4, 1.4, size=(25, 2))
+    zs = parts[:, 0] + 1j * parts[:, 1]
+    psi = coh.coherent_state(zs, nmax)
+    residual = numerics.complex_row_norm((amat @ psi[:, :, None])[..., 0]
+                                         - zs[:, None] * psi)
+    yield _check("annihilation-eigenstate", np.max(residual), 1e-8,
                  note="(a - z) psi_z within truncation tail, |z| <= 2")
 
-    zs = [complex(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4)) for _ in range(50)]
+    parts = rng.uniform(-1.4, 1.4, size=(50, 2))
+    zs = (parts[:, 0] + 1j * parts[:, 1]).tolist()
     states = coh.coherent_state(np.array(zs), nmax)
     s = coh.entropy_coherent(states)
     u = coh.mu_map(states, constants)
@@ -448,10 +457,10 @@ def _coherent_checks(handle: CoherentHandle):
 
     xs, us, alphas = [], [], []
     for _ in range(500):
-        xs.append(handle.sample_dataset(rng))
+        xs.append(handle.dataset_draws(rng))
         us.append(rng.uniform(-2.0, 2.0, size=2))
         alphas.append(rng.uniform(0.0, 2.0 * math.pi))
-    states = coh.state_rows(xs)
+    states = coh.state_rows(handle.datasets_from(xs))
     d = coh.divergence_coherent(states, us, constants)
     yield _check("divergence-nonnegative-states", np.max(-d), 1e-10,
                  note="500 random truncated states")
@@ -472,11 +481,9 @@ def _coherent_checks(handle: CoherentHandle):
     yield _check("log-map-affine-identity", worst, 1e-9,
                  note="<x|L(m)> = -Phi - theta . answers for any state")
 
-    us = []
-    for _ in range(4):
-        z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-        us.append([constants.r * z.real, constants.hbar / constants.r * z.imag])
-    us = np.array(us)
+    zs = rng.uniform(-1.5, 1.5, size=(4, 2))
+    us = np.stack([constants.r * zs[:, 0], constants.hbar / constants.r * zs[:, 1]],
+                  axis=-1)
     fibers, counts = model.fiber_sampler(us, 50, rng)
     s_model = coh.model_entropy_u(us, constants)
     s_fiber = model.dataset_answers(fibers)[1]
@@ -488,19 +495,13 @@ def _coherent_checks(handle: CoherentHandle):
     yield _check("fiber-coherent-attains", np.max(np.abs(s_base - s_model)), 1e-10,
                  note="the coherent state itself attains the model entropy")
 
-    worst = 0.0
     r, hbar = constants.r, constants.hbar
     expected = np.diag([r ** 2, hbar ** 2 / r ** 2])
-    for th in handle.sample_thetas(rng, 5, radius=2.0):
-        g = core.metric_tensor(model, th)
-        worst = max(worst, float(np.max(np.abs(g - expected))))
-    yield _check("metric-constant-gaussian", worst, 1e-5,
+    g = core.metric_tensor(model, handle.sample_thetas(rng, 5, radius=2.0))
+    yield _check("metric-constant-gaussian", np.max(np.abs(g - expected)), 1e-5,
                  note="Hess Phi = diag(r^2, hbar^2/r^2) everywhere")
 
-    xs, th = [], []
-    for _ in range(20):
-        xs.append(handle.sample_dataset(rng))
-        th.append(handle.sample_thetas(rng, 1, radius=2.0)[0])
+    xs, th = _data_and_thetas(handle, rng, 20, radius=2.0)
     states = coh.state_rows(xs)
     via_closed = coh.divergence_coherent(states, coh.theta_to_u_coherent(th, constants),
                                          constants)
@@ -552,59 +553,74 @@ def verify_regression() -> list[PropertyResult]:
     return _run(_regression_checks())
 
 
+def _least_squares_lines(sets) -> np.ndarray:
+    """The least-squares line ``(slope, intercept)`` of each point set, by
+    a stacked SVD solve (``np.linalg.pinv``) for each group of one size;
+    independent of the moment ratios it checks."""
+    lines = np.empty((len(sets), 2))
+    for idx, pts in regression.size_groups(sets):
+        design = np.stack([pts[..., 0], np.ones(pts.shape[:2])], axis=-1)
+        lines[idx] = (np.linalg.pinv(design) @ pts[..., 1:])[..., 0]
+    return lines
+
+
 def _regression_checks():
     rng = np.random.default_rng(29)
 
-    worst = 0.0
+    # Each check draws its sets in a loop, builds them after it (here each
+    # coordinate scaled by its set's factor, on the stack of all points),
+    # and evaluates each quantity on all of them in one call.
+    sizes, xs, x_scales, ys, y_scales = [], [], [], [], []
     for _ in range(500):
-        n = int(rng.integers(2, 101))
-        x = rng.normal(size=n) * rng.uniform(0.5, 3.0)
-        y = rng.normal(size=n) * rng.uniform(0.5, 3.0)
-        pts = np.stack([x, y], axis=-1)
-        qa, qb = regression.regression_questions(pts)
-        design = np.stack([x, np.ones(n)], axis=-1)
-        slope, intercept = np.linalg.lstsq(design, y, rcond=None)[0]
-        worst = max(worst, abs(qa - slope), abs(qb - intercept))
+        sizes.append(int(rng.integers(2, 101)))
+        xs.append(rng.normal(size=sizes[-1]))
+        x_scales.append(rng.uniform(0.5, 3.0))
+        ys.append(rng.normal(size=sizes[-1]))
+        y_scales.append(rng.uniform(0.5, 3.0))
+    points = np.stack([np.concatenate(xs) * np.repeat(x_scales, sizes),
+                       np.concatenate(ys) * np.repeat(y_scales, sizes)], axis=-1)
+    sets = np.split(points, np.cumsum(sizes)[:-1])
+    worst = np.max(np.abs(regression.regression_questions(sets)
+                          - _least_squares_lines(sets)))
     yield _check("least-squares-agreement", worst, 1e-10,
                  note="moment ratios vs normal-equation solution, 500 sets")
 
-    worst = 0.0
+    lines, abscissas = [], []
     for _ in range(100):
-        a, b = rng.uniform(-2.0, 2.0, size=2)
+        lines.append(rng.uniform(-2.0, 2.0, size=2))
         xs = rng.normal(size=int(rng.integers(2, 30)))
         while np.ptp(xs) < 1e-6:
             xs = rng.normal(size=xs.size)
-        pts = regression.regression_embed(a, b, xs)
-        qa, qb = regression.regression_questions(pts)
-        worst = max(worst, abs(qa - a), abs(qb - b))
-        worst = max(worst, abs(regression.regression_entropy(pts) + a * a + b * b))
-        if not regression.regression_is_perfect(pts):
-            worst = math.inf
+        abscissas.append(xs)
+    sets = [regression.regression_embed(a, b, xs) for (a, b), xs in zip(lines, abscissas)]
+    a, b = np.array(lines).T
+    worst = max(np.max(np.abs(regression.regression_questions(sets) - np.array(lines))),
+                np.max(np.abs(regression.regression_entropy(sets) + a * a + b * b)))
+    if not regression.regression_is_perfect(sets).all():
+        worst = math.inf
     yield _check("perfect-data-entropy", worst, 1e-10,
                  note="embedded lines: answers (a, b), entropy -a^2-b^2")
 
-    worst = 0.0
+    sets = []
     for _ in range(60):
         n = int(rng.integers(2, 41))
-        pts = np.stack([rng.normal(size=n), rng.normal(size=n)], axis=-1)
-        worst = max(worst, float(np.max(np.abs(
-            regression.regression_questions(pts)
-            - regression.regression_questions_pairwise(pts)))))
-        worst = max(worst, abs(regression.regression_entropy(pts)
-                               - regression.regression_entropy_pairwise(pts)))
+        sets.append(np.stack([rng.normal(size=n), rng.normal(size=n)], axis=-1))
+    worst = max(np.max(np.abs(regression.regression_questions(sets)
+                              - regression.regression_questions_pairwise(sets))),
+                np.max(np.abs(regression.regression_entropy(sets)
+                              - regression.regression_entropy_pairwise(sets))))
     yield _check("moment-vs-pairwise", worst, 1e-9,
                  note="O(n) accumulators vs literal double sums")
 
-    worst = 0.0
+    sets, deltas = [], []
     for _ in range(100):
         n = int(rng.integers(2, 30))
-        pts = np.stack([rng.normal(size=n), rng.normal(size=n)], axis=-1)
-        delta = rng.uniform(-5.0, 5.0)
-        shifted = pts.copy()
-        shifted[:, 1] += delta
-        qa0, qb0 = regression.regression_questions(pts)
-        qa1, qb1 = regression.regression_questions(shifted)
-        worst = max(worst, abs(qa1 - qa0), abs(qb1 - qb0 - delta))
+        sets.append(np.stack([rng.normal(size=n), rng.normal(size=n)], axis=-1))
+        deltas.append(rng.uniform(-5.0, 5.0))
+    shifted = [pts + np.array([0.0, delta]) for pts, delta in zip(sets, deltas)]
+    q0, q1 = np.split(regression.regression_questions(sets + shifted), 2)
+    worst = max(np.max(np.abs(q1[:, 0] - q0[:, 0])),
+                np.max(np.abs(q1[:, 1] - q0[:, 1] - deltas)))
     yield _check("translation-covariance", worst, 1e-10,
                  note="shifting y by delta shifts only the intercept")
 

@@ -337,9 +337,29 @@ def test_domain_validation():
 
 def test_row_dot_matches_per_row_dot_bitwise():
     rng = np.random.default_rng(8)
-    for n in (1, 2, 3, 5):
+    for n in (1, 2, 3, 5, 40, 150):
         a, b = rng.normal(size=(2, 200, n))
         assert numerics.row_dot(a, b).tolist() == [float(x @ y) for x, y in zip(a, b)]
+        # the columns of point sets (k, n, 2), as the regression moments take them
+        pts = rng.normal(size=(20, n, 2))
+        x, y = pts[..., 0], pts[..., 1]
+        assert numerics.row_dot(x, y).tolist() == [float(p[:, 0] @ p[:, 1]) for p in pts]
+
+
+def test_row_norm_rescales_only_where_the_squares_leave_the_normal_range():
+    rows = np.array([[1e200, 0.0, 1e200], [1e-200, 0.0, 1e-200], [3e-170, 4e-170, 0.0],
+                     [0.0, 0.0, 0.0], [5e-324, 0.0, 0.0], [0.3, -1.2, 2.0],
+                     [1e-150, 1e-150, 1e-150]])
+    norms = numerics.row_norm(rows)
+    assert norms[:5].tolist() == pytest.approx([math.sqrt(2.0) * 1e200,
+                                                math.sqrt(2.0) * 1e-200, 5e-170, 0.0,
+                                                5e-324], rel=1e-15, abs=0.0)
+    # sums of squares in the normal range keep numpy's bits
+    assert norms[5:].tolist() == [np.linalg.norm(r) for r in rows[5:]]
+    # one vector has the bits of its row
+    assert [float(numerics.row_norm(r)) for r in rows] == norms.tolist()
+    assert np.isnan(numerics.row_norm(np.array([np.nan, 1.0, 0.0])))
+    assert numerics.row_norm(np.array([[np.inf, 1.0, 0.0]])).tolist() == [math.inf]
 
 
 def test_matrix2h_round_trip():

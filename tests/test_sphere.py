@@ -1,6 +1,7 @@
 """Unit-sphere toy model: directions, radial entropy profile, and the
 upper-hemisphere chart."""
 
+import json
 import math
 
 import numpy as np
@@ -91,3 +92,34 @@ def test_ray_scan_on_arrays_matches_the_scalar_scan():
     eps = np.finfo(float).eps
     assert np.all(np.abs(values - scalar) <= 4 * eps * (1.0 + r * (np.abs(np.log(r)) + 1.0)))
     assert np.argmax(values, axis=1).tolist() == np.argmax(scalar, axis=1).tolist()
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e154, 1e-155])
+def test_extreme_lengths_give_finite_values(scale):
+    # the sum of squares overflows or underflows at these lengths, the
+    # direction, entropy and chart do not
+    x = np.array([1.0, 0.0, 1.0]) * scale
+    r = math.sqrt(2.0) * scale
+    assert sphere_mu(x).tolist() == pytest.approx([2 ** -0.5, 0.0, 2 ** -0.5],
+                                                  rel=1e-15)
+    assert sphere_entropy(x) == pytest.approx(-1.0 - r * (math.log(r) - 1.0),
+                                              rel=1e-15)
+    assert sphere_entropy_rows(x[None])[0] == pytest.approx(sphere_entropy(x),
+                                                            rel=1e-15)
+    assert sphere_questions(x).tolist() == [1.0, 0.0]
+    # a chart coordinate past 1e154 still gives the unit vector
+    q = scale if scale > 1.0 else 1.0 / scale
+    assert sphere_from_questions(np.array([q, 0.0])).tolist() == pytest.approx(
+        [1.0, 0.0, 1.0 / q], rel=1e-15)
+
+
+def test_extreme_lengths_on_the_command_line(capsys):
+    from infogeo import cli
+    for text, entropy in (("1e200,0,1e200", -6.503453289154199e202),
+                          ("1e-200,0,1e-200", -1.0)):
+        assert cli.main(["maxent", "--model", "sphere", "--x", text]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "ok"
+        assert out["outputs"]["entropy"] == pytest.approx(entropy, rel=1e-15)
+        assert out["outputs"]["direction"] == pytest.approx([2 ** -0.5, 0.0, 2 ** -0.5],
+                                                            rel=1e-15)
