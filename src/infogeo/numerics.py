@@ -148,16 +148,16 @@ def _h2_fields(m: Matrix2H):
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products along the last axis of two real ``(..., n)`` arrays.
+    """Dot products along the last axis of two ``(..., n)`` arrays.
 
-    Evaluated by ``np.vecdot``, which numpy computes with the
-    inner-product kernel of the 1-D ``a[i] @ b[i]``, so each value equals
-    the per-row one bit for bit, and so does ``x @ x`` inside the 1-D
-    ``np.linalg.norm(x)`` (``np.linalg.norm(x, axis=1)`` does not).
+    Evaluated as a stack of vector products, which numpy computes with
+    the inner-product kernel of the 1-D ``a[i] @ b[i]``, so each value
+    equals the per-row one bit for bit, and so does ``x @ x`` inside the
+    1-D ``np.linalg.norm(x)`` (``np.linalg.norm(x, axis=1)`` does not).
     """
-    if a.ndim == b.ndim == 1:  # that kernel, without the gufunc overhead
+    if a.ndim == b.ndim == 1:  # that kernel, without the stacking overhead
         return np.dot(a, b)
-    return np.vecdot(a, b)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 # row_dot that raises FloatingPointError where a sum of squares overflows
@@ -174,14 +174,6 @@ def row_norm(x: np.ndarray) -> np.ndarray:
     (``|x| <~ 1.5e-154``), so other norms keep the bits of the 1-D
     ``np.linalg.norm``; a zero row has norm 0.
     """
-    if x.ndim == 1:
-        # One vector: its largest entry bounds the sum of squares, so the
-        # range test needs no errstate.
-        entries = x.tolist() or [0.0]
-        big = max(max(entries), -min(entries))
-        if _TINY <= big * big and big * big * len(x) < 1e308:
-            return np.sqrt(x.dot(x))
-        return row_norm(x[None])[0]
     try:
         squares = _checked_dot(x, x)
     except FloatingPointError:
@@ -195,7 +187,7 @@ def row_norm(x: np.ndarray) -> np.ndarray:
     odd &= (scale > 0.0) & (scale < math.inf)   # not a zero or non-finite row
     scale = np.where(odd, scale, 1.0)
     scaled = x / scale[..., None]
-    return np.where(odd, scale * np.sqrt(row_dot(scaled, scaled)), t)
+    return np.where(odd, scale * np.sqrt(row_dot(scaled, scaled)), t)[()]
 
 
 def complex_row_norm(v: np.ndarray) -> np.ndarray:

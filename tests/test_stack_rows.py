@@ -105,7 +105,7 @@ def test_metric_rows_equal_point_calls_bitwise(name):
 
 def test_metric_rows_raise_for_the_lowest_failing_row():
     # Phi = theta^2 / 2 for theta < 1 and -theta^2 / 2 past it: the metric
-    # is -1 at rows 1 and 2, and the error names row 1's eigenvalue
+    # is -1 at rows 1 and 3, and the error names row 1's eigenvalue
     def dual(thetas):
         t = thetas[:, 0]
         phi = np.where(t < 1.0, 0.5, -0.5) * t * t
