@@ -306,126 +306,61 @@ def load_state(path: str) -> FockVector:
 _MIN_NOISE = 1e-16
 
 
-def _rootless(rest_a: np.ndarray, rest_n: np.ndarray, p: np.ndarray, q: np.ndarray,
-              z) -> np.ndarray:
-    """Rows whose pin equation provably has no root, so no Newton step can
-    meet the pin's test; ``z`` is one amplitude for all rows, or one per
-    row.
-
-    With ``v = conj(c_0)`` and ``t = |v|^2`` the equation reads ``c_1 v =
-    z t + B``, ``B = z N - A``; over the circle ``|v|^2 = t`` its residual
-    has the minimum ``| |z t + B| - |c_1| sqrt(t) |``.  For any ``e > 0``,
-    ``2 d |c_1| sqrt(t) <= e |c_1|^2 t + d^2 / e``, so if ``G(t) = |z t +
-    B|^2 - (1 + e) |c_1|^2 t - (1 + 1/e) d^2 >= 0`` for all ``t >= 0`` then
-    ``|z t + B| >= |c_1| sqrt(t) + d``, and every residual is at least
-    ``d``.  ``G`` is a quadratic in ``t``, so the test is its value at 0
-    and at its vertex.  A row counts as rootless when ``G`` passes with
-    ``e = 1`` or with the ``e <= 1`` that makes the bound tight where
-    ``F(t) = |z t + B|^2 - |c_1|^2 t`` is smallest, ``e = d / (|c_1|
-    sqrt(t_F))`` at F's vertex ``t_F``; the second catches rows whose
-    residual stays small but never reaches ``d``.
-    ``d^2 = 1e-10 (1 + |B|^2)`` keeps the test clear of the rounding of
-    its own terms.  The residual a Newton step computes is off by about
-    1e-15 times its largest term, and with ``|z| >= 1e-4 (1 + |c_1|)`` the
-    terms are small wherever the residual is below ``d``, so no rounding
-    brings it under the 1e-14 test.
-    """
-    z = np.asarray(z, dtype=complex)
-    zr, zi = z.real, z.imag
-    br, bi = zr * rest_n - rest_a.real, zi * rest_n - rest_a.imag
-    b2 = br * br + bi * bi
-    c2 = p * p + q * q
-    z2 = zr * zr + zi * zi
-    d2 = 1e-10 * (1.0 + b2)
-    linear = zr * br + zi * bi
-    # c2 t_F, with t_F = max(|c_1|^2 / 2 - linear, 0) / |z|^2; a row with
-    # z = 0 fails the last test below whatever e is
-    at_vertex = c2 * np.maximum(0.5 * c2 - linear, 0.0) / (z2 + (z2 == 0.0))
-    tight = np.minimum(1.0, np.sqrt(d2 / np.where(at_vertex > 0.0, at_vertex, d2)))
-    proven = np.zeros(np.shape(b2), dtype=bool)
-    for e in (1.0, tight):
-        slope = linear - 0.5 * (1.0 + e) * c2     # G(t) = |z|^2 t^2 + 2 slope t + const
-        const = b2 - (1.0 + 1.0 / e) * d2
-        proven |= (const >= 0.0) & ((slope >= 0.0) | (slope * slope <= z2 * const))
-    return proven & (np.sqrt(z2) >= 1e-4 * (1.0 + np.sqrt(c2)))
-
-
 def _pin_rows(coeffs: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
     """Adjust the ground-mode coefficient of each row of ``coeffs`` (k, N)
     so the normalized row has ``<a>`` exactly ``z``: one amplitude for all
     rows, or one per row (k,).
 
-    Returns ``(rows, pinned)``.  Newton's method on ``g(c_0) =
-    conj(c_0) c_1 + A - z (|c_0|^2 + N)``, with ``A`` and ``N`` the parts of
-    ``<a>`` and of the norm that ``c_0`` and ``c_1`` leave out, runs on all
-    rows in one masked loop over the real and imaginary parts of ``c_0``,
-    each row until ``|g| <= 1e-14 (1 + |z|)``.  A row fails after 80 steps,
-    on a singular or non-finite step or a zero vector, and at once when
-    its equation provably has no root (:func:`_rootless`).
-    Each step writes out on real arrays the arithmetic of the one-row
-    iteration in Python complex numbers (``z * s`` is ``(zr s - zi 0, zr 0
-    + zi s)`` there), so every row keeps the bits it has when pinned alone.
+    Returns ``(rows, pinned)``.  With ``v = conj(c_0)``, ``t = |v|^2`` and
+    ``A``, ``N`` the parts of ``<a>`` and of the norm that ``c_0`` and
+    ``c_1`` leave out, the pin ``g = v c_1 + A - z (t + N) = 0`` reads
+    ``c_1 v = z t + B``, ``B = z N - A``, so t solves the real quadratic
+    ``|z|^2 t^2 + (2 Re(conj(z) B) - |c_1|^2) t + |B|^2 = 0``.  Its root
+    ``t >= 0`` nearest ``|c_0|^2`` gives ``v = (z t + B) / c_1``.  A row is
+    pinned when ``|g| <= 1e-14 (1 + |z|)``; one that passes already keeps
+    its ``c_0``, and one without such a root, with ``c_1 = 0`` or of norm 0
+    fails.  The arithmetic is elementwise on real arrays, so every row
+    keeps the bits it has when pinned alone.
     """
     c = np.array(coeffs, dtype=complex)
-    k, size = c.shape
-    rest_a = np.sum(np.conj(c[:, 1:-1]) * np.sqrt(np.arange(2, size, dtype=float))
+    rest_a = np.sum(np.conj(c[:, 1:-1]) * np.sqrt(np.arange(2, c.shape[1], dtype=float))
                     * c[:, 2:], axis=1)
     rest_n = np.sum(np.abs(c[:, 1:]) ** 2, axis=1)
-    pairs = c.view(float)               # (Re c_n, Im c_n) side by side
-    z = np.broadcast_to(np.asarray(z, dtype=complex), (k,))
-    tol = 1e-14 * (1.0 + np.hypot(z.real, z.imag))     # abs(complex) is hypot
-    # z times a real s is (zr s - zi 0, zr 0 + zi s) in Python
-    z_pair = np.stack([z.real, z.imag], axis=1)
-    zero_pair = np.stack([-(z.imag * 0.0), z.real * 0.0], axis=1)
-    pinned = np.zeros(k, dtype=bool)
-    rows = np.flatnonzero(~_rootless(rest_a, rest_n, pairs[:, 2], pairs[:, 3], z))
-    # The rows still iterating, with (real, imaginary) parts in the last
-    # axis: g = x (p, q) + y (q, -p) + A - z s with c_1 = p + i q and s =
-    # |c_0|^2 + N.  The Jacobian's columns are c_1 - 2 x z (for x) and
-    # -1j c_1 - 2 y z (for y), -1j c_1 taken as Python multiplies it.
-    xy = pairs[rows, :2]
-    pq = pairs[rows, 2:4]
-    qp = pq[:, ::-1] * [1.0, -1.0]
-    ra = rest_a.view(float).reshape(k, 2)[rows]
-    rn = rest_n[rows]
-    z_pair, zero_pair, tol = z_pair[rows], zero_pair[rows], tol[rows]
-    jac0 = np.stack([pq, -0.0 * pq + qp], axis=2)
-    solved = np.empty((k, 2))
-    for _ in range(80):
-        if not rows.size:
-            break
-        x, y = xy[:, 0], xy[:, 1]
-        s = np.float_power(np.hypot(x, y), 2) + rn
-        g = (x[:, None] * pq + y[:, None] * qp + ra) - (s[:, None] * z_pair + zero_pair)
-        done = np.hypot(g[:, 0], g[:, 1]) <= tol
-        if done.all():
-            pinned[rows] = True
-            solved[rows] = xy
-            break
-        jac = jac0 - (2.0 * xy[:, None, :] * z_pair[:, :, None] + zero_pair[:, :, None])
-        try:
-            step = np.linalg.solve(jac, -g[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            step = np.full(g.shape, np.nan)
-            for i in range(rows.size):
-                try:
-                    step[i] = np.linalg.solve(jac[i], -g[i])
-                except np.linalg.LinAlgError:
-                    pass
-        live = ~done & np.isfinite(step).all(axis=1)
-        if not live.all():
-            pinned[rows[done]] = True
-            solved[rows[done]] = xy[done]
-            rows, xy, pq, qp, ra, rn, jac0, step, z_pair, zero_pair, tol = (
-                a[live] for a in (rows, xy, pq, qp, ra, rn, jac0, step, z_pair,
-                                  zero_pair, tol))
-        xy += step
-    done = np.flatnonzero(pinned)
-    c0 = np.empty(done.size, dtype=complex)
-    c0.real, c0.imag = solved[done].T
-    c[done, 0] = c0
+    z = np.broadcast_to(np.asarray(z, dtype=complex), rest_n.shape)
+    zr, zi = z.real, z.imag
+    p, q = c[:, 1].real, c[:, 1].imag
+    tol = 1e-14 * (1.0 + np.hypot(zr, zi))     # abs(complex) is hypot
+
+    def passes(x, y):
+        s = np.float_power(np.hypot(x, y), 2) + rest_n
+        return np.hypot(x * p + y * q + rest_a.real - zr * s,
+                        x * q - y * p + rest_a.imag - zi * s) <= tol
+
+    x, y = c[:, 0].real, c[:, 0].imag
+    keep = passes(x, y)
+    br, bi = zr * rest_n - rest_a.real, zi * rest_n - rest_a.imag
+    a = zr * zr + zi * zi
+    b = 2.0 * (zr * br + zi * bi) - (p * p + q * q)
+    b2 = br * br + bi * bi
+    disc = b * b - 4.0 * a * b2
+    m = np.hypot(p, q)                  # |c_1|
+    # the roots are h / a and |B|^2 / h, both >= 0 where h > 0
+    h = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
+    rooted = (disc >= 0.0) & (h > 0.0) & (m > 0.0)
+    # rows without a root divide by 1 below, so no division warns
+    h = np.where(rooted, h, 1.0)
+    m = np.where(rooted, m, 1.0)
+    # the larger root is nearer |c_0|^2 past the roots' midpoint -b / (2a)
+    far = rooted & (2.0 * a * (x * x + y * y) + b > 0.0)
+    t = np.divide(h, a, out=b2 / h, where=far)
+    wr, wi = zr * t + br, zi * t + bi   # z t + B
+    ur, ui = p / m, q / m               # c_1 / |c_1|
+    # c_0 = conj(v) = conj(z t + B) c_1 / |c_1|^2
+    x, y = (wr * ur + wi * ui) / m, (wr * ui - wi * ur) / m
+    fresh = ~keep & rooted & passes(x, y)
+    c.real[fresh, 0], c.imag[fresh, 0] = x[fresh], y[fresh]
     norms = complex_row_norm(c)
-    pinned &= norms != 0.0
+    pinned = (keep | fresh) & (norms != 0.0)
     c[pinned] /= norms[pinned, None]
     return c, pinned
 
@@ -477,8 +412,8 @@ class _FiberSearch:
         noisy = c[self.lead:]
         noisy[:, 2:] += (scale * (noise[:, 0] + 1j * noise[:, 1])
                          / math.sqrt(2.0 * base.size))
-        # a kick keeps the pin's Jacobian regular; it shrinks with the
-        # noise, so a small scale stays near the coherent state
+        # a kick keeps c_1, which the pin divides by, away from 0; it shrinks
+        # with the noise, so a small scale stays near the coherent state
         noisy[np.hypot(noisy[:, 1].real, noisy[:, 1].imag) < 0.05, 1] += scale
         return c
 
@@ -515,15 +450,14 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
     interest.  The default half-width, ``16 max(r^2, hbar^2/r^2, 1)``,
     keeps ``|U|`` interior for ``|theta|`` up to 16.  Phi, U and S come
     from the one kernel :func:`dual_points_coherent`, and the chart
-    inversion is :func:`u_to_theta_coherent`.  Data sets are
-    states on the same truncated basis, and a stack of them is an array
-    of coefficient rows (or a sequence of :class:`FockVector`); the fiber
-    sampler returns the stack of the coherent state, then noisy states,
-    each with ``<a>`` pinned to the coherent state's amplitude z
-    (:class:`_FiberSearch`).  On energy rows it searches every fiber at
-    once: the base states come from one :func:`coherent_state` call, and
-    each round pins the attempts of every fiber still short in one
-    :func:`_pin_rows` call, drawing each fiber's new noise in row order.
+    inversion is :func:`u_to_theta_coherent`.  Data sets are states on
+    the same truncated basis, stacked as coefficient rows (or a sequence
+    of :class:`FockVector`).  The fiber sampler returns the coherent
+    state, then noisy states, each with ``<a>`` pinned in closed form to
+    its amplitude z (:class:`_FiberSearch`, :func:`_pin_rows`).  On energy
+    rows it searches every fiber at once: one :func:`coherent_state` call
+    builds the base states, and each round pins the attempts of every
+    fiber still short in one call, drawing new noise in row order.
     """
     r, hbar = constants.r, constants.hbar
     b = (16.0 * max(r ** 2, hbar ** 2 / r ** 2, 1.0) if box_halfwidth is None

@@ -69,11 +69,11 @@ def bloch_to_theta_rows(us: np.ndarray, chart_margin: float = 1e-9) -> np.ndarra
     """:func:`bloch_to_theta` at the Bloch vectors ``us`` (k, 3), raising
     its :class:`DomainError` when any row is too close to the boundary.
 
-    The norm comes from :func:`row_dot` and ``atanh`` from ``math``, so
-    each row has the bits of the 1-D ``np.linalg.norm`` and ``math.atanh``
-    (numpy's ``arctanh`` rounds differently).
+    The norm is :func:`row_norm`, rescaled below ``|u| ~ 1.5e-154``, and
+    ``atanh`` is ``math``'s, so other rows have the bits of the 1-D
+    ``np.linalg.norm`` and ``math.atanh`` (numpy's ``arctanh`` differs).
     """
-    r = np.sqrt(row_dot(us, us))
+    r = row_norm(us)
     if (r >= 1.0 - chart_margin).any():
         raise DomainError("Bloch vector too close to the pure-state boundary")
     atanh = np.array([math.atanh(v) for v in r.tolist()])

@@ -2,6 +2,7 @@
 entropies, quadratic-form duality, divergences, and state files."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -349,8 +350,8 @@ def test_fiber_sampler_gives_up_with_a_typed_error(monkeypatch):
 
 
 def pin_one(coeff, z):
-    """The one-row pin in Python complex numbers, the reference of
-    ``_pin_rows``: the pinned row, or None."""
+    """The one-row pin by Newton's method in Python complex numbers, the
+    independent reference of ``_pin_rows``: the pinned row, or None."""
     return pin_one_counted(coeff, z)[0]
 
 
@@ -384,25 +385,33 @@ def pin_one_counted(coeff, z):
     return None, 80
 
 
-def rootless_plain(rest_a, rest_n, p, q, z):
-    """The certificate of ``coherent._rootless`` with its fixed split ``e =
-    1`` alone: ``|z t + B|^2 - 2 |c_1|^2 t - 2 d^2 >= 0`` for all t >= 0."""
-    zr, zi = z.real, z.imag
-    br, bi = zr * rest_n - rest_a.real, zi * rest_n - rest_a.imag
-    b2 = br * br + bi * bi
-    c2 = p * p + q * q
-    z2 = zr * zr + zi * zi
-    slope = zr * br + zi * bi - c2
-    const = b2 - 2.0 * 1e-10 * (1.0 + b2)
-    proven = (const >= 0.0) & ((slope >= 0.0) | (slope * slope <= z2 * const))
-    return proven & (math.sqrt(z2) >= 1e-4 * (1.0 + np.sqrt(c2)))
+def pin_residual(rows, z):
+    """``|g| = |<a> - z |c|^2|`` of the pin equation at the rows."""
+    return np.abs(a_expectation(rows) - z * np.sum(np.abs(rows) ** 2, axis=-1))
+
+
+def pinned_like_the_reference(c, z):
+    """Pin the rows ``c`` and check each against :func:`pin_one_counted`:
+    the same decision, and a pinned row within 1e-11 of the reference's
+    and within the pin's test.  Returns the decisions and the
+    reference's step counts."""
+    rows, pinned = coherent._pin_rows(c, z)
+    steps = []
+    for i, row in enumerate(c):
+        reference, count = pin_one_counted(row, z)
+        assert pinned[i] == (reference is not None)
+        if pinned[i]:
+            assert np.max(np.abs(rows[i] - reference)) <= 1e-11
+            assert pin_residual(rows[i], z) <= 1e-14 * (1.0 + abs(z))
+        steps.append(count)
+    return pinned, np.array(steps)
 
 
 def test_batched_pin_equals_the_one_row_iteration():
-    # Rows that fail after 80 steps, rows without a root (which fail at
-    # once) and rows that converge, at amplitudes down to 0
+    # Rows that the reference fails and rows that it pins, at amplitudes
+    # down to 0
     rng = np.random.default_rng(8)
-    outcomes = {"pinned": 0, "failed": 0, "rootless": 0}
+    outcomes = {"pinned": 0, "failed": 0}
     for z, scale in ((0.7 + 0.4j, 0.1), (1.25 + 2.0j, 0.1), (1.25 + 2.0j, 0.006),
                      (3.0 + 0.0j, 0.3), (3.0 + 0.0j, 0.005), (1e-8 + 0.0j, 0.1),
                      (0.0j, 0.2)):
@@ -410,30 +419,17 @@ def test_batched_pin_equals_the_one_row_iteration():
         c[:, 2:] += scale * (rng.normal(size=(40, 63))
                              + 1j * rng.normal(size=(40, 63))) / math.sqrt(130.0)
         c[np.abs(c[:, 1]) < 0.05, 1] += scale      # the sampler's kick
-        rows, pinned = coherent._pin_rows(c, z)
-        p = c[:, 1]
-        rest_a = np.sum(np.conj(c[:, 1:-1]) * np.sqrt(np.arange(2, 65)) * c[:, 2:], axis=1)
-        rest_n = np.sum(np.abs(c[:, 1:]) ** 2, axis=1)
-        rootless = rootless_plain(rest_a, rest_n, p.real, p.imag, z)
-        for i in range(40):
-            reference = pin_one(c[i], z)
-            assert pinned[i] == (reference is not None)
-            if pinned[i]:
-                assert rows[i].tobytes() == reference.tobytes()
-            assert not (rootless[i] and pinned[i])
+        pinned, _ = pinned_like_the_reference(c, z)
         outcomes["pinned"] += int(pinned.sum())
-        outcomes["failed"] += int((~pinned & ~rootless).sum())
-        outcomes["rootless"] += int(rootless.sum())
+        outcomes["failed"] += int((~pinned).sum())
     assert min(outcomes.values()) > 0, outcomes
 
     # A larger batch in the coherent2 sampler's range: amplitudes z = -2
     # theta_1 - 0.25i theta_2 with |theta_j| <= 1.2, the sampler's noise
-    # at its halving scales 0.1, 0.05, ... and its kick.  Rows that the
-    # one-row iteration runs for all 80 steps are retired at once by the
-    # batch, which must still fail every one of them and pin every other
-    # row with the same bits.
+    # at its halving scales 0.1, 0.05, ... and its kick.  Every row that
+    # the reference fails, it runs for all 80 steps.
     rng = np.random.default_rng(43)
-    full = pinned_rows = tight_only = 0
+    full = pinned_rows = 0
     for _ in range(12):
         theta = rng.uniform(-1.2, 1.2, size=2)
         z = complex(-2.0 * theta[0], -0.25 * theta[1])
@@ -443,34 +439,16 @@ def test_batched_pin_equals_the_one_row_iteration():
             c = np.repeat(base[None], 24, axis=0)
             c[:, 2:] += scale * (noise[:, 0] + 1j * noise[:, 1]) / math.sqrt(130.0)
             c[np.hypot(c[:, 1].real, c[:, 1].imag) < 0.05, 1] += scale
-            rows, pinned = coherent._pin_rows(c, z)
-            p = c[:, 1]
-            rest_a = np.sum(np.conj(c[:, 1:-1]) * np.sqrt(np.arange(2, 65)) * c[:, 2:],
-                            axis=1)
-            rest_n = np.sum(np.abs(c[:, 1:]) ** 2, axis=1)
-            retired = coherent._rootless(rest_a, rest_n, p.real, p.imag, z)
-            plain = rootless_plain(rest_a, rest_n, p.real, p.imag, z)
-            assert not (plain & ~retired).any()
-            tight_only += int((retired & ~plain).sum())
-            for i in range(24):
-                reference, steps = pin_one_counted(c[i], z)
-                assert pinned[i] == (reference is not None)
-                if pinned[i]:
-                    assert rows[i].tobytes() == reference.tobytes()
-                if reference is None and steps == 80:
-                    full += 1
-                    assert retired[i]
+            pinned, steps = pinned_like_the_reference(c, z)
+            full += int((~pinned & (steps == 80)).sum())
             pinned_rows += int(pinned.sum())
-    # 120 rows fail after all 80 steps of the one-row iteration; 35 of
-    # them only the tight split proves rootless
-    assert (full, pinned_rows, tight_only) == (120, 1320, 35)
+    assert (full, pinned_rows) == (120, 1320)
 
     # Rows at the edge of having a root, built by bisection on the phase of
     # c_10 c_11 so the smallest |z t + B|^2 - |c_1|^2 t is just above 0
-    # (no root) or at most 0 (a root).  Without a root the residual stays
-    # above the pin's test but below the certificate's margin d, so the
-    # batch keeps those rows to the 80-step exit of its loop and must fail
-    # them there, while it pins the rows beside them.
+    # (no root) or at most 0 (a root).  Without a root the reference's
+    # residual stays above the pin's test for all 80 steps, and the batch
+    # must fail those rows while it pins the rows beside them.
     z = 0.5 + 0.2j
 
     def edge_row(phase):
@@ -495,16 +473,52 @@ def test_batched_pin_equals_the_one_row_iteration():
     offsets = (1e-9, 1e-7, 1e-5)
     c = np.array([edge_row(lo - off) for off in offsets]
                  + [edge_row(hi + off) for off in offsets])
-    rows, pinned = coherent._pin_rows(c, z)
-    p = c[:, 1]
-    rest_a = np.sum(np.conj(c[:, 1:-1]) * np.sqrt(np.arange(2, 65)) * c[:, 2:], axis=1)
-    rest_n = np.sum(np.abs(c[:, 1:]) ** 2, axis=1)
-    assert not coherent._rootless(rest_a, rest_n, p.real, p.imag, z).any()
-    outcomes = [pin_one_counted(row, z) for row in c]
-    assert [(row, steps) for row, steps in outcomes[:3]] == [(None, 80)] * 3
+    pinned, steps = pinned_like_the_reference(c, z)
     assert pinned.tolist() == [False] * 3 + [True] * 3
-    for i in range(3, 6):
-        assert rows[i].tobytes() == outcomes[i][0].tobytes()
+    assert steps[:3].tolist() == [80] * 3
+
+
+def quadratic_of(c, z):
+    """``(|z|^2, 2 Re(conj(z) B) - |c_1|^2, |B|^2)``: the coefficients of
+    the pin's quadratic in ``t = |c_0|^2`` for the row ``c``."""
+    n = np.arange(2, c.size, dtype=float)
+    b = z * np.sum(np.abs(c[1:]) ** 2) - np.sum(np.conj(c[1:-1]) * np.sqrt(n) * c[2:])
+    return abs(z) ** 2, 2.0 * (z.conjugate() * b).real - abs(c[1]) ** 2, abs(b) ** 2
+
+
+def test_closed_form_pin_edge_cases():
+    rng = np.random.default_rng(5)
+    noisy = coherent_state(0.6 - 0.3j, 16).coeff + 0.05 * (
+        rng.normal(size=(4, 17)) + 1j * rng.normal(size=(4, 17)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # z = 0: the quadratic is linear, t = |B|^2 / |c_1|^2
+        assert pinned_like_the_reference(noisy, 0j)[0].all()
+        # a row already pinned keeps its c_0 bits and is only normalized
+        z = 0.6 - 0.3j
+        once, pinned = coherent._pin_rows(noisy, z)
+        once = once[pinned]
+        assert len(once) == 2
+        twice, pinned = coherent._pin_rows(once, z)
+        assert pinned.all()
+        norms = np.array([np.linalg.norm(row) for row in once])
+        assert twice[:, 0].tobytes() == (once[:, 0] / norms).tobytes()
+        # c_1 = 0 with B != 0: here B is parallel to z, so the quadratic
+        # |z t + B|^2 = 0 has a root, but c_1 v = z t + B has none
+        c = np.zeros(17, dtype=complex)
+        c[0], c[2], c[3] = 0.3, 0.5, 0.5
+        z = 0.5 + 0j
+        a, b, b2 = quadratic_of(c, z)
+        assert b2 > 0.0 and b < 0.0
+        assert pin_one(c, z) is None
+        assert not coherent._pin_rows(c[None], z)[1][0]
+        # a negative discriminant: no root at all
+        c = np.zeros(17, dtype=complex)
+        c[0], c[1], c[2], c[3] = 0.3, 0.01, 0.5, 0.5j
+        a, b, b2 = quadratic_of(c, z)
+        assert b * b - 4.0 * a * b2 < 0.0
+        assert pin_one(c, z) is None
+        assert not coherent._pin_rows(c[None], z)[1][0]
 
 
 def test_fiber_sampler_draws_are_those_of_one_attempt_at_a_time():

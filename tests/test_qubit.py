@@ -1,6 +1,7 @@
 """Qubit states: Bloch parametrization, entropies, Gibbs states, and
 quantum relative entropy."""
 
+import json
 import math
 
 import numpy as np
@@ -107,6 +108,25 @@ def test_bloch_to_theta_rejects_near_pure_states():
         bloch_to_theta(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(DomainError):
         bloch_to_theta(np.array([1.0 - 1e-12, 0.0, 0.0]))
+
+
+def test_tiny_bloch_vectors_keep_their_parameters(capsys):
+    # |u|^2 underflows below |u| ~ 1.5e-154; theta = -atanh|u| u/|u| does not
+    from infogeo import cli
+    for u in ([1e-170, 0.0, 0.0], [3e-200, -4e-200, 0.0]):
+        theta = bloch_to_theta(np.array(u))
+        assert theta.tolist() == pytest.approx([-v for v in u], rel=1e-15)
+    # rows of normal length keep the bits of the 1-D norm
+    rows = np.random.default_rng(4).uniform(-0.5, 0.5, size=(20, 3))
+    for row in rows:
+        r = np.linalg.norm(row)
+        assert bloch_to_theta(row).tolist() == (-(row / r) * math.atanh(r)).tolist()
+    assert cli.main(["maxent", "--model", "qubit", "--u", "1e-170,0,0"]) == 0
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    assert [repr(v) for v in out["theta"]] == ["-1e-170", "-0.0", "-0.0"]
+    assert out["achieved"] == [1e-170, 0.0, 0.0]
+    assert cli.main(["massieu", "--model", "qubit", "--theta", "1e-170,0,0"]) == 0
+    assert json.loads(capsys.readouterr().out)["diagnostics"]["roundtrip_error"] == 0.0
 
 
 # ---------------------------------------------------------- Gibbs layer
