@@ -1,11 +1,11 @@
 """Single oscillator mode in a truncated Fock basis.
 
 Pure states are unit vectors with components on the number states
-``|0>, ..., |nmax>``.  A stack of k states is the complex array of their
-coefficient rows (k, nmax + 1), and :class:`FockVector` is the one-state
-view; the expectation functions below take either.  The model family
-consists of the coherent states ``|z>``; mean coordinates are the scaled
-quadrature expectations
+``|0>, ..., |nmax>``: a state is the complex array of its coefficients
+(nmax + 1,), and a stack of k states the array of their coefficient rows
+(k, nmax + 1), both checked by :func:`check_state`; the expectation
+functions below take either.  The model family consists of the coherent
+states ``|z>``; mean coordinates are the scaled quadrature expectations
 
     U1 = r Re<a>,   U2 = (hbar / r) Im<a>,
 
@@ -44,40 +44,19 @@ class PhaseConstants:
             raise ValueError("action scale hbar must be positive")
 
 
-def state_rows(states) -> np.ndarray:
-    """The coefficient rows (k, N) of a stack of states (an array of rows
-    or a sequence of :class:`FockVector`), validated like a
-    :class:`FockVector`: each row raises the ValueError it raises alone."""
-    c = np.asarray(states, dtype=complex)
-    if c.ndim != 2 or c.shape[1] < 2:
+def check_state(psi) -> np.ndarray:
+    """Validate and return the complex coefficients of a state ``psi``
+    (N,), or of the states in the rows of ``psi`` (k, N).
+
+    Raises ValueError when there are fewer than two coefficients, or when
+    a state's norm is off 1 by more than 1e-10 (any row of a stack).
+    """
+    c = np.asarray(psi, dtype=complex)
+    if c.ndim not in (1, 2) or c.shape[-1] < 2:
         raise ValueError("state needs at least two basis coefficients")
-    norms = complex_row_norm(c)
-    if np.any(np.abs(norms - 1.0) > 1e-10):
+    if (np.abs(complex_row_norm(c) - 1.0) > 1e-10).any():
         raise ValueError("state vector must be normalized")
     return c
-
-
-@dataclass(frozen=True)
-class FockVector:
-    """Normalized state vector in the truncated number basis: the one-state
-    view of a stack of coefficient rows (see :func:`state_rows`)."""
-
-    coeff: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeff, dtype=complex)
-        if c.ndim != 1:
-            raise ValueError("state needs at least two basis coefficients")
-        object.__setattr__(self, "coeff", state_rows(c[None])[0])
-
-    def __array__(self, dtype=None, copy=None):
-        if copy:
-            return np.array(self.coeff, dtype=dtype)
-        return np.asarray(self.coeff, dtype=dtype)
-
-    @property
-    def nmax(self) -> int:
-        return self.coeff.size - 1
 
 
 def annihilation_matrix(nmax: int) -> np.ndarray:
@@ -126,13 +105,13 @@ def coherent_state(z, nmax: int = 64):
             product.imag = re * zi + im * zr
             c[:, n] = product / math.sqrt(n)
         c /= complex_row_norm(c)[:, None]
-    return FockVector(c[0]) if single else c
+    return c[0] if single else c
 
 
-# The expectations below work on states (..., N), coefficient rows or a
-# FockVector, and give one value per state.  Their squares of moduli are
-# libm hypot and pow, which round like Python's abs(complex) ** 2; numpy's
-# complex abs and array squares need not.
+# The expectations below work on states (..., N), one coefficient row or
+# a stack of them, and give one value per state.  Their squares of moduli
+# are libm hypot and pow, which round like Python's abs(complex) ** 2;
+# numpy's complex abs and array squares need not.
 
 def _modulus_squared(re, im) -> np.ndarray:
     return np.float_power(np.hypot(re, im), 2)
@@ -279,7 +258,7 @@ def log_map_coherent(u, constants: PhaseConstants, nmax: int = 64) -> np.ndarray
     return -0.5 * abs(z) ** 2 * eye + 0.5 * (z * a.conj().T + np.conj(z) * a)
 
 
-def load_state(path: str) -> FockVector:
+def load_state(path: str) -> np.ndarray:
     """Read a state file: the basis cutoff ``nmax`` on the first line,
     then ``nmax + 1`` lines of "re im", one per coefficient."""
     with open(path, "r", encoding="ascii") as fh:
@@ -298,7 +277,7 @@ def load_state(path: str) -> FockVector:
         if len(parts) != 2:
             raise ValueError(f"coefficient line {i} is not 're im'")
         coeff[i] = complex(float(parts[0]), float(parts[1]))
-    return FockVector(coeff)
+    return check_state(coeff)
 
 
 #: Smallest noise scale the fiber sampler tries (50 halvings of 0.1);
@@ -451,13 +430,14 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
     keeps ``|U|`` interior for ``|theta|`` up to 16.  Phi, U and S come
     from the one kernel :func:`dual_points_coherent`, and the chart
     inversion is :func:`u_to_theta_coherent`.  Data sets are states on
-    the same truncated basis, stacked as coefficient rows (or a sequence
-    of :class:`FockVector`).  The fiber sampler returns the coherent
-    state, then noisy states, each with ``<a>`` pinned in closed form to
-    its amplitude z (:class:`_FiberSearch`, :func:`_pin_rows`).  On energy
-    rows it searches every fiber at once: one :func:`coherent_state` call
-    builds the base states, and each round pins the attempts of every
-    fiber still short in one call, drawing new noise in row order.
+    the same truncated basis, stacked as coefficient rows (k, nmax + 1)
+    and checked by :func:`check_state`.  The fiber sampler returns the
+    coherent state, then noisy states, each with ``<a>`` pinned in closed
+    form to its amplitude z (:class:`_FiberSearch`, :func:`_pin_rows`).
+    On energy rows it searches every fiber at once: one
+    :func:`coherent_state` call builds the base states, and each round
+    pins the attempts of every fiber still short in one call, drawing new
+    noise in row order.
     """
     r, hbar = constants.r, constants.hbar
     b = (16.0 * max(r ** 2, hbar ** 2 / r ** 2, 1.0) if box_halfwidth is None
@@ -473,7 +453,7 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
                     interior_point=np.zeros(2), unbounded=True)
 
     def answers(states):
-        c = state_rows(states)
+        c = check_state(states)
         za = a_expectation(c)
         return _mean_coordinates(za, constants), _entropy(za, c)
 

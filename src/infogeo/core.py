@@ -23,7 +23,7 @@ rows ``(k, n)``: :func:`bregman_divergence`, :func:`divergence_from_data`,
 :func:`convexity_probe` evaluate k rows with one call of the family
 kernel, and a point call returns row 0 of the one-row call, with
 ``float`` scalars.  With rows, the data argument is a stack of k data
-sets; a single data set enters the data-set layer as the stack ``[x]``.
+sets; a single data set enters the data-set layer as the stack ``x[None]``.
 The chart inversion keeps a row form, :func:`u_to_theta_rows`, because
 it flags the rows it refuses where :func:`u_to_theta` raises.
 
@@ -96,16 +96,15 @@ class ModelDescriptor:
         row it refuses.  It is the one route of :func:`u_to_theta_rows`
         and :func:`u_to_theta`.
     dataset_answers : callable
-        Data-set layer: maps a stack of k data sets to ``(answers (k, n),
-        S (k,))``, where ``answers[i, j]`` is the i-th set's answer to the
-        j-th question and ``S[i]`` its entropy.  Each family chooses how a
-        stack is stored (an array of data rows, or any sequence the family
-        turns into one, such as the list ``[x]`` of one data set); each
+        Data-set layer: maps a stack of k data sets, the array of their
+        rows (one data set ``x`` is the stack ``x[None]``), to
+        ``(answers (k, n), S (k,))``, where ``answers[i, j]`` is the i-th
+        set's answer to the j-th question and ``S[i]`` its entropy.  Each
         row's values must not depend on the other rows, and a bad row
         raises the error it raises alone.
     fiber_sampler : callable
         ``(u, count, rng) -> stack`` of data sets whose answers equal ``u``
-        (the fiber of the model point), in the family's stack format, with
+        (the fiber of the model point), as an array of data rows, with
         ``count`` samples where the fiber has more than one point;
         ``rng`` None is deterministic.  On energy rows ``us`` (k, n) it
         samples the k fibers in one call and returns ``(stack, counts)``:
@@ -545,7 +544,7 @@ def divergence_from_data(model: ModelDescriptor, x, theta) -> DivergenceReport:
     answers and ``theta`` of the first such row.
     """
     (thetas,), single = _points(model, theta)
-    answers, s_x = _answers(model, [x] if single else x, len(thetas))
+    answers, s_x = _answers(model, np.asarray(x)[None] if single else x, len(thetas))
     # an overflowing Phi makes the value non-finite too
     phi = model.closed_dual_points(thetas)[0]
     linear = row_dot(thetas, answers)
@@ -580,7 +579,7 @@ def divergence_def5(model: ModelDescriptor, x, u_of_m,
     _require_finite(np.isfinite(phi), "Massieu function", thetas)
     fiber, counts = model.fiber_sampler(us, fiber_samples, None)
     ans_y, s_y = _answers(model, fiber, len(fiber))
-    ans_x, s_x = _answers(model, [x] if single else x, len(us))
+    ans_x, s_x = _answers(model, np.asarray(x)[None] if single else x, len(us))
     owner = np.repeat(np.arange(len(us)), counts)
     weights = s_y + (-phi[owner] - row_dot(ans_y, thetas[owner]))
     best = np.maximum.reduceat(weights, np.cumsum(counts) - counts)
@@ -608,7 +607,7 @@ def pythagoras_data(model: ModelDescriptor, x, theta, zeta,
     """
     (thetas, zetas), single = _points(model, theta, zeta)
     k = len(thetas)
-    answers, s_x = _answers(model, [x] if single else x, k)
+    answers, s_x = _answers(model, np.asarray(x)[None] if single else x, k)
     with np.errstate(over="ignore", invalid="ignore"):
         phi, u, _ = _dual_rows(model, np.concatenate([thetas, zetas]))
     mismatch = np.max(np.abs(answers - u[:k]), axis=1, initial=0.0)

@@ -79,16 +79,18 @@ class DiscreteFamily:
         return self.prior.size
 
 
-def probability_rows(ps, tol: float = 1e-12) -> np.ndarray:
-    """Validate the probability vectors in the rows of ``ps`` (k, m) and
-    return them with negative rounding clipped to 0.
+def check_probability(p, tol: float = 1e-12) -> np.ndarray:
+    """Validate and return a probability vector ``p`` (m,) (sum 1, entries
+    >= 0), or the probability vectors in the rows of ``p`` (k, m), with
+    negative rounding clipped to 0.
 
-    Raises the ValueError that :func:`check_probability` raises on the
-    first bad row.
+    A stack raises the ValueError of its first bad row; a point is row 0
+    of the one-row call.
     """
-    ps = np.asarray(ps, dtype=float)
-    if ps.ndim != 2:
-        raise ValueError("expected probability vectors as rows")
+    p = np.asarray(p, dtype=float)
+    if p.ndim not in (1, 2):
+        raise ValueError("expected a probability vector or rows of them")
+    ps = np.atleast_2d(p)
     nonfinite = ~np.isfinite(ps).all(axis=1)
     negative = (ps < -tol).any(axis=1)
     unnormalized = np.abs(ps.sum(axis=1) - 1.0) > max(tol, 1e-12 * ps.shape[1])
@@ -100,16 +102,7 @@ def probability_rows(ps, tol: float = 1e-12) -> np.ndarray:
         if negative[i]:
             raise ValueError("probability vector has a negative entry")
         raise ValueError("probability vector does not sum to one")
-    return np.maximum(ps, 0.0)
-
-
-def check_probability(p, tol: float = 1e-12) -> np.ndarray:
-    """Validate and return a probability vector (sum 1, entries >= 0): the
-    one-row view of :func:`probability_rows`."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
-        raise ValueError("probability vector must be one-dimensional")
-    return probability_rows(p[None], tol)[0]
+    return np.maximum(p, 0.0)
 
 
 def _log_sum_exp(family: DiscreteFamily, thetas: np.ndarray):
@@ -186,23 +179,32 @@ def _support_sums(ps: np.ndarray, terms) -> np.ndarray:
     return values
 
 
-def bgs_entropy_rows(family: DiscreteFamily, ps: np.ndarray) -> np.ndarray:
-    """:func:`bgs_entropy` of the validated probability rows ``ps`` (k, m),
-    each summed over its support (:func:`_support_sums`)."""
+def bgs_entropy(family: DiscreteFamily, p):
+    """Prior-relative Shannon entropy ``-sum_a p(a) ln(p(a)/c(a))`` of the
+    probability vector ``p`` (m,), or ``(k,)`` of the rows of ``p`` (k, m),
+    with row i the bits of the point call on row i.
+
+    Zero-probability letters contribute nothing (0 ln 0 = 0): each row is
+    summed over its support (:func:`_support_sums`).
+    """
+    ps = np.atleast_2d(check_probability(p))
+    if ps.shape[1] != family.alphabet_size:
+        raise ValueError(f"expected probability vectors over"
+                         f" {family.alphabet_size} letters")
+
     def terms(rows, letters):
         p = ps[rows, letters]
         return p * (np.log(p) - family.log_prior[letters])
 
-    return -_support_sums(ps, terms)
+    values = -_support_sums(ps, terms)
+    return float(values[0]) if np.ndim(p) == 1 else values
 
 
-def bgs_entropy(family: DiscreteFamily, p) -> float:
-    """Prior-relative Shannon entropy ``-sum_a p(a) ln(p(a)/c(a))``.
-
-    Zero-probability letters contribute nothing (0 ln 0 = 0).  The
-    one-row view of :func:`bgs_entropy_rows`.
-    """
-    return float(bgs_entropy_rows(family, check_probability(p)[None])[0])
+def _covariance(h: np.ndarray, p: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """Covariances ``(k, n, n)`` of the observables ``h`` under the members
+    ``p`` (k, m) with the moments ``H p`` (k, n)."""
+    centered = h - moments[:, :, None]
+    return np.matmul(centered * p[:, None, :], centered.transpose(0, 2, 1))
 
 
 def fisher_covariance(family: DiscreteFamily, p) -> np.ndarray:
@@ -212,13 +214,9 @@ def fisher_covariance(family: DiscreteFamily, p) -> np.ndarray:
 
     Equals the metric tensor at the member with moments ``H p``.
     """
-    single = np.ndim(p) < 2
-    ps = check_probability(p)[None] if single else probability_rows(p)
-    h = family.hamiltonians
-    mean = (h @ ps[:, :, None])[..., 0]
-    centered = h - mean[:, :, None]
-    cov = (centered * ps[:, None, :]) @ centered.transpose(0, 2, 1)
-    return cov[0] if single else cov
+    ps = np.atleast_2d(check_probability(p))
+    cov = _covariance(family.hamiltonians, ps, _mean_energy(family.hamiltonians, ps))
+    return cov[0] if np.ndim(p) == 1 else cov
 
 
 def kl_divergence(p, q):
@@ -233,8 +231,7 @@ def kl_divergence(p, q):
     the support of ``p`` (of the first such pair of a stack).
     """
     single = np.ndim(p) == 1
-    ps = check_probability(p)[None] if single else probability_rows(p)
-    qs = check_probability(q)[None] if np.ndim(q) == 1 else probability_rows(q)
+    ps, qs = (np.atleast_2d(check_probability(v)) for v in (p, q))
     if ps.shape != qs.shape:
         raise ValueError("distribution lengths differ")
     if np.any((ps > 0.0) & (qs == 0.0)):
@@ -348,9 +345,7 @@ def fit_moments(family: DiscreteFamily, targets,
                 a[keep] for a in (rows, u, th, f, p, moments, residual))
         if not rows.size:  # every row converged, or none was feasible
             break
-        centered = h - moments[:, :, None]
-        cov = np.matmul(centered * p[:, None, :], centered.transpose(0, 2, 1))
-        step, singular = _newton_steps(cov, residual)
+        step, singular = _newton_steps(_covariance(h, p, moments), residual)
         slope = row_dot(-residual, step)
         cand = th + step
         fc, pc = _dual_rows(family, cand, u)
@@ -500,11 +495,8 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
         return dual_points(family, theta)[2]
 
     def answers(ps):
-        ps = probability_rows(ps)
-        if ps.shape[1] != family.alphabet_size:
-            raise ValueError(f"expected probability vectors over"
-                             f" {family.alphabet_size} letters")
-        return _mean_energy(h, ps), bgs_entropy_rows(family, ps)
+        entropies = bgs_entropy(family, ps)     # validates the rows
+        return _mean_energy(h, np.maximum(ps, 0.0)), entropies
 
     directions = _fiber_direction(family)
 

@@ -19,28 +19,45 @@ from .errors import DomainError, EvaluationError
 from .numerics import Domain, Matrix2H, eig_h2, func_h2, row_dot, row_norm
 
 
+def _vectors(v, what: str) -> np.ndarray:
+    """``v`` as a float point (3,) or rows (k, 3); ValueError otherwise."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (3,) or v.ndim > 2:
+        raise ValueError(f"{what} must have three components")
+    return v
+
+
+def ball_radius(u, message: str = "Bloch vector lies outside the unit ball"):
+    """``|u|`` of the Bloch vectors ``u`` (..., 3) by :func:`row_norm`, which
+    does not overflow: the module's one unit-ball test, raising
+    :class:`DomainError` with ``message`` where ``|u| > 1 + 1e-12``."""
+    r = row_norm(np.asarray(u, dtype=float))
+    if (r > 1.0 + 1e-12).any():
+        raise DomainError(message)
+    return r
+
+
 def bloch_to_rho(u) -> Matrix2H:
     """State ``(I + U . sigma) / 2`` for a Bloch vector ``u`` (3,) with |U|
     <= 1, or the stack of states of the Bloch vectors ``u`` (k, 3).
 
     Raises :class:`DomainError` when a vector lies outside the unit ball.
     """
-    u = np.asarray(u, dtype=float)
-    if u.shape[-1:] != (3,) or u.ndim > 2:
-        raise ValueError("Bloch vector must have three components")
-    # the norm with the bits of the 1-D np.linalg.norm
-    if np.any(np.sqrt(row_dot(u, u)) > 1.0 + 1e-12):
-        raise DomainError("Bloch vector lies outside the unit ball")
+    u = _vectors(u, "Bloch vector")
+    ball_radius(u)
     return Matrix2H(a=0.5 * (1.0 + u[..., 2]), d=0.5 * (1.0 - u[..., 2]),
                     x=0.5 * u[..., 0], y=0.5 * u[..., 1])
 
 
-def entropy_bloch(u) -> float:
-    """Entropy of the state with Bloch vector ``u``, via |u| only."""
-    u = np.asarray(u, dtype=float)
-    if float(np.linalg.norm(u)) > 1.0 + 1e-12:
-        raise DomainError("Bloch vector lies outside the unit ball")
-    return float(entropy_bloch_rows(u))
+def entropy_bloch(u):
+    """Entropy of the state with Bloch vector ``u`` (3,), via |u| only, or
+    the entropies ``(k,)`` of the states with the Bloch vectors ``u``
+    (k, 3); row i has the bits of the point call on row i.
+
+    Raises :class:`DomainError` when a vector lies outside the unit ball.
+    """
+    values = _binary_entropy(np.minimum(ball_radius(u), 1.0))
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def _massieu(t: np.ndarray) -> np.ndarray:
@@ -59,42 +76,32 @@ def _bloch(thetas: np.ndarray, t: np.ndarray) -> np.ndarray:
 def theta_to_bloch(theta) -> np.ndarray:
     """Bloch vector of the Gibbs state: ``-(theta/|theta|) tanh |theta|``,
     at ``theta`` (3,) or at each of the rows ``theta`` (k, 3)."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[-1:] != (3,) or theta.ndim > 2:
-        raise ValueError("spin parameters must have three components")
+    theta = _vectors(theta, "spin parameters")
     return _bloch(theta, row_norm(theta))
 
 
-def bloch_to_theta_rows(us: np.ndarray, chart_margin: float = 1e-9) -> np.ndarray:
-    """:func:`bloch_to_theta` at the Bloch vectors ``us`` (k, 3), raising
-    its :class:`DomainError` when any row is too close to the boundary.
+def bloch_to_theta(u, chart_margin: float = 1e-9) -> np.ndarray:
+    """Inverse of :func:`theta_to_bloch` on the open unit ball, at ``u``
+    (3,) or at each of the rows ``u`` (k, 3); a point is row 0 of the
+    one-row call.
 
-    The norm is :func:`row_norm`, rescaled below ``|u| ~ 1.5e-154``, and
-    ``atanh`` is ``math``'s, so other rows have the bits of the 1-D
-    ``np.linalg.norm`` and ``math.atanh`` (numpy's ``arctanh`` differs).
+    Pure states (|u| = 1) have no finite parameters; vectors closer than
+    ``chart_margin`` to the boundary are rejected with
+    :class:`DomainError` (any row of a stack).  The norm is
+    :func:`row_norm`, rescaled below ``|u| ~ 1.5e-154``, and ``atanh`` is
+    ``math``'s, so other rows have the bits of the 1-D ``np.linalg.norm``
+    and ``math.atanh`` (numpy's ``arctanh`` differs).
     """
+    u = _vectors(u, "Bloch vector")
+    us = u.reshape(-1, 3)
     r = row_norm(us)
     if (r >= 1.0 - chart_margin).any():
         raise DomainError("Bloch vector too close to the pure-state boundary")
-    atanh = np.array([math.atanh(v) for v in r.tolist()])
-    if r.all():
-        return -(us / r[:, None]) * atanh[:, None]
-    # u / r at r = 0 would be NaN; the parameters there are 0
-    zero = (r == 0.0)[:, None]
-    return np.where(zero, 0.0, -(us / np.where(zero, 1.0, r[:, None])) * atanh[:, None])
-
-
-def bloch_to_theta(u, chart_margin: float = 1e-9) -> np.ndarray:
-    """Inverse of :func:`theta_to_bloch` on the open unit ball.
-
-    Pure states (|u| = 1) have no finite parameters; vectors closer than
-    ``chart_margin`` to the boundary are rejected.  The one-row view of
-    :func:`bloch_to_theta_rows`.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (3,):
-        raise ValueError("Bloch vector must have three components")
-    return bloch_to_theta_rows(u[None], chart_margin)[0]
+    # u / r at r = 0 would be NaN; the parameters there are +0
+    zero = r == 0.0
+    theta = -(us / (r + zero)[:, None]) * _libm(math.atanh, r)[:, None]
+    theta[zero] = 0.0
+    return theta if u.ndim == 2 else theta[0]
 
 
 def massieu_qubit(theta) -> float:
@@ -141,9 +148,7 @@ def _libm(f, values: np.ndarray) -> np.ndarray:
 def gibbs_state(theta) -> Matrix2H:
     """Normalized Gibbs state ``exp(-theta . sigma) / (2 cosh |theta|)``
     at ``theta`` (3,), or the stack of them at the rows ``theta`` (k, 3)."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[-1:] != (3,) or theta.ndim > 2:
-        raise ValueError("spin parameters must have three components")
+    theta = _vectors(theta, "spin parameters")
     h = Matrix2H(a=-theta[..., 2], d=theta[..., 2], x=-theta[..., 0], y=-theta[..., 1])
     expm = func_h2(h, math.exp)
     z = 2.0 * _libm(math.cosh, np.atleast_1d(row_norm(theta)))
@@ -206,7 +211,7 @@ def as_descriptor(membership_margin: float = 1e-12,
     ``membership_margin`` at the boundary); the closed parameter map is
     restricted by ``chart_margin`` as in :func:`bloch_to_theta`.  Phi, U
     and S come from the one kernel :func:`dual_points_qubit`, and the
-    chart inversion is :func:`bloch_to_theta_rows`.  Data
+    chart inversion is :func:`bloch_to_theta`.  Data
     sets are Bloch vectors of arbitrary states, and a stack of them is an
     array of rows (k, 3); the model fiber over an interior point is a
     singleton, the stack of one row, so energy rows (k, 3) give their own
@@ -215,9 +220,7 @@ def as_descriptor(membership_margin: float = 1e-12,
     box = np.array([[-1.0, 1.0]] * 3)
 
     def membership(u):
-        # row_dot gives the bits of the x @ x inside np.linalg.norm(x)
-        u = np.asarray(u, dtype=float)
-        return np.sqrt(row_dot(u, u)) < 1.0 - membership_margin
+        return row_norm(np.asarray(u, dtype=float)) < 1.0 - membership_margin
 
     domain = Domain(dimension=3, bounding_box=box, membership=membership,
                     interior_point=np.zeros(3))
@@ -226,11 +229,7 @@ def as_descriptor(membership_margin: float = 1e-12,
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != 3:
             raise ValueError("expected Bloch vectors as rows of three components")
-        # the norm with the bits of the 1-D np.linalg.norm of entropy_bloch
-        r = np.sqrt(row_dot(xs, xs))
-        if np.any(r > 1.0 + 1e-12):
-            raise DomainError("Bloch vector lies outside the unit ball")
-        return xs.copy(), _binary_entropy(np.minimum(r, 1.0))
+        return xs.copy(), entropy_bloch(xs)
 
     def fiber_sampler(us, count, rng=None):
         us = np.array(us, dtype=float)
@@ -246,7 +245,7 @@ def as_descriptor(membership_margin: float = 1e-12,
         # those evaluations stay finite.  Member points are unaffected.
         entropy_u=entropy_bloch_rows,
         closed_dual_points=dual_points_qubit,
-        closed_u_to_theta=lambda us: bloch_to_theta_rows(us, chart_margin),
+        closed_u_to_theta=lambda us: bloch_to_theta(us, chart_margin),
         dataset_answers=answers,
         fiber_sampler=fiber_sampler,
     )

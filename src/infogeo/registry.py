@@ -13,8 +13,8 @@ row-wise finish (``thetas_from``, ``datasets_from``), which turns a list
 of such draws into the stack of their points.  A sampling loop makes
 only the generator calls, in the order the point calls made them, and
 finishes the stack once; each row has the bits of the point call, and
-the generator ends in the same state.  ``sample_thetas`` and
-``sample_dataset`` are the one-call views.
+the generator ends in the same state.  ``sample_thetas`` is the one-call
+view of the parameter sampler; data sets are drawn only in loops.
 """
 
 from __future__ import annotations
@@ -69,10 +69,6 @@ class _CanonicalHandle:
         distribution, so one call of the total size draws them all."""
         return self.sample_thetas(rng, sets * count, radius).reshape(sets, count, -1)
 
-    def sample_dataset(self, rng) -> np.ndarray:
-        """One random data set."""
-        return self.datasets_from([self.dataset_draws(rng)])[0]
-
     def match_moments(self, u: np.ndarray, tol: float):
         """Parameters matching the moment targets ``u``.
 
@@ -100,8 +96,7 @@ class QubitHandle(_CanonicalHandle):
     legendre_points = 100
 
     def check_x(self, x: np.ndarray) -> np.ndarray:
-        if float(np.linalg.norm(x)) > 1.0 + 1e-12:
-            raise DomainError("polarization vector is longer than 1")
+        qubit.ball_radius(x, "polarization vector is longer than 1")
         return x
 
     def theta_draws(self, rng, count: int, radius: float = 3.0) -> tuple:
@@ -150,8 +145,9 @@ class CoherentHandle(_CanonicalHandle):
     # |theta|; stay where the truncation bound is comfortable
     fiber_radius = 1.2
 
-    def state(self, z: complex, nmax: int | None = None) -> coherent.FockVector:
-        """Coherent state ``|z>``, truncated at ``nmax`` (default: the model's)."""
+    def state(self, z: complex, nmax: int | None = None) -> np.ndarray:
+        """Coefficients of the coherent state ``|z>``, truncated at ``nmax``
+        (default: the model's)."""
         return coherent.coherent_state(z, nmax=self.nmax if nmax is None else nmax)
 
     def dataset_draws(self, rng) -> tuple:

@@ -60,36 +60,29 @@ def _on_sets(kernel, points):
     """``kernel`` on the sets of ``points``: the value of one set, or the
     values of a stack, one per set in order.
 
+    One set, an array stack and a ragged list all take one path: the
+    sets are grouped by size, and each group is one kernel call.
     ``kernel`` maps a stack ``(g, n, 2)`` of sets of one size to
     ``(values (g, ...), checks)``, where ``checks`` lists ``(failed (g,),
     error)`` in the order a one-set call meets them; it runs without
     numpy warnings.  Raises the first error of the lowest failing set.
     """
-    failures = []          # (set index, error) of each failing set found
     if isinstance(points, (list, tuple)) and points and np.ndim(points[0]) == 2:
-        single, k = False, len(points)
-        sets = [np.asarray(s, dtype=float) for s in points]
-        good = []
-        for i, pts in enumerate(sets):
-            error = _shape_error(pts.shape)
-            if error is None:
-                good.append(i)
-            else:
-                failures.append((i, error))
-        groups = [(np.array(good)[idx], stack)
-                  for idx, stack in size_groups([sets[i] for i in good])]
+        single, sets = False, [np.asarray(s, dtype=float) for s in points]
     else:
         pts = np.asarray(points, dtype=float)
         single = pts.ndim != 3
-        stack = pts[None] if single else pts
-        error = _shape_error(stack.shape[1:])
-        if error is not None:
-            raise error
-        k = len(stack)
-        groups = [(np.arange(k), stack)]
+        sets = [pts] if single else list(pts)
+    if not sets:
+        raise ValueError("expected at least one point set")
+    errors = [_shape_error(pts.shape) for pts in sets]
+    good = [i for i, error in enumerate(errors) if error is None]
+    # (set index, error) of each failing set found
+    failures = [(i, error) for i, error in enumerate(errors) if error is not None]
     results = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for idx, stack in groups:
+        for idx, stack in size_groups([sets[i] for i in good]):
+            idx = np.array(good)[idx]
             values, checks = kernel(stack)
             checks.insert(0, (~np.isfinite(stack).all(axis=(1, 2)),
                               ValueError("points contain non-finite values")))
@@ -106,7 +99,7 @@ def _on_sets(kernel, points):
         value = results[0][1][0]
         return value if value.ndim else value.item()
     shape, dtype = results[0][1].shape[1:], results[0][1].dtype
-    out = np.empty((k,) + shape, dtype=dtype)
+    out = np.empty((len(sets),) + shape, dtype=dtype)
     for idx, values in results:
         out[idx] = values
     return out

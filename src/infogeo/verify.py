@@ -153,15 +153,12 @@ def _tuples(handle: ModelHandle, rng, count: int, size: int,
     return handle.sample_theta_sets(rng, count, size, radius).transpose(1, 0, 2)
 
 
-def _data_and_thetas(handle: ModelHandle, rng, count: int, radius: float = 3.0):
-    """``count`` data sets and parameter points ``(count, n)``, drawn as by
-    ``count`` turns of ``sample_dataset(rng)`` then ``sample_thetas(rng,
-    1, radius)``."""
-    xs, thetas = [], []
-    for _ in range(count):
-        xs.append(handle.dataset_draws(rng))
-        thetas.append(handle.theta_draws(rng, 1, radius))
-    return handle.datasets_from(xs), handle.thetas_from(thetas)
+def _rounds(rng, count: int, *draws) -> list[list]:
+    """``count`` rounds of the generator calls ``draws``, each ``draw(rng)``
+    in turn within a round, as a per-point loop makes them; one list of
+    results per draw, in round order."""
+    rounds = [[draw(rng) for draw in draws] for _ in range(count)]
+    return [list(results) for results in zip(*rounds)]
 
 
 def _grid_oracle(model, thetas, tol: float, note: str) -> PropertyResult:
@@ -255,10 +252,8 @@ def _canonical_checks(handle: ModelHandle):
                  note="210 compliant data-model-model triples")
 
     if model.n >= 2:
-        triples, draws = [], []
-        for _ in range(100):
-            triples.append(handle.theta_draws(rng, 3, radius=2.0))
-            draws.append(rng.normal(size=model.n))
+        triples, draws = _rounds(rng, 100, lambda r: handle.theta_draws(r, 3, radius=2.0),
+                                 lambda r: r.normal(size=model.n))
         th, ze, xi = handle.thetas_from(triples).reshape(100, 3, -1).transpose(1, 0, 2)
     else:
         th, ze, xi = _tuples(handle, rng, 100, 3, radius=2.0)
@@ -288,8 +283,9 @@ def _canonical_checks(handle: ModelHandle):
     yield _check("legendre-numeric-vs-closed", worst, 1e-6,
                  note=f"damped-Newton transform at {count} points, |theta| <= 3")
 
-    xs, th = _data_and_thetas(handle, rng, 60)
-    d = core.divergence_from_data(model, xs, th).value
+    xs, th = _rounds(rng, 60, handle.dataset_draws, lambda r: handle.theta_draws(r, 1))
+    d = core.divergence_from_data(model, handle.datasets_from(xs),
+                                  handle.thetas_from(th)).value
     yield _check("divergence-nonnegative", np.max(-d), 1e-10,
                  note="random data sets against random model points")
 
@@ -312,9 +308,9 @@ def _qubit_checks(handle: QubitHandle):
     grid_thetas = 5
     model = handle.descriptor
 
-    draws = [(rng.normal(size=3), rng.uniform(0.0, 20.0)) for _ in range(200)]
-    th = np.array([v for v, _ in draws])
-    th *= (np.array([r for _, r in draws]) / np.sqrt(numerics.row_dot(th, th)))[:, None]
+    th, radii = map(np.array, _rounds(rng, 200, lambda r: r.normal(size=3),
+                                      lambda r: r.uniform(0.0, 20.0)))
+    th *= (radii / np.sqrt(numerics.row_dot(th, th)))[:, None]
     t = np.sqrt(numerics.row_dot(th, th))
     u = qubit.theta_to_bloch(th)
     r = np.sqrt(numerics.row_dot(u, u))
@@ -322,13 +318,14 @@ def _qubit_checks(handle: QubitHandle):
     # the inverse chart amplifies rounding by 1/(1-|u|^2), so test
     # the round trip only where it is well conditioned
     inside = r < 0.999
-    back = qubit.bloch_to_theta_rows(u[inside])
+    back = qubit.bloch_to_theta(u[inside])
     worst = max(worst, np.max(np.abs(back - th[inside]), initial=0.0))
     yield _check("bloch-tanh-duality", worst, 1e-12,
                  note="|U| = tanh|theta| and closed round trip, |theta| <= 20")
 
     # The spectral oracles evaluate their stacks of states in one call each.
-    xs, th = _data_and_thetas(handle, rng, 200)
+    xs, th = _rounds(rng, 200, handle.dataset_draws, lambda r: handle.theta_draws(r, 1))
+    xs, th = handle.datasets_from(xs), handle.thetas_from(th)
     via_spectral = qubit.quantum_relative_entropy(qubit.bloch_to_rho(xs),
                                                   qubit.gibbs_state(th))
     via_engine = core.divergence_from_data(model, xs, th).value
@@ -336,7 +333,8 @@ def _qubit_checks(handle: QubitHandle):
     yield _check("relative-entropy-agreement", worst, 1e-10,
                  note="spectral Tr rho(ln rho - ln sigma) vs affine form")
 
-    xs, th = _data_and_thetas(handle, rng, 1000)
+    xs, th = _rounds(rng, 1000, handle.dataset_draws, lambda r: handle.theta_draws(r, 1))
+    xs, th = handle.datasets_from(xs), handle.thetas_from(th)
     d = qubit.quantum_relative_entropy(qubit.bloch_to_rho(xs), qubit.gibbs_state(th))
     yield _check("relative-entropy-nonnegative", np.max(-d), 1e-12)
 
@@ -350,11 +348,8 @@ def _qubit_checks(handle: QubitHandle):
     yield _check("log-state-affine", worst, 1e-10,
                  note="ln rho = -ln(2 cosh|theta|) - theta . sigma")
 
-    thetas, xs, lengths = [], [], []
-    for _ in range(30):
-        thetas.append(handle.theta_draws(rng, 1))
-        xs.append(rng.normal(size=3))
-        lengths.append(rng.uniform(0.0, 0.9))
+    thetas, xs, lengths = _rounds(rng, 30, lambda r: handle.theta_draws(r, 1),
+                                  lambda r: r.normal(size=3), lambda r: r.uniform(0.0, 0.9))
     us = core.dual_points(model, handle.thetas_from(thetas))[1]
     xs = np.array(xs)
     xs *= (np.array(lengths) / np.sqrt(numerics.row_dot(xs, xs)))[:, None]
@@ -384,10 +379,7 @@ def _discrete_checks(handle: DiscreteHandle):
     yield _check("maxent-roundtrip", np.max(np.abs(back - thetas)), 1e-8,
                  note="theta -> moments -> fitted theta")
 
-    pairs, xs = [], []
-    for _ in range(200):
-        pairs.append(handle.theta_draws(rng, 2))
-        xs.append(handle.dataset_draws(rng))
+    pairs, xs = _rounds(rng, 200, lambda r: handle.theta_draws(r, 2), handle.dataset_draws)
     t1, t2 = handle.thetas_from(pairs).reshape(200, 2, -1).transpose(1, 0, 2)
     xs = handle.datasets_from(xs)
     q = discrete.boltzmann_gibbs(family, t2)
@@ -412,10 +404,8 @@ def _discrete_checks(handle: DiscreteHandle):
         yield _check("fiber-entropy-dominated", np.max(s_fiber - s_model), 1e-9,
                      note="no fiber sample beats the moment-matched member")
 
-        thetas, xs = [], []
-        for _ in range(20):
-            thetas.append(handle.theta_draws(rng, 1, radius=1.5))
-            xs.append(handle.dataset_draws(rng))
+        thetas, xs = _rounds(rng, 20, lambda r: handle.theta_draws(r, 1, radius=1.5),
+                             handle.dataset_draws)
         us = core.dual_points(model, handle.thetas_from(thetas))[1]
         xs = handle.datasets_from(xs)
         yield _check("fiber-sup-divergence-agreement", _def5_gap(model, xs, us), 1e-4,
@@ -451,30 +441,27 @@ def _coherent_checks(handle: CoherentHandle):
                 np.max(np.abs(coh.model_entropy_u(u, constants) - s)),
                 np.max(coh.divergence_coherent(states, u, constants)),
                 np.max(np.abs(coh.divergence_coherent(
-                    coh.state_rows(states * np.exp(1.3j)), u, constants))))
+                    coh.check_state(states * np.exp(1.3j)), u, constants))))
     yield _check("coherent-perfect-data", worst, 1e-10,
                  note="entropy -|z|^2/2, zero self-divergence, phase invariance")
 
-    xs, us, alphas = [], [], []
-    for _ in range(500):
-        xs.append(handle.dataset_draws(rng))
-        us.append(rng.uniform(-2.0, 2.0, size=2))
-        alphas.append(rng.uniform(0.0, 2.0 * math.pi))
-    states = coh.state_rows(handle.datasets_from(xs))
+    xs, us, alphas = _rounds(rng, 500, handle.dataset_draws,
+                             lambda r: r.uniform(-2.0, 2.0, size=2),
+                             lambda r: r.uniform(0.0, 2.0 * math.pi))
+    states = coh.check_state(handle.datasets_from(xs))
     d = coh.divergence_coherent(states, us, constants)
     yield _check("divergence-nonnegative-states", np.max(-d), 1e-10,
                  note="500 random truncated states")
     rotated = states * np.exp(1j * np.array(alphas))[:, None]
-    d2 = coh.divergence_coherent(coh.state_rows(rotated), us, constants)
+    d2 = coh.divergence_coherent(coh.check_state(rotated), us, constants)
     yield _check("divergence-phase-invariance", np.max(np.abs(d - d2)), 1e-12)
 
     worst = 0.0
-    for _ in range(20):
-        u = rng.uniform(-2.0, 2.0, size=2)
+    us, xs = _rounds(rng, 20, lambda r: r.uniform(-2.0, 2.0, size=2), handle.dataset_draws)
+    for u, x in zip(us, handle.datasets_from(xs)):
         th = coh.u_to_theta_coherent(u, constants)
         lmat = coh.log_map_coherent(u, constants, nmax)
         phi_val = coh.massieu_coherent(th, constants)
-        x = handle.sample_dataset(rng)
         lhs = coh.expectation_quadratic(x, lmat)
         rhs = -phi_val - float(th @ coh.mu_map(x, constants))
         worst = max(worst, abs(lhs - rhs))
@@ -501,8 +488,9 @@ def _coherent_checks(handle: CoherentHandle):
     yield _check("metric-constant-gaussian", np.max(np.abs(g - expected)), 1e-5,
                  note="Hess Phi = diag(r^2, hbar^2/r^2) everywhere")
 
-    xs, th = _data_and_thetas(handle, rng, 20, radius=2.0)
-    states = coh.state_rows(xs)
+    xs, th = _rounds(rng, 20, handle.dataset_draws,
+                     lambda r: handle.theta_draws(r, 1, radius=2.0))
+    states, th = coh.check_state(handle.datasets_from(xs)), handle.thetas_from(th)
     via_closed = coh.divergence_coherent(states, coh.theta_to_u_coherent(th, constants),
                                          constants)
     via_engine = core.divergence_from_data(model, states, th).value

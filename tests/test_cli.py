@@ -621,13 +621,18 @@ def test_numeric_domain_errors_exit_three(tmp_path):
             (("massieu", "--model", "coherent", "--theta", "1e200,0"), "evaluation"),
             (("maxent", "--model", "coherent2", "--u", "0,1e308"), "evaluation"),
             (("divergence", "--model", "coherent", "--z", "1e300,0", "--u", "0,0"),
-             "truncation")):
+             "truncation"),
+            # the qubit's ball tests take |u| without overflowing
+            (("maxent", "--model", "qubit", "--u", "1e200,0,0"), "domain"),
+            (("divergence", "--model", "qubit", "--x", "1e200,0,0", "--theta", "0,0,0"),
+             "domain")):
         proc = run_cli(*args)
         assert proc.returncode == 3, proc.stderr
         assert "RuntimeWarning" not in proc.stderr
         env = envelope(proc)
         assert env["status"] == f"error:{status}"
         assert env["inputs"]["model"] == args[2]
+    assert env["diagnostics"]["message"] == "polarization vector is longer than 1"
     # a sweep row that overflows ends the sweep with the same typed error
     proc = run_cli("sweep", "--model", "coherent", "--grid", "1=1e200:1e200:1",
                    "--quantities", "phi,residual")

@@ -19,11 +19,11 @@ from infogeo import (
     theta_to_u,
 )
 from infogeo.coherent import (
-    FockVector,
     PhaseConstants,
     a_expectation,
     annihilation_matrix,
     as_descriptor,
+    check_state,
     coherent_state,
     divergence_coherent,
     entropy_coherent,
@@ -45,7 +45,7 @@ UNIT = PhaseConstants()
 def fock(n, nmax=64):
     c = np.zeros(nmax + 1, dtype=complex)
     c[n] = 1.0
-    return FockVector(c)
+    return check_state(c)
 
 
 # ------------------------------------------------------------ validation
@@ -61,12 +61,17 @@ def test_phase_constants_validation():
 
 
 def test_fock_vector_validation():
-    with pytest.raises(ValueError):
-        FockVector(np.array([1.0, 1.0]))  # not normalized
-    with pytest.raises(ValueError):
-        FockVector(np.array([1.0 + 0.0j]))  # too short
-    psi = FockVector(np.array([1.0, 0.0, 0.0], dtype=complex))
-    assert psi.nmax == 2
+    with pytest.raises(ValueError, match="normalized"):
+        check_state(np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="two basis coefficients"):
+        check_state(np.array([1.0 + 0.0j]))  # too short
+    with pytest.raises(ValueError, match="two basis coefficients"):
+        check_state(np.zeros((2, 2, 2), dtype=complex))
+    psi = check_state(np.array([1.0, 0.0, 0.0]))
+    assert psi.dtype == complex and psi.shape == (3,)
+    # a stack of states raises the error of its bad row
+    with pytest.raises(ValueError, match="normalized"):
+        check_state(np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
 # -------------------------------------------------------------- operators
@@ -114,7 +119,7 @@ def test_expectation_quadratic_shape_error():
 def test_coherent_state_is_annihilation_eigenstate():
     psi = coherent_state(1.0)
     assert abs(a_expectation(psi) - 1.0) <= 1e-10
-    assert abs(np.linalg.norm(psi.coeff) - 1.0) <= 1e-12
+    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
     psi2 = coherent_state(0.7 + 1.1j)
     assert abs(a_expectation(psi2) - (0.7 + 1.1j)) <= 1e-10
 
@@ -218,7 +223,7 @@ def test_divergence_coherent_phase_invariance():
     base = divergence_coherent(psi, u, UNIT)
     for _ in range(10):
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        rotated = FockVector(psi.coeff * phase)
+        rotated = check_state(psi * phase)
         assert divergence_coherent(rotated, u, UNIT) == pytest.approx(
             base, abs=1e-12)
 
@@ -252,10 +257,10 @@ def test_log_map_self_expectation_value():
 def test_save_load_round_trip(tmp_path):
     psi = coherent_state(0.8 + 0.3j, 32)
     path = tmp_path / "state.txt"
-    write_state(path, psi.coeff)
+    write_state(path, psi)
     back = load_state(str(path))
-    assert back.nmax == 32
-    assert np.allclose(back.coeff, psi.coeff, atol=1e-15)
+    assert back.shape == (33,)
+    assert np.allclose(back, psi, atol=1e-15)
 
 
 def test_load_state_malformed_inputs(tmp_path):
@@ -342,7 +347,7 @@ def test_fiber_sampler_gives_up_with_a_typed_error(monkeypatch):
     with pytest.raises(ConvergenceError, match="noise scale"):
         model.fiber_sampler(u, 3, rng)
     assert len(calls) == 50
-    assert calls[0][0].tolist() == coherent_state(0.5 + 0.3j).coeff.tolist()
+    assert calls[0][0].tolist() == coherent_state(0.5 + 0.3j).tolist()
     # the search drew the noise of exactly the 49 failed attempts
     drawn = np.random.default_rng(0)
     drawn.normal(size=(49, 2, 63))
@@ -415,7 +420,7 @@ def test_batched_pin_equals_the_one_row_iteration():
     for z, scale in ((0.7 + 0.4j, 0.1), (1.25 + 2.0j, 0.1), (1.25 + 2.0j, 0.006),
                      (3.0 + 0.0j, 0.3), (3.0 + 0.0j, 0.005), (1e-8 + 0.0j, 0.1),
                      (0.0j, 0.2)):
-        c = np.repeat(coherent_state(z).coeff[None], 40, axis=0)
+        c = np.repeat(coherent_state(z)[None], 40, axis=0)
         c[:, 2:] += scale * (rng.normal(size=(40, 63))
                              + 1j * rng.normal(size=(40, 63))) / math.sqrt(130.0)
         c[np.abs(c[:, 1]) < 0.05, 1] += scale      # the sampler's kick
@@ -433,7 +438,7 @@ def test_batched_pin_equals_the_one_row_iteration():
     for _ in range(12):
         theta = rng.uniform(-1.2, 1.2, size=2)
         z = complex(-2.0 * theta[0], -0.25 * theta[1])
-        base = coherent_state(z).coeff
+        base = coherent_state(z)
         for scale in 0.1 * 0.5 ** np.arange(5):
             noise = rng.normal(size=(24, 2, 63))
             c = np.repeat(base[None], 24, axis=0)
@@ -488,7 +493,7 @@ def quadratic_of(c, z):
 
 def test_closed_form_pin_edge_cases():
     rng = np.random.default_rng(5)
-    noisy = coherent_state(0.6 - 0.3j, 16).coeff + 0.05 * (
+    noisy = coherent_state(0.6 - 0.3j, 16) + 0.05 * (
         rng.normal(size=(4, 17)) + 1j * rng.normal(size=(4, 17)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

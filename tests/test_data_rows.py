@@ -1,12 +1,15 @@
 """Row forms of the data-set layer against their one-set views.
 
 Row i of the stacked ``dataset_answers``, of ``divergence_from_data``
-and ``pythagoras_data`` on a stack, and of ``u_to_theta_rows`` must
-carry the bits of the one-set call on row i, and a bad row in a stack
-must raise the error it raises alone.
+and ``pythagoras_data`` on a stack, of ``u_to_theta_rows`` and of the
+family functions of data sets (``bloch_to_theta``, ``entropy_bloch``,
+``check_probability``, ``bgs_entropy``, ``check_state``) must carry the
+bits of the one-set call on row i, and a bad row in a stack must raise
+the error it raises alone.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -15,13 +18,16 @@ from infogeo import (
     ConstraintError,
     DomainError,
     canonical_check,
+    coherent,
     core,
+    discrete,
     discrete_instance,
     divergence_def5,
     divergence_from_data,
     get_model,
     numerics,
     pythagoras_data,
+    qubit,
     theta_to_u,
     u_to_theta,
 )
@@ -38,9 +44,19 @@ def bits(values):
     return np.asarray(values).tobytes()
 
 
+def row_forms(handle):
+    """The family's functions of one data set (n,) or a stack (k, n)."""
+    if handle.name == "qubit":
+        return [qubit.bloch_to_theta, qubit.entropy_bloch]
+    if hasattr(handle, "family"):
+        return [discrete.check_probability,
+                functools.partial(discrete.bgs_entropy, handle.family)]
+    return [coherent.check_state]
+
+
 def data_sets(handle, rng, count):
     """``count`` random data sets of the family, as a list."""
-    return [handle.sample_dataset(rng) for _ in range(count)]
+    return list(handle.datasets_from([handle.dataset_draws(rng) for _ in range(count)]))
 
 
 @pytest.mark.parametrize("name", sorted(HANDLES))
@@ -63,6 +79,11 @@ def test_stacked_answers_and_divergences_equal_one_set_calls(name):
                      rows.linear_term[i]]) == bits(
             [report.value, report.massieu_at, report.entropy_of_x, report.linear_term])
         assert bits(rows.answers[i]) == bits(report.answers)
+    for form in row_forms(handle):
+        rows = form(np.array(xs))
+        assert len(rows) == len(xs)
+        for i, x in enumerate(xs):
+            assert bits(rows[i]) == bits(form(x))
 
 
 @pytest.mark.parametrize("name", sorted(HANDLES))

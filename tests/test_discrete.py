@@ -73,8 +73,8 @@ def test_check_probability_errors():
         check_probability(np.array([0.7, -0.1, 0.4]))
     with pytest.raises(ValueError):
         check_probability(np.array([0.3, 0.3]))
-    with pytest.raises(ValueError):
-        check_probability(np.eye(2))
+    with pytest.raises(ValueError, match="rows"):
+        check_probability(np.full((2, 2, 2), 0.5))     # rows of rows
     with pytest.raises(ValueError, match="non-finite"):
         check_probability(np.array([np.nan, 0.5]))
     out = check_probability(np.array([0.25, 0.75]))

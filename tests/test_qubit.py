@@ -96,6 +96,10 @@ def test_bloch_to_theta_inverts_theta_to_bloch():
     assert np.allclose(bloch_to_theta(np.array([0.5, 0.0, 0.0])),
                        [-0.5493061443340548, 0.0, 0.0], atol=1e-15)
     assert np.allclose(bloch_to_theta(np.zeros(3)), np.zeros(3))
+    # the parameters of the mixed state are +0, in a stack too, while a
+    # zero component of another row keeps its sign
+    rows = bloch_to_theta(np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]))
+    assert np.signbit(rows).tolist() == [[False] * 3, [True] * 3]
     rng = np.random.default_rng(9)
     for _ in range(50):
         theta = rng.normal(size=3) * rng.uniform(0.1, 3.0)

@@ -141,6 +141,8 @@ def test_point_validation():
         regression_questions(np.array([[1.0, 2.0]]))  # one point
     with pytest.raises(ValueError):
         regression_questions(np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="at least one point set"):
+        regression_questions(np.empty((0, 3, 2)))     # a stack of no sets
     with pytest.raises(ValueError):
         regression_embed(1.0, 0.0, np.array([5.0]))
 

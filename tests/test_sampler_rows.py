@@ -14,7 +14,7 @@ stacked forms.
 import numpy as np
 import pytest
 
-from infogeo import discrete_instance, get_model
+from infogeo import discrete_instance, get_model, verify
 
 CANONICAL = ("qubit", "coherent", "coherent2", "discrete2", "discrete3")
 HANDLES = {name: get_model(name) for name in CANONICAL}
@@ -32,7 +32,7 @@ def point_thetas(handle, rng, count, radius=3.0):
 
 
 def point_dataset(handle, rng):
-    """One ``sample_dataset`` call, as the per-call formula."""
+    """One data set, as the per-call formula."""
     if handle.name == "qubit":
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
@@ -61,7 +61,8 @@ def test_point_samplers_are_the_per_call_formulas(name):
     for count, radius in ((1, 3.0), (4, 1.5)):
         assert bits(handle.sample_thetas(rng, count, radius)) == bits(
             point_thetas(handle, ref, count, radius))
-    assert bits(handle.sample_dataset(rng)) == bits(point_dataset(handle, ref))
+    one = handle.datasets_from([handle.dataset_draws(rng)])
+    assert bits(one[0]) == bits(point_dataset(handle, ref))
     assert same_state(rng, ref)
 
 
@@ -79,8 +80,8 @@ def test_theta_sets_equal_consecutive_point_calls(name, size):
 
 @pytest.mark.parametrize("name", sorted(HANDLES))
 def test_interleaved_draws_finish_to_the_point_calls(name):
-    # the loop of verify's data checks: a data set, a parameter point and
-    # a draw the handle does not own, in turn
+    # the rounds of verify's data checks (verify._rounds): a data set, a
+    # parameter point and a draw the handle does not own, in turn
     handle = HANDLES[name]
     ref, rng = np.random.default_rng(9), np.random.default_rng(9)
     want_x, want_t, want_other = [], [], []
@@ -88,11 +89,9 @@ def test_interleaved_draws_finish_to_the_point_calls(name):
         want_x.append(point_dataset(handle, ref))
         want_t.append(point_thetas(handle, ref, 1, 2.0)[0])
         want_other.append(ref.uniform(0.0, 2.0))
-    xs, thetas, other = [], [], []
-    for _ in range(400):
-        xs.append(handle.dataset_draws(rng))
-        thetas.append(handle.theta_draws(rng, 1, 2.0))
-        other.append(rng.uniform(0.0, 2.0))
+    xs, thetas, other = verify._rounds(rng, 400, handle.dataset_draws,
+                                       lambda r: handle.theta_draws(r, 1, 2.0),
+                                       lambda r: r.uniform(0.0, 2.0))
     assert bits(handle.datasets_from(xs)) == bits(np.array(want_x))
     assert bits(handle.thetas_from(thetas)) == bits(np.array(want_t))
     assert other == want_other
