@@ -44,7 +44,7 @@ import time
 import numpy as np
 
 from . import __version__, coherent, core, regression, verify
-from .errors import DomainError, EvaluationError, InfoGeoError
+from .errors import EvaluationError, InfoGeoError
 from .numerics import row_norm
 from .registry import BUILTIN_NAMES, ModelHandle, get_model, load_config
 
@@ -191,10 +191,7 @@ def _model_point(args, handle: ModelHandle, inputs: dict) -> np.ndarray:
         raise UsageError("give the model point as exactly one of --theta or --u")
     if args.theta is not None:
         return _point(args, "theta", inputs, model.n)
-    u = _point(args, "u", inputs, model.n)
-    if not model.energy_domain.membership(u):
-        raise DomainError("moment vector lies outside the model chart")
-    return core.u_to_theta(model, u)
+    return core.u_to_theta(model, _point(args, "u", inputs, model.n))
 
 
 # ------------------------------------------------------------- commands

@@ -344,81 +344,6 @@ def _pin_rows(coeffs: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
     return c, pinned
 
 
-def _halvings_to_give_up(scale: float) -> int:
-    """How many more failed pins halve ``scale`` below ``_MIN_NOISE``."""
-    count = 1
-    scale *= 0.5
-    while scale >= _MIN_NOISE:
-        scale *= 0.5
-        count += 1
-    return count
-
-
-class _FiberSearch:
-    """The sample search on the fiber of one amplitude ``z``, one round of
-    attempts at a time: :meth:`attempts` gives the rows to pin, and
-    :meth:`take` reads their outcome.
-
-    The first sample is the coherent state ``base``, whose ``<a>`` the
-    truncation moves off z, so it is pinned like the noisy samples after
-    it.  Every failed pin halves the noise scale, 0.1 after the coherent
-    state and 0.05 if it fails.  Noisy attempts are drawn from ``rng`` a
-    block at a time, as many as would finish the stack but never more
-    than the failures that end the search, the first block riding with
-    the coherent state.  After the first failure in a block the scale
-    halves and the attempts after it are built again from the noise
-    already drawn for them, so the draws and samples are those of drawing
-    and pinning one attempt at a time.
-    """
-
-    def __init__(self, base: np.ndarray, z: complex, want: int, rng):
-        self.base, self.z, self.want, self.rng = base, z, want, rng
-        self.samples, self.have, self.scale = [], 0, 0.1
-        self.lead = 1                   # the coherent state rides with the first block
-        self.noise = np.empty((0, 2, base.size - 2))
-
-    def attempts(self) -> np.ndarray:
-        """The rows of this round: the coherent state in the first round,
-        then the noisy attempts of the current block."""
-        base, scale = self.base, self.scale
-        if not len(self.noise):
-            # should the coherent state fail, the block is pinned at half the scale
-            size = min(self.want - self.have - self.lead,
-                       _halvings_to_give_up(scale / 2 ** self.lead))
-            self.noise = self.rng.normal(size=(size, 2, base.size - 2))
-        noise = self.noise
-        c = np.repeat(base[None], self.lead + len(noise), axis=0)
-        noisy = c[self.lead:]
-        noisy[:, 2:] += (scale * (noise[:, 0] + 1j * noise[:, 1])
-                         / math.sqrt(2.0 * base.size))
-        # a kick keeps c_1, which the pin divides by, away from 0; it shrinks
-        # with the noise, so a small scale stays near the coherent state
-        noisy[np.hypot(noisy[:, 1].real, noisy[:, 1].imag) < 0.05, 1] += scale
-        return c
-
-    def take(self, pinned: np.ndarray, ok: np.ndarray) -> None:
-        """Keep the rows pinned before the first failure of the round.
-        Raises :class:`ConvergenceError` once the scale halves below
-        ``_MIN_NOISE``."""
-        if self.lead:
-            self.lead = 0
-            if not ok[0]:
-                self.scale = 0.05
-                return
-            self.samples.append(pinned[:1])
-            self.have, pinned, ok = 1, pinned[1:], ok[1:]
-        good = int(np.argmin(ok)) if not ok.all() else len(ok)
-        self.samples.append(pinned[:good])
-        self.have += good
-        self.noise = self.noise[good + 1:]
-        if good < len(ok):
-            self.scale *= 0.5
-            if self.scale < _MIN_NOISE:
-                raise ConvergenceError(
-                    f"no fiber sample has its mean pinned to z = {self.z:.6g} at"
-                    f" any noise scale down to {_MIN_NOISE:g}")
-
-
 def as_descriptor(constants: PhaseConstants, nmax: int = 64,
                   box_halfwidth: float | None = None) -> ModelDescriptor:
     """Engine descriptor for the coherent family.
@@ -432,12 +357,15 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
     inversion is :func:`u_to_theta_coherent`.  Data sets are states on
     the same truncated basis, stacked as coefficient rows (k, nmax + 1)
     and checked by :func:`check_state`.  The fiber sampler returns the
-    coherent state, then noisy states, each with ``<a>`` pinned in closed
-    form to its amplitude z (:class:`_FiberSearch`, :func:`_pin_rows`).
-    On energy rows it searches every fiber at once: one
-    :func:`coherent_state` call builds the base states, and each round
-    pins the attempts of every fiber still short in one call, drawing new
-    noise in row order.
+    stack (k, max(count, 1), nmax + 1) over energy rows (k, 2): fiber i is
+    the coherent state at its amplitude z, then noisy states, each with
+    ``<a>`` pinned to z by :func:`_pin_rows`.  Round 0 pins all coherent
+    states; in each later round every fiber still short draws its missing
+    attempts (from its own ``default_rng(0)`` when ``rng`` is None, else
+    from ``rng`` in row order), and one pin call takes them all.  A
+    fiber's noise scale starts at 0.1, or 0.05 where its coherent state
+    fails, and halves in each round in which it fails a pin; below
+    ``_MIN_NOISE`` the fiber fails with :class:`ConvergenceError`.
     """
     r, hbar = constants.r, constants.hbar
     b = (16.0 * max(r ** 2, hbar ** 2 / r ** 2, 1.0) if box_halfwidth is None
@@ -458,34 +386,43 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
         return _mean_coordinates(za, constants), _entropy(za, c)
 
     def fiber_sampler(us, count, rng=None):
-        us = np.asarray(us, dtype=float)
-        rows = us.reshape(-1, 2)
+        k, size, want = len(us), nmax + 1, max(count, 1)
         # z = u1 / r + i (r / hbar) u2, as z_of_u builds it
-        zs = np.empty(len(rows), dtype=complex)
-        zs.real, zs.imag = rows[:, 0] / r, (r / hbar) * rows[:, 1]
-        want = max(count, 1)
-        # without an rng, each fiber draws from its own default_rng(0)
-        searches = [_FiberSearch(base, complex(z), want,
-                                 np.random.default_rng(0) if rng is None else rng)
-                    for base, z in zip(coherent_state(zs, nmax), zs)]
-        errors = [None] * len(searches)
-        short = list(range(len(searches)))
-        while short:
-            blocks = [searches[i].attempts() for i in short]
-            sizes = [len(c) for c in blocks]
-            pinned, ok = _pin_rows(np.concatenate(blocks), np.repeat(zs[short], sizes))
-            ends = np.cumsum(sizes)[:-1]
-            for i, p, o in zip(short, np.split(pinned, ends), np.split(ok, ends)):
-                try:
-                    searches[i].take(p, o)
-                except ConvergenceError as exc:
-                    errors[i] = exc
-            short = [i for i in short if errors[i] is None and searches[i].have < want]
-        for exc in errors:
-            if exc is not None:
-                raise exc
-        samples = np.concatenate([s for search in searches for s in search.samples])
-        return samples if us.ndim == 1 else (samples, np.full(len(rows), want))
+        zs = np.empty(k, dtype=complex)
+        zs.real, zs.imag = us[:, 0] / r, (r / hbar) * us[:, 1]
+        bases = coherent_state(zs, nmax)
+        stack = np.empty((k, want, size), dtype=complex)
+        stack[:, 0], ok = _pin_rows(bases, zs)
+        have = ok.astype(int)
+        scale = np.where(ok, 0.1, 0.05)
+        rngs = [np.random.default_rng(0) if rng is None else rng for _ in range(k)]
+        short = np.flatnonzero(have < want)
+        while short.size:
+            missing = want - have[short]
+            owner = np.repeat(short, missing)
+            noise = np.concatenate([rngs[i].normal(size=(m, 2, size - 2))
+                                    for i, m in zip(short, missing)])
+            c = bases[owner]
+            c[:, 2:] += (scale[owner, None] * (noise[:, 0] + 1j * noise[:, 1])
+                         / math.sqrt(2.0 * size))
+            # a kick keeps c_1, which the pin divides by, away from 0; it
+            # shrinks with the noise, so a small scale stays near the
+            # coherent state
+            small = np.hypot(c[:, 1].real, c[:, 1].imag) < 0.05
+            c[small, 1] += scale[owner[small]]
+            pinned, ok = _pin_rows(c, zs[owner])
+            for i in short:
+                kept = pinned[(owner == i) & ok]
+                stack[i, have[i]:have[i] + len(kept)] = kept
+                have[i] += len(kept)
+            short = short[have[short] < want]       # the fibers that failed a pin
+            scale[short] *= 0.5
+            short = short[scale[short] >= _MIN_NOISE]
+        if (scale < _MIN_NOISE).any():
+            z = zs[np.argmax(scale < _MIN_NOISE)]
+            raise ConvergenceError(f"no fiber sample has its mean pinned to z = {z:.6g} at"
+                                   f" any noise scale down to {_MIN_NOISE:g}")
+        return stack
 
     return ModelDescriptor(
         energy_domain=domain,

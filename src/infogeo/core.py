@@ -103,19 +103,14 @@ class ModelDescriptor:
         row's values must not depend on the other rows, and a bad row
         raises the error it raises alone.
     fiber_sampler : callable
-        ``(u, count, rng) -> stack`` of data sets whose answers equal ``u``
-        (the fiber of the model point), as an array of data rows, with
-        ``count`` samples where the fiber has more than one point;
-        ``rng`` None is deterministic.  On energy rows ``us`` (k, n) it
-        samples the k fibers in one call and returns ``(stack, counts)``:
-        the samples of fiber 0, then of fiber 1, and so on, with
-        ``counts[i]`` samples of fiber i.  A point ``u`` is the one-fiber
-        view.  With ``rng`` None, fiber i of a stacked call has the bits
-        of its one-fiber call.  With an rng, the fibers draw from it in
-        row order: the discrete sampler one fiber after another, as k
-        one-fiber calls would, and the coherent sampler in rounds, each
-        fiber still short drawing its next block in row order.  The stack
-        raises the error of the lowest failing fiber.
+        ``(us (k, n), count, rng) -> stack (k, c, m)``: fiber i,
+        ``stack[i]``, holds c data rows (m,) whose answers equal ``us[i]``
+        (the fiber of that model point).  c is the same for every fiber
+        of a call: 1 where the fibers are single points, ``max(count,
+        1)`` otherwise.  ``rng`` None is deterministic, and then fiber i
+        has the bits of the one-row call on ``us[i:i + 1]``; with an rng,
+        the fibers draw from it in row order.  The stack raises the error
+        of the lowest failing fiber.
     """
 
     energy_domain: Domain
@@ -124,7 +119,7 @@ class ModelDescriptor:
                                                      np.ndarray]]
     closed_u_to_theta: Callable[[np.ndarray], np.ndarray]
     dataset_answers: Callable[[object], tuple[np.ndarray, np.ndarray]]
-    fiber_sampler: Callable[[np.ndarray, int, object], object]
+    fiber_sampler: Callable[[np.ndarray, int, object], np.ndarray]
 
     @property
     def n(self) -> int:
@@ -577,13 +572,13 @@ def divergence_def5(model: ModelDescriptor, x, u_of_m,
             raise exc
     phi = _quietly(model.closed_dual_points, thetas)[0]
     _require_finite(np.isfinite(phi), "Massieu function", thetas)
-    fiber, counts = model.fiber_sampler(us, fiber_samples, None)
-    ans_y, s_y = _answers(model, fiber, len(fiber))
-    ans_x, s_x = _answers(model, np.asarray(x)[None] if single else x, len(us))
-    owner = np.repeat(np.arange(len(us)), counts)
-    weights = s_y + (-phi[owner] - row_dot(ans_y, thetas[owner]))
-    best = np.maximum.reduceat(weights, np.cumsum(counts) - counts)
-    values = best - (s_x + (-phi - row_dot(ans_x, thetas)))
+    fibers = model.fiber_sampler(us, fiber_samples, None)
+    k, c = fibers.shape[:2]
+    ans_y, s_y = _answers(model, fibers.reshape(k * c, -1), k * c)
+    ans_x, s_x = _answers(model, np.asarray(x)[None] if single else x, k)
+    weights = s_y + (-np.repeat(phi, c) - row_dot(ans_y, np.repeat(thetas, c, axis=0)))
+    values = (weights.reshape(k, c).max(axis=1)
+              - (s_x + (-phi - row_dot(ans_x, thetas))))
     return values[0].item() if single else values
 
 

@@ -454,8 +454,11 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
     rows come from the one kernel :func:`dual_points`, and the chart
     inversion is one :func:`maxent_fit_rows` call.  The data-set layer
     treats probability vectors as data sets, and a stack of them is an
-    array of rows (k, m); the fiber sampler draws such a stack from fibers
-    of any dimension, ``count`` (at least 1) samples per fiber.
+    array of rows (k, m).  The fiber sampler returns the stack (k, c, m)
+    over moment rows (k, n), with c = 1 where fibers are single points
+    and ``count`` (at least 1) otherwise; with an rng, fibers of dimension
+    2 or more take their directions from one ``rng.normal`` call, and all
+    fibers their chord offsets from one ``rng.uniform`` call.
     """
     h = family.hamiltonians
     n = family.n
@@ -501,37 +504,26 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
     directions = _fiber_direction(family)
 
     def fiber_sampler(us, count, rng=None):
-        us = np.asarray(us, dtype=float)
-        targets = us.reshape(1, -1) if us.ndim < 2 else us
-        if targets.shape[1] != n:
-            raise ValueError(f"expected {n} moment targets")
         if len(directions) and count < 1:
             raise ValueError(f"count must be at least 1, got {count}")
-        bases = boltzmann_gibbs(family, maxent_fit_rows(family, targets)[0])
-        k, m = bases.shape
+        bases = boltzmann_gibbs(family, maxent_fit_rows(family, us)[0])
         if not len(directions):
-            samples, counts = bases, np.ones(k, dtype=int)
+            return bases[:, None]
+        # Samples lie on chords of the fiber through the member: base + t w
+        # stays a distribution for t in [t_lo, t_hi].  Without rng they are
+        # evenly spaced on the chord along the first fiber direction; with
+        # rng each takes a uniform t on its own chord, along a random
+        # direction when the fiber has more than one.
+        k, m = bases.shape
+        if rng is None or len(directions) == 1:
+            w = np.broadcast_to(directions[0], (k, count, m))
         else:
-            # Samples lie on chords of the fiber through the member: base +
-            # t w stays a distribution for t in [t_lo, t_hi].  Without rng
-            # they are evenly spaced on the chord along the first fiber
-            # direction; with rng each takes a uniform t on its own chord,
-            # along a random direction when the fiber has more than one.
-            # The fibers draw one after another, in row order.
-            if rng is None or len(directions) == 1:
-                w = np.broadcast_to(directions[0], (k, count, m))
-                t_lo, t_hi = _chords(bases, w)
-                t = (np.linspace(t_lo[:, 0], t_hi[:, 0], count, axis=1) if rng is None
-                     else rng.uniform(t_lo, t_hi))
-            else:
-                w, t = np.empty((k, count, m)), np.empty((k, count))
-                for i, base in enumerate(bases):
-                    w[i] = rng.normal(size=(count, len(directions))) @ directions
-                    t[i] = rng.uniform(*_chords(base, w[i]))
-            p = np.maximum(bases[:, None, :] + t[..., None] * w, 0.0)
-            samples = (p / p.sum(axis=-1, keepdims=True)).reshape(-1, m)
-            counts = np.full(k, count)
-        return samples if us.ndim < 2 else (samples, counts)
+            w = rng.normal(size=(k, count, len(directions))) @ directions
+        t_lo, t_hi = _chords(bases, w)
+        t = (np.linspace(t_lo[:, 0], t_hi[:, 0], count, axis=1) if rng is None
+             else rng.uniform(t_lo, t_hi))
+        p = np.maximum(bases[:, None, :] + t[..., None] * w, 0.0)
+        return p / p.sum(axis=-1, keepdims=True)
 
     return ModelDescriptor(
         energy_domain=domain,

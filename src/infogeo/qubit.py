@@ -214,8 +214,8 @@ def as_descriptor(membership_margin: float = 1e-12,
     chart inversion is :func:`bloch_to_theta`.  Data
     sets are Bloch vectors of arbitrary states, and a stack of them is an
     array of rows (k, 3); the model fiber over an interior point is a
-    singleton, the stack of one row, so energy rows (k, 3) give their own
-    copy with one sample per fiber.
+    singleton, so the fiber sampler gives energy rows (k, 3) their own
+    copy as the stack (k, 1, 3).
     """
     box = np.array([[-1.0, 1.0]] * 3)
 
@@ -231,12 +231,6 @@ def as_descriptor(membership_margin: float = 1e-12,
             raise ValueError("expected Bloch vectors as rows of three components")
         return xs.copy(), entropy_bloch(xs)
 
-    def fiber_sampler(us, count, rng=None):
-        us = np.array(us, dtype=float)
-        if us.ndim < 2:
-            return us.reshape(1, 3)
-        return us.reshape(-1, 3), np.ones(len(us), dtype=int)
-
     return ModelDescriptor(
         energy_domain=domain,
         # Finite-difference stencils centered on an iterate that hugs the
@@ -247,5 +241,5 @@ def as_descriptor(membership_margin: float = 1e-12,
         closed_dual_points=dual_points_qubit,
         closed_u_to_theta=lambda us: bloch_to_theta(us, chart_margin),
         dataset_answers=answers,
-        fiber_sampler=fiber_sampler,
+        fiber_sampler=lambda us, count, rng=None: np.array(us, dtype=float)[:, None],
     )

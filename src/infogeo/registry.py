@@ -75,8 +75,6 @@ class _CanonicalHandle:
         Returns ``(theta, achieved moments, solver iterations, note)``.
         """
         model = self.descriptor
-        if not model.energy_domain.membership(u):
-            raise DomainError("moment vector lies outside the model chart")
         theta = core.u_to_theta(model, u)
         return theta, core.theta_to_u(model, theta), 0, "closed-form chart inversion"
 

@@ -644,6 +644,21 @@ def test_numeric_domain_errors_exit_three(tmp_path):
     assert "inf" not in proc.stdout and "nan" not in proc.stdout
 
 
+def test_points_outside_the_chart_end_in_its_domain_error():
+    # The chart inversion is the one membership test of a --u point: its
+    # DomainError names the point.
+    for args, point in (
+            (("maxent", "--model", "qubit", "--u", "0.9,0.9,0"), "[0.9, 0.9, 0.0]"),
+            (("divergence", "--model", "discrete3", "--x", "0.2,0.3,0.5", "--u", "2.5"),
+             "[2.5]")):
+        proc = run_cli(*args)
+        assert proc.returncode == 3, proc.stderr
+        env = envelope(proc)
+        assert env["status"] == "error:domain"
+        assert env["diagnostics"]["message"] == (
+            f"energy point {point} is outside the model domain")
+
+
 def test_coherent_values_near_the_overflow_edge_stay_finite():
     # theta_1^2 = 2.25e308 overflows, but Phi = theta_1^2 / 2 does not
     proc = run_cli("massieu", "--model", "coherent", "--theta", "1.5e154,0")

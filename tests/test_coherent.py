@@ -288,7 +288,7 @@ def test_load_state_malformed_inputs(tmp_path):
 def test_coherent_descriptor_fiber_pins_the_mean():
     model = get_model("coherent").descriptor
     u = np.array([0.5, 0.3])
-    samples = model.fiber_sampler(u, 8, np.random.default_rng(4))
+    samples = model.fiber_sampler(u[None], 8, np.random.default_rng(4))[0]
     assert len(samples) == 8
     top = model_entropy_u(u, UNIT)
     for psi in samples:
@@ -309,7 +309,7 @@ def test_fiber_sampler_pins_every_accepted_amplitude():
         for angle in (0.0, 1.0, 2.5):
             z = radius * complex(math.cos(angle), math.sin(angle))
             u = np.array([constants.r * z.real, constants.hbar / constants.r * z.imag])
-            samples = model.fiber_sampler(u, 4, np.random.default_rng(2))
+            samples = model.fiber_sampler(u[None], 4, np.random.default_rng(2))[0]
             assert len(samples) == 4
             for psi in samples:
                 assert np.max(np.abs(mu_map(psi, constants) - u)) <= 1e-9
@@ -322,7 +322,7 @@ def test_fiber_sampler_pins_the_coherent_state_too():
     for z in (1.0, 0.7 - 0.6j, 1e-8, 0.0):
         u = np.array([z.real, z.imag]) if isinstance(z, complex) else np.array([z, 0.0])
         for count in (1, 6):
-            samples = model.fiber_sampler(u, count, np.random.default_rng(3))
+            samples = model.fiber_sampler(u[None], count, np.random.default_rng(3))[0]
             assert len(samples) == count
             for psi in samples:
                 assert np.max(np.abs(mu_map(psi, UNIT) - u)) <= 1e-9
@@ -330,10 +330,9 @@ def test_fiber_sampler_pins_the_coherent_state_too():
 
 def test_fiber_sampler_gives_up_with_a_typed_error(monkeypatch):
     # A pin that never succeeds ends after 50 halvings of the noise: the
-    # coherent state's failure sets the scale to 0.05, and 49 failed noisy
-    # attempts halve it below 1e-16.  Each batched pin after the first
-    # starts at the attempt after a failure, so there is one call per
-    # halving.
+    # coherent state's failure in round 0 sets the scale to 0.05, and each
+    # of the 49 rounds after it pins the fiber's three missing attempts,
+    # fails them all and halves the scale, to below 1e-16 at the last.
     calls = []
 
     def never(rows, z):
@@ -345,12 +344,13 @@ def test_fiber_sampler_gives_up_with_a_typed_error(monkeypatch):
     u = np.array([0.5, 0.3])
     rng = np.random.default_rng(0)
     with pytest.raises(ConvergenceError, match="noise scale"):
-        model.fiber_sampler(u, 3, rng)
+        model.fiber_sampler(u[None], 3, rng)
     assert len(calls) == 50
-    assert calls[0][0].tolist() == coherent_state(0.5 + 0.3j).tolist()
-    # the search drew the noise of exactly the 49 failed attempts
+    assert calls[0].tolist() == [coherent_state(0.5 + 0.3j).tolist()]
+    assert [len(rows) for rows in calls[1:]] == [3] * 49
+    # the search drew the noise of exactly the 147 failed attempts
     drawn = np.random.default_rng(0)
-    drawn.normal(size=(49, 2, 63))
+    drawn.normal(size=(49 * 3, 2, 63))
     assert rng.random() == drawn.random()
 
 
@@ -526,26 +526,51 @@ def test_closed_form_pin_edge_cases():
         assert not coherent._pin_rows(c[None], z)[1][0]
 
 
-def test_fiber_sampler_draws_are_those_of_one_attempt_at_a_time():
-    # On coherent2 at u = (2.5, 0.5) four of the noisy pins fail.  The
+def test_fiber_sampler_draws_of_a_fiber_with_failed_pins_are_frozen():
+    # On coherent2 at u = (2.5, 0.5) pins fail in four rounds.  The
     # samples and the rng's next draw were recorded with the sampler that
-    # drew and pinned one attempt at a time.
+    # searches in plain rounds.
     model = get_model("coherent2").descriptor
     u = np.array([2.5, 0.5])
     rng = np.random.default_rng(19)
-    samples = model.fiber_sampler(u, 50, rng)
-    assert rng.random() == 0.7848182567430301
+    samples = model.fiber_sampler(u[None], 50, rng)[0]
+    assert rng.random() == 0.8626368961339347
     assert samples.shape == (50, 65)
     frozen = {(0, 0): 0.061961007690531984 + 0j,
-              (1, 0): 0.059342827556670114 - 0.018617983609952832j,
-              (17, 3): -0.3296507373010201 + 0.03370418148551408j,
-              (30, 1): 0.07747248121533384 + 0.12395596994453414j,
-              (49, 5): 0.14068478478621446 - 0.38834526343081555j}
+              (1, 0): 0.07781095185335317 + 0.017580905167532784j,
+              (17, 3): -0.3312763797891302 + 0.035849892407133425j,
+              (30, 1): 0.07757591580482309 + 0.12412146528771695j,
+              (49, 5): 0.14143570199081307 - 0.3877562130666149j}
     for (i, j), value in frozen.items():
         assert abs(samples[i, j] - value) <= 1e-12
-    assert abs(samples.sum() - (-3.8335768127554104 + 0.2767712934466543j)) <= 1e-11
+    assert abs(samples.sum() - (-3.8496752970228907 + 0.2947178284983233j)) <= 1e-11
     constants = PhaseConstants(r=2.0, hbar=0.5)
     assert np.max(np.abs(mu_map(samples, constants) - u)) <= 1e-9
+
+
+def test_a_fiber_that_fails_pins_still_gives_every_sample(monkeypatch):
+    # Pins fail on coherent2 at u = (2.5, 0.5): the fiber redraws its
+    # missing attempts at a smaller scale until it has all 50, each
+    # pinned, and the coherent state stays the first sample.
+    failed = []
+    pin = coherent._pin_rows
+
+    def counted(rows, z):
+        pinned, ok = pin(rows, z)
+        failed.append(int(np.count_nonzero(~ok)))
+        return pinned, ok
+
+    monkeypatch.setattr(coherent, "_pin_rows", counted)
+    constants = PhaseConstants(r=2.0, hbar=0.5)
+    model = get_model("coherent2").descriptor
+    u = np.array([2.5, 0.5])
+    samples = model.fiber_sampler(u[None], 50, np.random.default_rng(19))[0]
+    assert sum(failed) > 0 and failed[0] == 0 and failed[-1] == 0
+    assert samples.shape == (50, 65)
+    assert np.max(np.abs(mu_map(samples, constants) - u)) <= 1e-9
+    top = model_entropy_u(u, constants)
+    assert entropy_coherent(samples[0]) == pytest.approx(top, abs=1e-10)
+    assert np.max(entropy_coherent(samples)) <= top + 1e-9
 
 
 @pytest.mark.parametrize("name", ["coherent", "coherent2"])

@@ -74,7 +74,7 @@ def linear_toy():
         closed_u_to_theta=no_closed_form,
         dataset_answers=lambda xs: (np.asarray(xs, dtype=float),
                                     np.asarray(xs, dtype=float)[:, 0]),
-        fiber_sampler=lambda u, count, rng: np.asarray(u, dtype=float).reshape(1, -1),
+        fiber_sampler=lambda us, count, rng: np.asarray(us, dtype=float)[:, None],
     )
 
 

@@ -94,7 +94,7 @@ def test_stacked_data_triples_equal_one_set_calls(name):
     fibers, th, ze = [], [], []
     for _ in range(6):
         t, z = handle.sample_thetas(rng, 2, radius=handle.fiber_radius)
-        fibers.append(model.fiber_sampler(theta_to_u(model, t), 3, rng))
+        fibers.append(model.fiber_sampler(theta_to_u(model, t)[None], 3, rng)[0])
         th += [t] * len(fibers[-1])
         ze += [z] * len(fibers[-1])
     xs = np.concatenate(fibers)
@@ -173,7 +173,7 @@ def test_a_noncompliant_row_raises_the_constraint_error_it_raises_alone():
     model = HANDLES["discrete3"].descriptor
     th = np.array([[0.3], [-0.2], [0.5]])
     ze = -th
-    xs = [model.fiber_sampler(theta_to_u(model, t), 1, None)[0] for t in th]
+    xs = [model.fiber_sampler(theta_to_u(model, t)[None], 1, None)[0, 0] for t in th]
     xs[1] = np.array([0.2, 0.2, 0.6])
     alone = raised(pythagoras_data, model, xs[1], th[1], ze[1])
     assert alone[0] is ConstraintError

@@ -228,7 +228,7 @@ def test_fiber_sampler_preserves_moments_and_entropy_bound():
     theta = maxent_fit_report(family, u)[0]
     top = bgs_entropy(family, boltzmann_gibbs(family, theta))
     rng = np.random.default_rng(23)
-    samples = model.fiber_sampler(u, 60, rng)
+    samples = model.fiber_sampler(u[None], 60, rng)[0]
     assert len(samples) == 60
     for p in samples:
         assert float((family.hamiltonians @ p)[0]) == pytest.approx(0.8, abs=1e-12)
@@ -238,7 +238,7 @@ def test_fiber_sampler_preserves_moments_and_entropy_bound():
 def test_fiber_sampler_zero_dimensional_fiber():
     family = TWO_LEVEL
     model = as_descriptor(family)
-    samples = model.fiber_sampler(np.array([0.25]), 17, None)
+    samples = model.fiber_sampler(np.array([[0.25]]), 17, None)[0]
     assert len(samples) == 1
     assert np.allclose(samples[0], boltzmann_gibbs(family, maxent_fit_report(
         family, np.array([0.25]))[0]), atol=1e-12)
@@ -252,14 +252,14 @@ def test_fiber_sampler_walks_a_two_dimensional_fiber():
     u = np.array([1.2])
     top = bgs_entropy(family, boltzmann_gibbs(family, maxent_fit_report(family, u)[0]))
     for rng in (np.random.default_rng(5), None):
-        samples = model.fiber_sampler(u, 40, rng)
+        samples = model.fiber_sampler(u[None], 40, rng)[0]
         assert len(samples) == 40
         for p in samples:
             assert check_probability(p).tolist() == p.tolist()
             assert abs(float((family.hamiltonians @ p)[0]) - 1.2) <= 1e-12
             assert bgs_entropy(family, p) <= top + 1e-12
     # the random chords spread over both directions of the fiber
-    spread = np.array(model.fiber_sampler(u, 40, np.random.default_rng(5)))
+    spread = model.fiber_sampler(u[None], 40, np.random.default_rng(5))[0]
     assert np.linalg.matrix_rank(spread - spread.mean(axis=0), tol=1e-6) == 2
 
 
@@ -269,7 +269,7 @@ def test_fiber_sampler_draws_of_a_two_dimensional_fiber_are_frozen():
     # sampler returned a stack.
     family = DiscreteFamily(prior=np.ones(4), hamiltonians=[[0.0, 1.0, 2.0, 3.0]])
     rng = np.random.default_rng(19)
-    samples = as_descriptor(family).fiber_sampler(np.array([1.2]), 50, rng)
+    samples = as_descriptor(family).fiber_sampler(np.array([[1.2]]), 50, rng)[0]
     assert rng.random() == 0.19819530420441633
     assert samples.shape == (50, 4)
     frozen = {0: [0.3478484553965024, 0.27100321735471916, 0.21444819910105456,

@@ -46,7 +46,7 @@ def compliant_data(name, theta):
     if name == "qubit":
         return theta_to_u(model, theta)
     if name.startswith("coherent"):
-        return model.fiber_sampler(theta_to_u(model, theta), 1, None)[0]
+        return model.fiber_sampler(theta_to_u(model, theta)[None], 1, None)[0, 0]
     return discrete.boltzmann_gibbs(handle.family, theta)
 
 

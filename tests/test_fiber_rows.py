@@ -1,9 +1,9 @@
 """Fibers on stacks: the stacked fiber sampler and Definition 5 against
 their one-fiber views.
 
-A stacked ``fiber_sampler`` call on energy rows returns ``(stack,
-counts)``; without an rng, fiber i of it carries the bits of the
-one-fiber call at row i.  ``divergence_def5`` on rows gives row i the
+A ``fiber_sampler`` call on energy rows (k, n) returns the stack (k, c,
+m) of their fibers; without an rng, fiber i of it carries the bits of
+the one-row call on row i.  ``divergence_def5`` on rows gives row i the
 bits of its point call.  A stack with failing rows raises the error of
 the lowest of them, as that row raises it alone.  ``verify`` samples each
 fiber check's fibers with one sampler call.
@@ -49,20 +49,15 @@ def energy_rows(handle, seed, count):
     return core.dual_points(handle.descriptor, thetas)[1]
 
 
-def fibers_of(stack, counts):
-    """The fibers of a stacked sampler call, one array each."""
-    return np.split(np.asarray(stack), np.cumsum(counts)[:-1])
-
-
 @pytest.mark.parametrize("name", sorted(HANDLES))
 def test_stacked_fibers_without_rng_equal_one_fiber_calls(name):
     model = HANDLES[name].descriptor
     us = energy_rows(HANDLES[name], 81, 5)
-    stack, counts = model.fiber_sampler(us, 7, None)
-    assert counts.shape == (5,) and int(counts.sum()) == len(stack)
-    for u, fiber in zip(us, fibers_of(stack, counts)):
-        one = model.fiber_sampler(u, 7, None)
-        assert bits(fiber) == bits(one)
+    stack = model.fiber_sampler(us, 7, None)
+    assert stack.shape[:2] == (5, 1 if name in ("qubit", "discrete2") else 7)
+    for i, u in enumerate(us):
+        one = model.fiber_sampler(us[i:i + 1], 7, None)[0]
+        assert bits(stack[i]) == bits(one)
         answers = model.dataset_answers(one)[0]
         assert np.max(np.abs(answers - u)) <= 1e-9
 
@@ -81,23 +76,31 @@ def test_one_fiber_draws_are_frozen(name, digest, after):
     model = HANDLES[name].descriptor
     u = core.theta_to_u(model, np.full(model.n, 0.3))
     rng = np.random.default_rng(8)
-    samples = model.fiber_sampler(u, 20, rng)
+    samples = model.fiber_sampler(u[None], 20, rng)[0]
     assert hashlib.sha256(bits(samples)).hexdigest()[:16] == digest
     assert rng.random() == after
 
 
 @pytest.mark.parametrize("name", ["discrete3", "four-letter", "five-letter"])
-def test_stacked_discrete_fibers_draw_one_fiber_after_another(name):
-    # With an rng, a stacked discrete call draws as k one-fiber calls in
-    # row order would, so its samples and the rng's state match theirs.
-    model = HANDLES[name].descriptor
-    us = energy_rows(HANDLES[name], 82, 4)
+def test_stacked_discrete_fibers_draw_once_for_the_stack(name):
+    # With an rng, a stacked discrete call takes the directions of fibers
+    # of dimension 2 or more from one normal call, and every chord offset
+    # from one uniform call, so the rng ends where those two calls leave it.
+    handle = HANDLES[name]
+    model = handle.descriptor
+    us = energy_rows(handle, 82, 4)
     rng = np.random.default_rng(9)
-    stack, counts = model.fiber_sampler(us, 6, rng)
-    alone = np.random.default_rng(9)
-    for u, fiber in zip(us, fibers_of(stack, counts)):
-        assert bits(fiber) == bits(model.fiber_sampler(u, 6, alone))
-    assert rng.random() == alone.random()
+    stack = model.fiber_sampler(us, 6, rng)
+    letters = handle.family.alphabet_size
+    assert stack.shape == (4, 6, letters)
+    for u, fiber in zip(us, stack):
+        assert np.max(np.abs(model.dataset_answers(fiber)[0] - u)) <= 1e-12
+    dimension = letters - 1 - model.n
+    drawn = np.random.default_rng(9)
+    if dimension >= 2:
+        drawn.normal(size=(4, 6, dimension))
+    drawn.uniform(size=(4, 6))
+    assert rng.random() == drawn.random()
 
 
 @pytest.mark.parametrize("name", ["qubit", "discrete2"])
@@ -105,9 +108,9 @@ def test_samplers_that_draw_nothing_leave_the_rng_alone(name):
     model = HANDLES[name].descriptor
     us = energy_rows(HANDLES[name], 83, 3)
     rng = np.random.default_rng(10)
-    stack, counts = model.fiber_sampler(us, 5, rng)
-    assert counts.tolist() == [1, 1, 1]
-    assert np.max(np.abs(model.dataset_answers(stack)[0] - us)) <= 1e-12
+    stack = model.fiber_sampler(us, 5, rng)
+    assert stack.shape[:2] == (3, 1)
+    assert np.max(np.abs(model.dataset_answers(stack[:, 0])[0] - us)) <= 1e-12
     assert rng.random() == np.random.default_rng(10).random()
 
 
@@ -117,19 +120,19 @@ def test_stacked_coherent_fibers_pin_every_sample(name):
     model = handle.descriptor
     us = energy_rows(handle, 84, 6)
     rng = np.random.default_rng(11)
-    stack, counts = model.fiber_sampler(us, 5, rng)
-    assert counts.tolist() == [5] * 6
-    for u, fiber in zip(us, fibers_of(stack, counts)):
+    stack = model.fiber_sampler(us, 5, rng)
+    assert stack.shape == (6, 5, handle.nmax + 1)
+    for u, fiber in zip(us, stack):
         assert np.max(np.abs(mu_map(fiber, handle.constants) - u)) <= 1e-9
         # each fiber starts with its coherent state, pinned
         first = model.dataset_answers(fiber[:1])[1][0]
         assert first == pytest.approx(float(model.entropy_u(u)), abs=1e-10)
-    # one row is the one-fiber call, draws included
-    one_rng, row_rng = np.random.default_rng(12), np.random.default_rng(12)
-    one = model.fiber_sampler(us[0], 5, one_rng)
-    row, _ = model.fiber_sampler(us[:1], 5, row_rng)
-    assert bits(row) == bits(one)
-    assert one_rng.random() == row_rng.random()
+    # where no pin fails, a fiber draws its four noisy attempts in one round
+    rng = np.random.default_rng(12)
+    model.fiber_sampler(us[:1], 5, rng)
+    drawn = np.random.default_rng(12)
+    drawn.normal(size=(4, 2, handle.nmax - 1))
+    assert rng.random() == drawn.random()
 
 
 @pytest.mark.parametrize("name", sorted(HANDLES))
@@ -185,7 +188,7 @@ def raised(form, *args):
 def test_a_stack_raises_the_truncation_error_of_its_lowest_failing_fiber():
     model = HANDLES["coherent"].descriptor
     us = np.array([[0.5, 0.3], [4.5, 0.0], [0.2, 0.1], [0.0, 6.0]])
-    alone = raised(model.fiber_sampler, us[1], 3, None)
+    alone = raised(model.fiber_sampler, us[1:2], 3, None)
     assert alone[0] is TruncationError
     assert raised(model.fiber_sampler, us, 3, None) == alone
     assert raised(model.fiber_sampler, us, 3, np.random.default_rng(1)) == alone
@@ -204,7 +207,7 @@ def test_a_stack_raises_the_noise_floor_error_of_its_lowest_failing_fiber(monkey
     monkeypatch.setattr(coherent, "_pin_rows", pin_except_doomed)
     model = HANDLES["coherent"].descriptor
     us = np.array([[0.5, 0.3], [0.25, -0.5], [0.1, 0.2], [-0.75, 0.25]])
-    alone = raised(model.fiber_sampler, us[1], 3, None)
+    alone = raised(model.fiber_sampler, us[1:2], 3, None)
     assert alone[0] is ConvergenceError and "0.25-0.5j" in alone[1]
     assert raised(model.fiber_sampler, us, 3, None) == alone
     assert raised(model.fiber_sampler, us, 3, np.random.default_rng(2)) == alone
@@ -213,7 +216,7 @@ def test_a_stack_raises_the_noise_floor_error_of_its_lowest_failing_fiber(monkey
 def test_a_stack_raises_the_fit_error_of_its_lowest_failing_fiber():
     model = HANDLES["discrete3"].descriptor
     us = np.array([[1.0], [2.5], [0.5], [-1.0]])
-    alone = raised(model.fiber_sampler, us[1], 4, None)
+    alone = raised(model.fiber_sampler, us[1:2], 4, None)
     assert alone[0] is InfeasibleError
     assert raised(model.fiber_sampler, us, 4, None) == alone
 

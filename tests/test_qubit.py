@@ -218,7 +218,7 @@ def test_qubit_descriptor_answers_and_fiber():
     assert answers.shape == (1, 3) and entropy.shape == (1,)
     assert np.allclose(answers[0], x, atol=1e-14)
     assert entropy[0] == pytest.approx(entropy_bloch(x), abs=1e-15)
-    fiber = model.fiber_sampler(x, 25, np.random.default_rng(0))
+    fiber = model.fiber_sampler(x[None], 25, np.random.default_rng(0))[0]
     assert fiber.shape == (1, 3)
     assert np.allclose(fiber[0], x, atol=1e-14)
 
