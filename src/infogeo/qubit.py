@@ -88,9 +88,9 @@ def bloch_to_theta(u, chart_margin: float = 1e-9) -> np.ndarray:
     Pure states (|u| = 1) have no finite parameters; vectors closer than
     ``chart_margin`` to the boundary are rejected with
     :class:`DomainError` (any row of a stack).  The norm is
-    :func:`row_norm`, rescaled below ``|u| ~ 1.5e-154``, and ``atanh`` is
-    ``math``'s, so other rows have the bits of the 1-D ``np.linalg.norm``
-    and ``math.atanh`` (numpy's ``arctanh`` differs).
+    :func:`row_norm`, rescaled below ``|u| ~ 1.5e-154``, so other rows
+    have the bits of the 1-D ``np.linalg.norm``; the length of the
+    parameters is ``np.arctanh`` of it.
     """
     u = _vectors(u, "Bloch vector")
     us = u.reshape(-1, 3)
@@ -99,7 +99,7 @@ def bloch_to_theta(u, chart_margin: float = 1e-9) -> np.ndarray:
         raise DomainError("Bloch vector too close to the pure-state boundary")
     # u / r at r = 0 would be NaN; the parameters there are +0
     zero = r == 0.0
-    theta = -(us / (r + zero)[:, None]) * _libm(math.atanh, r)[:, None]
+    theta = -(us / (r + zero)[:, None]) * np.arctanh(r)[:, None]
     theta[zero] = 0.0
     return theta if u.ndim == 2 else theta[0]
 
@@ -138,22 +138,15 @@ def _binary_entropy(r: np.ndarray) -> np.ndarray:
             - lam_minus * np.log(np.where(lam_minus > 0.0, lam_minus, 1.0)))
 
 
-def _libm(f, values: np.ndarray) -> np.ndarray:
-    """``f`` from :mod:`math` at each of ``values``: numpy's own ``exp``,
-    ``log`` and ``cosh`` need not round like libm's."""
-    return np.fromiter(map(f, values.ravel().tolist()), float,
-                       values.size).reshape(values.shape)
-
-
 def gibbs_state(theta) -> Matrix2H:
     """Normalized Gibbs state ``exp(-theta . sigma) / (2 cosh |theta|)``
     at ``theta`` (3,), or the stack of them at the rows ``theta`` (k, 3)."""
     theta = _vectors(theta, "spin parameters")
     h = Matrix2H(a=-theta[..., 2], d=theta[..., 2], x=-theta[..., 0], y=-theta[..., 1])
     expm = func_h2(h, math.exp)
-    z = 2.0 * _libm(math.cosh, np.atleast_1d(row_norm(theta)))
+    z = 2.0 * np.cosh(row_norm(theta))
     if theta.ndim == 1:
-        return expm.scaled(1.0 / float(z[0]))
+        return expm.scaled(1.0 / float(z))
     return expm.scaled(1.0 / z)
 
 
@@ -183,8 +176,8 @@ def quantum_relative_entropy(rho: Matrix2H, sigma: Matrix2H):
                       for i in range(2)] for j in range(2)])          # (j, i, k)
     overlap = np.float_power(np.hypot(dots.real, dots.imag), 2).transpose(2, 0, 1)
     # ln of the weights and eigenvalues that contribute (0 where skipped)
-    log_lam = _libm(math.log, np.where(lam == 0.0, 1.0, lam))
-    log_mu = _libm(math.log, np.where(svals <= 0.0, 1.0, svals))
+    log_lam = np.log(np.where(lam == 0.0, 1.0, lam))
+    log_mu = np.log(np.where(svals <= 0.0, 1.0, svals))
     total = np.zeros(len(lam))
     singular = np.zeros(len(lam), dtype=bool)
     for i in range(2):

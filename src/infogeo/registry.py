@@ -7,14 +7,11 @@ families: which command-line flags carry a data set and how a data
 vector is sized and validated, how a moment target is matched, and how
 the verify suites draw random parameters and data sets.
 
-Each sampler is split in two: its generator calls (``theta_draws``,
-``dataset_draws``), which return the raw draws of one call, and one
-row-wise finish (``thetas_from``, ``datasets_from``), which turns a list
-of such draws into the stack of their points.  A sampling loop makes
-only the generator calls, in the order the point calls made them, and
-finishes the stack once; each row has the bits of the point call, and
-the generator ends in the same state.  ``sample_thetas`` is the one-call
-view of the parameter sampler; data sets are drawn only in loops.
+A canonical handle has one sampler per job: ``sample_thetas(rng, shape,
+radius)`` gives random parameter points ``shape + (n,)`` and
+``sample_datasets(rng, count)`` a stack of ``count`` random data sets.
+Each makes one generator call per distribution it draws from, whatever
+the shape, so a check draws all its points at once.
 """
 
 from __future__ import annotations
@@ -29,14 +26,14 @@ import numpy as np
 from . import coherent, core, discrete, qubit, regression, sphere
 from .core import ModelDescriptor
 from .errors import DomainError
-from .numerics import complex_row_norm, row_dot
+from .numerics import complex_row_norm
 
 
 class _CanonicalHandle:
     """Defaults shared by the handles of canonical families.
 
     Subclasses are dataclasses with a ``name`` and a ``descriptor``, and
-    define the data-set sampler (``dataset_draws``, ``datasets_from``).
+    define the data-set sampler ``sample_datasets(rng, count)``.
     """
 
     #: Command-line flags that can carry a data set: ``x`` is a vector of
@@ -49,25 +46,11 @@ class _CanonicalHandle:
     #: closed Massieu function.
     legendre_points = 25
 
-    def theta_draws(self, rng, count: int, radius: float = 3.0) -> tuple:
-        """The generator calls of ``count`` parameter points: entries
-        uniform in ``[-radius, radius]``, already the points."""
-        return (rng.uniform(-radius, radius, size=(count, self.descriptor.n)),)
-
-    def thetas_from(self, draws: list) -> np.ndarray:
-        """The parameter points ``(k, n)`` of a list of ``theta_draws``, in order."""
-        return np.concatenate([d[0] for d in draws])
-
-    def sample_thetas(self, rng, count: int, radius: float = 3.0) -> np.ndarray:
-        """``count`` random parameter points ``(count, n)``."""
-        return self.thetas_from([self.theta_draws(rng, count, radius)])
-
-    def sample_theta_sets(self, rng, sets: int, count: int,
-                          radius: float = 3.0) -> np.ndarray:
-        """``sets`` consecutive ``sample_thetas(rng, count, radius)`` calls
-        as one array ``(sets, count, n)``.  The entries come from one
-        distribution, so one call of the total size draws them all."""
-        return self.sample_thetas(rng, sets * count, radius).reshape(sets, count, -1)
+    def sample_thetas(self, rng, shape, radius: float = 3.0) -> np.ndarray:
+        """Random parameter points ``shape + (n,)``, for an int or tuple
+        ``shape``: entries uniform in ``[-radius, radius]``, one uniform
+        call."""
+        return rng.uniform(-radius, radius, size=np.append(shape, self.descriptor.n))
 
     def match_moments(self, u: np.ndarray, tol: float):
         """Parameters matching the moment targets ``u``.
@@ -97,36 +80,21 @@ class QubitHandle(_CanonicalHandle):
         qubit.ball_radius(x, "polarization vector is longer than 1")
         return x
 
-    def theta_draws(self, rng, count: int, radius: float = 3.0) -> tuple:
-        """Gaussian vectors for the directions, then lengths uniform in
-        ``[0.05, radius]``."""
-        return (rng.normal(size=(count, self.descriptor.n)),
-                rng.uniform(0.05, radius, size=(count, 1)))
+    def sample_thetas(self, rng, shape, radius: float = 3.0) -> np.ndarray:
+        """Random parameter points ``shape + (3,)``: Gaussian directions, then
+        lengths uniform in ``[0.05, radius]``, one normal and one uniform
+        call."""
+        v = rng.normal(size=np.append(shape, 3))
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        return v * rng.uniform(0.05, radius, size=np.append(shape, 1))
 
-    def thetas_from(self, draws: list) -> np.ndarray:
-        v, lengths = (np.concatenate(parts) for parts in zip(*draws))
+    def sample_datasets(self, rng, count: int) -> np.ndarray:
+        """``count`` Bloch vectors uniform in the unit ball ``(count, 3)``:
+        Gaussian directions, then uniform numbers whose cube roots are the
+        lengths, one normal and one uniform call."""
+        v = rng.normal(size=(count, 3))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return v * lengths
-
-    def sample_theta_sets(self, rng, sets: int, count: int,
-                          radius: float = 3.0) -> np.ndarray:
-        """``sets`` consecutive ``sample_thetas(rng, count, radius)`` calls
-        as one array ``(sets, count, 3)``: the draws alternate between
-        two distributions, so each call's draws are made in turn."""
-        draws = [self.theta_draws(rng, count, radius) for _ in range(sets)]
-        return self.thetas_from(draws).reshape(sets, count, 3)
-
-    def dataset_draws(self, rng) -> tuple:
-        """A Gaussian vector for the direction, then a uniform number whose
-        cube root is the length, so the Bloch vector is uniform in the ball."""
-        return rng.normal(size=(1, 3)), rng.uniform(0.0, 1.0, size=1)
-
-    def datasets_from(self, draws: list) -> np.ndarray:
-        v, u = (np.concatenate(parts) for parts in zip(*draws))
-        # the norm of the 1-D np.linalg.norm, and the cube root of libm pow
-        # (Python's float **), which numpy's power need not match
-        v /= np.sqrt(row_dot(v, v))[:, None]
-        return v * np.array([x ** (1.0 / 3.0) for x in u.tolist()])[:, None]
+        return v * np.cbrt(rng.uniform(0.0, 1.0, size=(count, 1)))
 
 
 @dataclass(frozen=True)
@@ -148,15 +116,11 @@ class CoherentHandle(_CanonicalHandle):
         (default: the model's)."""
         return coherent.coherent_state(z, nmax=self.nmax if nmax is None else nmax)
 
-    def dataset_draws(self, rng) -> tuple:
-        """Gaussian real parts, then imaginary parts, of the ``nmax + 1``
-        coefficients of a state: one call of both sizes."""
-        return (rng.normal(size=(1, 2, self.nmax + 1)),)
-
-    def datasets_from(self, draws: list) -> np.ndarray:
-        """The coefficient rows of random states weighted towards the low
-        number states."""
-        g = np.concatenate([d[0] for d in draws])
+    def sample_datasets(self, rng, count: int) -> np.ndarray:
+        """The coefficient rows ``(count, nmax + 1)`` of random states
+        weighted towards the low number states: Gaussian real parts, then
+        imaginary parts, of each state's coefficients, one normal call."""
+        g = rng.normal(size=(count, 2, self.nmax + 1))
         c = g[:, 0] + 1j * g[:, 1]
         # concentrate weight on low modes so the states resemble
         # physical ones rather than white noise
@@ -193,12 +157,10 @@ class DiscreteHandle(_CanonicalHandle):
         return {"member_distribution":
                 list(discrete.boltzmann_gibbs(self.family, theta))}
 
-    def dataset_draws(self, rng) -> tuple:
-        """A probability vector drawn uniformly from the simplex."""
-        return (rng.dirichlet(np.ones(self.family.alphabet_size), size=1),)
-
-    def datasets_from(self, draws: list) -> np.ndarray:
-        return np.concatenate([d[0] for d in draws])
+    def sample_datasets(self, rng, count: int) -> np.ndarray:
+        """``count`` probability vectors drawn uniformly from the simplex,
+        one Dirichlet call."""
+        return rng.dirichlet(np.ones(self.family.alphabet_size), size=count)
 
 
 @dataclass(frozen=True)

@@ -122,9 +122,7 @@ def _numerics_checks():
     yield _check("grid-matches-newton", abs(gv - res2.value), 5e-3,
                  note="41 points per axis")
 
-    # The spectral checks draw their matrices in a loop and evaluate the
-    # stack in one call.
-    ms = numerics.Matrix2H(*np.array([rng.normal(size=4) for _ in range(200)]).T)
+    ms = numerics.Matrix2H(*rng.normal(size=(200, 4)).T)
     vals, vecs = numerics.eig_h2(ms)
     adjoint = vecs.conj().transpose(0, 2, 1)
     rec = (vecs * vals[:, None, :]) @ adjoint
@@ -133,7 +131,7 @@ def _numerics_checks():
     yield _check("eigh2-reconstruction", worst_rec, 1e-13)
     yield _check("eigh2-orthonormality", worst_orth, 1e-13)
 
-    ms = numerics.Matrix2H(*np.array([rng.normal(size=4) for _ in range(50)]).T)
+    ms = numerics.Matrix2H(*rng.normal(size=(50, 4)).T)
     ident = numerics.func_h2(ms, lambda v: v)
     worst = float(np.max(np.abs(ident.to_array() - ms.to_array())))
     em = numerics.func_h2(ms, math.exp).to_array()
@@ -144,22 +142,6 @@ def _numerics_checks():
 
 
 # ------------------------------------------------------- canonical engine
-
-def _tuples(handle: ModelHandle, rng, count: int, size: int,
-            radius: float = 3.0) -> np.ndarray:
-    """``count`` tuples of ``size`` parameter points as ``size`` row arrays
-    ``(count, n)``, each tuple drawn as by one ``sample_thetas(rng, size,
-    radius)`` call."""
-    return handle.sample_theta_sets(rng, count, size, radius).transpose(1, 0, 2)
-
-
-def _rounds(rng, count: int, *draws) -> list[list]:
-    """``count`` rounds of the generator calls ``draws``, each ``draw(rng)``
-    in turn within a round, as a per-point loop makes them; one list of
-    results per draw, in round order."""
-    rounds = [[draw(rng) for draw in draws] for _ in range(count)]
-    return [list(results) for results in zip(*rounds)]
-
 
 def _grid_oracle(model, thetas, tol: float, note: str) -> PropertyResult:
     """Phi at each theta against the brute-force sup over a 61-point-per-axis
@@ -225,16 +207,12 @@ def _canonical_checks(handle: ModelHandle):
     yield _check("metric-inverse-duality", np.max(rel), 1e-4,
                  note="Hess S(U) = -(Hess Phi)^-1, relative")
 
-    # Each sampled check makes the generator calls of its points in the
-    # order the per-point checks made them, finishes the points on the
-    # stack (the handle's thetas_from / datasets_from), and evaluates
-    # them in one row-wise call.
-    t1, t2 = _tuples(handle, rng, segments, 2)
+    t1, t2 = handle.sample_thetas(rng, (2, segments))
     worst = float(np.max(core.convexity_probe(model, t1, t2)))
     yield _check("massieu-convexity", worst, 1e-9,
                  note=f"{segments} random segments, 21 blend points each")
 
-    t1, t2 = _tuples(handle, rng, 1000, 2)
+    t1, t2 = handle.sample_thetas(rng, (2, 1000))
     d = core.bregman_divergence(model, t1, t2).value
     # the norm of each difference with the bits of the 1-D np.linalg.norm
     separated = np.sqrt(numerics.row_dot(t1 - t2, t1 - t2)) >= 0.1
@@ -244,7 +222,7 @@ def _canonical_checks(handle: ModelHandle):
                  -1e-6, note="divergence exceeds 1e-6 when |theta-zeta| >= 0.1")
 
     # The 70 pairs are drawn first, then their fibers in one sampler call.
-    th, ze = _tuples(handle, rng, 70, 2, radius=handle.fiber_radius)
+    th, ze = handle.sample_thetas(rng, (2, 70), handle.fiber_radius)
     fibers = model.fiber_sampler(core.dual_points(model, th)[1], 3, rng)
     c = fibers.shape[1]
     residual = core.pythagoras_data(model, fibers.reshape(70 * c, -1),
@@ -253,12 +231,7 @@ def _canonical_checks(handle: ModelHandle):
     yield _check("pythagoras-with-data", np.max(residual, initial=0.0), 1e-9,
                  note="210 compliant data-model-model triples")
 
-    if model.n >= 2:
-        triples, draws = _rounds(rng, 100, lambda r: handle.theta_draws(r, 3, radius=2.0),
-                                 lambda r: r.normal(size=model.n))
-        th, ze, xi = handle.thetas_from(triples).reshape(100, 3, -1).transpose(1, 0, 2)
-    else:
-        th, ze, xi = _tuples(handle, rng, 100, 3, radius=2.0)
+    th, ze, xi = handle.sample_thetas(rng, (3, 100), 2.0)
     triple = core.pythagoras_models(model, th, ze, xi)
     worst_ident = np.max(np.abs(triple.residual - np.abs(triple.orthogonality)),
                          initial=0.0)
@@ -266,7 +239,7 @@ def _canonical_checks(handle: ModelHandle):
         # xi = zeta - w with w orthogonal to U(theta) - U(zeta)
         u = core.dual_points(model, np.concatenate([th, ze]))[1]
         d = u[:100] - u[100:]
-        w = np.array(draws)
+        w = rng.normal(size=(100, model.n))
         w -= (numerics.row_dot(w, d) / numerics.row_dot(d, d))[:, None] * d
         triple = core.pythagoras_models(model, th, ze, ze - w)
     else:
@@ -285,9 +258,8 @@ def _canonical_checks(handle: ModelHandle):
     yield _check("legendre-numeric-vs-closed", worst, 1e-6,
                  note=f"damped-Newton transform at {count} points, |theta| <= 3")
 
-    xs, th = _rounds(rng, 60, handle.dataset_draws, lambda r: handle.theta_draws(r, 1))
-    d = core.divergence_from_data(model, handle.datasets_from(xs),
-                                  handle.thetas_from(th)).value
+    xs = handle.sample_datasets(rng, 60)
+    d = core.divergence_from_data(model, xs, handle.sample_thetas(rng, 60)).value
     yield _check("divergence-nonnegative", np.max(-d), 1e-10,
                  note="random data sets against random model points")
 
@@ -314,9 +286,8 @@ def _qubit_checks(handle: QubitHandle):
     grid_thetas = 5
     model = handle.descriptor
 
-    th, radii = map(np.array, _rounds(rng, 200, lambda r: r.normal(size=3),
-                                      lambda r: r.uniform(0.0, 20.0)))
-    th *= (radii / np.sqrt(numerics.row_dot(th, th)))[:, None]
+    th = rng.normal(size=(200, 3))
+    th *= (rng.uniform(0.0, 20.0, size=200) / np.sqrt(numerics.row_dot(th, th)))[:, None]
     t = np.sqrt(numerics.row_dot(th, th))
     u = qubit.theta_to_bloch(th)
     r = np.sqrt(numerics.row_dot(u, u))
@@ -330,8 +301,7 @@ def _qubit_checks(handle: QubitHandle):
                  note="|U| = tanh|theta| and closed round trip, |theta| <= 20")
 
     # The spectral oracles evaluate their stacks of states in one call each.
-    xs, th = _rounds(rng, 200, handle.dataset_draws, lambda r: handle.theta_draws(r, 1))
-    xs, th = handle.datasets_from(xs), handle.thetas_from(th)
+    xs, th = handle.sample_datasets(rng, 200), handle.sample_thetas(rng, 200)
     via_spectral = qubit.quantum_relative_entropy(qubit.bloch_to_rho(xs),
                                                   qubit.gibbs_state(th))
     via_engine = core.divergence_from_data(model, xs, th).value
@@ -339,12 +309,11 @@ def _qubit_checks(handle: QubitHandle):
     yield _check("relative-entropy-agreement", worst, 1e-10,
                  note="spectral Tr rho(ln rho - ln sigma) vs affine form")
 
-    xs, th = _rounds(rng, 1000, handle.dataset_draws, lambda r: handle.theta_draws(r, 1))
-    xs, th = handle.datasets_from(xs), handle.thetas_from(th)
+    xs, th = handle.sample_datasets(rng, 1000), handle.sample_thetas(rng, 1000)
     d = qubit.quantum_relative_entropy(qubit.bloch_to_rho(xs), qubit.gibbs_state(th))
     yield _check("relative-entropy-nonnegative", np.max(-d), 1e-12)
 
-    th = handle.sample_theta_sets(rng, 50, 1)[:, 0]
+    th = handle.sample_thetas(rng, 50)
     lnrho = numerics.func_h2(qubit.gibbs_state(th), math.log)
     t = np.sqrt(numerics.row_dot(th, th))
     phi = np.logaddexp(t, -t)
@@ -354,12 +323,9 @@ def _qubit_checks(handle: QubitHandle):
     yield _check("log-state-affine", worst, 1e-10,
                  note="ln rho = -ln(2 cosh|theta|) - theta . sigma")
 
-    thetas, xs, lengths = _rounds(rng, 30, lambda r: handle.theta_draws(r, 1),
-                                  lambda r: r.normal(size=3), lambda r: r.uniform(0.0, 0.9))
-    xs = np.array(xs)
-    xs *= (np.array(lengths) / np.sqrt(numerics.row_dot(xs, xs)))[:, None]
-    yield _check("fiber-sup-divergence-singleton",
-                 _def5_gap(model, xs, handle.thetas_from(thetas)), 1e-12,
+    thetas, xs = handle.sample_thetas(rng, 30), rng.normal(size=(30, 3))
+    xs *= (rng.uniform(0.0, 0.9, size=30) / np.sqrt(numerics.row_dot(xs, xs)))[:, None]
+    yield _check("fiber-sup-divergence-singleton", _def5_gap(model, xs, thetas), 1e-12,
                  note="three answers determine the state: fiber is one point")
 
     margin_ok = (not model.energy_domain.membership(np.array([1.0 - 1e-13, 0.0, 0.0]))
@@ -367,10 +333,9 @@ def _qubit_checks(handle: QubitHandle):
     yield _check("domain-boundary-margin", 0.0 if margin_ok else 1.0, 0.0,
                  note="chart must exclude a shell at the pure-state boundary")
 
-    gridt = [np.array([1.0, 0.0, 0.0])]
-    for _ in range(grid_thetas - 1):
-        v = rng.normal(size=3)
-        gridt.append(v * rng.uniform(0.3, 1.2) / float(np.linalg.norm(v)))
+    v = rng.normal(size=(grid_thetas - 1, 3))
+    v *= (rng.uniform(0.3, 1.2, size=grid_thetas - 1) / np.linalg.norm(v, axis=1))[:, None]
+    gridt = np.vstack([[1.0, 0.0, 0.0], v])
     yield _grid_oracle(model, gridt, 2e-3,
                        f"61^3 brute force at {grid_thetas} points, |theta| <= 1.2")
 
@@ -385,9 +350,8 @@ def _discrete_checks(handle: DiscreteHandle):
     yield _check("maxent-roundtrip", np.max(np.abs(back - thetas)), 1e-8,
                  note="theta -> moments -> fitted theta")
 
-    pairs, xs = _rounds(rng, 200, lambda r: handle.theta_draws(r, 2), handle.dataset_draws)
-    t1, t2 = handle.thetas_from(pairs).reshape(200, 2, -1).transpose(1, 0, 2)
-    xs = handle.datasets_from(xs)
+    t1, t2 = handle.sample_thetas(rng, (2, 200))
+    xs = handle.sample_datasets(rng, 200)
     q = discrete.boltzmann_gibbs(family, t2)
     kl = discrete.kl_divergence(discrete.boltzmann_gibbs(family, t1), q)
     kl_x = discrete.kl_divergence(xs, q)
@@ -409,11 +373,9 @@ def _discrete_checks(handle: DiscreteHandle):
                      np.max(s_fiber - model.entropy_u(us)[:, None]), 1e-9,
                      note="no fiber sample beats the moment-matched member")
 
-        thetas, xs = _rounds(rng, 20, lambda r: handle.theta_draws(r, 1, radius=1.5),
-                             handle.dataset_draws)
+        thetas = handle.sample_thetas(rng, 20, radius=1.5)
         yield _check("fiber-sup-divergence-agreement",
-                     _def5_gap(model, handle.datasets_from(xs), handle.thetas_from(thetas)),
-                     1e-4,
+                     _def5_gap(model, handle.sample_datasets(rng, 20), thetas), 1e-4,
                      note="200-sample fiber supremum vs affine form")
 
     if family.n == 1:
@@ -450,20 +412,18 @@ def _coherent_checks(handle: CoherentHandle):
     yield _check("coherent-perfect-data", worst, 1e-10,
                  note="entropy -|z|^2/2, zero self-divergence, phase invariance")
 
-    xs, us, alphas = _rounds(rng, 500, handle.dataset_draws,
-                             lambda r: r.uniform(-2.0, 2.0, size=2),
-                             lambda r: r.uniform(0.0, 2.0 * math.pi))
-    states = coh.check_state(handle.datasets_from(xs))
+    states = coh.check_state(handle.sample_datasets(rng, 500))
+    us = rng.uniform(-2.0, 2.0, size=(500, 2))
     d = coh.divergence_coherent(states, us, constants)
     yield _check("divergence-nonnegative-states", np.max(-d), 1e-10,
                  note="500 random truncated states")
-    rotated = states * np.exp(1j * np.array(alphas))[:, None]
+    rotated = states * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(500, 1)))
     d2 = coh.divergence_coherent(coh.check_state(rotated), us, constants)
     yield _check("divergence-phase-invariance", np.max(np.abs(d - d2)), 1e-12)
 
     worst = 0.0
-    us, xs = _rounds(rng, 20, lambda r: r.uniform(-2.0, 2.0, size=2), handle.dataset_draws)
-    for u, x in zip(us, handle.datasets_from(xs)):
+    us = rng.uniform(-2.0, 2.0, size=(20, 2))
+    for u, x in zip(us, handle.sample_datasets(rng, 20)):
         th = coh.u_to_theta_coherent(u, constants)
         lmat = coh.log_map_coherent(u, constants, nmax)
         phi_val = coh.massieu_coherent(th, constants)
@@ -490,9 +450,8 @@ def _coherent_checks(handle: CoherentHandle):
     yield _check("metric-constant-gaussian", np.max(np.abs(g - expected)), 1e-5,
                  note="Hess Phi = diag(r^2, hbar^2/r^2) everywhere")
 
-    xs, th = _rounds(rng, 20, handle.dataset_draws,
-                     lambda r: handle.theta_draws(r, 1, radius=2.0))
-    states, th = coh.check_state(handle.datasets_from(xs)), handle.thetas_from(th)
+    states = coh.check_state(handle.sample_datasets(rng, 20))
+    th = handle.sample_thetas(rng, 20, radius=2.0)
     via_closed = coh.divergence_coherent(states, coh.theta_to_u_coherent(th, constants),
                                          constants)
     via_engine = core.divergence_from_data(model, states, th).value
@@ -519,8 +478,7 @@ def _sphere_checks():
                  note="entropy along 500 rays peaks at unit length (grid step 0.05)")
 
     worst = -math.inf
-    for _ in range(200):
-        x = rng.normal(size=3) * rng.uniform(0.1, 3.0)
+    for x in rng.normal(size=(200, 3)) * rng.uniform(0.1, 3.0, size=(200, 1)):
         worst = max(worst, sphere.sphere_entropy(x))
         if abs(float(np.linalg.norm(x)) - 1.0) > 0.05:
             if sphere.sphere_entropy(x) >= -1e-4:
@@ -528,11 +486,11 @@ def _sphere_checks():
     yield _check("entropy-nonpositive", worst, 1e-12,
                  note="S <= 0 with equality only on the sphere")
 
+    xs = rng.normal(size=(200, 3))
+    xs[:, 2] = np.abs(xs[:, 2]) + 1e-3
+    xs *= rng.uniform(0.2, 4.0, size=(200, 1))
     worst = 0.0
-    for _ in range(200):
-        x = rng.normal(size=3)
-        x[2] = abs(x[2]) + 1e-3
-        x *= rng.uniform(0.2, 4.0)
+    for x in xs:
         rebuilt = sphere.sphere_from_questions(sphere.sphere_questions(x))
         worst = max(worst, float(np.max(np.abs(rebuilt - sphere.sphere_mu(x)))))
     yield _check("chart-roundtrip", worst, 1e-12,

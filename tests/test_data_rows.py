@@ -56,7 +56,7 @@ def row_forms(handle):
 
 def data_sets(handle, rng, count):
     """``count`` random data sets of the family, as a list."""
-    return list(handle.datasets_from([handle.dataset_draws(rng) for _ in range(count)]))
+    return list(handle.sample_datasets(rng, count))
 
 
 @pytest.mark.parametrize("name", sorted(HANDLES))

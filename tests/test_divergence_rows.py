@@ -61,7 +61,7 @@ def test_row_forms_equal_their_scalar_views_bitwise(name):
     handle = HANDLES[name]
     model = handle.descriptor
     rng = np.random.default_rng(43)
-    th, ze, xi = np.stack([handle.sample_thetas(rng, 3) for _ in range(30)], axis=1)
+    th, ze, xi = handle.sample_thetas(rng, (3, 30))
 
     rows = bregman_divergence(model, th, ze)
     values, u_first = rows.value, rows.u_first

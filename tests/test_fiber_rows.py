@@ -141,7 +141,7 @@ def test_def5_rows_equal_point_calls(name):
     model = handle.descriptor
     us = energy_rows(handle, 85, 4)
     rng = np.random.default_rng(86)
-    xs = handle.datasets_from([handle.dataset_draws(rng) for _ in range(4)])
+    xs = handle.sample_datasets(rng, 4)
     rows = divergence_def5(model, xs, us, fiber_samples=20)
     assert rows.shape == (4,)
     for i in range(4):

@@ -124,7 +124,7 @@ def test_tiny_bloch_vectors_keep_their_parameters(capsys):
     rows = np.random.default_rng(4).uniform(-0.5, 0.5, size=(20, 3))
     for row in rows:
         r = np.linalg.norm(row)
-        assert bloch_to_theta(row).tolist() == (-(row / r) * math.atanh(r)).tolist()
+        assert bloch_to_theta(row).tolist() == (-(row / r) * np.arctanh(r)).tolist()
     assert cli.main(["maxent", "--model", "qubit", "--u", "1e-170,0,0"]) == 0
     out = json.loads(capsys.readouterr().out)["outputs"]
     assert [repr(v) for v in out["theta"]] == ["-1e-170", "-0.0", "-0.0"]

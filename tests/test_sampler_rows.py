@@ -1,49 +1,54 @@
-"""The verify samplers on stacks: each stacked form against the point
-calls it replaces.
+"""The verify samplers of the canonical handles.
 
-A sampling loop in ``verify`` makes only a handle's generator calls
-(``theta_draws``, ``dataset_draws``) and finishes the points once on the
-stack (``thetas_from``, ``datasets_from``); ``sample_theta_sets`` draws
-many ``sample_thetas`` calls at once.  Every stacked form must give the
-points of the consecutive point calls bit for bit, and leave the
-generator in the same state.  The point calls are written out below as
-the per-call formulas, so the reference does not share code with the
-stacked forms.
+Each canonical handle has one sampler per job: ``sample_thetas(rng,
+shape, radius)`` gives parameter points ``shape + (n,)`` for an int or a
+tuple ``shape``, and ``sample_datasets(rng, count)`` a stack of ``count``
+data sets.  Each call makes one generator call per distribution it draws
+from.  Those calls are written out below as the documented formulas, so
+the reference does not share code with the samplers.
 """
 
 import numpy as np
 import pytest
 
-from infogeo import discrete_instance, get_model, verify
+from infogeo import coherent, discrete_instance, get_model
 
 CANONICAL = ("qubit", "coherent", "coherent2", "discrete2", "discrete3")
 HANDLES = {name: get_model(name) for name in CANONICAL}
 HANDLES["triangle"] = discrete_instance([1.0, 2.0, 1.0], [[0.0, 1.0, 2.0],
                                                           [0.0, 1.0, 0.0]])
+# the families whose parameter entries come from one distribution
+UNIFORM = sorted(name for name in HANDLES if name != "qubit")
 
 
-def point_thetas(handle, rng, count, radius=3.0):
-    """One ``sample_thetas`` call, as the per-call formula."""
+def formula_thetas(handle, rng, shape, radius=3.0):
+    """One ``sample_thetas`` call, as its documented generator calls."""
+    shape = tuple(np.atleast_1d(shape))
+    if handle.name == "qubit":
+        v = rng.normal(size=shape + (3,))
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        return v * rng.uniform(0.05, radius, size=shape + (1,))
+    return rng.uniform(-radius, radius, size=shape + (handle.descriptor.n,))
+
+
+def formula_datasets(handle, rng, count):
+    """One ``sample_datasets`` call, as its documented generator calls."""
     if handle.name == "qubit":
         v = rng.normal(size=(count, 3))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return v * rng.uniform(0.05, radius, size=(count, 1))
-    return rng.uniform(-radius, radius, size=(count, handle.descriptor.n))
-
-
-def point_dataset(handle, rng):
-    """One data set, as the per-call formula."""
-    if handle.name == "qubit":
-        v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        return v * rng.uniform(0.0, 1.0) ** (1.0 / 3.0)
+        return v * np.cbrt(rng.uniform(0.0, 1.0, size=(count, 1)))
     if handle.name.startswith("coherent"):
         size = handle.nmax + 1
-        c = rng.normal(size=size) + 1j * rng.normal(size=size)
-        c *= np.exp(-0.35 * np.arange(size))
-        c /= np.linalg.norm(c)
-        return c
-    return rng.dirichlet(np.ones(handle.family.alphabet_size))
+        g = rng.normal(size=(count, 2, size))
+        c = (g[:, 0] + 1j * g[:, 1]) * np.exp(-0.35 * np.arange(size))
+        return c / np.array([np.linalg.norm(row) for row in c])[:, None]
+    return rng.dirichlet(np.ones(handle.family.alphabet_size), size=count)
+
+
+def data_size(handle):
+    if handle.name.startswith("coherent"):
+        return handle.nmax + 1
+    return handle.x_size
 
 
 def bits(values):
@@ -56,43 +61,76 @@ def same_state(a, b):
 
 @pytest.mark.parametrize("name", sorted(HANDLES))
 def test_point_samplers_are_the_per_call_formulas(name):
+    # each call is its documented generator calls, one per distribution,
+    # for int and tuple shapes alike, and leaves the generator where they do
     handle = HANDLES[name]
     ref, rng = np.random.default_rng(3), np.random.default_rng(3)
-    for count, radius in ((1, 3.0), (4, 1.5)):
-        assert bits(handle.sample_thetas(rng, count, radius)) == bits(
-            point_thetas(handle, ref, count, radius))
-    one = handle.datasets_from([handle.dataset_draws(rng)])
-    assert bits(one[0]) == bits(point_dataset(handle, ref))
-    assert same_state(rng, ref)
+    for shape, radius in ((1, 3.0), (4, 1.5), ((2, 3), 2.0), ((3, 1, 2), 0.5)):
+        assert bits(handle.sample_thetas(rng, shape, radius)) == bits(
+            formula_thetas(handle, ref, shape, radius))
+        assert same_state(rng, ref)
+    for count in (1, 5):
+        assert bits(handle.sample_datasets(rng, count)) == bits(
+            formula_datasets(handle, ref, count))
+        assert same_state(rng, ref)
 
 
-@pytest.mark.parametrize("name", sorted(HANDLES))
+@pytest.mark.parametrize("name", UNIFORM)
 @pytest.mark.parametrize("size", [1, 2, 3])
 def test_theta_sets_equal_consecutive_point_calls(name, size):
+    # one distribution fills the array in order, so a set of calls drawn
+    # as one array is the consecutive calls (the qubit draws all its
+    # directions before its lengths, so its sets are not)
     handle = HANDLES[name]
     ref, rng = np.random.default_rng(5), np.random.default_rng(5)
-    want = np.stack([point_thetas(handle, ref, size, 2.0) for _ in range(300)])
-    got = handle.sample_theta_sets(rng, 300, size, radius=2.0)
-    assert got.shape == (300, size, handle.descriptor.n)
+    want = np.stack([handle.sample_thetas(ref, size, 2.0) for _ in range(300)])
+    got = handle.sample_thetas(rng, (300, size), radius=2.0)
     assert bits(got) == bits(want)
     assert same_state(rng, ref)
 
 
 @pytest.mark.parametrize("name", sorted(HANDLES))
-def test_interleaved_draws_finish_to_the_point_calls(name):
-    # the rounds of verify's data checks (verify._rounds): a data set, a
-    # parameter point and a draw the handle does not own, in turn
+def test_samplers_give_the_documented_shapes(name):
     handle = HANDLES[name]
-    ref, rng = np.random.default_rng(9), np.random.default_rng(9)
-    want_x, want_t, want_other = [], [], []
-    for _ in range(400):
-        want_x.append(point_dataset(handle, ref))
-        want_t.append(point_thetas(handle, ref, 1, 2.0)[0])
-        want_other.append(ref.uniform(0.0, 2.0))
-    xs, thetas, other = verify._rounds(rng, 400, handle.dataset_draws,
-                                       lambda r: handle.theta_draws(r, 1, 2.0),
-                                       lambda r: r.uniform(0.0, 2.0))
-    assert bits(handle.datasets_from(xs)) == bits(np.array(want_x))
-    assert bits(handle.thetas_from(thetas)) == bits(np.array(want_t))
-    assert other == want_other
-    assert same_state(rng, ref)
+    n, rng = handle.descriptor.n, np.random.default_rng(6)
+    for shape, want in ((7, (7, n)), ((2, 5), (2, 5, n)), ((3, 4, 2), (3, 4, 2, n)),
+                        (np.int64(3), (3, n)), ((0,), (0, n))):
+        assert handle.sample_thetas(rng, shape).shape == want
+    assert handle.sample_datasets(rng, 6).shape == (6, data_size(handle))
+    assert handle.sample_datasets(rng, 0).shape == (0, data_size(handle))
+
+
+@pytest.mark.parametrize("name", sorted(HANDLES))
+def test_samples_lie_in_their_support(name):
+    handle = HANDLES[name]
+    rng = np.random.default_rng(8)
+    for radius in (0.7, 3.0):
+        thetas = handle.sample_thetas(rng, (50, 4), radius)
+        if name == "qubit":
+            lengths = np.linalg.norm(thetas, axis=-1)
+            assert lengths.min() >= 0.05 - 1e-12 and lengths.max() <= radius + 1e-12
+        else:
+            assert np.abs(thetas).max() <= radius
+    xs = handle.sample_datasets(rng, 500)
+    if name == "qubit":
+        assert np.linalg.norm(xs, axis=1).max() <= 1.0
+        handle.check_x(xs)
+    elif name.startswith("coherent"):
+        assert np.abs(np.linalg.norm(xs, axis=1) - 1.0).max() <= 1e-12
+        coherent.check_state(xs)
+    else:
+        assert xs.min() >= 0.0 and np.abs(xs.sum(axis=1) - 1.0).max() <= 1e-12
+        handle.check_x(xs)
+
+
+@pytest.mark.parametrize("name", sorted(HANDLES))
+def test_the_same_seed_gives_the_same_samples(name):
+    handle = HANDLES[name]
+
+    def draws(seed):
+        rng = np.random.default_rng(seed)
+        return [bits(handle.sample_thetas(rng, (2, 10))), bits(handle.sample_datasets(rng, 10)),
+                bits(handle.sample_thetas(rng, 10, 1.5))]
+
+    assert draws(12) == draws(12)
+    assert all(a != b for a, b in zip(draws(12), draws(13)))
