@@ -26,6 +26,11 @@ from .numerics import Domain, on_points, row_dot
 #: diverging, which signals an infeasible moment target.
 _DIVERGENCE_NORM = 1e3
 _MAX_NEWTON = 200
+#: The start table of a one-observable family holds the moment at
+#: ``_START_ROWS`` parameters evenly spaced over ``|theta| * width <=
+#: _START_SPAN``, ``width`` being the range of the observable.
+_START_ROWS = 513
+_START_SPAN = 40.0
 
 
 @dataclass(frozen=True)
@@ -39,15 +44,17 @@ class DiscreteFamily:
     vector vanishes, i.e. ``[H; 1]`` has rank ``n + 1``.
 
     The constants that every evaluation or moment fit would otherwise
-    recompute are built once, here: ``log_prior`` (``ln c``) and ``box``
+    recompute are built once, here: ``log_prior`` (``ln c``), ``box``
     (n, 2), the range ``[min_a H_j(a), max_a H_j(a)]`` of each
-    observable.
+    observable, and ``start_table``, the moment map of one observable
+    as the rows ``(U, theta)`` in increasing U (None for other ``n``).
     """
 
     prior: np.ndarray
     hamiltonians: np.ndarray
     log_prior: np.ndarray = field(init=False, repr=False, compare=False)
     box: np.ndarray = field(init=False, repr=False, compare=False)
+    start_table: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         prior = np.array(self.prior, dtype=float)
@@ -69,6 +76,15 @@ class DiscreteFamily:
         for name, value in constants.items():
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+        table = None
+        if h.shape[0] == 1:
+            # U falls as theta rises, so a falling grid gives rising moments;
+            # the running maximum keeps them monotone where U saturates
+            grid = np.linspace(_START_SPAN, -_START_SPAN, _START_ROWS) / np.ptp(h)
+            moments = _mean_energy(h, _log_sum_exp(self, grid[:, None])[1])[:, 0]
+            table = np.stack([np.maximum.accumulate(moments), grid])
+            table.flags.writeable = False
+        object.__setattr__(self, "start_table", table)
 
     @property
     def n(self) -> int:
@@ -249,16 +265,6 @@ def kl_divergence(p, q):
 FIT_OK, FIT_INFEASIBLE, FIT_SINGULAR, FIT_STALLED = range(4)
 
 
-def _fit_error(status: int, target: np.ndarray) -> Exception:
-    """The error that a one-row fit with outcome ``status`` raises."""
-    if status == FIT_INFEASIBLE:
-        return InfeasibleError(
-            f"moment target {target.tolist()} is outside the feasible region")
-    if status == FIT_SINGULAR:
-        return DegeneracyError("singular covariance in moment fit")
-    return ConvergenceError("moment fit did not converge")
-
-
 def _dual_rows(family: DiscreteFamily, thetas, targets):
     """Dual objective ``Phi(theta) + theta . U`` of the fit at each row,
     with the member at that row, from the log-sum-exp behind
@@ -275,10 +281,7 @@ def _newton_steps(cov, residual):
         # np.linalg.solve saves most of the cost of a one-row iteration
         var = cov[:, :, 0]
         singular = var[:, 0] == 0.0
-        if not np.count_nonzero(singular):
-            return residual / var, singular
-        return np.divide(residual, var, out=np.zeros_like(residual),
-                         where=var != 0.0), singular
+        return residual / np.where(singular[:, None], np.inf, var), singular
     singular = np.zeros(len(cov), dtype=bool)
     try:
         return np.linalg.solve(cov, residual[:, :, None])[:, :, 0], singular
@@ -314,17 +317,17 @@ def fit_moments(family: DiscreteFamily, targets,
     Each row gets the bits it gets when fitted alone.
 
     The family constants the fit needs are built once, with the family:
-    the box test reads ``family.box``, and each evaluation of the dual
-    reads ``family.log_prior``.  The slack and the backtracking run only
-    in an iteration where some row failed its Armijo test.
+    the box test reads ``family.box``, each evaluation of the dual
+    ``family.log_prior``, and a row of one observable starts from
+    ``family.start_table`` interpolated at its target (a row of more
+    starts at theta = 0).  The slack and the backtracking run only in an
+    iteration where some row failed its Armijo test.
     """
     targets = np.asarray(targets, dtype=float)
     k, n = targets.shape
     theta = np.zeros((k, n))
     iterations = np.zeros(k, dtype=int)
     status = np.full(k, FIT_OK)
-    if n == 0:
-        return theta, iterations, status
     h = family.hamiltonians
     lo, hi = family.box.T
     inside = ((targets >= lo) & (targets <= hi)).all(axis=1)
@@ -332,11 +335,14 @@ def fit_moments(family: DiscreteFamily, targets,
     rows = np.flatnonzero(inside)        # the rows still iterating
     u = targets[rows]
     th = theta[rows]
+    if family.start_table is not None:
+        th[:, 0] = np.interp(u[:, 0], *family.start_table)
     f, p = _dual_rows(family, th, u)
     for it in range(_MAX_NEWTON):
         moments = _mean_energy(h, p)
         residual = moments - u
-        done = np.abs(residual).max(axis=1) <= tol
+        # with no observable a row has no residual and is done at once
+        done = np.abs(residual).max(axis=1, initial=0.0) <= tol
         if np.count_nonzero(done):
             theta[rows[done]] = th[done]
             iterations[rows[done]] = it
@@ -409,9 +415,14 @@ def maxent_fit_rows(family: DiscreteFamily, targets,
     targets = np.asarray(targets, dtype=float)
     theta, iterations, status = fit_moments(family, targets, tol)
     failed = np.flatnonzero(status)
-    if failed.size:
-        raise _fit_error(int(status[failed[0]]), targets[failed[0]])
-    return theta, iterations
+    if not failed.size:
+        return theta, iterations
+    if status[failed[0]] == FIT_INFEASIBLE:
+        raise InfeasibleError(
+            f"moment target {targets[failed[0]].tolist()} is outside the feasible region")
+    if status[failed[0]] == FIT_SINGULAR:
+        raise DegeneracyError("singular covariance in moment fit")
+    raise ConvergenceError("moment fit did not converge")
 
 
 def maxent_fit_report(family: DiscreteFamily, u_target,
@@ -464,23 +475,21 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
     n = family.n
     p0 = family.prior / float(family.prior.sum())
     interior = h @ p0
-    box = family.box
-    lo, hi = box.T
+    lo, hi = family.box.T
 
     clamp = None
     if n == 1:
-        span = float(hi[0] - lo[0])
-        margin = 1e-12 * span
+        margin = 1e-12 * float(hi[0] - lo[0])
         clamp = (lo[0] + margin, hi[0] - margin)
 
         def membership(u):
             x = np.asarray(u, dtype=float)[..., 0]
-            return (lo[0] + margin < x) & (x < hi[0] - margin)
+            return (clamp[0] < x) & (x < clamp[1])
     else:
         membership = on_points(
             lambda us: fit_moments(family, us, tol=1e-8)[2] == FIT_OK)
 
-    domain = Domain(dimension=n, bounding_box=box, membership=membership,
+    domain = Domain(dimension=n, bounding_box=family.box, membership=membership,
                     interior_point=interior)
 
     def entropy_rows(us):
@@ -491,11 +500,7 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
             # margin so the evaluation stays finite.  Member points are
             # never moved.
             us = np.clip(us, clamp[0], clamp[1])
-        theta, _, status = fit_moments(family, us, tol=1e-13)
-        failed = np.flatnonzero(status)
-        if failed.size:
-            raise _fit_error(int(status[failed[0]]), us[failed[0]])
-        return dual_points(family, theta)[2]
+        return dual_points(family, maxent_fit_rows(family, us, tol=1e-13)[0])[2]
 
     def answers(ps):
         entropies = bgs_entropy(family, ps)     # validates the rows

@@ -477,12 +477,10 @@ def _sphere_checks():
     yield _check("ray-entropy-peak", worst, 0.051,
                  note="entropy along 500 rays peaks at unit length (grid step 0.05)")
 
-    worst = -math.inf
-    for x in rng.normal(size=(200, 3)) * rng.uniform(0.1, 3.0, size=(200, 1)):
-        worst = max(worst, sphere.sphere_entropy(x))
-        if abs(float(np.linalg.norm(x)) - 1.0) > 0.05:
-            if sphere.sphere_entropy(x) >= -1e-4:
-                worst = math.inf
+    xs = rng.normal(size=(200, 3)) * rng.uniform(0.1, 3.0, size=(200, 1))
+    entropies = np.array([sphere.sphere_entropy(x) for x in xs])
+    off_sphere = np.abs(numerics.row_norm(xs) - 1.0) > 0.05
+    worst = math.inf if np.any(entropies[off_sphere] >= -1e-4) else np.max(entropies)
     yield _check("entropy-nonpositive", worst, 1e-12,
                  note="S <= 0 with equality only on the sphere")
 

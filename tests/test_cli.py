@@ -794,8 +794,8 @@ def test_verify_error_envelope_keeps_the_rows_reported(capsys, tmp_path):
     assert cli.main(["verify", "--config", str(path)]) == 3
     out, err = capsys.readouterr()
     env = strict_json(out)
-    message = ("Legendre transform did not converge (best value 19.003686234032738,"
-               " gradient norm 6.322e-04)")
+    message = ("Legendre transform did not converge (best value 19.003686234032518,"
+               " gradient norm 6.280e-04)")
     assert env["status"] == "error:convergence"
     assert env["diagnostics"] == {"message": message}
     assert env["inputs"] == {"target": "discrete-3letter"}
