@@ -130,14 +130,14 @@ def number_expectation(psi):
     return np.sum(np.arange(c.shape[-1]) * np.abs(c) ** 2, axis=-1)[()]
 
 
-def expectation_quadratic(psi, m: np.ndarray) -> float:
-    """Real expectation ``<psi| m |psi>`` of a Hermitian matrix in one state."""
+def expectation_quadratic(psi, m: np.ndarray):
+    """Real expectation ``<psi| m |psi>`` of a Hermitian matrix (N, N) in
+    each state, or of the matrices of a stack (..., N, N), one per state."""
     c = np.asarray(psi, dtype=complex)
     m = np.asarray(m)
-    if m.shape != (c.size, c.size):
+    if m.shape[-2:] != (c.shape[-1], c.shape[-1]):
         raise ValueError("operator shape does not match the basis size")
-    val = complex(np.vdot(c, m @ c))
-    return float(val.real)
+    return (np.conj(c)[..., None, :] @ (m @ c[..., None]))[..., 0, 0].real[()]
 
 
 def _mean_coordinates(za, constants: PhaseConstants) -> np.ndarray:
@@ -150,10 +150,13 @@ def mu_map(psi, constants: PhaseConstants) -> np.ndarray:
     return _mean_coordinates(a_expectation(psi), constants)
 
 
-def z_of_u(u, constants: PhaseConstants) -> complex:
-    """Coherent amplitude with the mean coordinates ``u``."""
+def z_of_u(u, constants: PhaseConstants):
+    """Coherent amplitudes ``u1/r + i (r/hbar) u2`` with the mean
+    coordinates at the points ``u`` (..., 2)."""
     u = np.asarray(u, dtype=float)
-    return complex(u[0] / constants.r, (constants.r / constants.hbar) * u[1])
+    z = np.empty(u.shape[:-1], dtype=complex)
+    z.real, z.imag = u[..., 0] / constants.r, (constants.r / constants.hbar) * u[..., 1]
+    return z[()]
 
 
 def entropy_coherent(psi):
@@ -238,24 +241,27 @@ def divergence_coherent(psi, u, constants: PhaseConstants):
     Closed form ``|<a> - z|^2 / 2 + <a' a> - |<a>|^2``: a displacement
     term plus the (phase-insensitive) excess fluctuation of the state.
     """
-    u = np.asarray(u, dtype=float)
+    z = z_of_u(u, constants)
     za = np.asarray(a_expectation(psi))
-    # z = u1 / r + i (r / hbar) u2, as z_of_u builds it
-    displacement = _modulus_squared(za.real - u[..., 0] / constants.r,
-                                    za.imag - (constants.r / constants.hbar) * u[..., 1])
+    displacement = _modulus_squared(za.real - z.real, za.imag - z.imag)
     return (0.5 * displacement + number_expectation(psi)
             - _modulus_squared(za.real, za.imag))[()]
 
 
 def log_map_coherent(u, constants: PhaseConstants, nmax: int = 64) -> np.ndarray:
-    """Affine logarithm of the member: ``-|z|^2/2 I + (z a' + conj(z) a)/2``.
+    """Affine logarithm of the member: ``-|z|^2/2 I + (z a' + conj(z) a)/2``,
+    ``(N, N)`` for one point ``u`` and ``(..., N, N)`` for points (..., 2).
 
     Its expectation in any state equals ``-Phi(theta) - theta . mu``.
     """
-    z = z_of_u(u, constants)
-    a = annihilation_matrix(nmax)
-    eye = np.eye(nmax + 1, dtype=complex)
-    return -0.5 * abs(z) ** 2 * eye + 0.5 * (z * a.conj().T + np.conj(z) * a)
+    z = np.asarray(z_of_u(u, constants))[..., None]
+    n = np.arange(1, nmax + 1)
+    # the diagonal, then the off-diagonals of a and a' written in place:
+    # one stack of matrices in memory
+    ell = -0.5 * _modulus_squared(z.real, z.imag)[..., None] * np.identity(nmax + 1, complex)
+    ell[..., n - 1, n] = 0.5 * (np.conj(z) * np.sqrt(n))
+    ell[..., n, n - 1] = 0.5 * (z * np.sqrt(n))
+    return ell
 
 
 def load_state(path: str) -> np.ndarray:
@@ -387,9 +393,7 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
 
     def fiber_sampler(us, count, rng=None):
         k, size, want = len(us), nmax + 1, max(count, 1)
-        # z = u1 / r + i (r / hbar) u2, as z_of_u builds it
-        zs = np.empty(k, dtype=complex)
-        zs.real, zs.imag = us[:, 0] / r, (r / hbar) * us[:, 1]
+        zs = z_of_u(us, constants)
         bases = coherent_state(zs, nmax)
         stack = np.empty((k, want, size), dtype=complex)
         stack[:, 0], ok = _pin_rows(bases, zs)

@@ -1,80 +1,81 @@
 """Unit-sphere model: directions as data-set summaries of vectors.
 
-Data sets are nonzero vectors in R^3; the summary map sends a vector to
-its direction ``x / |x|``.  The entropy ``S(x) = -1 - |x| (ln|x| - 1)``
-depends on the length only and peaks at length 1, so the maximizer over
-a ray is the unit vector: models are points of the sphere.  The question
-functions ``(x1/x3, x2/x3)`` chart the upper hemisphere.  Lengths come
-from :func:`infogeo.numerics.row_norm`, so every finite nonzero vector
-has a finite nonzero length, and a length of ordinary size has the bits
-of ``np.linalg.norm``.
+Data sets are nonzero vectors in R^3, summarized by their direction
+``x / |x|``; the entropy ``-1 - |x| (ln|x| - 1)`` peaks at |x| = 1, so the
+models are points of the sphere, and ``(x1/x3, x2/x3)`` chart its upper
+half.  Each function takes one vector or a stack ``(..., n)``, gives each
+the bits of its own call, and raises the error of the first bad one (an
+EvaluationError where a value overflows, without a numpy warning).
 """
-
-from __future__ import annotations
-
-import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, EvaluationError
 from .numerics import row_norm
 
 
-def _as_vector(x) -> np.ndarray:
+def _rows(x, size: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
-        raise ValueError("expected a vector in R^3")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("vector has non-finite entries")
+    if x.shape[-1:] != (size,):
+        raise ValueError(f"expected a vector of {size} entries, or a stack of them")
     return x
+
+
+def _raise_first(x: np.ndarray, *checks) -> None:
+    """Raise the error of the first bad vector of ``x``: a non-finite
+    entry, else the first of the ``(failed, error)`` ``checks`` it fails."""
+    checks = ((~np.isfinite(x).all(axis=-1), ValueError("non-finite entries")), *checks)
+    failed = np.array([f for f, _ in checks]).reshape(len(checks), -1)
+    if failed.any():
+        raise checks[np.argmax(failed[:, np.argmax(failed.any(axis=0))])][1]
+
+
+def _directions(x: np.ndarray) -> np.ndarray:
+    """``x / |x|``, from ``x / max|x_j|`` where ``|x|`` is subnormal or inf."""
+    r = row_norm(x)
+    normal = (r >= 2.2250738585072014e-308) & (r < np.inf)    # the smallest normal double
+    if np.count_nonzero(normal) < normal.size:
+        _raise_first(x, (r == 0.0, DomainError("the zero vector has no direction")))
+        scaled = x / np.abs(x).max(axis=-1, keepdims=True)
+        x, r = np.where(normal[..., None], x, scaled), np.where(normal, r, row_norm(scaled))
+    return (x.T / r.T).T
 
 
 def sphere_mu(x) -> np.ndarray:
     """Direction ``x / |x|``; the zero vector has none."""
-    x = _as_vector(x)
-    r = float(row_norm(x))
-    if r == 0.0:
-        raise DomainError("the zero vector has no direction")
-    return x / r
+    return _directions(_rows(x, 3))
 
 
-def sphere_entropy(x) -> float:
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def sphere_entropy(x):
     """``-1 - |x| (ln|x| - 1)``: maximal (value 0) exactly at |x| = 1."""
-    x = _as_vector(x)
-    r = float(row_norm(x))
-    if r == 0.0:
-        raise DomainError("the zero vector is not an admissible data set")
-    return -1.0 - r * (math.log(r) - 1.0)
+    x = _rows(x, 3)
+    r = row_norm(x)
+    s = -1.0 - r * (np.log(r) - 1.0)
+    if np.count_nonzero(~(s > -np.inf)):     # NaN where |x| is 0 or not finite
+        _raise_first(x, (r == 0.0, DomainError("the zero vector has no entropy")),
+                     (np.isinf(s), EvaluationError("the entropy overflows: |x| >~ 2.6e305")))
+    return s
 
 
-def sphere_entropy_rows(xs: np.ndarray) -> np.ndarray:
-    """:func:`sphere_entropy` of the nonzero vectors ``xs`` (..., 3).
-
-    The row-wise form, without the checks: the lengths have the bits of
-    the one-vector form, and numpy's log may differ from ``math.log`` in
-    the last bit.
-    """
-    r = row_norm(xs)
-    return -1.0 - r * (np.log(r) - 1.0)
-
-
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def sphere_questions(x) -> np.ndarray:
     """Chart coordinates ``(x1/x3, x2/x3)`` on the upper hemisphere."""
-    x = _as_vector(x)
-    if x[2] <= 0.0:
-        raise DomainError("chart covers only vectors with positive third component")
-    return np.array([x[0] / x[2], x[1] / x[2]])
+    x = _rows(x, 3)
+    q = (x.T[:2] / x.T[2]).T
+    # q1 + q2 + x3 is not finite where an entry or a coordinate is not; a
+    # sum that overflows by itself only makes the checks run
+    if np.count_nonzero(~((x.T[2] > 0.0) & np.isfinite(q.T[0] + q.T[1] + x.T[2]))):
+        _raise_first(x, (x[..., 2] <= 0.0, DomainError("chart covers only x3 > 0")),
+                     (np.isinf(q).any(axis=-1), EvaluationError("x1/x3 or x2/x3 overflows")))
+    return q
 
 
 def sphere_from_questions(q) -> np.ndarray:
     """Unit vector of the upper hemisphere with the given chart values."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (2,):
-        raise ValueError("expected two chart coordinates")
-    v = np.array([q[0], q[1], 1.0])
-    return v / float(row_norm(v))
+    q = _rows(q, 2)
+    return _directions(np.concatenate([q, np.ones(q.shape[:-1] + (1,))], axis=-1))
 
 
-def ray_maximizer(x) -> np.ndarray:
-    """The entropy maximizer on the ray through ``x``: its direction."""
-    return sphere_mu(x)
+#: The entropy maximizer on the ray through ``x``: its direction.
+ray_maximizer = sphere_mu

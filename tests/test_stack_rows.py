@@ -1,9 +1,12 @@
-"""Regression stacks and metric rows against their one-set and point calls.
+"""Regression, sphere and coherent stacks and metric rows against their
+one-set and point calls.
 
 The regression functions take one point set or a stack of sets (an
 array, or a ragged list); each set of a stack must carry the bits of its
 one-set call, and a stack with bad sets raises the error of the lowest
-of them, as that set raises it alone.  ``metric_tensor`` on parameter
+of them, as that set raises it alone.  The sphere functions and the
+coherent amplitude, log map and quadratic expectation take one point or
+a stack of them, with the same rule.  ``metric_tensor`` on parameter
 rows gives row i the bits of the point call on row i, and raises its
 ``DegeneracyError`` for the lowest failing row.  ``verify`` makes one
 call per check.
@@ -14,18 +17,23 @@ import pytest
 
 from infogeo import (
     DegeneracyError,
+    DomainError,
     EvaluationError,
     ModelDescriptor,
+    coherent,
     core,
     get_model,
     metric_tensor,
     regression,
+    sphere,
     verify,
 )
 from infogeo.numerics import Domain
 
 FUNCTIONS = ("regression_questions", "regression_entropy", "regression_is_perfect",
              "regression_questions_pairwise", "regression_entropy_pairwise")
+SPHERE_FUNCTIONS = ("sphere_mu", "sphere_entropy", "sphere_questions",
+                    "sphere_from_questions")
 
 
 def bits(values):
@@ -127,8 +135,11 @@ def test_metric_rows_raise_for_the_lowest_failing_row():
 
 
 def test_verify_makes_one_call_per_check(monkeypatch):
-    calls = {"metric_tensor": 0, "regression_questions": 0}
-    for module, fname in ((core, "metric_tensor"), (regression, "regression_questions")):
+    counted_functions = ((core, "metric_tensor"), (regression, "regression_questions"),
+                         (coherent, "log_map_coherent"), (coherent, "expectation_quadratic"),
+                         *((sphere, f) for f in SPHERE_FUNCTIONS))
+    calls = dict.fromkeys((fname for _, fname in counted_functions), 0)
+    for module, fname in counted_functions:
         real = getattr(module, fname)
 
         def counted(*args, real=real, fname=fname, **kwargs):
@@ -138,7 +149,115 @@ def test_verify_makes_one_call_per_check(monkeypatch):
         monkeypatch.setattr(module, fname, counted)
     verify.verify_handle(get_model("coherent"))
     verify.verify_regression()
+    verify.verify_sphere()
     # metric-positive-definite, metric-inverse-duality, metric-constant-gaussian
     assert calls["metric_tensor"] == 3
     # one call in each of the five checks
     assert calls["regression_questions"] == 5
+    # log-map-affine-identity
+    assert calls["log_map_coherent"] == calls["expectation_quadratic"] == 1
+    # ray-entropy-peak and entropy-nonpositive; chart-roundtrip
+    assert calls["sphere_entropy"] == 2
+    assert calls["sphere_mu"] == calls["sphere_questions"] == 1
+    assert calls["sphere_from_questions"] == 1
+
+
+# ------------------------------------------------ sphere and coherent rows
+
+COHERENT2 = coherent.PhaseConstants(r=2.0, hbar=0.5)
+
+
+def sphere_rows(fname, seed, count):
+    """Vectors of lengths 1e-320 to 1e300 with x3 > 0, or chart values
+    of sizes 1e-320 to 1e300."""
+    rng = np.random.default_rng(seed)
+    size = 2 if fname == "sphere_from_questions" else 3
+    rows = rng.normal(size=(count, size)) * 10.0 ** rng.choice(
+        [-320, -200, -155, 0, 0, 0, 154, 200, 300], size=(count, 1))
+    rows[:, -1] = np.abs(rows[:, -1])
+    return rows
+
+
+@pytest.mark.parametrize("fname", SPHERE_FUNCTIONS)
+def test_sphere_rows_equal_point_calls_bitwise(fname):
+    f = getattr(sphere, fname)
+    rows = sphere_rows(fname, 75, 200)
+    got = f(rows)
+    assert len(got) == 200
+    for i, x in enumerate(rows):
+        assert bits(got[i]) == bits(f(x))
+    # a point is row 0 of the one-row call, and a stack (2, 100, n) holds
+    # the rows in order
+    assert bits(f(rows[0])) == bits(f(rows[:1])[0])
+    assert bits(f(rows.reshape(2, 100, -1))) == bits(got)
+
+
+SPHERE_BAD = {
+    "sphere_mu": [np.zeros(3), np.array([1.0, np.nan, 1.0]),
+                  np.array([np.inf, 0.0, 1.0])],
+    "sphere_entropy": [np.zeros(3), np.array([1.0, np.nan, 1.0]),
+                       np.array([3e305, 0.0, 1.0]), np.full(3, 1.7e308)],
+    "sphere_questions": [np.array([1.0, 2.0, 0.0]), np.array([1.0, 2.0, -1.0]),
+                         np.array([1.0, 2.0, np.inf]), np.array([1e300, 0.0, 1e-10]),
+                         np.array([np.nan, 0.0, 1.0])],
+    "sphere_from_questions": [np.array([np.nan, 1.0]), np.array([np.inf, 1.0])],
+}
+
+
+@pytest.mark.parametrize("fname", SPHERE_FUNCTIONS)
+def test_sphere_bad_row_raises_its_own_error_in_a_stack(fname):
+    f = getattr(sphere, fname)
+    good = sphere_rows(fname, 76, 6)
+    bad_rows = SPHERE_BAD[fname]
+    for bad in bad_rows:
+        with pytest.raises(Exception) as alone:
+            f(bad)
+        assert isinstance(alone.value, (ValueError, DomainError, EvaluationError))
+        # behind good rows, and ahead of a later bad row of another kind
+        for later in bad_rows:
+            stack = np.concatenate([good[:3], [bad], good[3:], [later]])
+            with pytest.raises(type(alone.value)) as in_stack:
+                f(stack)
+            assert str(in_stack.value) == str(alone.value)
+    with pytest.raises(ValueError):
+        f(np.ones((4, 4)))
+
+
+def coherent_points(seed, count):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-2.0, 2.0, size=(count, 2))
+
+
+def test_z_of_u_rows_equal_point_calls_bitwise():
+    us = coherent_points(77, 50)
+    zs = coherent.z_of_u(us, COHERENT2)
+    assert zs.shape == (50,)
+    for i, u in enumerate(us):
+        assert bits(zs[i]) == bits(coherent.z_of_u(u, COHERENT2))
+    assert bits(coherent.z_of_u(us[0], COHERENT2)) == bits(
+        coherent.z_of_u(us[:1], COHERENT2)[0])
+
+
+def test_log_map_and_expectation_rows_equal_point_calls_bitwise():
+    handle = get_model("coherent2")
+    nmax = handle.nmax
+    us = coherent_points(78, 12)
+    states = handle.sample_datasets(np.random.default_rng(79), 12)
+    maps = coherent.log_map_coherent(us, COHERENT2, nmax)
+    assert maps.shape == (12, nmax + 1, nmax + 1)
+    values = coherent.expectation_quadratic(states, maps)
+    assert values.shape == (12,)
+    for i, (u, psi) in enumerate(zip(us, states)):
+        one = coherent.log_map_coherent(u, COHERENT2, nmax)
+        assert bits(maps[i]) == bits(one)
+        assert bits(values[i]) == bits(coherent.expectation_quadratic(psi, one))
+    # a point is row 0 of the one-row call; one operator serves a stack
+    assert bits(coherent.log_map_coherent(us[0], COHERENT2, nmax)) == bits(
+        coherent.log_map_coherent(us[:1], COHERENT2, nmax)[0])
+    assert bits(coherent.expectation_quadratic(states[0], maps[0])) == bits(
+        coherent.expectation_quadratic(states[:1], maps[:1])[0])
+    shared = coherent.expectation_quadratic(states, maps[0])
+    for i, psi in enumerate(states):
+        assert bits(shared[i]) == bits(coherent.expectation_quadratic(psi, maps[0]))
+    with pytest.raises(ValueError, match="operator shape"):
+        coherent.expectation_quadratic(states, maps[:, 1:, 1:])
