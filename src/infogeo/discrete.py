@@ -9,7 +9,9 @@ Shannon entropy ``S(p) = -sum_a p(a) ln(p(a)/c(a))``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .errors import (
     InfeasibleError,
     SupportError,
 )
-from .numerics import Domain, on_points, row_dot
+from .numerics import Domain, row_dot
 
 #: Newton iterates whose parameter norm exceeds this are treated as
 #: diverging, which signals an infeasible moment target.
@@ -45,15 +47,17 @@ class DiscreteFamily:
 
     The constants that every evaluation or moment fit would otherwise
     recompute are built once, here: ``log_prior`` (``ln c``), ``box``
-    (n, 2), the range ``[min_a H_j(a), max_a H_j(a)]`` of each
-    observable, and ``start_table``, the moment map of one observable
-    as the rows ``(U, theta)`` in increasing U (None for other ``n``).
+    (n, 2), the range of each observable, ``facets``, the closed moment
+    region as the rows ``[A_i, b_i]`` of halfspaces ``A_i . U <= b_i``,
+    and ``start_table``, the moment map of one observable as the rows
+    ``(U, theta)`` in increasing U (None for other ``n``).
     """
 
     prior: np.ndarray
     hamiltonians: np.ndarray
     log_prior: np.ndarray = field(init=False, repr=False, compare=False)
     box: np.ndarray = field(init=False, repr=False, compare=False)
+    facets: np.ndarray = field(init=False, repr=False, compare=False)
     start_table: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -72,7 +76,8 @@ class DiscreteFamily:
             raise DegeneracyError(
                 "observables plus the constant vector are linearly dependent")
         constants = {"prior": prior, "hamiltonians": h, "log_prior": np.log(prior),
-                     "box": np.stack([h.min(axis=1), h.max(axis=1)], axis=-1)}
+                     "box": np.stack([h.min(axis=1), h.max(axis=1)], axis=-1),
+                     "facets": _hull_facets(h, h @ (prior / prior.sum()))}
         for name, value in constants.items():
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -93,6 +98,25 @@ class DiscreteFamily:
     @property
     def alphabet_size(self) -> int:
         return self.prior.size
+
+    def outside(self, u: np.ndarray) -> np.ndarray:
+        """Whether each point of ``u`` (..., n) is outside the closed moment region."""
+        return ~(u @ self.facets[:, :-1].T <= self.facets[:, -1]).all(axis=-1)
+
+
+def _hull_facets(h: np.ndarray, interior: np.ndarray) -> np.ndarray:
+    """Rows ``[A_i, b_i]`` (f, n + 1) of halfspaces ``A_i . U <= b_i`` whose
+    intersection is the hull of the letters' moments ``H(a)``: ``A_i``
+    solves ``A_i . (H(a) - interior) = 1`` on the i-th n-subset of letters
+    (one batched pseudo-inverse), scaled to a largest entry of 1, and
+    ``b_i = max_a A_i . H(a)`` makes a plane that is no facet a valid bound
+    too.  One observable gives ``U <= max H`` and ``-U <= -min H``."""
+    subsets = np.array(list(combinations(range(h.shape[1]), len(h))), dtype=int)
+    normals = np.linalg.pinv(h.T[subsets] - interior).sum(axis=-1)
+    # a zero normal (no observable, or one letter at the interior) bounds nothing
+    scale = np.abs(normals).max(axis=1, initial=0.0)
+    normals = normals[scale > 0.0] / scale[scale > 0.0, None]
+    return np.column_stack([normals, (normals @ h).max(axis=1)])
 
 
 def check_probability(p, tol: float = 1e-12) -> np.ndarray:
@@ -305,11 +329,11 @@ def fit_moments(family: DiscreteFamily, targets,
     ``max_j |E_theta H_j - U_j| <= tol``, and each row backtracks on its
     own Armijo test, which allows a slack of ``1e-15 * (1 + |f| + |Phi| +
     |theta.U|)`` for rounding, ``f`` being the dual objective.  A row
-    whose target lies outside ``[min_a H_j(a), max_a H_j(a)]`` for some
-    observable, or whose iterates diverge (norm above 1e3), is
-    infeasible; one whose covariance is singular, or that has not
-    converged after 200 iterations, fails too.  A failing row never stops
-    the others.
+    whose target lies outside the closed moment region
+    (:meth:`DiscreteFamily.outside`) is infeasible before any Newton
+    step, as is one whose iterates diverge (norm above 1e3); one
+    whose covariance is singular, or that has not converged after 200
+    iterations, fails too.  A failing row never stops the others.
 
     Returns ``(theta (k, n), iterations (k,), status (k,))`` with status
     :data:`FIT_OK`, :data:`FIT_INFEASIBLE`, :data:`FIT_SINGULAR` or
@@ -317,7 +341,7 @@ def fit_moments(family: DiscreteFamily, targets,
     Each row gets the bits it gets when fitted alone.
 
     The family constants the fit needs are built once, with the family:
-    the box test reads ``family.box``, each evaluation of the dual
+    the region test reads ``family.facets``, each evaluation of the dual
     ``family.log_prior``, and a row of one observable starts from
     ``family.start_table`` interpolated at its target (a row of more
     starts at theta = 0).  The slack and the backtracking run only in an
@@ -327,12 +351,9 @@ def fit_moments(family: DiscreteFamily, targets,
     k, n = targets.shape
     theta = np.zeros((k, n))
     iterations = np.zeros(k, dtype=int)
-    status = np.full(k, FIT_OK)
+    status = np.where(family.outside(targets), FIT_INFEASIBLE, FIT_OK)
     h = family.hamiltonians
-    lo, hi = family.box.T
-    inside = ((targets >= lo) & (targets <= hi)).all(axis=1)
-    status[~inside] = FIT_INFEASIBLE
-    rows = np.flatnonzero(inside)        # the rows still iterating
+    rows = np.flatnonzero(status == FIT_OK)      # the rows still iterating
     u = targets[rows]
     th = theta[rows]
     if family.start_table is not None:
@@ -405,12 +426,11 @@ def maxent_fit_rows(family: DiscreteFamily, targets,
     of ``targets`` (k, n), from one :func:`fit_moments` call.
 
     Converged when ``max_j |E_theta H_j - U_j| <= tol``.  Raises the error
-    of the lowest failing row: a target outside the range ``[min_a
-    H_j(a), max_a H_j(a)]`` of some observable, or divergence of the
-    iterates (norm above 1e3), signals a target outside the feasible
-    moment region and raises :class:`InfeasibleError`; a singular
-    covariance raises :class:`DegeneracyError` and no convergence within
-    200 iterations :class:`ConvergenceError`.
+    of the lowest failing row: a target outside the closed moment region
+    (:meth:`DiscreteFamily.outside`), or divergence of the
+    iterates (norm above 1e3), raises :class:`InfeasibleError`; a
+    singular covariance raises :class:`DegeneracyError` and no
+    convergence within 200 iterations :class:`ConvergenceError`.
     """
     targets = np.asarray(targets, dtype=float)
     theta, iterations, status = fit_moments(family, targets, tol)
@@ -457,50 +477,42 @@ def _chords(bases: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
     """Engine descriptor for the family.
 
-    The energy domain is the open moment region (exact interval test for
-    one observable, otherwise the row status of one :func:`fit_moments`
-    call over all the points); ``entropy_u`` is the entropy of the
-    moment-matched members, from one :func:`fit_moments` call and
-    :func:`dual_points` at the fitted rows.  Phi, U and S at parameter
-    rows come from the one kernel :func:`dual_points`, and the chart
-    inversion is one :func:`maxent_fit_rows` call.  The data-set layer
-    treats probability vectors as data sets, and a stack of them is an
-    array of rows (k, m).  The fiber sampler returns the stack (k, c, m)
-    over moment rows (k, n), with c = 1 where fibers are single points
-    and ``count`` (at least 1) otherwise; with an rng, fibers of dimension
-    2 or more take their directions from one ``rng.normal`` call, and all
-    fibers their chord offsets from one ``rng.uniform`` call.
+    The energy domain is the open moment region ``A_i . U < b_i - 1e-12
+    w_i`` on the rows ``[A_i, b_i]`` of ``family.facets``, with ``w_i`` the
+    range of ``A_i . H(a)`` over the letters, one matrix product for any
+    stack of points; ``entropy_u`` is the entropy of the moment-matched
+    members, from one :func:`fit_moments` call and :func:`dual_points` at
+    the fitted rows.  Phi, U and S at parameter rows come from the one kernel
+    :func:`dual_points`, and the chart inversion is one
+    :func:`maxent_fit_rows` call.  The data-set layer treats probability
+    vectors as data sets, and a stack of them is an array of rows (k, m).
+    The fiber sampler returns the stack (k, c, m) over moment rows (k, n),
+    with c = 1 where fibers are single points and ``count`` (at least 1)
+    otherwise; with an rng, fibers of dimension 2 or more take their
+    directions from one ``rng.normal`` call, and all fibers their chord
+    offsets from one ``rng.uniform`` call.
     """
     h = family.hamiltonians
-    n = family.n
     p0 = family.prior / float(family.prior.sum())
-    interior = h @ p0
+    normals, b = family.facets[:, :-1], family.facets[:, -1]
+    limits = b - 1e-12 * (b - (normals @ h).min(axis=1))
+
+    def membership(u):
+        return (np.asarray(u, dtype=float) @ normals.T < limits).all(axis=-1)
+
+    # Finite-difference stencils of S centered near an edge of the moment
+    # interval (the verify oracles take fixed steps) can poke past it; with
+    # one observable, such points are clamped back to the membership margin
+    # so the evaluation stays finite.  Member points are never moved.
     lo, hi = family.box.T
+    margin = 1e-12 * (hi - lo)
+    clamp = (lo + margin, hi - margin) if family.n == 1 else (-np.inf, np.inf)
 
-    clamp = None
-    if n == 1:
-        margin = 1e-12 * float(hi[0] - lo[0])
-        clamp = (lo[0] + margin, hi[0] - margin)
-
-        def membership(u):
-            x = np.asarray(u, dtype=float)[..., 0]
-            return (clamp[0] < x) & (x < clamp[1])
-    else:
-        membership = on_points(
-            lambda us: fit_moments(family, us, tol=1e-8)[2] == FIT_OK)
-
-    domain = Domain(dimension=n, bounding_box=family.box, membership=membership,
-                    interior_point=interior)
-
-    def entropy_rows(us):
-        if clamp is not None:
-            # Finite-difference stencils of S centered near an edge of the
-            # moment interval (the verify oracles take fixed steps) can
-            # poke past it; clamp such points back to the membership
-            # margin so the evaluation stays finite.  Member points are
-            # never moved.
-            us = np.clip(us, clamp[0], clamp[1])
-        return dual_points(family, maxent_fit_rows(family, us, tol=1e-13)[0])[2]
+    def entropy_u(us):
+        us = np.asarray(us, dtype=float)
+        rows = np.clip(us.reshape(math.prod(us.shape[:-1]), us.shape[-1]), *clamp)
+        fitted = maxent_fit_rows(family, rows, tol=1e-13)[0]
+        return dual_points(family, fitted)[2].reshape(us.shape[:-1])[()]
 
     def answers(ps):
         entropies = bgs_entropy(family, ps)     # validates the rows
@@ -531,8 +543,9 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
         return p / p.sum(axis=-1, keepdims=True)
 
     return ModelDescriptor(
-        energy_domain=domain,
-        entropy_u=on_points(entropy_rows),
+        energy_domain=Domain(dimension=family.n, bounding_box=family.box,
+                             membership=membership, interior_point=h @ p0),
+        entropy_u=entropy_u,
         closed_dual_points=lambda th: dual_points(family, th),
         closed_u_to_theta=lambda us: maxent_fit_rows(family, us)[0],
         dataset_answers=answers,

@@ -199,21 +199,6 @@ def complex_row_norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dot(v.real, v.real) + row_dot(v.imag, v.imag))
 
 
-def on_points(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """Extend ``f`` from rows ``(k, n)`` to points ``(..., n)``.
-
-    The points are flattened to rows for one call of ``f``, and the
-    values come back in the shape of the points: a single point ``(n,)``
-    gives a scalar.
-    """
-    def on_points(u):
-        u = np.asarray(u, dtype=float)
-        rows = u.reshape(math.prod(u.shape[:-1]), u.shape[-1])
-        return np.asarray(f(rows)).reshape(u.shape[:-1])[()]
-
-    return on_points
-
-
 def _steps(x: np.ndarray, h: float | None, default: float) -> np.ndarray:
     """Steps ``(k, n)`` at the centres ``x`` (k, n): ``h`` for every
     coordinate, or ``default * max(1, |x_j|)`` per coordinate."""

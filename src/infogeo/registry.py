@@ -148,9 +148,12 @@ class DiscreteHandle(_CanonicalHandle):
             raise DomainError(str(exc)) from None
 
     def match_moments(self, u: np.ndarray, tol: float):
-        family = self.family
-        theta, iterations = discrete.maxent_fit_report(family, u, tol=tol)
-        achieved = family.hamiltonians @ discrete.boltzmann_gibbs(family, theta)
+        # A target outside the closed moment region gets the error that the
+        # chart of divergence --u gives it; one on its edge may still fit.
+        if self.family.outside(u):
+            raise DomainError(f"energy point {u.tolist()} is outside the model domain")
+        theta, iterations = discrete.maxent_fit_report(self.family, u, tol=tol)
+        achieved = self.family.hamiltonians @ discrete.boltzmann_gibbs(self.family, theta)
         return theta, achieved, iterations, "damped Newton on the dual objective"
 
     def member_outputs(self, theta: np.ndarray) -> dict:
@@ -225,8 +228,7 @@ def coherent_instance(r: float = 1.0, hbar: float = 1.0, nmax: int = 64,
 
 
 def discrete_instance(prior, hamiltonians, name: str | None = None) -> DiscreteHandle:
-    family = discrete.DiscreteFamily(prior=np.asarray(prior, dtype=float),
-                                     hamiltonians=np.asarray(hamiltonians, dtype=float))
+    family = discrete.DiscreteFamily(prior=prior, hamiltonians=hamiltonians)
     return DiscreteHandle(name=name or f"discrete-{family.alphabet_size}letter",
                           descriptor=discrete.as_descriptor(family), family=family)
 

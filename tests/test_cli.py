@@ -603,7 +603,7 @@ def test_numeric_domain_errors_exit_three(tmp_path):
         proc = run_cli("maxent", "--model", model, "--u", target)
         assert proc.returncode == 3
         env = envelope(proc)
-        assert env["status"] == "error:infeasible"
+        assert env["status"] == "error:domain"
         assert env["inputs"] == {"model": model, "u": [float(target)]}
         assert f"[{float(target)}]" in env["diagnostics"]["message"]
     proc = run_cli("divergence", "--model", "coherent", "--z", "9,0",
@@ -644,7 +644,7 @@ def test_numeric_domain_errors_exit_three(tmp_path):
     assert "inf" not in proc.stdout and "nan" not in proc.stdout
 
 
-def test_points_outside_the_chart_end_in_its_domain_error():
+def test_points_outside_the_chart_end_in_its_domain_error(tmp_path, capsys):
     # The chart inversion is the one membership test of a --u point: its
     # DomainError names the point.
     for args, point in (
@@ -657,6 +657,22 @@ def test_points_outside_the_chart_end_in_its_domain_error():
         assert env["status"] == "error:domain"
         assert env["diagnostics"]["message"] == (
             f"energy point {point} is outside the model domain")
+    # A moment target strictly outside the closed moment region is a domain
+    # error on every command that takes --u; targets on its edge still fit.
+    path = tmp_path / "triangle.ini"
+    path.write_text("[model]\ntype = discrete\n\n[discrete]\n"
+                    "prior = 1, 2, 3\nhamiltonians = 0, 1, 2; 1, 0, 0\n")
+    for model, targets in ((("--model", "discrete3"), ("2.5", "-0.5")),
+                           (("--config", str(path)),
+                            ("0.2,0.2", "1.5,0.6", "0.9,0.0999"))):
+        for u in targets:
+            for command in (["maxent"], ["divergence", "--x", "0.2,0.3,0.5"]):
+                assert cli.main([*command, *model, "--u", u]) == 3
+                env = strict_json(capsys.readouterr().out)
+                assert env["status"] == "error:domain", (command, u)
+    for u in ("0", "2"):
+        assert cli.main(["maxent", "--model", "discrete3", "--u", u]) == 0
+        assert strict_json(capsys.readouterr().out)["status"] == "ok"
 
 
 def test_coherent_values_near_the_overflow_edge_stay_finite():

@@ -458,11 +458,13 @@ def test_fit_converges_where_the_dual_objective_cancels():
     assert np.max(np.abs(moments - targets)) <= 1e-12
 
 
-def test_n2_membership_reads_the_fit_status():
+def test_n2_membership_is_the_open_triangle():
     model = as_descriptor(TRIANGLE)
-    points = np.array([[[0.5, 0.3], [0.2, 0.9]], [[1.0, 0.999], [1.9, 0.01]]])
+    points = np.array([[[0.5, 0.3], [0.2, 0.9]], [[1.0, 0.999], [1.9, 0.01]],
+                       [[1.0, 0.0], [1.5, 0.5]], [[1.0, 1e-6], [1.5, 0.5 - 1e-6]]])
     inside = model.energy_domain.membership(points)
-    assert inside.tolist() == [[True, False], [True, True]]
+    # the two edges' midpoints are on the boundary, so outside
+    assert inside.tolist() == [[True, False], [True, True], [False, False], [True, True]]
     assert [bool(model.energy_domain.membership(p)) for p in points.reshape(-1, 2)] == (
         inside.ravel().tolist())
 
