@@ -45,13 +45,8 @@ from .errors import (
 from .numerics import (
     Domain,
     Matrix2H,
-    OptimizationResult,
     eig_h2,
     func_h2,
-    grad_fd,
-    grid_sup,
-    hess_fd,
-    maximize_concave,
 )
 from .registry import (
     BUILTIN_NAMES,
@@ -88,7 +83,6 @@ __all__ = [
     "Matrix2H",
     "ModelDescriptor",
     "ModelHandle",
-    "OptimizationResult",
     "PropertyResult",
     "PythagorasReport",
     "SupportError",
@@ -105,12 +99,8 @@ __all__ = [
     "eig_h2",
     "func_h2",
     "get_model",
-    "grad_fd",
-    "grid_sup",
-    "hess_fd",
     "load_config",
     "massieu",
-    "maximize_concave",
     "metric_tensor",
     "pythagoras_data",
     "pythagoras_models",

@@ -359,8 +359,9 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
     ``max(r^2, hbar^2/r^2)`` times the largest parameter magnitude of
     interest.  The default half-width, ``16 max(r^2, hbar^2/r^2, 1)``,
     keeps ``|U|`` interior for ``|theta|`` up to 16.  Phi, U and S come
-    from the one kernel :func:`dual_points_coherent`, and the chart
-    inversion is :func:`u_to_theta_coherent`.  Data sets are states on
+    from the one kernel :func:`dual_points_coherent`, the metric is the
+    constant ``diag(r^2, hbar^2/r^2)`` of :func:`_metric` on every row,
+    and the chart inversion is :func:`u_to_theta_coherent`.  Data sets are states on
     the same truncated basis, stacked as coefficient rows (k, nmax + 1)
     and checked by :func:`check_state`.  The fiber sampler returns the
     stack (k, max(count, 1), nmax + 1) over energy rows (k, 2): fiber i is
@@ -432,6 +433,7 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
         energy_domain=domain,
         entropy_u=lambda us: model_entropy_u(us, constants),
         closed_dual_points=lambda th: dual_points_coherent(th, constants),
+        closed_metric=lambda th: np.tile(np.diag(_metric(constants)), (len(th), 1, 1)),
         closed_u_to_theta=lambda u: u_to_theta_coherent(u, constants),
         dataset_answers=answers,
         fiber_sampler=fiber_sampler,

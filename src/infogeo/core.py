@@ -12,10 +12,10 @@ Each family evaluates ``Phi``, ``U`` and ``S`` with one kernel on
 parameter rows, ``closed_dual_points``: :func:`dual_points` is its
 batched view and :func:`massieu` and :func:`theta_to_u` its point views,
 so a point call and the matching row of a batched call give the same
-bits.  The numeric routes are oracles, called by name:
-:func:`legendre_rows` solves the Legendre transform of the entropy at k
-parameter rows in one damped-Newton loop, and ``numerics.grad_fd`` of
-``entropy_u`` is the finite-difference chart inversion.
+bits; so does :func:`metric_tensor` for the metric kernel ``closed_metric``.
+The numeric routes are oracles in ``verify``: :func:`legendre_rows` solves
+the Legendre transform of the entropy at k rows in one damped-Newton loop,
+and ``numerics.hess_fd`` of Phi checks the metric; ``core`` imports no FD.
 
 The divergence quantities take either parameter points ``(n,)`` or
 rows ``(k, n)``: :func:`bregman_divergence`, :func:`divergence_from_data`,
@@ -33,7 +33,7 @@ Conventions.  The Massieu function is the Legendre--Fenchel transform
 
 so at a dual pair the canonical identity ``Phi - S(U) + theta . U = 0``
 holds, together with ``dPhi/dtheta_j = -U_j`` and ``dS/dU_j = theta_j``.
-The metric tensor is the Hessian of Phi.
+The metric tensor is the Hessian of Phi, the observables' covariance.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .errors import (
     EvaluationError,
     InfoGeoError,
 )
-from .numerics import Domain, hess_fd, maximize_concave_rows, row_dot
+from .numerics import Domain, maximize_concave_rows, row_dot
 
 #: Relative closeness to the bounding box at which an argmax on an
 #: unbounded domain is treated as escaping to infinity.
@@ -90,6 +90,9 @@ class ModelDescriptor:
         U (k, n), S(U) (k,))``, each row independent of the others.  It
         is the one route of :func:`dual_points` and of its point views
         :func:`massieu` and :func:`theta_to_u`.
+    closed_metric : callable
+        The metric kernel ``g = Hess Phi``, rows ``(k, n) -> (k, n, n)``,
+        each row independent of the others: the route of :func:`metric_tensor`.
     closed_u_to_theta : callable
         The closed chart inversion on energy rows ``(k, n) -> (k, n)``,
         each row independent of the others; it may raise the error of a
@@ -117,6 +120,7 @@ class ModelDescriptor:
     entropy_u: Callable[[np.ndarray], np.ndarray]
     closed_dual_points: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray,
                                                      np.ndarray]]
+    closed_metric: Callable[[np.ndarray], np.ndarray]
     closed_u_to_theta: Callable[[np.ndarray], np.ndarray]
     dataset_answers: Callable[[object], tuple[np.ndarray, np.ndarray]]
     fiber_sampler: Callable[[np.ndarray, int, object], np.ndarray]
@@ -421,17 +425,17 @@ def u_to_theta(model: ModelDescriptor, u) -> np.ndarray:
 
 def metric_tensor(model: ModelDescriptor, theta) -> np.ndarray:
     """Metric tensor ``g = Hessian(Phi)`` at the point ``theta`` (n,), or
-    ``(k, n, n)`` at the parameter rows ``theta`` (k, n).
-
-    One :func:`hess_fd` call takes Phi at the stencils of all the rows
-    from one :func:`dual_points` call; row i has the bits of the point
-    call on ``theta[i]``.  Raises :class:`DegeneracyError`, for the lowest
-    failing row, when the smallest eigenvalue is nonpositive beyond
-    ``_DEGENERACY_TOL``, which signals a non-canonical parametrization
-    (redundant questions).
+    ``(k, n, n)`` at the parameter rows ``theta`` (k, n), from one call of
+    ``closed_metric``; row i has the bits of the point call on ``theta[i]``.
+    Raises :class:`EvaluationError` for the first row that overflows, and
+    :class:`DegeneracyError` for the lowest row whose smallest eigenvalue is
+    nonpositive beyond ``_DEGENERACY_TOL``: redundant questions in a
+    descriptor built outside the package (each built-in kernel is a
+    covariance of independent observables).
     """
     (thetas,), single = _points(model, theta)
-    g = hess_fd(lambda ts: dual_points(model, ts)[0], thetas)
+    g = _quietly(model.closed_metric, thetas)
+    _require_finite(np.isfinite(g).all(axis=(1, 2)), "metric tensor", thetas)
     min_eig = np.linalg.eigvalsh(g)[:, 0]
     failed = min_eig <= -_DEGENERACY_TOL
     if failed.any():

@@ -67,10 +67,8 @@ class DiscreteFamily:
         if not np.all(prior > 0.0):
             raise ValueError("prior weights must be strictly positive")
         h = np.array(self.hamiltonians, dtype=float)
-        if h.size == 0:
-            h = h.reshape(0, prior.size)
-        if h.ndim != 2 or h.shape[1] != prior.size:
-            raise ValueError("hamiltonians must be an (n, alphabet) matrix")
+        if h.ndim != 2 or h.shape[1] != prior.size or not len(h):
+            raise ValueError("hamiltonians must be an (n, alphabet) matrix, n >= 1")
         stacked = np.vstack([h, np.ones(prior.size)])
         if np.linalg.matrix_rank(stacked) != h.shape[0] + 1:
             raise DegeneracyError(
@@ -113,7 +111,7 @@ def _hull_facets(h: np.ndarray, interior: np.ndarray) -> np.ndarray:
     too.  One observable gives ``U <= max H`` and ``-U <= -min H``."""
     subsets = np.array(list(combinations(range(h.shape[1]), len(h))), dtype=int)
     normals = np.linalg.pinv(h.T[subsets] - interior).sum(axis=-1)
-    # a zero normal (no observable, or one letter at the interior) bounds nothing
+    # a zero normal (one letter at the interior) bounds nothing
     scale = np.abs(normals).max(axis=1, initial=0.0)
     normals = normals[scale > 0.0] / scale[scale > 0.0, None]
     return np.column_stack([normals, (normals @ h).max(axis=1)])
@@ -247,18 +245,6 @@ def _covariance(h: np.ndarray, p: np.ndarray, moments: np.ndarray) -> np.ndarray
     return np.matmul(centered * p[:, None, :], centered.transpose(0, 2, 1))
 
 
-def fisher_covariance(family: DiscreteFamily, p) -> np.ndarray:
-    """Covariance matrix ``(n, n)`` of the observables under ``p`` (m,), or
-    the stack ``(k, n, n)`` of them under the rows of ``p`` (k, m); row i
-    has the bits of the one-row call.
-
-    Equals the metric tensor at the member with moments ``H p``.
-    """
-    ps = np.atleast_2d(check_probability(p))
-    cov = _covariance(family.hamiltonians, ps, _mean_energy(family.hamiltonians, ps))
-    return cov[0] if np.ndim(p) == 1 else cov
-
-
 def kl_divergence(p, q):
     """Relative entropy ``sum_a p(a) ln(p(a)/q(a))`` (nonnegative) of one
     pair of distributions ``(m,)``, or of each pair of rows of ``p`` and
@@ -362,8 +348,7 @@ def fit_moments(family: DiscreteFamily, targets,
     for it in range(_MAX_NEWTON):
         moments = _mean_energy(h, p)
         residual = moments - u
-        # with no observable a row has no residual and is done at once
-        done = np.abs(residual).max(axis=1, initial=0.0) <= tol
+        done = np.abs(residual).max(axis=1) <= tol
         if np.count_nonzero(done):
             theta[rows[done]] = th[done]
             iterations[rows[done]] = it
@@ -457,11 +442,9 @@ def maxent_fit_report(family: DiscreteFamily, u_target,
 
 
 def _fiber_direction(family: DiscreteFamily) -> np.ndarray:
-    """Basis of the null space of [H; 1] (directions along a fiber)."""
+    """Basis of the null space of [H; 1], of rank n + 1 (the fiber directions)."""
     stacked = np.vstack([family.hamiltonians, np.ones(family.alphabet_size)])
-    _, s, vt = np.linalg.svd(stacked)
-    rank = int(np.sum(s > s[0] * max(stacked.shape) * np.finfo(float).eps))
-    return vt[rank:]
+    return np.linalg.svd(stacked)[2][family.n + 1:]
 
 
 def _chords(bases: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -483,7 +466,8 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
     stack of points; ``entropy_u`` is the entropy of the moment-matched
     members, from one :func:`fit_moments` call and :func:`dual_points` at
     the fitted rows.  Phi, U and S at parameter rows come from the one kernel
-    :func:`dual_points`, and the chart inversion is one
+    :func:`dual_points`, the metric is the covariance of the observables
+    under the members, and the chart inversion is one
     :func:`maxent_fit_rows` call.  The data-set layer treats probability
     vectors as data sets, and a stack of them is an array of rows (k, m).
     The fiber sampler returns the stack (k, c, m) over moment rows (k, n),
@@ -513,6 +497,10 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
         rows = np.clip(us.reshape(math.prod(us.shape[:-1]), us.shape[-1]), *clamp)
         fitted = maxent_fit_rows(family, rows, tol=1e-13)[0]
         return dual_points(family, fitted)[2].reshape(us.shape[:-1])[()]
+
+    def metric(thetas):
+        p = boltzmann_gibbs(family, thetas)
+        return _covariance(h, p, _mean_energy(h, p))
 
     def answers(ps):
         entropies = bgs_entropy(family, ps)     # validates the rows
@@ -547,6 +535,7 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
                              membership=membership, interior_point=h @ p0),
         entropy_u=entropy_u,
         closed_dual_points=lambda th: dual_points(family, th),
+        closed_metric=metric,
         closed_u_to_theta=lambda us: maxent_fit_rows(family, us)[0],
         dataset_answers=answers,
         fiber_sampler=fiber_sampler,

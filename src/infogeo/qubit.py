@@ -114,21 +114,26 @@ def dual_points_qubit(thetas: np.ndarray):
 
     ``Phi = ln(2 cosh t)`` and ``U = -(theta/t) tanh t`` with ``t =
     |theta|``, from the kernels behind :func:`massieu_qubit` and
-    :func:`theta_to_bloch`, and ``S`` is :func:`entropy_bloch_rows` of
-    ``U``.
+    :func:`theta_to_bloch`, and ``S`` the binary entropy of ``|U| <= 1``.
     """
     t = row_norm(thetas)
     u = _bloch(thetas, t)
-    return _massieu(t), u, entropy_bloch_rows(u)
+    return _massieu(t), u, _binary_entropy(np.minimum(np.sqrt(row_dot(u, u)), 1.0))
 
 
-def entropy_bloch_rows(us: np.ndarray) -> np.ndarray:
-    """Entropy of the states with the Bloch vectors ``us`` (..., 3).
-
-    The binary entropy of ``min(|u|, 1)`` (0 ln 0 = 0), without the
-    domain check of :func:`entropy_bloch`.
-    """
-    return _binary_entropy(np.minimum(np.sqrt(row_dot(us, us)), 1.0))
+def metric_qubit(thetas: np.ndarray) -> np.ndarray:
+    """Metric ``(tanh t/t)(I - n n^T) + sech^2 t n n^T`` (k, 3, 3) at the rows
+    of ``thetas`` (k, 3), ``t = |theta|``, ``n = theta/t`` (``g = I`` at t = 0).
+    ``sech^2 t = 4e/(1 + e)^2``, ``e = exp(-2t)``, keeps its digits where tanh t
+    rounds to 1, where ``lateral I + (radial - lateral) n n^T`` would cancel."""
+    t = row_norm(thetas)
+    zero = t == 0.0
+    n = thetas / (t + zero)[:, None]
+    e = np.exp(-2.0 * t)
+    lateral = np.tanh(t) / (t + zero) + zero
+    radial = 4.0 * e / ((1.0 + e) * (1.0 + e))
+    nn = n[:, :, None] * n[:, None, :]
+    return lateral[:, None, None] * (np.eye(3) - nn) + radial[:, None, None] * nn
 
 
 def _binary_entropy(r: np.ndarray) -> np.ndarray:
@@ -203,8 +208,9 @@ def as_descriptor(membership_margin: float = 1e-12,
     Mean coordinates range over the open unit ball (membership uses
     ``membership_margin`` at the boundary); the closed parameter map is
     restricted by ``chart_margin`` as in :func:`bloch_to_theta`.  Phi, U
-    and S come from the one kernel :func:`dual_points_qubit`, and the
-    chart inversion is :func:`bloch_to_theta`.  Data
+    and S come from the one kernel :func:`dual_points_qubit`, the metric
+    from :func:`metric_qubit`, and the chart inversion is
+    :func:`bloch_to_theta`.  Data
     sets are Bloch vectors of arbitrary states, and a stack of them is an
     array of rows (k, 3); the model fiber over an interior point is a
     singleton, so the fiber sampler gives energy rows (k, 3) their own
@@ -226,12 +232,9 @@ def as_descriptor(membership_margin: float = 1e-12,
 
     return ModelDescriptor(
         energy_domain=domain,
-        # Finite-difference stencils centered on an iterate that hugs the
-        # pure-state shell can poke a stencil width past it; the row form
-        # extends the entropy radially (constant 0 outside the ball), so
-        # those evaluations stay finite.  Member points are unaffected.
-        entropy_u=entropy_bloch_rows,
+        entropy_u=entropy_bloch,
         closed_dual_points=dual_points_qubit,
+        closed_metric=metric_qubit,
         closed_u_to_theta=lambda us: bloch_to_theta(us, chart_margin),
         dataset_answers=answers,
         fiber_sampler=lambda us, count, rng=None: np.array(us, dtype=float)[:, None],

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -460,6 +461,24 @@ def test_usage_errors_exit_two(capsys):
         assert code == 2, err
         assert strict_json(out)["status"] == "error:usage"
         assert err.strip()
+
+
+def test_a_discrete_family_with_no_observables_is_a_usage_error(tmp_path):
+    # n = 0 is refused when the family is built, so no command reaches the
+    # numeric kernels with an empty spectrum
+    config = tmp_path / "empty.ini"
+    config.write_text("[model]\ntype = discrete\n\n[discrete]\n"
+                      "prior = 1, 2, 3\nhamiltonians =\n")
+    for args in (("verify", "--config", str(config)),
+                 ("maxent", "--config", str(config), "--u", "1")):
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                               "infogeo.cli", *args],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        env = envelope(proc)
+        assert (env["status"], env["command"]) == ("error:usage", args[0])
+        assert "(n, alphabet) matrix" in env["diagnostics"]["message"]
+        assert "Traceback" not in proc.stderr and proc.stderr.startswith("error: ")
 
 
 @pytest.mark.parametrize("args", [

@@ -71,6 +71,7 @@ def linear_toy():
         energy_domain=domain,
         entropy_u=lambda u: u[..., 0],
         closed_dual_points=no_closed_form,
+        closed_metric=no_closed_form,
         closed_u_to_theta=no_closed_form,
         dataset_answers=lambda xs: (np.asarray(xs, dtype=float),
                                     np.asarray(xs, dtype=float)[:, 0]),
@@ -80,10 +81,10 @@ def linear_toy():
 
 def test_descriptor_requires_the_data_layer_and_derives_n(qubit):
     fields = dataclasses.fields(ModelDescriptor)
-    # six required fields, and no switch that selects a second route
+    # seven required fields, and no switch that selects a second route
     assert [f.name for f in fields] == [
-        "energy_domain", "entropy_u", "closed_dual_points", "closed_u_to_theta",
-        "dataset_answers", "fiber_sampler"]
+        "energy_domain", "entropy_u", "closed_dual_points", "closed_metric",
+        "closed_u_to_theta", "dataset_answers", "fiber_sampler"]
     assert all(f.default is dataclasses.MISSING
                and f.default_factory is dataclasses.MISSING for f in fields)
     assert qubit.n == qubit.energy_domain.dimension == 3

@@ -29,7 +29,6 @@ from infogeo.discrete import (
     bgs_entropy,
     boltzmann_gibbs,
     check_probability,
-    fisher_covariance,
     fit_moments,
     kl_divergence,
     log_partition,
@@ -58,6 +57,13 @@ def test_family_requires_independent_observables():
         DiscreteFamily(prior=np.ones(3),
                        hamiltonians=np.array([[0.0, 1.0, 2.0],
                                               [1.0, 2.0, 3.0]]))
+
+
+def test_family_requires_an_observable():
+    # an empty spectrum, as the loader reads "hamiltonians =", or n = 0 rows
+    for hamiltonians in (np.array([]), np.zeros((0, 3))):
+        with pytest.raises(ValueError, match=r"\(n, alphabet\) matrix, n >= 1"):
+            DiscreteFamily(prior=np.ones(3), hamiltonians=hamiltonians)
 
 
 def test_family_requires_positive_prior():
@@ -186,20 +192,23 @@ def test_maxent_roundtrip_random_moments():
 
 
 def test_fisher_covariance_matches_metric_tensor():
+    # the metric is the closed covariance of the observable under the
+    # member, not an FD Hessian of Phi
     family = TWO_LEVEL
     model = as_descriptor(family)
+    h = family.hamiltonians[0]
     for theta in (np.zeros(1), np.array([LN2]), np.array([-0.7])):
         p = boltzmann_gibbs(family, theta)
-        fisher = fisher_covariance(family, p)
+        variance = float(np.sum(p * (h - np.sum(p * h)) ** 2))
         g = metric_tensor(model, theta)
-        assert np.max(np.abs(g - fisher)) <= 1e-6
+        assert g.shape == (1, 1)
+        assert g[0, 0] == pytest.approx(variance, rel=0.0, abs=1e-15)
 
 
 def test_fisher_covariance_bernoulli_values():
-    family = TWO_LEVEL
-    assert fisher_covariance(family, np.array([0.5, 0.5]))[0, 0] == (
-        pytest.approx(0.25, abs=1e-15))
-    assert fisher_covariance(family, np.array([2.0 / 3.0, 1.0 / 3.0]))[0, 0] == (
+    model = as_descriptor(TWO_LEVEL)
+    assert metric_tensor(model, np.zeros(1))[0, 0] == pytest.approx(0.25, abs=1e-15)
+    assert metric_tensor(model, np.array([LN2]))[0, 0] == (
         pytest.approx(2.0 / 9.0, abs=1e-15))
 
 

@@ -112,7 +112,7 @@ def test_hessian_of_qubit_massieu_at_origin_is_identity():
 
 def test_maximize_entropy_minus_linear_on_bloch_ball():
     theta = np.array([1.0, 0.0, 0.0])
-    f = lambda us: qubit.entropy_bloch_rows(us) - us @ theta
+    f = lambda us: qubit.entropy_bloch(us) - us @ theta
     res = numerics.maximize_concave(f, ball_domain())
     assert res.converged
     assert abs(res.value - 1.1269280110429725) < 1e-9

@@ -293,8 +293,8 @@ def test_legendre_rows_raise_the_lowest_failing_row():
     domain = numerics.Domain(1, np.array([[-10.0, 10.0]]),
                              lambda u: np.abs(u[..., 0]) < 10.0, np.array([0.0]))
     model = ModelDescriptor(domain, entropy, closed_dual_points=None,
-                            closed_u_to_theta=None, dataset_answers=None,
-                            fiber_sampler=None)
+                            closed_metric=None, closed_u_to_theta=None,
+                            dataset_answers=None, fiber_sampler=None)
     thetas = np.array([[-1.0], [-3.0], [5.0]])
     with pytest.raises(ConvergenceError) as rows_error:
         core.legendre_rows(model, thetas)

@@ -14,7 +14,6 @@ from infogeo.qubit import (
     bloch_to_theta,
     dual_points_qubit,
     entropy_bloch,
-    entropy_bloch_rows,
     gibbs_state,
     massieu_qubit,
     quantum_relative_entropy,
@@ -255,14 +254,27 @@ def test_entropy_rows_equal_single_point_calls():
     rng = np.random.default_rng(12)
     us = rng.normal(size=(40, 90, 3)) * rng.uniform(0.0, 1.3, size=(40, 90, 1))
     us[0, 0] = 0.0
-    values = model.entropy_u(us)
+    r = np.linalg.norm(us, axis=-1)
+    outside = r > 1.0 + 1e-12
+    inner = np.where(outside[..., None], 0.0, us)
+    values = model.entropy_u(inner)
     assert values.shape == (40, 90)
-    single = [model.entropy_u(u) for u in us.reshape(-1, 3)]
+    single = [model.entropy_u(u) for u in inner.reshape(-1, 3)]
     assert all(np.ndim(v) == 0 for v in single)
     assert values.ravel().tolist() == [float(v) for v in single]
-    # inside the ball it is the von Neumann entropy; outside it is 0
-    for u, v in zip(us.reshape(-1, 3), single):
-        r = float(np.linalg.norm(u))
-        expected = entropy_bloch(u) if r <= 1.0 else 0.0
+    # inside the ball it is the von Neumann entropy
+    for u, v in zip(inner.reshape(-1, 3), single):
+        lam = 0.5 * (1.0 + min(float(np.linalg.norm(u)), 1.0))
+        expected = -lam * math.log(lam) - ((1.0 - lam) * math.log(1.0 - lam)
+                                           if lam < 1.0 else 0.0)
         assert v == pytest.approx(expected, abs=1e-15)
-    assert values.ravel().tolist() == entropy_bloch_rows(us.reshape(-1, 3)).tolist()
+    # past 1 + 1e-12 it is a DomainError, alone and in a stack
+    assert outside.sum() > 100
+    for u in us[outside]:
+        with pytest.raises(DomainError):
+            model.entropy_u(u)
+    with pytest.raises(DomainError):
+        model.entropy_u(us)
+    assert model.entropy_u(np.array([1.0 + 1e-13, 0.0, 0.0])) == 0.0
+    with pytest.raises(DomainError):
+        model.entropy_u(np.array([0.0, 1.0 + 1e-11, 0.0]))

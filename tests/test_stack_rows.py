@@ -22,6 +22,7 @@ from infogeo import (
     ModelDescriptor,
     coherent,
     core,
+    discrete_instance,
     get_model,
     metric_tensor,
     regression,
@@ -100,9 +101,12 @@ def test_stacks_run_without_numpy_warnings():
             getattr(regression, fname)(sets)
 
 
-@pytest.mark.parametrize("name", ["qubit", "coherent2", "discrete3"])
+@pytest.mark.parametrize("name", ["qubit", "coherent2", "discrete3", "discrete3x2"])
 def test_metric_rows_equal_point_calls_bitwise(name):
-    handle = get_model(name)
+    # discrete3x2 is the configured family prior = 1, 2, 3 / hamiltonians =
+    # 0, 1, 2; 1, 0, 0: two observables, so each row is a 2x2 covariance
+    handle = (discrete_instance([1.0, 2.0, 3.0], [[0.0, 1.0, 2.0], [1.0, 0.0, 0.0]])
+              if name == "discrete3x2" else get_model(name))
     model = handle.descriptor
     thetas = handle.sample_thetas(np.random.default_rng(74), 12, radius=2.0)
     rows = metric_tensor(model, thetas)
@@ -112,16 +116,16 @@ def test_metric_rows_equal_point_calls_bitwise(name):
 
 
 def test_metric_rows_raise_for_the_lowest_failing_row():
-    # Phi = theta^2 / 2 for theta < 1 and -theta^2 / 2 past it: the metric
-    # is -1 at rows 1 and 3, and the error names row 1's eigenvalue
-    def dual(thetas):
-        t = thetas[:, 0]
-        phi = np.where(t < 1.0, 0.5, -0.5) * t * t
-        return phi, -thetas, np.zeros(len(t))
+    # a hand-built descriptor whose closed metric is 1 for theta < 1 and -1
+    # past it: the metric is -1 at rows 1 and 3, and the error names row
+    # 1's eigenvalue
+    def metric(thetas):
+        return np.where(thetas[:, :, None] < 1.0, 1.0, -1.0)
 
     domain = Domain(1, np.array([[-10.0, 10.0]]), lambda u: np.abs(u[..., 0]) < 10.0,
                     np.array([0.0]))
-    model = ModelDescriptor(domain, lambda u: np.zeros(np.shape(u)[:-1]), dual,
+    model = ModelDescriptor(domain, lambda u: np.zeros(np.shape(u)[:-1]),
+                            closed_dual_points=None, closed_metric=metric,
                             closed_u_to_theta=None, dataset_answers=None,
                             fiber_sampler=None)
     thetas = np.array([[0.0], [3.0], [-2.0], [5.0]])
