@@ -42,12 +42,7 @@ from .errors import (
     SupportError,
     TruncationError,
 )
-from .numerics import (
-    Domain,
-    Matrix2H,
-    eig_h2,
-    func_h2,
-)
+from .numerics import Domain
 from .registry import (
     BUILTIN_NAMES,
     ModelHandle,
@@ -57,8 +52,6 @@ from .registry import (
     get_model,
     load_config,
     qubit_instance,
-    regression_instance,
-    sphere_instance,
 )
 from .verify import (
     PropertyResult,
@@ -80,7 +73,6 @@ __all__ = [
     "EvaluationError",
     "InfeasibleError",
     "InfoGeoError",
-    "Matrix2H",
     "ModelDescriptor",
     "ModelHandle",
     "PropertyResult",
@@ -96,8 +88,6 @@ __all__ = [
     "divergence_def5",
     "divergence_from_data",
     "dual_points",
-    "eig_h2",
-    "func_h2",
     "get_model",
     "load_config",
     "massieu",
@@ -105,8 +95,6 @@ __all__ = [
     "pythagoras_data",
     "pythagoras_models",
     "qubit_instance",
-    "regression_instance",
-    "sphere_instance",
     "theta_to_u",
     "u_to_theta",
     "verify_handle",

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import ModelDescriptor
 from .errors import ConvergenceError, TruncationError
-from .numerics import Domain, complex_row_norm
+from .numerics import Domain, complex_row_norm, raise_first
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,8 @@ def coherent_state(z, nmax: int = 64):
     with np.errstate(over="ignore"):
         modulus = np.hypot(zr, zi)      # abs(complex)
         mean = modulus * modulus        # inf when |z| is huge
-    refused = mean > nmax / 4.0
-    if refused.any():
-        raise TruncationError(f"|z|^2 = {mean[np.argmax(refused)]:.3g} too large for a"
-                              f" basis of size {nmax + 1}")
+    raise_first((mean > nmax / 4.0, lambda i: TruncationError(
+        f"|z|^2 = {mean[i]:.3g} too large for a basis of size {nmax + 1}")))
     c = np.empty((zs.size, nmax + 1), dtype=complex)
     c[:, 0] = 1.0
     if zs.size == 1:
@@ -423,10 +421,9 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
             short = short[have[short] < want]       # the fibers that failed a pin
             scale[short] *= 0.5
             short = short[scale[short] >= _MIN_NOISE]
-        if (scale < _MIN_NOISE).any():
-            z = zs[np.argmax(scale < _MIN_NOISE)]
-            raise ConvergenceError(f"no fiber sample has its mean pinned to z = {z:.6g} at"
-                                   f" any noise scale down to {_MIN_NOISE:g}")
+        raise_first((scale < _MIN_NOISE, lambda i: ConvergenceError(
+            f"no fiber sample has its mean pinned to z = {zs[i]:.6g} at"
+            f" any noise scale down to {_MIN_NOISE:g}")))
         return stack
 
     return ModelDescriptor(

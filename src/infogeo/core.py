@@ -54,7 +54,7 @@ from .errors import (
     EvaluationError,
     InfoGeoError,
 )
-from .numerics import Domain, maximize_concave_rows, row_dot
+from .numerics import Domain, maximize_concave_rows, raise_first, row_dot
 
 #: Relative closeness to the bounding box at which an argmax on an
 #: unbounded domain is treated as escaping to infinity.
@@ -63,7 +63,8 @@ _BOX_EDGE_RTOL = 1e-6
 #: Default gradient tolerance of the numeric Legendre transform.
 _LEGENDRE_TOL = 1e-9
 
-#: Most negative metric eigenvalue still read as rounding, not degeneracy.
+#: Most negative metric eigenvalue, relative to the largest entry of the
+#: metric, still read as rounding, not degeneracy.
 _DEGENERACY_TOL = 1e-8
 
 
@@ -312,10 +313,8 @@ def _dual_rows(model: ModelDescriptor, thetas: np.ndarray):
     overflow raises :class:`EvaluationError` here instead of a warning.
     """
     phi, u, s = model.closed_dual_points(thetas)
-    if not (np.isfinite(phi).all() and np.isfinite(u).all() and np.isfinite(s).all()):
-        finite = np.isfinite(phi) & np.isfinite(u).all(axis=1) & np.isfinite(s)
-        bad = thetas[int(np.argmin(finite))]
-        raise EvaluationError(f"the dual point at {bad.tolist()} overflows")
+    _require_finite(np.isfinite(phi) & np.isfinite(u).all(axis=1) & np.isfinite(s),
+                    "dual point", thetas)
     return phi, u, s
 
 
@@ -333,10 +332,11 @@ def dual_points(model: ModelDescriptor, thetas):
 def _require_finite(finite: np.ndarray, what: str, *rows: np.ndarray) -> None:
     """Raise :class:`EvaluationError` naming the points of the first row
     that is not ``finite``."""
-    if not finite.all():
-        i = int(np.argmin(finite))
+    def error(i):
         points = " and ".join(str(r[i].tolist()) for r in rows)
-        raise EvaluationError(f"the {what} at {points} overflows")
+        return EvaluationError(f"the {what} at {points} overflows")
+
+    raise_first((~finite, error))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -427,21 +427,20 @@ def metric_tensor(model: ModelDescriptor, theta) -> np.ndarray:
     """Metric tensor ``g = Hessian(Phi)`` at the point ``theta`` (n,), or
     ``(k, n, n)`` at the parameter rows ``theta`` (k, n), from one call of
     ``closed_metric``; row i has the bits of the point call on ``theta[i]``.
-    Raises :class:`EvaluationError` for the first row that overflows, and
+    Raises :class:`EvaluationError` for the first row that overflows, then
     :class:`DegeneracyError` for the lowest row whose smallest eigenvalue is
-    nonpositive beyond ``_DEGENERACY_TOL``: redundant questions in a
-    descriptor built outside the package (each built-in kernel is a
-    covariance of independent observables).
+    below ``-_DEGENERACY_TOL`` times its largest ``|g_jl|``: redundant
+    questions in a descriptor built outside the package (each built-in
+    kernel is a covariance of independent observables).  A metric that
+    underflows to zero is returned.
     """
     (thetas,), single = _points(model, theta)
     g = _quietly(model.closed_metric, thetas)
     _require_finite(np.isfinite(g).all(axis=(1, 2)), "metric tensor", thetas)
     min_eig = np.linalg.eigvalsh(g)[:, 0]
-    failed = min_eig <= -_DEGENERACY_TOL
-    if failed.any():
-        raise DegeneracyError(
-            f"metric tensor is not positive definite (min eigenvalue"
-            f" {min_eig[np.argmax(failed)]:.3e})")
+    scale = np.abs(g).max(axis=(1, 2), initial=0.0)
+    raise_first((min_eig < -_DEGENERACY_TOL * scale, lambda i: DegeneracyError(
+        f"metric tensor is not positive definite (min eigenvalue {min_eig[i]:.3e})")))
     return g[0] if single else g
 
 
@@ -610,11 +609,9 @@ def pythagoras_data(model: ModelDescriptor, x, theta, zeta,
     with np.errstate(over="ignore", invalid="ignore"):
         phi, u, _ = _dual_rows(model, np.concatenate([thetas, zetas]))
     mismatch = np.max(np.abs(answers - u[:k]), axis=1, initial=0.0)
-    bad = mismatch > compliance_tol
-    if bad.any():
-        raise ConstraintError(
-            f"data set does not project onto m_theta: max answer mismatch"
-            f" {mismatch[np.argmax(bad)]:.3e} exceeds {compliance_tol:.1e}")
+    raise_first((mismatch > compliance_tol, lambda i: ConstraintError(
+        f"data set does not project onto m_theta: max answer mismatch"
+        f" {mismatch[i]:.3e} exceeds {compliance_tol:.1e}")))
     with np.errstate(over="ignore", invalid="ignore"):
         model_step = _divergences(phi[:k], phi[k:], thetas, zetas, u[:k])[0]
         d_x_theta = phi[:k] - s_x + row_dot(thetas, answers)

@@ -22,11 +22,8 @@ from .errors import (
     InfeasibleError,
     SupportError,
 )
-from .numerics import Domain, row_dot
+from .numerics import Domain, raise_first, row_dot
 
-#: Newton iterates whose parameter norm exceeds this are treated as
-#: diverging, which signals an infeasible moment target.
-_DIVERGENCE_NORM = 1e3
 _MAX_NEWTON = 200
 #: The start table of a one-observable family holds the moment at
 #: ``_START_ROWS`` parameters evenly spaced over ``|theta| * width <=
@@ -129,17 +126,12 @@ def check_probability(p, tol: float = 1e-12) -> np.ndarray:
     if p.ndim not in (1, 2):
         raise ValueError("expected a probability vector or rows of them")
     ps = np.atleast_2d(p)
-    nonfinite = ~np.isfinite(ps).all(axis=1)
-    negative = (ps < -tol).any(axis=1)
-    unnormalized = np.abs(ps.sum(axis=1) - 1.0) > max(tol, 1e-12 * ps.shape[1])
-    bad = nonfinite | negative | unnormalized
-    if bad.any():
-        i = int(np.argmax(bad))
-        if nonfinite[i]:
-            raise ValueError("probability vector has a non-finite entry")
-        if negative[i]:
-            raise ValueError("probability vector has a negative entry")
-        raise ValueError("probability vector does not sum to one")
+    raise_first((~np.isfinite(ps).all(axis=1),
+                 ValueError("probability vector has a non-finite entry")),
+                ((ps < -tol).any(axis=1),
+                 ValueError("probability vector has a negative entry")),
+                (np.abs(ps.sum(axis=1) - 1.0) > max(tol, 1e-12 * ps.shape[1]),
+                 ValueError("probability vector does not sum to one")))
     return np.maximum(p, 0.0)
 
 
@@ -317,8 +309,8 @@ def fit_moments(family: DiscreteFamily, targets,
     |theta.U|)`` for rounding, ``f`` being the dual objective.  A row
     whose target lies outside the closed moment region
     (:meth:`DiscreteFamily.outside`) is infeasible before any Newton
-    step, as is one whose iterates diverge (norm above 1e3); one
-    whose covariance is singular, or that has not converged after 200
+    step, and so is one whose iterate stops being finite; one whose
+    covariance is singular, or that has not converged after 200
     iterations, fails too.  A failing row never stops the others.
 
     Returns ``(theta (k, n), iterations (k,), status (k,))`` with status
@@ -393,8 +385,8 @@ def fit_moments(family: DiscreteFamily, targets,
                 cand[todo] = th[todo] + t * step[todo]
                 fc[todo], pc[todo] = _dual_rows(family, cand[todo], u[todo])
         th, f, p = cand, fc, pc
-        # NaN iterates count as diverging too
-        failed = singular | ~(np.sqrt(row_dot(th, th)) <= _DIVERGENCE_NORM)
+        # an iterate that is not finite has run off an infeasible target
+        failed = singular | ~np.isfinite(th).all(axis=1)
         if np.count_nonzero(failed):
             status[rows[failed]] = np.where(singular[failed], FIT_SINGULAR,
                                             FIT_INFEASIBLE)
@@ -412,22 +404,18 @@ def maxent_fit_rows(family: DiscreteFamily, targets,
 
     Converged when ``max_j |E_theta H_j - U_j| <= tol``.  Raises the error
     of the lowest failing row: a target outside the closed moment region
-    (:meth:`DiscreteFamily.outside`), or divergence of the
-    iterates (norm above 1e3), raises :class:`InfeasibleError`; a
-    singular covariance raises :class:`DegeneracyError` and no
-    convergence within 200 iterations :class:`ConvergenceError`.
+    (:meth:`DiscreteFamily.outside`), or an iterate that is not finite,
+    raises :class:`InfeasibleError`; a singular covariance raises
+    :class:`DegeneracyError` and no convergence within 200 iterations
+    :class:`ConvergenceError`.
     """
     targets = np.asarray(targets, dtype=float)
     theta, iterations, status = fit_moments(family, targets, tol)
-    failed = np.flatnonzero(status)
-    if not failed.size:
-        return theta, iterations
-    if status[failed[0]] == FIT_INFEASIBLE:
-        raise InfeasibleError(
-            f"moment target {targets[failed[0]].tolist()} is outside the feasible region")
-    if status[failed[0]] == FIT_SINGULAR:
-        raise DegeneracyError("singular covariance in moment fit")
-    raise ConvergenceError("moment fit did not converge")
+    raise_first((status == FIT_INFEASIBLE, lambda i: InfeasibleError(
+                    f"moment target {targets[i].tolist()} is outside the feasible region")),
+                (status == FIT_SINGULAR, DegeneracyError("singular covariance in moment fit")),
+                (status == FIT_STALLED, ConvergenceError("moment fit did not converge")))
+    return theta, iterations
 
 
 def maxent_fit_report(family: DiscreteFamily, u_target,

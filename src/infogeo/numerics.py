@@ -160,12 +160,11 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-# row_dot that raises FloatingPointError where a sum of squares overflows
-_checked_dot = np.errstate(over="raise")(row_dot)
 # the smallest normal double: a sum of squares below it has lost digits
 _TINY = float(np.finfo(float).tiny)
 
 
+@np.errstate(over="ignore")
 def row_norm(x: np.ndarray) -> np.ndarray:
     """``|x|`` along the last axis of ``x`` (..., n).
 
@@ -175,11 +174,7 @@ def row_norm(x: np.ndarray) -> np.ndarray:
     ``np.linalg.norm``; a zero row has norm 0, and a finite row longer
     than the largest double has norm inf, without a numpy warning.
     """
-    try:
-        squares = _checked_dot(x, x)
-    except FloatingPointError:
-        with np.errstate(over="ignore"):
-            squares = row_dot(x, x)
+    squares = row_dot(x, x)
     t = np.sqrt(squares)
     odd = (squares == math.inf) | (squares < _TINY)
     if not np.count_nonzero(odd):   # faster than odd.any() on one row
@@ -188,8 +183,7 @@ def row_norm(x: np.ndarray) -> np.ndarray:
     odd &= (scale > 0.0) & (scale < math.inf)   # not a zero or non-finite row
     scale = np.where(odd, scale, 1.0)
     scaled = x / scale[..., None]
-    with np.errstate(over="ignore"):
-        return np.where(odd, scale * np.sqrt(row_dot(scaled, scaled)), t)[()]
+    return np.where(odd, scale * np.sqrt(row_dot(scaled, scaled)), t)[()]
 
 
 def complex_row_norm(v: np.ndarray) -> np.ndarray:
@@ -207,6 +201,23 @@ def _steps(x: np.ndarray, h: float | None, default: float) -> np.ndarray:
     return np.full(x.shape, float(h))
 
 
+def raise_first(*checks) -> None:
+    """Raise the error of the lowest failing row of a stack, and at that
+    row the error of the first check it fails; return when no row fails.
+
+    Each check is ``(failed, error)``: ``failed`` a bool mask of shape
+    ``(...)`` over the rows, the same for every check, and ``error`` an
+    exception, or a function of the flat index of the row (its index in
+    ``failed.ravel()``) that returns one.
+    """
+    if not any(np.count_nonzero(failed) for failed, _ in checks):
+        return
+    failed = np.array([np.ravel(f) for f, _ in checks])
+    row = int(np.argmax(failed.any(axis=0)))
+    error = checks[int(np.argmax(failed[:, row]))][1]
+    raise error if isinstance(error, BaseException) else error(row)
+
+
 def _eval_rows(f, rows: np.ndarray, columns: bool = False) -> np.ndarray:
     """Values of the row-wise objective ``f`` at ``rows`` (k, n).
 
@@ -218,11 +229,9 @@ def _eval_rows(f, rows: np.ndarray, columns: bool = False) -> np.ndarray:
     values = np.asarray(f(rows), dtype=float)
     if values.shape[:1] != rows.shape[:1] or values.ndim > (2 if columns else 1):
         raise ValueError("objective must return one value per row")
-    finite = np.isfinite(values).reshape(len(rows), -1).all(axis=1)
-    if not finite.all():
-        bad = rows[int(np.argmin(finite))]
-        raise EvaluationError(
-            f"objective returned non-finite value at {bad.tolist()}")
+    nonfinite = ~np.isfinite(values).reshape(len(rows), -1).all(axis=1)
+    raise_first((nonfinite, lambda i: EvaluationError(
+        f"objective returned non-finite value at {rows[i].tolist()}")))
     return values
 
 
@@ -619,28 +628,26 @@ def eig_h2(m: Matrix2H) -> tuple[np.ndarray, np.ndarray]:
 
 def _spectrum_map(g: Callable[[float], float], vals: np.ndarray) -> np.ndarray:
     """``g`` at each eigenvalue of the rows ``vals`` (k, 2), called on
-    Python floats one value at a time; raises the
-    :class:`EvaluationError` of the first row on which ``g`` is undefined
-    or non-finite."""
-    out = np.empty(vals.shape)
+    Python floats one value at a time, up to the first value where ``g``
+    is undefined; raises the :class:`EvaluationError` of the first row on
+    which ``g`` is undefined or non-finite."""
+    out = np.zeros(vals.shape)
     flat = out.reshape(-1)
+    undefined = np.zeros(len(vals), dtype=bool)
     for i, v in enumerate(vals.ravel().tolist()):
         try:
             flat[i] = float(g(v))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            row = i // 2
-            _raise_nonfinite(out[:row], vals)
-            raise EvaluationError(
-                f"scalar function undefined on spectrum {vals[row].tolist()}") from exc
-    _raise_nonfinite(out, vals)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            undefined[i // 2] = True    # no later row can come first
+            break
+
+    def error(what):
+        return lambda row: EvaluationError(
+            f"scalar function {what} on spectrum {vals[row].tolist()}")
+
+    raise_first((undefined, error("undefined")),
+                (~np.isfinite(out).all(axis=1), error("non-finite")))
     return out
-
-
-def _raise_nonfinite(values: np.ndarray, vals: np.ndarray) -> None:
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        row = vals[int(np.argmin(finite))].tolist()
-        raise EvaluationError(f"scalar function non-finite on spectrum {row}")
 
 
 def func_h2(m: Matrix2H, g: Callable[[float], float]) -> Matrix2H:

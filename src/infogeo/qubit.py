@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import ModelDescriptor
 from .errors import DomainError, EvaluationError
-from .numerics import Domain, Matrix2H, eig_h2, func_h2, row_dot, row_norm
+from .numerics import Domain, Matrix2H, eig_h2, func_h2, raise_first, row_dot, row_norm
 
 
 def _vectors(v, what: str) -> np.ndarray:
@@ -193,11 +193,9 @@ def quantum_relative_entropy(rho: Matrix2H, sigma: Matrix2H):
             singular |= seen & (svals[:, j] <= 0.0)
             total = np.where(seen, total - lam[:, i] * overlap[:, j, i] * log_mu[:, j],
                              total)
-    failed = nonpsd | singular
-    if failed.any():
-        if nonpsd[int(np.argmax(failed))]:
-            raise DomainError("relative entropy needs positive semidefinite inputs")
-        raise EvaluationError("second argument is singular on the support of the first")
+    raise_first((nonpsd, DomainError("relative entropy needs positive semidefinite inputs")),
+                (singular, EvaluationError(
+                    "second argument is singular on the support of the first")))
     return float(total[0]) if single else total
 
 

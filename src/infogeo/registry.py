@@ -233,14 +233,6 @@ def discrete_instance(prior, hamiltonians, name: str | None = None) -> DiscreteH
                           descriptor=discrete.as_descriptor(family), family=family)
 
 
-def regression_instance() -> RegressionHandle:
-    return RegressionHandle()
-
-
-def sphere_instance() -> SphereHandle:
-    return SphereHandle()
-
-
 _CANONICAL = {
     "qubit": qubit_instance,
     "coherent": lambda: coherent_instance(r=1.0, hbar=1.0, name="coherent"),
@@ -249,7 +241,7 @@ _CANONICAL = {
     "discrete3": lambda: discrete_instance(np.ones(3), [[0.0, 1.0, 2.0]],
                                            name="discrete3"),
 }
-_BUILTINS = {**_CANONICAL, "regression": regression_instance, "sphere": sphere_instance}
+_BUILTINS = {**_CANONICAL, "regression": RegressionHandle, "sphere": SphereHandle}
 
 BUILTIN_NAMES = tuple(_BUILTINS)
 
@@ -286,6 +278,21 @@ def _parse_vector(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.replace(",", " ").split()])
 
 
+#: Each config type: its factory, the reader of each setting its section
+#: may give, and whether the section and every setting are required.  A
+#: setting the file leaves out is not passed, so its default lives in the
+#: factory alone.
+_CONFIG_TYPES = {
+    "qubit": (qubit_instance, {"membership_margin": float, "chart_margin": float}, False),
+    "coherent": (coherent_instance, {"r": float, "hbar": float, "nmax": int, "box": float},
+                 False),
+    "discrete": (discrete_instance, {"prior": _parse_vector, "hamiltonians": _parse_matrix},
+                 True),
+    "regression": (RegressionHandle, {}, False),
+    "sphere": (SphereHandle, {}, False),
+}
+
+
 def load_config(path: str) -> ModelHandle:
     """Build a new model handle from an INI file.
 
@@ -302,8 +309,10 @@ def load_config(path: str) -> ModelHandle:
     Coherent settings are r, hbar, nmax and box (the half-width of the
     numeric search box; see :func:`infogeo.coherent.as_descriptor` for
     its default); qubit settings are membership_margin and chart_margin;
-    discrete rows of the observable matrix are separated by ";".  The
-    regression and sphere types take no settings.
+    each takes the default of :func:`coherent_instance` or
+    :func:`qubit_instance` when left out.  A discrete family needs both
+    prior and hamiltonians; rows of the observable matrix are separated
+    by ";".  The regression and sphere types take no settings.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -313,26 +322,11 @@ def load_config(path: str) -> ModelHandle:
     if not parser.has_section("model") or not parser.has_option("model", "type"):
         raise ValueError("config needs a [model] section with a 'type' key")
     model_type = parser.get("model", "type").strip().lower()
-
-    if model_type == "qubit":
-        margin = parser.getfloat("qubit", "membership_margin", fallback=1e-12)
-        chart = parser.getfloat("qubit", "chart_margin", fallback=1e-9)
-        return qubit_instance(membership_margin=margin, chart_margin=chart)
-    if model_type == "coherent":
-        r = parser.getfloat("coherent", "r", fallback=1.0)
-        hbar = parser.getfloat("coherent", "hbar", fallback=1.0)
-        nmax = parser.getint("coherent", "nmax", fallback=64)
-        box = (parser.getfloat("coherent", "box")
-               if parser.has_option("coherent", "box") else None)
-        return coherent_instance(r=r, hbar=hbar, nmax=nmax, box=box)
-    if model_type == "discrete":
-        if not parser.has_section("discrete"):
-            raise ValueError("discrete config needs a [discrete] section")
-        prior = _parse_vector(parser.get("discrete", "prior"))
-        ham = _parse_matrix(parser.get("discrete", "hamiltonians"))
-        return discrete_instance(prior, ham)
-    if model_type == "regression":
-        return regression_instance()
-    if model_type == "sphere":
-        return sphere_instance()
-    raise ValueError(f"unknown model type {model_type!r}")
+    if model_type not in _CONFIG_TYPES:
+        raise ValueError(f"unknown model type {model_type!r}")
+    factory, readers, required = _CONFIG_TYPES[model_type]
+    if required and not parser.has_section(model_type):
+        raise ValueError(f"{model_type} config needs a [{model_type}] section")
+    # a required setting the file lacks raises configparser's NoOptionError
+    return factory(**{key: read(parser.get(model_type, key)) for key, read in readers.items()
+                      if required or parser.has_option(model_type, key)})

@@ -11,7 +11,7 @@ EvaluationError where a value overflows, without a numpy warning).
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .numerics import row_norm
+from .numerics import raise_first, row_norm
 
 
 def _rows(x, size: int) -> np.ndarray:
@@ -21,13 +21,9 @@ def _rows(x, size: int) -> np.ndarray:
     return x
 
 
-def _raise_first(x: np.ndarray, *checks) -> None:
-    """Raise the error of the first bad vector of ``x``: a non-finite
-    entry, else the first of the ``(failed, error)`` ``checks`` it fails."""
-    checks = ((~np.isfinite(x).all(axis=-1), ValueError("non-finite entries")), *checks)
-    failed = np.array([f for f, _ in checks]).reshape(len(checks), -1)
-    if failed.any():
-        raise checks[np.argmax(failed[:, np.argmax(failed.any(axis=0))])][1]
+def _nonfinite(x: np.ndarray):
+    """The check, for :func:`raise_first`, that comes first on every vector."""
+    return ~np.isfinite(x).all(axis=-1), ValueError("non-finite entries")
 
 
 def _directions(x: np.ndarray) -> np.ndarray:
@@ -35,7 +31,8 @@ def _directions(x: np.ndarray) -> np.ndarray:
     r = row_norm(x)
     normal = (r >= 2.2250738585072014e-308) & (r < np.inf)    # the smallest normal double
     if np.count_nonzero(normal) < normal.size:
-        _raise_first(x, (r == 0.0, DomainError("the zero vector has no direction")))
+        raise_first(_nonfinite(x),
+                    (r == 0.0, DomainError("the zero vector has no direction")))
         scaled = x / np.abs(x).max(axis=-1, keepdims=True)
         x, r = np.where(normal[..., None], x, scaled), np.where(normal, r, row_norm(scaled))
     return (x.T / r.T).T
@@ -53,8 +50,8 @@ def sphere_entropy(x):
     r = row_norm(x)
     s = -1.0 - r * (np.log(r) - 1.0)
     if np.count_nonzero(~(s > -np.inf)):     # NaN where |x| is 0 or not finite
-        _raise_first(x, (r == 0.0, DomainError("the zero vector has no entropy")),
-                     (np.isinf(s), EvaluationError("the entropy overflows: |x| >~ 2.6e305")))
+        raise_first(_nonfinite(x), (r == 0.0, DomainError("the zero vector has no entropy")),
+                    (np.isinf(s), EvaluationError("the entropy overflows: |x| >~ 2.6e305")))
     return s
 
 
@@ -66,8 +63,9 @@ def sphere_questions(x) -> np.ndarray:
     # q1 + q2 + x3 is not finite where an entry or a coordinate is not; a
     # sum that overflows by itself only makes the checks run
     if np.count_nonzero(~((x.T[2] > 0.0) & np.isfinite(q.T[0] + q.T[1] + x.T[2]))):
-        _raise_first(x, (x[..., 2] <= 0.0, DomainError("chart covers only x3 > 0")),
-                     (np.isinf(q).any(axis=-1), EvaluationError("x1/x3 or x2/x3 overflows")))
+        raise_first(_nonfinite(x),
+                    (x[..., 2] <= 0.0, DomainError("chart covers only x3 > 0")),
+                    (np.isinf(q).any(axis=-1), EvaluationError("x1/x3 or x2/x3 overflows")))
     return q
 
 

@@ -694,6 +694,24 @@ def test_points_outside_the_chart_end_in_its_domain_error(tmp_path, capsys):
         assert strict_json(capsys.readouterr().out)["status"] == "ok"
 
 
+
+def test_a_target_of_a_narrow_moment_region_fits(tmp_path, capsys):
+    # observables of range 0.01 put the member of u = 1e-8, inside the open
+    # moment interval (0, 0.01), at theta of about 1,380: infeasibility is
+    # the facets' call, not a bound on |theta|
+    path = tmp_path / "narrow.ini"
+    path.write_text("[model]\ntype = discrete\n\n[discrete]\n"
+                    "prior = 1, 1\nhamiltonians = 0, 0.01\n")
+    assert cli.main(["maxent", "--config", str(path), "--u", "1e-8"]) == 0
+    env = strict_json(capsys.readouterr().out)
+    assert env["status"] == "ok"
+    assert env["outputs"]["theta"][0] == pytest.approx(1381.55, rel=1e-5)
+    assert cli.main(["divergence", "--config", str(path), "--u", "1e-8",
+                     "--x", "0.5,0.5"]) == 0
+    env = strict_json(capsys.readouterr().out)
+    assert env["status"] == "ok"
+    assert env["outputs"]["value"] == pytest.approx(6.2146, abs=1e-4)
+
 def test_coherent_values_near_the_overflow_edge_stay_finite():
     # theta_1^2 = 2.25e308 overflows, but Phi = theta_1^2 / 2 does not
     proc = run_cli("massieu", "--model", "coherent", "--theta", "1.5e154,0")

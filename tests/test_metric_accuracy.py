@@ -137,3 +137,16 @@ def test_saturated_members_have_a_finite_metric(name, theta):
     assert g.shape == (model.n, model.n)
     assert np.isfinite(g).all()
     assert np.linalg.eigvalsh(g)[0] >= -8.0 * EPS * np.abs(g).max()
+
+
+def test_the_degeneracy_bound_scales_with_the_metric():
+    # observables of size 1e5 put max|g| near 7.6e8, so members on an edge
+    # of the moment triangle have a smallest eigenvalue of about 3e-19
+    # that rounds to -1.5e-8; with an absolute bound of 1e-8, 6 of these
+    # 2,000 points raised DegeneracyError
+    model = discrete_instance([1.0, 2.0, 3.0], [[0.0, 1e5, 2e5], [1e5, 0.0, 0.0]]).descriptor
+    thetas = np.random.default_rng(0).uniform(-1e-3, 1e-3, size=(2000, 2))
+    g = metric_tensor(model, thetas)
+    assert np.isfinite(g).all()
+    for theta in thetas:
+        metric_tensor(model, theta)

@@ -404,3 +404,42 @@ def test_spectral_function_rejects_domain_violations():
         numerics.func_h2(m, math.log)
     with pytest.raises(EvaluationError):
         numerics.func_h2(m, math.sqrt)
+
+
+def test_raise_first_takes_the_lowest_failing_row_then_its_first_check():
+    first, second = ValueError("first check"), KeyError("second check")
+    # row 1 fails only the second check, row 3 only the first: row 1 wins
+    with pytest.raises(KeyError) as lower:
+        numerics.raise_first((np.array([False, False, False, True]), first),
+                             (np.array([False, True, False, True]), second))
+    assert lower.value is second
+    # row 2 is the only failing row and fails both checks: the first wins
+    with pytest.raises(ValueError) as both:
+        numerics.raise_first((np.array([False, False, True]), first),
+                             (np.array([False, False, True]), second))
+    assert both.value is first
+
+
+def test_raise_first_passes_the_flat_row_index_to_an_error_factory():
+    seen = []
+
+    def error(i):
+        seen.append(i)
+        return EvaluationError(f"row {i}")
+
+    failed = np.zeros((2, 3, 4), dtype=bool)
+    failed[1, 2, 0] = failed[1, 2, 3] = True
+    with pytest.raises(EvaluationError, match="row 20"):
+        numerics.raise_first((failed, error))
+    assert seen == [20]
+    with pytest.raises(EvaluationError, match="row 0"):
+        numerics.raise_first((np.array(True), error))
+
+
+def test_raise_first_on_a_clean_stack_raises_nothing():
+    def error(i):
+        raise AssertionError("no row failed")
+
+    assert numerics.raise_first((np.zeros((3, 2), dtype=bool), error),
+                                (np.zeros((3, 2), dtype=bool), ValueError())) is None
+    assert numerics.raise_first((np.zeros(0, dtype=bool), error)) is None

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from infogeo import DomainError, EvaluationError, Matrix2H, get_model
-from infogeo.numerics import eig_h2
+from infogeo import DomainError, EvaluationError, get_model
+from infogeo.numerics import Matrix2H, eig_h2
 from infogeo.qubit import (
     bloch_to_rho,
     bloch_to_theta,

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from infogeo import DomainError, EvaluationError, Matrix2H, eig_h2, func_h2
+from infogeo import DomainError, EvaluationError
+from infogeo.numerics import Matrix2H, eig_h2, func_h2
 from infogeo.qubit import bloch_to_rho, gibbs_state, quantum_relative_entropy
 
 ROWS = 240
