@@ -98,7 +98,7 @@ def _tolerance(text: str) -> float:
 
 
 def _point(args, name: str, inputs: dict, n: int) -> np.ndarray:
-    """The model point of flag ``--name``, recorded as ``inputs[name]``."""
+    """The point of flag ``--name``, recorded as ``inputs[name]``."""
     point = _parse_floats(getattr(args, name), "--" + name, n)
     inputs[name] = list(point)
     return point
@@ -143,11 +143,15 @@ def _resolve_model(args, inputs: dict) -> ModelHandle:
     return handle
 
 
-def _require_canonical(handle: ModelHandle, command: str) -> None:
+def _canonical_model(args, inputs: dict, command: str):
+    """``(handle, descriptor)`` of the model of :func:`_resolve_model`,
+    which ``command`` needs to have canonical coordinates."""
+    handle = _resolve_model(args, inputs)
     if handle.descriptor is None:
         raise UsageError(
             f"{command} needs a model with canonical coordinates;"
             f" {handle.name!r} has none")
+    return handle, handle.descriptor
 
 
 # flag -> (what the file holds, its reader)
@@ -159,7 +163,8 @@ def _parse_dataset(args, handle: ModelHandle, inputs: dict):
     """The data set object, recorded in ``inputs``.
 
     The handle names the flags that can carry its data sets; exactly one
-    of them must be given.
+    of them must be given.  An ``--x`` vector is only parsed: the
+    family's data-set layer is its one check.
     """
     given = [f for f in handle.data_flags if getattr(args, f) is not None]
     if len(given) != 1:
@@ -169,11 +174,7 @@ def _parse_dataset(args, handle: ModelHandle, inputs: dict):
     flag = given[0]
     text = getattr(args, flag)
     if flag == "x":
-        x = _parse_floats(text, "--x", handle.x_size)
-        inputs["x"] = list(x)  # as given, until the handle has checked it
-        x = handle.check_x(x)
-        inputs["x"] = list(x)
-        return x
+        return _point(args, "x", inputs, handle.x_size)
     if flag == "z":
         if args.nmax is not None and args.nmax < 1:
             raise UsageError(f"--nmax must be at least 1, got {args.nmax}")
@@ -184,9 +185,8 @@ def _parse_dataset(args, handle: ModelHandle, inputs: dict):
     return _read_file(text, what, load)
 
 
-def _model_point(args, handle: ModelHandle, inputs: dict) -> np.ndarray:
+def _model_point(args, model: core.ModelDescriptor, inputs: dict) -> np.ndarray:
     """Model coordinates from --theta, or from --u through the chart."""
-    model = handle.descriptor
     if (args.theta is None) == (args.u is None):
         raise UsageError("give the model point as exactly one of --theta or --u")
     if args.theta is not None:
@@ -200,9 +200,7 @@ def _model_point(args, handle: ModelHandle, inputs: dict) -> np.ndarray:
 # returns ``(outputs, diagnostics, status)`` for ``main`` to write.
 
 def _cmd_massieu(args, inputs: dict):
-    handle = _resolve_model(args, inputs)
-    _require_canonical(handle, "massieu")
-    model = handle.descriptor
+    handle, model = _canonical_model(args, inputs, "massieu")
     if args.theta is None:
         raise UsageError("massieu needs --theta")
     theta = _point(args, "theta", inputs, model.n)
@@ -238,13 +236,11 @@ def _cmd_maxent(args, inputs: dict):
 
 
 def _cmd_divergence(args, inputs: dict):
-    handle = _resolve_model(args, inputs)
-    _require_canonical(handle, "divergence")
-    model = handle.descriptor
+    handle, model = _canonical_model(args, inputs, "divergence")
 
     if any(v is not None for v in (args.x, args.z, args.x_file)):
         x = _parse_dataset(args, handle, inputs)
-        theta = _model_point(args, handle, inputs)
+        theta = _model_point(args, model, inputs)
         report = core.divergence_from_data(model, x, theta)
         outputs = {
             "mode": "data",
@@ -275,9 +271,7 @@ def _cmd_divergence(args, inputs: dict):
 
 
 def _cmd_pythagoras(args, inputs: dict):
-    handle = _resolve_model(args, inputs)
-    _require_canonical(handle, "pythagoras")
-    model = handle.descriptor
+    handle, model = _canonical_model(args, inputs, "pythagoras")
     if args.theta is None or args.zeta is None:
         raise UsageError("pythagoras needs --theta and --zeta")
     theta = _point(args, "theta", inputs, model.n)
@@ -378,9 +372,7 @@ def _axis_labels(ax: np.ndarray, runs: np.ndarray) -> list[str]:
 
 def _cmd_sweep(args, inputs: dict):
     """Streams the CSV table and returns None, or returns the rows."""
-    handle = _resolve_model(args, inputs)
-    _require_canonical(handle, "sweep")
-    model = handle.descriptor
+    _, model = _canonical_model(args, inputs, "sweep")
     axes = _parse_grid(args.grid, model.n)
     inputs["grid"] = list(args.grid)
 

@@ -246,11 +246,6 @@ def legendre_rows(model: ModelDescriptor, thetas,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _quietly(form, x):
-    """``form(x)`` without numpy warnings; the caller raises a typed error."""
-    return form(x)
-
-
 def massieu(model: ModelDescriptor, theta) -> float:
     """Massieu function ``Phi(theta) = sup_U { S(U) - theta . U }``: the
     point view of the family kernel, with the bits of row 0 of
@@ -259,12 +254,13 @@ def massieu(model: ModelDescriptor, theta) -> float:
     Raises :class:`EvaluationError` when Phi overflows.
     """
     theta = _as_point(model, theta)
-    phi = float(_quietly(model.closed_dual_points, theta[None])[0][0])
+    phi = float(model.closed_dual_points(theta[None])[0][0])
     if not math.isfinite(phi):
         raise EvaluationError(f"the Massieu function overflows at {theta.tolist()}")
     return phi
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def theta_to_u(model: ModelDescriptor, theta) -> np.ndarray:
     """Energy coordinates dual to ``theta`` (the Legendre argmax): the
     point view of the family kernel, with the bits of row 0 of
@@ -273,7 +269,7 @@ def theta_to_u(model: ModelDescriptor, theta) -> np.ndarray:
     Raises :class:`EvaluationError` when U overflows.
     """
     theta = _as_point(model, theta)
-    u = _quietly(model.closed_dual_points, theta[None])[1][0]
+    u = model.closed_dual_points(theta[None])[1][0]
     if not np.isfinite(u).all():
         raise EvaluationError(f"the energy point dual to {theta.tolist()} overflows")
     return u
@@ -367,35 +363,38 @@ def _chart_rows(model: ModelDescriptor, us: np.ndarray):
     """``(theta (k, n), errors)`` at validated energy rows: ``errors[i]``
     is None, or the error row i raises alone (its theta is NaN).
 
-    When every row is inside the domain, one call inverts them all;
-    otherwise, or when that call raises, each row inside is inverted on
-    its own, so every failing row gets its own error.
+    One chart call inverts the rows inside the domain.  Only when that
+    call raises on two or more rows is each of them inverted on its own,
+    so every failing row gets its own error.
     """
     errors: list[InfoGeoError | None] = [None] * len(us)
     inside = np.asarray(model.energy_domain.membership(us), dtype=bool)
+    thetas = np.full(us.shape, np.nan)
     try:
-        thetas = _quietly(model.closed_u_to_theta, us) if inside.all() else None
-    except InfoGeoError:
-        thetas = None
-    if thetas is None:
-        thetas = np.full(us.shape, np.nan)
-        for i in np.flatnonzero(inside):
-            try:
-                thetas[i] = _quietly(model.closed_u_to_theta, us[i:i + 1])[0]
-            except InfoGeoError as exc:
-                errors[i] = exc
-    failed = ~np.isfinite(thetas).all(axis=1)
-    if failed.any():
-        for i in np.flatnonzero(failed):
-            if not inside[i]:
-                errors[i] = DomainError(
-                    f"energy point {us[i].tolist()} is outside the model domain")
-            elif errors[i] is None:
-                errors[i] = EvaluationError(
-                    f"the parameters dual to {us[i].tolist()} overflow")
+        if inside.all():
+            thetas = model.closed_u_to_theta(us)
+        elif inside.any():
+            thetas[inside] = model.closed_u_to_theta(us[inside])
+    except InfoGeoError as exc:
+        rows = np.flatnonzero(inside)
+        if rows.size == 1:
+            errors[rows[0]] = exc
+        else:
+            for i in rows:
+                try:
+                    thetas[i] = model.closed_u_to_theta(us[i:i + 1])[0]
+                except InfoGeoError as row_error:
+                    errors[i] = row_error
+    for i in np.flatnonzero(~np.isfinite(thetas).all(axis=1)):
+        if not inside[i]:
+            errors[i] = DomainError(
+                f"energy point {us[i].tolist()} is outside the model domain")
+        elif errors[i] is None:
+            errors[i] = EvaluationError(f"the parameters dual to {us[i].tolist()} overflow")
     return thetas, errors
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def u_to_theta_rows(model: ModelDescriptor, us) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise :func:`u_to_theta`: ``(theta (k, n), refused (k,))`` at the
     energy rows ``us`` (k, n), from one call of the closed chart (one
@@ -413,6 +412,7 @@ def u_to_theta_rows(model: ModelDescriptor, us) -> tuple[np.ndarray, np.ndarray]
     return thetas, np.array([exc is not None for exc in errors], dtype=bool)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def u_to_theta(model: ModelDescriptor, u) -> np.ndarray:
     """Natural parameters dual to ``u`` via ``theta_j = dS/dU_j``: the
     one-row view of :func:`u_to_theta_rows`, raising the error of a
@@ -423,6 +423,7 @@ def u_to_theta(model: ModelDescriptor, u) -> np.ndarray:
     return thetas[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def metric_tensor(model: ModelDescriptor, theta) -> np.ndarray:
     """Metric tensor ``g = Hessian(Phi)`` at the point ``theta`` (n,), or
     ``(k, n, n)`` at the parameter rows ``theta`` (k, n), from one call of
@@ -435,7 +436,7 @@ def metric_tensor(model: ModelDescriptor, theta) -> np.ndarray:
     underflows to zero is returned.
     """
     (thetas,), single = _points(model, theta)
-    g = _quietly(model.closed_metric, thetas)
+    g = model.closed_metric(thetas)
     _require_finite(np.isfinite(g).all(axis=(1, 2)), "metric tensor", thetas)
     min_eig = np.linalg.eigvalsh(g)[:, 0]
     scale = np.abs(g).max(axis=(1, 2), initial=0.0)
@@ -444,6 +445,7 @@ def metric_tensor(model: ModelDescriptor, theta) -> np.ndarray:
     return g[0] if single else g
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def canonical_check(model: ModelDescriptor, theta,
                     tol: float | None = None) -> DualPair:
     """Evaluate the canonical identity ``Phi - S(U) + theta . U = 0``.
@@ -462,8 +464,7 @@ def canonical_check(model: ModelDescriptor, theta,
     theta = _as_point(model, theta)
     if tol is None:
         tol = 1e-9
-    with np.errstate(over="ignore", invalid="ignore"):
-        phis, us, ss = _dual_rows(model, theta[None])
+    phis, us, ss = _dual_rows(model, theta[None])
     residual = float(canonical_residuals(theta[None], phis, us, ss)[0])
     back, errors = _chart_rows(model, us)
     if isinstance(errors[0], DomainError):
@@ -551,6 +552,7 @@ def divergence_from_data(model: ModelDescriptor, x, theta) -> DivergenceReport:
     return _report(DivergenceReport, single, values, phi, s_x, linear, answers)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def divergence_def5(model: ModelDescriptor, x, u_of_m,
                     fiber_samples: int = 200) -> float | np.ndarray:
     """Fiber-supremum divergence evaluated through the affine log form.
@@ -570,10 +572,8 @@ def divergence_def5(model: ModelDescriptor, x, u_of_m,
     """
     (us,), single = _points(model, u_of_m, kind="energy")
     thetas, errors = _chart_rows(model, us)
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    phi = _quietly(model.closed_dual_points, thetas)[0]
+    raise_first(([exc is not None for exc in errors], lambda i: errors[i]))
+    phi = model.closed_dual_points(thetas)[0]
     _require_finite(np.isfinite(phi), "Massieu function", thetas)
     fibers = model.fiber_sampler(us, fiber_samples, None)
     k, c = fibers.shape[:2]
@@ -585,6 +585,7 @@ def divergence_def5(model: ModelDescriptor, x, u_of_m,
     return values[0].item() if single else values
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pythagoras_data(model: ModelDescriptor, x, theta, zeta,
                     compliance_tol: float = 1e-9) -> PythagorasReport:
     """The data-model-model Pythagorean identity.
@@ -606,17 +607,15 @@ def pythagoras_data(model: ModelDescriptor, x, theta, zeta,
     (thetas, zetas), single = _points(model, theta, zeta)
     k = len(thetas)
     answers, s_x = _answers(model, np.asarray(x)[None] if single else x, k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi, u, _ = _dual_rows(model, np.concatenate([thetas, zetas]))
+    phi, u, _ = _dual_rows(model, np.concatenate([thetas, zetas]))
     mismatch = np.max(np.abs(answers - u[:k]), axis=1, initial=0.0)
     raise_first((mismatch > compliance_tol, lambda i: ConstraintError(
         f"data set does not project onto m_theta: max answer mismatch"
         f" {mismatch[i]:.3e} exceeds {compliance_tol:.1e}")))
-    with np.errstate(over="ignore", invalid="ignore"):
-        model_step = _divergences(phi[:k], phi[k:], thetas, zetas, u[:k])[0]
-        d_x_theta = phi[:k] - s_x + row_dot(thetas, answers)
-        d_x_zeta = phi[k:] - s_x + row_dot(zetas, answers)
-        residual = np.abs(d_x_theta + model_step - d_x_zeta)
+    model_step = _divergences(phi[:k], phi[k:], thetas, zetas, u[:k])[0]
+    d_x_theta = phi[:k] - s_x + row_dot(thetas, answers)
+    d_x_zeta = phi[k:] - s_x + row_dot(zetas, answers)
+    residual = np.abs(d_x_theta + model_step - d_x_zeta)
     # an infinite or NaN divergence makes the residual non-finite too
     _require_finite(np.isfinite(residual), "data triple", thetas, zetas)
     return _report(PythagorasReport, single, d_x_theta, model_step, d_x_zeta, residual)

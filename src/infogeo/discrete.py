@@ -19,6 +19,7 @@ from .core import ModelDescriptor
 from .errors import (
     ConvergenceError,
     DegeneracyError,
+    DomainError,
     InfeasibleError,
     SupportError,
 )
@@ -38,7 +39,8 @@ class DiscreteFamily:
 
     ``prior`` is a strictly positive length-m vector (any scale);
     ``hamiltonians`` is an (n, m) matrix whose rows are the observables.
-    The family keeps read-only copies of both.  Canonicality requires
+    Both must be finite (ValueError naming the field otherwise).  The
+    family keeps read-only copies of both.  Canonicality requires
     that no nontrivial linear combination of the rows and the constant
     vector vanishes, i.e. ``[H; 1]`` has rank ``n + 1``.
 
@@ -66,6 +68,9 @@ class DiscreteFamily:
         h = np.array(self.hamiltonians, dtype=float)
         if h.ndim != 2 or h.shape[1] != prior.size or not len(h):
             raise ValueError("hamiltonians must be an (n, alphabet) matrix, n >= 1")
+        for name, value in (("prior", prior), ("hamiltonians", h)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must have finite entries")
         stacked = np.vstack([h, np.ones(prior.size)])
         if np.linalg.matrix_rank(stacked) != h.shape[0] + 1:
             raise DegeneracyError(
@@ -457,12 +462,13 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
     :func:`dual_points`, the metric is the covariance of the observables
     under the members, and the chart inversion is one
     :func:`maxent_fit_rows` call.  The data-set layer treats probability
-    vectors as data sets, and a stack of them is an array of rows (k, m).
-    The fiber sampler returns the stack (k, c, m) over moment rows (k, n),
-    with c = 1 where fibers are single points and ``count`` (at least 1)
-    otherwise; with an rng, fibers of dimension 2 or more take their
-    directions from one ``rng.normal`` call, and all fibers their chord
-    offsets from one ``rng.uniform`` call.
+    vectors as data sets (a bad one raises :class:`DomainError`), and a
+    stack of them is an array of rows (k, m).  The fiber sampler returns
+    the stack (k, c, m) over moment rows (k, n), with c = 1 where fibers
+    are single points and ``count`` (at least 1) otherwise; with an rng,
+    fibers of dimension 2 or more take their directions from one
+    ``rng.normal`` call, and all fibers their chord offsets from one
+    ``rng.uniform`` call.
     """
     h = family.hamiltonians
     p0 = family.prior / float(family.prior.sum())
@@ -491,7 +497,10 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
         return _covariance(h, p, _mean_energy(h, p))
 
     def answers(ps):
-        entropies = bgs_entropy(family, ps)     # validates the rows
+        try:
+            entropies = bgs_entropy(family, ps)     # the one check of the rows
+        except ValueError as exc:
+            raise DomainError(str(exc)) from None
         return _mean_energy(h, np.maximum(ps, 0.0)), entropies
 
     directions = _fiber_direction(family)

@@ -27,13 +27,13 @@ def _vectors(v, what: str) -> np.ndarray:
     return v
 
 
-def ball_radius(u, message: str = "Bloch vector lies outside the unit ball"):
+def ball_radius(u):
     """``|u|`` of the Bloch vectors ``u`` (..., 3) by :func:`row_norm`, which
     does not overflow: the module's one unit-ball test, raising
-    :class:`DomainError` with ``message`` where ``|u| > 1 + 1e-12``."""
+    :class:`DomainError` where ``|u| > 1 + 1e-12``."""
     r = row_norm(np.asarray(u, dtype=float))
     if (r > 1.0 + 1e-12).any():
-        raise DomainError(message)
+        raise DomainError("polarization vector is longer than 1")
     return r
 
 

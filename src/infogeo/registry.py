@@ -3,9 +3,9 @@
 Each family has its own handle type.  A handle carries the family's
 objects as typed fields (the engine descriptor, the discrete family, the
 oscillator constants) and owns the few things that differ between
-families: which command-line flags carry a data set and how a data
-vector is sized and validated, how a moment target is matched, and how
-the verify suites draw random parameters and data sets.
+families: which command-line flags carry a data set and how long a
+data vector is, how a moment target is matched, and how the verify
+suites draw random parameters and data sets.
 
 A canonical handle has one sampler per job: ``sample_thetas(rng, shape,
 radius)`` gives random parameter points ``shape + (n,)`` and
@@ -37,8 +37,9 @@ class _CanonicalHandle:
     """
 
     #: Command-line flags that can carry a data set: ``x`` is a vector of
-    #: ``x_size`` numbers validated by ``check_x``, ``z`` an amplitude
-    #: turned into a state by ``state``, ``x_file`` and ``data`` are files.
+    #: ``x_size`` numbers, which the data-set layer checks, ``z`` an
+    #: amplitude turned into a state by ``state``, ``x_file`` and ``data``
+    #: are files.
     data_flags = ("x",)
     #: Radius of the parameter ball sampled for data-fiber Pythagoras checks.
     fiber_radius = 2.0
@@ -75,10 +76,6 @@ class QubitHandle(_CanonicalHandle):
 
     x_size = 3
     legendre_points = 100
-
-    def check_x(self, x: np.ndarray) -> np.ndarray:
-        qubit.ball_radius(x, "polarization vector is longer than 1")
-        return x
 
     def sample_thetas(self, rng, shape, radius: float = 3.0) -> np.ndarray:
         """Random parameter points ``shape + (3,)``: Gaussian directions, then
@@ -141,12 +138,6 @@ class DiscreteHandle(_CanonicalHandle):
     def x_size(self) -> int:
         return self.family.alphabet_size
 
-    def check_x(self, x: np.ndarray) -> np.ndarray:
-        try:
-            return discrete.check_probability(x)
-        except ValueError as exc:
-            raise DomainError(str(exc)) from None
-
     def match_moments(self, u: np.ndarray, tol: float):
         # A target outside the closed moment region gets the error that the
         # chart of divergence --u gives it; one on its edge may still fit.
@@ -192,9 +183,6 @@ class SphereHandle:
     descriptor = None
     data_flags = ("x",)
     x_size = 3
-
-    def check_x(self, x: np.ndarray) -> np.ndarray:
-        return x
 
     def best_fit(self, x: np.ndarray) -> tuple[dict, dict]:
         """``maxent`` outputs and diagnostics for the vector ``x``."""
@@ -312,7 +300,8 @@ def load_config(path: str) -> ModelHandle:
     each takes the default of :func:`coherent_instance` or
     :func:`qubit_instance` when left out.  A discrete family needs both
     prior and hamiltonians; rows of the observable matrix are separated
-    by ";".  The regression and sphere types take no settings.
+    by ";".  The regression and sphere types take no settings, and a key
+    the type does not read is refused; keys under [DEFAULT] are not checked.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -327,6 +316,12 @@ def load_config(path: str) -> ModelHandle:
     factory, readers, required = _CONFIG_TYPES[model_type]
     if required and not parser.has_section(model_type):
         raise ValueError(f"{model_type} config needs a [{model_type}] section")
+    # [DEFAULT] keys reach every section, [model] too, so only a section's own are checked
+    given = set(parser.options(model_type)) if parser.has_section(model_type) else set()
+    unknown = sorted(given - set(parser.defaults()) - set(readers))
+    if unknown:
+        raise ValueError(f"unknown {model_type} setting {unknown[0]!r};"
+                         f" known: {sorted(readers)}")
     # a required setting the file lacks raises configparser's NoOptionError
     return factory(**{key: read(parser.get(model_type, key)) for key, read in readers.items()
                       if required or parser.has_option(model_type, key)})

@@ -23,7 +23,7 @@ import csv
 import numpy as np
 
 from .errors import DegeneracyError, EvaluationError
-from .numerics import row_dot
+from .numerics import raise_first, row_dot
 
 
 def _shape_error(shape) -> ValueError | None:
@@ -65,7 +65,9 @@ def _on_sets(kernel, points):
     ``kernel`` maps a stack ``(g, n, 2)`` of sets of one size to
     ``(values (g, ...), checks)``, where ``checks`` lists ``(failed (g,),
     error)`` in the order a one-set call meets them; it runs without
-    numpy warnings.  Raises the first error of the lowest failing set.
+    numpy warnings.  Each check becomes one mask over all sets, after the
+    shape and non-finite checks, and :func:`raise_first` raises the first
+    error of the lowest failing set.
     """
     if isinstance(points, (list, tuple)) and points and np.ndim(points[0]) == 2:
         single, sets = False, [np.asarray(s, dtype=float) for s in points]
@@ -76,25 +78,19 @@ def _on_sets(kernel, points):
     if not sets:
         raise ValueError("expected at least one point set")
     errors = [_shape_error(pts.shape) for pts in sets]
-    good = [i for i, error in enumerate(errors) if error is None]
-    # (set index, error) of each failing set found
-    failures = [(i, error) for i, error in enumerate(errors) if error is not None]
-    results = []
+    good = np.array([i for i, error in enumerate(errors) if error is None], dtype=int)
+    nonfinite = np.zeros(len(sets), dtype=bool)
+    checks, results = {}, []    # kernel check index -> (mask over all sets, error)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for idx, stack in size_groups([sets[i] for i in good]):
-            idx = np.array(good)[idx]
-            values, checks = kernel(stack)
-            checks.insert(0, (~np.isfinite(stack).all(axis=(1, 2)),
-                              ValueError("points contain non-finite values")))
-            failed = checks[0][0]
-            for bad, _ in checks[1:]:
-                failed = failed | bad
-            if failed.any():
-                r = int(np.argmax(failed))
-                failures.append((int(idx[r]), next(e for bad, e in checks if bad[r])))
+            idx = good[idx]
+            values, group_checks = kernel(stack)
+            nonfinite[idx] = ~np.isfinite(stack).all(axis=(1, 2))
+            for j, (failed, error) in enumerate(group_checks):
+                checks.setdefault(j, (np.zeros(len(sets), dtype=bool), error))[0][idx] = failed
             results.append((idx, values))
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+    raise_first((np.array([error is not None for error in errors]), lambda i: errors[i]),
+                (nonfinite, ValueError("points contain non-finite values")), *checks.values())
     if single:
         value = results[0][1][0]
         return value if value.ndim else value.item()

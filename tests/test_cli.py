@@ -2,12 +2,14 @@
 output, configuration files, and the model registry behind them."""
 
 import dataclasses
+import importlib
 import io
 import json
 import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +85,86 @@ def test_load_config_variants(tmp_path):
     unknown.write_text("[model]\ntype = tesseract\n")
     with pytest.raises(ValueError):
         load_config(str(unknown))
+
+
+def test_a_config_key_its_type_does_not_read_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "typo.ini"
+    for text, key, known in (
+            ("[model]\ntype = coherent\n\n[coherent]\nnmx = 8\n", "nmx",
+             "['box', 'hbar', 'nmax', 'r']"),
+            ("[model]\ntype = sphere\n\n[sphere]\nfoo = 1\n", "foo", "[]")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"setting '{key}'"):
+            load_config(str(path))
+        assert cli.main(["verify", "--config", str(path)]) == 2
+        env = strict_json(capsys.readouterr().out)
+        assert env["status"] == "error:usage"
+        assert f"'{key}'" in env["diagnostics"]["message"]
+        assert env["diagnostics"]["message"].endswith(f"known: {known}")
+    # [DEFAULT] keys reach every section: they fill in settings, unchecked
+    path.write_text("[DEFAULT]\nr = 2\nnote = any\n\n[model]\ntype = coherent\n\n"
+                    "[coherent]\nnmax = 8\n")
+    handle = load_config(str(path))
+    assert (handle.nmax, handle.constants.r) == (8, 2.0)
+
+
+@pytest.mark.parametrize("line, field", [
+    ("prior = 1, 1, 1\nhamiltonians = 0, inf, 2", "hamiltonians"),
+    ("prior = 1, 1, 1\nhamiltonians = 0, nan, 2", "hamiltonians"),
+    ("prior = 1, inf, 1\nhamiltonians = 0, 1, 2", "prior")])
+def test_a_discrete_config_with_a_non_finite_entry_is_a_usage_error(tmp_path, capsys,
+                                                                    line, field):
+    path = tmp_path / "nonfinite.ini"
+    path.write_text(f"[model]\ntype = discrete\n\n[discrete]\n{line}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["massieu", "--config", str(path), "--theta", "0.5"]) == 2
+    env = strict_json(capsys.readouterr().out)
+    assert env["status"] == "error:usage"
+    assert env["diagnostics"]["message"] == f"bad config file: {field} must have finite entries"
+
+
+@pytest.mark.parametrize("module, name, argv, code", [
+    ("qubit", "ball_radius",
+     ["divergence", "--model", "qubit", "--x", "0.1,0.2,0.3", "--theta", "1,0,0"], 0),
+    ("qubit", "ball_radius",
+     ["pythagoras", "--model", "qubit", "--x", "-0.76159415595,0,0", "--theta", "1,0,0",
+      "--zeta", "0.5,0,0"], 0),
+    ("discrete", "check_probability",
+     ["divergence", "--model", "discrete3", "--x", "0.2,0.3,0.5", "--theta", "0.4"], 0),
+    ("qubit", "bloch_to_theta", ["massieu", "--model", "qubit", "--theta", "12,0,0"], 0),
+    ("qubit", "bloch_to_theta", ["maxent", "--model", "qubit", "--u", "0.9999999999,0,0"],
+     3)])
+def test_a_command_checks_its_data_set_and_inverts_its_chart_once(monkeypatch, capsys,
+                                                                  module, name, argv, code):
+    # the data-set layer is the one check of --x, and a chart that refuses
+    # one row is not asked again
+    target = importlib.import_module(f"infogeo.{module}")
+    original, calls = getattr(target, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(target, name, counted)
+    assert cli.main(argv) == code
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, inputs, status", [
+    (["divergence", "--model", "qubit", "--x", "0.8,0.7,0", "--theta", "1,0,0"],
+     {"model": "qubit", "x": [0.8, 0.7, 0.0], "theta": [1.0, 0.0, 0.0]}, "error:domain"),
+    (["divergence", "--model", "qubit", "--x", "0.8,0.7,0", "--theta", "1,0"],
+     {"model": "qubit", "x": [0.8, 0.7, 0.0]}, "error:usage"),
+    (["divergence", "--model", "discrete3", "--x", "0.5,-1e-13,0.5", "--theta", "0.1"],
+     {"model": "discrete3", "x": [0.5, -1e-13, 0.5], "theta": [0.1]}, "ok")])
+def test_a_data_vector_is_checked_after_every_flag_is_parsed(capsys, argv, inputs, status):
+    # an error envelope keeps the model point, a malformed model point is
+    # the error reported, and --x is echoed as given
+    cli.main(argv)
+    env = strict_json(capsys.readouterr().out)
+    assert (env["inputs"], env["status"]) == (inputs, status)
 
 
 # ------------------------------------------------------------- envelopes

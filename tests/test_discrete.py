@@ -74,6 +74,15 @@ def test_family_requires_positive_prior():
         DiscreteFamily(prior=np.array([1.0]), hamiltonians=np.zeros((1, 1)))
 
 
+@pytest.mark.parametrize("prior, row, field", [
+    ([1.0, 1.0, 1.0], [0.0, math.inf, 2.0], "hamiltonians"),
+    ([1.0, 1.0, 1.0], [0.0, math.nan, 2.0], "hamiltonians"),
+    ([1.0, math.inf, 1.0], [0.0, 1.0, 2.0], "prior")])
+def test_a_family_with_a_non_finite_entry_names_the_field(prior, row, field):
+    with pytest.raises(ValueError, match=f"^{field} must have finite entries$"):
+        DiscreteFamily(prior=np.array(prior), hamiltonians=np.array([row]))
+
+
 def test_check_probability_errors():
     with pytest.raises(ValueError):
         check_probability(np.array([0.7, -0.1, 0.4]))

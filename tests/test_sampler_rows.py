@@ -114,13 +114,13 @@ def test_samples_lie_in_their_support(name):
     xs = handle.sample_datasets(rng, 500)
     if name == "qubit":
         assert np.linalg.norm(xs, axis=1).max() <= 1.0
-        handle.check_x(xs)
+        handle.descriptor.dataset_answers(xs)
     elif name.startswith("coherent"):
         assert np.abs(np.linalg.norm(xs, axis=1) - 1.0).max() <= 1e-12
         coherent.check_state(xs)
     else:
         assert xs.min() >= 0.0 and np.abs(xs.sum(axis=1) - 1.0).max() <= 1e-12
-        handle.check_x(xs)
+        handle.descriptor.dataset_answers(xs)
 
 
 @pytest.mark.parametrize("name", sorted(HANDLES))
