@@ -160,11 +160,13 @@ _DATA_FILES = {"x_file": ("state", coherent.load_state),
 
 
 def _parse_dataset(args, handle: ModelHandle, inputs: dict):
-    """The data set object, recorded in ``inputs``.
+    """A function of no arguments that gives the data set; its flag is
+    parsed now and recorded in ``inputs``.
 
     The handle names the flags that can carry its data sets; exactly one
-    of them must be given.  An ``--x`` vector is only parsed: the
-    family's data-set layer is its one check.
+    of them must be given.  No value meets the model here: the family's
+    data-set layer checks an ``--x`` vector, and an ``--z`` state is built
+    when the caller, its other flags parsed, asks for the data set.
     """
     given = [f for f in handle.data_flags if getattr(args, f) is not None]
     if len(given) != 1:
@@ -174,15 +176,18 @@ def _parse_dataset(args, handle: ModelHandle, inputs: dict):
     flag = given[0]
     text = getattr(args, flag)
     if flag == "x":
-        return _point(args, "x", inputs, handle.x_size)
-    if flag == "z":
+        x = _point(args, "x", inputs, handle.x_size)
+    elif flag == "z":
         if args.nmax is not None and args.nmax < 1:
             raise UsageError(f"--nmax must be at least 1, got {args.nmax}")
         inputs["z"] = text
-        return handle.state(_parse_complex(text, "--z"), args.nmax)
-    what, load = _DATA_FILES[flag]
-    inputs[flag] = text
-    return _read_file(text, what, load)
+        z = _parse_complex(text, "--z")
+        return lambda: handle.state(z, args.nmax)
+    else:
+        what, load = _DATA_FILES[flag]
+        inputs[flag] = text
+        x = _read_file(text, what, load)
+    return lambda: x
 
 
 def _model_point(args, model: core.ModelDescriptor, inputs: dict) -> np.ndarray:
@@ -221,7 +226,7 @@ def _cmd_massieu(args, inputs: dict):
 def _cmd_maxent(args, inputs: dict):
     handle = _resolve_model(args, inputs)
     if handle.descriptor is None:
-        outputs, diagnostics = handle.best_fit(_parse_dataset(args, handle, inputs))
+        outputs, diagnostics = handle.best_fit(_parse_dataset(args, handle, inputs)())
         return outputs, diagnostics, "ok"
 
     if args.u is None:
@@ -239,9 +244,9 @@ def _cmd_divergence(args, inputs: dict):
     handle, model = _canonical_model(args, inputs, "divergence")
 
     if any(v is not None for v in (args.x, args.z, args.x_file)):
-        x = _parse_dataset(args, handle, inputs)
+        dataset = _parse_dataset(args, handle, inputs)
         theta = _model_point(args, model, inputs)
-        report = core.divergence_from_data(model, x, theta)
+        report = core.divergence_from_data(model, dataset(), theta)
         outputs = {
             "mode": "data",
             "value": report.value,
@@ -280,7 +285,7 @@ def _cmd_pythagoras(args, inputs: dict):
     if any(v is not None for v in (args.x, args.z, args.x_file)):
         if args.xi is not None:
             raise UsageError("give either data or --xi, not both")
-        x = _parse_dataset(args, handle, inputs)
+        x = _parse_dataset(args, handle, inputs)()
         report = core.pythagoras_data(model, x, theta, zeta,
                                       compliance_tol=1e-9 if args.tol is None else args.tol)
         outputs = {

@@ -59,10 +59,13 @@ def check_state(psi) -> np.ndarray:
     return c
 
 
-def annihilation_matrix(nmax: int) -> np.ndarray:
-    """Matrix of ``a`` on the truncated basis: ``a|n> = sqrt(n)|n-1>``."""
-    n = np.arange(1, nmax + 1, dtype=float)
-    return np.diag(np.sqrt(n), k=1).astype(complex)
+def annihilate(psi) -> np.ndarray:
+    """``a psi`` for states (..., N): ``(a psi)_n = sqrt(n+1) c_{n+1}`` and
+    the top entry 0, as the truncated matrix of ``a|n> = sqrt(n)|n-1>`` gives."""
+    c = np.asarray(psi, dtype=complex)
+    out = np.zeros_like(c)
+    out[..., :-1] = np.sqrt(np.arange(1, c.shape[-1], dtype=float)) * c[..., 1:]
+    return out
 
 
 def coherent_state(z, nmax: int = 64):
@@ -126,16 +129,6 @@ def number_expectation(psi):
     """``<a' a> = sum_n n |c_n|^2``."""
     c = np.asarray(psi, dtype=complex)
     return np.sum(np.arange(c.shape[-1]) * np.abs(c) ** 2, axis=-1)[()]
-
-
-def expectation_quadratic(psi, m: np.ndarray):
-    """Real expectation ``<psi| m |psi>`` of a Hermitian matrix (N, N) in
-    each state, or of the matrices of a stack (..., N, N), one per state."""
-    c = np.asarray(psi, dtype=complex)
-    m = np.asarray(m)
-    if m.shape[-2:] != (c.shape[-1], c.shape[-1]):
-        raise ValueError("operator shape does not match the basis size")
-    return (np.conj(c)[..., None, :] @ (m @ c[..., None]))[..., 0, 0].real[()]
 
 
 def _mean_coordinates(za, constants: PhaseConstants) -> np.ndarray:
@@ -246,20 +239,20 @@ def divergence_coherent(psi, u, constants: PhaseConstants):
             - _modulus_squared(za.real, za.imag))[()]
 
 
-def log_map_coherent(u, constants: PhaseConstants, nmax: int = 64) -> np.ndarray:
-    """Affine logarithm of the member: ``-|z|^2/2 I + (z a' + conj(z) a)/2``,
-    ``(N, N)`` for one point ``u`` and ``(..., N, N)`` for points (..., 2).
+def log_weight_coherent(psi, u, constants: PhaseConstants):
+    """``<psi| L |psi>`` of the member's affine logarithm ``L = -|z|^2/2 +
+    (z a' + conj(z) a)/2``, with one point ``u`` (..., 2) per state.
 
-    Its expectation in any state equals ``-Phi(theta) - theta . mu``.
+    L is applied to the coefficient rows by the ladder shifts, then the
+    inner product is taken.  It equals ``-Phi(theta) - theta . mu`` in any state.
     """
+    c = np.asarray(psi, dtype=complex)
     z = np.asarray(z_of_u(u, constants))[..., None]
-    n = np.arange(1, nmax + 1)
-    # the diagonal, then the off-diagonals of a and a' written in place:
-    # one stack of matrices in memory
-    ell = -0.5 * _modulus_squared(z.real, z.imag)[..., None] * np.identity(nmax + 1, complex)
-    ell[..., n - 1, n] = 0.5 * (np.conj(z) * np.sqrt(n))
-    ell[..., n, n - 1] = 0.5 * (z * np.sqrt(n))
-    return ell
+    ell = 0.5 * (np.conj(z) * annihilate(c) - _modulus_squared(z.real, z.imag) * c)
+    # a' is the opposite shift, (a' c)_n = sqrt(n) c_{n-1}: the image of
+    # the top mode is cut off, as in the truncated matrix
+    ell[..., 1:] += 0.5 * z * np.sqrt(np.arange(1, c.shape[-1], dtype=float)) * c[..., :-1]
+    return np.sum(np.conj(c) * ell, axis=-1).real[()]
 
 
 def load_state(path: str) -> np.ndarray:

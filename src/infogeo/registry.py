@@ -300,8 +300,8 @@ def load_config(path: str) -> ModelHandle:
     each takes the default of :func:`coherent_instance` or
     :func:`qubit_instance` when left out.  A discrete family needs both
     prior and hamiltonians; rows of the observable matrix are separated
-    by ";".  The regression and sphere types take no settings, and a key
-    the type does not read is refused; keys under [DEFAULT] are not checked.
+    by ";".  The regression and sphere types take no settings.  Any other
+    key of [model] or of the type's section is refused; [DEFAULT] keys are not.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -317,11 +317,11 @@ def load_config(path: str) -> ModelHandle:
     if required and not parser.has_section(model_type):
         raise ValueError(f"{model_type} config needs a [{model_type}] section")
     # [DEFAULT] keys reach every section, [model] too, so only a section's own are checked
-    given = set(parser.options(model_type)) if parser.has_section(model_type) else set()
-    unknown = sorted(given - set(parser.defaults()) - set(readers))
-    if unknown:
-        raise ValueError(f"unknown {model_type} setting {unknown[0]!r};"
-                         f" known: {sorted(readers)}")
+    for section, known in (("model", ["type"]), (model_type, sorted(readers))):
+        given = set(parser.options(section)) if parser.has_section(section) else set()
+        unknown = sorted(given - set(parser.defaults()) - set(known))
+        if unknown:
+            raise ValueError(f"unknown {section} setting {unknown[0]!r}; known: {known}")
     # a required setting the file lacks raises configparser's NoOptionError
     return factory(**{key: read(parser.get(model_type, key)) for key, read in readers.items()
                       if required or parser.has_option(model_type, key)})

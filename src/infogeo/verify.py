@@ -387,15 +387,13 @@ def _coherent_checks(handle: CoherentHandle):
     rng = np.random.default_rng(19)
     model = handle.descriptor
     constants, nmax = handle.constants, handle.nmax
-    amat = coh.annihilation_matrix(nmax)
 
     # Amplitudes are drawn as real, imaginary part pairs from one
     # distribution, so one call of the total size draws them all.
     parts = rng.uniform(-1.4, 1.4, size=(25, 2))
     zs = parts[:, 0] + 1j * parts[:, 1]
     psi = coh.coherent_state(zs, nmax)
-    residual = numerics.complex_row_norm((amat @ psi[:, :, None])[..., 0]
-                                         - zs[:, None] * psi)
+    residual = numerics.complex_row_norm(coh.annihilate(psi) - zs[:, None] * psi)
     yield _check("annihilation-eigenstate", np.max(residual), 1e-8,
                  note="(a - z) psi_z within truncation tail, |z| <= 2")
 
@@ -424,7 +422,7 @@ def _coherent_checks(handle: CoherentHandle):
     us = rng.uniform(-2.0, 2.0, size=(20, 2))
     states = handle.sample_datasets(rng, 20)
     th = coh.u_to_theta_coherent(us, constants)
-    lhs = coh.expectation_quadratic(states, coh.log_map_coherent(us, constants, nmax))
+    lhs = coh.log_weight_coherent(states, us, constants)
     rhs = (-coh.massieu_coherent(th, constants)
            - numerics.row_dot(th, coh.mu_map(states, constants)))
     yield _check("log-map-affine-identity", np.max(np.abs(lhs - rhs)), 1e-9,

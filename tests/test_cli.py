@@ -92,7 +92,9 @@ def test_a_config_key_its_type_does_not_read_is_a_usage_error(tmp_path, capsys):
     for text, key, known in (
             ("[model]\ntype = coherent\n\n[coherent]\nnmx = 8\n", "nmx",
              "['box', 'hbar', 'nmax', 'r']"),
-            ("[model]\ntype = sphere\n\n[sphere]\nfoo = 1\n", "foo", "[]")):
+            ("[model]\ntype = sphere\n\n[sphere]\nfoo = 1\n", "foo", "[]"),
+            # a setting in the wrong section is not silently left out
+            ("[model]\ntype = coherent\nnmax = 8\n", "nmax", "['type']")):
         path.write_text(text)
         with pytest.raises(ValueError, match=f"setting '{key}'"):
             load_config(str(path))
@@ -158,11 +160,16 @@ def test_a_command_checks_its_data_set_and_inverts_its_chart_once(monkeypatch, c
     (["divergence", "--model", "qubit", "--x", "0.8,0.7,0", "--theta", "1,0"],
      {"model": "qubit", "x": [0.8, 0.7, 0.0]}, "error:usage"),
     (["divergence", "--model", "discrete3", "--x", "0.5,-1e-13,0.5", "--theta", "0.1"],
-     {"model": "discrete3", "x": [0.5, -1e-13, 0.5], "theta": [0.1]}, "ok")])
+     {"model": "discrete3", "x": [0.5, -1e-13, 0.5], "theta": [0.1]}, "ok"),
+    (["divergence", "--model", "coherent", "--z", "9,0", "--theta", "1,2,3"],
+     {"model": "coherent", "z": "9,0"}, "error:usage"),
+    (["divergence", "--model", "coherent", "--z", "9,0", "--theta", "1,2"],
+     {"model": "coherent", "z": "9,0", "theta": [1.0, 2.0]}, "error:truncation")])
 def test_a_data_vector_is_checked_after_every_flag_is_parsed(capsys, argv, inputs, status):
     # an error envelope keeps the model point, a malformed model point is
-    # the error reported, and --x is echoed as given
-    cli.main(argv)
+    # the error reported, and --x is echoed as given; an --z state is built
+    # (and its truncation checked) after the model point is parsed
+    assert cli.main(argv) == {"ok": 0, "error:usage": 2}.get(status, 3)
     env = strict_json(capsys.readouterr().out)
     assert (env["inputs"], env["status"]) == (inputs, status)
 
@@ -712,7 +719,8 @@ def test_numeric_domain_errors_exit_three(tmp_path):
     assert proc.returncode == 3
     env = envelope(proc)
     assert env["status"] == "error:truncation"
-    assert env["inputs"] == {"model": "coherent", "z": "9,0"}
+    # the --z state is built after the model point is parsed
+    assert env["inputs"] == {"model": "coherent", "z": "9,0", "u": [0.0, 0.0]}
     # Results that overflow double precision are typed errors, not a bare
     # Infinity in the envelope or an OverflowError traceback.
     huge = tmp_path / "huge.csv"

@@ -21,15 +21,14 @@ from infogeo import (
 from infogeo.coherent import (
     PhaseConstants,
     a_expectation,
-    annihilation_matrix,
+    annihilate,
     as_descriptor,
     check_state,
     coherent_state,
     divergence_coherent,
     entropy_coherent,
-    expectation_quadratic,
     load_state,
-    log_map_coherent,
+    log_weight_coherent,
     massieu_coherent,
     model_entropy_u,
     mu_map,
@@ -46,6 +45,16 @@ def fock(n, nmax=64):
     c = np.zeros(nmax + 1, dtype=complex)
     c[n] = 1.0
     return check_state(c)
+
+
+def dense_annihilation(nmax):
+    """Test-only reference: the (N, N) matrix of ``a|n> = sqrt(n)|n-1>``."""
+    return np.diag(np.sqrt(np.arange(1.0, nmax + 1)), k=1).astype(complex)
+
+
+def dense_expectation(psi, m):
+    """Test-only reference: ``<psi| m |psi>`` by a dense product."""
+    return np.vdot(psi, m @ psi).real
 
 
 # ------------------------------------------------------------ validation
@@ -77,40 +86,66 @@ def test_fock_vector_validation():
 # -------------------------------------------------------------- operators
 
 
-def test_annihilation_matrix_lowers_number_states():
-    a = annihilation_matrix(3)
-    e1 = np.zeros(4, dtype=complex)
-    e1[1] = 1.0
-    assert np.allclose(a @ e1, [1.0, 0.0, 0.0, 0.0])
-    e2 = np.zeros(4, dtype=complex)
-    e2[2] = 1.0
-    assert np.allclose(a @ e2, [0.0, math.sqrt(2.0), 0.0, 0.0])
-    assert np.allclose(a @ np.eye(4, dtype=complex)[0], np.zeros(4))
+def test_annihilate_lowers_number_states():
+    assert np.allclose(annihilate(fock(1, nmax=3)), [1.0, 0.0, 0.0, 0.0])
+    assert np.allclose(annihilate(fock(2, nmax=3)), [0.0, math.sqrt(2.0), 0.0, 0.0])
+    assert np.allclose(annihilate(fock(0, nmax=3)), np.zeros(4))
+
+
+def test_ladder_bands_match_dense_matrices():
+    # a psi and <psi|L|psi> against (N, N) matrices built here, on points
+    # and on a stack, with the top mode occupied in every row
+    consts, nmax = PhaseConstants(r=2.0, hbar=0.5), 12
+    rng = np.random.default_rng(41)
+    g = rng.normal(size=(6, 2, nmax + 1))
+    states = g[:, 0] + 1j * g[:, 1]
+    states = check_state(np.concatenate([
+        states / np.linalg.norm(states, axis=1, keepdims=True),
+        [fock(nmax, nmax), coherent_state(0.5 - 0.4j, nmax)]]))
+    us = rng.uniform(-1.5, 1.5, size=(len(states), 2))
+    a = dense_annihilation(nmax)
+    lowered = annihilate(states)
+    weights = log_weight_coherent(states, us, consts)
+    assert lowered.shape == states.shape and weights.shape == (len(states),)
+    for i, (psi, u) in enumerate(zip(states, us)):
+        z = complex(z_of_u(u, consts))
+        ell = (-0.5 * abs(z) ** 2 * np.identity(nmax + 1)
+               + 0.5 * (z * a.conj().T + z.conjugate() * a))
+        for row, weight in ((lowered[i], weights[i]),
+                            (annihilate(psi), log_weight_coherent(psi, u, consts))):
+            assert np.allclose(row, a @ psi, rtol=0.0, atol=1e-14)
+            assert weight == pytest.approx(dense_expectation(psi, ell), abs=1e-12)
+    # the top mode: a |nmax> = sqrt(nmax) |nmax - 1> with a top entry 0, and
+    # <nmax| L |nmax> is the diagonal of L alone
+    top = fock(nmax, nmax)
+    assert log_weight_coherent(top, us[0], consts) == pytest.approx(
+        -0.5 * abs(complex(z_of_u(us[0], consts))) ** 2, abs=1e-14)
+    assert lowered[-2, nmax - 1] == math.sqrt(nmax) and lowered[-2, nmax] == 0.0
+    # a point call gives the bits of row 0 of the one-row call
+    for got, want in ((annihilate(states[0]), annihilate(states[:1])[0]),
+                      (log_weight_coherent(states[0], us[0], consts),
+                       log_weight_coherent(states[:1], us[:1], consts)[0])):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_quadratures_are_hermitian_with_coherent_means():
     # Q = r (a + a') / sqrt(2) and P = -i hbar (a - a') / (sqrt(2) r), the
     # quadratures whose means the module docstring ties to mu_map.
     consts = PhaseConstants(r=2.0, hbar=0.5)
-    a = annihilation_matrix(16)
+    a = dense_annihilation(16)
     q = consts.r * (a + a.conj().T) / math.sqrt(2.0)
     p = -1j * consts.hbar * (a - a.conj().T) / (math.sqrt(2.0) * consts.r)
     assert np.allclose(q, q.conj().T)
     assert np.allclose(p, p.conj().T)
     z = 0.4 - 0.3j
     psi = coherent_state(z, 16)
-    assert expectation_quadratic(psi, q) == pytest.approx(
+    assert dense_expectation(psi, q) == pytest.approx(
         math.sqrt(2.0) * consts.r * z.real, abs=1e-10)
-    assert expectation_quadratic(psi, p) == pytest.approx(
+    assert dense_expectation(psi, p) == pytest.approx(
         math.sqrt(2.0) * consts.hbar * z.imag / consts.r, abs=1e-10)
-    means = [expectation_quadratic(psi, q), expectation_quadratic(psi, p)]
+    means = [dense_expectation(psi, q), dense_expectation(psi, p)]
     assert np.allclose(np.array(means) / math.sqrt(2.0), mu_map(psi, consts),
                        atol=1e-10)
-
-
-def test_expectation_quadratic_shape_error():
-    with pytest.raises(ValueError):
-        expectation_quadratic(fock(0, nmax=4), np.eye(3))
 
 
 # -------------------------------------------------------- coherent states
@@ -236,19 +271,18 @@ def test_log_map_expectation_is_affine():
     rng = np.random.default_rng(31)
     for _ in range(5):
         u = rng.uniform(-1.0, 1.0, size=2)
-        ell = log_map_coherent(u, consts, nmax=64)
         theta = u_to_theta_coherent(u, consts)
         psi = coherent_state(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-        got = expectation_quadratic(psi, ell)
+        got = log_weight_coherent(psi, u, consts)
         want = -massieu_coherent(theta, consts) - float(
             theta @ mu_map(psi, consts))
         assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_log_map_self_expectation_value():
-    ell = log_map_coherent(np.array([1.0, 0.0]), UNIT, nmax=64)
     psi = coherent_state(1.0)
-    assert expectation_quadratic(psi, ell) == pytest.approx(0.5, abs=1e-9)
+    assert log_weight_coherent(psi, np.array([1.0, 0.0]), UNIT) == pytest.approx(
+        0.5, abs=1e-9)
 
 
 # ------------------------------------------------------------ state files

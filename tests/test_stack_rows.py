@@ -140,7 +140,7 @@ def test_metric_rows_raise_for_the_lowest_failing_row():
 
 def test_verify_makes_one_call_per_check(monkeypatch):
     counted_functions = ((core, "metric_tensor"), (regression, "regression_questions"),
-                         (coherent, "log_map_coherent"), (coherent, "expectation_quadratic"),
+                         (coherent, "log_weight_coherent"),
                          *((sphere, f) for f in SPHERE_FUNCTIONS))
     calls = dict.fromkeys((fname for _, fname in counted_functions), 0)
     for module, fname in counted_functions:
@@ -159,7 +159,7 @@ def test_verify_makes_one_call_per_check(monkeypatch):
     # one call in each of the five checks
     assert calls["regression_questions"] == 5
     # log-map-affine-identity
-    assert calls["log_map_coherent"] == calls["expectation_quadratic"] == 1
+    assert calls["log_weight_coherent"] == 1
     # ray-entropy-peak and entropy-nonpositive; chart-roundtrip
     assert calls["sphere_entropy"] == 2
     assert calls["sphere_mu"] == calls["sphere_questions"] == 1
@@ -247,21 +247,9 @@ def test_log_map_and_expectation_rows_equal_point_calls_bitwise():
     nmax = handle.nmax
     us = coherent_points(78, 12)
     states = handle.sample_datasets(np.random.default_rng(79), 12)
-    maps = coherent.log_map_coherent(us, COHERENT2, nmax)
-    assert maps.shape == (12, nmax + 1, nmax + 1)
-    values = coherent.expectation_quadratic(states, maps)
-    assert values.shape == (12,)
+    lowered = coherent.annihilate(states)
+    values = coherent.log_weight_coherent(states, us, COHERENT2)
+    assert lowered.shape == (12, nmax + 1) and values.shape == (12,)
     for i, (u, psi) in enumerate(zip(us, states)):
-        one = coherent.log_map_coherent(u, COHERENT2, nmax)
-        assert bits(maps[i]) == bits(one)
-        assert bits(values[i]) == bits(coherent.expectation_quadratic(psi, one))
-    # a point is row 0 of the one-row call; one operator serves a stack
-    assert bits(coherent.log_map_coherent(us[0], COHERENT2, nmax)) == bits(
-        coherent.log_map_coherent(us[:1], COHERENT2, nmax)[0])
-    assert bits(coherent.expectation_quadratic(states[0], maps[0])) == bits(
-        coherent.expectation_quadratic(states[:1], maps[:1])[0])
-    shared = coherent.expectation_quadratic(states, maps[0])
-    for i, psi in enumerate(states):
-        assert bits(shared[i]) == bits(coherent.expectation_quadratic(psi, maps[0]))
-    with pytest.raises(ValueError, match="operator shape"):
-        coherent.expectation_quadratic(states, maps[:, 1:, 1:])
+        assert bits(lowered[i]) == bits(coherent.annihilate(psi))
+        assert bits(values[i]) == bits(coherent.log_weight_coherent(psi, u, COHERENT2))
