@@ -51,7 +51,6 @@ from .registry import (
     discrete_instance,
     get_model,
     load_config,
-    qubit_instance,
 )
 from .verify import (
     PropertyResult,
@@ -94,7 +93,6 @@ __all__ = [
     "metric_tensor",
     "pythagoras_data",
     "pythagoras_models",
-    "qubit_instance",
     "theta_to_u",
     "u_to_theta",
     "verify_handle",

@@ -178,11 +178,9 @@ def _parse_dataset(args, handle: ModelHandle, inputs: dict):
     if flag == "x":
         x = _point(args, "x", inputs, handle.x_size)
     elif flag == "z":
-        if args.nmax is not None and args.nmax < 1:
-            raise UsageError(f"--nmax must be at least 1, got {args.nmax}")
         inputs["z"] = text
         z = _parse_complex(text, "--z")
-        return lambda: handle.state(z, args.nmax)
+        return lambda: handle.state(z)
     else:
         what, load = _DATA_FILES[flag]
         inputs[flag] = text
@@ -226,6 +224,8 @@ def _cmd_massieu(args, inputs: dict):
 def _cmd_maxent(args, inputs: dict):
     handle = _resolve_model(args, inputs)
     if handle.descriptor is None:
+        if args.tol is not None:
+            raise UsageError(f"{handle.name} maxent runs no solver, so it takes no --tol")
         outputs, diagnostics = handle.best_fit(_parse_dataset(args, handle, inputs)())
         return outputs, diagnostics, "ok"
 
@@ -244,6 +244,8 @@ def _cmd_divergence(args, inputs: dict):
     handle, model = _canonical_model(args, inputs, "divergence")
 
     if any(v is not None for v in (args.x, args.z, args.x_file)):
+        if args.zeta is not None:
+            raise UsageError("give either data or --zeta, not both")
         dataset = _parse_dataset(args, handle, inputs)
         theta = _model_point(args, model, inputs)
         report = core.divergence_from_data(model, dataset(), theta)
@@ -261,6 +263,8 @@ def _cmd_divergence(args, inputs: dict):
     if args.theta is None or args.zeta is None:
         raise UsageError("divergence needs data (--x/--z/--x-file) plus a model"
                          " point, or two model points --theta and --zeta")
+    if args.u is not None:
+        raise UsageError("give either --u or --theta and --zeta, not both")
     theta = _point(args, "theta", inputs, model.n)
     zeta = _point(args, "zeta", inputs, model.n)
     report = core.bregman_divergence(model, theta, zeta)
@@ -300,6 +304,8 @@ def _cmd_pythagoras(args, inputs: dict):
     if args.xi is None:
         raise UsageError("pythagoras needs either data (--x/--z/--x-file)"
                          " or a third model point --xi")
+    if args.tol is not None:
+        raise UsageError("give --tol with data only, not with --xi")
     xi = _point(args, "xi", inputs, model.n)
     report = core.pythagoras_models(model, theta, zeta, xi)
     outputs = {
@@ -493,7 +499,6 @@ _FLAGS = {
                     " sphere data"},
     "--z": {"help": "data: coherent amplitude 're,im'"},
     "--x-file": {"help": "data: oscillator state file"},
-    "--nmax": {"type": int, "help": "oscillator basis cutoff for --z"},
     "--data": {"help": "CSV file of x,y pairs (regression)"},
     "--grid": {"action": "append", "default": [], "metavar": "AXIS=START:STOP:COUNT",
                "help": "grid for one theta axis (repeatable); unlisted axes"
@@ -515,11 +520,11 @@ _COMMANDS = {
     "divergence": (_cmd_divergence, "divergence of data or a model point from a"
                                     " model point",
                    ("--model", "--config", "--theta", "--u", "--zeta", "--x", "--z",
-                    "--x-file", "--nmax")),
+                    "--x-file")),
     "pythagoras": (_cmd_pythagoras, "three-point divergence identity (data or"
                                     " model triple)",
                    ("--model", "--config", "--tol", "--theta", "--zeta", "--xi",
-                    "--x", "--z", "--x-file", "--nmax")),
+                    "--x", "--z", "--x-file")),
     "sweep": (_cmd_sweep, "tabulate quantities over a parameter grid",
               ("--model", "--config", "--grid", "--quantities", "--format")),
     "verify": (_cmd_verify, "run the property suites",

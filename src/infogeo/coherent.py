@@ -341,18 +341,17 @@ def _pin_rows(coeffs: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
     return c, pinned
 
 
-def as_descriptor(constants: PhaseConstants, nmax: int = 64,
-                  box_halfwidth: float | None = None) -> ModelDescriptor:
-    """Engine descriptor for the coherent family.
+def as_descriptor(constants: PhaseConstants, nmax: int) -> ModelDescriptor:
+    """Engine descriptor for the coherent family on the basis ``|0>, ...,
+    |nmax>``.
 
     The mean coordinates range over the whole plane; the bounding box
-    only limits where numeric searches look, so pick it larger than
-    ``max(r^2, hbar^2/r^2)`` times the largest parameter magnitude of
-    interest.  The default half-width, ``16 max(r^2, hbar^2/r^2, 1)``,
-    keeps ``|U|`` interior for ``|theta|`` up to 16.  Phi, U and S come
-    from the one kernel :func:`dual_points_coherent`, the metric is the
-    constant ``diag(r^2, hbar^2/r^2)`` of :func:`_metric` on every row,
-    and the chart inversion is :func:`u_to_theta_coherent`.  Data sets are states on
+    only limits where numeric searches look.  Its half-width, ``16
+    max(r^2, hbar^2/r^2, 1)``, keeps ``|U|`` interior for ``|theta|`` up
+    to 16.  Phi, U and S come from the one kernel
+    :func:`dual_points_coherent`, the metric is the constant ``diag(r^2,
+    hbar^2/r^2)`` of :func:`_metric` on every row, and the chart
+    inversion is :func:`u_to_theta_coherent`.  Data sets are states on
     the same truncated basis, stacked as coefficient rows (k, nmax + 1)
     and checked by :func:`check_state`.  The fiber sampler returns the
     stack (k, max(count, 1), nmax + 1) over energy rows (k, 2): fiber i is
@@ -366,10 +365,7 @@ def as_descriptor(constants: PhaseConstants, nmax: int = 64,
     ``_MIN_NOISE`` the fiber fails with :class:`ConvergenceError`.
     """
     r, hbar = constants.r, constants.hbar
-    b = (16.0 * max(r ** 2, hbar ** 2 / r ** 2, 1.0) if box_halfwidth is None
-         else float(box_halfwidth))
-    if not b > 0.0:
-        raise ValueError("box half-width must be positive")
+    b = 16.0 * max(r ** 2, hbar ** 2 / r ** 2, 1.0)
     box = np.array([[-b, b], [-b, b]])
 
     def membership(u):

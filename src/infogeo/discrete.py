@@ -119,10 +119,10 @@ def _hull_facets(h: np.ndarray, interior: np.ndarray) -> np.ndarray:
     return np.column_stack([normals, (normals @ h).max(axis=1)])
 
 
-def check_probability(p, tol: float = 1e-12) -> np.ndarray:
-    """Validate and return a probability vector ``p`` (m,) (sum 1, entries
-    >= 0), or the probability vectors in the rows of ``p`` (k, m), with
-    negative rounding clipped to 0.
+def check_probability(p) -> np.ndarray:
+    """Validate and return a probability vector ``p`` (m,) (sum 1 to within
+    ``1e-12 m``, entries >= -1e-12), or the probability vectors in the rows
+    of ``p`` (k, m), with negative rounding clipped to 0.
 
     A stack raises the ValueError of its first bad row; a point is row 0
     of the one-row call.
@@ -133,9 +133,9 @@ def check_probability(p, tol: float = 1e-12) -> np.ndarray:
     ps = np.atleast_2d(p)
     raise_first((~np.isfinite(ps).all(axis=1),
                  ValueError("probability vector has a non-finite entry")),
-                ((ps < -tol).any(axis=1),
+                ((ps < -1e-12).any(axis=1),
                  ValueError("probability vector has a negative entry")),
-                (np.abs(ps.sum(axis=1) - 1.0) > max(tol, 1e-12 * ps.shape[1]),
+                (np.abs(ps.sum(axis=1) - 1.0) > 1e-12 * ps.shape[1],
                  ValueError("probability vector does not sum to one")))
     return np.maximum(p, 0.0)
 

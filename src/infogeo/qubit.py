@@ -18,6 +18,11 @@ from .core import ModelDescriptor
 from .errors import DomainError, EvaluationError
 from .numerics import Domain, Matrix2H, eig_h2, func_h2, raise_first, row_dot, row_norm
 
+#: Shell at the pure-state boundary left out of the model domain, and the
+#: wider shell in which the chart refuses a Bloch vector.
+MEMBERSHIP_MARGIN = 1e-12
+CHART_MARGIN = 1e-9
+
 
 def _vectors(v, what: str) -> np.ndarray:
     """``v`` as a float point (3,) or rows (k, 3); ValueError otherwise."""
@@ -80,13 +85,13 @@ def theta_to_bloch(theta) -> np.ndarray:
     return _bloch(theta, row_norm(theta))
 
 
-def bloch_to_theta(u, chart_margin: float = 1e-9) -> np.ndarray:
+def bloch_to_theta(u) -> np.ndarray:
     """Inverse of :func:`theta_to_bloch` on the open unit ball, at ``u``
     (3,) or at each of the rows ``u`` (k, 3); a point is row 0 of the
     one-row call.
 
     Pure states (|u| = 1) have no finite parameters; vectors closer than
-    ``chart_margin`` to the boundary are rejected with
+    :data:`CHART_MARGIN` to the boundary are rejected with
     :class:`DomainError` (any row of a stack).  The norm is
     :func:`row_norm`, rescaled below ``|u| ~ 1.5e-154``, so other rows
     have the bits of the 1-D ``np.linalg.norm``; the length of the
@@ -95,7 +100,7 @@ def bloch_to_theta(u, chart_margin: float = 1e-9) -> np.ndarray:
     u = _vectors(u, "Bloch vector")
     us = u.reshape(-1, 3)
     r = row_norm(us)
-    if (r >= 1.0 - chart_margin).any():
+    if (r >= 1.0 - CHART_MARGIN).any():
         raise DomainError("Bloch vector too close to the pure-state boundary")
     # u / r at r = 0 would be NaN; the parameters there are +0
     zero = r == 0.0
@@ -199,25 +204,23 @@ def quantum_relative_entropy(rho: Matrix2H, sigma: Matrix2H):
     return float(total[0]) if single else total
 
 
-def as_descriptor(membership_margin: float = 1e-12,
-                  chart_margin: float = 1e-9) -> ModelDescriptor:
+def as_descriptor() -> ModelDescriptor:
     """Engine descriptor for the qubit.
 
-    Mean coordinates range over the open unit ball (membership uses
-    ``membership_margin`` at the boundary); the closed parameter map is
-    restricted by ``chart_margin`` as in :func:`bloch_to_theta`.  Phi, U
-    and S come from the one kernel :func:`dual_points_qubit`, the metric
-    from :func:`metric_qubit`, and the chart inversion is
-    :func:`bloch_to_theta`.  Data
-    sets are Bloch vectors of arbitrary states, and a stack of them is an
-    array of rows (k, 3); the model fiber over an interior point is a
-    singleton, so the fiber sampler gives energy rows (k, 3) their own
-    copy as the stack (k, 1, 3).
+    Mean coordinates range over the open unit ball less the shell
+    :data:`MEMBERSHIP_MARGIN` at its boundary.  Phi, U and S come from
+    the one kernel :func:`dual_points_qubit`, the metric from
+    :func:`metric_qubit`, and the chart inversion is
+    :func:`bloch_to_theta`, which refuses the wider shell
+    :data:`CHART_MARGIN`.  Data sets are Bloch vectors of arbitrary
+    states, and a stack of them is an array of rows (k, 3); the model
+    fiber over an interior point is a singleton, so the fiber sampler
+    gives energy rows (k, 3) their own copy as the stack (k, 1, 3).
     """
     box = np.array([[-1.0, 1.0]] * 3)
 
     def membership(u):
-        return row_norm(np.asarray(u, dtype=float)) < 1.0 - membership_margin
+        return row_norm(np.asarray(u, dtype=float)) < 1.0 - MEMBERSHIP_MARGIN
 
     domain = Domain(dimension=3, bounding_box=box, membership=membership,
                     interior_point=np.zeros(3))
@@ -233,7 +236,8 @@ def as_descriptor(membership_margin: float = 1e-12,
         entropy_u=entropy_bloch,
         closed_dual_points=dual_points_qubit,
         closed_metric=metric_qubit,
-        closed_u_to_theta=lambda us: bloch_to_theta(us, chart_margin),
+        # looked up at each call, so a wrapper put on the module name sees it
+        closed_u_to_theta=lambda us: bloch_to_theta(us),
         dataset_answers=answers,
         fiber_sampler=lambda us, count, rng=None: np.array(us, dtype=float)[:, None],
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import configparser
 import functools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,8 +71,8 @@ class _CanonicalHandle:
 class QubitHandle(_CanonicalHandle):
     """The qubit: Bloch vectors as data sets, Gibbs states as members."""
 
-    name: str
-    descriptor: ModelDescriptor
+    name: str = "qubit"
+    descriptor: ModelDescriptor = field(default_factory=qubit.as_descriptor)
 
     x_size = 3
     legendre_points = 100
@@ -108,10 +108,10 @@ class CoherentHandle(_CanonicalHandle):
     # |theta|; stay where the truncation bound is comfortable
     fiber_radius = 1.2
 
-    def state(self, z: complex, nmax: int | None = None) -> np.ndarray:
-        """Coefficients of the coherent state ``|z>``, truncated at ``nmax``
-        (default: the model's)."""
-        return coherent.coherent_state(z, nmax=self.nmax if nmax is None else nmax)
+    def state(self, z: complex) -> np.ndarray:
+        """Coefficients of the coherent state ``|z>`` on the model's basis,
+        truncated at its ``nmax``."""
+        return coherent.coherent_state(z, nmax=self.nmax)
 
     def sample_datasets(self, rng, count: int) -> np.ndarray:
         """The coefficient rows ``(count, nmax + 1)`` of random states
@@ -199,18 +199,10 @@ ModelHandle = (QubitHandle | CoherentHandle | DiscreteHandle | RegressionHandle
                | SphereHandle)
 
 
-def qubit_instance(membership_margin: float = 1e-12,
-                   chart_margin: float = 1e-9) -> QubitHandle:
-    desc = qubit.as_descriptor(membership_margin=membership_margin,
-                               chart_margin=chart_margin)
-    return QubitHandle(name="qubit", descriptor=desc)
-
-
 def coherent_instance(r: float = 1.0, hbar: float = 1.0, nmax: int = 64,
-                      box: float | None = None,
                       name: str | None = None) -> CoherentHandle:
     constants = coherent.PhaseConstants(r=r, hbar=hbar)
-    desc = coherent.as_descriptor(constants, nmax=nmax, box_halfwidth=box)
+    desc = coherent.as_descriptor(constants, nmax)
     return CoherentHandle(name=name or f"coherent(r={r:g},hbar={hbar:g})",
                           descriptor=desc, constants=constants, nmax=nmax)
 
@@ -222,7 +214,7 @@ def discrete_instance(prior, hamiltonians, name: str | None = None) -> DiscreteH
 
 
 _CANONICAL = {
-    "qubit": qubit_instance,
+    "qubit": QubitHandle,
     "coherent": lambda: coherent_instance(r=1.0, hbar=1.0, name="coherent"),
     "coherent2": lambda: coherent_instance(r=2.0, hbar=0.5, name="coherent2"),
     "discrete2": lambda: discrete_instance(np.ones(2), [[0.0, 1.0]], name="discrete2"),
@@ -271,9 +263,8 @@ def _parse_vector(text: str) -> np.ndarray:
 #: setting the file leaves out is not passed, so its default lives in the
 #: factory alone.
 _CONFIG_TYPES = {
-    "qubit": (qubit_instance, {"membership_margin": float, "chart_margin": float}, False),
-    "coherent": (coherent_instance, {"r": float, "hbar": float, "nmax": int, "box": float},
-                 False),
+    "qubit": (QubitHandle, {}, False),
+    "coherent": (coherent_instance, {"r": float, "hbar": float, "nmax": int}, False),
     "discrete": (discrete_instance, {"prior": _parse_vector, "hamiltonians": _parse_matrix},
                  True),
     "regression": (RegressionHandle, {}, False),
@@ -294,14 +285,12 @@ def load_config(path: str) -> ModelHandle:
         prior = 1, 1, 1
         hamiltonians = 0, 1, 2
 
-    Coherent settings are r, hbar, nmax and box (the half-width of the
-    numeric search box; see :func:`infogeo.coherent.as_descriptor` for
-    its default); qubit settings are membership_margin and chart_margin;
-    each takes the default of :func:`coherent_instance` or
-    :func:`qubit_instance` when left out.  A discrete family needs both
-    prior and hamiltonians; rows of the observable matrix are separated
-    by ";".  The regression and sphere types take no settings.  Any other
-    key of [model] or of the type's section is refused; [DEFAULT] keys are not.
+    Coherent settings are r, hbar and nmax, each of which takes the
+    default of :func:`coherent_instance` when left out.  A discrete
+    family needs both prior and hamiltonians; rows of the observable
+    matrix are separated by ";".  The qubit, regression and sphere types
+    take no settings.  Any other key of [model] or of the type's section
+    is refused; [DEFAULT] keys are not.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)

@@ -19,7 +19,8 @@ from conftest import close7, envelope, run_cli, strict_json, write_state
 from infogeo import (BUILTIN_NAMES, __version__, canonical_instances, cli, errors,
                      get_model, numerics, verify)
 from infogeo.discrete import boltzmann_gibbs
-from infogeo.registry import CoherentHandle, DiscreteHandle, discrete_instance, load_config
+from infogeo.registry import (CoherentHandle, DiscreteHandle, QubitHandle, discrete_instance,
+                              load_config)
 
 LN2 = math.log(2.0)
 
@@ -91,7 +92,14 @@ def test_a_config_key_its_type_does_not_read_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "typo.ini"
     for text, key, known in (
             ("[model]\ntype = coherent\n\n[coherent]\nnmx = 8\n", "nmx",
-             "['box', 'hbar', 'nmax', 'r']"),
+             "['hbar', 'nmax', 'r']"),
+            # retired settings: the margins and the search box are constants
+            ("[model]\ntype = qubit\n\n[qubit]\nmembership_margin = 0\n",
+             "membership_margin", "[]"),
+            ("[model]\ntype = qubit\n\n[qubit]\nchart_margin = 1e-6\n",
+             "chart_margin", "[]"),
+            ("[model]\ntype = coherent\n\n[coherent]\nbox = 40\n", "box",
+             "['hbar', 'nmax', 'r']"),
             ("[model]\ntype = sphere\n\n[sphere]\nfoo = 1\n", "foo", "[]"),
             # a setting in the wrong section is not silently left out
             ("[model]\ntype = coherent\nnmax = 8\n", "nmax", "['type']")):
@@ -532,8 +540,21 @@ def test_usage_errors_exit_two(capsys):
         ("pythagoras", "--model", "qubit", "--theta", "0,0,0", "--zeta", "1,0,0",
          "--xi", "inf,0,0"),
         ("divergence", "--model", "discrete2", "--x", "nan,0.5", "--theta", "0"),
-        ("divergence", "--model", "coherent", "--z", "1,0", "--u", "0,0",
-         "--nmax", "0"),                                        # empty basis
+        # --nmax is retired: the state is built on the model's own basis
+        ("divergence", "--model", "coherent", "--z", "0.3,0", "--nmax", "8",
+         "--theta", "1,2"),
+        ("divergence", "--model", "qubit", "--x", "0,0,0.5", "--nmax", "8",
+         "--theta", "1,2,3"),
+        ("pythagoras", "--model", "coherent", "--z", "0.3,0", "--nmax", "8",
+         "--theta", "1,2", "--zeta", "0,0"),
+        # a flag that the command's mode never reads
+        ("divergence", "--model", "qubit", "--x", "0,0,0.5", "--theta", "1,2,3",
+         "--zeta", "0,0,0"),
+        ("divergence", "--model", "qubit", "--theta", "1,2,3", "--zeta", "0,0,0",
+         "--u", "0.1,0,0"),
+        ("pythagoras", "--model", "qubit", "--theta", "0.1,0,0", "--zeta", "0,0.2,0",
+         "--xi", "0,0,0.3", "--tol", "1e-300"),
+        ("maxent", "--model", "sphere", "--x", "1,2,3", "--tol", "1"),
         ("massieu", "--config", ".", "--theta", "0,0,0"),       # a directory
         ("verify", "numerics", "--model", "regression"),        # two targets
         ("verify", "all", "--config", "model.ini"),
@@ -573,8 +594,9 @@ def test_a_discrete_family_with_no_observables_is_a_usage_error(tmp_path):
 @pytest.mark.parametrize("args", [
     ("massieu", "--model", "discrete3", "--theta", "0.5"),
     ("maxent", "--model", "discrete3", "--u", "1.2"),
+    # --tol bounds the data compliance, so pythagoras reads it in data mode
     ("pythagoras", "--model", "qubit", "--theta", "0,0,0", "--zeta", "1,0,0",
-     "--xi", "0,1,0"),
+     "--x", "0,0,0"),
 ])
 def test_negative_tol_is_a_usage_error(capsys, args):
     # No comparison passes a negative bound: maxent ran 200 Newton
@@ -638,7 +660,7 @@ def test_help_and_version_print_text():
 
 def test_subcommands_take_the_same_flags():
     common = {"-h", "--help", "--model", "--config"}
-    data = {"--x", "--z", "--x-file", "--nmax"}
+    data = {"--x", "--z", "--x-file"}
     expected = {
         "massieu": common | {"--tol", "--theta"},
         "maxent": common | {"--tol", "--u", "--x", "--data"},
@@ -836,15 +858,16 @@ def test_verify_single_model_exits_zero():
     assert "least-squares-agreement" in names
 
 
-def test_verify_detects_corrupted_configuration(tmp_path):
-    path = tmp_path / "bad.ini"
-    path.write_text("[model]\ntype = qubit\n\n[qubit]\n"
-                    "membership_margin = 0\n")
-    proc = run_cli("verify", "--config", str(path))
-    assert proc.returncode == 1
-    env = envelope(proc)
-    assert env["status"] == "error:verify"
-    assert "qubit:domain-boundary-margin" in env["outputs"]["failures"]
+def test_verify_detects_corrupted_configuration():
+    # a qubit whose domain reaches the pure-state boundary, with no margin
+    handle = QubitHandle()
+    domain = dataclasses.replace(handle.descriptor.energy_domain,
+                                 membership=lambda u: numerics.row_norm(np.asarray(u)) < 1.0)
+    corrupted = dataclasses.replace(
+        handle, descriptor=dataclasses.replace(handle.descriptor, energy_domain=domain))
+    rows = {r.name: r for r in verify.verify_handle(corrupted)}
+    assert not rows["domain-boundary-margin"].passed
+    assert rows["domain-boundary-margin"].worst == 1.0
 
 
 def test_verify_takes_one_target(capsys):

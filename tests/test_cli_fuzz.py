@@ -33,7 +33,6 @@ PATH = st.sampled_from(["missing.ini", ".", ""])
 VALUES = {
     "--model": st.sampled_from(BUILTIN_NAMES + ("nope", "numerics", "")),
     "--config": PATH, "--x-file": PATH, "--data": PATH,
-    "--nmax": st.sampled_from(["0", "-1", "3", "64", "1.5", ""]),
     "--grid": st.sampled_from(["1=-1:1:3", "2=0:1:2", "3=-2:2:4", "1=0:1:0",
                                "1=nan:1:2", "1=0:1", "9=0:1:2", ""]),
     "--quantities": st.sampled_from(["phi", "entropy,u1", "residual,unorm,u2", "u4",

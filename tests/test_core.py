@@ -118,7 +118,7 @@ def test_massieu_unbounded_supremum_raises():
 
 def test_numeric_legendre_beyond_coherent_box_raises(coherent):
     # The closed Phi at theta = (20, 0) is 200, but the argmax lies beyond
-    # the default search box (half-width 16), so the numeric route has no
+    # the search box (half-width 16), so the numeric route has no
     # finite answer to give.
     theta = np.array([20.0, 0.0])
     assert massieu(coherent, theta) == pytest.approx(200.0, rel=1e-12)
