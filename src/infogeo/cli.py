@@ -8,15 +8,14 @@ it parses it, so an error envelope keeps the inputs parsed before the
 error.  Flag errors (an unknown flag or command, a bad flag value, a
 number that is not finite, a negative ``--tol``, no command) end as
 ``"error:usage"``, with ``command`` null unless the first non-option
-token of argv names a known command.  An argv whose first token names a
-command is parsed once, by that command's own parser; the top-level
-parser sees only the other argvs, and serves only to print help or the
-version or to report the usage error.  The exceptions to the one
-envelope are ``--help`` and ``--version``, which print text, and
-``sweep`` in CSV format, which streams a CSV table instead: its rows are
-evaluated one chunk of grid points at a time and written one row per
-``write``, so each row leaves as soon as it is formatted.  Progress,
-warnings and error messages go to stderr.
+token of argv names a known command.  An argv of a command and its own
+flags (``--name value``, ``--name=value``) is read from ``_FLAGS``;
+argparse reads any other argv, and words all help and flag errors.  The
+exceptions to the one envelope are ``--help`` and ``--version``, which
+print text, and ``sweep`` in CSV format, which streams a CSV table
+instead: its rows are evaluated one chunk of grid points at a time and
+written one row per ``write``, so each row leaves as soon as it is
+formatted.  Progress, warnings and error messages go to stderr.
 
 ``verify`` takes one target: the positional ``TARGET`` (``all``, the
 default, ``numerics`` or a model name), ``--model NAME`` or ``--config
@@ -97,20 +96,18 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _tol(args, inputs: dict, default: float | None) -> float | None:
+    """``--tol``, recorded as ``inputs["tol"]``, or ``default`` if not given."""
+    if args.tol is not None:
+        inputs["tol"] = args.tol
+    return default if args.tol is None else args.tol
+
+
 def _point(args, name: str, inputs: dict, n: int) -> np.ndarray:
     """The point of flag ``--name``, recorded as ``inputs[name]``."""
     point = _parse_floats(getattr(args, name), "--" + name, n)
     inputs[name] = list(point)
     return point
-
-
-def _parse_complex(text: str, flag: str) -> complex:
-    vals = _parse_floats(text, flag)
-    if vals.size == 1:
-        return complex(vals[0], 0.0)
-    if vals.size == 2:
-        return complex(vals[0], vals[1])
-    raise UsageError(f"{flag} expects 're,im', got {text!r}")
 
 
 def _read_file(path: str, what: str, load):
@@ -125,20 +122,19 @@ def _read_file(path: str, what: str, load):
 
 def _resolve_model(args, inputs: dict) -> ModelHandle:
     """The model of ``--model`` or ``--config``, recorded in ``inputs``."""
-    config, name = args.config, args.model
-    if config and name:
+    if args.config and args.model:
         raise UsageError("pass either --model or --config, not both")
-    if config:
-        handle = _read_file(config, "config", load_config)
-        inputs["config"] = config
-    elif not name:
+    if args.config:
+        handle = _read_file(args.config, "config", load_config)
+        inputs["config"] = args.config
+    elif not args.model:
         raise UsageError("a model is required (--model NAME or --config FILE)")
     else:
         try:
-            handle = get_model(name)
+            handle = get_model(args.model)
         except KeyError:
             known = ", ".join(BUILTIN_NAMES)
-            raise UsageError(f"unknown model {name!r}; known models: {known}") from None
+            raise UsageError(f"unknown model {args.model!r}; known models: {known}") from None
     inputs["model"] = handle.name
     return handle
 
@@ -179,7 +175,10 @@ def _parse_dataset(args, handle: ModelHandle, inputs: dict):
         x = _point(args, "x", inputs, handle.x_size)
     elif flag == "z":
         inputs["z"] = text
-        z = _parse_complex(text, "--z")
+        parts = _parse_floats(text, "--z")
+        if parts.size > 2:
+            raise UsageError(f"--z expects 're,im', got {text!r}")
+        z = complex(*parts)
         return lambda: handle.state(z)
     else:
         what, load = _DATA_FILES[flag]
@@ -207,7 +206,7 @@ def _cmd_massieu(args, inputs: dict):
     if args.theta is None:
         raise UsageError("massieu needs --theta")
     theta = _point(args, "theta", inputs, model.n)
-    pair = core.canonical_check(model, theta, tol=args.tol)
+    pair = core.canonical_check(model, theta, tol=_tol(args, inputs, 1e-9))
     outputs = {
         "massieu": pair.massieu,
         "u": list(pair.u),
@@ -223,17 +222,18 @@ def _cmd_massieu(args, inputs: dict):
 
 def _cmd_maxent(args, inputs: dict):
     handle = _resolve_model(args, inputs)
+    # a summary model or a closed chart reads no tolerance
+    if args.tol is not None and (handle.descriptor is None or handle.moment_tol is None):
+        raise UsageError(f"{handle.name} maxent runs no solver, so it takes no --tol")
     if handle.descriptor is None:
-        if args.tol is not None:
-            raise UsageError(f"{handle.name} maxent runs no solver, so it takes no --tol")
         outputs, diagnostics = handle.best_fit(_parse_dataset(args, handle, inputs)())
         return outputs, diagnostics, "ok"
 
     if args.u is None:
         raise UsageError("maxent needs the moment targets --u")
     u = _point(args, "u", inputs, handle.descriptor.n)
-    tol = args.tol if args.tol is not None else 1e-12
-    theta, achieved, iterations, note = handle.match_moments(u, tol)
+    theta, achieved, iterations, note = handle.match_moments(
+        u, _tol(args, inputs, handle.moment_tol))
     outputs = {"theta": list(theta), "achieved": list(achieved),
                "iterations": iterations}
     diagnostics = {"residual": float(np.max(np.abs(achieved - u))), "note": note}
@@ -291,7 +291,7 @@ def _cmd_pythagoras(args, inputs: dict):
             raise UsageError("give either data or --xi, not both")
         x = _parse_dataset(args, handle, inputs)()
         report = core.pythagoras_data(model, x, theta, zeta,
-                                      compliance_tol=1e-9 if args.tol is None else args.tol)
+                                      compliance_tol=_tol(args, inputs, 1e-9))
         outputs = {
             "mode": "data",
             "divergence_data_first": report.first,
@@ -539,25 +539,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, and the parser of each command by name."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with a subparser for each command."""
     parser = _Parser(
         prog="infogeo",
         description="Dual coordinates, entropy transforms, and divergences"
                     " for a small zoo of statistical models.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
     for name, (_, help_text, flags) in _COMMANDS.items():
-        commands[name] = p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
-    return parser, commands
+    return parser
 
 
-# Parsing leaves the parsers unchanged, so one set serves every call of
-# main.
-_PARSER, _COMMAND_PARSERS = _build_parser()
+# Parsing leaves the parser unchanged, so one serves every call of main.
+_PARSER = _build_parser()
+
+#: command -> the flags ``_PARSER`` reads from the command alone
+_DEFAULTS = {command: vars(_PARSER.parse_args([command])) for command in _COMMANDS}
 
 
 _NEGATIVE_OK = ("--theta", "--u", "--zeta", "--xi", "--x", "--z", "--tol")
@@ -568,35 +569,51 @@ def _normalize_argv(argv: list[str]) -> list[str]:
     # sign, which argparse would otherwise read as option strings (its
     # negative-number test rejects exponent forms such as -1e-9)
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (tok in _NEGATIVE_OK and i + 1 < len(argv)
-                and argv[i + 1].startswith("-") and not argv[i + 1].startswith("--")):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        if out and out[-1] in _NEGATIVE_OK and tok[:1] == "-" and tok[:2] != "--":
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
     return out
+
+
+def _read_flags(command: str, tokens: list[str]) -> argparse.Namespace | None:
+    """``_PARSER``'s flags for ``[command] + tokens`` (normalized), read from
+    ``_FLAGS``, if each token is ``--name value`` or ``--name=value`` for one
+    of the command's flags, with a plain value among its choices; else None."""
+    own, pairs, rest = _COMMANDS[command][2], [], iter(tokens)
+    for token in rest:
+        name, joined, value = token.partition("=")
+        value = value if joined else next(rest, "-")  # "-" when none is left
+        if (not name.startswith("--") or name not in own or value.startswith("--")
+                or not joined and value.startswith("-")
+                or value not in _FLAGS[name].get("choices", (value,))):
+            return None
+        pairs.append((name[2:].replace("-", "_"), _FLAGS[name], value))
+    # argparse finds a bad abbreviation before it reads any value, and then
+    # applies the types in argv order
+    flags = dict(_DEFAULTS[command])
+    for dest, spec, value in pairs:
+        value = spec.get("type", str)(value)
+        flags[dest] = flags[dest] + [value] if spec.get("action") == "append" else value
+    return argparse.Namespace(**flags)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # The envelope's command is the first non-option token, the one the
     # top-level parser dispatches on (it has no flags that take values).
-    # An argv that starts with a command is parsed by that command's
-    # parser alone; on any other argv the top-level parser prints help or
-    # the version, or raises UsageError, and no handler runs.
     first = next((tok for tok in argv if not tok.startswith("-")), None)
     command = first if first in _COMMANDS else None
     inputs = {}
-    if argv and argv[0] in _COMMAND_PARSERS:
-        parser, rest = _COMMAND_PARSERS[argv[0]], argv[1:]
-    else:
-        parser, rest = _PARSER, argv
     try:
-        args = parser.parse_args(_normalize_argv(rest))
+        tokens = _normalize_argv(argv)
+        # A plain argv led by its command is read from the flag table; on
+        # any other argv argparse reads the flags, prints help or the
+        # version, or raises UsageError before any handler runs.
+        args = _read_flags(command, tokens[1:]) if command and argv[0] == command else None
+        if args is None:
+            args = _PARSER.parse_args(tokens)
         result = _COMMANDS[command][0](args, inputs)
         if result is None:  # a CSV sweep, already written
             return EXIT_OK

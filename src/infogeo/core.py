@@ -240,7 +240,7 @@ def legendre_rows(model: ModelDescriptor, thetas,
         if not result.converged:
             raise ConvergenceError(
                 f"Legendre transform did not converge (best value {result.value!r},"
-                f" gradient norm {result.gradient_norm:.3e})", result=result)
+                f" gradient norm {result.gradient_norm:.3e})")
     return (np.array([r.value for r in outcomes]),
             np.array([r.argmax for r in outcomes]).reshape(thetas.shape))
 
@@ -446,8 +446,7 @@ def metric_tensor(model: ModelDescriptor, theta) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def canonical_check(model: ModelDescriptor, theta,
-                    tol: float | None = None) -> DualPair:
+def canonical_check(model: ModelDescriptor, theta, tol: float = 1e-9) -> DualPair:
     """Evaluate the canonical identity ``Phi - S(U) + theta . U = 0``.
 
     ``Phi``, ``U`` and ``S(U)`` come from :func:`dual_points`, the route
@@ -462,8 +461,6 @@ def canonical_check(model: ModelDescriptor, theta,
     :class:`EvaluationError` when Phi, U or S overflows.
     """
     theta = _as_point(model, theta)
-    if tol is None:
-        tol = 1e-9
     phis, us, ss = _dual_rows(model, theta[None])
     residual = float(canonical_residuals(theta[None], phis, us, ss)[0])
     back, errors = _chart_rows(model, us)

@@ -30,16 +30,9 @@ class EvaluationError(InfoGeoError):
 
 
 class ConvergenceError(InfoGeoError):
-    """An iterative solver stopped before reaching its tolerance.
-
-    The best iterate found is attached as ``result`` when available.
-    """
+    """An iterative solver stopped before reaching its tolerance."""
 
     category = "convergence"
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
 
 
 class DegeneracyError(InfoGeoError):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import configparser
 import functools
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +45,9 @@ class _CanonicalHandle:
     #: Points at which verify compares the numeric Legendre route to the
     #: closed Massieu function.
     legendre_points = 25
+    #: Default tolerance of the moment fit of ``match_moments``, or None
+    #: where the chart is inverted in closed form and reads no tolerance.
+    moment_tol = None
 
     def sample_thetas(self, rng, shape, radius: float = 3.0) -> np.ndarray:
         """Random parameter points ``shape + (n,)``, for an int or tuple
@@ -53,7 +55,7 @@ class _CanonicalHandle:
         call."""
         return rng.uniform(-radius, radius, size=np.append(shape, self.descriptor.n))
 
-    def match_moments(self, u: np.ndarray, tol: float):
+    def match_moments(self, u: np.ndarray, tol: float | None):
         """Parameters matching the moment targets ``u``.
 
         Returns ``(theta, achieved moments, solver iterations, note)``.
@@ -133,6 +135,8 @@ class DiscreteHandle(_CanonicalHandle):
     name: str
     descriptor: ModelDescriptor
     family: discrete.DiscreteFamily
+
+    moment_tol = 1e-12
 
     @property
     def x_size(self) -> int:
@@ -232,10 +236,6 @@ def canonical_instances() -> dict[str, ModelHandle]:
 
 
 @functools.cache
-def _built(name: str) -> ModelHandle:
-    return _BUILTINS[name]()
-
-
 def get_model(name: str) -> ModelHandle:
     """The handle of a built-in name.  Raises KeyError for unknown names.
 
@@ -245,7 +245,7 @@ def get_model(name: str) -> ModelHandle:
     """
     if name not in _BUILTINS:
         raise KeyError(f"unknown model {name!r}; known: {', '.join(BUILTIN_NAMES)}")
-    return _built(name)
+    return _BUILTINS[name]()
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -292,8 +292,6 @@ def load_config(path: str) -> ModelHandle:
     take no settings.  Any other key of [model] or of the type's section
     is refused; [DEFAULT] keys are not.
     """
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)

@@ -1,6 +1,7 @@
 """Command-line contract: JSON result envelopes, exit codes, sweep
 output, configuration files, and the model registry behind them."""
 
+import argparse
 import dataclasses
 import importlib
 import io
@@ -555,6 +556,9 @@ def test_usage_errors_exit_two(capsys):
         ("pythagoras", "--model", "qubit", "--theta", "0.1,0,0", "--zeta", "0,0.2,0",
          "--xi", "0,0,0.3", "--tol", "1e-300"),
         ("maxent", "--model", "sphere", "--x", "1,2,3", "--tol", "1"),
+        # a closed chart is inverted in closed form and reads no tolerance
+        ("maxent", "--model", "qubit", "--u", "0.1,0,0", "--tol", "1"),
+        ("maxent", "--model", "coherent", "--u", "0.1,0", "--tol", "1e-9"),
         ("massieu", "--config", ".", "--theta", "0,0,0"),       # a directory
         ("verify", "numerics", "--model", "regression"),        # two targets
         ("verify", "all", "--config", "model.ini"),
@@ -616,6 +620,25 @@ def test_negative_tol_is_a_usage_error(capsys, args):
         assert strict_json(capsys.readouterr().out)["status"] != "error:usage"
 
 
+@pytest.mark.parametrize("args, status", [
+    (("massieu", "--model", "qubit", "--theta", "1,0,0"), "ok"),
+    (("maxent", "--model", "discrete3", "--u", "1.2"), "ok"),
+    (("pythagoras", "--model", "qubit", "--theta", "0,0,0", "--zeta", "1,0,0",
+      "--x", "0,0,0"), "ok"),
+    # an error envelope keeps the tolerance read before the error
+    (("maxent", "--model", "discrete3", "--u", "2.5"), "error:domain"),
+    # the README triple misses the projection by 5.8e-12
+    (("pythagoras", "--model", "qubit", "--x=-0.76159415595,0,0", "--theta", "1,0,0",
+      "--zeta", "0.2,-0.4,0.3"), "error:constraint"),
+])
+def test_a_given_tol_is_recorded_in_inputs(capsys, args, status):
+    cli.main(list(args))
+    assert "tol" not in strict_json(capsys.readouterr().out)["inputs"]
+    cli.main([*args, "--tol", "1e-12"])
+    env = strict_json(capsys.readouterr().out)
+    assert (env["status"], env["inputs"]["tol"]) == (status, 1e-12)
+
+
 def test_sweep_grid_cap_is_checked_before_the_axes_are_built(capsys):
     # an axis of 10**15 points would not fit in memory
     code = cli.main(["sweep", "--model", "qubit", "--grid", "1=0:1:1000000000000000",
@@ -669,8 +692,10 @@ def test_subcommands_take_the_same_flags():
         "sweep": common | {"--grid", "--quantities", "--format"},
         "verify": common,
     }
+    [commands] = [action.choices for action in cli._PARSER._actions
+                  if isinstance(action, argparse._SubParsersAction)]
     got = {name: {s for action in parser._actions for s in action.option_strings}
-           for name, parser in cli._COMMAND_PARSERS.items()}
+           for name, parser in commands.items()}
     assert got == expected
 
 

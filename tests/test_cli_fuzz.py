@@ -1,11 +1,13 @@
 """Argv fuzzing of ``cli.main``: every argv gets exactly one envelope, and
-a command's own parser reads its argv as the top-level parser would.
+the flag-table read of a command's argv agrees with the argparse parser.
 
 The argvs are drawn from the command and flag tables, with unknown flags,
 flags of other commands, and values that are empty, negative, huge or
-not finite.  Left out, as the ``cli`` module documents: ``--help`` and
-``--version``, which print text, and CSV sweeps, which print a table.
-``verify`` runs only its quick suites, and sweep grids stay small.
+not finite.  Left out of the envelope property, as the ``cli`` module
+documents: ``--help`` and ``--version``, which print text, and CSV
+sweeps, which print a table.  ``verify`` runs only its quick suites, and
+sweep grids stay small.  The parse properties add abbreviations, help,
+``--``, bare negative numbers and values joined to their flag.
 """
 
 import contextlib
@@ -56,8 +58,18 @@ def vectors(size):
     return count.flatmap(lambda k: st.lists(NUMBER, min_size=k, max_size=k)).map(",".join)
 
 
+#: what the flag-table read leaves to argparse, and negative numbers that
+#: the join of :func:`cli._normalize_argv` may or may not reach
+PARSE_NOISE = st.one_of(
+    NOISE,
+    st.sampled_from([["--mod", "qubit"], ["--t", "1"], ["--th", "1,0,0"], ["--x-f", "."],
+                     ["--qua=phi"], ["--form", "object"], ["--versio"], ["-h"],
+                     ["--help"], ["--"], ["-1"], ["-1e-9"], ["-0.5,1"], ["--", "-1"]]),
+    st.tuples(ANY_FLAG, st.one_of(NUMBER, st.just("--"))).map(lambda t: ["=".join(t)]))
+
+
 @st.composite
-def argvs(draw):
+def argvs(draw, noise=NOISE):
     command = draw(st.sampled_from(list(cli._COMMANDS) + ["frobnicate", None]))
     model = draw(st.sampled_from(BUILTIN_NAMES))
     n, x_size = SIZES[model]
@@ -68,8 +80,8 @@ def argvs(draw):
     for flag in [f for f in own if draw(st.booleans())]:
         size = {"--x": x_size, "--z": 2}.get(flag, n)
         argv += [flag, draw(VALUES.get(flag, vectors(size)))]
-    for noise in draw(st.one_of(st.just([]), st.lists(NOISE, max_size=2))):
-        argv += noise
+    for extra in draw(st.one_of(st.just([]), st.lists(noise, max_size=2))):
+        argv += extra
     if command == "sweep":
         argv += ["--format", "object"]  # the last --format wins
     if command == "verify":
@@ -95,26 +107,34 @@ def test_every_argv_gets_one_strict_json_envelope(argv):
     assert (code == 0) == (env["status"] == "ok")
 
 
-# ------------------------------------------------------------ dispatch
+# ------------------------------------------------------------ flag read
 #
-# main hands an argv that starts with a command to that command's own
-# parser, and any other argv to the top-level parser.  Both must read an
-# argv the way the top-level parser alone would.
+# main reads a command-led argv from the flag table, and leaves it to the
+# argparse parser when some token is not a plain flag of the command.
+# Where the table read gives flags or raises, it must agree with argparse.
 
-def _parse(parser, argv):
-    """``parser``'s flags for ``argv`` without ``command``, or its usage
-    error message."""
+def _parse(argv):
+    """``_PARSER``'s flags for ``argv``, its usage error message, or the
+    exit code of its help or version."""
     try:
-        args = vars(parser.parse_args(cli._normalize_argv(argv)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            return "flags", vars(cli._PARSER.parse_args(cli._normalize_argv(argv)))
     except cli.UsageError as exc:
         return "usage error", str(exc)
-    args.pop("command", None)
-    return "flags", args
+    except SystemExit as exc:
+        return "exit", exc.code
 
 
-def assert_dispatch_equivalent(argv):
-    own = _parse(cli._COMMAND_PARSERS[argv[0]], argv[1:])
-    assert own == _parse(cli._PARSER, argv)
+def assert_table_read_agrees(argv):
+    """The table read of ``argv`` gives ``_PARSER``'s flags, raises its usage
+    error, or leaves the argv to it."""
+    try:
+        args = cli._read_flags(argv[0], cli._normalize_argv(argv)[1:])
+    except cli.UsageError as exc:
+        assert _parse(argv) == ("usage error", str(exc))
+        return
+    if args is not None:
+        assert _parse(argv) == ("flags", vars(args))
 
 
 @pytest.mark.parametrize("argv", [
@@ -132,14 +152,34 @@ def assert_dispatch_equivalent(argv):
     ["massieu"],
 ])
 def test_a_command_parses_on_its_parser_as_on_the_top_level(argv):
-    assert_dispatch_equivalent(argv)
+    assert_table_read_agrees(argv)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
-@given(argvs().filter(lambda argv: argv[:1] and argv[0] in cli._COMMANDS))
+@given(argvs(PARSE_NOISE).filter(lambda argv: argv[:1] and argv[0] in cli._COMMANDS))
 def test_generated_commands_parse_on_their_parser_as_on_the_top_level(argv):
-    assert_dispatch_equivalent(argv)
+    assert_table_read_agrees(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["massieu", "--model", "qubit", "--theta", "-1,0,0", "--tol", "1e-9"],
+    ["maxent", "--model", "discrete3", "--u=1.2", "--tol", "0"],
+    ["divergence", "--model", "qubit", "--x", "-0.5,0,0", "--theta", "1,0,0"],
+    ["pythagoras", "--model", "discrete2", "--x", "0.5,0.5", "--theta", "0",
+     "--zeta", "-1e-1", "--tol", "1e-9"],
+    ["sweep", "--model", "qubit", "--grid", "1=-1:1:3", "--grid=2=0:1:2",
+     "--quantities", "phi", "--format", "object"],
+    ["verify", "--model", "sphere"],
+])
+def test_a_plain_argv_runs_without_argparse(argv, monkeypatch, capsys):
+    def parse_args(*args, **kwargs):
+        raise AssertionError("argparse parsed a plain argv")
+
+    # every parser of the CLI is a cli._Parser
+    monkeypatch.setattr(cli._Parser, "parse_args", parse_args)
+    assert cli.main(argv) == 0
+    assert strict_json(capsys.readouterr().out)["status"] == "ok"
 
 
 @st.composite
