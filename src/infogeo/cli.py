@@ -6,16 +6,16 @@ Every argv gets exactly one JSON object (the result envelope) on stdout:
 every envelope.  A command handler records each input in ``inputs`` as
 it parses it, so an error envelope keeps the inputs parsed before the
 error.  Flag errors (an unknown flag or command, a bad flag value, a
-number that is not finite, a negative ``--tol``, no command) end as
-``"error:usage"``, with ``command`` null unless the first non-option
-token of argv names a known command.  An argv of a command and its own
-flags (``--name value``, ``--name=value``) is read from ``_FLAGS``;
-argparse reads any other argv, and words all help and flag errors.  The
-exceptions to the one envelope are ``--help`` and ``--version``, which
-print text, and ``sweep`` in CSV format, which streams a CSV table
-instead: its rows are evaluated one chunk of grid points at a time and
-written one row per ``write``, so each row leaves as soon as it is
-formatted.  Progress, warnings and error messages go to stderr.
+number that is not finite, no command) end as ``"error:usage"``, with
+``command`` null unless the first non-option token of argv names a known
+command.  An argv of a command and its own flags (``--name value``,
+``--name=value``) is read from ``_FLAGS``; argparse reads any other
+argv, and words all help and flag errors.  The exceptions to the one
+envelope are ``--help`` and ``--version``, which print text, and
+``sweep``, which streams a CSV table instead: its rows are evaluated
+one chunk of grid points at a time and written one row per ``write``,
+so each row leaves as soon as it is formatted.  Progress, warnings and
+error messages go to stderr.
 
 ``verify`` takes one target: the positional ``TARGET`` (``all``, the
 default, ``numerics`` or a model name), ``--model NAME`` or ``--config
@@ -85,22 +85,6 @@ def _parse_floats(text: str, flag: str, expect: int | None = None) -> np.ndarray
     if not values:
         raise UsageError(f"{flag} is empty")
     return np.array(values)
-
-
-def _tolerance(text: str) -> float:
-    """The type of ``--tol``: one finite number, at least 0 (0 asks for an
-    exact match; no comparison passes a negative bound)."""
-    tol = float(_parse_floats(text, "--tol", 1)[0])
-    if tol < 0.0:
-        raise UsageError(f"--tol must be at least 0, got {text!r}")
-    return tol
-
-
-def _tol(args, inputs: dict, default: float | None) -> float | None:
-    """``--tol``, recorded as ``inputs["tol"]``, or ``default`` if not given."""
-    if args.tol is not None:
-        inputs["tol"] = args.tol
-    return default if args.tol is None else args.tol
 
 
 def _point(args, name: str, inputs: dict, n: int) -> np.ndarray:
@@ -199,14 +183,15 @@ def _model_point(args, model: core.ModelDescriptor, inputs: dict) -> np.ndarray:
 # ------------------------------------------------------------- commands
 #
 # A handler takes the parsed flags and the ``inputs`` dict it fills, and
-# returns ``(outputs, diagnostics, status)`` for ``main`` to write.
+# returns ``(outputs, diagnostics, status)`` for ``main`` to write, or
+# None when it wrote its output itself (``sweep``).
 
 def _cmd_massieu(args, inputs: dict):
     handle, model = _canonical_model(args, inputs, "massieu")
     if args.theta is None:
         raise UsageError("massieu needs --theta")
     theta = _point(args, "theta", inputs, model.n)
-    pair = core.canonical_check(model, theta, tol=_tol(args, inputs, 1e-9))
+    pair = core.canonical_check(model, theta)
     outputs = {
         "massieu": pair.massieu,
         "u": list(pair.u),
@@ -222,9 +207,6 @@ def _cmd_massieu(args, inputs: dict):
 
 def _cmd_maxent(args, inputs: dict):
     handle = _resolve_model(args, inputs)
-    # a summary model or a closed chart reads no tolerance
-    if args.tol is not None and (handle.descriptor is None or handle.moment_tol is None):
-        raise UsageError(f"{handle.name} maxent runs no solver, so it takes no --tol")
     if handle.descriptor is None:
         outputs, diagnostics = handle.best_fit(_parse_dataset(args, handle, inputs)())
         return outputs, diagnostics, "ok"
@@ -232,8 +214,7 @@ def _cmd_maxent(args, inputs: dict):
     if args.u is None:
         raise UsageError("maxent needs the moment targets --u")
     u = _point(args, "u", inputs, handle.descriptor.n)
-    theta, achieved, iterations, note = handle.match_moments(
-        u, _tol(args, inputs, handle.moment_tol))
+    theta, achieved, iterations, note = handle.match_moments(u)
     outputs = {"theta": list(theta), "achieved": list(achieved),
                "iterations": iterations}
     diagnostics = {"residual": float(np.max(np.abs(achieved - u))), "note": note}
@@ -290,8 +271,7 @@ def _cmd_pythagoras(args, inputs: dict):
         if args.xi is not None:
             raise UsageError("give either data or --xi, not both")
         x = _parse_dataset(args, handle, inputs)()
-        report = core.pythagoras_data(model, x, theta, zeta,
-                                      compliance_tol=_tol(args, inputs, 1e-9))
+        report = core.pythagoras_data(model, x, theta, zeta)
         outputs = {
             "mode": "data",
             "divergence_data_first": report.first,
@@ -304,8 +284,6 @@ def _cmd_pythagoras(args, inputs: dict):
     if args.xi is None:
         raise UsageError("pythagoras needs either data (--x/--z/--x-file)"
                          " or a third model point --xi")
-    if args.tol is not None:
-        raise UsageError("give --tol with data only, not with --xi")
     xi = _point(args, "xi", inputs, model.n)
     report = core.pythagoras_models(model, theta, zeta, xi)
     outputs = {
@@ -361,13 +339,14 @@ def _parse_grid(specs, n: int) -> list[np.ndarray]:
 
 
 def _sweep_columns(model, thetas: np.ndarray, quantities: list[str]) -> list[np.ndarray]:
-    """The ``quantities`` columns at a chunk of grid points ``thetas``."""
+    """The ``quantities`` columns at a chunk of grid points ``thetas``;
+    a column no quantity names is not computed."""
     phi, u, s = core.dual_points(model, thetas)
-    columns = {"phi": phi, "entropy": s,
-               "residual": core.canonical_residuals(thetas, phi, u, s),
-               "unorm": row_norm(u)}
-    columns.update((f"u{j + 1}", u[:, j]) for j in range(model.n))
-    return [columns[q] for q in quantities]
+    columns = {"phi": lambda: phi, "entropy": lambda: s,
+               "residual": lambda: core.canonical_residuals(thetas, phi, u, s),
+               "unorm": lambda: row_norm(u)}
+    # the other names are the moments u1..un
+    return [columns[q]() if q in columns else u[:, int(q[1:]) - 1] for q in quantities]
 
 
 def _axis_labels(ax: np.ndarray, runs: np.ndarray) -> list[str]:
@@ -382,7 +361,7 @@ def _axis_labels(ax: np.ndarray, runs: np.ndarray) -> list[str]:
 
 
 def _cmd_sweep(args, inputs: dict):
-    """Streams the CSV table and returns None, or returns the rows."""
+    """Streams the CSV table and returns None."""
     _, model = _canonical_model(args, inputs, "sweep")
     axes = _parse_grid(args.grid, model.n)
     inputs["grid"] = list(args.grid)
@@ -399,10 +378,8 @@ def _cmd_sweep(args, inputs: dict):
     inputs["quantities"] = quantities
 
     header = [f"theta{j + 1}" for j in range(model.n)] + quantities
-    csv = args.format == "csv"
     write = sys.stdout.write
-    if csv:
-        write(",".join(header) + "\n")
+    write(",".join(header) + "\n")
     # "%.12g" % x has the bytes of format(x, ".12g"); the axis labels come
     # formatted, so they go in as strings
     line = "%s," * model.n + ",".join(["%.12g"] * len(quantities)) + "\n"
@@ -411,23 +388,17 @@ def _cmd_sweep(args, inputs: dict):
     # Row-major order: the first axis varies slowest, so row r sits at run
     # r // stride of each axis, taken cyclically.
     strides = [math.prod(shape[k + 1:]) for k in range(model.n)]
-    rows = []
     for start in range(0, total, _SWEEP_CHUNK):
         flat = np.arange(start, min(start + _SWEEP_CHUNK, total))
         runs = [flat // stride for stride in strides]
         thetas = np.column_stack([ax[r % ax.size] for ax, r in zip(axes, runs)])
         columns = _sweep_columns(model, thetas, quantities)
-        if not csv:
-            rows.extend(np.column_stack([thetas] + columns).tolist())
-            continue
         labels = [_axis_labels(ax, r) for ax, r in zip(axes, runs)]
         for values in zip(*labels, *(c.tolist() for c in columns)):
             write(line % values)  # one write per row, so each row leaves at once
 
-    if csv:
-        print(f"sweep: {total} rows", file=sys.stderr)
-        return None
-    return {"header": header, "rows": rows, "count": len(rows)}, {}, "ok"
+    print(f"sweep: {total} rows", file=sys.stderr)
+    return None
 
 
 def _cmd_verify(args, inputs: dict):
@@ -490,7 +461,6 @@ def _cmd_verify(args, inputs: dict):
 _FLAGS = {
     "--model": {"help": "built-in model name"},
     "--config": {"help": "INI file describing a model"},
-    "--tol": {"type": _tolerance, "help": "tolerance override for the underlying solver"},
     "--theta": {"help": "model parameters, comma-separated"},
     "--u": {"help": "moment coordinates, comma-separated"},
     "--zeta": {"help": "second model point"},
@@ -505,7 +475,6 @@ _FLAGS = {
                        " are pinned at 0"},
     "--quantities": {"help": "comma-separated: phi, entropy, residual, unorm,"
                              " u1..un"},
-    "--format": {"choices": ("csv", "object"), "default": "csv"},
     "target": {"nargs": "?", "help": "'all' (default), 'numerics' or a model name"},
 }
 
@@ -513,20 +482,20 @@ _FLAGS = {
 _COMMANDS = {
     "massieu": (_cmd_massieu, "log-normalizer, moments, entropy, and the"
                               " canonical residual at theta",
-                ("--model", "--config", "--tol", "--theta")),
+                ("--model", "--config", "--theta")),
     "maxent": (_cmd_maxent, "model point matching moment targets (or the best"
                             " fit for summary models)",
-               ("--model", "--config", "--tol", "--u", "--x", "--data")),
+               ("--model", "--config", "--u", "--x", "--data")),
     "divergence": (_cmd_divergence, "divergence of data or a model point from a"
                                     " model point",
                    ("--model", "--config", "--theta", "--u", "--zeta", "--x", "--z",
                     "--x-file")),
     "pythagoras": (_cmd_pythagoras, "three-point divergence identity (data or"
                                     " model triple)",
-                   ("--model", "--config", "--tol", "--theta", "--zeta", "--xi",
-                    "--x", "--z", "--x-file")),
+                   ("--model", "--config", "--theta", "--zeta", "--xi", "--x", "--z",
+                    "--x-file")),
     "sweep": (_cmd_sweep, "tabulate quantities over a parameter grid",
-              ("--model", "--config", "--grid", "--quantities", "--format")),
+              ("--model", "--config", "--grid", "--quantities")),
     "verify": (_cmd_verify, "run the property suites",
                ("target", "--model", "--config")),
 }
@@ -561,7 +530,7 @@ _PARSER = _build_parser()
 _DEFAULTS = {command: vars(_PARSER.parse_args([command])) for command in _COMMANDS}
 
 
-_NEGATIVE_OK = ("--theta", "--u", "--zeta", "--xi", "--x", "--z", "--tol")
+_NEGATIVE_OK = ("--theta", "--u", "--zeta", "--xi", "--x", "--z")
 
 
 def _normalize_argv(argv: list[str]) -> list[str]:
@@ -579,23 +548,20 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 def _read_flags(command: str, tokens: list[str]) -> argparse.Namespace | None:
     """``_PARSER``'s flags for ``[command] + tokens`` (normalized), read from
-    ``_FLAGS``, if each token is ``--name value`` or ``--name=value`` for one
-    of the command's flags, with a plain value among its choices; else None."""
-    own, pairs, rest = _COMMANDS[command][2], [], iter(tokens)
+    ``_FLAGS`` in one pass, if each token is ``--name value`` or
+    ``--name=value`` for one of the command's flags, with a plain value;
+    else None.  Every flag value is the string argv gives, which the
+    command's handler parses."""
+    own, flags, rest = _COMMANDS[command][2], dict(_DEFAULTS[command]), iter(tokens)
     for token in rest:
         name, joined, value = token.partition("=")
         value = value if joined else next(rest, "-")  # "-" when none is left
         if (not name.startswith("--") or name not in own or value.startswith("--")
-                or not joined and value.startswith("-")
-                or value not in _FLAGS[name].get("choices", (value,))):
+                or not joined and value.startswith("-")):
             return None
-        pairs.append((name[2:].replace("-", "_"), _FLAGS[name], value))
-    # argparse finds a bad abbreviation before it reads any value, and then
-    # applies the types in argv order
-    flags = dict(_DEFAULTS[command])
-    for dest, spec, value in pairs:
-        value = spec.get("type", str)(value)
-        flags[dest] = flags[dest] + [value] if spec.get("action") == "append" else value
+        dest = name[2:].replace("-", "_")
+        append = _FLAGS[name].get("action") == "append"
+        flags[dest] = flags[dest] + [value] if append else value
     return argparse.Namespace(**flags)
 
 
@@ -615,7 +581,7 @@ def main(argv=None) -> int:
         if args is None:
             args = _PARSER.parse_args(tokens)
         result = _COMMANDS[command][0](args, inputs)
-        if result is None:  # a CSV sweep, already written
+        if result is None:  # a sweep, its CSV already written
             return EXIT_OK
         outputs, diagnostics, status = result
         sys.stdout.write(_envelope(command, inputs, outputs, diagnostics, status))

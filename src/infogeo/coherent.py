@@ -68,7 +68,7 @@ def annihilate(psi) -> np.ndarray:
     return out
 
 
-def coherent_state(z, nmax: int = 64):
+def coherent_state(z, nmax: int):
     """Coherent state ``|z>`` truncated at ``nmax`` and renormalized, or
     the coefficient rows (k, nmax + 1) of the states at the amplitudes
     ``z`` (k,); row i has the bits of the one-state call at ``z[i]``.

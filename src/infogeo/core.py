@@ -67,6 +67,11 @@ _LEGENDRE_TOL = 1e-9
 #: metric, still read as rounding, not degeneracy.
 _DEGENERACY_TOL = 1e-8
 
+#: Largest canonical residual that :func:`canonical_check` accepts, and
+#: largest answer mismatch with which :func:`pythagoras_data` reads a data
+#: set as projecting onto its model point.
+_IDENTITY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ModelDescriptor:
@@ -446,7 +451,7 @@ def metric_tensor(model: ModelDescriptor, theta) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def canonical_check(model: ModelDescriptor, theta, tol: float = 1e-9) -> DualPair:
+def canonical_check(model: ModelDescriptor, theta) -> DualPair:
     """Evaluate the canonical identity ``Phi - S(U) + theta . U = 0``.
 
     ``Phi``, ``U`` and ``S(U)`` come from :func:`dual_points`, the route
@@ -455,9 +460,8 @@ def canonical_check(model: ModelDescriptor, theta, tol: float = 1e-9) -> DualPai
     the chart inversion of :func:`u_to_theta_rows` against ``theta`` and
     reports the max-abs error, or None when the chart refuses ``U`` (a
     saturated chart, e.g. the qubit at ``|theta| >~ 19``, where
-    ``tanh|theta|`` rounds to 1).  The
-    default tolerance is 1e-9.  Raises :class:`CanonicalityError` (with
-    the pair attached) when the residual exceeds the tolerance, and
+    ``tanh|theta|`` rounds to 1).  Raises :class:`CanonicalityError`
+    (with the pair attached) when the residual exceeds 1e-9, and
     :class:`EvaluationError` when Phi, U or S overflows.
     """
     theta = _as_point(model, theta)
@@ -472,9 +476,10 @@ def canonical_check(model: ModelDescriptor, theta, tol: float = 1e-9) -> DualPai
         roundtrip = float(np.max(np.abs(back[0] - theta))) if model.n else 0.0
     pair = DualPair(theta=theta, u=us[0], massieu=float(phis[0]), entropy=float(ss[0]),
                     residual=residual, roundtrip_error=roundtrip)
-    if residual > tol:
+    if residual > _IDENTITY_TOL:
         raise CanonicalityError(
-            f"canonical identity residual {residual:.3e} exceeds {tol:.1e}", pair=pair)
+            f"canonical identity residual {residual:.3e} exceeds {_IDENTITY_TOL:.1e}",
+            pair=pair)
     return pair
 
 
@@ -583,12 +588,11 @@ def divergence_def5(model: ModelDescriptor, x, u_of_m,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def pythagoras_data(model: ModelDescriptor, x, theta, zeta,
-                    compliance_tol: float = 1e-9) -> PythagorasReport:
+def pythagoras_data(model: ModelDescriptor, x, theta, zeta) -> PythagorasReport:
     """The data-model-model Pythagorean identity.
 
     Preconditions: ``x`` projects onto ``m_theta``, i.e. its answers
-    equal ``theta_to_u(theta)`` within ``compliance_tol`` (otherwise a
+    equal ``theta_to_u(theta)`` within 1e-9 (otherwise a
     :class:`ConstraintError` reports the mismatch).  The report holds
     ``D(x||m_theta)``, ``D(m_theta||m_zeta)``, ``D(x||m_zeta)`` and the
     residual ``|D(x||m_theta) + D(m_theta||m_zeta) - D(x||m_zeta)|``;
@@ -606,9 +610,9 @@ def pythagoras_data(model: ModelDescriptor, x, theta, zeta,
     answers, s_x = _answers(model, np.asarray(x)[None] if single else x, k)
     phi, u, _ = _dual_rows(model, np.concatenate([thetas, zetas]))
     mismatch = np.max(np.abs(answers - u[:k]), axis=1, initial=0.0)
-    raise_first((mismatch > compliance_tol, lambda i: ConstraintError(
+    raise_first((mismatch > _IDENTITY_TOL, lambda i: ConstraintError(
         f"data set does not project onto m_theta: max answer mismatch"
-        f" {mismatch[i]:.3e} exceeds {compliance_tol:.1e}")))
+        f" {mismatch[i]:.3e} exceeds {_IDENTITY_TOL:.1e}")))
     model_step = _divergences(phi[:k], phi[k:], thetas, zetas, u[:k])[0]
     d_x_theta = phi[:k] - s_x + row_dot(thetas, answers)
     d_x_zeta = phi[k:] - s_x + row_dot(zetas, answers)

@@ -45,9 +45,6 @@ class _CanonicalHandle:
     #: Points at which verify compares the numeric Legendre route to the
     #: closed Massieu function.
     legendre_points = 25
-    #: Default tolerance of the moment fit of ``match_moments``, or None
-    #: where the chart is inverted in closed form and reads no tolerance.
-    moment_tol = None
 
     def sample_thetas(self, rng, shape, radius: float = 3.0) -> np.ndarray:
         """Random parameter points ``shape + (n,)``, for an int or tuple
@@ -55,7 +52,7 @@ class _CanonicalHandle:
         call."""
         return rng.uniform(-radius, radius, size=np.append(shape, self.descriptor.n))
 
-    def match_moments(self, u: np.ndarray, tol: float | None):
+    def match_moments(self, u: np.ndarray):
         """Parameters matching the moment targets ``u``.
 
         Returns ``(theta, achieved moments, solver iterations, note)``.
@@ -136,18 +133,16 @@ class DiscreteHandle(_CanonicalHandle):
     descriptor: ModelDescriptor
     family: discrete.DiscreteFamily
 
-    moment_tol = 1e-12
-
     @property
     def x_size(self) -> int:
         return self.family.alphabet_size
 
-    def match_moments(self, u: np.ndarray, tol: float):
+    def match_moments(self, u: np.ndarray):
         # A target outside the closed moment region gets the error that the
         # chart of divergence --u gives it; one on its edge may still fit.
         if self.family.outside(u):
             raise DomainError(f"energy point {u.tolist()} is outside the model domain")
-        theta, iterations = discrete.maxent_fit_report(self.family, u, tol=tol)
+        theta, iterations = discrete.maxent_fit_report(self.family, u)
         achieved = self.family.hamiltonians @ discrete.boltzmann_gibbs(self.family, theta)
         return theta, achieved, iterations, "damped Newton on the dual objective"
 

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import close7, envelope, run_cli, strict_json, write_state
 
-from infogeo import (BUILTIN_NAMES, __version__, canonical_instances, cli, errors,
+from infogeo import (BUILTIN_NAMES, __version__, canonical_instances, cli, core, errors,
                      get_model, numerics, verify)
 from infogeo.discrete import boltzmann_gibbs
 from infogeo.registry import (CoherentHandle, DiscreteHandle, QubitHandle, discrete_instance,
@@ -390,14 +390,10 @@ def test_pythagoras_data_mode_compliant_triple():
     assert proc.returncode == 0
     assert env["outputs"]["residual"] <= 1e-9
 
-    # The README triple misses the projection by ~6e-12: within the
-    # default 1e-9, but --tol 0 demands an exact match.
+    # The README triple misses the projection by ~6e-12, within 1e-9.
     triple = ("--x", "-0.76159415595,0,0", "--theta", "1,0,0",
               "--zeta", "0.2,-0.4,0.3")
     assert run_cli("pythagoras", "--model", "qubit", *triple).returncode == 0
-    proc = run_cli("pythagoras", "--model", "qubit", *triple, "--tol", "0")
-    assert proc.returncode == 3
-    assert envelope(proc)["status"] == "error:constraint"
 
 
 # ----------------------------------------------------------------- sweep
@@ -417,25 +413,46 @@ def test_sweep_csv_contract():
     assert "sweep: 41 rows" in proc.stderr
 
 
-def test_sweep_object_format_and_row_order():
-    proc = run_cli("sweep", "--model", "coherent", "--grid", "1=0:1:3",
-                   "--grid", "2=0:1:2", "--quantities", "phi",
-                   "--format", "object")
-    env = envelope(proc)
-    out = env["outputs"]
-    assert out["count"] == 6
-    assert out["header"] == ["theta1", "theta2", "phi"]
-    # Row-major: the first axis varies slowest.
-    firsts = [row[0] for row in out["rows"]]
-    assert firsts == [0.0, 0.0, 0.5, 0.5, 1.0, 1.0]
-    seconds = [row[1] for row in out["rows"]]
-    assert seconds == [0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
-
-
 def _sweep(capsys, *args):
     code = cli.main(["sweep", *args])
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def _grid_rows(model, grid, quantities):
+    """The rows ``(theta, quantities)`` of a sweep of ``model`` over the
+    ``--grid`` specs, in row-major order, from one ``core.dual_points``
+    call on the whole grid."""
+    desc = get_model(model).descriptor
+    axes = [np.zeros(1)] * desc.n
+    for spec in grid:
+        axis, bounds = spec.split("=")
+        start, stop, count = bounds.split(":")
+        axes[int(axis) - 1] = np.linspace(float(start), float(stop), int(count))
+    thetas = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, desc.n)
+    phi, u, s = core.dual_points(desc, thetas)
+    columns = {"phi": phi, "entropy": s, "unorm": numerics.row_norm(u),
+               "residual": core.canonical_residuals(thetas, phi, u, s)}
+    columns.update((f"u{j + 1}", u[:, j]) for j in range(desc.n))
+    return np.column_stack([thetas] + [columns[q] for q in quantities]).tolist()
+
+
+def _csv_lines(rows):
+    return [",".join(f"{v:.12g}" for v in row) for row in rows]
+
+
+def test_sweep_object_format_and_row_order(capsys):
+    grid = ["1=0:1:3", "2=0:1:2"]
+    code, out, _ = _sweep(capsys, "--model", "coherent", "--grid", grid[0],
+                          "--grid", grid[1], "--quantities", "phi")
+    assert code == 0
+    header, *lines = out.splitlines()
+    assert header == "theta1,theta2,phi"
+    rows = [[float(v) for v in line.split(",")] for line in lines]
+    # Row-major: the first axis varies slowest.
+    assert [row[0] for row in rows] == [0.0, 0.0, 0.5, 0.5, 1.0, 1.0]
+    assert [row[1] for row in rows] == [0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
+    assert lines == _csv_lines(_grid_rows("coherent", grid, ["phi"]))
 
 
 _CHUNK_ROWS = [pytest.param("discrete3", [f"1=-3:2:{count}"], "u1,residual,phi,entropy",
@@ -460,15 +477,12 @@ def test_sweep_csv_streams_object_rows_across_chunks(capsys, model, grid, quanti
     assert code == 0
     lines = out.splitlines()
     n = get_model(model).descriptor.n
-    assert lines[0] == ",".join([f"theta{j + 1}" for j in range(n)]
-                                + sorted(quantities.split(",")))
-    code, out, _ = _sweep(capsys, *args, "--format", "object")
-    env = strict_json(out)
-    count = env["outputs"]["count"]
-    assert code == 0 and count == len(lines) - 1 and count > 0
-    assert err.strip() == f"sweep: {count} rows"
-    assert lines[1:] == [",".join(f"{v:.12g}" for v in row)
-                         for row in env["outputs"]["rows"]]
+    names = sorted(quantities.split(","))
+    assert lines[0] == ",".join([f"theta{j + 1}" for j in range(n)] + names)
+    # chunk by chunk, the rows of one dual_points call on the whole grid
+    rows = _grid_rows(model, grid, names)
+    assert err.strip() == f"sweep: {len(rows)} rows"
+    assert lines[1:] == _csv_lines(rows)
 
 
 class _CountingStream(io.StringIO):
@@ -496,10 +510,12 @@ def test_sweep_writes_each_csv_row_in_one_call(monkeypatch):
 
 def test_sweep_member_entropy_at_saturated_points(capsys):
     code, out, _ = _sweep(capsys, "--model", "discrete2", "--grid", "1=-40:40:9",
-                          "--quantities", "phi,entropy,residual", "--format", "object")
+                          "--quantities", "phi,entropy,residual")
     assert code == 0
+    rows = _grid_rows("discrete2", ["1=-40:40:9"], ["entropy", "phi", "residual"])
+    assert out.splitlines()[1:] == _csv_lines(rows)
     family = get_model("discrete2").family
-    for theta, entropy, phi, residual in strict_json(out)["outputs"]["rows"]:
+    for theta, entropy, phi, residual in rows:
         p = boltzmann_gibbs(family, [theta])
         p = p[p > 0.0]
         assert residual <= 1e-12
@@ -511,12 +527,14 @@ def test_massieu_and_sweep_agree_at_saturated_point(capsys):
     member entropy and the residual agree where the chart saturates."""
     env = envelope(run_cli("massieu", "--model", "discrete3", "--theta", "40"))
     code, out, _ = _sweep(capsys, "--model", "discrete3", "--grid", "1=40:40:1",
-                          "--quantities", "entropy,residual", "--format", "object")
+                          "--quantities", "entropy,residual")
     assert code == 0
-    [[theta, entropy, residual]] = strict_json(out)["outputs"]["rows"]
+    rows = _grid_rows("discrete3", ["1=40:40:1"], ["entropy", "residual"])
+    [[theta, entropy, residual]] = rows
     assert theta == 40.0
     assert env["outputs"]["entropy"] == entropy
     assert env["outputs"]["canonical_residual"] == residual
+    assert out.splitlines()[1:] == _csv_lines(rows)
 
 
 # ------------------------------------------------------------ exit codes
@@ -553,12 +571,6 @@ def test_usage_errors_exit_two(capsys):
          "--zeta", "0,0,0"),
         ("divergence", "--model", "qubit", "--theta", "1,2,3", "--zeta", "0,0,0",
          "--u", "0.1,0,0"),
-        ("pythagoras", "--model", "qubit", "--theta", "0.1,0,0", "--zeta", "0,0.2,0",
-         "--xi", "0,0,0.3", "--tol", "1e-300"),
-        ("maxent", "--model", "sphere", "--x", "1,2,3", "--tol", "1"),
-        # a closed chart is inverted in closed form and reads no tolerance
-        ("maxent", "--model", "qubit", "--u", "0.1,0,0", "--tol", "1"),
-        ("maxent", "--model", "coherent", "--u", "0.1,0", "--tol", "1e-9"),
         ("massieu", "--config", ".", "--theta", "0,0,0"),       # a directory
         ("verify", "numerics", "--model", "regression"),        # two targets
         ("verify", "all", "--config", "model.ini"),
@@ -575,6 +587,27 @@ def test_usage_errors_exit_two(capsys):
         assert code == 2, err
         assert strict_json(out)["status"] == "error:usage"
         assert err.strip()
+    # no command takes --tol, and sweep takes no --format
+    retired = (
+        ("massieu", "--model", "qubit", "--theta", "1,0,0", "--tol", "1e-9"),
+        ("maxent", "--model", "discrete3", "--u", "1.2", "--tol", "1e-9"),
+        ("maxent", "--model", "qubit", "--u", "0.1,0,0", "--tol", "1"),
+        ("maxent", "--model", "sphere", "--x", "1,2,3", "--tol", "1"),
+        ("pythagoras", "--model", "qubit", "--x", "0,0,0", "--theta", "0,0,0",
+         "--zeta", "1,0,0", "--tol", "1e-9"),
+        ("pythagoras", "--model", "qubit", "--theta", "0.1,0,0", "--zeta", "0,0.2,0",
+         "--xi", "0,0,0.3", "--tol", "1e-300"),
+        ("sweep", "--model", "qubit", "--grid", "1=0:1:3", "--quantities", "phi",
+         "--format", "object"),
+    )
+    for args in retired:
+        code = cli.main(list(args))
+        out, err = capsys.readouterr()
+        [line] = out.splitlines()
+        env = strict_json(line)
+        assert (code, env["status"], env["command"]) == (2, "error:usage", args[0])
+        message = env["diagnostics"]["message"]
+        assert message == "unrecognized arguments: " + " ".join(args[-2:])
 
 
 def test_a_discrete_family_with_no_observables_is_a_usage_error(tmp_path):
@@ -593,50 +626,6 @@ def test_a_discrete_family_with_no_observables_is_a_usage_error(tmp_path):
         assert (env["status"], env["command"]) == ("error:usage", args[0])
         assert "(n, alphabet) matrix" in env["diagnostics"]["message"]
         assert "Traceback" not in proc.stderr and proc.stderr.startswith("error: ")
-
-
-@pytest.mark.parametrize("args", [
-    ("massieu", "--model", "discrete3", "--theta", "0.5"),
-    ("maxent", "--model", "discrete3", "--u", "1.2"),
-    # --tol bounds the data compliance, so pythagoras reads it in data mode
-    ("pythagoras", "--model", "qubit", "--theta", "0,0,0", "--zeta", "1,0,0",
-     "--x", "0,0,0"),
-])
-def test_negative_tol_is_a_usage_error(capsys, args):
-    # No comparison passes a negative bound: maxent ran 200 Newton
-    # iterations into error:convergence, and massieu reported a residual
-    # of 0 as exceeding it.  --tol 0 asks for an exact match and stays legal.
-    # argparse reads "-1e-9" after a flag as an option string unless the
-    # flag is joined with it, so the exponent forms need that join too.
-    for tol in (("--tol=-1",), ("--tol", "-0.5"), ("--tol", "-1e-9"), ("--tol", "-1E-3")):
-        code = cli.main([*args, *tol])
-        out, err = capsys.readouterr()
-        env = strict_json(out)
-        assert (code, env["status"], env["command"]) == (2, "error:usage", args[0])
-        assert env["diagnostics"]["message"].startswith("--tol must be at least 0")
-        assert err.startswith("error: --tol")
-    for tol in ("0", "1e-9"):
-        cli.main([*args, "--tol", tol])
-        assert strict_json(capsys.readouterr().out)["status"] != "error:usage"
-
-
-@pytest.mark.parametrize("args, status", [
-    (("massieu", "--model", "qubit", "--theta", "1,0,0"), "ok"),
-    (("maxent", "--model", "discrete3", "--u", "1.2"), "ok"),
-    (("pythagoras", "--model", "qubit", "--theta", "0,0,0", "--zeta", "1,0,0",
-      "--x", "0,0,0"), "ok"),
-    # an error envelope keeps the tolerance read before the error
-    (("maxent", "--model", "discrete3", "--u", "2.5"), "error:domain"),
-    # the README triple misses the projection by 5.8e-12
-    (("pythagoras", "--model", "qubit", "--x=-0.76159415595,0,0", "--theta", "1,0,0",
-      "--zeta", "0.2,-0.4,0.3"), "error:constraint"),
-])
-def test_a_given_tol_is_recorded_in_inputs(capsys, args, status):
-    cli.main(list(args))
-    assert "tol" not in strict_json(capsys.readouterr().out)["inputs"]
-    cli.main([*args, "--tol", "1e-12"])
-    env = strict_json(capsys.readouterr().out)
-    assert (env["status"], env["inputs"]["tol"]) == (status, 1e-12)
 
 
 def test_sweep_grid_cap_is_checked_before_the_axes_are_built(capsys):
@@ -685,11 +674,11 @@ def test_subcommands_take_the_same_flags():
     common = {"-h", "--help", "--model", "--config"}
     data = {"--x", "--z", "--x-file"}
     expected = {
-        "massieu": common | {"--tol", "--theta"},
-        "maxent": common | {"--tol", "--u", "--x", "--data"},
+        "massieu": common | {"--theta"},
+        "maxent": common | {"--u", "--x", "--data"},
         "divergence": common | data | {"--theta", "--u", "--zeta"},
-        "pythagoras": common | data | {"--tol", "--theta", "--zeta", "--xi"},
-        "sweep": common | {"--grid", "--quantities", "--format"},
+        "pythagoras": common | data | {"--theta", "--zeta", "--xi"},
+        "sweep": common | {"--grid", "--quantities"},
         "verify": common,
     }
     [commands] = [action.choices for action in cli._PARSER._actions

@@ -152,10 +152,10 @@ def test_quadratures_are_hermitian_with_coherent_means():
 
 
 def test_coherent_state_is_annihilation_eigenstate():
-    psi = coherent_state(1.0)
+    psi = coherent_state(1.0, 64)
     assert abs(a_expectation(psi) - 1.0) <= 1e-10
     assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
-    psi2 = coherent_state(0.7 + 1.1j)
+    psi2 = coherent_state(0.7 + 1.1j, 64)
     assert abs(a_expectation(psi2) - (0.7 + 1.1j)) <= 1e-10
 
 
@@ -183,7 +183,7 @@ def test_number_expectation_fock_states():
 
 def test_entropy_coherent_gaussian_law():
     for z in (1.0, 0.5 + 0.5j, -1.2j, 1.8):
-        psi = coherent_state(z)
+        psi = coherent_state(z, 64)
         assert entropy_coherent(psi) == pytest.approx(
             -0.5 * abs(z) ** 2, abs=1e-10)
 
@@ -203,9 +203,9 @@ def test_model_entropy_u_values():
 
 
 def test_mu_map_unit_examples():
-    assert np.allclose(mu_map(coherent_state(1.0), UNIT), [1.0, 0.0],
+    assert np.allclose(mu_map(coherent_state(1.0, 64), UNIT), [1.0, 0.0],
                        atol=1e-10)
-    assert np.allclose(mu_map(coherent_state(1.0j), UNIT), [0.0, 1.0],
+    assert np.allclose(mu_map(coherent_state(1.0j, 64), UNIT), [0.0, 1.0],
                        atol=1e-10)
 
 
@@ -242,7 +242,7 @@ def test_linear_dual_charts():
 
 
 def test_divergence_coherent_worked_values():
-    psi = coherent_state(1.0)
+    psi = coherent_state(1.0, 64)
     assert divergence_coherent(psi, np.array([0.0, 0.0]), UNIT) == (
         pytest.approx(0.5, abs=1e-9))
     assert divergence_coherent(psi, mu_map(psi, UNIT), UNIT) == (
@@ -254,7 +254,7 @@ def test_divergence_coherent_worked_values():
 def test_divergence_coherent_phase_invariance():
     rng = np.random.default_rng(8)
     u = np.array([0.4, -0.2])
-    psi = coherent_state(0.9 - 0.4j)
+    psi = coherent_state(0.9 - 0.4j, 64)
     base = divergence_coherent(psi, u, UNIT)
     for _ in range(10):
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
@@ -272,7 +272,7 @@ def test_log_map_expectation_is_affine():
     for _ in range(5):
         u = rng.uniform(-1.0, 1.0, size=2)
         theta = u_to_theta_coherent(u, consts)
-        psi = coherent_state(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+        psi = coherent_state(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), 64)
         got = log_weight_coherent(psi, u, consts)
         want = -massieu_coherent(theta, consts) - float(
             theta @ mu_map(psi, consts))
@@ -280,7 +280,7 @@ def test_log_map_expectation_is_affine():
 
 
 def test_log_map_self_expectation_value():
-    psi = coherent_state(1.0)
+    psi = coherent_state(1.0, 64)
     assert log_weight_coherent(psi, np.array([1.0, 0.0]), UNIT) == pytest.approx(
         0.5, abs=1e-9)
 
@@ -380,7 +380,7 @@ def test_fiber_sampler_gives_up_with_a_typed_error(monkeypatch):
     with pytest.raises(ConvergenceError, match="noise scale"):
         model.fiber_sampler(u[None], 3, rng)
     assert len(calls) == 50
-    assert calls[0].tolist() == [coherent_state(0.5 + 0.3j).tolist()]
+    assert calls[0].tolist() == [coherent_state(0.5 + 0.3j, 64).tolist()]
     assert [len(rows) for rows in calls[1:]] == [3] * 49
     # the search drew the noise of exactly the 147 failed attempts
     drawn = np.random.default_rng(0)
@@ -454,7 +454,7 @@ def test_batched_pin_equals_the_one_row_iteration():
     for z, scale in ((0.7 + 0.4j, 0.1), (1.25 + 2.0j, 0.1), (1.25 + 2.0j, 0.006),
                      (3.0 + 0.0j, 0.3), (3.0 + 0.0j, 0.005), (1e-8 + 0.0j, 0.1),
                      (0.0j, 0.2)):
-        c = np.repeat(coherent_state(z)[None], 40, axis=0)
+        c = np.repeat(coherent_state(z, 64)[None], 40, axis=0)
         c[:, 2:] += scale * (rng.normal(size=(40, 63))
                              + 1j * rng.normal(size=(40, 63))) / math.sqrt(130.0)
         c[np.abs(c[:, 1]) < 0.05, 1] += scale      # the sampler's kick
@@ -472,7 +472,7 @@ def test_batched_pin_equals_the_one_row_iteration():
     for _ in range(12):
         theta = rng.uniform(-1.2, 1.2, size=2)
         z = complex(-2.0 * theta[0], -0.25 * theta[1])
-        base = coherent_state(z)
+        base = coherent_state(z, 64)
         for scale in 0.1 * 0.5 ** np.arange(5):
             noise = rng.normal(size=(24, 2, 63))
             c = np.repeat(base[None], 24, axis=0)
