@@ -14,8 +14,10 @@ argv, and words all help and flag errors.  The exceptions to the one
 envelope are ``--help`` and ``--version``, which print text, and
 ``sweep``, which streams a CSV table instead: its rows are evaluated
 one chunk of grid points at a time and written one row per ``write``,
-so each row leaves as soon as it is formatted.  Progress, warnings and
-error messages go to stderr.
+so each row leaves as soon as it is formatted.  The header follows the
+first chunk's evaluation, so a sweep that fails there prints only the
+error envelope; a failure in a later chunk ends a truncated table with
+it.  Progress, warnings and error messages go to stderr.
 
 ``verify`` takes one target: the positional ``TARGET`` (``all``, the
 default, ``numerics`` or a model name), ``--model NAME`` or ``--config
@@ -379,7 +381,6 @@ def _cmd_sweep(args, inputs: dict):
 
     header = [f"theta{j + 1}" for j in range(model.n)] + quantities
     write = sys.stdout.write
-    write(",".join(header) + "\n")
     # "%.12g" % x has the bytes of format(x, ".12g"); the axis labels come
     # formatted, so they go in as strings
     line = "%s," * model.n + ",".join(["%.12g"] * len(quantities)) + "\n"
@@ -394,6 +395,8 @@ def _cmd_sweep(args, inputs: dict):
         thetas = np.column_stack([ax[r % ax.size] for ax, r in zip(axes, runs)])
         columns = _sweep_columns(model, thetas, quantities)
         labels = [_axis_labels(ax, r) for ax, r in zip(axes, runs)]
+        if start == 0:  # after the first chunk, so a failure there prints no header
+            write(",".join(header) + "\n")
         for values in zip(*labels, *(c.tolist() for c in columns)):
             write(line % values)  # one write per row, so each row leaves at once
 

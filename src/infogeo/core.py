@@ -25,7 +25,9 @@ kernel, and a point call returns row 0 of the one-row call, with
 ``float`` scalars.  With rows, the data argument is a stack of k data
 sets; a single data set enters the data-set layer as the stack ``x[None]``.
 The chart inversion keeps a row form, :func:`u_to_theta_rows`, because
-it flags the rows it refuses where :func:`u_to_theta` raises.
+it flags the rows outside the energy domain where :func:`u_to_theta`
+raises; the domain is the chart's one boundary, as the chart inverts
+every row inside it.
 
 Conventions.  The Massieu function is the Legendre--Fenchel transform
 
@@ -101,9 +103,11 @@ class ModelDescriptor:
         each row independent of the others: the route of :func:`metric_tensor`.
     closed_u_to_theta : callable
         The closed chart inversion on energy rows ``(k, n) -> (k, n)``,
-        each row independent of the others; it may raise the error of a
-        row it refuses.  It is the one route of :func:`u_to_theta_rows`
-        and :func:`u_to_theta`.
+        each row independent of the others.  It inverts every row of the
+        energy domain, so the domain's membership is the one boundary of
+        the chart, and raises only where it cannot, with the error of its
+        lowest failing row.  It is the one route of
+        :func:`u_to_theta_rows` and :func:`u_to_theta`.
     dataset_answers : callable
         Data-set layer: maps a stack of k data sets, the array of their
         rows (one data set ``x`` is the stack ``x[None]``), to
@@ -141,7 +145,7 @@ class DualPair:
     """A parameter point with its dual energy point and both potentials.
 
     ``roundtrip_error`` is None when the chart has saturated: ``u`` is so
-    close to the domain boundary that ``u_to_theta`` refuses it.
+    close to the boundary that it lies outside the energy domain.
     """
 
     theta: np.ndarray
@@ -366,36 +370,22 @@ def canonical_residuals(thetas: np.ndarray, phi: np.ndarray, u: np.ndarray,
 
 def _chart_rows(model: ModelDescriptor, us: np.ndarray):
     """``(theta (k, n), errors)`` at validated energy rows: ``errors[i]``
-    is None, or the error row i raises alone (its theta is NaN).
+    is None, or the error row i raises alone (its theta is NaN): a
+    :class:`DomainError` outside the domain, an :class:`EvaluationError`
+    where theta overflows.
 
-    One chart call inverts the rows inside the domain.  Only when that
-    call raises on two or more rows is each of them inverted on its own,
-    so every failing row gets its own error.
+    One chart call inverts the rows inside the domain; an error it raises
+    propagates.
     """
-    errors: list[InfoGeoError | None] = [None] * len(us)
     inside = np.asarray(model.energy_domain.membership(us), dtype=bool)
     thetas = np.full(us.shape, np.nan)
-    try:
-        if inside.all():
-            thetas = model.closed_u_to_theta(us)
-        elif inside.any():
-            thetas[inside] = model.closed_u_to_theta(us[inside])
-    except InfoGeoError as exc:
-        rows = np.flatnonzero(inside)
-        if rows.size == 1:
-            errors[rows[0]] = exc
-        else:
-            for i in rows:
-                try:
-                    thetas[i] = model.closed_u_to_theta(us[i:i + 1])[0]
-                except InfoGeoError as row_error:
-                    errors[i] = row_error
+    if inside.any():
+        thetas[inside] = model.closed_u_to_theta(us[inside])
+    errors: list[InfoGeoError | None] = [None] * len(us)
     for i in np.flatnonzero(~np.isfinite(thetas).all(axis=1)):
-        if not inside[i]:
-            errors[i] = DomainError(
-                f"energy point {us[i].tolist()} is outside the model domain")
-        elif errors[i] is None:
-            errors[i] = EvaluationError(f"the parameters dual to {us[i].tolist()} overflow")
+        point = us[i].tolist()
+        errors[i] = (EvaluationError(f"the parameters dual to {point} overflow") if inside[i]
+                     else DomainError(f"energy point {point} is outside the model domain"))
     return thetas, errors
 
 
@@ -405,10 +395,11 @@ def u_to_theta_rows(model: ModelDescriptor, us) -> tuple[np.ndarray, np.ndarray]
     energy rows ``us`` (k, n), from one call of the closed chart (one
     moment fit on a discrete model).
 
-    Row i has the bits of ``u_to_theta(model, us[i])``.  A row that
-    :func:`u_to_theta` refuses with :class:`DomainError` (outside the
-    domain, or a saturated chart) is flagged in ``refused`` and holds NaN;
-    any other error of the lowest failing row is raised.
+    Row i has the bits of ``u_to_theta(model, us[i])``.  A row outside
+    the domain, which :func:`u_to_theta` refuses with
+    :class:`DomainError`, is flagged in ``refused`` and holds NaN; an
+    error of the chart, then the :class:`EvaluationError` of the lowest
+    row whose theta overflows, is raised.
     """
     thetas, errors = _chart_rows(model, *_as_rows(model, us))
     for exc in errors:
@@ -458,9 +449,9 @@ def canonical_check(model: ModelDescriptor, theta) -> DualPair:
     ``sweep`` takes, so a discrete model's ``S`` is its member's own
     entropy rather than a moment re-fit.  Also round-trips ``U`` through
     the chart inversion of :func:`u_to_theta_rows` against ``theta`` and
-    reports the max-abs error, or None when the chart refuses ``U`` (a
-    saturated chart, e.g. the qubit at ``|theta| >~ 19``, where
-    ``tanh|theta|`` rounds to 1).  Raises :class:`CanonicalityError`
+    reports the max-abs error, or None when ``U`` lies outside the domain
+    (a saturated chart, e.g. the qubit at ``|theta| >~ 10.7``, where
+    ``tanh|theta|`` is within 1e-9 of 1).  Raises :class:`CanonicalityError`
     (with the pair attached) when the residual exceeds 1e-9, and
     :class:`EvaluationError` when Phi, U or S overflows.
     """
@@ -570,7 +561,8 @@ def divergence_def5(model: ModelDescriptor, x, u_of_m,
     the k data sets, read with one ``dataset_answers`` call each.  A point
     call returns row 0 of the one-row call as a ``float``, so row i has
     the bits of the point call on row i.  Each step raises the error of
-    its lowest failing row.
+    its lowest failing row; the inversion raises an error of the chart
+    first, then that of the lowest row outside the domain or overflowing.
     """
     (us,), single = _points(model, u_of_m, kind="energy")
     thetas, errors = _chart_rows(model, us)

@@ -18,9 +18,8 @@ from .core import ModelDescriptor
 from .errors import DomainError, EvaluationError
 from .numerics import Domain, Matrix2H, eig_h2, func_h2, raise_first, row_dot, row_norm
 
-#: Shell at the pure-state boundary left out of the model domain, and the
-#: wider shell in which the chart refuses a Bloch vector.
-MEMBERSHIP_MARGIN = 1e-12
+#: Shell at the pure-state boundary in which the chart refuses a Bloch
+#: vector: the model domain ends where the chart does.
 CHART_MARGIN = 1e-9
 
 
@@ -208,11 +207,11 @@ def as_descriptor() -> ModelDescriptor:
     """Engine descriptor for the qubit.
 
     Mean coordinates range over the open unit ball less the shell
-    :data:`MEMBERSHIP_MARGIN` at its boundary.  Phi, U and S come from
-    the one kernel :func:`dual_points_qubit`, the metric from
-    :func:`metric_qubit`, and the chart inversion is
-    :func:`bloch_to_theta`, which refuses the wider shell
-    :data:`CHART_MARGIN`.  Data sets are Bloch vectors of arbitrary
+    :data:`CHART_MARGIN` at its boundary, where the chart inversion
+    :func:`bloch_to_theta` refuses them, so the chart inverts every point
+    of the domain.  Phi, U and S come from the one kernel
+    :func:`dual_points_qubit` and the metric from
+    :func:`metric_qubit`.  Data sets are Bloch vectors of arbitrary
     states, and a stack of them is an array of rows (k, 3); the model
     fiber over an interior point is a singleton, so the fiber sampler
     gives energy rows (k, 3) their own copy as the stack (k, 1, 3).
@@ -220,7 +219,7 @@ def as_descriptor() -> ModelDescriptor:
     box = np.array([[-1.0, 1.0]] * 3)
 
     def membership(u):
-        return row_norm(np.asarray(u, dtype=float)) < 1.0 - MEMBERSHIP_MARGIN
+        return row_norm(np.asarray(u, dtype=float)) < 1.0 - CHART_MARGIN
 
     domain = Domain(dimension=3, bounding_box=box, membership=membership,
                     interior_point=np.zeros(3))

@@ -135,21 +135,23 @@ def test_a_discrete_config_with_a_non_finite_entry_is_a_usage_error(tmp_path, ca
     assert env["diagnostics"]["message"] == f"bad config file: {field} must have finite entries"
 
 
-@pytest.mark.parametrize("module, name, argv, code", [
+@pytest.mark.parametrize("module, name, argv, code, count", [
     ("qubit", "ball_radius",
-     ["divergence", "--model", "qubit", "--x", "0.1,0.2,0.3", "--theta", "1,0,0"], 0),
+     ["divergence", "--model", "qubit", "--x", "0.1,0.2,0.3", "--theta", "1,0,0"], 0, 1),
     ("qubit", "ball_radius",
      ["pythagoras", "--model", "qubit", "--x", "-0.76159415595,0,0", "--theta", "1,0,0",
-      "--zeta", "0.5,0,0"], 0),
+      "--zeta", "0.5,0,0"], 0, 1),
     ("discrete", "check_probability",
-     ["divergence", "--model", "discrete3", "--x", "0.2,0.3,0.5", "--theta", "0.4"], 0),
-    ("qubit", "bloch_to_theta", ["massieu", "--model", "qubit", "--theta", "12,0,0"], 0),
+     ["divergence", "--model", "discrete3", "--x", "0.2,0.3,0.5", "--theta", "0.4"], 0, 1),
+    # |U| = tanh 12 and 1 - 1e-10 lie in the chart's margin, outside the domain
+    ("qubit", "bloch_to_theta", ["massieu", "--model", "qubit", "--theta", "12,0,0"], 0, 0),
     ("qubit", "bloch_to_theta", ["maxent", "--model", "qubit", "--u", "0.9999999999,0,0"],
-     3)])
-def test_a_command_checks_its_data_set_and_inverts_its_chart_once(monkeypatch, capsys,
-                                                                  module, name, argv, code):
-    # the data-set layer is the one check of --x, and a chart that refuses
-    # one row is not asked again
+     3, 0),
+    ("qubit", "bloch_to_theta", ["massieu", "--model", "qubit", "--theta", "10,0,0"], 0, 1)])
+def test_a_command_checks_its_data_set_and_inverts_its_chart_once(monkeypatch, capsys, module,
+                                                                  name, argv, code, count):
+    # the data-set layer is the one check of --x, and the chart is asked
+    # once, only for a point inside the domain
     target = importlib.import_module(f"infogeo.{module}")
     original, calls = getattr(target, name), []
 
@@ -160,7 +162,7 @@ def test_a_command_checks_its_data_set_and_inverts_its_chart_once(monkeypatch, c
     monkeypatch.setattr(target, name, counted)
     assert cli.main(argv) == code
     capsys.readouterr()
-    assert len(calls) == 1
+    assert len(calls) == count
 
 
 @pytest.mark.parametrize("argv, inputs, status", [
@@ -640,6 +642,21 @@ def test_sweep_grid_cap_is_checked_before_the_axes_are_built(capsys):
     assert "Traceback" not in err and err.strip()
 
 
+@pytest.mark.parametrize("grid, rows", [("1=0:1e200:5000", 0),
+                                        ("1=0:2e155:50000", cli._SWEEP_CHUNK)])
+def test_a_failing_sweep_ends_its_output_with_the_envelope(capsys, grid, rows):
+    # the header follows the first chunk's evaluation: a sweep that
+    # overflows there prints only the envelope, one that overflows in a
+    # later chunk ends the rows written before it with the envelope
+    code, out, _ = _sweep(capsys, "--model", "coherent", "--grid", grid,
+                          "--quantities", "residual")
+    assert code == 3
+    *table, line = out.splitlines()
+    header = ["theta1,theta2,residual"] if rows else []
+    assert table[:1] == header and len(table) == len(header) + rows
+    assert strict_json(line)["status"] == "error:evaluation"
+
+
 @pytest.mark.parametrize("args, command", [
     (("massieu", "--model", "qubit", "--theta", "0,0,0", "--bogus", "1"), "massieu"),
     (("massieu", "--model", "qubit", "--u", "1"), "massieu"),  # a maxent flag
@@ -778,14 +795,14 @@ def test_numeric_domain_errors_exit_three(tmp_path):
         assert env["status"] == f"error:{status}"
         assert env["inputs"]["model"] == args[2]
     assert env["diagnostics"]["message"] == "polarization vector is longer than 1"
-    # a sweep row that overflows ends the sweep with the same typed error
+    # a sweep row that overflows ends the sweep with the same typed error,
+    # before the header when it is in the first chunk
     proc = run_cli("sweep", "--model", "coherent", "--grid", "1=1e200:1e200:1",
                    "--quantities", "phi,residual")
     assert proc.returncode == 3, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
-    header, rest = proc.stdout.split("\n", 1)
-    assert header == "theta1,theta2,phi,residual"
-    assert strict_json(rest)["status"] == "error:evaluation"
+    [line] = proc.stdout.splitlines()
+    assert strict_json(line)["status"] == "error:evaluation"
     assert "inf" not in proc.stdout and "nan" not in proc.stdout
 
 

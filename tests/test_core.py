@@ -28,9 +28,10 @@ from infogeo import (
     theta_to_u,
     u_to_theta,
 )
-from infogeo.core import legendre_rows
+from infogeo.core import legendre_rows, u_to_theta_rows
 from infogeo.numerics import Domain
-from infogeo.registry import load_config
+from infogeo.qubit import CHART_MARGIN
+from infogeo.registry import discrete_instance, load_config
 
 TANH1 = math.tanh(1.0)
 LN_2COSH1 = math.log(2.0 * math.cosh(1.0))
@@ -237,11 +238,11 @@ def _membership_rows(name, domain, rng):
             row[j] = v
             rows.append(row[None])
     if name == "qubit":
-        # radii within a few ulps of the 1 - 1e-12 shell, enough of them
+        # radii within a few ulps of the margin's shell, enough of them
         # that a radius rounded differently from the 1-D norm shows
         d = rng.normal(size=(400, 3))
         d /= np.linalg.norm(d, axis=1, keepdims=True)
-        radii = (1.0 - 1e-12) * (1.0 + np.arange(-4, 4) * np.finfo(float).eps)
+        radii = (1.0 - CHART_MARGIN) * (1.0 + np.arange(-4, 4) * np.finfo(float).eps)
         rows.append((d[:, None, :] * radii[None, :, None]).reshape(-1, 3))
     if name == "coherent":
         rows.append(np.array([[math.inf, 0.0], [0.0, math.nan], [-math.inf, 1.0]]))
@@ -263,8 +264,33 @@ def test_batched_membership_matches_per_point(name, tmp_path):
     stacked = domain.membership(even.reshape(2, -1, model.n))
     assert np.array_equal(stacked, batched[: len(even)].reshape(2, -1))
     if name == "qubit":  # the decision the 1-D norm gives
-        assert batched.tolist() == [float(np.linalg.norm(row)) < 1.0 - 1e-12
+        assert batched.tolist() == [float(np.linalg.norm(row)) < 1.0 - CHART_MARGIN
                                     for row in rows]
+
+
+# the families of CI's verify --config step with two observables
+_CHART_FAMILIES = {"discrete3x2": ([1, 2, 3], [[0, 1, 2], [1, 0, 0]]),
+                   "discrete5x2": ([1, 2, 1, 3, 1], [[0, 1, 2, 3, 4], [1, 0, 0, 1, 0]])}
+
+
+@pytest.mark.parametrize("name", ["qubit", "coherent", "coherent2", "discrete2",
+                                  "discrete3", *_CHART_FAMILIES])
+def test_the_chart_inverts_every_row_of_the_energy_domain(name):
+    model = (discrete_instance(*_CHART_FAMILIES[name]).descriptor
+             if name in _CHART_FAMILIES else get_model(name).descriptor)
+    rows = _membership_rows(name, model.energy_domain, np.random.default_rng(3))
+    rows = rows[np.isfinite(rows).all(axis=1)]
+    if name == "qubit":  # radii in the margin, next to those a few ulps across it
+        d = np.random.default_rng(4).normal(size=(50, 3))
+        rows = np.vstack([rows, (1.0 - 1e-10) * d / np.linalg.norm(d, axis=1, keepdims=True)])
+    inside = model.energy_domain.membership(rows)
+    assert inside.any() and (name.startswith("coherent") or not inside.all())
+    # every row of the domain in one chart call, none refused
+    thetas = model.closed_u_to_theta(rows[inside])
+    assert np.isfinite(thetas).all()
+    back, refused = u_to_theta_rows(model, rows)
+    assert refused.tolist() == (~inside).tolist()
+    assert np.array_equal(back[inside], thetas)
 
 
 # ------------------------------------------------------ canonical check
