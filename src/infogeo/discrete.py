@@ -23,9 +23,8 @@ from .errors import (
     InfeasibleError,
     SupportError,
 )
-from .numerics import Domain, raise_first, row_dot
+from .numerics import Domain, _damped_newton, raise_first, row_dot
 
-_MAX_NEWTON = 200
 #: The start table of a one-observable family holds the moment at
 #: ``_START_ROWS`` parameters evenly spaced over ``|theta| * width <=
 #: _START_SPAN``, ``width`` being the range of the observable.
@@ -272,14 +271,6 @@ def kl_divergence(p, q):
 FIT_OK, FIT_INFEASIBLE, FIT_SINGULAR, FIT_STALLED = range(4)
 
 
-def _dual_rows(family: DiscreteFamily, thetas, targets):
-    """Dual objective ``Phi(theta) + theta . U`` of the fit at each row,
-    with the member at that row, from the log-sum-exp behind
-    :func:`log_partition`."""
-    phi, p, _ = _log_sum_exp(family, thetas)
-    return phi + row_dot(thetas, targets), p
-
-
 def _newton_steps(cov, residual):
     """``cov^-1 residual`` row by row, and the mask of the rows whose
     covariance is singular (their step is zero)."""
@@ -289,130 +280,88 @@ def _newton_steps(cov, residual):
         var = cov[:, :, 0]
         singular = var[:, 0] == 0.0
         return residual / np.where(singular[:, None], np.inf, var), singular
-    singular = np.zeros(len(cov), dtype=bool)
     try:
-        return np.linalg.solve(cov, residual[:, :, None])[:, :, 0], singular
+        return np.linalg.solve(cov, residual[..., None])[..., 0], np.zeros(len(cov), bool)
     except np.linalg.LinAlgError:
-        pass
-    step = np.zeros_like(residual)
-    for i, (c, r) in enumerate(zip(cov, residual)):
-        try:
-            step[i] = np.linalg.solve(c, r)
-        except np.linalg.LinAlgError:
-            singular[i] = True
-    return step, singular
+        if len(cov) == 1:
+            return np.zeros_like(residual), np.ones(1, dtype=bool)
+    # some covariance is singular: solve each row on its own, as when it is fitted alone
+    steps = [_newton_steps(cov[i:i + 1], residual[i:i + 1]) for i in range(len(cov))]
+    return np.concatenate([s for s, _ in steps]), np.concatenate([m for _, m in steps])
 
 
 def fit_moments(family: DiscreteFamily, targets,
                 tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Moment fits of the rows of ``targets`` (k, n), all at once.
 
-    Damped Newton on the convex dual objective ``Phi(theta) + theta . U``
-    of each row, in one shared loop: a row leaves it when
-    ``max_j |E_theta H_j - U_j| <= tol``, and each row backtracks on its
-    own Armijo test, which allows a slack of ``1e-15 * (1 + |f| + |Phi| +
-    |theta.U|)`` for rounding, ``f`` being the dual objective.  A row
-    whose target lies outside the closed moment region
-    (:meth:`DiscreteFamily.outside`) is infeasible before any Newton
-    step, and so is one whose iterate stops being finite; one whose
-    covariance is singular, or that has not converged after 200
-    iterations, fails too.  A failing row never stops the others.
+    One :func:`numerics._damped_newton` loop maximizes the negated convex
+    dual ``-(Phi + theta . U)`` of each row, ``Phi`` from ``family.log_prior``,
+    by Newton steps ``Cov_theta(H)^-1 (E_theta H - U)`` from
+    ``family.start_table`` at the target (one observable) or theta = 0, all
+    constants the family builds once.  A row converges when ``|E_theta H -
+    U| <= tol``; its Armijo slack is ``1e-15 (1 + |f| + |Phi| + |theta.U|)``,
+    ``f`` the dual.  A target outside the moment region (``family.facets``)
+    or a Newton step that is not finite makes a row infeasible; a singular
+    covariance, no admissible step or 200 iterations fail it too.
 
     Returns ``(theta (k, n), iterations (k,), status (k,))`` with status
     :data:`FIT_OK`, :data:`FIT_INFEASIBLE`, :data:`FIT_SINGULAR` or
-    :data:`FIT_STALLED`; a failed row keeps theta 0 and 0 iterations.
-    Each row gets the bits it gets when fitted alone.
-
-    The family constants the fit needs are built once, with the family:
-    the region test reads ``family.facets``, each evaluation of the dual
-    ``family.log_prior``, and a row of one observable starts from
-    ``family.start_table`` interpolated at its target (a row of more
-    starts at theta = 0).  The slack and the backtracking run only in an
-    iteration where some row failed its Armijo test.
+    :data:`FIT_STALLED`; a failed row keeps theta 0 and 0 iterations and
+    never stops the others.  Each row gets the bits of its fit alone.
     """
     targets = np.asarray(targets, dtype=float)
     k, n = targets.shape
-    theta = np.zeros((k, n))
-    iterations = np.zeros(k, dtype=int)
-    status = np.where(family.outside(targets), FIT_INFEASIBLE, FIT_OK)
-    h = family.hamiltonians
-    rows = np.flatnonzero(status == FIT_OK)      # the rows still iterating
-    u = targets[rows]
-    th = theta[rows]
+    # a row inside counts as stalled until it converges or fails otherwise
+    status = np.where(family.outside(targets), FIT_INFEASIBLE, FIT_STALLED)
+    inside = np.flatnonzero(status == FIT_STALLED)
+    h, u = family.hamiltonians, targets[inside]
+    start = np.zeros((inside.size, n))
     if family.start_table is not None:
-        th[:, 0] = np.interp(u[:, 0], *family.start_table)
-    f, p = _dual_rows(family, th, u)
-    for it in range(_MAX_NEWTON):
-        moments = _mean_energy(h, p)
-        residual = moments - u
-        done = np.abs(residual).max(axis=1) <= tol
-        if np.count_nonzero(done):
-            theta[rows[done]] = th[done]
-            iterations[rows[done]] = it
-            keep = ~done
-            rows, u, th, f, p, moments, residual = (
-                a[keep] for a in (rows, u, th, f, p, moments, residual))
-        if not rows.size:  # every row converged, or none was feasible
-            break
+        start[:, 0] = np.interp(u[:, 0], *family.start_table)
+    # the targets of the rows still iterating, which are all of them until one ends
+    at = lambda rows: u if len(rows) == len(u) else u[rows]
+
+    def value(rows, thetas):
+        phi, p, _ = _log_sum_exp(family, thetas)
+        # a dual that overflows to NaN is no value (-inf) to the core, not an error
+        return np.fmax(-(phi + row_dot(thetas, at(rows))), -np.inf), p, _mean_energy(h, p)
+
+    def direction(rows, residual, thetas, g, p, moments):
         step, singular = _newton_steps(_covariance(h, p, moments), residual)
-        slope = row_dot(-residual, step)
-        cand = th + step
-        fc, pc = _dual_rows(family, cand, u)
-        rejected = ~(fc <= f + 1e-4 * slope)
-        if np.count_nonzero(rejected):
-            todo = np.flatnonzero(rejected)
-            # Near the optimum the dual is flat to machine precision and
-            # the sufficient-decrease test would reject on rounding jitter,
-            # so a rejected row is tested again with a slack of a few ulps
-            # (a row accepted without it is accepted with it).  f = Phi +
-            # theta.U can cancel far below its terms, whose size sets the
-            # rounding of f, so the slack scales with them too.
-            slack = np.zeros_like(f)
-            ft, tu = f[todo], row_dot(th[todo], u[todo])
-            slack[todo] = 1e-15 * (1.0 + np.abs(ft) + np.abs(ft - tu) + np.abs(tu))
-            todo = todo[~(fc[todo] <= ft + 1e-4 * slope[todo] + slack[todo])]
-            # Rows still rejected have failed every halving so far, so they
-            # share the step length t.
-            t = 1.0
-            for _ in range(59):
-                if not todo.size:
-                    break
-                t *= 0.5
-                c = th[todo] + t * step[todo]
-                fc_t, p_t = _dual_rows(family, c, u[todo])
-                ok = fc_t <= f[todo] + 1e-4 * t * slope[todo] + slack[todo]
-                accepted = todo[ok]
-                cand[accepted], fc[accepted], pc[accepted] = c[ok], fc_t[ok], p_t[ok]
-                todo = todo[~ok]
-            if todo.size:
-                # no admissible step: take the last, shortest one anyway
-                t *= 0.5
-                cand[todo] = th[todo] + t * step[todo]
-                fc[todo], pc[todo] = _dual_rows(family, cand[todo], u[todo])
-        th, f, p = cand, fc, pc
-        # an iterate that is not finite has run off an infeasible target
-        failed = singular | ~np.isfinite(th).all(axis=1)
-        if np.count_nonzero(failed):
-            status[rows[failed]] = np.where(singular[failed], FIT_SINGULAR,
-                                            FIT_INFEASIBLE)
-            keep = ~failed
-            rows, u, th, f, p = (a[keep] for a in (rows, u, th, f, p))
-    else:
-        status[rows] = FIT_STALLED
+        # a step that is not finite runs off an infeasible target
+        bad = singular | ~np.isfinite(step).all(axis=1)
+        if np.count_nonzero(bad):
+            status[inside[rows[bad]]] = np.where(singular[bad], FIT_SINGULAR, FIT_INFEASIBLE)
+            step[bad] = np.nan
+        return step
+
+    def slack(rows, thetas, g):
+        # the dual -g = Phi + theta.U can cancel far below its terms, whose
+        # size sets the rounding of g, so the slack scales with them too
+        tu = row_dot(thetas, at(rows))
+        return 1e-15 * (1.0 + np.abs(g) + np.abs(g + tu) + np.abs(tu))
+
+    theta, iterations = np.zeros((k, n)), np.zeros(k, dtype=int)
+
+    def finish(rows, thetas, g, its, gnorm):    # a row that did not converge keeps zeros
+        ok = gnorm <= tol
+        at_ok = inside[rows[ok]]
+        theta[at_ok], iterations[at_ok], status[at_ok] = thetas[ok], its, FIT_OK
+
+    gradient = lambda rows, thetas, g, p, moments: moments - at(rows)
+    _damped_newton(start, tol, value, gradient, direction, slack, finish)
     return theta, iterations, status
 
 
 def maxent_fit_rows(family: DiscreteFamily, targets,
                     tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """Moment fits ``(theta (k, n), newton_iterations (k,))`` of the rows
-    of ``targets`` (k, n), from one :func:`fit_moments` call.
+    of ``targets`` (k, n), from one :func:`fit_moments` call, converged when
+    ``|E_theta H - U| <= tol``.
 
-    Converged when ``max_j |E_theta H_j - U_j| <= tol``.  Raises the error
-    of the lowest failing row: a target outside the closed moment region
-    (:meth:`DiscreteFamily.outside`), or an iterate that is not finite,
-    raises :class:`InfeasibleError`; a singular covariance raises
-    :class:`DegeneracyError` and no convergence within 200 iterations
-    :class:`ConvergenceError`.
+    Raises the error of the lowest failing row: :class:`InfeasibleError`
+    for an infeasible one, :class:`DegeneracyError` for a singular
+    covariance and :class:`ConvergenceError` for a fit that stalled.
     """
     targets = np.asarray(targets, dtype=float)
     theta, iterations, status = fit_moments(family, targets, tol)

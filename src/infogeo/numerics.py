@@ -1,20 +1,20 @@
 """Numerical kernels shared by every model.
 
-Central finite differences, a damped-Newton maximizer for concave
-objectives on open domains, a deterministic brute-force grid supremum,
-and closed-form spectral calculus for 2x2 Hermitian matrices.
+Central finite differences, one damped-Newton loop for concave
+objectives, a deterministic brute-force grid supremum, and closed-form
+spectral calculus for 2x2 Hermitian matrices.
 
 Objectives and domain membership are row-wise: they take points stacked
 along the last axis and decide or evaluate each one, independently of
 the other rows.  The finite differences take one centre ``(n,)`` or k
 centres ``(k, n)``: a gradient evaluates the 2n stencil points of every
-centre in one objective call and a Hessian their 2n^2+1.  The maximizer
-solves k problems in one loop (:func:`maximize_concave_rows`, with
-:func:`maximize_concave` its one-row view): each iteration evaluates the
-gradient stencils of all rows in one call, their Hessian stencils in
-another and the candidates of one step length in a third, and each row
-gets the bits and the error that it gets when solved alone.  The grid
-supremum evaluates every member row of a slab in one call.
+centre in one objective call and a Hessian their 2n^2+1.  The Newton
+loop solves k problems at once for the discrete moment fit and for
+:func:`maximize_concave_rows` (:func:`maximize_concave` is its one-row
+view), which evaluates the gradient stencils of all rows in one call,
+their Hessian stencils in another and the candidates of one step length
+in a third; each row gets the bits and the error that it gets alone.
+The grid supremum evaluates every member row of a slab in one call.
 
 All routines are pure: they never mutate their inputs and contain no
 hidden state, so concurrent use is safe.
@@ -164,26 +164,29 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _TINY = float(np.finfo(float).tiny)
 
 
-@np.errstate(over="ignore")
 def row_norm(x: np.ndarray) -> np.ndarray:
     """``|x|`` along the last axis of ``x`` (..., n).
 
     Rescaled by ``max|x_j|`` only where the sum of squares overflows
     (``|x| >~ 1.3e154``) or falls below the smallest normal double
     (``|x| <~ 1.5e-154``), so other norms keep the bits of the 1-D
-    ``np.linalg.norm``; a zero row has norm 0, and a finite row longer
-    than the largest double has norm inf, without a numpy warning.
+    ``np.linalg.norm``, and one column gives ``|x_0|``, which they equal;
+    a zero row has norm 0, and a finite row longer than the largest double
+    has norm inf, without a numpy warning.
     """
-    squares = row_dot(x, x)
-    t = np.sqrt(squares)
-    odd = (squares == math.inf) | (squares < _TINY)
-    if not np.count_nonzero(odd):   # faster than odd.any() on one row
-        return t
-    scale = np.abs(x).max(axis=-1, initial=0.0)
-    odd &= (scale > 0.0) & (scale < math.inf)   # not a zero or non-finite row
-    scale = np.where(odd, scale, 1.0)
-    scaled = x / scale[..., None]
-    return np.where(odd, scale * np.sqrt(row_dot(scaled, scaled)), t)[()]
+    if x.shape[-1] == 1:    # sqrt(x_0^2) is |x_0| exactly
+        return np.abs(x[..., 0])
+    with np.errstate(over="ignore"):
+        squares = row_dot(x, x)
+        t = np.sqrt(squares)
+        odd = (squares == math.inf) | (squares < _TINY)
+        if not np.count_nonzero(odd):   # faster than odd.any() on one row
+            return t
+        scale = np.abs(x).max(axis=-1, initial=0.0)
+        odd &= (scale > 0.0) & (scale < math.inf)   # not a zero or non-finite row
+        scale = np.where(odd, scale, 1.0)
+        scaled = x / scale[..., None]
+        return np.where(odd, scale * np.sqrt(row_dot(scaled, scaled)), t)[()]
 
 
 def complex_row_norm(v: np.ndarray) -> np.ndarray:
@@ -366,11 +369,8 @@ def _fitted_stencils(stencil: _Stencil, x: np.ndarray, domain: Domain):
     each try, until the stencil fits, at most ``MAX_BACKTRACKS`` tries in
     all; each centre's steps depend on that centre alone.
     """
-    def outside(points):
-        k, m, n = points.shape
-        inside = np.asarray(domain.membership(points.reshape(k * m, n)))
-        return ~inside.reshape(k, m).all(axis=1)
-
+    # membership is row-wise: the points (k, m, n) give (k, m) flags
+    outside = lambda points: ~np.asarray(domain.membership(points)).all(axis=-1)
     hs = _steps(x, None, stencil.step)
     points = stencil.points(x, hs)
     out = outside(points)
@@ -385,133 +385,145 @@ def _fitted_stencils(stencil: _Stencil, x: np.ndarray, domain: Domain):
     return points, hs, out
 
 
+def _damped_newton(start: np.ndarray, tol: float, value, gradient, direction, slack,
+                   finish):
+    """Maximize k objectives by damped Newton steps in one shared loop, one
+    from each row of ``start`` (k, n) (Boyd & Vandenberghe 2004, §9.5).
+
+    The callbacks see the rows still iterating (``rows``, their indices
+    into ``start``) and their state ``x, f(x), *aux``: ``value(rows,
+    points)`` gives ``(f, *aux)`` at one point per row, ``gradient(rows,
+    *state)`` the gradients and ``direction(rows, gradient, *state)``
+    ascent directions.  A callback ends a row by recording its error and
+    giving it NaN.  A row converges when ``row_norm(gradient) <= tol``.
+    Else it steps to the first ``x + t p``, ``t = 1, 1/2, ...``
+    (``MAX_BACKTRACKS`` tries), whose value passes the Armijo test ``f >=
+    f(x) + ARMIJO_C t slope``, or that test less ``slack(rows, x, f(x))``;
+    a row with no such step stalls.  Rows that converge, stall, reach
+    ``MAX_ITERATIONS`` steps or get a NaN gradient go to ``finish(rows, x,
+    f(x), iterations, gradient_norm)`` (a stall counts the step it could not
+    take); each row gets the bits of its solve alone.
+    """
+    rows, x = np.arange(len(start)), start
+    fx, *aux = value(rows, x)
+    keep = ~np.isnan(fx)    # not ended at the start
+    if np.count_nonzero(keep) < len(keep):
+        rows, x, fx, *aux = (a[keep] for a in (rows, x, fx, *aux))
+    for it in range(MAX_ITERATIONS + 1):
+        if not rows.size:
+            break
+        grad = gradient(rows, x, fx, *aux)
+        norm = row_norm(grad)
+        # the rows that go on: neither converged nor ended (NaN), nor capped
+        keep = norm > (tol if it < MAX_ITERATIONS else math.inf)
+        if np.count_nonzero(keep) < len(keep):   # converged, capped or a NaN gradient
+            finish(rows[~keep], x[~keep], fx[~keep], it, norm[~keep])
+            if not np.count_nonzero(keep):
+                break
+            rows, x, fx, grad, norm, *aux = (a[keep] for a in (rows, x, fx, grad, norm, *aux))
+        p = direction(rows, grad, x, fx, *aux)
+        slope = row_dot(grad, p)
+        cand = x + p    # t = 1 for every row; 1.0 * p is p
+        fc, *ac = value(rows, cand)
+        bound = fx + ARMIJO_C * slope
+        ok = fc >= bound
+        if np.count_nonzero(ok) < len(ok):
+            # Near the optimum f is flat to machine precision, and the test
+            # would reject every step on rounding jitter alone: the rows that
+            # fail it try again with the slack (a row that passes without it
+            # passes with it), then halve one shared t until they pass.
+            allowance = slack(rows, x, fx)
+            ok |= fc >= bound - allowance
+            ended = np.isnan(slope) | np.isnan(fc)
+            todo, t = np.flatnonzero(~(ok | ended)), 1.0
+            while todo.size and t > BACKTRACK_FACTOR ** (MAX_BACKTRACKS - 1):
+                t *= BACKTRACK_FACTOR
+                c = x[todo] + t * p[todo]
+                fc_t, *ac_t = value(rows[todo], c)
+                ok_t = fc_t >= fx[todo] + ARMIJO_C * t * slope[todo] - allowance[todo]
+                for a, a_t in zip((cand, fc, *ac), (c, fc_t, *ac_t)):
+                    a[todo[ok_t]] = a_t[ok_t]
+                ended[todo[np.isnan(fc_t)]] = True
+                todo = todo[~(ok_t | np.isnan(fc_t))]
+            finish(rows[todo], x[todo], fx[todo], it + 1, norm[todo])     # stalled
+            ended[todo] = True
+            rows, cand, fc, *ac = (a[~ended] for a in (rows, cand, fc, *ac))
+        x, fx, aux = cand, fc, ac
+
+
 def maximize_concave_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                           domain: Domain, params, tol: float = 1e-8
                           ) -> list[OptimizationResult | InfoGeoError]:
     """Maximize k concave objectives over one open domain, one per row of
-    ``params`` (k, p), by damped Newton steps in one shared loop.
+    ``params`` (k, p), from ``domain.interior_point`` in one
+    :func:`_damped_newton` loop, with the Armijo slack ``1e-15 (1 + |f|)``.
 
-    ``f(points, params)`` is row-wise: it maps points ``(m, n)``, each
-    with its own problem's parameter row ``(m, p)``, to their ``(m,)``
-    values.  Each iteration evaluates the gradient stencils of all active
-    rows in one call, their Hessian stencils in another, and the
-    candidates of one step length in one more.  From
-    ``domain.interior_point`` on, every iterate, candidate and stencil
-    point satisfies ``domain.membership``: a stencil that leaves the
-    domain is retried with the step ``step * max(1, max_j |x_j|)`` halved
-    until it fits (at most ``MAX_BACKTRACKS`` tries, then
-    :class:`DomainError`), for that centre only.  Each row takes the
-    Newton direction, or gradient ascent when its finite-difference
-    Hessian is not negative definite, and halves its step (at most
-    ``MAX_BACKTRACKS`` times) until the candidate is inside the domain
-    and passes an Armijo sufficient-increase test, which allows a slack
-    of ``1e-15 * (1 + |f|)`` for rounding in ``f``.  A row succeeds when
-    its gradient norm drops to ``tol`` or below; a row with no admissible
-    step stalls, and a row that hits the iteration cap ends at its last
-    iterate, both with ``converged=False``.
+    ``f(points, params)`` is row-wise: it maps points ``(m, n)``, each with
+    its own problem's parameter row ``(m, p)``, to their ``(m,)`` values.
+    An iteration evaluates the gradient stencils of all active rows in one
+    call, their Hessian stencils in another and the candidates of one step
+    length in one more, all inside the domain: a stencil that leaves it is
+    retried with the step ``step * max(1, max_j |x_j|)`` halved until it
+    fits (at most ``MAX_BACKTRACKS`` tries, then :class:`DomainError`).  A
+    row steps along the Newton direction, or along the gradient where its
+    finite-difference Hessian is not negative definite.
 
-    Returns one outcome per row: its :class:`OptimizationResult`, or the
-    :class:`InfoGeoError` that ended it (an error of ``f`` or of a
-    stencil).  A failing row never stops the others, and each row gets
-    the bits it gets when solved alone.
+    Returns each row's :class:`OptimizationResult` (``converged=False``
+    where it stalled or hit the cap), or the :class:`InfoGeoError` of ``f``
+    or of a stencil that ended it, with the bits of the row solved alone.
     """
     params = np.asarray(params, dtype=float)
-    k, n = len(params), domain.dimension
-    outcomes: list = [None] * k
+    outcomes: list = [None] * len(params)
 
-    def evaluate(rows, owner, points):
-        """``f`` at ``points`` (m, n), point i belonging to ``rows[owner[i]]``,
-        and the mask of the rows whose points ``f`` fails on.  After a
-        failure each row's points are evaluated on their own, as when the
-        row is solved alone, so each failing row gets its own error."""
-        failed = np.zeros(len(rows), dtype=bool)
-        on = lambda owner: lambda pts: f(pts, params[rows[owner]])
+    def evaluate(rows, points):
+        """``f`` at ``points`` (j m, n), m points per row of ``rows`` (j,) in
+        turn, NaN at the points of a row that it fails on, with that row's
+        error: after a failure each row is evaluated alone, as when solved alone."""
+        at = np.repeat(params[rows], len(points) // len(rows), axis=0)
         try:
-            return _eval_rows(on(owner), points), failed
-        except InfoGeoError:
-            pass
-        values = np.full(len(points), np.nan)
-        for i in range(len(rows)):
-            mine = owner == i
-            try:
-                values[mine] = _eval_rows(on(owner[mine]), points[mine])
-            except InfoGeoError as exc:
-                outcomes[rows[i]] = exc
-                failed[i] = True
-        return values, failed
+            return _eval_rows(lambda pts: f(pts, at), points)
+        except InfoGeoError as exc:
+            if len(rows) == 1:
+                outcomes[rows[0]] = exc
+                return np.full(len(points), np.nan)
+        return np.concatenate(list(map(evaluate, np.split(rows, len(rows)),
+                                       np.split(points, len(rows)))))
 
     def derivative(stencil: _Stencil, rows, x):
         """``stencil``'s derivatives at the centres ``x`` of ``rows``, with
-        each stencil fitted into the domain, and the mask of failed rows."""
-        points, hs, failed = _fitted_stencils(stencil, x, domain)
-        for i in np.flatnonzero(failed):
+        each stencil fitted into the domain, or NaN where a row fails."""
+        points, hs, unfit = _fitted_stencils(stencil, x, domain)
+        for i in np.flatnonzero(unfit):
             outcomes[rows[i]] = DomainError(
                 f"no finite-difference stencil at {x[i].tolist()} fits in the domain")
-        # failed rows keep NaN values, which the caller drops with them
-        inside = np.flatnonzero(~failed)
-        a, m = points.shape[:2]
-        values = np.full((a, m), np.nan)
+        fits = np.flatnonzero(~unfit)
+        values = np.full(points.shape[:2], np.nan)
+        if fits.size:
+            at = evaluate(rows[fits], points[fits].reshape(-1, x.shape[1]))
+            values[fits] = at.reshape(fits.size, -1)
+        return stencil.combine(values, hs)
+
+    def value(rows, points):    # -inf, no value, at a candidate outside the domain
+        values = np.full(len(points), -np.inf)
+        inside = np.flatnonzero(np.asarray(domain.membership(points), dtype=bool))
         if inside.size:
-            at, failed[inside] = evaluate(rows[inside], np.repeat(np.arange(inside.size), m),
-                                          points[inside].reshape(inside.size * m, n))
-            values[inside] = at.reshape(inside.size, m)
-        return stencil.combine(values, hs), failed
+            values[inside] = evaluate(rows[inside], points[inside])
+        return (values,)
 
-    def finish(rows, x, fx, iterations, gnorm):
-        # a stalled row has not converged: its gradient norm is above tol
-        for i, row in enumerate(rows):
-            outcomes[row] = OptimizationResult(x[i].copy(), float(fx[i]), iterations,
-                                               float(gnorm[i]), bool(gnorm[i] <= tol))
-
-    rows = np.arange(k)                 # the rows still iterating
-    x = np.repeat(domain.interior_point[None], k, axis=0)
-    fx, failed = evaluate(rows, rows, x)
-    rows, x, fx = (a[~failed] for a in (rows, x, fx))
-    for it in range(MAX_ITERATIONS):
-        if not rows.size:
-            return outcomes
-        grad, failed = derivative(_GRAD, rows, x)
-        gnorm = row_norm(grad)
-        done = ~failed & (gnorm <= tol)
-        finish(rows[done], x[done], fx[done], it, gnorm[done])
-        keep = ~(failed | done)
-        rows, x, fx, grad, gnorm = (a[keep] for a in (rows, x, fx, grad, gnorm))
-        if not rows.size:
-            return outcomes
-        hess, failed = derivative(_HESS, rows, x)
-        rows, x, fx, grad, gnorm, hess = (
-            a[~failed] for a in (rows, x, fx, grad, gnorm, hess))
+    def direction(rows, grad, x, *_):
+        hess = derivative(_HESS, rows, x)
         p = _ascent_directions(grad, hess)
-        slope = row_dot(grad, p)
-        # Near the optimum f is flat to machine precision and the test
-        # would reject every step on rounding jitter alone.
-        slack = 1e-15 * (1.0 + np.abs(fx))
-        ended = np.zeros(len(rows), dtype=bool)
-        searching = np.ones(len(rows), dtype=bool)   # still halving the step
-        t = 1.0
-        for _ in range(MAX_BACKTRACKS):
-            todo = np.flatnonzero(searching)
-            if not todo.size:
-                break
-            cand = x[todo] + t * p[todo]
-            inside = np.asarray(domain.membership(cand), dtype=bool)
-            tried, cand = todo[inside], cand[inside]
-            if tried.size:
-                fc, lost = evaluate(rows[tried], np.arange(tried.size), cand)
-                ok = ~lost & (fc >= fx[tried] + ARMIJO_C * t * slope[tried] - slack[tried])
-                x[tried[ok]], fx[tried[ok]] = cand[ok], fc[ok]
-                ended[tried[lost]] = True
-                searching[tried[ok | lost]] = False
-            t *= BACKTRACK_FACTOR
-        # No admissible improving step along either direction: stalled.
-        stalled = np.flatnonzero(searching)
-        finish(rows[stalled], x[stalled], fx[stalled], it + 1, gnorm[stalled])
-        ended[stalled] = True
-        rows, x, fx = (a[~ended] for a in (rows, x, fx))
-    if rows.size:
-        grad, failed = derivative(_GRAD, rows, x)
-        keep = ~failed
-        finish(rows[keep], x[keep], fx[keep], MAX_ITERATIONS, row_norm(grad[keep]))
+        p[np.isnan(hess[:, 0, 0])] = np.nan     # the row failed
+        return p
+
+    def finish(rows, x, fx, iterations, gnorm):     # a row that failed keeps its error
+        for i, row in enumerate(rows):
+            outcomes[row] = outcomes[row] or OptimizationResult(
+                x[i].copy(), float(fx[i]), iterations, float(gnorm[i]), bool(gnorm[i] <= tol))
+
+    _damped_newton(np.repeat(domain.interior_point[None], len(params), axis=0), tol, value,
+                   lambda rows, x, *_: derivative(_GRAD, rows, x), direction,
+                   lambda rows, x, fx: 1e-15 * (1.0 + np.abs(fx)), finish)
     return outcomes
 
 

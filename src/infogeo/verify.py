@@ -366,7 +366,7 @@ def _discrete_checks(handle: DiscreteHandle):
     yield _check("fisher-metric-agreement", np.max(np.abs(hess - g)), 1e-5,
                  note="Hess Phi vs observable covariance")
 
-    if family.alphabet_size - 1 - family.n == 1:  # one-dimensional fibers
+    if family.alphabet_size - 1 - family.n >= 1:  # fibers of dimension one or more
         us = core.dual_points(model, handle.sample_thetas(rng, 5, radius=1.5))[1]
         s_fiber = _fiber_entropies(model, model.fiber_sampler(us, 100, rng))
         yield _check("fiber-entropy-dominated",
