@@ -144,8 +144,8 @@ class ModelDescriptor:
 class DualPair:
     """A parameter point with its dual energy point and both potentials.
 
-    ``roundtrip_error`` is None when the chart has saturated: ``u`` is so
-    close to the boundary that it lies outside the energy domain.
+    ``roundtrip_error`` is None when the chart has saturated: ``u`` has
+    rounded onto the boundary of the energy domain, or past it.
     """
 
     theta: np.ndarray
@@ -450,8 +450,8 @@ def canonical_check(model: ModelDescriptor, theta) -> DualPair:
     entropy rather than a moment re-fit.  Also round-trips ``U`` through
     the chart inversion of :func:`u_to_theta_rows` against ``theta`` and
     reports the max-abs error, or None when ``U`` lies outside the domain
-    (a saturated chart, e.g. the qubit at ``|theta| >~ 10.7``, where
-    ``tanh|theta|`` is within 1e-9 of 1).  Raises :class:`CanonicalityError`
+    (a saturated chart, e.g. the qubit at ``|theta| >~ 18.7``, where
+    ``tanh|theta|`` rounds to 1).  Raises :class:`CanonicalityError`
     (with the pair attached) when the residual exceeds 1e-9, and
     :class:`EvaluationError` when Phi, U or S overflows.
     """

@@ -45,10 +45,10 @@ class DiscreteFamily:
 
     The constants that every evaluation or moment fit would otherwise
     recompute are built once, here: ``log_prior`` (``ln c``), ``box``
-    (n, 2), the range of each observable, ``facets``, the closed moment
-    region as the rows ``[A_i, b_i]`` of halfspaces ``A_i . U <= b_i``,
-    and ``start_table``, the moment map of one observable as the rows
-    ``(U, theta)`` in increasing U (None for other ``n``).
+    (n, 2), the range of each observable, ``facets``, the open moment
+    region as the rows ``[A_i, c_i]`` of halfspaces ``A_i . U < c_i``
+    that :meth:`outside` tests, and ``start_table``, the moment map of one
+    observable as the rows ``(U, theta)`` in increasing U (None for other ``n``).
     """
 
     prior: np.ndarray
@@ -99,23 +99,28 @@ class DiscreteFamily:
         return self.prior.size
 
     def outside(self, u: np.ndarray) -> np.ndarray:
-        """Whether each point of ``u`` (..., n) is outside the closed moment region."""
-        return ~(u @ self.facets[:, :-1].T <= self.facets[:, -1]).all(axis=-1)
+        """Whether each point of ``u`` (..., n) fails ``A_i . U < c_i`` on a row of
+        ``facets``: the family's one region test (a NaN point is outside)."""
+        return ~(u @ self.facets[:, :-1].T < self.facets[:, -1]).all(axis=-1)
 
 
 def _hull_facets(h: np.ndarray, interior: np.ndarray) -> np.ndarray:
-    """Rows ``[A_i, b_i]`` (f, n + 1) of halfspaces ``A_i . U <= b_i`` whose
-    intersection is the hull of the letters' moments ``H(a)``: ``A_i``
-    solves ``A_i . (H(a) - interior) = 1`` on the i-th n-subset of letters
-    (one batched pseudo-inverse), scaled to a largest entry of 1, and
-    ``b_i = max_a A_i . H(a)`` makes a plane that is no facet a valid bound
-    too.  One observable gives ``U <= max H`` and ``-U <= -min H``."""
+    """Rows ``[A_i, c_i]`` (f, n + 1) of halfspaces ``A_i . U < c_i`` whose
+    intersection is the open hull of the letters' moments ``H(a)``, each
+    facet inset by 1e-12 of its width: ``A_i`` solves ``A_i . (H(a) -
+    interior) = 1`` on the i-th n-subset of letters (one batched
+    pseudo-inverse), scaled to a largest entry of 1, and ``c_i = b_i - 1e-12
+    w_i``, where ``b_i = max_a A_i . H(a)`` makes a plane that is no facet
+    a valid bound too and ``w_i`` is the range of ``A_i . H(a)``.  One
+    observable gives ``U < max H - 1e-12 w`` and ``-U < -(min H + 1e-12 w)``."""
     subsets = np.array(list(combinations(range(h.shape[1]), len(h))), dtype=int)
     normals = np.linalg.pinv(h.T[subsets] - interior).sum(axis=-1)
     # a zero normal (one letter at the interior) bounds nothing
     scale = np.abs(normals).max(axis=1, initial=0.0)
     normals = normals[scale > 0.0] / scale[scale > 0.0, None]
-    return np.column_stack([normals, (normals @ h).max(axis=1)])
+    # the inset keeps a target off the edge, where the fit loses its digits
+    heights = normals @ h
+    return np.column_stack([normals, heights.max(axis=1) - 1e-12 * np.ptp(heights, axis=1)])
 
 
 def check_probability(p) -> np.ndarray:
@@ -300,7 +305,7 @@ def fit_moments(family: DiscreteFamily, targets,
     ``family.start_table`` at the target (one observable) or theta = 0, all
     constants the family builds once.  A row converges when ``|E_theta H -
     U| <= tol``; its Armijo slack is ``1e-15 (1 + |f| + |Phi| + |theta.U|)``,
-    ``f`` the dual.  A target outside the moment region (``family.facets``)
+    ``f`` the dual.  A target that :meth:`DiscreteFamily.outside` refuses
     or a Newton step that is not finite makes a row infeasible; a singular
     covariance, no admissible step or 200 iterations fail it too.
 
@@ -402,12 +407,11 @@ def _chords(bases: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
     """Engine descriptor for the family.
 
-    The energy domain is the open moment region ``A_i . U < b_i - 1e-12
-    w_i`` on the rows ``[A_i, b_i]`` of ``family.facets``, with ``w_i`` the
-    range of ``A_i . H(a)`` over the letters, one matrix product for any
-    stack of points; ``entropy_u`` is the entropy of the moment-matched
-    members, from one :func:`fit_moments` call and :func:`dual_points` at
-    the fitted rows.  Phi, U and S at parameter rows come from the one kernel
+    The energy domain is the open moment region of
+    :meth:`DiscreteFamily.outside`, the test :func:`fit_moments` applies
+    too; ``entropy_u`` is the entropy of the moment-matched members, from
+    one :func:`fit_moments` call and :func:`dual_points` at the fitted
+    rows.  Phi, U and S at parameter rows come from the one kernel
     :func:`dual_points`, the metric is the covariance of the observables
     under the members, and the chart inversion is one
     :func:`maxent_fit_rows` call.  The data-set layer treats probability
@@ -421,19 +425,16 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
     """
     h = family.hamiltonians
     p0 = family.prior / float(family.prior.sum())
-    normals, b = family.facets[:, :-1], family.facets[:, -1]
-    limits = b - 1e-12 * (b - (normals @ h).min(axis=1))
-
-    def membership(u):
-        return (np.asarray(u, dtype=float) @ normals.T < limits).all(axis=-1)
 
     # Finite-difference stencils of S centered near an edge of the moment
     # interval (the verify oracles take fixed steps) can poke past it; with
-    # one observable, such points are clamped back to the membership margin
-    # so the evaluation stays finite.  Member points are never moved.
+    # one observable, such points are clamped one ulp inside the region's
+    # ends, where they still fit, so the evaluation stays finite.  Member
+    # points are never moved.
     lo, hi = family.box.T
     margin = 1e-12 * (hi - lo)
-    clamp = (lo + margin, hi - margin) if family.n == 1 else (-np.inf, np.inf)
+    clamp = ((np.nextafter(lo + margin, hi), np.nextafter(hi - margin, lo))
+             if family.n == 1 else (-np.inf, np.inf))
 
     def entropy_u(us):
         us = np.asarray(us, dtype=float)
@@ -478,7 +479,7 @@ def as_descriptor(family: DiscreteFamily) -> ModelDescriptor:
 
     return ModelDescriptor(
         energy_domain=Domain(dimension=family.n, bounding_box=family.box,
-                             membership=membership, interior_point=h @ p0),
+                             membership=lambda u: ~family.outside(u), interior_point=h @ p0),
         entropy_u=entropy_u,
         closed_dual_points=lambda th: dual_points(family, th),
         closed_metric=metric,

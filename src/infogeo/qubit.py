@@ -4,8 +4,10 @@ States are 2x2 density matrices, coordinatized by the Bloch vector
 ``U = (tr(rho X), tr(rho Y), tr(rho Z))``.  The spin observables are the
 three Pauli matrices; the canonical family consists of the Gibbs states
 ``rho_theta = exp(-theta . sigma) / (2 cosh |theta|)``, whose entropy is
-the von Neumann entropy.  Every quantity here has a closed form, which
-makes the model the primary oracle for the generic engine.
+the von Neumann entropy.  Their Bloch vectors fill the open unit ball, the
+energy domain: a pure state, on its boundary, has no finite parameters.
+Every quantity here has a closed form, which makes the model the primary
+oracle for the generic engine.
 """
 
 from __future__ import annotations
@@ -17,10 +19,6 @@ import numpy as np
 from .core import ModelDescriptor
 from .errors import DomainError, EvaluationError
 from .numerics import Domain, Matrix2H, eig_h2, func_h2, raise_first, row_dot, row_norm
-
-#: Shell at the pure-state boundary in which the chart refuses a Bloch
-#: vector: the model domain ends where the chart does.
-CHART_MARGIN = 1e-9
 
 
 def _vectors(v, what: str) -> np.ndarray:
@@ -89,18 +87,18 @@ def bloch_to_theta(u) -> np.ndarray:
     (3,) or at each of the rows ``u`` (k, 3); a point is row 0 of the
     one-row call.
 
-    Pure states (|u| = 1) have no finite parameters; vectors closer than
-    :data:`CHART_MARGIN` to the boundary are rejected with
-    :class:`DomainError` (any row of a stack).  The norm is
-    :func:`row_norm`, rescaled below ``|u| ~ 1.5e-154``, so other rows
-    have the bits of the 1-D ``np.linalg.norm``; the length of the
-    parameters is ``np.arctanh`` of it.
+    Pure states (|u| = 1) have no finite parameters: a row of norm 1 or
+    more is refused with :class:`DomainError`.  The norm is :func:`row_norm`,
+    rescaled below ``|u| ~ 1.5e-154``, so other rows have the bits of the
+    1-D ``np.linalg.norm``; the length of the parameters is ``np.arctanh``
+    of it, right to the map's conditioning ``|u| / ((1 - |u|^2) artanh|u|)``
+    up to the largest double below 1.
     """
     u = _vectors(u, "Bloch vector")
     us = u.reshape(-1, 3)
     r = row_norm(us)
-    if (r >= 1.0 - CHART_MARGIN).any():
-        raise DomainError("Bloch vector too close to the pure-state boundary")
+    if (r >= 1.0).any():
+        raise DomainError("Bloch vector on or outside the pure-state boundary")
     # u / r at r = 0 would be NaN; the parameters there are +0
     zero = r == 0.0
     theta = -(us / (r + zero)[:, None]) * np.arctanh(r)[:, None]
@@ -206,10 +204,9 @@ def quantum_relative_entropy(rho: Matrix2H, sigma: Matrix2H):
 def as_descriptor() -> ModelDescriptor:
     """Engine descriptor for the qubit.
 
-    Mean coordinates range over the open unit ball less the shell
-    :data:`CHART_MARGIN` at its boundary, where the chart inversion
-    :func:`bloch_to_theta` refuses them, so the chart inverts every point
-    of the domain.  Phi, U and S come from the one kernel
+    Mean coordinates range over the open unit ball ``|U| < 1``, by the
+    norm :func:`bloch_to_theta` takes, so the chart inverts every point of
+    the domain and refuses every other.  Phi, U and S come from the one kernel
     :func:`dual_points_qubit` and the metric from
     :func:`metric_qubit`.  Data sets are Bloch vectors of arbitrary
     states, and a stack of them is an array of rows (k, 3); the model
@@ -219,7 +216,7 @@ def as_descriptor() -> ModelDescriptor:
     box = np.array([[-1.0, 1.0]] * 3)
 
     def membership(u):
-        return row_norm(np.asarray(u, dtype=float)) < 1.0 - CHART_MARGIN
+        return row_norm(np.asarray(u, dtype=float)) < 1.0
 
     domain = Domain(dimension=3, bounding_box=box, membership=membership,
                     interior_point=np.zeros(3))

@@ -138,12 +138,14 @@ class DiscreteHandle(_CanonicalHandle):
         return self.family.alphabet_size
 
     def match_moments(self, u: np.ndarray):
-        # A target outside the closed moment region gets the error that the
-        # chart of divergence --u gives it; one on its edge may still fit.
+        # The family's one region test, which the domain and the fit ask too,
+        # gives a target outside the error that divergence --u gives it.  The
+        # fit is called by name, not through the chart, for the Newton
+        # iterations that maxent reports; its theta has the chart's bits.
         if self.family.outside(u):
             raise DomainError(f"energy point {u.tolist()} is outside the model domain")
         theta, iterations = discrete.maxent_fit_report(self.family, u)
-        achieved = self.family.hamiltonians @ discrete.boltzmann_gibbs(self.family, theta)
+        achieved = core.theta_to_u(self.descriptor, theta)
         return theta, achieved, iterations, "damped Newton on the dual objective"
 
     def member_outputs(self, theta: np.ndarray) -> dict:

@@ -328,10 +328,9 @@ def _qubit_checks(handle: QubitHandle):
     yield _check("fiber-sup-divergence-singleton", _def5_gap(model, xs, thetas), 1e-12,
                  note="three answers determine the state: fiber is one point")
 
-    margin_ok = (not model.energy_domain.membership(np.array([1.0 - 1e-13, 0.0, 0.0]))
-                 and model.energy_domain.membership(np.array([0.99, 0.0, 0.0])))
-    yield _check("domain-boundary-margin", 0.0 if margin_ok else 1.0, 0.0,
-                 note="chart must exclude a shell at the pure-state boundary")
+    inside = model.energy_domain.membership(np.diag([np.nextafter(1.0, 0.0), 1.0, 1.0]))
+    yield _check("domain-boundary", float(inside.tolist() != [True, False, False]), 0.0,
+                 note="domain is the open unit ball: |U| < 1 in, |U| = 1 out")
 
     v = rng.normal(size=(grid_thetas - 1, 3))
     v *= (rng.uniform(0.3, 1.2, size=grid_thetas - 1) / np.linalg.norm(v, axis=1))[:, None]

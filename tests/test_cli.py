@@ -143,10 +143,12 @@ def test_a_discrete_config_with_a_non_finite_entry_is_a_usage_error(tmp_path, ca
       "--zeta", "0.5,0,0"], 0, 1),
     ("discrete", "check_probability",
      ["divergence", "--model", "discrete3", "--x", "0.2,0.3,0.5", "--theta", "0.4"], 0, 1),
-    # |U| = tanh 12 and 1 - 1e-10 lie in the chart's margin, outside the domain
-    ("qubit", "bloch_to_theta", ["massieu", "--model", "qubit", "--theta", "12,0,0"], 0, 0),
+    # |U| = tanh 12 and 1 - 1e-10 lie inside the open unit ball, the domain
+    ("qubit", "bloch_to_theta", ["massieu", "--model", "qubit", "--theta", "12,0,0"], 0, 1),
     ("qubit", "bloch_to_theta", ["maxent", "--model", "qubit", "--u", "0.9999999999,0,0"],
-     3, 0),
+     0, 1),
+    # |U| = 1 is on its boundary: no chart call
+    ("qubit", "bloch_to_theta", ["maxent", "--model", "qubit", "--u", "1,0,0"], 3, 0),
     ("qubit", "bloch_to_theta", ["massieu", "--model", "qubit", "--theta", "10,0,0"], 0, 1)])
 def test_a_command_checks_its_data_set_and_inverts_its_chart_once(monkeypatch, capsys, module,
                                                                   name, argv, code, count):
@@ -819,8 +821,9 @@ def test_points_outside_the_chart_end_in_its_domain_error(tmp_path, capsys):
         assert env["status"] == "error:domain"
         assert env["diagnostics"]["message"] == (
             f"energy point {point} is outside the model domain")
-    # A moment target strictly outside the closed moment region is a domain
-    # error on every command that takes --u; targets on its edge still fit.
+    # A moment target outside the open moment region is a domain error on
+    # every command that takes --u, and so is a target on its edge, which
+    # has no finite theta.
     path = tmp_path / "triangle.ini"
     path.write_text("[model]\ntype = discrete\n\n[discrete]\n"
                     "prior = 1, 2, 3\nhamiltonians = 0, 1, 2; 1, 0, 0\n")
@@ -833,8 +836,9 @@ def test_points_outside_the_chart_end_in_its_domain_error(tmp_path, capsys):
                 env = strict_json(capsys.readouterr().out)
                 assert env["status"] == "error:domain", (command, u)
     for u in ("0", "2"):
-        assert cli.main(["maxent", "--model", "discrete3", "--u", u]) == 0
-        assert strict_json(capsys.readouterr().out)["status"] == "ok"
+        for command in (["maxent"], ["divergence", "--x", "0.2,0.3,0.5"]):
+            assert cli.main([*command, "--model", "discrete3", "--u", u]) == 3
+            assert strict_json(capsys.readouterr().out)["status"] == "error:domain"
 
 
 
@@ -890,15 +894,18 @@ def test_verify_single_model_exits_zero():
 
 
 def test_verify_detects_corrupted_configuration():
-    # a qubit whose domain reaches the pure-state boundary, with no margin
+    # a qubit whose domain stops short of the pure-state boundary, at the
+    # shell 1 - 1e-9 that it once left out
     handle = QubitHandle()
-    domain = dataclasses.replace(handle.descriptor.energy_domain,
-                                 membership=lambda u: numerics.row_norm(np.asarray(u)) < 1.0)
+    domain = dataclasses.replace(
+        handle.descriptor.energy_domain,
+        membership=lambda u: numerics.row_norm(np.asarray(u)) < 1.0 - 1e-9)
     corrupted = dataclasses.replace(
         handle, descriptor=dataclasses.replace(handle.descriptor, energy_domain=domain))
     rows = {r.name: r for r in verify.verify_handle(corrupted)}
-    assert not rows["domain-boundary-margin"].passed
-    assert rows["domain-boundary-margin"].worst == 1.0
+    assert not rows["domain-boundary"].passed
+    assert rows["domain-boundary"].worst == 1.0
+    assert {r.name: r for r in verify.verify_handle(handle)}["domain-boundary"].passed
 
 
 def test_verify_takes_one_target(capsys):

@@ -30,7 +30,6 @@ from infogeo import (
 )
 from infogeo.core import legendre_rows, u_to_theta_rows
 from infogeo.numerics import Domain
-from infogeo.qubit import CHART_MARGIN
 from infogeo.registry import discrete_instance, load_config
 
 TANH1 = math.tanh(1.0)
@@ -225,7 +224,7 @@ def test_dual_points_rejects_bad_rows(qubit):
 
 
 def _membership_rows(name, domain, rng):
-    """Random rows around the box, the margin points on every axis, and
+    """Random rows around the box, points near the edges on every axis, and
     rows the model must refuse."""
     lo, hi = domain.bounding_box.T
     span = hi - lo
@@ -238,11 +237,12 @@ def _membership_rows(name, domain, rng):
             row[j] = v
             rows.append(row[None])
     if name == "qubit":
-        # radii within a few ulps of the margin's shell, enough of them
-        # that a radius rounded differently from the 1-D norm shows
+        # radii within a few ulps of the unit sphere, the domain's boundary,
+        # enough of them that a radius rounded differently from the 1-D norm
+        # shows
         d = rng.normal(size=(400, 3))
         d /= np.linalg.norm(d, axis=1, keepdims=True)
-        radii = (1.0 - CHART_MARGIN) * (1.0 + np.arange(-4, 4) * np.finfo(float).eps)
+        radii = 1.0 + np.arange(-4, 4) * np.finfo(float).eps
         rows.append((d[:, None, :] * radii[None, :, None]).reshape(-1, 3))
     if name == "coherent":
         rows.append(np.array([[math.inf, 0.0], [0.0, math.nan], [-math.inf, 1.0]]))
@@ -264,8 +264,7 @@ def test_batched_membership_matches_per_point(name, tmp_path):
     stacked = domain.membership(even.reshape(2, -1, model.n))
     assert np.array_equal(stacked, batched[: len(even)].reshape(2, -1))
     if name == "qubit":  # the decision the 1-D norm gives
-        assert batched.tolist() == [float(np.linalg.norm(row)) < 1.0 - CHART_MARGIN
-                                    for row in rows]
+        assert batched.tolist() == [float(np.linalg.norm(row)) < 1.0 for row in rows]
 
 
 # the families of CI's verify --config step with two observables
@@ -280,11 +279,13 @@ def test_the_chart_inverts_every_row_of_the_energy_domain(name):
              if name in _CHART_FAMILIES else get_model(name).descriptor)
     rows = _membership_rows(name, model.energy_domain, np.random.default_rng(3))
     rows = rows[np.isfinite(rows).all(axis=1)]
-    if name == "qubit":  # radii in the margin, next to those a few ulps across it
+    if name == "qubit":  # radii next to the boundary, down to the largest double below 1
         d = np.random.default_rng(4).normal(size=(50, 3))
-        rows = np.vstack([rows, (1.0 - 1e-10) * d / np.linalg.norm(d, axis=1, keepdims=True)])
+        rows = np.vstack([rows, (1.0 - 1e-10) * d / np.linalg.norm(d, axis=1, keepdims=True),
+                          np.nextafter(1.0, 0.0) * np.eye(3)])
     inside = model.energy_domain.membership(rows)
     assert inside.any() and (name.startswith("coherent") or not inside.all())
+    assert name != "qubit" or inside[-53:].all()
     # every row of the domain in one chart call, none refused
     thetas = model.closed_u_to_theta(rows[inside])
     assert np.isfinite(thetas).all()

@@ -33,6 +33,7 @@ from infogeo.discrete import (
     kl_divergence,
     log_partition,
     maxent_fit_report,
+    maxent_fit_rows,
 )
 
 LN2 = math.log(2.0)
@@ -424,9 +425,10 @@ def test_fit_of_targets_all_outside_the_box_takes_no_newton_step(monkeypatch):
         maxent_fit_report(get_model("discrete3").family, [2.5])
 
 
-#: Stacks whose rows, at tol 1e-12 and at tol 0, cover every fit outcome:
-#: converged, infeasible (outside the box, NaN), stalled (tol 0 near an
-#: edge) and, on the two-observable family, singular.
+#: Stacks whose rows, at tol 1e-12 and at tol 0, cover the fit outcomes
+#: that a target reaches: converged, infeasible (on an edge, outside the
+#: box, NaN) and stalled (tol 0 near an edge).  No target reaches a
+#: singular covariance inside the region; a forced one is tested below.
 MIXED_STACKS = {
     "discrete2": (get_model("discrete2").family,
                   [[0.3], [0.5], [0.999], [1e-9], [1.2], [-0.5], [np.nan], [0.0], [1.0]]),
@@ -435,8 +437,8 @@ MIXED_STACKS = {
     "1,2,3/0,1,2;1,0,0": (
         DiscreteFamily(prior=np.array([1.0, 2.0, 3.0]),
                        hamiltonians=np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0]])),
-        [[1.2, 0.4], [0.3, 0.2], [1.5, 0.0], [3.0, 0.5], [0.5, 0.5], [0.25, 0.75],
-         [np.nan, 0.1]]),
+        [[1.2, 0.4], [1.0, 0.1], [1.2, 0.399], [1.5, 1e-9], [0.3, 0.2], [1.5, 0.0],
+         [3.0, 0.5], [0.5, 0.5], [0.25, 0.75], [np.nan, 0.1]]),
     "0,1,10": (DiscreteFamily(prior=np.ones(3), hamiltonians=np.array([[0.0, 1.0, 10.0]])),
                [[2.0], [9.9], [0.01], [11.0], [np.nan], [5.0], [1e-6]]),
 }
@@ -454,10 +456,21 @@ def test_each_row_of_a_mixed_stack_is_its_one_row_fit(name):
             assert thetas[i].tobytes() == theta[0].tobytes()
             assert (iterations[i], status[i]) == (its[0], stat[0])
         seen.update(status.tolist())
-    expected = {FIT_OK, FIT_INFEASIBLE, FIT_STALLED}
-    if family.n > 1:
-        expected.add(FIT_SINGULAR)
-    assert seen == expected
+    assert seen == {FIT_OK, FIT_INFEASIBLE, FIT_STALLED}
+
+
+def test_a_singular_covariance_fails_its_row_alone(monkeypatch):
+    # the fit is handed zero covariances, which no target inside the region
+    # reaches: the row inside is singular, the one outside still infeasible
+    monkeypatch.setattr(discrete, "_covariance",
+                        lambda h, p, moments: np.zeros((len(p), len(h), len(h))))
+    for family, targets in ((get_model("discrete3").family, [[1.2], [2.5]]),
+                            (MIXED_STACKS["1,2,3/0,1,2;1,0,0"][0], [[1.0, 0.1], [3.0, 0.5]])):
+        thetas, iterations, status = fit_moments(family, np.array(targets))
+        assert status.tolist() == [FIT_SINGULAR, FIT_INFEASIBLE]
+        assert not thetas.any() and not iterations.any()
+        with pytest.raises(DegeneracyError, match="singular covariance"):
+            maxent_fit_rows(family, np.array(targets))
 
 
 def test_fit_converges_where_the_dual_objective_cancels():

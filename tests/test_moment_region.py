@@ -1,9 +1,10 @@
 """The moment region of a discrete family: one facet test.
 
-A ``DiscreteFamily`` builds the halfspaces ``U A^T <= b`` of the convex
-hull of its letters' moments once.  The descriptor's membership is the
-open test ``U A^T < b - 1e-12 * width`` on them, and ``fit_moments`` finds
-a target outside the closed region infeasible before any Newton step.
+A ``DiscreteFamily`` builds the halfspaces ``U A^T < c`` of its open
+moment region once: the convex hull of its letters' moments with each
+facet inset by 1e-12 of its width.  ``DiscreteFamily.outside`` is the one
+test on them: the descriptor's membership is its negation, and
+``fit_moments`` finds a target outside infeasible before any Newton step.
 """
 
 import numpy as np

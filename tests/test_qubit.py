@@ -107,10 +107,14 @@ def test_bloch_to_theta_inverts_theta_to_bloch():
 
 
 def test_bloch_to_theta_rejects_near_pure_states():
-    with pytest.raises(DomainError):
-        bloch_to_theta(np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(DomainError):
-        bloch_to_theta(np.array([1.0 - 1e-12, 0.0, 0.0]))
+    # no shell at the boundary: a vector just inside it has finite
+    # parameters, and one of norm 1 or more has none
+    for r in (1.0, 1.0 + 1e-12):
+        with pytest.raises(DomainError):
+            bloch_to_theta(np.array([r, 0.0, 0.0]))
+    for r in (1.0 - 1e-12, np.nextafter(1.0, 0.0)):
+        theta = bloch_to_theta(np.array([0.0, r, 0.0]))
+        assert theta[1] == -np.arctanh(r) and np.isfinite(theta).all()
 
 
 def test_tiny_bloch_vectors_keep_their_parameters(capsys):
