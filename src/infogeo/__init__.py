@@ -6,7 +6,7 @@ Legendre transform of the entropy.  :mod:`infogeo.core` holds the
 model-agnostic engine; concrete families live in :mod:`infogeo.qubit`,
 :mod:`infogeo.coherent`, :mod:`infogeo.discrete`,
 :mod:`infogeo.regression`, and :mod:`infogeo.sphere`.  ``infogeo verify``
-runs the property suites from :mod:`infogeo.verify`.
+runs the property suites from :mod:`infogeo.verify`, loaded on first use.
 """
 
 __version__ = "0.1.0"
@@ -52,11 +52,15 @@ from .registry import (
     get_model,
     load_config,
 )
-from .verify import (
-    PropertyResult,
-    verify_handle,
-    verify_numerics,
-)
+
+
+def __getattr__(name):
+    """The names of :mod:`infogeo.verify`, imported on first use (PEP 562)."""
+    if name in ("PropertyResult", "verify_handle", "verify_numerics"):
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BUILTIN_NAMES",

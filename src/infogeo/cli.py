@@ -44,7 +44,7 @@ import time
 
 import numpy as np
 
-from . import __version__, coherent, core, regression, verify
+from . import __version__, coherent, core
 from .errors import EvaluationError, InfoGeoError
 from .numerics import row_norm
 from .registry import BUILTIN_NAMES, ModelHandle, get_model, load_config
@@ -136,9 +136,14 @@ def _canonical_model(args, inputs: dict, command: str):
     return handle, handle.descriptor
 
 
+def _load_pairs(path: str) -> np.ndarray:
+    from .regression import load_pairs  # with csv, on the first --data file only
+    return load_pairs(path)
+
+
 # flag -> (what the file holds, its reader)
 _DATA_FILES = {"x_file": ("state", coherent.load_state),
-               "data": ("data", regression.load_pairs)}
+               "data": ("data", _load_pairs)}
 
 
 def _parse_dataset(args, handle: ModelHandle, inputs: dict):
@@ -321,8 +326,10 @@ def _parse_grid(specs, n: int) -> list[np.ndarray]:
             count = int(parts[2])
         except ValueError:
             raise UsageError(f"bad grid spec {spec!r}") from None
-        if not (math.isfinite(start) and math.isfinite(stop)):
-            raise UsageError(f"grid bounds must be finite in {spec!r}")
+        # one test for an infinite bound and for a span that overflows,
+        # which np.linspace would turn into inf and NaN points
+        if not math.isfinite(stop - start):
+            raise UsageError(f"grid bounds and their span must be finite in {spec!r}")
         if not 1 <= axis <= n:
             raise UsageError(f"grid axis {axis} out of range 1..{n}")
         if axis in grids:
@@ -405,6 +412,8 @@ def _cmd_sweep(args, inputs: dict):
 
 
 def _cmd_verify(args, inputs: dict):
+    from . import verify  # the suites load with the first verify command only
+
     given = [flag for flag, value in (("TARGET", args.target), ("--model", args.model),
                                       ("--config", args.config)) if value is not None]
     if len(given) > 1:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import coherent, core, discrete, qubit, regression, sphere
+from . import coherent, core, discrete, qubit, sphere
 from .core import ModelDescriptor
 from .errors import DomainError
 from .numerics import complex_row_norm
@@ -168,6 +168,8 @@ class RegressionHandle:
 
     def best_fit(self, pts: np.ndarray) -> tuple[dict, dict]:
         """``maxent`` outputs and diagnostics for the point set ``pts``."""
+        from . import regression  # on first use: no other command needs it
+
         outputs = {
             "questions": list(regression.regression_questions(pts)),
             "entropy": regression.regression_entropy(pts),

@@ -249,14 +249,6 @@ def regression_is_perfect(points):
     return _on_sets(_perfect, points)
 
 
-def regression_embed(a: float, b: float, xs) -> np.ndarray:
-    """Points of the line ``y = a x + b`` over the abscissas ``xs``."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1 or xs.size < 2:
-        raise ValueError("need at least two abscissas")
-    return np.stack([xs, a * xs + b], axis=-1)
-
-
 def load_pairs(path: str) -> np.ndarray:
     """Read an (n, 2) point list from a two-column CSV file.
 

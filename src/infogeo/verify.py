@@ -531,7 +531,7 @@ def _regression_checks():
         while np.ptp(xs) < 1e-6:
             xs = rng.normal(size=xs.size)
         abscissas.append(xs)
-    sets = [regression.regression_embed(a, b, xs) for (a, b), xs in zip(lines, abscissas)]
+    sets = [np.stack([xs, a * xs + b], axis=-1) for (a, b), xs in zip(lines, abscissas)]
     a, b = np.array(lines).T
     worst = max(np.max(np.abs(regression.regression_questions(sets) - np.array(lines))),
                 np.max(np.abs(regression.regression_entropy(sets) + a * a + b * b)))

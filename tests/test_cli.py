@@ -558,6 +558,8 @@ def test_usage_errors_exit_two(capsys):
          "--grid", "2=0:1:2000", "--quantities", "phi"),        # too large
         ("sweep", "--model", "qubit", "--grid", "1=0:inf:3",
          "--quantities", "phi"),                                # not finite
+        ("sweep", "--model", "discrete3", "--grid", "1=-1e308:1e308:3",
+         "--quantities", "phi"),                                # span overflows
         ("massieu", "--model", "qubit", "--theta", "nan,0,0"),  # not finite
         ("massieu", "--model", "qubit", "--theta", "1e400,0,0"),
         ("pythagoras", "--model", "qubit", "--theta", "0,0,0", "--zeta", "1,0,0",

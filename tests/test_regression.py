@@ -7,7 +7,6 @@ import pytest
 from infogeo import DegeneracyError, EvaluationError
 from infogeo.regression import (
     load_pairs,
-    regression_embed,
     regression_entropy,
     regression_entropy_pairwise,
     regression_is_perfect,
@@ -114,7 +113,7 @@ def test_perfect_data_entropy_law():
         xs = np.sort(rng.uniform(-3.0, 3.0, size=int(rng.integers(2, 20))))
         if np.ptp(xs) < 1e-6:
             continue
-        pts = regression_embed(a, b, xs)
+        pts = np.stack([xs, a * xs + b], axis=-1)
         assert regression_entropy(pts) == pytest.approx(
             -a * a - b * b, abs=1e-9)
         assert regression_is_perfect(pts)
@@ -143,8 +142,6 @@ def test_point_validation():
         regression_questions(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError, match="at least one point set"):
         regression_questions(np.empty((0, 3, 2)))     # a stack of no sets
-    with pytest.raises(ValueError):
-        regression_embed(1.0, 0.0, np.array([5.0]))
 
 
 def test_load_pairs_variants(tmp_path):
