@@ -24,10 +24,9 @@ rows ``(k, n)``: :func:`bregman_divergence`, :func:`divergence_from_data`,
 kernel, and a point call returns row 0 of the one-row call, with
 ``float`` scalars.  With rows, the data argument is a stack of k data
 sets; a single data set enters the data-set layer as the stack ``x[None]``.
-The chart inversion keeps a row form, :func:`u_to_theta_rows`, because
-it flags the rows outside the energy domain where :func:`u_to_theta`
-raises; the domain is the chart's one boundary, as the chart inverts
-every row inside it.
+The chart inversion :func:`u_to_theta` takes energy points or rows the
+same way; the energy domain is the chart's one boundary, as the chart
+inverts every row inside it, and a row outside it raises.
 
 Conventions.  The Massieu function is the Legendre--Fenchel transform
 
@@ -106,8 +105,8 @@ class ModelDescriptor:
         each row independent of the others.  It inverts every row of the
         energy domain, so the domain's membership is the one boundary of
         the chart, and raises only where it cannot, with the error of its
-        lowest failing row.  It is the one route of
-        :func:`u_to_theta_rows` and :func:`u_to_theta`.
+        lowest failing row.  It is the one route of :func:`u_to_theta`
+        and of the round trip of :func:`canonical_check`.
     dataset_answers : callable
         Data-set layer: maps a stack of k data sets, the array of their
         rows (one data set ``x`` is the stack ``x[None]``), to
@@ -284,16 +283,16 @@ def theta_to_u(model: ModelDescriptor, theta) -> np.ndarray:
     return u
 
 
-def _as_rows(model: ModelDescriptor, *arrays) -> list[np.ndarray]:
-    """The arrays as parameter rows ``(k, n)``, all with the same ``k``."""
+def _as_rows(model: ModelDescriptor, *arrays, kind: str = "parameter") -> list[np.ndarray]:
+    """The arrays as ``kind`` rows ``(k, n)``, all with the same ``k``."""
     rows = [np.asarray(a, dtype=float) for a in arrays]
     for a in rows:
         if a.ndim != 2 or a.shape[1] != model.n:
-            raise ValueError(f"expected parameter rows of length {model.n}")
+            raise ValueError(f"expected {kind} rows of length {model.n}")
         if not np.isfinite(a).all():
-            raise ValueError("parameter rows must be finite")
+            raise ValueError(f"{kind} rows must be finite")
     if len({a.shape[0] for a in rows}) > 1:
-        raise ValueError("expected the same number of parameter rows in each array")
+        raise ValueError(f"expected the same number of {kind} rows in each array")
     return rows
 
 
@@ -308,7 +307,7 @@ def _points(model: ModelDescriptor, *arrays,
     arrays = [np.asarray(a, dtype=float) for a in arrays]
     if all(a.ndim < 2 for a in arrays):
         return [_as_point(model, a, kind)[None] for a in arrays], True
-    return _as_rows(model, *arrays), False
+    return _as_rows(model, *arrays, kind=kind), False
 
 
 def _dual_rows(model: ModelDescriptor, thetas: np.ndarray):
@@ -368,55 +367,38 @@ def canonical_residuals(thetas: np.ndarray, phi: np.ndarray, u: np.ndarray,
     return residual
 
 
-def _chart_rows(model: ModelDescriptor, us: np.ndarray):
-    """``(theta (k, n), errors)`` at validated energy rows: ``errors[i]``
-    is None, or the error row i raises alone (its theta is NaN): a
-    :class:`DomainError` outside the domain, an :class:`EvaluationError`
-    where theta overflows.
+def _theta_rows(model: ModelDescriptor, us: np.ndarray) -> np.ndarray:
+    """:func:`u_to_theta` at energy rows the caller has validated.
 
-    One chart call inverts the rows inside the domain; an error it raises
-    propagates.
+    Call it under ``np.errstate(over="ignore", invalid="ignore")``.  One
+    chart call inverts the rows inside the domain, and an error it raises
+    propagates; then the lowest failing row raises its error.
     """
     inside = np.asarray(model.energy_domain.membership(us), dtype=bool)
     thetas = np.full(us.shape, np.nan)
     if inside.any():
         thetas[inside] = model.closed_u_to_theta(us[inside])
-    errors: list[InfoGeoError | None] = [None] * len(us)
-    for i in np.flatnonzero(~np.isfinite(thetas).all(axis=1)):
-        point = us[i].tolist()
-        errors[i] = (EvaluationError(f"the parameters dual to {point} overflow") if inside[i]
-                     else DomainError(f"energy point {point} is outside the model domain"))
-    return thetas, errors
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def u_to_theta_rows(model: ModelDescriptor, us) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise :func:`u_to_theta`: ``(theta (k, n), refused (k,))`` at the
-    energy rows ``us`` (k, n), from one call of the closed chart (one
-    moment fit on a discrete model).
-
-    Row i has the bits of ``u_to_theta(model, us[i])``.  A row outside
-    the domain, which :func:`u_to_theta` refuses with
-    :class:`DomainError`, is flagged in ``refused`` and holds NaN; an
-    error of the chart, then the :class:`EvaluationError` of the lowest
-    row whose theta overflows, is raised.
-    """
-    thetas, errors = _chart_rows(model, *_as_rows(model, us))
-    for exc in errors:
-        if exc is not None and not isinstance(exc, DomainError):
-            raise exc
-    return thetas, np.array([exc is not None for exc in errors], dtype=bool)
+    raise_first((~inside, lambda i: DomainError(
+                    f"energy point {us[i].tolist()} is outside the model domain")),
+                (~np.isfinite(thetas).all(axis=1), lambda i: EvaluationError(
+                    f"the parameters dual to {us[i].tolist()} overflow")))
+    return thetas
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def u_to_theta(model: ModelDescriptor, u) -> np.ndarray:
-    """Natural parameters dual to ``u`` via ``theta_j = dS/dU_j``: the
-    one-row view of :func:`u_to_theta_rows`, raising the error of a
-    refused row."""
-    thetas, errors = _chart_rows(model, _as_point(model, u, "energy")[None])
-    if errors[0] is not None:
-        raise errors[0]
-    return thetas[0]
+    """Natural parameters dual to the energy point ``u`` (n,) via
+    ``theta_j = dS/dU_j``, or ``(k, n)`` at the energy rows ``u`` (k, n),
+    from one call of the closed chart (one moment fit on a discrete
+    model); row i has the bits of the point call on ``u[i]``.
+
+    Raises an error of the chart first, then for the lowest failing row
+    :class:`DomainError` when it lies outside the domain, or
+    :class:`EvaluationError` when its theta overflows.
+    """
+    (us,), single = _points(model, u, kind="energy")
+    thetas = _theta_rows(model, us)
+    return thetas[0] if single else thetas
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -448,23 +430,23 @@ def canonical_check(model: ModelDescriptor, theta) -> DualPair:
     ``Phi``, ``U`` and ``S(U)`` come from :func:`dual_points`, the route
     ``sweep`` takes, so a discrete model's ``S`` is its member's own
     entropy rather than a moment re-fit.  Also round-trips ``U`` through
-    the chart inversion of :func:`u_to_theta_rows` against ``theta`` and
-    reports the max-abs error, or None when ``U`` lies outside the domain
-    (a saturated chart, e.g. the qubit at ``|theta| >~ 18.7``, where
-    ``tanh|theta|`` rounds to 1).  Raises :class:`CanonicalityError`
-    (with the pair attached) when the residual exceeds 1e-9, and
-    :class:`EvaluationError` when Phi, U or S overflows.
+    the chart inversion of :func:`u_to_theta` against ``theta`` and
+    reports the max-abs error, or None where the chart refuses ``U`` with
+    :class:`DomainError`, as outside the domain (a saturated chart, e.g.
+    the qubit at ``|theta| >~ 18.7``, where ``tanh|theta|`` rounds to 1).
+    Raises :class:`CanonicalityError` (with the pair attached) when the
+    residual exceeds 1e-9, and :class:`EvaluationError` when Phi, U or S
+    overflows.
     """
     theta = _as_point(model, theta)
     phis, us, ss = _dual_rows(model, theta[None])
     residual = float(canonical_residuals(theta[None], phis, us, ss)[0])
-    back, errors = _chart_rows(model, us)
-    if isinstance(errors[0], DomainError):
+    try:
+        back = _theta_rows(model, us)[0]
+    except DomainError:
         roundtrip = None
-    elif errors[0] is not None:
-        raise errors[0]
     else:
-        roundtrip = float(np.max(np.abs(back[0] - theta))) if model.n else 0.0
+        roundtrip = float(np.max(np.abs(back - theta))) if model.n else 0.0
     pair = DualPair(theta=theta, u=us[0], massieu=float(phis[0]), entropy=float(ss[0]),
                     residual=residual, roundtrip_error=roundtrip)
     if residual > _IDENTITY_TOL:
@@ -565,8 +547,7 @@ def divergence_def5(model: ModelDescriptor, x, u_of_m,
     first, then that of the lowest row outside the domain or overflowing.
     """
     (us,), single = _points(model, u_of_m, kind="energy")
-    thetas, errors = _chart_rows(model, us)
-    raise_first(([exc is not None for exc in errors], lambda i: errors[i]))
+    thetas = _theta_rows(model, us)
     phi = model.closed_dual_points(thetas)[0]
     _require_finite(np.isfinite(phi), "Massieu function", thetas)
     fibers = model.fiber_sampler(us, fiber_samples, None)

@@ -198,44 +198,21 @@ def dual_points(family: DiscreteFamily, thetas: np.ndarray):
     return phi, _mean_energy(family.hamiltonians, p), -np.sum(terms, axis=-1)
 
 
-def _support_sums(ps: np.ndarray, terms) -> np.ndarray:
-    """The sum of ``terms(rows, letters)`` over the support of each row of
-    ``ps`` (k, m), with the rows of full support summed in one call.
-
-    ``terms`` gets numpy indices into ``ps`` (rows, letters) and returns
-    the terms there.  A row with a zero letter is summed over its support
-    alone (0 ln 0 = 0): with the zero terms in place, numpy's pairwise sum
-    would group the terms of a row of 8 or more letters differently, and
-    the row would lose the bits of the sum over its support.
-    """
-    support = ps > 0.0
-    full = support.all(axis=1)
-    values = np.empty(len(ps))
-    if full.any():
-        values[full] = np.sum(terms(full, slice(None)), axis=1)
-    for i in np.flatnonzero(~full):
-        values[i] = np.sum(terms(i, support[i]))
-    return values
-
-
 def bgs_entropy(family: DiscreteFamily, p):
     """Prior-relative Shannon entropy ``-sum_a p(a) ln(p(a)/c(a))`` of the
     probability vector ``p`` (m,), or ``(k,)`` of the rows of ``p`` (k, m),
     with row i the bits of the point call on row i.
 
-    Zero-probability letters contribute nothing (0 ln 0 = 0): each row is
-    summed over its support (:func:`_support_sums`).
+    Zero-probability letters contribute nothing (0 ln 0 = 0): their terms
+    are masked to zero, as in :func:`dual_points`.
     """
     ps = np.atleast_2d(check_probability(p))
     if ps.shape[1] != family.alphabet_size:
         raise ValueError(f"expected probability vectors over"
                          f" {family.alphabet_size} letters")
-
-    def terms(rows, letters):
-        p = ps[rows, letters]
-        return p * (np.log(p) - family.log_prior[letters])
-
-    values = -_support_sums(ps, terms)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(ps > 0.0, ps * (np.log(ps) - family.log_prior), 0.0)
+    values = -np.sum(terms, axis=1)
     return float(values[0]) if np.ndim(p) == 1 else values
 
 
@@ -263,12 +240,9 @@ def kl_divergence(p, q):
         raise ValueError("distribution lengths differ")
     if np.any((ps > 0.0) & (qs == 0.0)):
         raise SupportError("q vanishes on the support of p")
-
-    def terms(rows, letters):
-        p = ps[rows, letters]
-        return p * np.log(p / qs[rows, letters])
-
-    values = _support_sums(ps, terms)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(ps > 0.0, ps * np.log(ps / qs), 0.0)
+    values = np.sum(terms, axis=1)
     return float(values[0]) if single else values
 
 

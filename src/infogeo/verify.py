@@ -186,9 +186,9 @@ def _canonical_checks(handle: ModelHandle):
     residuals = core.canonical_residuals(thetas, phi, us, ss)
     yield _check("canonical-identity", np.max(residuals, initial=0.0), 1e-9,
                  note="Phi - S(U) + theta.U at 100 points")
-    back, refused = core.u_to_theta_rows(model, us)
-    # a refused row is a saturated chart, not a failed round trip
-    errors = np.abs(back[~refused] - thetas[~refused])
+    # a row outside the domain is a saturated chart, not a failed round trip
+    inside = model.energy_domain.membership(us)
+    errors = np.abs(core.u_to_theta(model, us[inside]) - thetas[inside])
     yield _check("dual-roundtrip", np.max(errors, initial=0.0), 1e-9,
                  note="u_to_theta(theta_to_u(theta)) vs theta")
 

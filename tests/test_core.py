@@ -3,6 +3,7 @@ divergences, Pythagorean identities, and convexity probes."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from infogeo import (
     theta_to_u,
     u_to_theta,
 )
-from infogeo.core import legendre_rows, u_to_theta_rows
+from infogeo.core import legendre_rows
 from infogeo.numerics import Domain
 from infogeo.registry import discrete_instance, load_config
 
@@ -286,12 +287,16 @@ def test_the_chart_inverts_every_row_of_the_energy_domain(name):
     inside = model.energy_domain.membership(rows)
     assert inside.any() and (name.startswith("coherent") or not inside.all())
     assert name != "qubit" or inside[-53:].all()
-    # every row of the domain in one chart call, none refused
+    # every row of the domain in one chart call, none refused, with the
+    # chart's bits
     thetas = model.closed_u_to_theta(rows[inside])
     assert np.isfinite(thetas).all()
-    back, refused = u_to_theta_rows(model, rows)
-    assert refused.tolist() == (~inside).tolist()
-    assert np.array_equal(back[inside], thetas)
+    assert u_to_theta(model, rows[inside]).tobytes() == thetas.tobytes()
+    # a stack with rows outside raises the domain error of the lowest one
+    if not inside.all():
+        first = rows[np.argmin(inside)].tolist()
+        with pytest.raises(DomainError, match=re.escape(f"energy point {first} is outside")):
+            u_to_theta(model, rows)
 
 
 # ------------------------------------------------------ canonical check

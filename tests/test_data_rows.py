@@ -1,7 +1,7 @@
 """Row forms of the data-set layer against their one-set views.
 
 Row i of the stacked ``dataset_answers``, of ``divergence_from_data``
-and ``pythagoras_data`` on a stack, of ``u_to_theta_rows`` and of the
+and ``pythagoras_data`` on a stack, of ``u_to_theta`` on rows and of the
 family functions of data sets (``bloch_to_theta``, ``entropy_bloch``,
 ``check_probability``, ``bgs_entropy``, ``check_state``) must carry the
 bits of the one-set call on row i, and a bad row in a stack must raise
@@ -113,8 +113,7 @@ def test_row_wise_chart_equals_one_point_calls(name):
     model = handle.descriptor
     thetas = handle.sample_thetas(np.random.default_rng(63), 20)
     us = core.dual_points(model, thetas)[1]
-    back, refused = core.u_to_theta_rows(model, us)
-    assert not refused.any()
+    back = u_to_theta(model, us)
     for i, u in enumerate(us):
         assert bits(back[i]) == bits(u_to_theta(model, u))
     # the numeric oracle: one grad_fd call on all the centres
@@ -180,18 +179,18 @@ def test_a_noncompliant_row_raises_the_constraint_error_it_raises_alone():
     assert raised(pythagoras_data, model, xs, th, ze) == alone
 
 
-def test_a_chart_refused_row_is_flagged_and_the_others_keep_their_bits():
+def test_a_chart_refused_row_raises_and_the_others_keep_their_bits():
     model = HANDLES["qubit"].descriptor
     thetas = np.array([[0.3, -0.2, 0.1], [30.0, 0.0, 0.0], [0.0, 1.5, -0.5]])
     us = core.dual_points(model, thetas)[1]
     us = np.vstack([us, [[1.5, 0.0, 0.0]]])        # outside the domain
-    back, refused = core.u_to_theta_rows(model, us)
-    assert refused.tolist() == [False, True, False, True]
-    assert np.isnan(back[refused]).all()
-    for i in (0, 2):
-        assert bits(back[i]) == bits(u_to_theta(model, us[i]))
-    for i in (1, 3):
-        with pytest.raises(DomainError):
-            u_to_theta(model, us[i])
+    back = u_to_theta(model, us[[0, 2]])
+    for j, i in enumerate((0, 2)):
+        assert bits(back[j]) == bits(u_to_theta(model, us[i]))
+    # a stack raises the error of its lowest refused row, as it raises alone
+    for order, lowest in (([0, 1, 2, 3], 1), ([3, 2, 1, 0], 3)):
+        alone = raised(u_to_theta, model, us[lowest])
+        assert alone[0] is DomainError
+        assert raised(u_to_theta, model, us[order]) == alone
     # |theta| = 30 saturates the chart: tanh 30 rounds to 1
     assert canonical_check(model, thetas[1]).roundtrip_error is None

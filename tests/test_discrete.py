@@ -149,6 +149,28 @@ def test_kl_divergence_support_violation():
         kl_divergence(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
 
 
+def test_stacked_sums_over_the_support_keep_the_bits_of_point_calls():
+    # ten letters, more than the eight below which numpy's pairwise sum
+    # adds in order, with zero letters in every row but the first
+    rng = np.random.default_rng(5)
+    family = DiscreteFamily(prior=rng.integers(1, 5, 10).astype(float),
+                            hamiltonians=np.arange(10.0)[None])
+    ps = rng.dirichlet(np.ones(10), size=50)
+    ps[1:][rng.uniform(size=(49, 10)) < 0.3] = 0.0
+    ps /= ps.sum(axis=1, keepdims=True)
+    qs = rng.dirichlet(np.ones(10), size=50)
+    entropies, divergences = bgs_entropy(family, ps), kl_divergence(ps, qs)
+    for i, (p, q) in enumerate(zip(ps, qs)):
+        assert entropies[i].tobytes() == np.float64(bgs_entropy(family, p)).tobytes()
+        assert divergences[i].tobytes() == np.float64(kl_divergence(p, q)).tobytes()
+        support = np.flatnonzero(p)
+        assert entropies[i] == pytest.approx(
+            -math.fsum(p[a] * math.log(p[a] / family.prior[a]) for a in support), rel=1e-15)
+        assert divergences[i] == pytest.approx(
+            math.fsum(p[a] * math.log(p[a] / q[a]) for a in support), rel=1e-15)
+    assert (ps[1:] == 0.0).any(axis=1).all()
+
+
 def test_kl_divergence_nonnegative_seeded():
     rng = np.random.default_rng(3)
     for _ in range(200):

@@ -8,14 +8,16 @@ of them, as that set raises it alone.  The sphere functions and the
 coherent amplitude, log map and quadratic expectation take one point or
 a stack of them, with the same rule.  ``metric_tensor`` on parameter
 rows gives row i the bits of the point call on row i, and raises its
-``DegeneracyError`` for the lowest failing row.  ``verify`` makes one
-call per check.
+``DegeneracyError`` for the lowest failing row; ``u_to_theta`` on energy
+rows raises an error of the chart first, then the error of its lowest
+failing row.  ``verify`` makes one call per check.
 """
 
 import numpy as np
 import pytest
 
 from infogeo import (
+    ConvergenceError,
     DegeneracyError,
     DomainError,
     EvaluationError,
@@ -101,6 +103,17 @@ def test_stacks_run_without_numpy_warnings():
             getattr(regression, fname)(sets)
 
 
+def one_coordinate_model(**kernels):
+    """A hand-built descriptor on the energy domain ``|u| < 10`` with the
+    closed ``kernels`` given; the other kernels are None."""
+    domain = Domain(1, np.array([[-10.0, 10.0]]), lambda u: np.abs(u[..., 0]) < 10.0,
+                    np.array([0.0]))
+    fields = dict.fromkeys(("closed_dual_points", "closed_metric", "closed_u_to_theta",
+                            "dataset_answers", "fiber_sampler"))
+    return ModelDescriptor(domain, lambda u: np.zeros(np.shape(u)[:-1]),
+                           **(fields | kernels))
+
+
 @pytest.mark.parametrize("name", ["qubit", "coherent2", "discrete3", "discrete3x2"])
 def test_metric_rows_equal_point_calls_bitwise(name):
     # discrete3x2 is the configured family prior = 1, 2, 3 / hamiltonians =
@@ -122,12 +135,7 @@ def test_metric_rows_raise_for_the_lowest_failing_row():
     def metric(thetas):
         return np.where(thetas[:, :, None] < 1.0, 1.0, -1.0)
 
-    domain = Domain(1, np.array([[-10.0, 10.0]]), lambda u: np.abs(u[..., 0]) < 10.0,
-                    np.array([0.0]))
-    model = ModelDescriptor(domain, lambda u: np.zeros(np.shape(u)[:-1]),
-                            closed_dual_points=None, closed_metric=metric,
-                            closed_u_to_theta=None, dataset_answers=None,
-                            fiber_sampler=None)
+    model = one_coordinate_model(closed_metric=metric)
     thetas = np.array([[0.0], [3.0], [-2.0], [5.0]])
     with pytest.raises(DegeneracyError) as rows_error:
         metric_tensor(model, thetas)
@@ -136,6 +144,52 @@ def test_metric_rows_raise_for_the_lowest_failing_row():
     assert str(rows_error.value) == str(one_error.value)
     assert "-1.000e+00" in str(rows_error.value)
     assert metric_tensor(model, thetas[::2])[:, 0, 0] == pytest.approx([1.0, 1.0])
+
+
+def raised(f, *args):
+    """``(type, message)`` of the error ``f(*args)`` raises."""
+    with pytest.raises(Exception) as info:
+        f(*args)
+    return type(info.value), str(info.value)
+
+
+def test_a_chart_stack_raises_the_error_of_its_lowest_failing_row():
+    # theta = exp(100 u) overflows at u = 8, inside the domain; u = 12 lies
+    # outside it
+    model = one_coordinate_model(closed_u_to_theta=lambda us: np.exp(100.0 * us))
+    outside, overflow = [12.0], [8.0]
+    assert raised(core.u_to_theta, model, outside) == (
+        DomainError, "energy point [12.0] is outside the model domain")
+    assert raised(core.u_to_theta, model, overflow) == (
+        EvaluationError, "the parameters dual to [8.0] overflow")
+    for first, second in ((outside, overflow), (overflow, outside)):
+        stack = np.array([[0.5], first, [-1.0], second])
+        assert raised(core.u_to_theta, model, stack) == raised(core.u_to_theta, model, first)
+    assert core.u_to_theta(model, [[0.5], [-1.0]]).tolist() == [[np.exp(50.0)],
+                                                                [np.exp(-100.0)]]
+    with pytest.raises(ValueError, match="expected energy rows of length 1"):
+        core.u_to_theta(model, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="energy rows must be finite"):
+        core.u_to_theta(model, [[0.5], [np.nan]])
+
+
+def test_an_error_of_the_chart_is_raised_before_the_failing_rows():
+    def stalls(us):
+        if (us > 5.0).any():
+            raise ConvergenceError("the chart stalled")
+        return us
+
+    model = one_coordinate_model(closed_u_to_theta=stalls)
+    with pytest.raises(ConvergenceError, match="the chart stalled"):
+        core.u_to_theta(model, np.array([[12.0], [0.5], [6.0]]))
+
+
+def test_a_theta_that_overflows_is_an_evaluation_error():
+    model = get_model("coherent2").descriptor
+    message = "the parameters dual to [0.0, 1e+308] overflow"
+    assert raised(core.u_to_theta, model, [0.0, 1e308]) == (EvaluationError, message)
+    assert raised(core.u_to_theta, model, [[0.0, 1.0], [0.0, 1e308]]) == (
+        EvaluationError, message)
 
 
 def test_verify_makes_one_call_per_check(monkeypatch):
