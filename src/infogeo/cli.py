@@ -9,15 +9,16 @@ error.  Flag errors (an unknown flag or command, a bad flag value, a
 number that is not finite, no command) end as ``"error:usage"``, with
 ``command`` null unless the first non-option token of argv names a known
 command.  An argv of a command and its own flags (``--name value``,
-``--name=value``) is read from ``_FLAGS``; argparse reads any other
-argv, and words all help and flag errors.  The exceptions to the one
-envelope are ``--help`` and ``--version``, which print text, and
-``sweep``, which streams a CSV table instead: its rows are evaluated
-one chunk of grid points at a time and written one row per ``write``,
-so each row leaves as soon as it is formatted.  The header follows the
-first chunk's evaluation, so a sweep that fails there prints only the
-error envelope; a failure in a later chunk ends a truncated table with
-it.  Progress, warnings and error messages go to stderr.
+``--name=value``) is read from ``_FLAGS``; any other argv goes to
+argparse, which loads with the first one and words all help and flag
+errors.  The exceptions to the one envelope are ``--help`` and
+``--version``, which print text, and ``sweep``, which streams a CSV
+table instead: its rows are evaluated one chunk of grid points at a
+time and written one row per ``write``, so each row leaves as soon as
+it is formatted.  The header follows the first chunk's evaluation, so a
+sweep that fails there prints only the error envelope; a failure in a
+later chunk ends a truncated table with it.  Progress, warnings and
+error messages go to stderr.
 
 ``verify`` takes one target: the positional ``TARGET`` (``all``, the
 default, ``numerics`` or a model name), ``--model NAME`` or ``--config
@@ -35,19 +36,19 @@ moments, points outside a chart, truncation overflow).
 
 from __future__ import annotations
 
-import argparse
-import configparser
+import functools
 import json
 import math
 import sys
 import time
+import types
 
 import numpy as np
 
-from . import __version__, coherent, core
+from . import __version__, core
 from .errors import EvaluationError, InfoGeoError
 from .numerics import row_norm
-from .registry import BUILTIN_NAMES, ModelHandle, get_model, load_config
+from .registry import BUILTIN_NAMES, ModelHandle, _module, get_model, load_config
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -102,7 +103,7 @@ def _read_file(path: str, what: str, load):
         return load(path)
     except FileNotFoundError:
         raise UsageError(f"{what} file not found: {path}") from None
-    except (OSError, ValueError, configparser.Error) as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"bad {what} file: {exc}") from None
 
 
@@ -136,14 +137,10 @@ def _canonical_model(args, inputs: dict, command: str):
     return handle, handle.descriptor
 
 
-def _load_pairs(path: str) -> np.ndarray:
-    from .regression import load_pairs  # with csv, on the first --data file only
-    return load_pairs(path)
-
-
-# flag -> (what the file holds, its reader)
-_DATA_FILES = {"x_file": ("state", coherent.load_state),
-               "data": ("data", _load_pairs)}
+# flag -> (what the file holds, the module of its reader, the reader); the
+# module loads with the flag's first file, regression with csv
+_DATA_FILES = {"x_file": ("state", "coherent", "load_state"),
+               "data": ("data", "regression", "load_pairs")}
 
 
 def _parse_dataset(args, handle: ModelHandle, inputs: dict):
@@ -172,9 +169,9 @@ def _parse_dataset(args, handle: ModelHandle, inputs: dict):
         z = complex(*parts)
         return lambda: handle.state(z)
     else:
-        what, load = _DATA_FILES[flag]
+        what, module, reader = _DATA_FILES[flag]
         inputs[flag] = text
-        x = _read_file(text, what, load)
+        x = _read_file(text, what, getattr(_module(module), reader))
     return lambda: x
 
 
@@ -215,8 +212,7 @@ def _cmd_massieu(args, inputs: dict):
 def _cmd_maxent(args, inputs: dict):
     handle = _resolve_model(args, inputs)
     if handle.descriptor is None:
-        outputs, diagnostics = handle.best_fit(_parse_dataset(args, handle, inputs)())
-        return outputs, diagnostics, "ok"
+        return *handle.best_fit(_parse_dataset(args, handle, inputs)()), "ok"
 
     if args.u is None:
         raise UsageError("maxent needs the moment targets --u")
@@ -378,8 +374,7 @@ def _cmd_sweep(args, inputs: dict):
     wanted = [q.strip() for q in (args.quantities or "").split(",") if q.strip()]
     if not wanted:
         raise UsageError("sweep needs --quantities (comma-separated names)")
-    known = {"phi", "entropy", "residual", "unorm"}
-    known.update(f"u{j + 1}" for j in range(model.n))
+    known = {"phi", "entropy", "residual", "unorm", *(f"u{j + 1}" for j in range(model.n))}
     for q in wanted:
         if q not in known:
             raise UsageError(f"unknown quantity {q!r}; known: {sorted(known)}")
@@ -513,16 +508,18 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises :class:`UsageError` on a flag error instead of exiting."""
-
-    def error(self, message):
-        raise UsageError(message)
-
-
-def _build_parser() -> argparse.ArgumentParser:
+# Built, with argparse, on the first argv that the flag table does not read.
+# Parsing leaves the parser unchanged, so one serves every later call of main.
+@functools.cache
+def _parser():
     """The top-level parser, with a subparser for each command."""
-    parser = _Parser(
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # a flag error raises UsageError, not SystemExit
+            raise UsageError(message)
+
+    parser = Parser(
         prog="infogeo",
         description="Dual coordinates, entropy transforms, and divergences"
                     " for a small zoo of statistical models.")
@@ -535,11 +532,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Parsing leaves the parser unchanged, so one serves every call of main.
-_PARSER = _build_parser()
-
-#: command -> the flags ``_PARSER`` reads from the command alone
-_DEFAULTS = {command: vars(_PARSER.parse_args([command])) for command in _COMMANDS}
+#: command -> the flags its parser reads from the command alone: the
+#: command and the default of each flag it takes
+_DEFAULTS = {c: {"command": c, **{f.lstrip("-").replace("-", "_"): _FLAGS[f].get("default")
+                                  for f in flags}} for c, (_, _, flags) in _COMMANDS.items()}
 
 
 _NEGATIVE_OK = ("--theta", "--u", "--zeta", "--xi", "--x", "--z")
@@ -558,12 +554,12 @@ def _normalize_argv(argv: list[str]) -> list[str]:
     return out
 
 
-def _read_flags(command: str, tokens: list[str]) -> argparse.Namespace | None:
-    """``_PARSER``'s flags for ``[command] + tokens`` (normalized), read from
-    ``_FLAGS`` in one pass, if each token is ``--name value`` or
-    ``--name=value`` for one of the command's flags, with a plain value;
-    else None.  Every flag value is the string argv gives, which the
-    command's handler parses."""
+def _read_flags(command: str, tokens: list[str]) -> types.SimpleNamespace | None:
+    """The flags that :func:`_parser` reads from ``[command] + tokens``
+    (normalized), read from ``_FLAGS`` in one pass, if each token is
+    ``--name value`` or ``--name=value`` for one of the command's flags,
+    with a plain value; else None.  Every flag value is the string argv
+    gives, which the command's handler parses."""
     own, flags, rest = _COMMANDS[command][2], dict(_DEFAULTS[command]), iter(tokens)
     for token in rest:
         name, joined, value = token.partition("=")
@@ -574,7 +570,7 @@ def _read_flags(command: str, tokens: list[str]) -> argparse.Namespace | None:
         dest = name[2:].replace("-", "_")
         append = _FLAGS[name].get("action") == "append"
         flags[dest] = flags[dest] + [value] if append else value
-    return argparse.Namespace(**flags)
+    return types.SimpleNamespace(**flags)
 
 
 def main(argv=None) -> int:
@@ -591,7 +587,7 @@ def main(argv=None) -> int:
         # version, or raises UsageError before any handler runs.
         args = _read_flags(command, tokens[1:]) if command and argv[0] == command else None
         if args is None:
-            args = _PARSER.parse_args(tokens)
+            args = _parser().parse_args(tokens)
         result = _COMMANDS[command][0](args, inputs)
         if result is None:  # a sweep, its CSV already written
             return EXIT_OK

@@ -16,16 +16,22 @@ the shape, so a check draws all its points at once.
 
 from __future__ import annotations
 
-import configparser
 import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import coherent, core, discrete, qubit, sphere
+from . import core
 from .core import ModelDescriptor
 from .errors import DomainError
 from .numerics import complex_row_norm
+
+
+# The package's module ``name``, loaded on first use: ``from . import name``
+# for a name known only at run time.  Unlike importlib.import_module, it takes
+# the import statement's path, so -X importtime lists the module.
+def _module(name: str):
+    return getattr(__import__(__package__, fromlist=[name]), name)
 
 
 class _CanonicalHandle:
@@ -57,9 +63,8 @@ class _CanonicalHandle:
 
         Returns ``(theta, achieved moments, solver iterations, note)``.
         """
-        model = self.descriptor
-        theta = core.u_to_theta(model, u)
-        return theta, core.theta_to_u(model, theta), 0, "closed-form chart inversion"
+        theta = core.u_to_theta(self.descriptor, u)
+        return theta, core.theta_to_u(self.descriptor, theta), 0, "closed-form chart inversion"
 
     def member_outputs(self, theta: np.ndarray) -> dict:
         """Extra ``massieu`` outputs describing the member at ``theta``."""
@@ -71,7 +76,7 @@ class QubitHandle(_CanonicalHandle):
     """The qubit: Bloch vectors as data sets, Gibbs states as members."""
 
     name: str = "qubit"
-    descriptor: ModelDescriptor = field(default_factory=qubit.as_descriptor)
+    descriptor: ModelDescriptor = field(default_factory=lambda: _module("qubit").as_descriptor())
 
     x_size = 3
     legendre_points = 100
@@ -110,7 +115,7 @@ class CoherentHandle(_CanonicalHandle):
     def state(self, z: complex) -> np.ndarray:
         """Coefficients of the coherent state ``|z>`` on the model's basis,
         truncated at its ``nmax``."""
-        return coherent.coherent_state(z, nmax=self.nmax)
+        return _module("coherent").coherent_state(z, nmax=self.nmax)
 
     def sample_datasets(self, rng, count: int) -> np.ndarray:
         """The coefficient rows ``(count, nmax + 1)`` of random states
@@ -144,13 +149,13 @@ class DiscreteHandle(_CanonicalHandle):
         # iterations that maxent reports; its theta has the chart's bits.
         if self.family.outside(u):
             raise DomainError(f"energy point {u.tolist()} is outside the model domain")
-        theta, iterations = discrete.maxent_fit_report(self.family, u)
+        theta, iterations = _module("discrete").maxent_fit_report(self.family, u)
         achieved = core.theta_to_u(self.descriptor, theta)
         return theta, achieved, iterations, "damped Newton on the dual objective"
 
     def member_outputs(self, theta: np.ndarray) -> dict:
         return {"member_distribution":
-                list(discrete.boltzmann_gibbs(self.family, theta))}
+                list(_module("discrete").boltzmann_gibbs(self.family, theta))}
 
     def sample_datasets(self, rng, count: int) -> np.ndarray:
         """``count`` probability vectors drawn uniformly from the simplex,
@@ -189,6 +194,7 @@ class SphereHandle:
 
     def best_fit(self, x: np.ndarray) -> tuple[dict, dict]:
         """``maxent`` outputs and diagnostics for the vector ``x``."""
+        sphere = _module("sphere")
         mu = sphere.sphere_mu(x)
         outputs = {"direction": list(mu), "entropy": sphere.sphere_entropy(x)}
         if mu[2] > 0.0:
@@ -204,16 +210,16 @@ ModelHandle = (QubitHandle | CoherentHandle | DiscreteHandle | RegressionHandle
 
 def coherent_instance(r: float = 1.0, hbar: float = 1.0, nmax: int = 64,
                       name: str | None = None) -> CoherentHandle:
-    constants = coherent.PhaseConstants(r=r, hbar=hbar)
-    desc = coherent.as_descriptor(constants, nmax)
+    constants = _module("coherent").PhaseConstants(r=r, hbar=hbar)
+    desc = _module("coherent").as_descriptor(constants, nmax)
     return CoherentHandle(name=name or f"coherent(r={r:g},hbar={hbar:g})",
                           descriptor=desc, constants=constants, nmax=nmax)
 
 
 def discrete_instance(prior, hamiltonians, name: str | None = None) -> DiscreteHandle:
-    family = discrete.DiscreteFamily(prior=prior, hamiltonians=hamiltonians)
+    family = _module("discrete").DiscreteFamily(prior=prior, hamiltonians=hamiltonians)
     return DiscreteHandle(name=name or f"discrete-{family.alphabet_size}letter",
-                          descriptor=discrete.as_descriptor(family), family=family)
+                          descriptor=_module("discrete").as_descriptor(family), family=family)
 
 
 _CANONICAL = {
@@ -248,9 +254,7 @@ def get_model(name: str) -> ModelHandle:
 
 
 def _parse_matrix(text: str) -> np.ndarray:
-    rows = [row.strip() for row in text.split(";") if row.strip()]
-    return np.array([[float(v) for v in row.replace(",", " ").split()]
-                     for row in rows])
+    return np.array([_parse_vector(row) for row in text.split(";") if row.strip()])
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -289,25 +293,30 @@ def load_config(path: str) -> ModelHandle:
     family needs both prior and hamiltonians; rows of the observable
     matrix are separated by ";".  The qubit, regression and sphere types
     take no settings.  Any other key of [model] or of the type's section
-    is refused; [DEFAULT] keys are not.
+    is refused; [DEFAULT] keys are not.  Malformed files raise ValueError.
     """
-    parser = configparser.ConfigParser()
-    with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
-    if not parser.has_section("model") or not parser.has_option("model", "type"):
-        raise ValueError("config needs a [model] section with a 'type' key")
-    model_type = parser.get("model", "type").strip().lower()
-    if model_type not in _CONFIG_TYPES:
-        raise ValueError(f"unknown model type {model_type!r}")
-    factory, readers, required = _CONFIG_TYPES[model_type]
-    if required and not parser.has_section(model_type):
-        raise ValueError(f"{model_type} config needs a [{model_type}] section")
-    # [DEFAULT] keys reach every section, [model] too, so only a section's own are checked
-    for section, known in (("model", ["type"]), (model_type, sorted(readers))):
-        given = set(parser.options(section)) if parser.has_section(section) else set()
-        unknown = sorted(given - set(parser.defaults()) - set(known))
-        if unknown:
-            raise ValueError(f"unknown {section} setting {unknown[0]!r}; known: {known}")
-    # a required setting the file lacks raises configparser's NoOptionError
-    return factory(**{key: read(parser.get(model_type, key)) for key, read in readers.items()
-                      if required or parser.has_option(model_type, key)})
+    import configparser  # loads with the first config file
+
+    try:
+        parser = configparser.ConfigParser()
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+        if not parser.has_section("model") or not parser.has_option("model", "type"):
+            raise ValueError("config needs a [model] section with a 'type' key")
+        model_type = parser.get("model", "type").strip().lower()
+        if model_type not in _CONFIG_TYPES:
+            raise ValueError(f"unknown model type {model_type!r}")
+        factory, readers, required = _CONFIG_TYPES[model_type]
+        if required and not parser.has_section(model_type):
+            raise ValueError(f"{model_type} config needs a [{model_type}] section")
+        # [DEFAULT] keys reach every section, [model] too, so only a section's own are checked
+        for section, known in (("model", ["type"]), (model_type, sorted(readers))):
+            given = set(parser.options(section)) if parser.has_section(section) else set()
+            unknown = sorted(given - set(parser.defaults()) - set(known))
+            if unknown:
+                raise ValueError(f"unknown {section} setting {unknown[0]!r}; known: {known}")
+        # a required setting the file lacks raises configparser's NoOptionError
+        return factory(**{key: read(parser.get(model_type, key)) for key, read in readers.items()
+                          if required or parser.has_option(model_type, key)})
+    except configparser.Error as exc:
+        raise ValueError(str(exc)) from exc

@@ -3,6 +3,7 @@ output, configuration files, and the model registry behind them."""
 
 import argparse
 import dataclasses
+import functools
 import importlib
 import io
 import json
@@ -117,6 +118,28 @@ def test_a_config_key_its_type_does_not_read_is_a_usage_error(tmp_path, capsys):
                     "[coherent]\nnmax = 8\n")
     handle = load_config(str(path))
     assert (handle.nmax, handle.constants.r) == (8, 2.0)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[model]\ntype = discrete\n\n[discrete]\nprior = 1, 1, 1\n",
+     "No option 'hamiltonians' in section: 'discrete'"),
+    ("type = qubit\n", "File contains no section headers."),
+    ("[model]\ntype = qubit\n[model]\ntype = qubit\n", "section 'model' already exists"),
+    ("[model]\ntype = %(kind)s\n", "Bad value substitution: option 'type'")],
+    ids=["missing-setting", "no-section-header", "duplicate-section", "bad-interpolation"])
+def test_a_file_configparser_refuses_is_a_value_error_and_a_usage_error(tmp_path, capsys,
+                                                                        text, message):
+    # load_config turns configparser's errors into ValueError with their text,
+    # which the command line reports as any other bad config file
+    path = tmp_path / "refused.ini"
+    path.write_text(text)
+    with pytest.raises(ValueError) as refused:
+        load_config(str(path))
+    assert type(refused.value) is ValueError and message in str(refused.value)
+    assert cli.main(["massieu", "--config", str(path), "--theta", "0.5"]) == 2
+    env = strict_json(capsys.readouterr().out)
+    assert env["status"] == "error:usage"
+    assert env["diagnostics"]["message"] == f"bad config file: {refused.value}"
 
 
 @pytest.mark.parametrize("line, field", [
@@ -702,19 +725,29 @@ def test_subcommands_take_the_same_flags():
         "sweep": common | {"--grid", "--quantities"},
         "verify": common,
     }
-    [commands] = [action.choices for action in cli._PARSER._actions
+    [commands] = [action.choices for action in cli._parser()._actions
                   if isinstance(action, argparse._SubParsersAction)]
     got = {name: {s for action in parser._actions for s in action.option_strings}
            for name, parser in commands.items()}
     assert got == expected
 
 
-def test_main_calls_in_one_process_match_separate_runs(capsys, monkeypatch):
-    """The parser is built once, at import, and shared by every call."""
-    def no_rebuild():
-        raise AssertionError("main must reuse the parser built at import")
+def test_flag_defaults_read_from_the_table_match_the_parser():
+    # _DEFAULTS is read from _FLAGS, without the parser; it must be what
+    # the parser reads from the command alone
+    for command in cli._COMMANDS:
+        assert cli._DEFAULTS[command] == vars(cli._parser().parse_args([command])), command
 
-    monkeypatch.setattr(cli, "_build_parser", no_rebuild)
+
+def test_main_calls_in_one_process_match_separate_runs(capsys, monkeypatch):
+    """The parser is built once, on first use, then reused by every call."""
+    builds, unbuilt = [], cli._parser.__wrapped__
+
+    def build():
+        builds.append(1)
+        return unbuilt()
+
+    monkeypatch.setattr(cli, "_parser", functools.cache(build))
     argvs = (
         ("massieu", "--model", "qubit", "--bogus", "1"),
         ("massieu", "--model", "qubit", "--theta", "1,0,0"),
@@ -730,6 +763,8 @@ def test_main_calls_in_one_process_match_separate_runs(capsys, monkeypatch):
         out, _ = capsys.readouterr()
         proc = run_cli(*args)
         assert (code, out) == (proc.returncode, proc.stdout), args
+        # the first argv, with its unknown flag, built it
+        assert len(builds) == 1, args
 
 
 def test_error_classes_carry_their_status_category():

@@ -116,11 +116,11 @@ def test_every_argv_gets_one_strict_json_envelope(argv):
 # Where the table read gives flags or raises, it must agree with argparse.
 
 def _parse(argv):
-    """``_PARSER``'s flags for ``argv``, its usage error message, or the
+    """The parser's flags for ``argv``, its usage error message, or the
     exit code of its help or version."""
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            return "flags", vars(cli._PARSER.parse_args(cli._normalize_argv(argv)))
+            return "flags", vars(cli._parser().parse_args(cli._normalize_argv(argv)))
     except cli.UsageError as exc:
         return "usage error", str(exc)
     except SystemExit as exc:
@@ -128,7 +128,7 @@ def _parse(argv):
 
 
 def assert_table_read_agrees(argv):
-    """The table read of ``argv`` gives ``_PARSER``'s flags, raises its usage
+    """The table read of ``argv`` gives the parser's flags, raises its usage
     error, or leaves the argv to it."""
     try:
         args = cli._read_flags(argv[0], cli._normalize_argv(argv)[1:])
@@ -178,8 +178,8 @@ def test_a_plain_argv_runs_without_argparse(argv, monkeypatch, capsys):
     def parse_args(*args, **kwargs):
         raise AssertionError("argparse parsed a plain argv")
 
-    # every parser of the CLI is a cli._Parser
-    monkeypatch.setattr(cli._Parser, "parse_args", parse_args)
+    # every parser of the CLI has the class of the one the cached builder gives
+    monkeypatch.setattr(type(cli._parser()), "parse_args", parse_args)
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     if argv[0] == "sweep":
@@ -205,4 +205,4 @@ def test_an_argv_not_led_by_a_command_never_parses_on_the_top_level(argv):
     # the usage error
     with contextlib.redirect_stdout(io.StringIO()):
         with pytest.raises((cli.UsageError, SystemExit)):
-            cli._PARSER.parse_args(cli._normalize_argv(argv))
+            cli._parser().parse_args(cli._normalize_argv(argv))
